@@ -3,10 +3,10 @@
 The package models a type-I parametric medium of finite length inside a
 confocal cavity, keeping diffraction inside the crystal.  It provides the
 thick-crystal coupling kernels in near and far field, the input/output
-Bogoliubov transform of the cavity (closed form for a plane pump, dense
-linear solve for a finite pump), and balanced-homodyne noise spectra for
-arbitrary symmetric detectors and local oscillators, normalized to shot
-noise.
+Bogoliubov transform of the cavity as independent modes (closed form for a
+plane pump, eigendecomposition of the coupling matrix for a finite pump),
+and balanced-homodyne noise spectra for arbitrary symmetric detectors and
+local oscillators, normalized to shot noise.
 """
 
 __version__ = "0.1.0"
@@ -28,7 +28,6 @@ from .params import DerivedScales, OpoParams, derive_scales, validate
 from .kernels import (
     Grid1D,
     KernelMatrix,
-    PhaseMatchParams,
     auto_grid,
     build_kernel_matrix,
     delta_2d,
@@ -36,15 +35,12 @@ from .kernels import (
     ktilde_far,
     ktilde_far_2d,
     phase_match_sinc,
-    phase_mismatch,
     si,
 )
 from .iosolver import (
-    BogoliubovPair,
+    CavityModes,
     analytic_uv_planepump,
-    bogoliubov_residuals,
-    diagonal_pair,
-    even_diagonal,
+    mode_uv,
     solve_io,
     threshold_margin,
 )
@@ -60,20 +56,21 @@ from .homodyne import (
     squeezing_planepump_far,
     squeezing_planepump_near,
     sweep,
+    sweep_extents,
 )
 
 __all__ = [
     "__version__",
     "OpoParams", "DerivedScales", "validate", "derive_scales",
-    "Grid1D", "KernelMatrix", "PhaseMatchParams", "auto_grid",
+    "Grid1D", "KernelMatrix", "auto_grid",
     "build_kernel_matrix", "delta_2d", "kint_near_2d", "ktilde_far",
-    "ktilde_far_2d", "phase_match_sinc", "phase_mismatch", "si",
-    "BogoliubovPair", "analytic_uv_planepump", "bogoliubov_residuals",
-    "diagonal_pair", "even_diagonal", "solve_io", "threshold_margin",
+    "ktilde_far_2d", "phase_match_sinc", "si",
+    "CavityModes", "analytic_uv_planepump", "mode_uv", "solve_io",
+    "threshold_margin",
     "DetectorMask", "LocalOscillator", "SqueezingResult", "SweepPoint",
     "noise_density_planepump", "shot_noise", "spectrum_planepump_circular",
     "squeezing_numeric", "squeezing_planepump_far", "squeezing_planepump_near",
-    "sweep",
+    "sweep", "sweep_extents",
     "OpoError", "ConfigurationError", "NumericalFailure", "NonPhysical",
     "AboveThreshold", "AmbiguousPump", "EmptyDetector", "PlaneMismatch",
     "GridTooCoarse", "SingularSystem", "AtOrAboveThreshold",

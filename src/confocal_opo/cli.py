@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, NumericalFailure, OpoError
-from .homodyne import LocalOscillator, noise_density_planepump, sweep
+from .homodyne import LocalOscillator, noise_density_planepump, sweep, sweep_extents
 from .iosolver import threshold_margin
 from .kernels import Grid1D, auto_grid, build_kernel_matrix, delta_2d
 from .params import OpoParams, derive_scales, validate
@@ -144,6 +144,11 @@ def scenario_from_config(cfg: dict) -> Scenario:
         raise ConfigurationError("key 'sweep_max': must exceed sweep_min")
     if cfg["sweep_min"] < 0:
         raise ConfigurationError("key 'sweep_min': must be non-negative")
+    if cfg.get("grid_n") is not None and cfg["grid_n"] < 2:
+        raise ConfigurationError("key 'grid_n': need at least 2 grid points")
+    grid_L = cfg.get("grid_L")
+    if grid_L is not None and not (math.isfinite(grid_L) and grid_L > 0):
+        raise ConfigurationError("key 'grid_L': must be a positive finite half extent")
     values = list(np.linspace(cfg["sweep_min"], cfg["sweep_max"], npts))
     lo_profile = cfg.get("lo", "plane")
     lo = LocalOscillator(
@@ -171,7 +176,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
         lo=lo,
         pixel_width=pixel_width,
         grid_n=cfg.get("grid_n"),
-        grid_L=cfg.get("grid_L"),
+        grid_L=grid_L,
         abscissa_scale=scale,
         abscissa_name=name,
         label="run",
@@ -248,25 +253,13 @@ def _explicit_grid(sc: Scenario, scales) -> Grid1D | None:
     if sc.grid_L is not None:
         half = sc.grid_L
     else:
-        masks_reach = max(
-            _mask_reach(sc, value) for value in sc.values if value > 0
-        )
-        extents = [masks_reach]
-        if sc.lo.profile == "gaussian":
-            extents.append(
-                sc.lo.waist if domain == "near" else sc.lo.q_reach(sc.params)
-            )
-        half = auto_grid(sc.params, scales, domain, extra_extents=tuple(extents)).half_extent
+        extents = sweep_extents(sc.params, domain, sc.detector, sc.values, sc.lo,
+                                sc.pixel_width)
+        half = auto_grid(sc.params, scales, domain, extra_extents=extents).half_extent
     n = sc.grid_n
     if n is None:
         n = auto_grid(sc.params, scales, domain).n
     return Grid1D.uniform(n, half, domain)
-
-def _mask_reach(sc: Scenario, value: float) -> float:
-    from .homodyne import _mask_for
-
-    mask = _mask_for(sc.detector, value, sc.pixel_width, sc.plane)
-    return mask.bounds_on_axis(sc.params)[1]
 
 def write_summary(outdir: Path, sc_list, extra_lines=()) -> Path:
     """Derived scales and threshold margin for every scenario in the run."""

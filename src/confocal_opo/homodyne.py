@@ -6,33 +6,35 @@ detector area.  Its noise spectrum normalized to shot noise is
 
     vn = V / N = 1 + S / N,
 
-computed from the Bogoliubov pair (U, V) with vacuum input and the
-symmetrized even-field commutation rules.  For a symmetric detector and an
-even local oscillator only the even part of the output contributes beyond
-shot noise; the odd part stays in the vacuum.  With the even projector P and
-the quadrature-weighted LO-on-detector vector l (grid step w):
+computed from the cavity modes (K = Q diag(lambda) Q^T, per-mode transform
+u, v; see ``iosolver``) with vacuum input and the symmetrized even-field
+commutation rules.  For a symmetric detector and an even local oscillator
+only the even part of the output contributes beyond shot noise; the odd part
+stays in the vacuum.  With the even projector P, the quadrature-weighted
+LO-on-detector vector l (grid step w) and its mode coefficients c = Q^T P l:
 
-    N = w l^+ l,
-    S = 2 w [ l^+ V P V^+ l + Re( e^{-2 i phi} l^+ U P V_-^T l* ) ],
+    N = w l^T l,
+    vn = 1 + (2 w / N) [ sum_k c_k^2 |v_k|^2
+                         + Re( e^{-2 i phi} sum_k c_k^2 u_k v_-k ) ],
 
-where V_- is the transform at the opposite analysis frequency (V itself at
-zero frequency, conj(V) at resonance; a fresh solve otherwise).  The
-quadrature phi = pi/2 is the squeezed quadrature for this sign convention;
-phi = 0 gives its anti-squeezed dual, and both are always computable (their
-product is 1 per mode at resonance and zero frequency).
+where v_- is the per-mode v at the opposite analysis frequency, a closed
+form at no extra cost.  The quadrature phi = pi/2 is the squeezed quadrature
+for this sign convention; phi = 0 gives its anti-squeezed dual, and both are
+always computable (their product is 1 per mode at resonance and zero
+frequency).
 
 Plane-pump configurations bypass the dense solve entirely: the response is
-diagonal in the transverse wavevector, so spectra reduce to 1-D quadratures
-over closed-form densities.  Those routes cover detector sizes far beyond
-what a dense grid can span, and are cross-checked against the dense solver
-where the two overlap.
+diagonal in the transverse wavevector, with mode gain lambda = A_p sigma(q),
+so spectra reduce to 1-D quadratures over closed-form densities.  Those
+routes cover detector sizes far beyond what a dense grid can span, and are
+cross-checked against the dense solver where the two overlap.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -44,8 +46,8 @@ from .errors import (
     GridTooCoarse,
     PlaneMismatch,
 )
-from .iosolver import BogoliubovPair, analytic_uv_planepump, solve_io
-from .kernels import Grid1D, auto_grid, build_kernel_matrix, si
+from .iosolver import CavityModes, analytic_uv_planepump, mode_uv, solve_io
+from .kernels import Grid1D, auto_grid, build_kernel_matrix, phase_match_sinc, si
 from .params import DerivedScales, OpoParams, validate
 
 def quad(*args, **kwargs):
@@ -68,6 +70,7 @@ __all__ = [
     "squeezing_planepump_near",
     "squeezing_planepump_far",
     "sweep",
+    "sweep_extents",
 ]
 
 SQUEEZED_PHASE = math.pi / 2
@@ -237,43 +240,27 @@ def shot_noise(
     mag = lo.magnitude(grid, p)
     return float(np.sum(mag[mask] ** 2 * grid.weights[mask]))
 
-def _negative_frequency_v(bg: BogoliubovPair, bg_neg: BogoliubovPair | None):
-    """V at the opposite analysis frequency.
+def _noise_weights(lam, detuning: float, omega_bar: float):
+    """Per-mode noise weights (|v|^2, u v_-) of a mode of gain ``lam``.
 
-    Without an explicit solve this is exact in two cases: at zero analysis
-    frequency V(-0) = V, and at resonance V(-omega) = conj(V(omega)) because
-    the coupling kernel is real, so negating the frequency conjugates the
-    whole linear system.
+    v_- is v at the opposite analysis frequency; the dense contraction and
+    the plane-pump near tables both weigh their modes with these.
     """
-    if bg_neg is not None:
-        return bg_neg.V
-    detuning, omega_bar = bg.at
-    if omega_bar == 0.0:
-        return bg.V
-    if detuning == 0.0:
-        return np.conj(bg.V)
-    raise ValueError(
-        "with nonzero detuning and nonzero analysis frequency the "
-        "negative-frequency pair bg_neg must be supplied"
-    )
+    u, v = mode_uv(lam, detuning, omega_bar)
+    _, v_neg = mode_uv(lam, detuning, -omega_bar)
+    return np.abs(v) ** 2, u * v_neg
 
-def _noise_terms(
-    bg: BogoliubovPair, bg_neg: BogoliubovPair | None, lvec: np.ndarray, w: float
-):
+def _noise_terms(modes: CavityModes, lvec: np.ndarray, w: float):
     """(N, s_plus, anom) for an unphased LO-on-detector vector lvec.
 
-    vn(phi) = 1 + (2 w / N) (s_plus + Re(e^{-2 i phi} anom)).
+    vn(phi) = 1 + (2 w / N) (s_plus + Re(e^{-2 i phi} anom)) with
+    c = Q^T P lvec the even part of lvec in the mode basis,
+    s_plus = sum c^2 |v|^2 and anom = sum c^2 u v_-.
     """
-    u, v = bg.U, bg.V
-    v_neg = _negative_frequency_v(bg, bg_neg)
-    n_shot = w * float(np.vdot(lvec, lvec).real)
-    y = v.conj().T @ lvec
-    y = 0.5 * (y + y[::-1])
-    s_plus = float(np.vdot(y, y).real)
-    row = np.conj(lvec) @ u
-    row = 0.5 * (row + row[::-1])
-    anom = complex(row @ (v_neg.T @ np.conj(lvec)))
-    return n_shot, s_plus, anom
+    normal, anomalous = _noise_weights(modes.lam, *modes.at)
+    c2 = (modes.Q.T @ (0.5 * (lvec + lvec[::-1]))) ** 2
+    n_shot = w * float(lvec @ lvec)
+    return n_shot, float(c2 @ normal), complex(c2 @ anomalous)
 
 def _vn_from_terms(n_shot, s_plus, anom, w, phase):
     return 1.0 + (2.0 * w / n_shot) * (
@@ -281,29 +268,22 @@ def _vn_from_terms(n_shot, s_plus, anom, w, phase):
     )
 
 def squeezing_numeric(
-    bg: BogoliubovPair,
+    modes: CavityModes,
     lo: LocalOscillator,
     det: DetectorMask,
     p: OpoParams,
-    bg_neg: BogoliubovPair | None = None,
 ) -> SqueezingResult:
-    """Noise spectrum from a dense Bogoliubov pair, first principles.
+    """Noise spectrum from the cavity modes of a dense solve, first principles.
 
     Evaluates the homodyne quadrature applied to U B_in + V B_in^+ with
-    vacuum input and even-field commutators.  ``bg_neg`` supplies the
-    transform at the opposite analysis frequency; it may be omitted whenever
-    the detuning or the analysis frequency vanishes (V_- is then V or
-    conj(V) exactly, the coupling kernel being real).
+    vacuum input and even-field commutators, one contraction over the modes.
     """
-    if bg.kind != "dense":
-        raise ValueError("squeezing_numeric needs a dense BogoliubovPair")
-    grid = bg.grid
-    mask = det.indicator(grid, p)
-    lvec = lo.magnitude(grid, p) * mask
+    grid = modes.grid
+    lvec = lo.magnitude(grid, p) * det.indicator(grid, p)
     w = grid.step
-    n_shot, s_plus, anom = _noise_terms(bg, bg_neg, lvec, w)
+    n_shot, s_plus, anom = _noise_terms(modes, lvec, w)
     vn = _vn_from_terms(n_shot, s_plus, anom, w, lo.phase)
-    return _result(vn, n_shot, lo.phase, route="dense", at=bg.at)
+    return _result(vn, n_shot, lo.phase, route="dense", at=modes.at)
 
 
 # ---------------------------------------------------------------------------
@@ -422,25 +402,19 @@ class _PlanePumpNearTables:
         )
 
     def _components(self):
-        # component functions of the scaled wavevector t = q l_coh
+        # component functions of the scaled wavevector t = q l_coh: the
+        # per-mode noise weights at the plane-pump mode gain A_p sigma(q)
         p, s = self.p, self.s
-        lcoh = s.l_coh
 
-        def f1(t):
-            _, v = analytic_uv_planepump(np.asarray(t) / lcoh, p, s)
-            return np.abs(v) ** 2
+        def weights(t):
+            lam = p.A_p * phase_match_sinc(np.asarray(t) / s.l_coh, s)
+            return _noise_weights(lam, p.detuning, p.omega_bar)
 
-        def f2(t):
-            u, _ = analytic_uv_planepump(np.asarray(t) / lcoh, p, s)
-            _, vm = analytic_uv_planepump(np.asarray(t) / lcoh, p, s, omega_bar=-p.omega_bar)
-            return (u * vm).real
-
-        def f3(t):
-            u, _ = analytic_uv_planepump(np.asarray(t) / lcoh, p, s)
-            _, vm = analytic_uv_planepump(np.asarray(t) / lcoh, p, s, omega_bar=-p.omega_bar)
-            return (u * vm).imag
-
-        return f1, f2, f3
+        return (
+            lambda t: weights(t)[0],
+            lambda t: weights(t)[1].real,
+            lambda t: weights(t)[1].imag,
+        )
 
     def _panels(self):
         # Gauss panel nodes for [0, SWITCH] and [SWITCH, CUT].  Panel edges
@@ -621,6 +595,33 @@ def _mask_for(shape, value, pixel_width, plane):
         return ctor(value, plane)
     return DetectorMask.pixel_pair(value, pixel_width, plane)
 
+def _zero_size(shape, value) -> bool:
+    # a zero-size interval or disk detects nothing: shot noise by definition
+    return value <= 0 and shape in ("interval", "radial")
+
+def sweep_extents(
+    p: OpoParams,
+    plane: str,
+    detector_shape: str,
+    values,
+    lo: LocalOscillator,
+    pixel_width: float | None = None,
+) -> tuple[float, ...]:
+    """Half extents a dense sweep grid must cover (m near, 1/m far).
+
+    The outer reach of every non-empty detector of the sweep, and the spot
+    of a Gaussian local oscillator; ``auto_grid`` takes them as
+    ``extra_extents``.
+    """
+    extents = [
+        _mask_for(detector_shape, v, pixel_width, plane).bounds_on_axis(p)[1]
+        for v in values
+        if not _zero_size(detector_shape, v)
+    ]
+    if lo.profile == "gaussian":
+        extents.append(lo.waist if plane == "near" else lo.q_reach(p))
+    return tuple(extents)
+
 def sweep(
     p: OpoParams,
     s: DerivedScales,
@@ -630,16 +631,15 @@ def sweep(
     lo: LocalOscillator,
     pixel_width: float | None = None,
     grid: Grid1D | None = None,
-    strict_grid: bool = True,
 ) -> list[SweepPoint]:
     """Deterministic noise curve over a family of detector settings.
 
     ``values`` are interval half widths / radii, or pixel center distances
     (with ``pixel_width``), in detection-plane meters.  Plane-pump scenarios
-    run on the closed-form diagonal routes; a finite pump triggers one dense
-    solve (reused for every detector) on ``grid`` or on an automatically
-    sized one.  Points are returned in the order given; each carries both
-    canonical quadratures.
+    run on the closed-form diagonal routes; a finite pump triggers one
+    eigendecomposition (its modes serve every detector) on ``grid`` or on an
+    automatically sized one.  Points are returned in the order given; each
+    carries both canonical quadratures.
     """
     validate(p)
     values = [float(v) for v in values]
@@ -651,29 +651,18 @@ def sweep(
     if p.plane_pump:
         return _sweep_planepump(p, s, plane, detector_shape, values, lo, pixel_width)
 
-    masks = {
-        v: _mask_for(detector_shape, v, pixel_width, plane)
-        for v in values
-        if not (v == 0.0 and detector_shape in ("interval", "radial"))
-    }
     if grid is None:
-        extents = [m.bounds_on_axis(p)[1] for m in masks.values()]
-        if lo.profile == "gaussian":
-            extents.append(lo.waist if plane == "near" else lo.q_reach(p))
-        grid = auto_grid(p, s, plane, extra_extents=tuple(extents))
-    kmat = build_kernel_matrix(grid, p, s, strict=strict_grid)
-    bg = solve_io(kmat, p)
-    bg_neg = None
-    if p.detuning != 0.0 and p.omega_bar != 0.0:
-        bg_neg = solve_io(kmat, replace(p, omega_bar=-p.omega_bar))
+        extents = sweep_extents(p, plane, detector_shape, values, lo, pixel_width)
+        grid = auto_grid(p, s, plane, extra_extents=extents)
+    modes = solve_io(build_kernel_matrix(grid, p, s), p)
     mag = lo.magnitude(grid, p)
     out = []
     for value in values:
-        if value not in masks:  # zero-size detector: shot noise by definition
+        if _zero_size(detector_shape, value):
             out.append(SweepPoint(value, 1.0, 1.0, 0.0))
             continue
-        lvec = mag * masks[value].indicator(grid, p)
-        n_shot, s_plus, anom = _noise_terms(bg, bg_neg, lvec, grid.step)
+        lvec = mag * _mask_for(detector_shape, value, pixel_width, plane).indicator(grid, p)
+        n_shot, s_plus, anom = _noise_terms(modes, lvec, grid.step)
         out.append(
             SweepPoint(
                 value=value,
@@ -692,7 +681,7 @@ def _sweep_planepump(p, s, plane, detector_shape, values, lo, pixel_width):
                 raise ConfigurationError(
                     "plane-pump near-field sweeps support a plane LO only"
                 )
-            if value <= 0 and detector_shape in ("interval", "radial"):
+            if _zero_size(detector_shape, value):
                 out.append(SweepPoint(value, 1.0, 1.0, 0.0))
                 continue
             det = _mask_for(detector_shape, value, pixel_width, "near")

@@ -6,59 +6,71 @@ boundary condition gives a closed linear relation between output and input.
 In units of the cavity escape rate, with a = i omega_bar + 1 + i detuning
 and abar = i omega_bar + 1 - i detuning, the relation reads
 
-    [a I - K Kbar / abar] B_out = [(2 - a) I + K Kbar / abar] B_in
-                                  + (2 / abar) K B_in^+
+    [a I - K^2 / abar] B_out = [(2 - a) I + K^2 / abar] B_in + (2 / abar) K B_in^+
 
-where K is the coupling operator and Kbar its elementwise conjugate.  U and
-V follow from one dense factorization of the left-hand matrix.  For a plane
-pump the far-field operator is diagonal on the even subspace and U, V reduce
-to closed-form functions of the phase-matching factor sigma(q).
+where K is the real symmetric coupling operator.  U and V are therefore
+functions of K alone, and its eigendecomposition K = Q diag(lambda) Q^T
+diagonalizes both at every detuning and analysis frequency at once
+(Bloch-Messiah reduction): U = Q diag(u) Q^T and V = Q diag(v) Q^T with
+the per-mode closed forms u(lambda), v(lambda) of ``mode_uv``.  Each mode is
+an independent single-mode OPO with gain lambda, and |u|^2 - |v|^2 = 1
+identically.  A plane pump is diagonal in the transverse wavevector with
+lambda = A_p sigma(q), so its closed form is the same per-mode function.
 
-Commutator preservation of the even field fixes the Bogoliubov identities
-U U^+ - V V^+ = I and U V^T = V U^T (operator form, uniform weights), which
-are asserted after every dense solve and serve as the correctness gate.
+The Bogoliubov identities U U^+ - V V^+ = I and U V^T = V U^T then hold to
+the orthogonality of Q; ``solve_io`` checks a bound on both after every
+eigendecomposition as its correctness gate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
-from scipy.linalg import lapack, lu_factor, lu_solve
+from scipy.linalg import eigh, eigvalsh
 
 from .errors import AtOrAboveThreshold, SingularSystem
 from .kernels import KernelMatrix, Grid1D, phase_match_sinc
 from .params import DerivedScales, OpoParams
 
 __all__ = [
-    "BogoliubovPair",
+    "CavityModes",
     "analytic_uv_planepump",
-    "diagonal_pair",
+    "mode_uv",
     "solve_io",
     "threshold_margin",
-    "even_diagonal",
-    "bogoliubov_residuals",
 ]
 
 _CONDITION_CUTOFF = 1e12
+_SYMPLECTIC_TOLERANCE = 1e-6
+
+
+def mode_uv(lam, detuning: float, omega_bar: float):
+    """Per-mode (u, v) of a single-mode OPO with gain ``lam`` (threshold units).
+
+    a = 1 + i(detuning + omega_bar), abar = 1 + i(omega_bar - detuning):
+
+        u = (conj(a) abar + lam^2) / D,   v = 2 lam / D,   D = a abar - lam^2
+    """
+    a = 1.0 + 1j * (detuning + omega_bar)
+    abar = 1.0 + 1j * (omega_bar - detuning)
+    den = a * abar - lam**2
+    return (np.conj(a) * abar + lam**2) / den, 2.0 * lam / den
 
 
 @dataclass(frozen=True, eq=False)
-class BogoliubovPair:
-    """The (U, V) input/output transform at one (detuning, omega_bar) point.
+class CavityModes:
+    """Eigenmodes of the coupling matrix at one (detuning, omega_bar) point.
 
-    kind = "diagonal": U and V are callables of the transverse wavevector
-    (plane pump, closed form).  kind = "dense": U and V are complex n x n
-    matrices in operator form (quadrature weights folded in) acting on
-    field-value vectors over ``grid``.
+    ``K = Q diag(lam) Q^T`` with orthonormal real columns of ``Q`` over the
+    field values on ``grid`` (operator form, uniform weights); the transform
+    is U = Q diag(u) Q^T, V = Q diag(v) Q^T with (u, v) = mode_uv(lam, *at).
     """
 
-    kind: str
-    U: object = field(repr=False)
-    V: object = field(repr=False)
-    at: tuple[float, float] = (0.0, 0.0)  # (detuning, omega_bar)
-    grid: Grid1D | None = None
+    grid: Grid1D
+    at: tuple[float, float]  # (detuning, omega_bar)
+    Q: np.ndarray = field(repr=False)
+    lam: np.ndarray = field(repr=False)
 
 
 def analytic_uv_planepump(
@@ -69,119 +81,81 @@ def analytic_uv_planepump(
 ):
     """Closed-form (U, V) of the plane-pump cavity at transverse wavevector q.
 
-    With sigma = sinc(l_c q^2 / (2 k_s)), a = 1 + i(detuning + omega_bar),
-    abar = 1 + i(omega_bar - detuning):
-
-        U = (conj(a) abar + A_p^2 sigma^2) / D
-        V = 2 A_p sigma / D
-        D = a abar - A_p^2 sigma^2
-
+    ``mode_uv`` at the mode gain A_p sigma(q), sigma = sinc(l_c q^2 / (2 k_s)).
     |U|^2 - |V|^2 = 1 identically (each even mode is an independent OPO
     below threshold).  ``omega_bar`` overrides the analysis frequency of
     ``p`` (used for the negative-frequency partner).
 
     Raises ``AtOrAboveThreshold`` when |D| vanishes within 1e-14.
     """
-    q = np.asarray(q, dtype=float)
     om = p.omega_bar if omega_bar is None else omega_bar
-    sig = p.A_p * phase_match_sinc(q, s)
-    a = 1.0 + 1j * (p.detuning + om)
-    abar = 1.0 + 1j * (om - p.detuning)
-    den = a * abar - sig**2
-    if np.any(np.abs(den) <= 1e-14):
+    sig = p.A_p * phase_match_sinc(np.asarray(q, dtype=float), s)
+    a_abar = (1.0 + 1j * (p.detuning + om)) * (1.0 + 1j * (om - p.detuning))
+    if np.any(np.abs(a_abar - sig**2) <= 1e-14):
         raise AtOrAboveThreshold("plane-pump response diverges: a*abar = (A_p sigma)^2")
-    u = (np.conj(a) * abar + sig**2) / den
-    v = 2.0 * sig / den
-    return u, v
-
-def diagonal_pair(p: OpoParams, s: DerivedScales) -> BogoliubovPair:
-    """Package the closed-form plane-pump transform as a BogoliubovPair."""
-    u_of_q: Callable = lambda q: analytic_uv_planepump(q, p, s)[0]
-    v_of_q: Callable = lambda q: analytic_uv_planepump(q, p, s)[1]
-    return BogoliubovPair(
-        kind="diagonal", U=u_of_q, V=v_of_q, at=(p.detuning, p.omega_bar)
-    )
+    return mode_uv(sig, p.detuning, om)
 
 
-def solve_io(K: KernelMatrix, p: OpoParams, check: bool = True) -> BogoliubovPair:
-    """Dense input/output solve on the grid of ``K``.
+def solve_io(K: KernelMatrix, p: OpoParams) -> CavityModes:
+    """Eigenmodes of the real symmetric coupling matrix ``K`` at the point of ``p``.
 
-    One LU factorization of M = a I - K Kbar / abar is reused for both
-    right-hand blocks.  Raises ``SingularSystem`` when the 1-norm condition
-    estimate of M exceeds 1e12 (at/above threshold, or a grid too coarse to
-    keep the discretized operator below threshold).
-
-    With ``check`` the Bogoliubov residuals are verified to 1e-6 as a
-    structural sanity gate (they normally sit at rounding level).
+    One ``eigh`` call.  Raises ``SingularSystem`` when the spectral
+    condition max|a abar - lam^2| / min|a abar - lam^2| of the system matrix
+    a I - K^2 / abar exceeds 1e12 (at/above threshold, or a grid too coarse
+    to keep the discretized operator below threshold), or when the modes
+    cannot certify the Bogoliubov identities to 1e-6.
     """
-    n = K.grid.n
-    a = 1.0 + 1j * (p.detuning + p.omega_bar)
-    abar = 1.0 + 1j * (p.omega_bar - p.detuning)
-    kop = np.asarray(K.entries, dtype=complex)
-    kk = kop @ np.conj(kop)
-    eye = np.eye(n)
-    m = a * eye - kk / abar
-    anorm = np.linalg.norm(m, 1)
-    lu, piv = lu_factor(m)
-    rcond, info = lapack.zgecon(lu, anorm, norm="1")
-    if info != 0 or rcond <= 0 or (1.0 / rcond) > _CONDITION_CUTOFF:
-        cond = np.inf if rcond <= 0 else 1.0 / rcond
+    a_abar = (1.0 + 1j * (p.detuning + p.omega_bar)) * (1.0 + 1j * (p.omega_bar - p.detuning))
+    # divide and conquer: faster than the default driver at n ~ 2000 and
+    # orthogonal to ~1e-13 in Frobenius norm, which the gate below relies on
+    lam, q = eigh(K.entries, driver="evd")
+    den = np.abs(a_abar - lam**2)
+    if not den.max() <= _CONDITION_CUTOFF * den.min():
+        cond = den.max() / den.min() if den.min() > 0 else np.inf
         raise SingularSystem(
             f"input/output system condition {cond:.3e} exceeds {_CONDITION_CUTOFF:.0e}; "
             "the configuration is at/above threshold or the grid is too coarse"
         )
-    u = lu_solve((lu, piv), (2.0 - a) * eye + kk / abar)
-    v = lu_solve((lu, piv), (2.0 / abar) * kop)
-    pair = BogoliubovPair(
-        kind="dense", U=u, V=v, at=(p.detuning, p.omega_bar), grid=K.grid
-    )
-    if check:
-        r1, r2 = bogoliubov_residuals(pair)
-        if max(r1, r2) > 1e-6:
-            raise SingularSystem(
-                f"Bogoliubov residuals {r1:.2e}, {r2:.2e} exceed 1e-6; "
-                "solve output is not a symplectic transform"
-            )
-    return pair
+    modes = CavityModes(grid=K.grid, at=(p.detuning, p.omega_bar), Q=q, lam=lam)
+    bound = _symplectic_bound(modes)
+    if not bound <= _SYMPLECTIC_TOLERANCE:
+        raise SingularSystem(
+            f"Bogoliubov residual bound {bound:.2e} exceeds {_SYMPLECTIC_TOLERANCE:.0e}; "
+            "the modes do not define a symplectic transform"
+        )
+    return modes
+
+
+def _symplectic_bound(modes: CavityModes) -> float:
+    """Upper bound on the max-norm of U U^+ - V V^+ - I and U V^T - V U^T.
+
+    With E = Q^T Q - I, e = ||E||_F >= ||E||_2, d = max| |u|^2 - |v|^2 - 1 |
+    and the pair weights W_jk = |u_j u_k^* - v_j v_k^*|:
+
+        U U^+ - V V^+ - I = (Q Q^T - I) + Q [diag(|u|^2 - |v|^2 - 1)
+                            + E_jk (u_j u_k^* - v_j v_k^*)] Q^T,
+        U V^T - V U^T     = Q [E_jk (u_j v_k - v_j u_k)] Q^T,
+
+    where ||Q Q^T - I||_2 = ||E||_2 (Q is square), ||Q||_2^2 <= 1 + e and
+    |u_j v_k - v_j u_k|^2 = W_jk^2 - (1 + d_j)(1 + d_k) <= W_jk^2.  The
+    weights stay of order one between modes of similar gain, so the bound
+    does not degrade near threshold.  One real n^3 product.
+    """
+    u, v = mode_uv(modes.lam, *modes.at)
+    gram = modes.Q.T @ modes.Q
+    gram[np.diag_indices_from(gram)] -= 1.0
+    e = float(np.linalg.norm(gram))
+    d = float(np.abs(np.abs(u) ** 2 - np.abs(v) ** 2 - 1.0).max())
+    gram *= np.abs(np.multiply.outer(u, u.conj()) - np.multiply.outer(v, v.conj()))
+    return e + (1.0 + e) * (d + float(np.linalg.norm(gram)))
+
 
 def threshold_margin(K: KernelMatrix, p: OpoParams) -> float:
-    """1 - rho, where rho is the largest singular value of the kernel matrix.
+    """1 - max|lam|, the distance of the strongest mode gain from threshold.
 
-    The weight-normalized kernel coincides with the operator form on a
-    uniform grid; the resonant zero-frequency system matrix I - K Kbar is
-    singular exactly when rho = 1, so a positive margin certifies that the
-    solve is well posed.  Scaling is inherited from threshold units: a plane
-    pump at A_p gives rho = A_p (threshold mode q = 0, sigma = 1).
+    The resonant zero-frequency system matrix I - K^2 is singular exactly
+    when a mode gain reaches |lam| = 1, so a positive margin certifies that
+    the solve is well posed.  Scaling is inherited from threshold units: a
+    plane pump at A_p gives max|lam| = A_p (threshold mode q = 0, sigma = 1).
     """
-    sv = np.linalg.svd(np.asarray(K.entries, dtype=complex), compute_uv=False)
-    return 1.0 - float(sv[0])
-
-
-def even_diagonal(mat: np.ndarray) -> np.ndarray:
-    """Even-subspace transfer function of a parity-block operator matrix.
-
-    For an operator that couples each grid point only to itself and to its
-    mirror image, the action on even vectors is m[i, i] + m[i, flip(i)]
-    (the single entry at a self-paired center point already carries both
-    parity channels).
-    """
-    n = mat.shape[0]
-    idx = np.arange(n)
-    flip = n - 1 - idx
-    anti = np.where(flip != idx, mat[idx, flip], 0.0)
-    return mat[idx, idx] + anti
-
-def bogoliubov_residuals(pair: BogoliubovPair) -> tuple[float, float]:
-    """Max-norm residuals of U U^+ - V V^+ = I and U V^T = V U^T.
-
-    Operator-form matrices on a uniform symmetric grid coincide with the
-    weight-normalized convention (conjugation by sqrt-weights), so the
-    symplectic conditions of the even-field transform take this plain
-    matrix shape.
-    """
-    if pair.kind != "dense":
-        raise ValueError("residuals are defined for dense pairs")
-    u, v = pair.U, pair.V
-    r1 = np.abs(u @ u.conj().T - v @ v.conj().T - np.eye(u.shape[0])).max()
-    r2 = np.abs(u @ v.T - v @ u.T).max()
-    return float(r1), float(r2)
+    return 1.0 - float(np.abs(eigvalsh(K.entries)).max())

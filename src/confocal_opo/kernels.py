@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import sici
 
 from .errors import GridTooCoarse
 from .params import DerivedScales, OpoParams, validate
@@ -30,8 +31,6 @@ __all__ = [
     "si",
     "delta_2d",
     "kint_near_2d",
-    "PhaseMatchParams",
-    "phase_mismatch",
     "phase_match_sinc",
     "ktilde_far",
     "ktilde_far_2d",
@@ -40,10 +39,6 @@ __all__ = [
     "build_kernel_matrix",
     "auto_grid",
 ]
-
-# Branch switch for the sine integral: power series below, auxiliary-function
-# continued fraction above.  Both branches agree to ~4e-16 at the switch.
-_SI_SWITCH = 6.0
 
 # Grid sizing rule constants.  Steps must resolve the finest kernel scale by
 # this factor; extents must cover the widest envelope by this factor.
@@ -69,51 +64,10 @@ def _sinc(x):
 # Sine integral
 # ---------------------------------------------------------------------------
 
-def _si_series(a: np.ndarray) -> np.ndarray:
-    # Si(a) = sum_k (-1)^k a^(2k+1) / ((2k+1)(2k+1)!), |a| <= 6: 24 terms
-    # reach ~1e-17 at the switch point.
-    term = a.copy()
-    total = a.copy()
-    a2 = a * a
-    for k in range(30):
-        term = term * (-a2) * (2 * k + 1.0) / ((2 * k + 3.0) ** 2 * (2 * k + 2.0))
-        total += term
-        if np.all(np.abs(term) <= 1e-18 * np.maximum(np.abs(total), 1e-30)):
-            break
-    return total
-
-def _si_auxiliary(a: np.ndarray) -> np.ndarray:
-    # Si(a) = pi/2 + Im E1(i a) for a > 0.  E1 is evaluated through its
-    # continued fraction (modified Lentz), which resums the divergent
-    # asymptotic expansion of the auxiliary functions f and g.
-    z = 1j * a
-    tiny = 1e-290
-    b = z + 1.0
-    c = np.full(a.shape, 1.0 / tiny, dtype=complex)
-    d = 1.0 / b
-    frac = d.copy()
-    for j in range(2, 300):
-        coef = -((j - 1.0) ** 2)
-        b = b + 2.0
-        d = coef * d + b
-        np.copyto(d, tiny, where=np.abs(d) < tiny)
-        c = b + coef / c
-        np.copyto(c, tiny, where=np.abs(c) < tiny)
-        d = 1.0 / d
-        delta = c * d
-        frac *= delta
-        if np.all(np.abs(delta - 1.0) < 1e-16):
-            break
-    e1 = np.exp(-z) * frac
-    return np.pi / 2 + e1.imag
-
 def si(x):
-    """Sine integral Si(x) = integral_0^x sin(u)/u du.
+    """Sine integral Si(x) = integral_0^x sin(u)/u du (``scipy.special.sici``).
 
-    Odd, total on finite inputs, absolute error below 1e-12 (in practice a
-    few 1e-16).  Power series for |x| <= 6, auxiliary-function continued
-    fraction beyond; the two branches agree to better than 1e-13 at the
-    switch point.
+    Odd, total on finite inputs.
 
     Parameters
     ----------
@@ -123,17 +77,8 @@ def si(x):
     -------
     float or ndarray, matching the input shape.
     """
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    a = np.abs(np.atleast_1d(arr))
-    out = np.empty_like(a)
-    small = a <= _SI_SWITCH
-    if np.any(small):
-        out[small] = _si_series(a[small])
-    if np.any(~small):
-        out[~small] = _si_auxiliary(a[~small])
-    out = out * np.sign(np.atleast_1d(arr))
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    out = sici(x)[0]
+    return float(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -189,59 +134,11 @@ def kint_near_2d(x, x2, p: OpoParams, s: DerivedScales):
     return 0.5 * (amp_plus * delta_2d(r_minus, s) + amp_minus * delta_2d(r_plus, s))
 
 
-@dataclass(frozen=True)
-class PhaseMatchParams:
-    """Wavevector bookkeeping for the phase-mismatch function.
-
-    Defaults (``collinear``) reproduce exact collinear phase matching
-    k_p = 2 k_s with zero walk-off, the configuration used everywhere else
-    in this package.  Walk-off angles are exposed only as parameters of
-    ``phase_mismatch``.
-    """
-
-    k_p: float
-    mismatch: float = 0.0  # k_p - 2 k_s (1/m)
-    rho_s: tuple[float, float] = (0.0, 0.0)  # signal walk-off angle (rad)
-    rho_p: tuple[float, float] = (0.0, 0.0)  # pump walk-off angle (rad)
-
-    @classmethod
-    def collinear(cls, s: DerivedScales) -> "PhaseMatchParams":
-        return cls(k_p=2.0 * s.k_s, mismatch=0.0)
-
-
 def _as_vec2(q):
     q = np.asarray(q, dtype=float)
     if q.shape == () or q.shape[-1] != 2:
         q = np.stack([q, np.zeros_like(q)], axis=-1)
     return q
-
-def phase_mismatch(q, q2, pm: PhaseMatchParams, s: DerivedScales):
-    """Half-argument delta(q, q2) * l_c / 2 of the phase-matching sinc.
-
-    Paraxial expression (valid for |q|, |q2| << k_s, not enforced):
-
-        delta = mismatch + (rho_s - rho_p).(q + q2)
-                - |q + q2|^2 / (2 k_p) + (q^2 + q2^2) / (2 k_s)
-
-    With defaults (mismatch = 0, zero walk-off) this reduces to
-    (l_c / (2 k_s)) |(q - q2)/2|^2.
-
-    Parameters
-    ----------
-    q, q2 : scalar (1/m, promoted to (q, 0)) or array_like shape (..., 2)
-    """
-    q = _as_vec2(q)
-    q2 = _as_vec2(q2)
-    qsum = q + q2
-    rho = np.asarray(pm.rho_s, dtype=float) - np.asarray(pm.rho_p, dtype=float)
-    delta = (
-        pm.mismatch
-        + np.sum(rho * qsum, axis=-1)
-        - np.sum(qsum**2, axis=-1) / (2.0 * pm.k_p)
-        + (np.sum(q**2, axis=-1) + np.sum(q2**2, axis=-1)) / (2.0 * s.k_s)
-    )
-    l_c = s.k_s * s.l_coh**2 / 2.0  # algebraic inverse of l_coh = sqrt(2 l_c / k_s)
-    return delta * l_c / 2.0
 
 def phase_match_sinc(q, s: DerivedScales):
     """Collinear phase-matching factor sigma(q) = sinc(l_c q^2 / (2 k_s)).
@@ -364,7 +261,6 @@ class KernelMatrix:
 
     entries: np.ndarray = field(repr=False)
     grid: Grid1D
-    parity: str = "even"
 
 
 def _structure_scales(p: OpoParams, s: DerivedScales, domain: str):

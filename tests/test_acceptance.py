@@ -23,11 +23,9 @@ from confocal_opo import (
     LocalOscillator,
     OpoParams,
     analytic_uv_planepump,
-    bogoliubov_residuals,
     build_kernel_matrix,
     delta_2d,
     derive_scales,
-    even_diagonal,
     noise_density_planepump,
     solve_io,
     spectrum_planepump_circular,
@@ -36,6 +34,8 @@ from confocal_opo import (
     sweep,
 )
 from confocal_opo.cli import main
+from lu_reference import residuals
+from modes_reference import dense_uv, even_diagonal
 from planepump_reference import (
     correlation_first_zero,
     interval_vn,
@@ -92,10 +92,10 @@ def test_criterion_04_dense_matches_analytic_plane_pump():
             p = base_params(detuning=detuning, omega_bar=omega_bar)
             s = derive_scales(p)
             g = Grid1D.uniform(512, 16.0 / s.l_coh, "far")
-            bg = solve_io(build_kernel_matrix(g, p, s), p)
+            u, v = dense_uv(solve_io(build_kernel_matrix(g, p, s), p))
             ua, va = analytic_uv_planepump(g.points, p, s)
-            rel_u = np.abs(even_diagonal(bg.U) - ua) / np.abs(ua)
-            rel_v = np.abs(even_diagonal(bg.V) - va) / np.maximum(np.abs(va), 1e-30)
+            rel_u = np.abs(even_diagonal(u) - ua) / np.abs(ua)
+            rel_v = np.abs(even_diagonal(v) - va) / np.maximum(np.abs(va), 1e-30)
             worst = max(worst, float(rel_u.max()), float(rel_v.max()))
     ok = worst <= 1e-6
     assert _report(4, ok, f"dense vs closed-form (U, V), 512-point far grid, "
@@ -113,8 +113,8 @@ def test_criterion_05_bogoliubov_residuals_random_draws():
         p = replace(p0, plane_pump=False, w_p=math.sqrt(b) * s0.l_coh, A_p=a_p)
         s = derive_scales(p)
         g = Grid1D.uniform(256, 16.0 / p.w_p, "far")
-        bg = solve_io(build_kernel_matrix(g, p, s), p)
-        worst = max(worst, *bogoliubov_residuals(bg))
+        modes = solve_io(build_kernel_matrix(g, p, s), p)
+        worst = max(worst, *residuals(*dense_uv(modes)))
     ok = worst <= 1e-8
     assert _report(5, ok, f"10 random finite-pump draws, n = 256: "
                           f"max symplectic residual {worst:.2e} (<= 1e-8)")
@@ -127,12 +127,12 @@ def test_criterion_06_thin_crystal_limit():
     s = derive_scales(p)
     assert p.l_c / p.z_C == pytest.approx(1e-4)
     g = Grid1D.uniform(1281, 40.0 * s.w_C, "near")
-    bg = solve_io(build_kernel_matrix(g, p, s), p)
+    modes = solve_io(build_kernel_matrix(g, p, s), p)
     lo = LocalOscillator()
     vns = []
     for frac in (0.1, 0.3, 1.0, 3.0, 10.0):
         det = DetectorMask.interval(frac * s.w_C, "near")
-        vns.append(squeezing_numeric(bg, lo, det, p).vn)
+        vns.append(squeezing_numeric(modes, lo, det, p).vn)
     vns = np.array(vns)
     spread = float(vns.max() - vns.min())
     dev = float(np.abs(vns - SINGLE_MODE_09).max())

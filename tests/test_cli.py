@@ -109,6 +109,15 @@ class TestRunCommand:
         assert code == 2
         assert "foo" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,key", [
+        ("grid_n = 1", "grid_n"), ("grid_n = 0", "grid_n"), ("grid_L = -1", "grid_L"),
+    ])
+    def test_bad_grid_exits_2(self, tmp_path, capsys, line, key):
+        cfg = write_config(tmp_path, GOOD_CONFIG + line + "\n")
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"configuration error: key '{key}'" in capsys.readouterr().err
+
     def test_coarse_grid_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, GOOD_CONFIG + "grid_n = 16\n")
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])

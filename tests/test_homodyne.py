@@ -23,6 +23,7 @@ from confocal_opo import (
     squeezing_planepump_near,
     sweep,
 )
+from lu_reference import lu_noise
 from planepump_reference import correlation_first_zero, rises
 
 # Frozen reference values for the closed-form near-field interval spectrum at
@@ -146,29 +147,68 @@ class TestSqueezingNumericVacuum:
             lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.0, plane_pump=True
         )
         g = Grid1D.uniform(257, 8.0 * plane_scales.l_coh, "near")
-        bg = solve_io(build_kernel_matrix(g, p, plane_scales), p)
+        modes = solve_io(build_kernel_matrix(g, p, plane_scales), p)
         for det in (
             DetectorMask.interval(2e-5, "near"),
             DetectorMask.pixel_pair(5e-5, 2e-5, "near"),
         ):
-            res = squeezing_numeric(bg, lo, det, p)
+            res = squeezing_numeric(modes, lo, det, p)
             assert abs(res.vn - 1.0) <= 1e-12
             assert res.sn == res.vn - 1.0
 
     def test_requires_negative_frequency_pair(self, plane_scales):
+        # detuned with nonzero analysis frequency: the noise needs V at the
+        # opposite frequency, which the oracle solves for separately and the
+        # modes give in closed form from the one solve
         p = OpoParams(
             lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.5,
             plane_pump=True, detuning=0.5, omega_bar=1.0,
         )
         g = Grid1D.uniform(129, 8.0 * plane_scales.l_coh, "near")
-        bg = solve_io(build_kernel_matrix(g, p, plane_scales), p)
+        K = build_kernel_matrix(g, p, plane_scales)
+        modes = solve_io(K, p)
+        oracle = lu_noise(K, p)
         det = DetectorMask.interval(2e-5, "near")
-        with pytest.raises(ValueError):
-            squeezing_numeric(bg, LocalOscillator(), det, p)
-        p_neg = replace(p, omega_bar=-1.0)
-        bg_neg = solve_io(build_kernel_matrix(g, p_neg, plane_scales), p_neg)
-        res = squeezing_numeric(bg, LocalOscillator(), det, p, bg_neg=bg_neg)
-        assert res.vn > 0
+        for phase in (math.pi / 2, 0.0):
+            lo = LocalOscillator(phase=phase)
+            res = squeezing_numeric(modes, lo, det, p)
+            ref = oracle(lo.magnitude(g, p) * det.indicator(g, p), phase)
+            assert res.vn > 0
+            assert abs(res.vn - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+class TestModeRouteMatchesLU:
+    @pytest.mark.parametrize("plane,b,n,detuning,omega_bar", [
+        ("near", 9.0, 321, 0.0, 0.0),
+        ("near", 16.0, 401, 0.3, -0.7),
+        ("far", 25.0, 257, 0.5, 1.0),
+        ("far", 49.0, 321, 0.0, 1.3),
+        ("near", 4.0, 257, 0.8, 0.0),
+    ])
+    def test_vn_matches_two_solve_oracle(self, plane_scales, plane, b, n, detuning,
+                                         omega_bar):
+        # one eigendecomposition against the LU oracle (two solves when
+        # detuned at nonzero frequency), both quadratures, several detectors
+        p = OpoParams(
+            lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.9,
+            w_p=math.sqrt(b) * plane_scales.l_coh, detuning=detuning, omega_bar=omega_bar,
+        )
+        s = derive_scales(p)
+        extent = 4.0 * p.w_p if plane == "near" else 16.0 / p.w_p
+        g = Grid1D.uniform(n, extent, plane)
+        K = build_kernel_matrix(g, p, s)
+        modes = solve_io(K, p)
+        oracle = lu_noise(K, p)
+        x_of_q = 1.0 if plane == "near" else p.lambda_s * p.f_lens / (2 * math.pi)
+        gaussian = LocalOscillator(profile="gaussian", waist=0.4 * extent * x_of_q)
+        for lo in (LocalOscillator(), gaussian):
+            for frac in (0.05, 0.3, 0.7):
+                det = DetectorMask.interval(frac * extent * x_of_q, plane)
+                lvec = lo.magnitude(g, p) * det.indicator(g, p)
+                for phase in (math.pi / 2, 0.0):
+                    res = squeezing_numeric(modes, replace(lo, phase=phase), det, p)
+                    ref = oracle(lvec, phase)
+                    assert abs(res.vn - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 class TestThinCrystalSingleMode:
@@ -180,11 +220,11 @@ class TestThinCrystalSingleMode:
         )
         s = derive_scales(p)
         g = Grid1D.uniform(641, 20.0 * s.w_C, "near")
-        bg = solve_io(build_kernel_matrix(g, p, s), p)
+        modes = solve_io(build_kernel_matrix(g, p, s), p)
         lo = LocalOscillator()
         for frac in (0.2, 1.0, 4.0):
             det = DetectorMask.interval(frac * s.w_C, "near")
-            res = squeezing_numeric(bg, lo, det, p)
+            res = squeezing_numeric(modes, lo, det, p)
             assert res.vn == pytest.approx(1.0 / 9.0, abs=1e-3)
 
 
@@ -266,25 +306,25 @@ class TestPlanePumpNearSpectrum:
                                         dense_plane_near):
         # dense matrix route and closed-form diagonal route agree where the
         # grid resolves the problem (detector edges snapped between cells)
-        bg, g = dense_plane_near
+        modes, g = dense_plane_near
         lo = LocalOscillator()
         for cells in (17, 34):
             d = (cells + 0.5) * g.step
             det = DetectorMask.interval(d, "near")
-            dense = squeezing_numeric(bg, lo, det, plane_params)
+            dense = squeezing_numeric(modes, lo, det, plane_params)
             closed = squeezing_planepump_near(det, plane_params, plane_scales)
             assert dense.vn == pytest.approx(closed.vn, abs=1e-3)
             assert dense.shot == pytest.approx(closed.shot, rel=2e-2)
 
     def test_dense_consistency_pixel_pair(self, plane_params, plane_scales,
                                           dense_plane_near):
-        bg, g = dense_plane_near
+        modes, g = dense_plane_near
         lo = LocalOscillator()
         width = 32.5 * g.step
         for rho_cells in (64, 96):
             rho = rho_cells * g.step
             det = DetectorMask.pixel_pair(rho, width, "near")
-            dense = squeezing_numeric(bg, lo, det, plane_params)
+            dense = squeezing_numeric(modes, lo, det, plane_params)
             closed = squeezing_planepump_near(det, plane_params, plane_scales)
             assert dense.vn == pytest.approx(closed.vn, abs=2e-3)
 
@@ -323,13 +363,13 @@ class TestPlanePumpFarSpectrum:
         p, s = self.far_setup()
         q_max = 2.0 / s.l_coh
         g = Grid1D.uniform(1025, 4.0 * q_max, "far")
-        bg = solve_io(build_kernel_matrix(g, p, s), p)
+        modes = solve_io(build_kernel_matrix(g, p, s), p)
         x_of_q = p.lambda_s * p.f_lens / (2 * math.pi)
         lo = LocalOscillator(profile="gaussian", waist=s.r0)
         for cells in (64, 192):
             q_d = (cells + 0.5) * g.step
             det = DetectorMask.interval(q_d * x_of_q, "far")
-            dense = squeezing_numeric(bg, lo, det, p)
+            dense = squeezing_numeric(modes, lo, det, p)
             closed = squeezing_planepump_far(det, lo, p, s)
             assert dense.vn == pytest.approx(closed.vn, abs=1e-4)
             # independent Riemann evaluation of the same 1-D density ratio
@@ -348,13 +388,13 @@ class TestPlanePumpFarSpectrum:
         p = replace(p, omega_bar=1.0)
         q_max = 2.0 / s.l_coh
         g = Grid1D.uniform(1025, 4.0 * q_max, "far")
-        bg = solve_io(build_kernel_matrix(g, p, s), p)
+        modes = solve_io(build_kernel_matrix(g, p, s), p)
         x_of_q = p.lambda_s * p.f_lens / (2 * math.pi)
         lo = LocalOscillator()
         for phase, cells in ((math.pi / 2, 96), (0.7, 160)):
             q_d = (cells + 0.5) * g.step
             det = DetectorMask.interval(q_d * x_of_q, "far")
-            dense = squeezing_numeric(bg, replace(lo, phase=phase), det, p)
+            dense = squeezing_numeric(modes, replace(lo, phase=phase), det, p)
             mask = det.indicator(g, p)
             dens = noise_density_planepump(g.points[mask], p, s, phase)
             assert dense.vn == pytest.approx(float(np.mean(dens)), abs=1e-4)

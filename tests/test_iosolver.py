@@ -4,20 +4,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import confocal_opo.iosolver as iosolver
 from confocal_opo import (
     Grid1D,
     OpoParams,
     SingularSystem,
     analytic_uv_planepump,
-    bogoliubov_residuals,
     build_kernel_matrix,
     derive_scales,
-    diagonal_pair,
-    even_diagonal,
+    mode_uv,
     phase_match_sinc,
     solve_io,
     threshold_margin,
 )
+from lu_reference import lu_uv, residuals
+from modes_reference import dense_uv, even_diagonal
 
 
 def gauss_setup(b=16.0, a_p=0.8, n=257, domain="far", detuning=0.0, omega_bar=0.0):
@@ -65,25 +66,25 @@ class TestAnalyticPair:
             worst = max(worst, np.abs(np.abs(u) ** 2 - np.abs(v) ** 2 - 1.0).max())
         assert worst <= 1e-12
 
-    def test_diagonal_pair_wraps_functions(self, plane_params, plane_scales):
-        pair = diagonal_pair(plane_params, plane_scales)
+    def test_plane_pump_is_the_mode_function(self, plane_params, plane_scales):
+        # the closed form is the per-mode transform at gain A_p sigma(q)
+        p = replace(plane_params, detuning=0.4, omega_bar=-1.2)
         q = np.linspace(0, 2, 7) / plane_scales.l_coh
-        u, v = analytic_uv_planepump(q, plane_params, plane_scales)
-        assert np.allclose(pair.U(q), u)
-        assert np.allclose(pair.V(q), v)
-        assert pair.kind == "diagonal"
-        assert pair.at == (0.0, 0.0)
+        lam = p.A_p * phase_match_sinc(q, plane_scales)
+        u, v = analytic_uv_planepump(q, p, plane_scales)
+        um, vm = mode_uv(lam, 0.4, -1.2)
+        assert np.array_equal(u, um) and np.array_equal(v, vm)
 
 
 class TestDenseSolve:
     def test_empty_cavity_reflection(self, plane_scales):
         p, s, g = gauss_setup(b=9.0, a_p=0.0)
         K = build_kernel_matrix(g, p, s)
-        bg = solve_io(K, p)
-        off = bg.U - np.diag(np.diag(bg.U))
+        u, v = dense_uv(solve_io(K, p))
+        off = u - np.diag(np.diag(u))
         assert np.abs(off).max() <= 1e-14
-        assert np.abs(np.abs(np.diag(bg.U)) - 1.0).max() <= 1e-12
-        assert np.abs(bg.V).max() <= 1e-14
+        assert np.abs(np.abs(np.diag(u)) - 1.0).max() <= 1e-12
+        assert np.abs(v).max() <= 1e-14
 
     @pytest.mark.parametrize("detuning,omega_bar", [(0.0, 0.0), (0.5, 0.0), (0.0, 1.0), (0.5, 1.0)])
     def test_plane_pump_reproduces_analytic(self, detuning, omega_bar):
@@ -93,25 +94,23 @@ class TestDenseSolve:
         )
         s = derive_scales(p)
         g = Grid1D.uniform(257, 16.0 / s.l_coh, "far")
-        bg = solve_io(build_kernel_matrix(g, p, s), p)
+        u, v = dense_uv(solve_io(build_kernel_matrix(g, p, s), p))
         ua, va = analytic_uv_planepump(g.points, p, s)
-        assert np.abs(even_diagonal(bg.U) - ua).max() <= 1e-8 * np.abs(ua).max()
-        assert np.abs(even_diagonal(bg.V) - va).max() <= 1e-8 * max(np.abs(va).max(), 1.0)
+        assert np.abs(even_diagonal(u) - ua).max() <= 1e-8 * np.abs(ua).max()
+        assert np.abs(even_diagonal(v) - va).max() <= 1e-8 * max(np.abs(va).max(), 1.0)
 
     @pytest.mark.parametrize("domain,n,b", [("far", 256, 49.0), ("near", 257, 9.0)])
     def test_bogoliubov_residuals(self, domain, n, b):
         p, s, g = gauss_setup(b=b, a_p=0.9, n=n, domain=domain)
-        bg = solve_io(build_kernel_matrix(g, p, s), p)
-        r1, r2 = bogoliubov_residuals(bg)
+        r1, r2 = residuals(*dense_uv(solve_io(build_kernel_matrix(g, p, s), p)))
         assert r1 <= 1e-10
         assert r2 <= 1e-10
 
     def test_residuals_with_detuning_and_frequency(self):
         p, s, g = gauss_setup(b=25.0, a_p=0.7, detuning=0.8, omega_bar=1.5)
-        bg = solve_io(build_kernel_matrix(g, p, s), p)
-        r1, r2 = bogoliubov_residuals(bg)
-        assert max(r1, r2) <= 1e-10
-        assert bg.at == (0.8, 1.5)
+        modes = solve_io(build_kernel_matrix(g, p, s), p)
+        assert max(residuals(*dense_uv(modes))) <= 1e-10
+        assert modes.at == (0.8, 1.5)
 
     def test_thin_crystal_diagonal_dominance(self):
         # local interaction at l_c / z_C = 1e-4 on a fully resolved grid:
@@ -127,29 +126,29 @@ class TestDenseSolve:
         p = replace(p0, plane_pump=False, w_p=10 * s0.l_coh)
         s = derive_scales(p)
         g = Grid1D.uniform(641, 4 * p.w_p, "near")
-        bg = solve_io(build_kernel_matrix(g, p, s), p)
+        u, v = dense_uv(solve_io(build_kernel_matrix(g, p, s), p))
         n = g.n
         idx = np.arange(n)
         width = int(round(8 * s.l_coh / g.step))
         dist_diag = np.abs(idx[:, None] - idx[None, :])
         dist_anti = np.abs(idx[:, None] - g.flip(idx)[None, :])
         band = (dist_diag <= width) | (dist_anti <= width)
-        for mat in (bg.U - np.eye(n), bg.V):
+        for mat in (u - np.eye(n), v):
             off_mass = np.abs(np.where(band, 0.0, mat)).sum()
             assert off_mass <= 0.01 * np.abs(mat).sum()
         probe = np.exp(-(g.points / (1.5 * p.w_p)) ** 2)
-        for mat in (bg.U, bg.V):
+        for mat in (u, v):
             rho = mat.sum(axis=1)
             err = np.abs(mat @ probe - rho * probe).max()
             assert err <= 0.01 * np.abs(rho * probe).max()
 
     def test_continuity_in_pump_amplitude(self):
         p, s, g = gauss_setup(b=25.0, a_p=0.5)
-        bg1 = solve_io(build_kernel_matrix(g, p, s), p)
+        u1, v1 = dense_uv(solve_io(build_kernel_matrix(g, p, s), p))
         p2 = replace(p, A_p=0.505)
-        bg2 = solve_io(build_kernel_matrix(g, p2, s), p2)
-        assert np.abs(bg2.U - bg1.U).max() <= 0.2
-        assert np.abs(bg2.V - bg1.V).max() <= 0.2
+        u2, v2 = dense_uv(solve_io(build_kernel_matrix(g, p2, s), p2))
+        assert np.abs(u2 - u1).max() <= 0.2
+        assert np.abs(v2 - v1).max() <= 0.2
 
     def test_singular_system_near_threshold(self, plane_scales):
         p = OpoParams(
@@ -160,6 +159,40 @@ class TestDenseSolve:
         K = build_kernel_matrix(g, p, plane_scales)
         with pytest.raises(SingularSystem):
             solve_io(K, p)
+
+    def test_gate_rejects_non_orthogonal_modes(self, monkeypatch):
+        # tilting the strongest mode toward its neighbour breaks the
+        # Bogoliubov identities of the rebuilt transform; whenever the n^3
+        # residual check would see more than 1e-6, the mode-basis gate must
+        # refuse the modes
+        p, s, g = gauss_setup(b=25.0, a_p=0.9)
+        K = build_kernel_matrix(g, p, s)
+        exact = iosolver.eigh
+        for eps in (1e-9, 1e-6, 1e-3):
+            def corrupted(a, **kwargs):
+                lam, q = exact(a, **kwargs)
+                q[:, -1] += eps * q[:, -2]
+                return lam, q
+
+            lam, q = corrupted(K.entries)
+            modes = iosolver.CavityModes(grid=g, at=(0.0, 0.0), Q=q, lam=lam)
+            broken = max(residuals(*dense_uv(modes))) > 1e-6
+            assert broken or eps < 1e-3
+            monkeypatch.setattr(iosolver, "eigh", corrupted)
+            if broken:
+                with pytest.raises(SingularSystem):
+                    solve_io(K, p)
+            monkeypatch.setattr(iosolver, "eigh", exact)
+
+    def test_matches_lu_oracle(self):
+        # the modes rebuild the LU solution of the cavity relation
+        p, s, g = gauss_setup(b=16.0, a_p=0.9, n=321, domain="near",
+                              detuning=0.4, omega_bar=-0.9)
+        K = build_kernel_matrix(g, p, s)
+        u, v = dense_uv(solve_io(K, p))
+        u_lu, v_lu = lu_uv(K, p)
+        assert np.abs(u - u_lu).max() <= 1e-12 * np.abs(u_lu).max()
+        assert np.abs(v - v_lu).max() <= 1e-12 * np.abs(v_lu).max()
 
 
 class TestThresholdMargin:
