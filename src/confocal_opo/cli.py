@@ -24,7 +24,7 @@ from . import __version__
 from .errors import ConfigurationError, NumericalFailure, OpoError
 from .homodyne import LocalOscillator, noise_density_planepump, sweep, sweep_extents
 from .iosolver import threshold_margin
-from .kernels import Grid1D, auto_grid, build_kernel_matrix, delta_2d
+from .kernels import MAX_GRID_N, Grid1D, auto_grid, build_kernel_matrix, delta_2d
 from .params import OpoParams, derive_scales, validate
 
 # Parameter values every preset shares.  These are artifact defaults chosen
@@ -49,6 +49,7 @@ _FLOAT_KEYS = {
     "sweep_min", "sweep_max", "grid_L",
 }
 _INT_KEYS = {"sweep_points", "grid_n"}
+_AUTO_KEYS = {"grid_n", "grid_L"}  # "auto" leaves the value to the sizing rule
 _CHOICE_KEYS = {
     "pump": ("plane", "gaussian"),
     "plane": ("near", "far"),
@@ -95,14 +96,14 @@ def parse_config(path) -> dict:
     return cfg
 
 def _convert(key: str, value: str):
+    if key in _AUTO_KEYS and value == "auto":
+        return None
     if key in _FLOAT_KEYS:
         try:
             return float(value)
         except ValueError as exc:
             raise ConfigurationError(f"key {key!r}: not a number: {value!r}") from exc
     if key in _INT_KEYS:
-        if value == "auto":
-            return None
         try:
             return int(value)
         except ValueError as exc:
@@ -144,8 +145,11 @@ def scenario_from_config(cfg: dict) -> Scenario:
         raise ConfigurationError("key 'sweep_max': must exceed sweep_min")
     if cfg["sweep_min"] < 0:
         raise ConfigurationError("key 'sweep_min': must be non-negative")
-    if cfg.get("grid_n") is not None and cfg["grid_n"] < 2:
-        raise ConfigurationError("key 'grid_n': need at least 2 grid points")
+    grid_n = cfg.get("grid_n")
+    if grid_n is not None and not 2 <= grid_n <= MAX_GRID_N:
+        raise ConfigurationError(
+            f"key 'grid_n': need between 2 and {MAX_GRID_N} grid points, got {grid_n}"
+        )
     grid_L = cfg.get("grid_L")
     if grid_L is not None and not (math.isfinite(grid_L) and grid_L > 0):
         raise ConfigurationError("key 'grid_L': must be a positive finite half extent")
@@ -175,7 +179,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
         values=values,
         lo=lo,
         pixel_width=pixel_width,
-        grid_n=cfg.get("grid_n"),
+        grid_n=grid_n,
         grid_L=grid_L,
         abscissa_scale=scale,
         abscissa_name=name,

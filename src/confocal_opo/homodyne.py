@@ -674,16 +674,14 @@ def sweep(
     return out
 
 def _sweep_planepump(p, s, plane, detector_shape, values, lo, pixel_width):
+    if plane == "near" and lo.profile != "plane":
+        raise ConfigurationError("plane-pump near-field sweeps support a plane LO only")
     out = []
     for value in values:
+        if _zero_size(detector_shape, value):
+            out.append(SweepPoint(value, 1.0, 1.0, 0.0))
+            continue
         if plane == "near":
-            if lo.profile != "plane":
-                raise ConfigurationError(
-                    "plane-pump near-field sweeps support a plane LO only"
-                )
-            if _zero_size(detector_shape, value):
-                out.append(SweepPoint(value, 1.0, 1.0, 0.0))
-                continue
             det = _mask_for(detector_shape, value, pixel_width, "near")
             vn_sq, n_shot = _vn_planepump_near(det, p, s, SQUEEZED_PHASE)
             vn_anti, _ = _vn_planepump_near(det, p, s, 0.0)
@@ -693,9 +691,6 @@ def _sweep_planepump(p, s, plane, detector_shape, values, lo, pixel_width):
                 res_anti = spectrum_planepump_circular(value, p, s, lo.waist, 0.0)
                 vn_sq, vn_anti, n_shot = res_sq.vn, res_anti.vn, res_sq.shot
             else:
-                if value <= 0 and detector_shape == "interval":
-                    out.append(SweepPoint(value, 1.0, 1.0, 0.0))
-                    continue
                 det = _mask_for(detector_shape, value, pixel_width, "far")
                 res_sq = squeezing_planepump_far(det, lo, p, s, SQUEEZED_PHASE)
                 res_anti = squeezing_planepump_far(det, lo, p, s, 0.0)

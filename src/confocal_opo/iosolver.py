@@ -12,7 +12,9 @@ where K is the real symmetric coupling operator.  U and V are therefore
 functions of K alone, and its eigendecomposition K = Q diag(lambda) Q^T
 diagonalizes both at every detuning and analysis frequency at once
 (Bloch-Messiah reduction): U = Q diag(u) Q^T and V = Q diag(v) Q^T with
-the per-mode closed forms u(lambda), v(lambda) of ``mode_uv``.  Each mode is
+the per-mode closed forms u(lambda), v(lambda) of ``mode_uv``.  K vanishes
+on the odd subspace of the grid, so only its m = ceil(n/2) even modes are
+computed; the odd fields are modes of gain 0, u = u(0), v = 0.  Each mode is
 an independent single-mode OPO with gain lambda, and |u|^2 - |v|^2 = 1
 identically.  A plane pump is diagonal in the transverse wavevector with
 lambda = A_p sigma(q), so its closed form is the same per-mode function.
@@ -62,9 +64,11 @@ def mode_uv(lam, detuning: float, omega_bar: float):
 class CavityModes:
     """Eigenmodes of the coupling matrix at one (detuning, omega_bar) point.
 
-    ``K = Q diag(lam) Q^T`` with orthonormal real columns of ``Q`` over the
-    field values on ``grid`` (operator form, uniform weights); the transform
-    is U = Q diag(u) Q^T, V = Q diag(v) Q^T with (u, v) = mode_uv(lam, *at).
+    ``K = Q diag(lam) Q^T`` with orthonormal real columns of ``Q`` (n x m)
+    over the field values on ``grid`` (operator form, uniform weights): the
+    m = ceil(n/2) even modes.  The transform is
+    U = Q diag(u) Q^T + u(0) (I - Q Q^T), V = Q diag(v) Q^T with
+    (u, v) = mode_uv(lam, *at); the odd subspace I - Q Q^T is untouched.
     """
 
     grid: Grid1D
@@ -99,38 +103,42 @@ def analytic_uv_planepump(
 def solve_io(K: KernelMatrix, p: OpoParams) -> CavityModes:
     """Eigenmodes of the real symmetric coupling matrix ``K`` at the point of ``p``.
 
-    One ``eigh`` call.  Raises ``SingularSystem`` when the spectral
-    condition max|a abar - lam^2| / min|a abar - lam^2| of the system matrix
-    a I - K^2 / abar exceeds 1e12 (at/above threshold, or a grid too coarse
-    to keep the discretized operator below threshold), or when the modes
-    cannot certify the Bogoliubov identities to 1e-6.
+    One ``eigh`` call on the m x m even block.  Raises ``SingularSystem``
+    when the spectral condition max|a abar - lam^2| / min|a abar - lam^2| of
+    the system matrix a I - K^2 / abar, the odd subspace (lam = 0) included,
+    exceeds 1e12 (at/above threshold, or a grid too coarse to keep the
+    discretized operator below threshold), or when the modes cannot certify
+    the Bogoliubov identities to 1e-6.
     """
     a_abar = (1.0 + 1j * (p.detuning + p.omega_bar)) * (1.0 + 1j * (p.omega_bar - p.detuning))
     # divide and conquer: faster than the default driver at n ~ 2000 and
     # orthogonal to ~1e-13 in Frobenius norm, which the gate below relies on
-    lam, q = eigh(K.entries, driver="evd")
-    den = np.abs(a_abar - lam**2)
+    lam, q = eigh(K.even, driver="evd")
+    den = np.append(np.abs(a_abar - lam**2), abs(a_abar))  # odd subspace: lam = 0
     if not den.max() <= _CONDITION_CUTOFF * den.min():
         cond = den.max() / den.min() if den.min() > 0 else np.inf
         raise SingularSystem(
             f"input/output system condition {cond:.3e} exceeds {_CONDITION_CUTOFF:.0e}; "
             "the configuration is at/above threshold or the grid is too coarse"
         )
-    modes = CavityModes(grid=K.grid, at=(p.detuning, p.omega_bar), Q=q, lam=lam)
-    bound = _symplectic_bound(modes)
+    at = (p.detuning, p.omega_bar)
+    bound = _symplectic_bound(q, lam, at)
     if not bound <= _SYMPLECTIC_TOLERANCE:
         raise SingularSystem(
             f"Bogoliubov residual bound {bound:.2e} exceeds {_SYMPLECTIC_TOLERANCE:.0e}; "
             "the modes do not define a symplectic transform"
         )
-    return modes
+    return CavityModes(grid=K.grid, at=at, Q=K.grid.unfold(q), lam=lam)
 
 
-def _symplectic_bound(modes: CavityModes) -> float:
+def _symplectic_bound(q: np.ndarray, lam: np.ndarray, at: tuple[float, float]) -> float:
     """Upper bound on the max-norm of U U^+ - V V^+ - I and U V^T - V U^T.
 
-    With E = Q^T Q - I, e = ||E||_F >= ||E||_2, d = max| |u|^2 - |v|^2 - 1 |
-    and the pair weights W_jk = |u_j u_k^* - v_j v_k^*|:
+    Evaluated on the even subspace, where the eigenvectors ``q`` of the even
+    block form a square matrix Q; the odd subspace has |u(0)| = 1, v = 0
+    exactly and contributes nothing.  With E = Q^T Q - I,
+    e = ||E||_F >= ||E||_2, d = max| |u|^2 - |v|^2 - 1 | and the pair
+    weights W_jk = |u_j u_k^* - v_j v_k^*|:
 
         U U^+ - V V^+ - I = (Q Q^T - I) + Q [diag(|u|^2 - |v|^2 - 1)
                             + E_jk (u_j u_k^* - v_j v_k^*)] Q^T,
@@ -139,10 +147,10 @@ def _symplectic_bound(modes: CavityModes) -> float:
     where ||Q Q^T - I||_2 = ||E||_2 (Q is square), ||Q||_2^2 <= 1 + e and
     |u_j v_k - v_j u_k|^2 = W_jk^2 - (1 + d_j)(1 + d_k) <= W_jk^2.  The
     weights stay of order one between modes of similar gain, so the bound
-    does not degrade near threshold.  One real n^3 product.
+    does not degrade near threshold.  One real m^3 product.
     """
-    u, v = mode_uv(modes.lam, *modes.at)
-    gram = modes.Q.T @ modes.Q
+    u, v = mode_uv(lam, *at)
+    gram = q.T @ q
     gram[np.diag_indices_from(gram)] -= 1.0
     e = float(np.linalg.norm(gram))
     d = float(np.abs(np.abs(u) ** 2 - np.abs(v) ** 2 - 1.0).max())
@@ -158,4 +166,4 @@ def threshold_margin(K: KernelMatrix, p: OpoParams) -> float:
     the solve is well posed.  Scaling is inherited from threshold units: a
     plane pump at A_p gives max|lam| = A_p (threshold mode q = 0, sigma = 1).
     """
-    return 1.0 - float(np.abs(eigvalsh(K.entries)).max())
+    return 1.0 - float(np.abs(eigvalsh(K.even)).max())

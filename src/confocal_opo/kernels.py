@@ -38,6 +38,7 @@ __all__ = [
     "KernelMatrix",
     "build_kernel_matrix",
     "auto_grid",
+    "MAX_GRID_N",
 ]
 
 # Grid sizing rule constants.  Steps must resolve the finest kernel scale by
@@ -53,6 +54,10 @@ _EXTENT_FACTOR = 4.0
 # crystal gets no such escape: an unresolved kernel misrepresents it.
 _THIN_STEP_RATIO = 7.0
 _THIN_CRYSTAL_RATIO = 1e-3
+# Largest grid size: the far operator and its flip check hold a few n x n
+# float arrays, about 0.3 GB each at this n.
+MAX_GRID_N = 6000
+_FAR_ROW_BLOCK = 64
 
 
 def _sinc(x):
@@ -249,18 +254,58 @@ class Grid1D:
         other = "far" if self.domain == "near" else "near"
         return Grid1D.uniform(self.n, self.n * dq / 2.0, other)
 
+    @property
+    def n_even(self) -> int:
+        """Dimension m = ceil(n/2) of the even (flip-symmetric) subspace."""
+        return (self.n + 1) // 2
+
+    def _even_coef(self) -> np.ndarray:
+        # entry of grid point i in its even basis vector: the pair
+        # (delta_i + delta_flip(i)) / sqrt(2), or delta_c at the center
+        coef = np.full(self.n, math.sqrt(0.5))
+        if self.n % 2:
+            coef[self.n // 2] = 1.0
+        return coef
+
+    def unfold(self, block) -> np.ndarray:
+        """Grid values E @ block of even-subspace coefficients (axis 0, m -> n).
+
+        The orthonormal even basis E (n x m) has column a equal to
+        (delta_a + delta_flip(a)) / sqrt(2) for the points left of center,
+        and delta_c at the center point of an odd grid.
+        """
+        block = np.asarray(block)
+        full = np.concatenate([block, block[: self.n - self.n_even][::-1]])
+        return full * self._even_coef().reshape((-1,) + (1,) * (block.ndim - 1))
+
+    def fold(self, values) -> np.ndarray:
+        """Even-subspace coefficients E^T @ values of grid values (axis 0, n -> m)."""
+        values = np.asarray(values)
+        values = values * self._even_coef().reshape((-1,) + (1,) * (values.ndim - 1))
+        out = values[: self.n_even].copy()
+        out[: self.n - self.n_even] += values[::-1][: self.n - self.n_even]
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
     """Quadrature-weighted discretization of the coupling kernel.
 
-    ``entries[i, j] = K(x_i, x_j) * w_j`` (operator form): the matrix acts on
-    vectors of field values by plain matrix multiplication.  The kernel is
-    even under sign flip of either argument and symmetric under swap.
+    The kernel is even under sign flip of either argument and symmetric
+    under swap, so it acts only on the even subspace of the grid: ``even``
+    is the real symmetric m x m block E^T K E in the orthonormal even basis
+    E of ``Grid1D.unfold`` (m = ceil(n/2)).  ``entries`` unfolds it to the
+    n x n operator form, ``entries[i, j] = K(x_i, x_j) * w_j``, which acts on
+    vectors of field values by plain matrix multiplication.
     """
 
-    entries: np.ndarray = field(repr=False)
+    even: np.ndarray = field(repr=False)
     grid: Grid1D
+
+    @property
+    def entries(self) -> np.ndarray:
+        g = self.grid
+        return g.unfold(g.unfold(self.even).T).T
 
 
 def _structure_scales(p: OpoParams, s: DerivedScales, domain: str):
@@ -308,7 +353,7 @@ def auto_grid(
     s: DerivedScales,
     domain: str,
     extra_extents: tuple[float, ...] = (),
-    max_n: int = 6000,
+    max_n: int = MAX_GRID_N,
 ) -> Grid1D:
     """Smallest odd-n grid satisfying the sizing rule.
 
@@ -345,8 +390,30 @@ def _far_entries(g: Grid1D, p: OpoParams, s: DerivedScales) -> np.ndarray:
         entries[idx, idx] += 0.5 * sig
         entries[idx, g.flip(idx)] += 0.5 * sig
         return entries
-    qq, qq2 = np.meshgrid(qs, qs, indexing="ij")
-    return ktilde_far(qq, qq2, p, s) * g.weights[np.newaxis, :]
+    # row blocks keep the temporaries of the kernel formula cache-sized
+    # instead of a dozen n x n arrays
+    entries = np.empty((g.n, g.n))
+    for start in range(0, g.n, _FAR_ROW_BLOCK):
+        rows = slice(start, start + _FAR_ROW_BLOCK)
+        entries[rows] = ktilde_far(qs[rows, np.newaxis], qs, p, s) * g.weights
+    return entries
+
+def _cosine_restriction(g: Grid1D, conj: Grid1D) -> np.ndarray:
+    """C = E^T W E, the unitary DFT W_jk = exp(-i q_j x_k) / sqrt(n) between
+    ``g`` and its conjugate grid restricted to the even subspace.
+
+    W maps flip-even vectors to flip-even vectors and W_j,flip(k) is the
+    complex conjugate of W_jk, so the restriction is the real orthogonal
+    cosine matrix (2 / sqrt(n)) cos(q_a x_b), with a factor 1/sqrt(2) for
+    each center index of an odd grid.
+    """
+    m = g.n_even
+    t = np.ones(m)
+    if g.n % 2:
+        t[-1] = math.sqrt(0.5)
+    cmat = np.cos(np.outer(conj.points[:m], g.points[:m]))
+    cmat *= (2.0 / math.sqrt(g.n)) * np.multiply.outer(t, t)
+    return cmat
 
 def build_kernel_matrix(
     g: Grid1D, p: OpoParams, s: DerivedScales, strict: bool = True
@@ -354,36 +421,38 @@ def build_kernel_matrix(
     """Discretize the coupling kernel on ``g``.
 
     Far domain: direct evaluation of the 1-D far-field kernel (plane pump:
-    discrete delta).  Near domain: discrete inverse Fourier transform, over
-    both indices, of the far-domain kernel built on the conjugate grid.
-    Constructing the near kernel this way guarantees the transform-pair
-    consistency of the two representations, and avoids evaluating an
-    oscillatory half-power Fresnel integral for the 1-D position kernel,
-    which has no closed form.
+    discrete delta), folded onto the even subspace.  Near domain: the
+    discrete Fourier similarity transform W^H K_far W of the far-domain
+    kernel built on the conjugate grid.  On the even subspace W is the real
+    cosine matrix C of ``_cosine_restriction``, so the near block is
+    C^T K_far,even C, two real m x m products.  Constructing the near kernel
+    this way guarantees the transform-pair consistency of the two
+    representations, and avoids evaluating an oscillatory half-power
+    Fresnel integral for the 1-D position kernel, which has no closed form.
 
     Raises ``GridTooCoarse`` when ``strict`` and the grid violates the
     sizing rule (step <= l_coh/8 near, or beyond the thin-crystal regime;
     step <= min(1/w_p, sqrt(2 k_s / l_c))/8 far; extent >= 4 w_p for a
-    finite pump).
+    finite pump), and when the far operator is not flip-even in both
+    indices to 1e-10 of its largest entry, the condition under which the
+    even block represents it and its near transform is real.
     """
     validate(p)
     if strict:
         _check_sizing(g, p, s)
-    if g.domain == "far":
-        return KernelMatrix(entries=_far_entries(g, p, s), grid=g)
-    conj = g.conjugate()
-    far_op = _far_entries(conj, p, s)
-    # x -> q transform matrix (unitary-normalized, exact inverse pair on
-    # conjugate grids since dq dx = 2 pi / n)
-    fmat = (g.step / math.sqrt(2.0 * math.pi)) * np.exp(
-        -1j * np.outer(conj.points, g.points)
+    far_grid = g.conjugate() if g.domain == "near" else g
+    far_op = _far_entries(far_grid, p, s)
+    scale = np.abs(far_op).max()
+    odd_part = max(
+        np.abs(far_op - far_op[::-1]).max(), np.abs(far_op - far_op[:, ::-1]).max()
     )
-    bmat = (conj.step / g.step) * fmat.conj().T
-    near = bmat @ far_op @ fmat
-    scale = np.abs(near.real).max()
-    if scale > 0 and np.abs(near.imag).max() > 1e-10 * scale:
+    if scale > 0 and odd_part > 1e-10 * scale:
         raise GridTooCoarse(
-            "near-field kernel acquired a non-negligible imaginary part; "
-            "the conjugate grid cannot represent the far kernel"
+            "far-field kernel is not flip-even on the grid; "
+            "its even block cannot represent it"
         )
-    return KernelMatrix(entries=near.real.copy(), grid=g)
+    far_even = far_grid.fold(far_grid.fold(far_op).T).T
+    if g.domain == "far":
+        return KernelMatrix(even=far_even, grid=g)
+    cmat = _cosine_restriction(g, far_grid)
+    return KernelMatrix(even=cmat.T @ far_even @ cmat, grid=g)

@@ -6,10 +6,17 @@ from confocal_opo import mode_uv
 
 
 def dense_uv(modes):
-    """(U, V) = (Q diag(u) Q^T, Q diag(v) Q^T) in operator form on ``modes.grid``."""
+    """(U, V) in operator form on ``modes.grid``.
+
+    U = Q diag(u) Q^T + u(0) (I - Q Q^T) and V = Q diag(v) Q^T: the even
+    modes of Q, and the odd subspace as modes of gain 0 (u(0) = conj(a)/a,
+    v(0) = 0).
+    """
     u, v = mode_uv(modes.lam, *modes.at)
+    u0, _ = mode_uv(0.0, *modes.at)
     q = modes.Q
-    return (q * u) @ q.T, (q * v) @ q.T
+    odd = np.eye(q.shape[0]) - q @ q.T
+    return (q * u) @ q.T + u0 * odd, (q * v) @ q.T
 
 
 def even_diagonal(mat: np.ndarray) -> np.ndarray:

@@ -111,12 +111,25 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("line,key", [
         ("grid_n = 1", "grid_n"), ("grid_n = 0", "grid_n"), ("grid_L = -1", "grid_L"),
+        # refused before any grid is allocated
+        ("grid_n = 1000000000", "grid_n"),
     ])
     def test_bad_grid_exits_2(self, tmp_path, capsys, line, key):
         cfg = write_config(tmp_path, GOOD_CONFIG + line + "\n")
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"configuration error: key '{key}'" in capsys.readouterr().err
+
+    def test_auto_grid_extent(self, tmp_path):
+        # explicit grid size, half extent left to the sizing rule
+        text = GOOD_CONFIG.replace("w_p = 2.4e-4", "w_p = 1e-4").replace(
+            "sweep_max = 3.2e-4", "sweep_max = 1e-4"
+        )
+        cfg = write_config(tmp_path, text + "grid_n = 301\ngrid_L = auto\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_curve(out / "curve.csv")
+        assert rows.shape == (5, 4) and np.all(np.isfinite(rows))
 
     def test_coarse_grid_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, GOOD_CONFIG + "grid_n = 16\n")

@@ -184,6 +184,7 @@ class TestModeRouteMatchesLU:
         ("far", 25.0, 257, 0.5, 1.0),
         ("far", 49.0, 321, 0.0, 1.3),
         ("near", 4.0, 257, 0.8, 0.0),
+        ("near", 9.0, 320, 0.3, 0.9),  # even n: no center point on the grid
     ])
     def test_vn_matches_two_solve_oracle(self, plane_scales, plane, b, n, detuning,
                                          omega_bar):
@@ -427,6 +428,18 @@ class TestSweep:
         pts = sweep(plane_params, plane_scales, "near", "interval",
                     [0.0, plane_scales.l_coh], LocalOscillator())
         assert pts[0].vn_squeezed == 1.0 and pts[0].vn_antisqueezed == 1.0
+
+    @pytest.mark.parametrize("plane_pump", [True, False])
+    def test_zero_radius_far_point_is_shot_noise(self, plane_params, plane_pump):
+        # an empty disk detects nothing on either pump route
+        p = plane_params if plane_pump else replace(
+            plane_params, plane_pump=False, w_p=4 * derive_scales(plane_params).l_coh)
+        s = derive_scales(p)
+        r0 = derive_scales(plane_params).r0
+        lo = LocalOscillator(profile="gaussian", waist=r0)
+        pts = sweep(p, s, "far", "radial", [0.0, 0.5 * r0], lo)
+        assert (pts[0].vn_squeezed, pts[0].vn_antisqueezed, pts[0].shot) == (1.0, 1.0, 0.0)
+        assert pts[1].vn_squeezed < 1.0 < pts[1].vn_antisqueezed and pts[1].shot > 0
 
     def test_more_modes_keep_squeezing_at_large_detectors(self):
         # ordering by mode count: at a fixed large detector the wider pump

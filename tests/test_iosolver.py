@@ -174,8 +174,8 @@ class TestDenseSolve:
                 q[:, -1] += eps * q[:, -2]
                 return lam, q
 
-            lam, q = corrupted(K.entries)
-            modes = iosolver.CavityModes(grid=g, at=(0.0, 0.0), Q=q, lam=lam)
+            lam, q = corrupted(K.even)
+            modes = iosolver.CavityModes(grid=g, at=(0.0, 0.0), Q=g.unfold(q), lam=lam)
             broken = max(residuals(*dense_uv(modes))) > 1e-6
             assert broken or eps < 1e-3
             monkeypatch.setattr(iosolver, "eigh", corrupted)

@@ -21,6 +21,7 @@ from confocal_opo import (
     si,
 )
 from modes_reference import even_diagonal
+from near_reference import near_entries
 
 # Frozen oracle values: adaptive high-precision quadrature of sin(u)/u
 # (30-digit arithmetic), independent of scipy.special.sici, which ``si``
@@ -252,6 +253,21 @@ class TestGrid1D:
         i = np.arange(64)
         assert np.allclose(g.points[g.flip(i)], -g.points[i])
 
+    @pytest.mark.parametrize("n", [32, 33])
+    def test_even_basis_fold_unfold(self, n, rng):
+        # unfold is the orthonormal even basis E (n x m), fold its transpose:
+        # E^T E = I and E E^T is the even projector
+        g = Grid1D.uniform(n, 1.0, "near")
+        assert g.n_even == (n + 1) // 2
+        block = rng.normal(size=(g.n_even, 3))
+        vals = g.unfold(block)
+        assert vals.shape == (n, 3)
+        assert np.array_equal(vals, vals[::-1])
+        assert np.abs(g.fold(vals) - block).max() <= 1e-15
+        x = rng.normal(size=n)
+        assert np.abs(g.unfold(g.fold(x)) - 0.5 * (x + x[::-1])).max() <= 1e-15
+        assert g.fold(x) @ g.fold(x) == pytest.approx(g.unfold(g.fold(x)) @ x, rel=1e-14)
+
 
 def _gauss_setup(b=16.0, a_p=0.8, n=None, domain="far"):
     p0 = OpoParams(
@@ -308,6 +324,33 @@ class TestKernelMatrix:
         assert np.abs(K.entries[:, flip] - K.entries).max() <= 1e-10 * scale
         # unweighted kernel symmetric under swap (uniform weights cancel)
         assert np.abs(K.entries - K.entries.T).max() <= 1e-10 * scale
+
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_near_matches_two_dft_oracle(self, n):
+        # the cosine-restricted even block unfolds to the full complex
+        # two-DFT transform of the conjugate-grid far operator
+        p, s, g = _gauss_setup(b=16.0, n=n, domain="near")
+        K = build_kernel_matrix(g, p, s)
+        ref = near_entries(g, p, s)
+        assert K.even.shape == (g.n_even, g.n_even)
+        assert np.abs(K.entries - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_far_operator_not_flip_even_is_refused(self, monkeypatch):
+        # an odd part in the far operator would make the near transform
+        # complex and escape the even block
+        import confocal_opo.kernels as kernels
+
+        p, s, g = _gauss_setup(b=16.0, n=257, domain="near")
+        exact = kernels._far_entries
+
+        def tilted(grid, *args):
+            ops = exact(grid, *args)
+            return ops * (1.0 + 1e-6 * grid.points / grid.half_extent)
+
+        monkeypatch.setattr(kernels, "_far_entries", tilted)
+        for grid in (g, g.conjugate()):
+            with pytest.raises(GridTooCoarse):
+                build_kernel_matrix(grid, p, s, strict=False)
 
     def test_transform_pair_consistency(self):
         # the double DFT of the near matrix reproduces the far matrix built
