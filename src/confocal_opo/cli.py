@@ -100,9 +100,12 @@ def _convert(key: str, value: str):
         return None
     if key in _FLOAT_KEYS:
         try:
-            return float(value)
+            number = float(value)
         except ValueError as exc:
             raise ConfigurationError(f"key {key!r}: not a number: {value!r}") from exc
+        if not math.isfinite(number):
+            raise ConfigurationError(f"key {key!r}: not a finite number: {value!r}")
+        return number
     if key in _INT_KEYS:
         try:
             return int(value)

@@ -28,17 +28,26 @@ diagonal in the transverse wavevector, with mode gain lambda = A_p sigma(q),
 so spectra reduce to 1-D quadratures over closed-form densities.  Those
 routes cover detector sizes far beyond what a dense grid can span, and are
 cross-checked against the dense solver where the two overlap.
+
+All three closed-form routes (near field, far-field interval or pixel pair,
+far-field disk) share one rule, ``_gauss_panels``: 16-point Gauss-Legendre
+panels in t = q l_coh whose edges sit at the sinc zeros t = 2 sqrt(k pi),
+split to a maximum width.  Against adaptive QUADPACK references in the tests
+the near-field interval agrees to 5e-12 in vn at A_p = 0.99, and the far and
+disk routes to 1e-15 relative, at resonance and detuned.  The near-field
+window cos(a t) needs panels that shrink with the detector size a, so one
+near-field point costs ~1 ms up to a = 480 l_coh (cached panels) and grows
+linearly beyond, ~0.45 s at a = 1e4 l_coh on a 2-core x86-64 host; the
+nodes are summed in fixed-size chunks, so memory stays bounded.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.integrate
 
 from .errors import (
     ConfigurationError,
@@ -49,14 +58,6 @@ from .errors import (
 from .iosolver import CavityModes, analytic_uv_planepump, mode_uv, solve_io
 from .kernels import Grid1D, auto_grid, build_kernel_matrix, phase_match_sinc, si
 from .params import DerivedScales, OpoParams, validate
-
-def quad(*args, **kwargs):
-    # QUADPACK flags "roundoff error detected" on long oscillatory spans even
-    # when the returned value is well within tolerance (verified against
-    # independent references in the test suite); keep the run quiet.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        return scipy.integrate.quad(*args, **kwargs)
 
 __all__ = [
     "DetectorMask",
@@ -103,18 +104,18 @@ class DetectorMask:
 
     @classmethod
     def interval(cls, half_width: float, plane: str = "near") -> "DetectorMask":
-        if half_width <= 0:
-            raise ConfigurationError("interval half_width must be positive")
+        if not 0 < half_width < math.inf:
+            raise ConfigurationError("interval half_width must be positive and finite")
         return cls(shape="interval", plane=plane, half_width=half_width)
 
     @classmethod
     def pixel_pair(
         cls, center_distance: float, pixel_width: float, plane: str = "near"
     ) -> "DetectorMask":
-        if pixel_width <= 0:
-            raise ConfigurationError("pixel_width must be positive")
-        if center_distance < 0:
-            raise ConfigurationError("center_distance must be non-negative")
+        if not 0 < pixel_width < math.inf:
+            raise ConfigurationError("pixel_width must be positive and finite")
+        if not 0 <= center_distance < math.inf:
+            raise ConfigurationError("center_distance must be non-negative and finite")
         return cls(
             shape="pixel_pair",
             plane=plane,
@@ -124,8 +125,8 @@ class DetectorMask:
 
     @classmethod
     def radial(cls, radius: float, plane: str = "far") -> "DetectorMask":
-        if radius <= 0:
-            raise ConfigurationError("radius must be positive")
+        if not 0 < radius < math.inf:
+            raise ConfigurationError("radius must be positive and finite")
         return cls(shape="radial", plane=plane, radius=radius)
 
     def outer_extent(self) -> float:
@@ -301,18 +302,51 @@ def noise_density_planepump(q, p: OpoParams, s: DerivedScales, phi_lo: float):
     _, v_neg = analytic_uv_planepump(q, p, s, omega_bar=-p.omega_bar)
     return np.abs(u + np.exp(2j * phi_lo) * np.conj(v_neg)) ** 2
 
-def _sinc_zero_points(q_low: float, q_high: float, s: DerivedScales, cap: int = 90):
-    """Transverse wavevectors where the phase-matching sinc vanishes."""
-    zeros = []
-    k = 1
-    while len(zeros) < cap:
-        q = (2.0 / s.l_coh) * math.sqrt(k * math.pi)
-        if q >= q_high:
-            break
-        if q > q_low:
-            zeros.append(q)
-        k += 1
-    return zeros
+#: 16-point Gauss-Legendre rule on [-1, 1], mapped onto every panel
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+#: sinc-zero intervals, or panels, handled at once: bounds every node array
+_CHUNK = 4096
+#: widest panel in t = q l_coh: ~1.2 periods of cos(a t) at a = 30
+_PANEL_WIDTH = 0.25
+#: q-space measure dq / pi of the near-field sums, the counterpart of the
+#: grid step in ``_vn_from_terms``
+_Q_MEASURE = 1.0 / math.pi
+
+
+def _gauss_panels(t_lo: float, t_hi: float, max_width: float):
+    """16-point Gauss-Legendre nodes and weights on [t_lo, t_hi], in chunks.
+
+    t = q l_coh is the scaled wavevector.  Panel edges sit at the zeros
+    t = 2 sqrt(k pi) of the phase-matching sinc sigma = sinc(t^2 / 4), and
+    every interval between them is split evenly into panels at most
+    ``max_width`` wide.  Yields (t, w) arrays of at most ``_CHUNK`` panels,
+    so memory stays bounded however long the span.
+    """
+    k = math.floor(t_lo**2 / (4.0 * math.pi)) + 1  # first sinc zero above t_lo
+    while True:
+        zeros = 2.0 * np.sqrt(math.pi * np.arange(k, k + _CHUNK))
+        last = zeros[-1] >= t_hi
+        inside = zeros[(zeros > t_lo) & (zeros < t_hi)]
+        edges = np.concatenate([[t_lo], inside, [t_hi] if last else []])
+        spans = np.diff(edges)
+        pieces = np.ceil(spans / max_width).astype(int)
+        ends = np.cumsum(pieces)
+        halves = spans / (2.0 * np.maximum(pieces, 1))
+        for first in range(0, ends[-1], _CHUNK):
+            panel = np.arange(first, min(first + _CHUNK, ends[-1]))
+            i = np.searchsorted(ends, panel, side="right")
+            half = halves[i]
+            mid = edges[i] + (2 * (panel - ends[i] + pieces[i]) + 1) * half
+            yield ((mid[:, None] + half[:, None] * _GAUSS_NODES).ravel(),
+                   (half[:, None] * _GAUSS_WEIGHTS).ravel())
+        if last:
+            return
+        t_lo, k = edges[-1], k + _CHUNK
+
+def _lo_panel_width(c: float) -> float:
+    # a Gaussian LO weight exp(-c t^2) also needs panels no wider than its
+    # 1/e half width, or a narrow spot falls between the nodes
+    return _PANEL_WIDTH if c == 0.0 else min(_PANEL_WIDTH, 1.0 / math.sqrt(c))
 
 def spectrum_planepump_circular(
     r: float,
@@ -328,29 +362,26 @@ def spectrum_planepump_circular(
     ``w_lo`` is the detection-plane waist of a Gaussian LO (plane LO for
     None); in terms of the equivalent pre-lens waist w = lambda f/(pi w_lo)
     the weight reads u exp(-w^2 k_s u^2 / l_c), so c = 2 (r0 / w_lo)^2 and a
-    detection-plane waist of r0 gives exp(-2 u^2).  Quadrature absolute
-    error 1e-8, with refinement split at the sinc zeros.  r -> 0 returns the
-    integrand limit R(sigma = 1).
+    detection-plane waist of r0 gives exp(-2 u^2).  The numerator runs on
+    the Gauss panels of ``_gauss_panels`` in t = 2u; the denominator is
+    closed form.  r -> 0 returns the integrand limit R(sigma = 1).
     """
     validate(p)
     if not p.plane_pump:
         raise ConfigurationError("closed-form radial spectrum needs a plane pump")
+    if not 0 <= r < math.inf:
+        raise ConfigurationError("radius must be non-negative and finite")
     big_x = r / s.r0
     meta = dict(route="radial_analytic", r_over_r0=big_x, w_lo=w_lo)
     if big_x <= 1e-9:
         vn = float(noise_density_planepump(0.0, p, s, phi_lo))
         return _result(vn, 0.0, phi_lo, **meta)
     c = 0.0 if w_lo is None else 2.0 * (s.r0 / w_lo) ** 2
-
-    def integrand(u):
-        q = 2.0 * u / s.l_coh  # maps sinc(u^2) onto the density argument
-        return u * math.exp(-c * u * u) * float(noise_density_planepump(q, p, s, phi_lo))
-
-    breaks = [math.sqrt(k * math.pi) for k in range(1, 200) if k * math.pi < big_x**2]
-    num = quad(
-        integrand, 0.0, big_x, points=breaks[:90] or None,
-        epsabs=1e-8, epsrel=1e-10, limit=300,
-    )[0]
+    num = 0.0
+    for t, w in _gauss_panels(0.0, 2.0 * big_x, _lo_panel_width(c / 4.0)):
+        u = t / 2.0  # q = t / l_coh maps sinc(u^2) onto the density argument
+        density = noise_density_planepump(t / s.l_coh, p, s, phi_lo)
+        num += float((u * np.exp(-c * u * u) * w) @ density) / 2.0  # du = dt / 2
     den = big_x**2 / 2.0 if c == 0.0 else (1.0 - math.exp(-c * big_x**2)) / (2.0 * c)
     return _result(num / den, den, phi_lo, **meta)
 
@@ -362,129 +393,65 @@ class _PlanePumpNearTables:
     combination of (1 - cos(a q)) / q^2 terms, so the normally ordered noise
     reduces to T_k(a) = integral_0^inf (1 - cos(a q)) f_k(q) / q^2 dq over
     the three density components f1 = |V|^2, f2 = Re(U V_-), f3 = Im(U V_-).
-    Each T_k splits into a closed-form piece (through Si), a smooth
-    integral, and an oscillatory cosine transform handled by the adaptive
-    cosine-weight rule.  All quadratures run in the dimensionless variable
-    q l_coh, where the integrands and tolerances are order one.
+    In the scaled variables t = q l_coh and a / l_coh, with f0 = f(0)
+    subtracted below t = SWITCH = 1, each is one formula,
+
+        T_k(a) = f0_k (a Si(a) - 1 + cos a) + sum (1 - cos(a t)) g_k(t) w,
+
+    with g_k = (f_k - f0_k) / t^2 below SWITCH and f_k / t^2 above, summed on
+    the Gauss panels of ``_gauss_panels`` up to t = CUT.  The panel width
+    halves per level L = max(0, ceil(log2(a / PANEL_A))), so no panel holds
+    more than ~1.2 periods of cos(a t).  The (t, g w) chunks of a level are
+    built once and kept up to level CACHED_LEVEL; beyond it they are built
+    chunk by chunk on every call, so memory stays bounded for any a.
     """
 
-    #: switch between subtracted small-q and raw large-q integrands (l_coh units)
+    #: end of the subtracted small-t piece (l_coh units)
     SWITCH = 1.0
-    #: truncation of the q l_coh integrals; |sinc| < (2/CUT)^2 = 4e-4 beyond
+    #: truncation of the t integrals; |sinc| < (2/CUT)^2 = 4e-4 beyond
     CUT = 100.0
-    #: largest scaled window argument served by the precomputed Gauss panels
-    #: (at most ~2 cosine periods per panel); beyond it fall back to the
-    #: adaptive cosine-weight rule
-    FAST_A = 30.0
+    #: largest a / l_coh served by level 0 (panels 0.125 wide below SWITCH,
+    #: 0.25 above)
+    PANEL_A = 30.0
+    #: highest level whose chunks are kept, a / l_coh <= 480 (~7 MB for
+    #: levels 0 to 4 together)
+    CACHED_LEVEL = 4
 
     def __init__(self, p: OpoParams, s: DerivedScales):
         self.p, self.s = p, s
-        self.fs = self._components()
-        self.f_zero = np.array([f(1e-300) for f in self.fs])
-        self._t_in, self._w_in, self._t_out, self._w_out = self._panels()
-        self._g_in = np.stack(
-            [(self.fs[k](self._t_in) - self.f_zero[k]) / self._t_in**2 for k in range(3)]
-        )
-        self._g_out = np.stack([self.fs[k](self._t_out) for k in range(3)])
-        self._smooth = self._g_out @ self._w_out
-        self._near_flat = np.array(
-            [
-                quad(
-                    lambda t, k=k: 0.0 if t == 0.0 else (self.fs[k](t) - self.f_zero[k]) / t**2,
-                    0.0,
-                    self.SWITCH,
-                    epsabs=1e-11,
-                    epsrel=1e-10,
-                    limit=200,
-                )[0]
-                for k in range(3)
-            ]
-        )
+        self.f_zero = self._components(np.zeros(1))[:, 0]
+        self._levels = {}
 
-    def _components(self):
-        # component functions of the scaled wavevector t = q l_coh: the
-        # per-mode noise weights at the plane-pump mode gain A_p sigma(q)
+    def _components(self, t):
+        # (f1, f2, f3) at scaled wavevectors t = q l_coh: the per-mode noise
+        # weights at the plane-pump mode gain A_p sigma(q)
         p, s = self.p, self.s
+        lam = p.A_p * phase_match_sinc(t / s.l_coh, s)
+        normal, anomalous = _noise_weights(lam, p.detuning, p.omega_bar)
+        return np.stack([normal, anomalous.real, anomalous.imag])
 
-        def weights(t):
-            lam = p.A_p * phase_match_sinc(np.asarray(t) / s.l_coh, s)
-            return _noise_weights(lam, p.detuning, p.omega_bar)
-
-        return (
-            lambda t: weights(t)[0],
-            lambda t: weights(t)[1].real,
-            lambda t: weights(t)[1].imag,
-        )
-
-    def _panels(self):
-        # Gauss panel nodes for [0, SWITCH] and [SWITCH, CUT].  Panel edges
-        # sit at the sinc zeros t = 2 sqrt(k pi) and are subdivided to at
-        # most 0.25 wide, so a 16-point rule stays accurate for both the
-        # integrand's own lobes and a cos(a t) factor up to a = FAST_A
-        # (under two cosine periods per panel).
-        nodes, weights = np.polynomial.legendre.leggauss(16)
-
-        def split(edges, max_width):
-            refined = []
-            for a, b in zip(edges[:-1], edges[1:]):
-                pieces = max(1, int(math.ceil((b - a) / max_width)))
-                refined.extend(np.linspace(a, b, pieces + 1)[:-1])
-            refined.append(edges[-1])
-            edges = np.asarray(refined)
-            mid = (edges[1:] + edges[:-1]) / 2.0
-            half = (edges[1:] - edges[:-1]) / 2.0
-            t = (half[:, None] * nodes + mid[:, None]).ravel()
-            w = (half[:, None] * weights).ravel()
-            return t, w
-
-        t_in, w_in = split(np.array([0.0, self.SWITCH]), 0.125)
-        zeros = [2.0 * math.sqrt(k * math.pi) for k in range(1, 10000)]
-        edges = [self.SWITCH] + [z for z in zeros if self.SWITCH < z < self.CUT] + [self.CUT]
-        t_out, wt = split(np.array(edges), 0.25)
-        w_out = wt / t_out**2
-        return t_in, w_in, t_out, w_out
+    def _weighted_panels(self, level: int):
+        scale = 0.5**level
+        for t, w in _gauss_panels(0.0, self.SWITCH, 0.5 * _PANEL_WIDTH * scale):
+            yield t, (self._components(t) - self.f_zero[:, None]) / t**2 * w
+        for t, w in _gauss_panels(self.SWITCH, self.CUT, _PANEL_WIDTH * scale):
+            yield t, self._components(t) / t**2 * w
 
     def t_vector(self, a_phys: float) -> np.ndarray:
         """T_k(a) (physical units, meters in a) for the three components."""
         if a_phys <= 0:
             return np.zeros(3)
         a = a_phys / self.s.l_coh  # scaled conjugate variable
-        out = np.empty(3)
+        level = max(0, math.ceil(math.log2(a / self.PANEL_A)))
+        chunks = self._levels.get(level)
+        if chunks is None:
+            chunks = self._weighted_panels(level)
+            if level <= self.CACHED_LEVEL:
+                chunks = self._levels[level] = list(chunks)
         x = a * self.SWITCH
-        closed = a * si(x) - (1.0 - math.cos(x)) / self.SWITCH
-        fast = a <= self.FAST_A
-        if fast:
-            cos_in = np.cos(a * self._t_in) * self._w_in
-            cos_out = np.cos(a * self._t_out) * self._w_out
-        for k in range(3):
-            if abs(self.f_zero[k]) + abs(self._smooth[k]) + abs(self._near_flat[k]) == 0.0:
-                out[k] = 0.0  # component vanishes identically (e.g. Im part at resonance)
-                continue
-            if fast:
-                near_osc = float(self._g_in[k] @ cos_in)
-                osc = float(self._g_out[k] @ cos_out)
-            else:
-                near_osc = quad(
-                    lambda t, k=k: 0.0 if t == 0.0 else (self.fs[k](t) - self.f_zero[k]) / t**2,
-                    0.0,
-                    self.SWITCH,
-                    weight="cos",
-                    wvar=a,
-                    epsabs=1e-11,
-                    epsrel=1e-10,
-                    limit=400,
-                )[0]
-                osc = quad(
-                    lambda t, k=k: self.fs[k](t) / t**2,
-                    self.SWITCH,
-                    self.CUT,
-                    weight="cos",
-                    wvar=a,
-                    epsabs=1e-11,
-                    epsrel=1e-10,
-                    limit=4000,
-                )[0]
-            out[k] = self.f_zero[k] * closed + (self._near_flat[k] - near_osc) + (self._smooth[k] - osc)
+        out = self.f_zero * (a * si(x) - (1.0 - math.cos(x)) / self.SWITCH)
+        for t, gw in chunks:
+            out = out + gw @ (1.0 - np.cos(a * t))
         return self.s.l_coh * out
 
 
@@ -492,8 +459,13 @@ class _PlanePumpNearTables:
 def _near_tables(p: OpoParams, s: DerivedScales) -> _PlanePumpNearTables:
     return _PlanePumpNearTables(p, s)
 
-def _vn_planepump_near(det: DetectorMask, p, s, phi_lo) -> tuple[float, float]:
-    """(vn, shot) for a symmetric detector with a plane LO, plane pump."""
+def _vn_planepump_near(det: DetectorMask, p, s):
+    """(N, s_plus, anom) of a symmetric detector with a plane LO, plane pump.
+
+    The near-field counterpart of ``_noise_terms``: the detector window
+    combines the tables' T_k into s_plus = T_1 and anom = T_2 + i T_3, and
+    ``_vn_from_terms`` with the measure ``_Q_MEASURE`` gives vn at any phase.
+    """
     tables = _near_tables(p, s)
     if det.shape in ("interval", "radial"):
         d = det.outer_extent()
@@ -516,9 +488,7 @@ def _vn_planepump_near(det: DetectorMask, p, s, phi_lo) -> tuple[float, float]:
     total = np.zeros(3)
     for coef, a in terms:
         total += coef * tables.t_vector(a)
-    b_combo = total[0] + math.cos(2 * phi_lo) * total[1] + math.sin(2 * phi_lo) * total[2]
-    vn = 1.0 + (2.0 / (math.pi * n_shot)) * b_combo
-    return vn, n_shot
+    return n_shot, total[0], complex(total[1], total[2])
 
 def squeezing_planepump_near(
     det: DetectorMask,
@@ -538,7 +508,8 @@ def squeezing_planepump_near(
         raise ConfigurationError("closed-form near-field spectrum needs a plane pump")
     if det.plane != "near":
         raise PlaneMismatch("squeezing_planepump_near expects a near-plane detector")
-    vn, n_shot = _vn_planepump_near(det, p, s, phi_lo)
+    n_shot, s_plus, anom = _vn_planepump_near(det, p, s)
+    vn = _vn_from_terms(n_shot, s_plus, anom, _Q_MEASURE, phi_lo)
     return _result(vn, n_shot, phi_lo, route="planepump_near")
 
 def squeezing_planepump_far(
@@ -551,7 +522,8 @@ def squeezing_planepump_far(
     """Far-field noise of an interval or pixel-pair detector, plane pump (1-D).
 
     vn = integral_det |alpha(q)|^2 R(q) dq / integral_det |alpha(q)|^2 dq
-    over the positive-q half of the symmetric detector.
+    over the positive-q half of the symmetric detector, both on the Gauss
+    panels of ``_gauss_panels``.
     """
     validate(p)
     if not p.plane_pump:
@@ -562,18 +534,16 @@ def squeezing_planepump_far(
     q_lo, q_hi = det.bounds_on_axis(p)
     if q_hi <= q_lo:
         raise EmptyDetector("empty wavevector interval")
-    if lo.profile == "plane":
-        weight = lambda q: 1.0
-    else:
-        x_of_q = p.lambda_s * p.f_lens / (2.0 * math.pi)
-        weight = lambda q: math.exp(-2.0 * (q * x_of_q / lo.waist) ** 2)
-    breaks = _sinc_zero_points(q_lo, q_hi, s) or None
-    num = quad(
-        lambda q: weight(q) * float(noise_density_planepump(q, p, s, phase)),
-        q_lo, q_hi, points=breaks, epsabs=1e-10, epsrel=1e-10, limit=300,
-    )[0]
-    den = quad(weight, q_lo, q_hi, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
-    return _result(num / den, den, phase, route="planepump_far")
+    # |alpha|^2 of a Gaussian LO is exp(-2 (x / waist)^2) at x = q lambda f / (2 pi),
+    # exp(-c t^2) in t = q l_coh
+    x_of_q = p.lambda_s * p.f_lens / (2.0 * math.pi)
+    c = 0.0 if lo.profile == "plane" else 2.0 * (x_of_q / (lo.waist * s.l_coh)) ** 2
+    num = den = 0.0
+    for t, w in _gauss_panels(q_lo * s.l_coh, q_hi * s.l_coh, _lo_panel_width(c)):
+        weight = np.exp(-c * t * t) * w
+        num += float(weight @ noise_density_planepump(t / s.l_coh, p, s, phase))
+        den += float(weight.sum())
+    return _result(num / den, den / s.l_coh, phase, route="planepump_far")
 
 
 # ---------------------------------------------------------------------------
@@ -662,16 +632,17 @@ def sweep(
             out.append(SweepPoint(value, 1.0, 1.0, 0.0))
             continue
         lvec = mag * _mask_for(detector_shape, value, pixel_width, plane).indicator(grid, p)
-        n_shot, s_plus, anom = _noise_terms(modes, lvec, grid.step)
-        out.append(
-            SweepPoint(
-                value=value,
-                vn_squeezed=_vn_from_terms(n_shot, s_plus, anom, grid.step, SQUEEZED_PHASE),
-                vn_antisqueezed=_vn_from_terms(n_shot, s_plus, anom, grid.step, 0.0),
-                shot=n_shot,
-            )
-        )
+        out.append(_sweep_point(value, _noise_terms(modes, lvec, grid.step), grid.step))
     return out
+
+def _sweep_point(value, terms, w) -> SweepPoint:
+    # both canonical quadratures from one detector's (N, s_plus, anom)
+    return SweepPoint(
+        value,
+        float(_vn_from_terms(*terms, w, SQUEEZED_PHASE)),
+        float(_vn_from_terms(*terms, w, 0.0)),
+        float(terms[0]),
+    )
 
 def _sweep_planepump(p, s, plane, detector_shape, values, lo, pixel_width):
     if plane == "near" and lo.profile != "plane":
@@ -683,17 +654,14 @@ def _sweep_planepump(p, s, plane, detector_shape, values, lo, pixel_width):
             continue
         if plane == "near":
             det = _mask_for(detector_shape, value, pixel_width, "near")
-            vn_sq, n_shot = _vn_planepump_near(det, p, s, SQUEEZED_PHASE)
-            vn_anti, _ = _vn_planepump_near(det, p, s, 0.0)
+            out.append(_sweep_point(value, _vn_planepump_near(det, p, s), _Q_MEASURE))
+            continue
+        if detector_shape == "radial":
+            res_sq = spectrum_planepump_circular(value, p, s, lo.waist, SQUEEZED_PHASE)
+            res_anti = spectrum_planepump_circular(value, p, s, lo.waist, 0.0)
         else:
-            if detector_shape == "radial":
-                res_sq = spectrum_planepump_circular(value, p, s, lo.waist, SQUEEZED_PHASE)
-                res_anti = spectrum_planepump_circular(value, p, s, lo.waist, 0.0)
-                vn_sq, vn_anti, n_shot = res_sq.vn, res_anti.vn, res_sq.shot
-            else:
-                det = _mask_for(detector_shape, value, pixel_width, "far")
-                res_sq = squeezing_planepump_far(det, lo, p, s, SQUEEZED_PHASE)
-                res_anti = squeezing_planepump_far(det, lo, p, s, 0.0)
-                vn_sq, vn_anti, n_shot = res_sq.vn, res_anti.vn, res_sq.shot
-        out.append(SweepPoint(value, float(vn_sq), float(vn_anti), float(n_shot)))
+            det = _mask_for(detector_shape, value, pixel_width, "far")
+            res_sq = squeezing_planepump_far(det, lo, p, s, SQUEEZED_PHASE)
+            res_anti = squeezing_planepump_far(det, lo, p, s, 0.0)
+        out.append(SweepPoint(value, res_sq.vn, res_anti.vn, res_sq.shot))
     return out

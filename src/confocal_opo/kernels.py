@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import sici
 
-from .errors import GridTooCoarse
+from .errors import ConfigurationError, GridTooCoarse
 from .params import DerivedScales, OpoParams, validate
 
 __all__ = [
@@ -172,7 +172,7 @@ def ktilde_far(q, q2, p: OpoParams, s: DerivedScales):
     it to a discrete delta on the grid instead.
     """
     if p.plane_pump:
-        raise ValueError(
+        raise ConfigurationError(
             "plane-wave pump gives a distributional far-field kernel; "
             "build_kernel_matrix handles it on a grid"
         )
@@ -195,7 +195,7 @@ def ktilde_far_2d(q, q2, p: OpoParams, s: DerivedScales):
     are transverse wavevectors of shape (..., 2).
     """
     if p.plane_pump:
-        raise ValueError("plane-wave pump gives a distributional far-field kernel")
+        raise ConfigurationError("plane-wave pump gives a distributional far-field kernel")
     q = _as_vec2(q)
     q2 = _as_vec2(q2)
     lc_2ks = s.l_coh**2 / 4.0
@@ -232,9 +232,9 @@ class Grid1D:
     @classmethod
     def uniform(cls, n: int, half_extent: float, domain: str) -> "Grid1D":
         if domain not in ("near", "far"):
-            raise ValueError(f"domain must be 'near' or 'far', got {domain!r}")
+            raise ConfigurationError(f"domain must be 'near' or 'far', got {domain!r}")
         if n < 2 or half_extent <= 0:
-            raise ValueError("need n >= 2 and half_extent > 0")
+            raise ConfigurationError("need n >= 2 and half_extent > 0")
         h = 2.0 * half_extent / n
         pts = -half_extent + (np.arange(n) + 0.5) * h
         wts = np.full(n, h)
@@ -353,7 +353,6 @@ def auto_grid(
     s: DerivedScales,
     domain: str,
     extra_extents: tuple[float, ...] = (),
-    max_n: int = MAX_GRID_N,
 ) -> Grid1D:
     """Smallest odd-n grid satisfying the sizing rule.
 
@@ -369,9 +368,9 @@ def auto_grid(
     n = int(math.ceil(2.0 * extent / step_max))
     if n % 2 == 0:
         n += 1
-    if n > max_n:
+    if n > MAX_GRID_N:
         raise GridTooCoarse(
-            f"sizing rule demands n = {n} > {max_n} points "
+            f"sizing rule demands n = {n} > {MAX_GRID_N} points "
             f"(extent {extent:.3e}, step {step_max:.3e})"
         )
     n = max(n, 33)

@@ -1,7 +1,7 @@
-"""Independent closed-form references for the plane-pump near-field interval.
+"""Independent references for the plane-pump closed-form routes.
 
-Everything here works in the scaled wavevector x = q l_coh and in lengths
-scaled to l_coh, at resonance and zero analysis frequency.  There the
+The near-field references work in the scaled wavevector x = q l_coh and in
+lengths scaled to l_coh, at resonance and zero analysis frequency.  There the
 squeezed (phi_LO = pi/2) noise density is written out directly,
 
     R(x) = ((1 - A_p sigma) / (1 + A_p sigma))^2,   sigma = sinc(x^2 / 4),
@@ -28,6 +28,11 @@ Two quantities follow from R.
   they do (a few 1e-3 around d ~ l_coh at A_p = 0.99).
 * vn(d) itself, as 1 + (2 / (pi d)) integral_0^inf sin^2(x d) / x^2
   (R(x) - 1) dx, the detector window times the density.
+
+The far-field and circular references, ``far_vn`` and ``circular_vn``,
+take the library's closed-form density R (any detuning and frequency) and
+integrate it with adaptive QUADPACK between consecutive sinc zeros, so they
+check the library's Gauss-panel quadrature, not the density.
 """
 
 import math
@@ -36,6 +41,8 @@ import warnings
 import numpy as np
 import scipy.integrate
 from scipy.optimize import brentq
+
+from confocal_opo import noise_density_planepump
 
 #: truncation of the x integrals.  Beyond it R - 1 is a chirp of amplitude
 #: < 16 A_p / x^2; doubling the cut moves u_C by ~1e-6 and the windowed vn
@@ -110,6 +117,50 @@ def interval_vn(half_widths, a_p: float) -> np.ndarray:
     nonzero = d > 0.0
     out[nonzero] = 1.0 + 2.0 / (math.pi * d[nonzero]) * val[nonzero]
     return out
+
+
+def _sinc_zero_quad(f, x_lo: float, x_hi: float) -> float:
+    """integral_{x_lo}^{x_hi} f(x) dx, one tight QUADPACK call per sinc-zero interval."""
+    edges = [x_lo] + [z for z in sinc_zeros_below(x_hi) if x_lo < z < x_hi] + [x_hi]
+    return sum(
+        scipy.integrate.quad(f, lo, hi, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+        for lo, hi in zip(edges[:-1], edges[1:])
+    )
+
+
+def sinc_zeros_below(x_hi: float) -> list[float]:
+    """Sinc zeros x_k = 2 sqrt(k pi) below x_hi."""
+    return [2.0 * math.sqrt(k * math.pi) for k in range(1, int(x_hi**2 / (4 * math.pi)) + 2)]
+
+
+def far_vn(x_lo: float, x_hi: float, p, s, phase: float, c: float = 0.0) -> float:
+    """vn of the positive-q half [x_lo, x_hi] of a far-field detector.
+
+    x = q l_coh; the LO weight is exp(-c x^2) (c = 0: plane LO).
+    """
+    def weight(x):
+        return math.exp(-c * x * x)
+
+    def num(x):
+        return weight(x) * float(noise_density_planepump(x / s.l_coh, p, s, phase))
+
+    return _sinc_zero_quad(num, x_lo, x_hi) / _sinc_zero_quad(weight, x_lo, x_hi)
+
+
+def circular_vn(big_x: float, p, s, phase: float, c: float = 0.0) -> float:
+    """vn of a far-field disk of radius big_x r0 with LO weight exp(-c u^2).
+
+    Radial variable u = r / r0, density at q = 2 u / l_coh (sinc(u^2)); the
+    denominator integral_0^X u exp(-c u^2) du is closed form.
+    """
+    def num(u):
+        q = 2.0 * u / s.l_coh
+        return u * math.exp(-c * u * u) * float(noise_density_planepump(q, p, s, phase))
+
+    # sinc zeros sit at u = sqrt(k pi): integrate in x = 2u, du = dx / 2
+    total = _sinc_zero_quad(lambda x: num(x / 2.0), 0.0, 2.0 * big_x) / 2.0
+    den = big_x**2 / 2.0 if c == 0.0 else (1.0 - math.exp(-c * big_x**2)) / (2.0 * c)
+    return total / den
 
 
 def rises(values, vns) -> list[tuple[float, float]]:

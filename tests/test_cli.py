@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import confocal_opo
 from confocal_opo.cli import main, parse_config, scenario_from_config
 from confocal_opo.errors import ConfigurationError
 
@@ -21,6 +26,12 @@ sweep_min = 0.0
 sweep_max = 3.2e-4
 sweep_points = 5
 """
+PLANE_NEAR_CONFIG = GOOD_CONFIG.replace("pump = gaussian\nw_p = 2.4e-4\n", "pump = plane\n").replace(
+    "detector = pixel_pair", "detector = interval"
+)
+PLANE_FAR_RADIAL_CONFIG = PLANE_NEAR_CONFIG.replace("plane = near", "plane = far").replace(
+    "detector = interval", "detector = radial"
+)
 
 
 def write_config(tmp_path, text, name="scenario.cfg"):
@@ -120,6 +131,21 @@ class TestRunCommand:
         assert code == 2
         assert f"configuration error: key '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,key,value", [
+        (PLANE_NEAR_CONFIG, "sweep_max", "inf"),
+        (PLANE_FAR_RADIAL_CONFIG, "sweep_max", "inf"),
+        (GOOD_CONFIG, "sweep_min", "nan"),
+        (GOOD_CONFIG, "pixel_width", "nan"),
+        (GOOD_CONFIG, "A_p", "-inf"),
+    ], ids=["plane-near-sweep_max", "plane-far-radial-sweep_max", "sweep_min",
+            "pixel_width", "A_p"])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, text, key, value):
+        lines = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
+        cfg = write_config(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n")
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"configuration error: key '{key}': not a finite number" in capsys.readouterr().err
+
     def test_auto_grid_extent(self, tmp_path):
         # explicit grid size, half extent left to the sizing rule
         text = GOOD_CONFIG.replace("w_p = 2.4e-4", "w_p = 1e-4").replace(
@@ -192,3 +218,12 @@ class TestFigPresets:
             main(["--version"])
         assert exc.value.code == 0
         assert "confocal-opo" in capsys.readouterr().out
+
+
+def test_import_leaves_out_scipy_integrate():
+    # no route integrates adaptively, so start-up skips scipy.integrate
+    code = "import sys, confocal_opo.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(confocal_opo.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -6,6 +6,7 @@ import pytest
 from scipy.special import erf
 
 from confocal_opo import (
+    ConfigurationError,
     DetectorMask,
     EmptyDetector,
     Grid1D,
@@ -24,7 +25,13 @@ from confocal_opo import (
     sweep,
 )
 from lu_reference import lu_noise
-from planepump_reference import correlation_first_zero, rises
+from planepump_reference import (
+    circular_vn,
+    correlation_first_zero,
+    far_vn,
+    interval_vn,
+    rises,
+)
 
 # Frozen reference values for the closed-form near-field interval spectrum at
 # A_p = 0.99, resonance, zero frequency, squeezed quadrature.  Computed with
@@ -92,6 +99,18 @@ class TestDetectorMask:
         det = DetectorMask.interval(1e-9, "near")  # falls between cells
         with pytest.raises(EmptyDetector):
             det.indicator(g, plane_params)
+
+    @pytest.mark.parametrize("size", [math.inf, math.nan])
+    def test_non_finite_size_rejected(self, size):
+        # the closed-form routes size their quadrature from the detector
+        for make in (
+            lambda: DetectorMask.interval(size),
+            lambda: DetectorMask.radial(size),
+            lambda: DetectorMask.pixel_pair(size, 1.0),
+            lambda: DetectorMask.pixel_pair(1.0, size),
+        ):
+            with pytest.raises(ConfigurationError):
+                make()
 
 
 class TestShotNoise:
@@ -275,6 +294,25 @@ class TestRadialSpectrum:
         assert outer.vn > inner.vn
         assert inner.vn < 0.02
 
+    @pytest.mark.parametrize("radius", [-1e-4, math.inf, math.nan])
+    def test_bad_radius_rejected(self, plane_params, plane_scales, radius):
+        with pytest.raises(ConfigurationError):
+            spectrum_planepump_circular(radius, plane_params, plane_scales)
+
+    @pytest.mark.parametrize("detuning,omega_bar", [(0.0, 0.0), (0.3, 0.5)])
+    def test_matches_quadpack_oracle(self, plane_params, detuning, omega_bar):
+        # Gauss panels against adaptive QUADPACK on the same density; the
+        # narrow LO spots need panels narrower than the sinc lobes
+        p = replace(plane_params, detuning=detuning, omega_bar=omega_bar)
+        s = derive_scales(p)
+        for w_lo in (None, s.r0, 0.01 * s.r0):
+            c = 0.0 if w_lo is None else 2.0 * (s.r0 / w_lo) ** 2
+            for big_x in (0.4, 1.7, 3.0):
+                for phase in (math.pi / 2, 0.0):
+                    got = spectrum_planepump_circular(big_x * s.r0, p, s, w_lo, phase).vn
+                    ref = circular_vn(big_x, p, s, phase, c)
+                    assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
     def test_vn_is_one_plus_sn(self, plane_params, plane_scales):
         res = spectrum_planepump_circular(1.3 * plane_scales.r0, plane_params,
                                           plane_scales, w_lo=plane_scales.r0)
@@ -291,6 +329,18 @@ class TestPlanePumpNearSpectrum:
         det = DetectorMask.interval(d_scaled * plane_scales.l_coh, "near")
         res = squeezing_planepump_near(det, p, plane_scales)
         assert res.vn == pytest.approx(expected, abs=2e-5)
+
+    @pytest.mark.parametrize("a_p", [0.9, 0.99])
+    def test_sweep_matches_interval_oracle(self, plane_params, a_p):
+        # half widths on both sides of a / l_coh = 2d = 30, where the panel
+        # width starts to halve, up to level 4 (a = 300), where unhalved
+        # panels would err by 5e-4
+        p = replace(plane_params, A_p=a_p)
+        s = derive_scales(p)
+        d = np.array([0.05, 0.5, 5.0, 17.5, 22.5, 27.5, 60.0, 150.0])
+        pts = sweep(p, s, "near", "interval", list(d * s.l_coh), LocalOscillator())
+        vns = np.array([pt.vn_squeezed for pt in pts])
+        assert np.abs(vns - interval_vn(d, a_p)).max() <= 1e-9
 
     def test_wide_detector_approaches_single_mode(self, plane_params, plane_scales):
         det = DetectorMask.interval(200.0 * plane_scales.l_coh, "near")
@@ -399,6 +449,29 @@ class TestPlanePumpFarSpectrum:
             mask = det.indicator(g, p)
             dens = noise_density_planepump(g.points[mask], p, s, phase)
             assert dense.vn == pytest.approx(float(np.mean(dens)), abs=1e-4)
+
+    @pytest.mark.parametrize("detuning,omega_bar", [(0.0, 0.0), (0.3, 0.5)])
+    def test_matches_quadpack_oracle(self, detuning, omega_bar):
+        p, s = self.far_setup()
+        p = replace(p, detuning=detuning, omega_bar=omega_bar)
+        x_of_q = p.lambda_s * p.f_lens / (2 * math.pi)
+        unit = x_of_q / s.l_coh  # detection-plane meters per unit of q l_coh
+        gauss = LocalOscillator(profile="gaussian", waist=s.r0)
+        narrow = LocalOscillator(profile="gaussian", waist=0.01 * s.r0)
+        cases = [
+            (DetectorMask.interval(7.3 * unit, "far"), LocalOscillator()),
+            (DetectorMask.pixel_pair(5.0 * unit, 3.0 * unit, "far"), LocalOscillator()),
+            (DetectorMask.interval(7.3 * unit, "far"), gauss),
+            (DetectorMask.pixel_pair(2.0 * unit, 2.5 * unit, "far"), gauss),
+            (DetectorMask.interval(1.0 * unit, "far"), narrow),
+        ]
+        for det, lo in cases:
+            c = 0.0 if lo.waist is None else 2.0 * (x_of_q / (lo.waist * s.l_coh)) ** 2
+            x_lo, x_hi = (b * s.l_coh for b in det.bounds_on_axis(p))
+            for phase in (math.pi / 2, 0.0):
+                got = squeezing_planepump_far(det, lo, p, s, phase).vn
+                ref = far_vn(x_lo, x_hi, p, s, phase, c)
+                assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_pixel_pair_small_width_matches_density(self):
         p, s = self.far_setup()

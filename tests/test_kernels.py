@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 from scipy.special import sici
 
 from confocal_opo import (
+    ConfigurationError,
     GridTooCoarse,
     Grid1D,
     OpoParams,
@@ -218,8 +219,10 @@ class TestFarKernel:
             )
 
     def test_plane_pump_rejected(self, plane_params, plane_scales):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             ktilde_far(0.0, 0.0, plane_params, plane_scales)
+        with pytest.raises(ConfigurationError):
+            ktilde_far_2d((0.0, 0.0), (0.0, 0.0), plane_params, plane_scales)
 
     def test_2d_origin(self):
         p, s = self.gauss_params()
@@ -247,6 +250,13 @@ class TestGrid1D:
         back = gq.conjugate()
         assert back.domain == "near"
         assert np.allclose(back.points, g.points, rtol=1e-14)
+
+    @pytest.mark.parametrize("n,half_extent,domain", [
+        (1, 1.0, "near"), (33, 0.0, "near"), (33, -1.0, "far"), (33, 1.0, "focal"),
+    ])
+    def test_bad_uniform_grid_rejected(self, n, half_extent, domain):
+        with pytest.raises(ConfigurationError):
+            Grid1D.uniform(n, half_extent, domain)
 
     def test_flip_index(self):
         g = Grid1D.uniform(64, 1.0, "far")
