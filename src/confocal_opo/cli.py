@@ -254,8 +254,8 @@ def _explicit_grid(sc: Scenario, scales) -> Grid1D | None:
     """Grid1D from explicit grid_n / grid_L, or None for automatic sizing."""
     if sc.grid_n is None and sc.grid_L is None:
         return None
-    if sc.params.plane_pump and sc.plane == "near":
-        return None  # closed-form route, no grid involved
+    if sc.params.plane_pump:
+        return None  # closed-form routes, no grid involved
     domain = sc.plane
     if sc.grid_L is not None:
         half = sc.grid_L

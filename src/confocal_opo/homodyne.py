@@ -11,7 +11,9 @@ u, v; see ``iosolver``) with vacuum input and the symmetrized even-field
 commutation rules.  For a symmetric detector and an even local oscillator
 only the even part of the output contributes beyond shot noise; the odd part
 stays in the vacuum.  With the even projector P, the quadrature-weighted
-LO-on-detector vector l (grid step w) and its mode coefficients c = Q^T P l:
+LO-on-detector vector l (grid step w) and its mode coefficients
+c = Q^T P l = q^T E^T l, with the m x m modes q of ``CavityModes`` and the
+fold E^T of ``Grid1D.fold``:
 
     N = w l^T l,
     vn = 1 + (2 w / N) [ sum_k c_k^2 |v_k|^2
@@ -255,11 +257,11 @@ def _noise_terms(modes: CavityModes, lvec: np.ndarray, w: float):
     """(N, s_plus, anom) for an unphased LO-on-detector vector lvec.
 
     vn(phi) = 1 + (2 w / N) (s_plus + Re(e^{-2 i phi} anom)) with
-    c = Q^T P lvec the even part of lvec in the mode basis,
+    c = q^T fold(lvec) the even part of lvec in the mode basis,
     s_plus = sum c^2 |v|^2 and anom = sum c^2 u v_-.
     """
     normal, anomalous = _noise_weights(modes.lam, *modes.at)
-    c2 = (modes.Q.T @ (0.5 * (lvec + lvec[::-1]))) ** 2
+    c2 = (modes.q.T @ modes.grid.fold(lvec)) ** 2
     n_shot = w * float(lvec @ lvec)
     return n_shot, float(c2 @ normal), complex(c2 @ anomalous)
 

@@ -54,10 +54,12 @@ _EXTENT_FACTOR = 4.0
 # crystal gets no such escape: an unresolved kernel misrepresents it.
 _THIN_STEP_RATIO = 7.0
 _THIN_CRYSTAL_RATIO = 1e-3
-# Largest grid size: the far operator and its flip check hold a few n x n
-# float arrays, about 0.3 GB each at this n.
+# Largest grid size.  Every dense array is m x m (m = ceil(n/2)); the peak
+# is the divide-and-conquer eigh of the far block (a copy plus a 2 m^2
+# workspace) next to the block and the cosine matrix.  Fig 6 at b = 900
+# (n = 5761) peaks at 383 MB and takes ~4.5 s on a 2-core x86-64 host, so
+# this n covers fig 6 up to b ~ 980 (n ~ 192 sqrt(b)) within ~0.4 GB.
 MAX_GRID_N = 6000
-_FAR_ROW_BLOCK = 64
 
 
 def _sinc(x):
@@ -159,14 +161,24 @@ def phase_match_sinc(q, s: DerivedScales):
 # Far-field kernels
 # ---------------------------------------------------------------------------
 
+def _pump_transform(k, p: OpoParams):
+    """Integral-normalized 1-D pump transform G(k) = A_p (w_p / (2 sqrt(pi)))
+    exp(-k^2 w_p^2 / 4), so that integral G dk = A_p."""
+    amp = p.A_p * p.w_p / (2.0 * math.sqrt(math.pi))
+    return amp * np.exp(-(k * p.w_p / 2.0) ** 2)
+
+def _pair_sinc(k, s: DerivedScales):
+    """Phase-matching factor S(k) = sinc(m) with m = (l_c / (2 k_s)) (k/2)^2."""
+    lc_2ks = s.l_coh**2 / 4.0  # l_c / (2 k_s)
+    return _sinc(lc_2ks * (k / 2.0) ** 2)
+
 def ktilde_far(q, q2, p: OpoParams, s: DerivedScales):
     """1-D far-field coupling kernel (threshold units times m).
 
-    K(q, q2) = 1/2 [ G(q+q2) sinc(m(q,-q2)) + G(q-q2) sinc(m(q,q2)) ] with
-    m(q,q2) = (l_c / (2 k_s)) ((q-q2)/2)^2 and the integral-normalized pump
-    transform G(k) = A_p (w_p / (2 sqrt(pi))) exp(-k^2 w_p^2 / 4), so that
-    integral G dk = A_p and the plane-pump limit of the operator is
-    A_p * sigma(q) on the even subspace.
+    K(q, q2) = 1/2 [ G(q+q2) S(q-q2) + G(q-q2) S(q+q2) ] with the pump
+    transform G of ``_pump_transform`` and the phase-matching factor S of
+    ``_pair_sinc``; the plane-pump limit of the operator is A_p * sigma(q)
+    on the even subspace.
 
     A plane pump makes G distributional; ``build_kernel_matrix`` collapses
     it to a discrete delta on the grid instead.
@@ -178,13 +190,9 @@ def ktilde_far(q, q2, p: OpoParams, s: DerivedScales):
         )
     q = np.asarray(q, dtype=float)
     q2 = np.asarray(q2, dtype=float)
-    lc_2ks = s.l_coh**2 / 4.0  # l_c / (2 k_s)
-    amp = p.A_p * p.w_p / (2.0 * math.sqrt(math.pi))
-    g_plus = amp * np.exp(-((q + q2) * p.w_p / 2.0) ** 2)
-    g_minus = amp * np.exp(-((q - q2) * p.w_p / 2.0) ** 2)
     return 0.5 * (
-        g_plus * _sinc(lc_2ks * ((q - q2) / 2.0) ** 2)
-        + g_minus * _sinc(lc_2ks * ((q + q2) / 2.0) ** 2)
+        _pump_transform(q + q2, p) * _pair_sinc(q - q2, s)
+        + _pump_transform(q - q2, p) * _pair_sinc(q + q2, s)
     )
 
 def ktilde_far_2d(q, q2, p: OpoParams, s: DerivedScales):
@@ -289,23 +297,22 @@ class Grid1D:
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
-    """Quadrature-weighted discretization of the coupling kernel.
+    """Quadrature-weighted discretization of the coupling kernel on ``grid``.
 
     The kernel is even under sign flip of either argument and symmetric
-    under swap, so it acts only on the even subspace of the grid: ``even``
-    is the real symmetric m x m block E^T K E in the orthonormal even basis
-    E of ``Grid1D.unfold`` (m = ceil(n/2)).  ``entries`` unfolds it to the
-    n x n operator form, ``entries[i, j] = K(x_i, x_j) * w_j``, which acts on
-    vectors of field values by plain matrix multiplication.
+    under swap, so it acts only on the even subspace of the grid.  ``far``
+    is the real symmetric m x m block E^T K E of the far-field operator in
+    the orthonormal even basis E of ``Grid1D.unfold`` (m = ceil(n/2)),
+    where K[i, j] = K(q_i, q_j) w_j: on ``grid`` itself in the far domain,
+    on its conjugate grid in the near domain.  A near grid also carries
+    ``cosine``, the DFT restricted to the even subspace (an orthogonal
+    m x m matrix C), so the near block is C^T far C without being formed:
+    it has the spectrum of ``far`` and the modes C^T q_far.
     """
 
-    even: np.ndarray = field(repr=False)
+    far: np.ndarray = field(repr=False)
     grid: Grid1D
-
-    @property
-    def entries(self) -> np.ndarray:
-        g = self.grid
-        return g.unfold(g.unfold(self.even).T).T
+    cosine: np.ndarray | None = field(default=None, repr=False)
 
 
 def _structure_scales(p: OpoParams, s: DerivedScales, domain: str):
@@ -377,25 +384,38 @@ def auto_grid(
     return Grid1D.uniform(n, extent, domain)
 
 
-def _far_entries(g: Grid1D, p: OpoParams, s: DerivedScales) -> np.ndarray:
-    qs = g.points
+def _far_even(g: Grid1D, p: OpoParams, s: DerivedScales) -> np.ndarray:
+    """Even block E^T K E of the far-field operator on the far grid ``g``.
+
+    K is flip-even in either argument, so the four grid pairs behind each
+    pair of even basis vectors carry one value: K_even[a, b] = 2 h K(q_a, q_b)
+    over the m points q_a left of and at the center, with a factor
+    1/sqrt(2) per center index of an odd grid.  On the midpoint grid
+    q_a + q_b and q_a - q_b take only 2m - 1 values each, so the block is
+    gathered from four 1-D arrays: Hankel views of G(q_a + q_b) and
+    S(q_a + q_b), Toeplitz views of G(q_a - q_b) and S(q_a - q_b).  A plane
+    pump collapses G to a discrete delta whose 1/h cancels the weight,
+    leaving diag(A_p sigma(q_a)).
+    """
+    m = g.n_even
+    qs = g.points[:m]
     if p.plane_pump:
-        # G collapses to a discrete delta: weight w_j cancels against the
-        # 1/w_j of the delta, leaving the two parity channels.
-        n = g.n
-        sig = p.A_p * phase_match_sinc(qs, s)
-        entries = np.zeros((n, n))
-        idx = np.arange(n)
-        entries[idx, idx] += 0.5 * sig
-        entries[idx, g.flip(idx)] += 0.5 * sig
-        return entries
-    # row blocks keep the temporaries of the kernel formula cache-sized
-    # instead of a dozen n x n arrays
-    entries = np.empty((g.n, g.n))
-    for start in range(0, g.n, _FAR_ROW_BLOCK):
-        rows = slice(start, start + _FAR_ROW_BLOCK)
-        entries[rows] = ktilde_far(qs[rows, np.newaxis], qs, p, s) * g.weights
-    return entries
+        return np.diag(p.A_p * phase_match_sinc(qs, s))
+    h = g.step
+    sums = np.concatenate([qs[0] + qs, qs[1:] + qs[-1]])  # q_a + q_b at a + b
+    diffs = h * np.arange(1 - m, m)  # q_a - q_b at a - b + m - 1
+    window = np.lib.stride_tricks.sliding_window_view  # [a, b] -> f[a + b]
+    g_sum, s_sum = (window(f, m) for f in (_pump_transform(sums, p), _pair_sinc(sums, s)))
+    g_diff, s_diff = (
+        window(f, m)[:, ::-1] for f in (_pump_transform(diffs, p), _pair_sinc(diffs, s))
+    )
+    block = g_sum * s_diff
+    block += g_diff * s_sum
+    block *= h  # 2 h times the 1/2 of the kernel formula
+    if g.n % 2:
+        block[-1] *= math.sqrt(0.5)
+        block[:, -1] *= math.sqrt(0.5)
+    return block
 
 def _cosine_restriction(g: Grid1D, conj: Grid1D) -> np.ndarray:
     """C = E^T W E, the unitary DFT W_jk = exp(-i q_j x_k) / sqrt(n) between
@@ -407,11 +427,12 @@ def _cosine_restriction(g: Grid1D, conj: Grid1D) -> np.ndarray:
     each center index of an odd grid.
     """
     m = g.n_even
-    t = np.ones(m)
+    cmat = np.outer(conj.points[:m], g.points[:m])
+    np.cos(cmat, out=cmat)
+    cmat *= 2.0 / math.sqrt(g.n)
     if g.n % 2:
-        t[-1] = math.sqrt(0.5)
-    cmat = np.cos(np.outer(conj.points[:m], g.points[:m]))
-    cmat *= (2.0 / math.sqrt(g.n)) * np.multiply.outer(t, t)
+        cmat[-1] *= math.sqrt(0.5)
+        cmat[:, -1] *= math.sqrt(0.5)
     return cmat
 
 def build_kernel_matrix(
@@ -419,39 +440,28 @@ def build_kernel_matrix(
 ) -> KernelMatrix:
     """Discretize the coupling kernel on ``g``.
 
-    Far domain: direct evaluation of the 1-D far-field kernel (plane pump:
-    discrete delta), folded onto the even subspace.  Near domain: the
-    discrete Fourier similarity transform W^H K_far W of the far-domain
-    kernel built on the conjugate grid.  On the even subspace W is the real
-    cosine matrix C of ``_cosine_restriction``, so the near block is
-    C^T K_far,even C, two real m x m products.  Constructing the near kernel
-    this way guarantees the transform-pair consistency of the two
+    Far domain: the even block of the 1-D far-field kernel (plane pump:
+    discrete delta), gathered by ``_far_even``.  Near domain: the discrete
+    Fourier similarity transform W^H K_far W of the far-domain kernel built
+    on the conjugate grid.  On the even subspace W is the real cosine
+    matrix C of ``_cosine_restriction``, which the result carries next to
+    the far block instead of forming C^T K_far,even C.  Building the near
+    kernel this way guarantees the transform-pair consistency of the two
     representations, and avoids evaluating an oscillatory half-power
     Fresnel integral for the 1-D position kernel, which has no closed form.
+    Every array is m x m (m = ceil(n/2)).
 
     Raises ``GridTooCoarse`` when ``strict`` and the grid violates the
     sizing rule (step <= l_coh/8 near, or beyond the thin-crystal regime;
     step <= min(1/w_p, sqrt(2 k_s / l_c))/8 far; extent >= 4 w_p for a
-    finite pump), and when the far operator is not flip-even in both
-    indices to 1e-10 of its largest entry, the condition under which the
-    even block represents it and its near transform is real.
+    finite pump).
     """
     validate(p)
     if strict:
         _check_sizing(g, p, s)
-    far_grid = g.conjugate() if g.domain == "near" else g
-    far_op = _far_entries(far_grid, p, s)
-    scale = np.abs(far_op).max()
-    odd_part = max(
-        np.abs(far_op - far_op[::-1]).max(), np.abs(far_op - far_op[:, ::-1]).max()
-    )
-    if scale > 0 and odd_part > 1e-10 * scale:
-        raise GridTooCoarse(
-            "far-field kernel is not flip-even on the grid; "
-            "its even block cannot represent it"
-        )
-    far_even = far_grid.fold(far_grid.fold(far_op).T).T
     if g.domain == "far":
-        return KernelMatrix(even=far_even, grid=g)
-    cmat = _cosine_restriction(g, far_grid)
-    return KernelMatrix(even=cmat.T @ far_even @ cmat, grid=g)
+        return KernelMatrix(far=_far_even(g, p, s), grid=g)
+    conj = g.conjugate()
+    return KernelMatrix(
+        far=_far_even(conj, p, s), grid=g, cosine=_cosine_restriction(g, conj)
+    )

@@ -11,13 +11,15 @@ the eigenmodes, so the mode route of the library can be checked against it.
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
+from far_reference import entries
+
 
 def lu_uv(K, p, omega_bar=None):
     """(U, V) in operator form on the grid of ``K`` at (p.detuning, omega_bar)."""
     om = p.omega_bar if omega_bar is None else omega_bar
     a = 1.0 + 1j * (p.detuning + om)
     abar = 1.0 + 1j * (om - p.detuning)
-    kop = np.asarray(K.entries, dtype=complex)
+    kop = np.asarray(entries(K), dtype=complex)
     kk = kop @ kop
     eye = np.eye(K.grid.n)
     lu = lu_factor(a * eye - kk / abar)

@@ -11,12 +11,13 @@ import math
 import numpy as np
 
 from confocal_opo import build_kernel_matrix
+from far_reference import entries
 
 
 def near_entries(g, p, s):
     """n x n operator form of the near kernel on ``g`` by two complex DFTs."""
     conj = g.conjugate()
-    far_op = build_kernel_matrix(conj, p, s, strict=False).entries
+    far_op = entries(build_kernel_matrix(conj, p, s, strict=False))
     # x -> q transform matrix (unitary-normalized, exact inverse pair on
     # conjugate grids since dq dx = 2 pi / n)
     fmat = (g.step / math.sqrt(2.0 * math.pi)) * np.exp(

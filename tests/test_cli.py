@@ -146,6 +146,21 @@ class TestRunCommand:
         assert code == 2
         assert f"configuration error: key '{key}': not a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["grid_L = 1e5", "grid_n = 101", "grid_n = 101\ngrid_L = 1e5"],
+                             ids=["grid_L", "grid_n", "both"])
+    @pytest.mark.parametrize("detector", ["interval", "radial"])
+    def test_plane_pump_far_ignores_grid_keys(self, tmp_path, grid, detector):
+        # no plane-pump route uses a grid, so explicit grid keys leave the
+        # closed-form far-field curve as it is
+        text = PLANE_FAR_RADIAL_CONFIG.replace("detector = radial", f"detector = {detector}")
+        text = text.replace("sweep_min = 0.0", "sweep_min = 1e-5")
+        plain, gridded = tmp_path / "plain", tmp_path / "gridded"
+        cfg = write_config(tmp_path, text)
+        assert main(["run", "--config", str(cfg), "--out", str(plain)]) == 0
+        cfg = write_config(tmp_path, text + grid + "\n", name="grid.cfg")
+        assert main(["run", "--config", str(cfg), "--out", str(gridded)]) == 0
+        assert (gridded / "curve.csv").read_bytes() == (plain / "curve.csv").read_bytes()
+
     def test_auto_grid_extent(self, tmp_path):
         # explicit grid size, half extent left to the sizing rule
         text = GOOD_CONFIG.replace("w_p = 2.4e-4", "w_p = 1e-4").replace(

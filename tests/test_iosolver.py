@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -174,8 +175,8 @@ class TestDenseSolve:
                 q[:, -1] += eps * q[:, -2]
                 return lam, q
 
-            lam, q = corrupted(K.even)
-            modes = iosolver.CavityModes(grid=g, at=(0.0, 0.0), Q=g.unfold(q), lam=lam)
+            lam, q = corrupted(K.far)
+            modes = iosolver.CavityModes(grid=g, at=(0.0, 0.0), q=q, lam=lam)
             broken = max(residuals(*dense_uv(modes))) > 1e-6
             assert broken or eps < 1e-3
             monkeypatch.setattr(iosolver, "eigh", corrupted)
@@ -183,6 +184,18 @@ class TestDenseSolve:
                 with pytest.raises(SingularSystem):
                     solve_io(K, p)
             monkeypatch.setattr(iosolver, "eigh", exact)
+
+    def test_gate_checks_rotated_near_modes(self):
+        # near modes are C^T q_far; a cosine matrix that is not orthogonal
+        # leaves the far eigensolve intact but breaks the rotated modes,
+        # which the gate must refuse
+        p, s, g = gauss_setup(b=16.0, a_p=0.9, n=257, domain="near")
+        K = build_kernel_matrix(g, p, s)
+        solve_io(K, p)  # the exact rotation passes
+        tilted = K.cosine.copy()
+        tilted[:, -1] += 1e-3 * tilted[:, -2]
+        with pytest.raises(SingularSystem):
+            solve_io(replace(K, cosine=tilted), p)
 
     def test_matches_lu_oracle(self):
         # the modes rebuild the LU solution of the cavity relation
@@ -193,6 +206,30 @@ class TestDenseSolve:
         u_lu, v_lu = lu_uv(K, p)
         assert np.abs(u - u_lu).max() <= 1e-12 * np.abs(u_lu).max()
         assert np.abs(v - v_lu).max() <= 1e-12 * np.abs(v_lu).max()
+
+
+class TestDenseMemory:
+    def test_no_n_by_n_array_in_build_or_solve(self):
+        # every dense step runs on m x m arrays (m = ceil(n/2)): neither the
+        # kernel build nor the solve allocates as much as one n x n float64
+        # array above what is live on entry
+        p, s, g = gauss_setup(b=100.0, a_p=0.9, n=2001, domain="near")
+        unit = g.n**2 * np.dtype(float).itemsize
+
+        def allocated(fn, *args):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = fn(*args)
+            return out, tracemalloc.get_traced_memory()[1] - base
+
+        tracemalloc.start()
+        try:
+            K, build = allocated(build_kernel_matrix, g, p, s)
+            _, solve = allocated(solve_io, K, p)
+        finally:
+            tracemalloc.stop()
+        assert build < unit, f"build_kernel_matrix allocated {build / unit:.2f} n^2 floats"
+        assert solve < unit, f"solve_io allocated {solve / unit:.2f} n^2 floats"
 
 
 class TestThresholdMargin:

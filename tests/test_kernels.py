@@ -21,6 +21,7 @@ from confocal_opo import (
     phase_match_sinc,
     si,
 )
+from far_reference import entries, far_entries, fold_block
 from modes_reference import even_diagonal
 from near_reference import near_entries
 
@@ -301,16 +302,16 @@ def _gauss_setup(b=16.0, a_p=0.8, n=None, domain="far"):
 class TestKernelMatrix:
     def test_plane_pump_far_is_diagonal_on_even_subspace(self, plane_params, plane_scales):
         g = Grid1D.uniform(257, 20.0 / plane_scales.l_coh, "far")
-        K = build_kernel_matrix(g, plane_params, plane_scales)
+        op = entries(build_kernel_matrix(g, plane_params, plane_scales))
         n = g.n
         idx = np.arange(n)
         mask = np.ones((n, n), dtype=bool)
         mask[idx, idx] = False
         mask[idx, g.flip(idx)] = False
         # only the two parity channels are populated
-        assert np.abs(K.entries[mask]).max() <= 1e-15 * np.abs(K.entries).max()
+        assert np.abs(op[mask]).max() <= 1e-15 * np.abs(op).max()
         sig = plane_params.A_p * phase_match_sinc(g.points, plane_scales)
-        assert np.allclose(even_diagonal(K.entries), sig, atol=1e-14)
+        assert np.allclose(even_diagonal(op), sig, atol=1e-14)
 
     def test_zero_pump_gives_zero_matrix(self, plane_scales):
         p = OpoParams(
@@ -320,20 +321,20 @@ class TestKernelMatrix:
         s = derive_scales(p)
         g = auto_grid(p, s, "far")
         K = build_kernel_matrix(g, p, s)
-        assert np.abs(K.entries).max() == 0.0
+        assert np.abs(entries(K)).max() == 0.0
 
     @pytest.mark.parametrize("domain", ["far", "near"])
     def test_parity_and_symmetry_invariants(self, domain):
         p, s, g = _gauss_setup(b=9.0, n=257, domain=domain)
-        K = build_kernel_matrix(g, p, s)
+        op = entries(build_kernel_matrix(g, p, s))
         n = g.n
         idx = np.arange(n)
         flip = g.flip(idx)
-        scale = np.abs(K.entries).max()
-        assert np.abs(K.entries[flip][:, :] - K.entries).max() <= 1e-10 * scale
-        assert np.abs(K.entries[:, flip] - K.entries).max() <= 1e-10 * scale
+        scale = np.abs(op).max()
+        assert np.abs(op[flip][:, :] - op).max() <= 1e-10 * scale
+        assert np.abs(op[:, flip] - op).max() <= 1e-10 * scale
         # unweighted kernel symmetric under swap (uniform weights cancel)
-        assert np.abs(K.entries - K.entries.T).max() <= 1e-10 * scale
+        assert np.abs(op - op.T).max() <= 1e-10 * scale
 
     @pytest.mark.parametrize("n", [256, 257])
     def test_near_matches_two_dft_oracle(self, n):
@@ -342,25 +343,31 @@ class TestKernelMatrix:
         p, s, g = _gauss_setup(b=16.0, n=n, domain="near")
         K = build_kernel_matrix(g, p, s)
         ref = near_entries(g, p, s)
-        assert K.even.shape == (g.n_even, g.n_even)
-        assert np.abs(K.entries - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert K.far.shape == K.cosine.shape == (g.n_even, g.n_even)
+        assert np.abs(entries(K) - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    def test_far_operator_not_flip_even_is_refused(self, monkeypatch):
-        # an odd part in the far operator would make the near transform
-        # complex and escape the even block
-        import confocal_opo.kernels as kernels
-
-        p, s, g = _gauss_setup(b=16.0, n=257, domain="near")
-        exact = kernels._far_entries
-
-        def tilted(grid, *args):
-            ops = exact(grid, *args)
-            return ops * (1.0 + 1e-6 * grid.points / grid.half_extent)
-
-        monkeypatch.setattr(kernels, "_far_entries", tilted)
-        for grid in (g, g.conjugate()):
-            with pytest.raises(GridTooCoarse):
-                build_kernel_matrix(grid, p, s, strict=False)
+    @pytest.mark.parametrize("domain", ["far", "near"])
+    @pytest.mark.parametrize("n,plane", [
+        (256, False), (257, False), (1921, False), (256, True), (257, True),
+    ])
+    def test_gathered_block_matches_far_oracle(
+        self, plane_params, plane_scales, domain, n, plane
+    ):
+        # the Hankel/Toeplitz gather reproduces the fold of the far kernel
+        # evaluated on all n^2 grid pairs, which is flip-even only to
+        # rounding; the gathered block is flip-even by construction
+        if plane:
+            p, s = plane_params, plane_scales
+            g = Grid1D.uniform(n, 20.0 / s.l_coh, "far")
+            g = g if domain == "far" else g.conjugate()
+        else:
+            p, s, g = _gauss_setup(b=16.0, n=n, domain=domain)
+        far_grid = g if domain == "far" else g.conjugate()
+        K = build_kernel_matrix(g, p, s, strict=False)
+        ref = fold_block(far_grid, far_entries(far_grid, p, s))
+        assert K.far.shape == (g.n_even, g.n_even)
+        assert np.abs(K.far - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert (K.cosine is None) == (domain == "far")
 
     def test_transform_pair_consistency(self):
         # the double DFT of the near matrix reproduces the far matrix built
@@ -374,9 +381,10 @@ class TestKernelMatrix:
         )
         bmat = (conj.step / g.step) * fmat.conj().T
         # forward transform of the near operator: K_far = F K_near B
-        K_fwd = fmat @ K_near.entries @ bmat
-        scale = np.abs(K_far.entries).max()
-        assert np.abs(K_fwd - K_far.entries).max() <= 1e-8 * scale
+        K_fwd = fmat @ entries(K_near) @ bmat
+        far_op = entries(K_far)
+        scale = np.abs(far_op).max()
+        assert np.abs(K_fwd - far_op).max() <= 1e-8 * scale
 
     def test_thin_crystal_locality_and_row_sums(self):
         # vanishing l_c / z_C on a thin-branch grid (step ~ 8 l_coh): rows
@@ -391,7 +399,7 @@ class TestKernelMatrix:
         p = replace(p0, plane_pump=False, w_p=100 * s0.l_coh)
         s = derive_scales(p)
         g = Grid1D.uniform(101, 4 * p.w_p, "near")
-        K = build_kernel_matrix(g, p, s)
+        op = entries(build_kernel_matrix(g, p, s))
         n = g.n
         idx = np.arange(n)
         near_band = np.zeros((n, n), dtype=bool)
@@ -402,17 +410,17 @@ class TestKernelMatrix:
             near_band[rows, np.clip(g.flip(idx) + off, 0, n - 1)] = True
         # rows concentrate on the parity band: outside it only alternating
         # discretization ripple far below the peak survives
-        off_peak = np.abs(np.where(near_band, 0.0, K.entries)).max(axis=1)
-        peak = np.abs(K.entries).max(axis=1)
+        off_peak = np.abs(np.where(near_band, 0.0, op)).max(axis=1)
+        peak = np.abs(op).max(axis=1)
         center = np.abs(g.points) <= p.w_p  # rows where the pump is appreciable
         assert np.all(off_peak[center] <= 0.05 * peak[center])
         # row sums reproduce the pump profile
         pump = p.A_p * np.exp(-(g.points / p.w_p) ** 2)
-        assert np.abs(K.entries.sum(axis=1) - pump).max() <= 1e-3
+        assert np.abs(op.sum(axis=1) - pump).max() <= 1e-3
         # and the action on smooth even fields is pointwise pump
         # multiplication, the defining local-interaction property
         probe = np.exp(-(g.points / (2 * p.w_p)) ** 2)
-        assert np.abs(K.entries @ probe - pump * probe).max() <= 1e-3
+        assert np.abs(op @ probe - pump * probe).max() <= 1e-3
 
     def test_grid_too_coarse(self, plane_scales):
         p = OpoParams(
