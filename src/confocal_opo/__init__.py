@@ -50,11 +50,7 @@ from .homodyne import (
     SqueezingResult,
     SweepPoint,
     noise_density_planepump,
-    shot_noise,
-    spectrum_planepump_circular,
-    squeezing_numeric,
-    squeezing_planepump_far,
-    squeezing_planepump_near,
+    squeezing,
     sweep,
     sweep_extents,
 )
@@ -68,9 +64,7 @@ __all__ = [
     "CavityModes", "analytic_uv_planepump", "mode_uv", "solve_io",
     "threshold_margin",
     "DetectorMask", "LocalOscillator", "SqueezingResult", "SweepPoint",
-    "noise_density_planepump", "shot_noise", "spectrum_planepump_circular",
-    "squeezing_numeric", "squeezing_planepump_far", "squeezing_planepump_near",
-    "sweep", "sweep_extents",
+    "noise_density_planepump", "squeezing", "sweep", "sweep_extents",
     "OpoError", "ConfigurationError", "NumericalFailure", "NonPhysical",
     "AboveThreshold", "AmbiguousPump", "EmptyDetector", "PlaneMismatch",
     "GridTooCoarse", "SingularSystem", "AtOrAboveThreshold",

@@ -24,7 +24,7 @@ from . import __version__
 from .errors import ConfigurationError, NumericalFailure, OpoError
 from .homodyne import LocalOscillator, noise_density_planepump, sweep, sweep_extents
 from .iosolver import threshold_margin
-from .kernels import MAX_GRID_N, Grid1D, auto_grid, build_kernel_matrix, delta_2d
+from .kernels import _EXTENT_FACTOR, MAX_GRID_N, Grid1D, auto_grid, build_kernel_matrix, delta_2d
 from .params import OpoParams, derive_scales, validate
 
 # Parameter values every preset shares.  These are artifact defaults chosen
@@ -45,7 +45,7 @@ PRESET_B_VALUES = (4.0, 25.0, 100.0)
 
 _FLOAT_KEYS = {
     "lambda_s", "n_s", "l_c", "z_C", "A_p", "w_p", "detuning", "omega_bar",
-    "f_lens", "pixel_width", "lo_waist", "lo_amplitude", "phi_lo",
+    "f_lens", "pixel_width", "lo_waist", "lo_amplitude",
     "sweep_min", "sweep_max", "grid_L",
 }
 _INT_KEYS = {"sweep_points", "grid_n"}
@@ -162,7 +162,6 @@ def scenario_from_config(cfg: dict) -> Scenario:
         profile=lo_profile,
         amplitude=cfg.get("lo_amplitude", 1.0),
         waist=cfg.get("lo_waist"),
-        phase=cfg.get("phi_lo", math.pi / 2),
     )
     pixel_width = cfg.get("pixel_width")
     if cfg["detector"] == "pixel_pair" and pixel_width is None:
@@ -251,22 +250,26 @@ def run_scenario(sc: Scenario, outdir: Path, csv_name: str = "curve.csv") -> Pat
     return path
 
 def _explicit_grid(sc: Scenario, scales) -> Grid1D | None:
-    """Grid1D from explicit grid_n / grid_L, or None for automatic sizing."""
+    """Grid1D from explicit grid_n / grid_L, or None for automatic sizing.
+
+    The value left out comes from the sizing rule: the half extent from the
+    sweep's detectors, or the point count from the step rule on grid_L.
+    """
     if sc.grid_n is None and sc.grid_L is None:
         return None
     if sc.params.plane_pump:
         return None  # closed-form routes, no grid involved
-    domain = sc.plane
-    if sc.grid_L is not None:
-        half = sc.grid_L
-    else:
-        extents = sweep_extents(sc.params, domain, sc.detector, sc.values, sc.lo,
-                                sc.pixel_width)
-        half = auto_grid(sc.params, scales, domain, extra_extents=extents).half_extent
-    n = sc.grid_n
-    if n is None:
-        n = auto_grid(sc.params, scales, domain).n
-    return Grid1D.uniform(n, half, domain)
+    n, half = sc.grid_n, sc.grid_L
+    if n is None or half is None:
+        if half is None:
+            extents = sweep_extents(sc.params, sc.plane, sc.detector, sc.values,
+                                    sc.lo, sc.pixel_width)
+        else:
+            extents = (half / _EXTENT_FACTOR,)  # auto_grid covers 4x each reach
+        auto = auto_grid(sc.params, scales, sc.plane, extra_extents=extents)
+        n = auto.n if n is None else n
+        half = auto.half_extent if half is None else half
+    return Grid1D.uniform(n, half, sc.plane)
 
 def write_summary(outdir: Path, sc_list, extra_lines=()) -> Path:
     """Derived scales and threshold margin for every scenario in the run."""
@@ -439,10 +442,13 @@ def _parse_overrides(items) -> dict:
         key = key.strip()
         if key == "b":
             out[key] = value
-        elif key in _ALL_KEYS:
+        elif key in ARTIFACT_DEFAULTS:
             out[key] = _convert(key, value.strip())
         else:
-            raise ConfigurationError(f"--set: unknown configuration key: {key!r}")
+            raise ConfigurationError(
+                f"--set: key {key!r} is not a preset parameter; use b or one of "
+                f"{', '.join(ARTIFACT_DEFAULTS)}"
+            )
     return out
 
 def main(argv=None) -> int:

@@ -1,46 +1,58 @@
-"""Balanced homodyne detection: shot noise and normalized squeezing spectra.
+"""Balanced homodyne detection: noise spectra normalized to shot noise.
 
 The difference photocurrent of a balanced homodyne detector measures the
 quadrature selected by the local-oscillator phase, integrated over the
 detector area.  Its noise spectrum normalized to shot noise is
 
-    vn = V / N = 1 + S / N,
+    vn = V / N = 1 + S / N.
 
-computed from the cavity modes (K = Q diag(lambda) Q^T, per-mode transform
-u, v; see ``iosolver``) with vacuum input and the symmetrized even-field
-commutation rules.  For a symmetric detector and an even local oscillator
-only the even part of the output contributes beyond shot noise; the odd part
-stays in the vacuum.  With the even projector P, the quadrature-weighted
-LO-on-detector vector l (grid step w) and its mode coefficients
-c = Q^T P l = q^T E^T l, with the m x m modes q of ``CavityModes`` and the
-fold E^T of ``Grid1D.fold``:
+``squeezing(det, lo, p, s, modes=None)`` is the one entry point: it returns
+vn of one detector at the quadrature ``lo.phase``.  ``sweep`` runs a family
+of detectors through the same evaluators and takes both canonical
+quadratures of each detector from one pass.  Every evaluator returns the
+shot noise N and vn at each requested phase, and ``_route`` picks one:
 
-    N = w l^T l,
-    vn = 1 + (2 w / N) [ sum_k c_k^2 |v_k|^2
-                         + Re( e^{-2 i phi} sum_k c_k^2 u_k v_-k ) ],
+* With the cavity modes of a dense solve (K = Q diag(lambda) Q^T, per-mode
+  transform u, v; see ``iosolver``), ``_noise_terms`` contracts the
+  detector over the modes, with vacuum input and the symmetrized even-field
+  commutation rules.  For a symmetric detector and an even local oscillator
+  only the even part of the output contributes beyond shot noise; the odd
+  part stays in the vacuum.  With the LO-on-detector vector l (grid step w)
+  and its mode coefficients c = q^T E^T l, with the m x m modes q of
+  ``CavityModes`` and the fold E^T of ``Grid1D.fold``:
 
-where v_- is the per-mode v at the opposite analysis frequency, a closed
-form at no extra cost.  The quadrature phi = pi/2 is the squeezed quadrature
-for this sign convention; phi = 0 gives its anti-squeezed dual, and both are
-always computable (their product is 1 per mode at resonance and zero
-frequency).
+      N = w l^T l,
+      vn = 1 + (2 w / N) [ sum_k c_k^2 |v_k|^2
+                           + Re( e^{-2 i phi} sum_k c_k^2 u_k v_-k ) ],
 
-Plane-pump configurations bypass the dense solve entirely: the response is
-diagonal in the transverse wavevector, with mode gain lambda = A_p sigma(q),
-so spectra reduce to 1-D quadratures over closed-form densities.  Those
-routes cover detector sizes far beyond what a dense grid can span, and are
-cross-checked against the dense solver where the two overlap.
+  where v_- is the per-mode v at the opposite analysis frequency, a closed
+  form at no extra cost.
+* Without modes, a plane pump bypasses the dense solve: its response is
+  diagonal in the transverse wavevector, with mode gain lambda =
+  A_p sigma(q), so spectra reduce to 1-D quadratures over closed-form
+  densities.  A near-plane detector reads the cached tables of
+  ``_vn_planepump_near`` (plane LO only), a far-plane ``radial`` detector
+  the disk quadrature ``_vn_planepump_disk``, and a far-plane interval or
+  pixel pair ``_vn_planepump_far``.  Both far routes evaluate U and V_- once
+  per node and form R(phi) = |U + e^{2 i phi} conj(V_-)|^2 for each phase.
+  These routes cover detector sizes far beyond what a dense grid can span,
+  and are cross-checked against the dense route where the two overlap.
+* A finite pump without modes is a ``ConfigurationError``.
 
-All three closed-form routes (near field, far-field interval or pixel pair,
-far-field disk) share one rule, ``_gauss_panels``: 16-point Gauss-Legendre
-panels in t = q l_coh whose edges sit at the sinc zeros t = 2 sqrt(k pi),
-split to a maximum width.  Against adaptive QUADPACK references in the tests
-the near-field interval agrees to 5e-12 in vn at A_p = 0.99, and the far and
-disk routes to 1e-15 relative, at resonance and detuned.  The near-field
-window cos(a t) needs panels that shrink with the detector size a, so one
-near-field point costs ~1 ms up to a = 480 l_coh (cached panels) and grows
-linearly beyond, ~0.45 s at a = 1e4 l_coh on a 2-core x86-64 host; the
-nodes are summed in fixed-size chunks, so memory stays bounded.
+The quadrature phi = pi/2 is the squeezed quadrature for this sign
+convention; phi = 0 gives its anti-squeezed dual, and both are always
+computable (their product is 1 per mode at resonance and zero frequency).
+
+All three closed-form routes share one rule, ``_gauss_panels``: 16-point
+Gauss-Legendre panels in t = q l_coh whose edges sit at the sinc zeros
+t = 2 sqrt(k pi), split to a maximum width.  Against adaptive QUADPACK
+references in the tests the near-field interval agrees to 5e-12 in vn at
+A_p = 0.99, and the far and disk routes to 1e-15 relative, at resonance and
+detuned.  The near-field window cos(a t) needs panels that shrink with the
+detector size a, so one near-field point costs ~1 ms up to a = 480 l_coh
+(cached panels) and grows linearly beyond, ~0.45 s at a = 1e4 l_coh on a
+2-core x86-64 host; the nodes are summed in fixed-size chunks, so memory
+stays bounded.
 """
 
 from __future__ import annotations
@@ -66,12 +78,8 @@ __all__ = [
     "LocalOscillator",
     "SqueezingResult",
     "SweepPoint",
-    "shot_noise",
-    "squeezing_numeric",
     "noise_density_planepump",
-    "spectrum_planepump_circular",
-    "squeezing_planepump_near",
-    "squeezing_planepump_far",
+    "squeezing",
     "sweep",
     "sweep_extents",
 ]
@@ -216,8 +224,9 @@ class SqueezingResult:
 
     vn = 1 means shot noise; vn < 1 squeezing.  sn = vn - 1 is the normally
     ordered part.  ``shot`` is the detected LO photon number (for the
-    closed-form radial route: the LO-weighted detector measure in the scaled
-    radial variable, noted in ``meta``).
+    closed-form disk route: the LO-weighted detector measure in the scaled
+    radial variable).  ``quadrature`` is the LO phase, and ``meta["route"]``
+    names the route that computed the result.
     """
 
     vn: float
@@ -227,21 +236,9 @@ class SqueezingResult:
     meta: dict = field(default_factory=dict)
 
 
-def _result(vn: float, shot: float, phase: float, **meta) -> SqueezingResult:
-    return SqueezingResult(vn=vn, sn=vn - 1.0, shot=shot, quadrature=phase, meta=meta)
-
-
 # ---------------------------------------------------------------------------
 # Dense-grid route
 # ---------------------------------------------------------------------------
-
-def shot_noise(
-    lo: LocalOscillator, det: DetectorMask, grid: Grid1D, p: OpoParams
-) -> float:
-    """Detected LO photon number N = sum_{i in det} |alpha_i|^2 w_i."""
-    mask = det.indicator(grid, p)
-    mag = lo.magnitude(grid, p)
-    return float(np.sum(mag[mask] ** 2 * grid.weights[mask]))
 
 def _noise_weights(lam, detuning: float, omega_bar: float):
     """Per-mode noise weights (|v|^2, u v_-) of a mode of gain ``lam``.
@@ -253,56 +250,47 @@ def _noise_weights(lam, detuning: float, omega_bar: float):
     _, v_neg = mode_uv(lam, detuning, -omega_bar)
     return np.abs(v) ** 2, u * v_neg
 
-def _noise_terms(modes: CavityModes, lvec: np.ndarray, w: float):
-    """(N, s_plus, anom) for an unphased LO-on-detector vector lvec.
+def _vn(n_shot, s_plus, anom, w, phase) -> float:
+    # vn(phi) = 1 + (2 w / N) (s_plus + Re(e^{-2 i phi} anom)), w the measure
+    return float(1.0 + (2.0 * w / n_shot) * (s_plus + (np.exp(-2j * phase) * anom).real))
 
-    vn(phi) = 1 + (2 w / N) (s_plus + Re(e^{-2 i phi} anom)) with
-    c = q^T fold(lvec) the even part of lvec in the mode basis,
-    s_plus = sum c^2 |v|^2 and anom = sum c^2 u v_-.
-    """
-    normal, anomalous = _noise_weights(modes.lam, *modes.at)
-    c2 = (modes.q.T @ modes.grid.fold(lvec)) ** 2
-    n_shot = w * float(lvec @ lvec)
-    return n_shot, float(c2 @ normal), complex(c2 @ anomalous)
+def _noise_terms(modes: CavityModes, det: DetectorMask, lo: LocalOscillator,
+                 p: OpoParams, phases):
+    """(N, [vn at each phase]) of one detector from the cavity modes.
 
-def _vn_from_terms(n_shot, s_plus, anom, w, phase):
-    return 1.0 + (2.0 * w / n_shot) * (
-        s_plus + (np.exp(-2j * phase) * anom).real
-    )
-
-def squeezing_numeric(
-    modes: CavityModes,
-    lo: LocalOscillator,
-    det: DetectorMask,
-    p: OpoParams,
-) -> SqueezingResult:
-    """Noise spectrum from the cavity modes of a dense solve, first principles.
-
-    Evaluates the homodyne quadrature applied to U B_in + V B_in^+ with
-    vacuum input and even-field commutators, one contraction over the modes.
+    lvec is the LO magnitude on the detector cells, c = q^T fold(lvec) its
+    even part in the mode basis, s_plus = sum c^2 |v|^2 and
+    anom = sum c^2 u v_-.
     """
     grid = modes.grid
     lvec = lo.magnitude(grid, p) * det.indicator(grid, p)
+    normal, anomalous = _noise_weights(modes.lam, *modes.at)
+    c2 = (modes.q.T @ grid.fold(lvec)) ** 2
     w = grid.step
-    n_shot, s_plus, anom = _noise_terms(modes, lvec, w)
-    vn = _vn_from_terms(n_shot, s_plus, anom, w, lo.phase)
-    return _result(vn, n_shot, lo.phase, route="dense", at=modes.at)
+    n_shot = w * float(lvec @ lvec)
+    s_plus, anom = float(c2 @ normal), complex(c2 @ anomalous)
+    return n_shot, [_vn(n_shot, s_plus, anom, w, phase) for phase in phases]
 
 
 # ---------------------------------------------------------------------------
 # Plane-pump closed-form routes
 # ---------------------------------------------------------------------------
 
-def noise_density_planepump(q, p: OpoParams, s: DerivedScales, phi_lo: float):
-    """Spatial noise density R(q) = |U(q) + e^{2 i phi} V_-*(q)|^2.
-
-    At resonance and zero frequency, phi = pi/2 gives the squeezed density
-    ((1 - A_p sigma)/(1 + A_p sigma))^2 and phi = 0 its reciprocal; the two
-    multiply to 1 for every q (pure squeezing transformation).
-    """
+def _densities(q, p: OpoParams, s: DerivedScales, phases):
+    # R(phi) for each phase from one evaluation of U and V_- at q
     u, _ = analytic_uv_planepump(q, p, s)
     _, v_neg = analytic_uv_planepump(q, p, s, omega_bar=-p.omega_bar)
-    return np.abs(u + np.exp(2j * phi_lo) * np.conj(v_neg)) ** 2
+    v_bar = np.conj(v_neg)
+    return [np.abs(u + np.exp(2j * phase) * v_bar) ** 2 for phase in phases]
+
+def noise_density_planepump(q, p: OpoParams, s: DerivedScales, phase: float):
+    """Spatial noise density R(q) = |U(q) + e^{2 i phase} V_-*(q)|^2.
+
+    At resonance and zero frequency, phase = pi/2 gives the squeezed density
+    ((1 - A_p sigma)/(1 + A_p sigma))^2 and phase = 0 its reciprocal; the two
+    multiply to 1 for every q (pure squeezing transformation).
+    """
+    return _densities(q, p, s, (phase,))[0]
 
 #: 16-point Gauss-Legendre rule on [-1, 1], mapped onto every panel
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -311,7 +299,7 @@ _CHUNK = 4096
 #: widest panel in t = q l_coh: ~1.2 periods of cos(a t) at a = 30
 _PANEL_WIDTH = 0.25
 #: q-space measure dq / pi of the near-field sums, the counterpart of the
-#: grid step in ``_vn_from_terms``
+#: grid step in ``_noise_terms``
 _Q_MEASURE = 1.0 / math.pi
 
 
@@ -350,42 +338,55 @@ def _lo_panel_width(c: float) -> float:
     # 1/e half width, or a narrow spot falls between the nodes
     return _PANEL_WIDTH if c == 0.0 else min(_PANEL_WIDTH, 1.0 / math.sqrt(c))
 
-def spectrum_planepump_circular(
-    r: float,
-    p: OpoParams,
-    s: DerivedScales,
-    w_lo: float | None = None,
-    phi_lo: float = SQUEEZED_PHASE,
-) -> SqueezingResult:
-    """Far-field noise of a circular detector of radius r, plane pump (2-D).
+def _vn_planepump_disk(det: DetectorMask, lo: LocalOscillator, p: OpoParams,
+                       s: DerivedScales, phases):
+    """(N, [vn at each phase]) of a far-field disk, plane pump (2-D).
 
     Ratio of two radial quadratures over the scaled radius u in [0, r/r0]
     with weight u exp(-c u^2) and integrand R evaluated at sigma = sinc(u^2).
-    ``w_lo`` is the detection-plane waist of a Gaussian LO (plane LO for
-    None); in terms of the equivalent pre-lens waist w = lambda f/(pi w_lo)
-    the weight reads u exp(-w^2 k_s u^2 / l_c), so c = 2 (r0 / w_lo)^2 and a
-    detection-plane waist of r0 gives exp(-2 u^2).  The numerator runs on
-    the Gauss panels of ``_gauss_panels`` in t = 2u; the denominator is
+    For a Gaussian LO of detection-plane waist w_lo, in terms of the
+    equivalent pre-lens waist w = lambda f/(pi w_lo) the weight reads
+    u exp(-w^2 k_s u^2 / l_c), so c = 2 (r0 / w_lo)^2 and a detection-plane
+    waist of r0 gives exp(-2 u^2); a plane LO has c = 0.  The numerator runs
+    on the Gauss panels of ``_gauss_panels`` in t = 2u; the denominator is
     closed form.  r -> 0 returns the integrand limit R(sigma = 1).
     """
-    validate(p)
-    if not p.plane_pump:
-        raise ConfigurationError("closed-form radial spectrum needs a plane pump")
-    if not 0 <= r < math.inf:
-        raise ConfigurationError("radius must be non-negative and finite")
-    big_x = r / s.r0
-    meta = dict(route="radial_analytic", r_over_r0=big_x, w_lo=w_lo)
+    big_x = det.radius / s.r0
     if big_x <= 1e-9:
-        vn = float(noise_density_planepump(0.0, p, s, phi_lo))
-        return _result(vn, 0.0, phi_lo, **meta)
-    c = 0.0 if w_lo is None else 2.0 * (s.r0 / w_lo) ** 2
-    num = 0.0
+        return 0.0, [float(r) for r in _densities(0.0, p, s, phases)]
+    c = 0.0 if lo.profile == "plane" else 2.0 * (s.r0 / lo.waist) ** 2
+    num = [0.0] * len(phases)
     for t, w in _gauss_panels(0.0, 2.0 * big_x, _lo_panel_width(c / 4.0)):
         u = t / 2.0  # q = t / l_coh maps sinc(u^2) onto the density argument
-        density = noise_density_planepump(t / s.l_coh, p, s, phi_lo)
-        num += float((u * np.exp(-c * u * u) * w) @ density) / 2.0  # du = dt / 2
+        weight = u * np.exp(-c * u * u) * w
+        for k, density in enumerate(_densities(t / s.l_coh, p, s, phases)):
+            num[k] += float(weight @ density) / 2.0  # du = dt / 2
     den = big_x**2 / 2.0 if c == 0.0 else (1.0 - math.exp(-c * big_x**2)) / (2.0 * c)
-    return _result(num / den, den, phi_lo, **meta)
+    return den, [x / den for x in num]
+
+def _vn_planepump_far(det: DetectorMask, lo: LocalOscillator, p: OpoParams,
+                      s: DerivedScales, phases):
+    """(N, [vn at each phase]) of a far-field interval or pixel pair, plane pump (1-D).
+
+    vn = integral_det |alpha(q)|^2 R(q) dq / integral_det |alpha(q)|^2 dq
+    over the positive-q half of the symmetric detector, both on the Gauss
+    panels of ``_gauss_panels``.
+    """
+    q_lo, q_hi = det.bounds_on_axis(p)
+    if q_hi <= q_lo:
+        raise EmptyDetector("empty wavevector interval")
+    # |alpha|^2 of a Gaussian LO is exp(-2 (x / waist)^2) at x = q lambda f / (2 pi),
+    # exp(-c t^2) in t = q l_coh
+    x_of_q = p.lambda_s * p.f_lens / (2.0 * math.pi)
+    c = 0.0 if lo.profile == "plane" else 2.0 * (x_of_q / (lo.waist * s.l_coh)) ** 2
+    num = [0.0] * len(phases)
+    den = 0.0
+    for t, w in _gauss_panels(q_lo * s.l_coh, q_hi * s.l_coh, _lo_panel_width(c)):
+        weight = np.exp(-c * t * t) * w
+        for k, density in enumerate(_densities(t / s.l_coh, p, s, phases)):
+            num[k] += float(weight @ density)
+        den += float(weight.sum())
+    return den / s.l_coh, [x / den for x in num]
 
 
 class _PlanePumpNearTables:
@@ -461,13 +462,18 @@ class _PlanePumpNearTables:
 def _near_tables(p: OpoParams, s: DerivedScales) -> _PlanePumpNearTables:
     return _PlanePumpNearTables(p, s)
 
-def _vn_planepump_near(det: DetectorMask, p, s):
-    """(N, s_plus, anom) of a symmetric detector with a plane LO, plane pump.
+def _vn_planepump_near(det: DetectorMask, lo: LocalOscillator, p: OpoParams,
+                       s: DerivedScales, phases):
+    """(N, [vn at each phase]) of a symmetric near-field detector, plane pump.
 
-    The near-field counterpart of ``_noise_terms``: the detector window
-    combines the tables' T_k into s_plus = T_1 and anom = T_2 + i T_3, and
-    ``_vn_from_terms`` with the measure ``_Q_MEASURE`` gives vn at any phase.
+    The near-field counterpart of ``_noise_terms``: the detector window of a
+    plane LO combines the tables' T_k into s_plus = T_1 and
+    anom = T_2 + i T_3, taken with the measure ``_Q_MEASURE``.  This covers
+    detector sizes a dense grid cannot span, from a small fraction of l_coh
+    to the single-mode limit.
     """
+    if lo.profile != "plane":
+        raise ConfigurationError("plane-pump near-field spectra support a plane LO only")
     tables = _near_tables(p, s)
     if det.shape in ("interval", "radial"):
         d = det.outer_extent()
@@ -490,62 +496,47 @@ def _vn_planepump_near(det: DetectorMask, p, s):
     total = np.zeros(3)
     for coef, a in terms:
         total += coef * tables.t_vector(a)
-    return n_shot, total[0], complex(total[1], total[2])
+    anom = complex(total[1], total[2])
+    return n_shot, [_vn(n_shot, total[0], anom, _Q_MEASURE, phase) for phase in phases]
 
-def squeezing_planepump_near(
-    det: DetectorMask,
-    p: OpoParams,
-    s: DerivedScales,
-    phi_lo: float = SQUEEZED_PHASE,
-) -> SqueezingResult:
-    """Near-field noise of a symmetric detector with a plane LO, plane pump.
 
-    The plane-pump response is diagonal in q, so the detector noise is a 1-D
-    quadrature over the closed-form densities with the detector window; this
-    covers detector sizes a dense grid cannot span, at any size from a small
-    fraction of l_coh to the single-mode limit.
-    """
-    validate(p)
+# ---------------------------------------------------------------------------
+# The one path from a detector to its noise
+# ---------------------------------------------------------------------------
+
+def _route(det: DetectorMask, lo: LocalOscillator, p: OpoParams, s: DerivedScales,
+           modes: CavityModes | None, phases):
+    """(route name, N, [vn at each phase]) of one detector."""
+    if modes is not None:
+        return "dense", *_noise_terms(modes, det, lo, p, phases)
     if not p.plane_pump:
-        raise ConfigurationError("closed-form near-field spectrum needs a plane pump")
-    if det.plane != "near":
-        raise PlaneMismatch("squeezing_planepump_near expects a near-plane detector")
-    n_shot, s_plus, anom = _vn_planepump_near(det, p, s)
-    vn = _vn_from_terms(n_shot, s_plus, anom, _Q_MEASURE, phi_lo)
-    return _result(vn, n_shot, phi_lo, route="planepump_near")
+        raise ConfigurationError("a finite pump needs the cavity modes of a dense solve")
+    if det.plane == "near":
+        return "planepump_near", *_vn_planepump_near(det, lo, p, s, phases)
+    if det.shape == "radial":
+        return "planepump_disk", *_vn_planepump_disk(det, lo, p, s, phases)
+    return "planepump_far", *_vn_planepump_far(det, lo, p, s, phases)
 
-def squeezing_planepump_far(
+def squeezing(
     det: DetectorMask,
     lo: LocalOscillator,
     p: OpoParams,
     s: DerivedScales,
-    phi_lo: float | None = None,
+    modes: CavityModes | None = None,
 ) -> SqueezingResult:
-    """Far-field noise of an interval or pixel-pair detector, plane pump (1-D).
+    """Noise spectrum of one detector at the LO phase ``lo.phase``.
 
-    vn = integral_det |alpha(q)|^2 R(q) dq / integral_det |alpha(q)|^2 dq
-    over the positive-q half of the symmetric detector, both on the Gauss
-    panels of ``_gauss_panels``.
+    With ``modes``, the ``CavityModes`` of a dense solve, the detector is
+    contracted over the modes (first principles, any pump).  Without them a
+    plane pump runs on its closed-form routes: the near-field tables (plane
+    LO only), the far-field disk for a ``radial`` far detector, and the
+    far-field interval or pixel pair otherwise.  A finite pump without
+    modes raises ``ConfigurationError``.
     """
     validate(p)
-    if not p.plane_pump:
-        raise ConfigurationError("closed-form far-field spectrum needs a plane pump")
-    if det.plane != "far":
-        raise PlaneMismatch("squeezing_planepump_far expects a far-plane detector")
-    phase = lo.phase if phi_lo is None else phi_lo
-    q_lo, q_hi = det.bounds_on_axis(p)
-    if q_hi <= q_lo:
-        raise EmptyDetector("empty wavevector interval")
-    # |alpha|^2 of a Gaussian LO is exp(-2 (x / waist)^2) at x = q lambda f / (2 pi),
-    # exp(-c t^2) in t = q l_coh
-    x_of_q = p.lambda_s * p.f_lens / (2.0 * math.pi)
-    c = 0.0 if lo.profile == "plane" else 2.0 * (x_of_q / (lo.waist * s.l_coh)) ** 2
-    num = den = 0.0
-    for t, w in _gauss_panels(q_lo * s.l_coh, q_hi * s.l_coh, _lo_panel_width(c)):
-        weight = np.exp(-c * t * t) * w
-        num += float(weight @ noise_density_planepump(t / s.l_coh, p, s, phase))
-        den += float(weight.sum())
-    return _result(num / den, den / s.l_coh, phase, route="planepump_far")
+    route, shot, (vn,) = _route(det, lo, p, s, modes, (lo.phase,))
+    return SqueezingResult(vn=vn, sn=vn - 1.0, shot=shot, quadrature=lo.phase,
+                           meta={"route": route})
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +601,10 @@ def sweep(
     (with ``pixel_width``), in detection-plane meters.  Plane-pump scenarios
     run on the closed-form diagonal routes; a finite pump triggers one
     eigendecomposition (its modes serve every detector) on ``grid`` or on an
-    automatically sized one.  Points are returned in the order given; each
-    carries both canonical quadratures.
+    automatically sized one.  Every point then goes through the evaluator
+    ``squeezing`` uses, once for both canonical quadratures; a zero-size
+    interval or disk reads shot noise.  Points are returned in the order
+    given.
     """
     validate(p)
     values = [float(v) for v in values]
@@ -620,50 +613,18 @@ def sweep(
     if detector_shape == "pixel_pair" and (pixel_width is None or pixel_width <= 0):
         raise ConfigurationError("pixel_pair sweep needs a positive pixel_width")
 
-    if p.plane_pump:
-        return _sweep_planepump(p, s, plane, detector_shape, values, lo, pixel_width)
-
-    if grid is None:
-        extents = sweep_extents(p, plane, detector_shape, values, lo, pixel_width)
-        grid = auto_grid(p, s, plane, extra_extents=extents)
-    modes = solve_io(build_kernel_matrix(grid, p, s), p)
-    mag = lo.magnitude(grid, p)
+    modes = None
+    if not p.plane_pump:
+        if grid is None:
+            extents = sweep_extents(p, plane, detector_shape, values, lo, pixel_width)
+            grid = auto_grid(p, s, plane, extra_extents=extents)
+        modes = solve_io(build_kernel_matrix(grid, p, s), p)
     out = []
     for value in values:
         if _zero_size(detector_shape, value):
             out.append(SweepPoint(value, 1.0, 1.0, 0.0))
             continue
-        lvec = mag * _mask_for(detector_shape, value, pixel_width, plane).indicator(grid, p)
-        out.append(_sweep_point(value, _noise_terms(modes, lvec, grid.step), grid.step))
-    return out
-
-def _sweep_point(value, terms, w) -> SweepPoint:
-    # both canonical quadratures from one detector's (N, s_plus, anom)
-    return SweepPoint(
-        value,
-        float(_vn_from_terms(*terms, w, SQUEEZED_PHASE)),
-        float(_vn_from_terms(*terms, w, 0.0)),
-        float(terms[0]),
-    )
-
-def _sweep_planepump(p, s, plane, detector_shape, values, lo, pixel_width):
-    if plane == "near" and lo.profile != "plane":
-        raise ConfigurationError("plane-pump near-field sweeps support a plane LO only")
-    out = []
-    for value in values:
-        if _zero_size(detector_shape, value):
-            out.append(SweepPoint(value, 1.0, 1.0, 0.0))
-            continue
-        if plane == "near":
-            det = _mask_for(detector_shape, value, pixel_width, "near")
-            out.append(_sweep_point(value, _vn_planepump_near(det, p, s), _Q_MEASURE))
-            continue
-        if detector_shape == "radial":
-            res_sq = spectrum_planepump_circular(value, p, s, lo.waist, SQUEEZED_PHASE)
-            res_anti = spectrum_planepump_circular(value, p, s, lo.waist, 0.0)
-        else:
-            det = _mask_for(detector_shape, value, pixel_width, "far")
-            res_sq = squeezing_planepump_far(det, lo, p, s, SQUEEZED_PHASE)
-            res_anti = squeezing_planepump_far(det, lo, p, s, 0.0)
-        out.append(SweepPoint(value, res_sq.vn, res_anti.vn, res_sq.shot))
+        det = _mask_for(detector_shape, value, pixel_width, plane)
+        _, shot, (vn_sq, vn_anti) = _route(det, lo, p, s, modes, (SQUEEZED_PHASE, 0.0))
+        out.append(SweepPoint(value, vn_sq, vn_anti, shot))
     return out

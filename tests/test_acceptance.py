@@ -28,9 +28,7 @@ from confocal_opo import (
     derive_scales,
     noise_density_planepump,
     solve_io,
-    spectrum_planepump_circular,
-    squeezing_numeric,
-    squeezing_planepump_near,
+    squeezing,
     sweep,
 )
 from confocal_opo.cli import main
@@ -132,7 +130,7 @@ def test_criterion_06_thin_crystal_limit():
     vns = []
     for frac in (0.1, 0.3, 1.0, 3.0, 10.0):
         det = DetectorMask.interval(frac * s.w_C, "near")
-        vns.append(squeezing_numeric(modes, lo, det, p).vn)
+        vns.append(squeezing(det, lo, p, s, modes).vn)
     vns = np.array(vns)
     spread = float(vns.max() - vns.min())
     dev = float(np.abs(vns - SINGLE_MODE_09).max())
@@ -155,12 +153,9 @@ def test_criterion_07_near_field_detector_size_trend():
     # to belong to the model.
     p = base_params(A_p=0.99)
     s = derive_scales(p)
-    vn_small = squeezing_planepump_near(
-        DetectorMask.interval(0.05 * s.l_coh, "near"), p, s
-    ).vn
-    vn_large = squeezing_planepump_near(
-        DetectorMask.interval(5.0 * s.l_coh, "near"), p, s
-    ).vn
+    lo = LocalOscillator()
+    vn_small = squeezing(DetectorMask.interval(0.05 * s.l_coh, "near"), lo, p, s).vn
+    vn_large = squeezing(DetectorMask.interval(5.0 * s.l_coh, "near"), lo, p, s).vn
     u_c = correlation_first_zero(p.A_p)
     guaranteed = np.linspace(0.0, u_c / 2.0, 20)
     pts = sweep(p, s, "near", "interval", list(guaranteed * s.l_coh), LocalOscillator())
@@ -206,10 +201,12 @@ def test_criterion_08_pixel_pair_finite_pump():
 def test_criterion_09_far_field_closed_forms():
     p = base_params()
     s = derive_scales(p)
-    limit = spectrum_planepump_circular(0.0, p, s, w_lo=s.r0).vn
+    lo = LocalOscillator(profile="gaussian", waist=s.r0)
+    # a radius of 1e-12 r0 reads the r -> 0 limit of the disk quadrature
+    limit = squeezing(DetectorMask.radial(1e-12 * s.r0, "far"), lo, p, s).vn
     clause_limit = abs(limit - 0.00277) <= 1e-5
-    inner = spectrum_planepump_circular(0.3 * s.r0, p, s, w_lo=s.r0).vn
-    outer = spectrum_planepump_circular(3.0 * s.r0, p, s, w_lo=s.r0).vn
+    inner = squeezing(DetectorMask.radial(0.3 * s.r0, "far"), lo, p, s).vn
+    outer = squeezing(DetectorMask.radial(3.0 * s.r0, "far"), lo, p, s).vn
     clause_v = outer > inner
     r_in = float(noise_density_planepump(0.3 * 2.0 / s.l_coh, p, s, math.pi / 2))
     r_out = float(noise_density_planepump(5.0 * 2.0 / s.l_coh, p, s, math.pi / 2))

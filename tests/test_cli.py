@@ -115,10 +115,12 @@ class TestRunCommand:
         assert "A_p" in capsys.readouterr().err
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, GOOD_CONFIG + "foo = 1\n")
-        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert "foo" in capsys.readouterr().err
+        # phi_lo is not a key: every run writes both quadratures
+        for key in ("foo", "phi_lo"):
+            cfg = write_config(tmp_path, GOOD_CONFIG + f"{key} = 1\n")
+            code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+            assert code == 2
+            assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("line,key", [
         ("grid_n = 1", "grid_n"), ("grid_n = 0", "grid_n"), ("grid_L = -1", "grid_L"),
@@ -172,6 +174,21 @@ class TestRunCommand:
         _, rows = read_curve(out / "curve.csv")
         assert rows.shape == (5, 4) and np.all(np.isfinite(rows))
 
+    def test_grid_L_alone_takes_n_from_sizing_rule(self, tmp_path, capsys):
+        # grid_L without grid_n: the step rule on grid_L gives n = 401 here
+        text = GOOD_CONFIG.replace("w_p = 2.4e-4", "w_p = 2e-4").replace(
+            "detector = pixel_pair", "detector = interval"
+        ).replace("sweep_max = 3.2e-4", "sweep_max = 0.4e-3")
+        for name, grid in (("alone", "grid_L = 1e-3"), ("both", "grid_L = 1e-3\ngrid_n = 401")):
+            cfg = write_config(tmp_path, text + grid + "\n", name=f"{name}.cfg")
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        alone = (tmp_path / "alone" / "curve.csv").read_bytes()
+        assert alone == (tmp_path / "both" / "curve.csv").read_bytes()
+        # an extent the sizing rule cannot serve within MAX_GRID_N points
+        cfg = write_config(tmp_path, text + "grid_L = 1.0\n", name="huge.cfg")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "huge")]) == 1
+        assert "sizing rule demands" in capsys.readouterr().err
+
     def test_coarse_grid_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, GOOD_CONFIG + "grid_n = 16\n")
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -224,9 +241,13 @@ class TestFigPresets:
         assert rows[-1, 1] < 0.2  # squeezing within the phase-matching band
 
     def test_unknown_override_exits_2(self, tmp_path, capsys):
-        code = main(["fig", "--id", "5", "--set", "nope=1", "--out", str(tmp_path / "x")])
-        assert code == 2
-        assert "nope" in capsys.readouterr().err
+        # config keys that no preset reads are refused too, not ignored
+        for item in ("nope=1", "grid_n=101", "w_p=1e-4", "plane=far",
+                     "sweep_max=1e-3", "phi_lo=0.3"):
+            key = item.split("=")[0]
+            code = main(["fig", "--id", "5", "--set", item, "--out", str(tmp_path / "x")])
+            assert code == 2
+            assert f"'{key}'" in capsys.readouterr().err
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

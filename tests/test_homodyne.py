@@ -13,16 +13,14 @@ from confocal_opo import (
     LocalOscillator,
     OpoParams,
     PlaneMismatch,
+    auto_grid,
     build_kernel_matrix,
     derive_scales,
     noise_density_planepump,
-    shot_noise,
     solve_io,
-    spectrum_planepump_circular,
-    squeezing_numeric,
-    squeezing_planepump_far,
-    squeezing_planepump_near,
+    squeezing,
     sweep,
+    sweep_extents,
 )
 from lu_reference import lu_noise
 from planepump_reference import (
@@ -43,6 +41,13 @@ BRUTE_INTERVAL_VN = {0.05: 0.933767, 0.5: 0.287248, 1.3: 0.099989, 5.0: 0.024300
 
 def single_mode_vn(a_p):
     return ((1 - a_p) / (1 + a_p)) ** 2
+
+
+def grid_shot(lo, det, g, p):
+    """Shot noise of ``det`` on the grid ``g``, read from the dense route."""
+    s = derive_scales(p)
+    modes = solve_io(build_kernel_matrix(g, p, s, strict=False), p)
+    return squeezing(det, lo, p, s, modes).shot
 
 
 @pytest.fixture
@@ -76,7 +81,7 @@ class TestDetectorMask:
         mask = det.indicator(g, plane_params)
         left = mask & (g.points < 0)
         right = mask & (g.points > 0)
-        n_all = shot_noise(lo, det, g, plane_params)
+        n_all = grid_shot(lo, det, g, plane_params)
         assert n_all == g.step * left.sum() + g.step * right.sum()
         assert np.array_equal(mask, left | right)
 
@@ -120,13 +125,13 @@ class TestShotNoise:
         edge = g.points[36] + g.step / 2
         det = DetectorMask.interval(edge, "near")
         lo = LocalOscillator(amplitude=1.0)
-        assert shot_noise(lo, det, g, plane_params) == pytest.approx(10 * g.step, rel=1e-14)
+        assert grid_shot(lo, det, g, plane_params) == pytest.approx(10 * g.step, rel=1e-14)
 
     def test_quadratic_in_amplitude(self, plane_params):
         g = Grid1D.uniform(64, 1.0, "near")
         det = DetectorMask.interval(0.3, "near")
-        n1 = shot_noise(LocalOscillator(amplitude=1.0), det, g, plane_params)
-        n3 = shot_noise(LocalOscillator(amplitude=3.0), det, g, plane_params)
+        n1 = grid_shot(LocalOscillator(amplitude=1.0), det, g, plane_params)
+        n3 = grid_shot(LocalOscillator(amplitude=3.0), det, g, plane_params)
         assert n3 == pytest.approx(9 * n1, rel=1e-14)
 
     def test_gaussian_lo_against_erf(self, plane_params):
@@ -136,7 +141,7 @@ class TestShotNoise:
         d = g.points[768] + g.step / 2  # edge between cells
         det = DetectorMask.interval(d, "near")
         lo = LocalOscillator(profile="gaussian", waist=w, amplitude=1.3)
-        num = shot_noise(lo, det, g, plane_params)
+        num = grid_shot(lo, det, g, plane_params)
         exact = 1.3**2 * w * math.sqrt(math.pi / 2) * erf(math.sqrt(2) * d / w)
         assert num == pytest.approx(exact, rel=1e-6)
 
@@ -171,7 +176,7 @@ class TestSqueezingNumericVacuum:
             DetectorMask.interval(2e-5, "near"),
             DetectorMask.pixel_pair(5e-5, 2e-5, "near"),
         ):
-            res = squeezing_numeric(modes, lo, det, p)
+            res = squeezing(det, lo, p, plane_scales, modes)
             assert abs(res.vn - 1.0) <= 1e-12
             assert res.sn == res.vn - 1.0
 
@@ -190,7 +195,7 @@ class TestSqueezingNumericVacuum:
         det = DetectorMask.interval(2e-5, "near")
         for phase in (math.pi / 2, 0.0):
             lo = LocalOscillator(phase=phase)
-            res = squeezing_numeric(modes, lo, det, p)
+            res = squeezing(det, lo, p, plane_scales, modes)
             ref = oracle(lo.magnitude(g, p) * det.indicator(g, p), phase)
             assert res.vn > 0
             assert abs(res.vn - ref) <= 1e-12 * max(1.0, abs(ref))
@@ -226,7 +231,7 @@ class TestModeRouteMatchesLU:
                 det = DetectorMask.interval(frac * extent * x_of_q, plane)
                 lvec = lo.magnitude(g, p) * det.indicator(g, p)
                 for phase in (math.pi / 2, 0.0):
-                    res = squeezing_numeric(modes, replace(lo, phase=phase), det, p)
+                    res = squeezing(det, replace(lo, phase=phase), p, s, modes)
                     ref = oracle(lvec, phase)
                     assert abs(res.vn - ref) <= 1e-12 * max(1.0, abs(ref))
 
@@ -244,7 +249,7 @@ class TestThinCrystalSingleMode:
         lo = LocalOscillator()
         for frac in (0.2, 1.0, 4.0):
             det = DetectorMask.interval(frac * s.w_C, "near")
-            res = squeezing_numeric(modes, lo, det, p)
+            res = squeezing(det, lo, p, s, modes)
             assert res.vn == pytest.approx(1.0 / 9.0, abs=1e-3)
 
 
@@ -268,36 +273,36 @@ class TestNoiseDensity:
         assert np.abs(r_sq * r_anti - 1.0).max() <= 1e-12
 
 
+def disk(radius, p, s, lo):
+    return squeezing(DetectorMask.radial(radius, "far"), lo, p, s)
+
+
 class TestRadialSpectrum:
     def test_small_radius_limit(self, plane_params, plane_scales):
-        res = spectrum_planepump_circular(0.0, plane_params, plane_scales,
-                                          w_lo=plane_scales.r0)
+        lo = LocalOscillator(profile="gaussian", waist=plane_scales.r0)
+        res = disk(1e-12 * plane_scales.r0, plane_params, plane_scales, lo)
         assert res.vn == pytest.approx(single_mode_vn(0.9), abs=1e-7)
-        small = spectrum_planepump_circular(
-            0.01 * plane_scales.r0, plane_params, plane_scales, w_lo=plane_scales.r0
-        )
+        small = disk(0.01 * plane_scales.r0, plane_params, plane_scales, lo)
         assert small.vn == pytest.approx(single_mode_vn(0.9), abs=1e-4)
 
     def test_zero_pump_flat(self, plane_params, plane_scales):
         p = replace(plane_params, A_p=0.0)
+        lo = LocalOscillator(profile="gaussian", waist=plane_scales.r0)
         for r in (0.3, 1.0, 2.5):
-            res = spectrum_planepump_circular(r * plane_scales.r0, p, plane_scales,
-                                              w_lo=plane_scales.r0)
+            res = disk(r * plane_scales.r0, p, plane_scales, lo)
             assert res.vn == pytest.approx(1.0, abs=1e-10)
 
     def test_squeezing_degrades_past_r0(self, plane_params, plane_scales):
-        lo_w = plane_scales.r0
-        inner = spectrum_planepump_circular(0.3 * plane_scales.r0, plane_params,
-                                            plane_scales, w_lo=lo_w)
-        outer = spectrum_planepump_circular(3.0 * plane_scales.r0, plane_params,
-                                            plane_scales, w_lo=lo_w)
+        lo = LocalOscillator(profile="gaussian", waist=plane_scales.r0)
+        inner = disk(0.3 * plane_scales.r0, plane_params, plane_scales, lo)
+        outer = disk(3.0 * plane_scales.r0, plane_params, plane_scales, lo)
         assert outer.vn > inner.vn
         assert inner.vn < 0.02
 
     @pytest.mark.parametrize("radius", [-1e-4, math.inf, math.nan])
     def test_bad_radius_rejected(self, plane_params, plane_scales, radius):
         with pytest.raises(ConfigurationError):
-            spectrum_planepump_circular(radius, plane_params, plane_scales)
+            disk(radius, plane_params, plane_scales, LocalOscillator())
 
     @pytest.mark.parametrize("detuning,omega_bar", [(0.0, 0.0), (0.3, 0.5)])
     def test_matches_quadpack_oracle(self, plane_params, detuning, omega_bar):
@@ -307,15 +312,25 @@ class TestRadialSpectrum:
         s = derive_scales(p)
         for w_lo in (None, s.r0, 0.01 * s.r0):
             c = 0.0 if w_lo is None else 2.0 * (s.r0 / w_lo) ** 2
+            lo = (LocalOscillator() if w_lo is None
+                  else LocalOscillator(profile="gaussian", waist=w_lo))
             for big_x in (0.4, 1.7, 3.0):
                 for phase in (math.pi / 2, 0.0):
-                    got = spectrum_planepump_circular(big_x * s.r0, p, s, w_lo, phase).vn
+                    got = disk(big_x * s.r0, p, s, replace(lo, phase=phase)).vn
                     ref = circular_vn(big_x, p, s, phase, c)
                     assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
+    def test_lo_profile_decides_the_weight(self, plane_params, plane_scales):
+        # a waist given with a plane LO weighs nothing, as on the other routes
+        r = 1.3 * plane_scales.r0
+        plane = disk(r, plane_params, plane_scales, LocalOscillator())
+        stray = disk(r, plane_params, plane_scales,
+                     LocalOscillator(waist=0.5 * plane_scales.r0))
+        assert (stray.vn, stray.shot) == (plane.vn, plane.shot)
+
     def test_vn_is_one_plus_sn(self, plane_params, plane_scales):
-        res = spectrum_planepump_circular(1.3 * plane_scales.r0, plane_params,
-                                          plane_scales, w_lo=plane_scales.r0)
+        lo = LocalOscillator(profile="gaussian", waist=plane_scales.r0)
+        res = disk(1.3 * plane_scales.r0, plane_params, plane_scales, lo)
         assert res.vn == pytest.approx(res.sn + 1.0, abs=1e-12)
         assert res.vn >= 0.0
 
@@ -327,7 +342,7 @@ class TestPlanePumpNearSpectrum:
             lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.99, plane_pump=True
         )
         det = DetectorMask.interval(d_scaled * plane_scales.l_coh, "near")
-        res = squeezing_planepump_near(det, p, plane_scales)
+        res = squeezing(det, LocalOscillator(), p, plane_scales)
         assert res.vn == pytest.approx(expected, abs=2e-5)
 
     @pytest.mark.parametrize("a_p", [0.9, 0.99])
@@ -344,13 +359,14 @@ class TestPlanePumpNearSpectrum:
 
     def test_wide_detector_approaches_single_mode(self, plane_params, plane_scales):
         det = DetectorMask.interval(200.0 * plane_scales.l_coh, "near")
-        res = squeezing_planepump_near(det, plane_params, plane_scales)
+        res = squeezing(det, LocalOscillator(), plane_params, plane_scales)
         assert res.vn == pytest.approx(single_mode_vn(0.9), abs=1e-3)
 
     def test_antisqueezed_quadrature(self, plane_params, plane_scales):
         det = DetectorMask.interval(2.0 * plane_scales.l_coh, "near")
-        r_sq = squeezing_planepump_near(det, plane_params, plane_scales, math.pi / 2)
-        r_anti = squeezing_planepump_near(det, plane_params, plane_scales, 0.0)
+        lo = LocalOscillator()
+        r_sq = squeezing(det, replace(lo, phase=math.pi / 2), plane_params, plane_scales)
+        r_anti = squeezing(det, replace(lo, phase=0.0), plane_params, plane_scales)
         assert r_sq.vn < 1.0 < r_anti.vn
 
     def test_dense_consistency_interval(self, plane_params, plane_scales,
@@ -362,8 +378,8 @@ class TestPlanePumpNearSpectrum:
         for cells in (17, 34):
             d = (cells + 0.5) * g.step
             det = DetectorMask.interval(d, "near")
-            dense = squeezing_numeric(modes, lo, det, plane_params)
-            closed = squeezing_planepump_near(det, plane_params, plane_scales)
+            dense = squeezing(det, lo, plane_params, plane_scales, modes)
+            closed = squeezing(det, lo, plane_params, plane_scales)
             assert dense.vn == pytest.approx(closed.vn, abs=1e-3)
             assert dense.shot == pytest.approx(closed.shot, rel=2e-2)
 
@@ -375,28 +391,27 @@ class TestPlanePumpNearSpectrum:
         for rho_cells in (64, 96):
             rho = rho_cells * g.step
             det = DetectorMask.pixel_pair(rho, width, "near")
-            dense = squeezing_numeric(modes, lo, det, plane_params)
-            closed = squeezing_planepump_near(det, plane_params, plane_scales)
+            dense = squeezing(det, lo, plane_params, plane_scales, modes)
+            closed = squeezing(det, lo, plane_params, plane_scales)
             assert dense.vn == pytest.approx(closed.vn, abs=2e-3)
 
     def test_merged_pixels_match_interval(self, plane_params, plane_scales):
         # pixels closer than half a width form one centered interval
         w = plane_scales.l_coh
+        lo = LocalOscillator()
         pair = DetectorMask.pixel_pair(0.0, w, "near")
-        merged = squeezing_planepump_near(pair, plane_params, plane_scales)
-        interval = squeezing_planepump_near(
-            DetectorMask.interval(w / 2, "near"), plane_params, plane_scales
-        )
+        merged = squeezing(pair, lo, plane_params, plane_scales)
+        interval = squeezing(DetectorMask.interval(w / 2, "near"), lo, plane_params,
+                             plane_scales)
         assert merged.vn == pytest.approx(interval.vn, rel=1e-9)
 
     def test_continuity_at_pixel_merge_point(self, plane_params, plane_scales):
         w = plane_scales.l_coh
-        just_merged = squeezing_planepump_near(
-            DetectorMask.pixel_pair(w / 2 * 0.9999, w, "near"), plane_params, plane_scales
-        )
-        just_split = squeezing_planepump_near(
-            DetectorMask.pixel_pair(w / 2 * 1.0001, w, "near"), plane_params, plane_scales
-        )
+        lo = LocalOscillator()
+        just_merged = squeezing(DetectorMask.pixel_pair(w / 2 * 0.9999, w, "near"), lo,
+                                plane_params, plane_scales)
+        just_split = squeezing(DetectorMask.pixel_pair(w / 2 * 1.0001, w, "near"), lo,
+                               plane_params, plane_scales)
         assert just_merged.vn == pytest.approx(just_split.vn, abs=1e-3)
 
 
@@ -420,8 +435,8 @@ class TestPlanePumpFarSpectrum:
         for cells in (64, 192):
             q_d = (cells + 0.5) * g.step
             det = DetectorMask.interval(q_d * x_of_q, "far")
-            dense = squeezing_numeric(modes, lo, det, p)
-            closed = squeezing_planepump_far(det, lo, p, s)
+            dense = squeezing(det, lo, p, s, modes)
+            closed = squeezing(det, lo, p, s)
             assert dense.vn == pytest.approx(closed.vn, abs=1e-4)
             # independent Riemann evaluation of the same 1-D density ratio
             qs = np.abs(g.points)
@@ -445,7 +460,7 @@ class TestPlanePumpFarSpectrum:
         for phase, cells in ((math.pi / 2, 96), (0.7, 160)):
             q_d = (cells + 0.5) * g.step
             det = DetectorMask.interval(q_d * x_of_q, "far")
-            dense = squeezing_numeric(modes, replace(lo, phase=phase), det, p)
+            dense = squeezing(det, replace(lo, phase=phase), p, s, modes)
             mask = det.indicator(g, p)
             dens = noise_density_planepump(g.points[mask], p, s, phase)
             assert dense.vn == pytest.approx(float(np.mean(dens)), abs=1e-4)
@@ -469,7 +484,7 @@ class TestPlanePumpFarSpectrum:
             c = 0.0 if lo.waist is None else 2.0 * (x_of_q / (lo.waist * s.l_coh)) ** 2
             x_lo, x_hi = (b * s.l_coh for b in det.bounds_on_axis(p))
             for phase in (math.pi / 2, 0.0):
-                got = squeezing_planepump_far(det, lo, p, s, phase).vn
+                got = squeezing(det, replace(lo, phase=phase), p, s).vn
                 ref = far_vn(x_lo, x_hi, p, s, phase, c)
                 assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
@@ -478,7 +493,7 @@ class TestPlanePumpFarSpectrum:
         x_of_q = p.lambda_s * p.f_lens / (2 * math.pi)
         q_c = 0.8 / s.l_coh
         det = DetectorMask.pixel_pair(q_c * x_of_q, 0.002 * x_of_q / s.l_coh, "far")
-        res = squeezing_planepump_far(det, LocalOscillator(), p, s)
+        res = squeezing(det, LocalOscillator(), p, s)
         assert res.vn == pytest.approx(
             float(noise_density_planepump(q_c, p, s, math.pi / 2)), abs=1e-4
         )
@@ -490,9 +505,8 @@ class TestSweep:
         pts = sweep(plane_params, plane_scales, "near", "interval", values,
                     LocalOscillator())
         for pt, v in zip(pts, values):
-            ref = squeezing_planepump_near(
-                DetectorMask.interval(v, "near"), plane_params, plane_scales
-            )
+            ref = squeezing(DetectorMask.interval(v, "near"), LocalOscillator(),
+                            plane_params, plane_scales)
             assert pt.vn_squeezed == pytest.approx(ref.vn, rel=1e-12)
             assert pt.value == v
             assert pt.vn_antisqueezed > 1.0
@@ -593,3 +607,90 @@ class TestSweep:
                     list(half_widths * plane_scales.l_coh), LocalOscillator())
         vns = [pt.vn_squeezed for pt in pts]
         assert not rises(half_widths, vns)
+
+
+class TestOnePath:
+    @pytest.mark.parametrize("pump,plane,shape,lo_profile", [
+        ("gaussian", "near", "interval", "plane"),
+        ("gaussian", "far", "pixel_pair", "gaussian"),
+        ("plane", "near", "interval", "plane"),
+        ("plane", "near", "pixel_pair", "plane"),
+        ("plane", "far", "interval", "plane"),
+        ("plane", "far", "interval", "gaussian"),
+        ("plane", "far", "pixel_pair", "plane"),
+        ("plane", "far", "pixel_pair", "gaussian"),
+        ("plane", "far", "radial", "gaussian"),
+    ], ids=["dense-near", "dense-far", "near-interval", "near-pixel_pair",
+            "far-interval-plane_lo", "far-interval-gaussian_lo",
+            "far-pixel_pair-plane_lo", "far-pixel_pair-gaussian_lo", "disk"])
+    def test_sweep_point_is_squeezing(self, plane_params, plane_scales, pump, plane,
+                                      shape, lo_profile):
+        # every sweep point, in both quadratures and in shot, is exactly what
+        # squeezing returns for the same detector on the same route
+        p = plane_params
+        if pump == "gaussian":
+            p = replace(p, plane_pump=False, w_p=3.0 * plane_scales.l_coh)
+        s = derive_scales(p)
+        x_of_q = p.lambda_s * p.f_lens / (2 * math.pi)
+        unit = s.l_coh if plane == "near" else x_of_q / plane_scales.l_coh
+        lo = LocalOscillator()
+        if lo_profile == "gaussian":
+            lo = LocalOscillator(profile="gaussian", waist=2.0 * unit)
+        pixel_width = unit if shape == "pixel_pair" else None
+        values = [0.7 * unit, 2.3 * unit]
+        grid = modes = None
+        if pump == "gaussian":
+            extents = sweep_extents(p, plane, shape, values, lo, pixel_width)
+            grid = auto_grid(p, s, plane, extra_extents=extents)
+            modes = solve_io(build_kernel_matrix(grid, p, s), p)
+        pts = sweep(p, s, plane, shape, values, lo, pixel_width=pixel_width, grid=grid)
+        for pt, value in zip(pts, values):
+            if shape == "pixel_pair":
+                det = DetectorMask.pixel_pair(value, pixel_width, plane)
+            else:
+                det = getattr(DetectorMask, shape)(value, plane)
+            sq = squeezing(det, replace(lo, phase=math.pi / 2), p, s, modes)
+            anti = squeezing(det, replace(lo, phase=0.0), p, s, modes)
+            assert pt.vn_squeezed == sq.vn
+            assert pt.vn_antisqueezed == anti.vn
+            assert pt.shot == sq.shot == anti.shot
+            route = ("dense" if modes is not None else "planepump_near" if plane == "near"
+                     else "planepump_disk" if shape == "radial" else "planepump_far")
+            assert sq.meta == anti.meta == {"route": route}
+
+    @pytest.mark.parametrize("shape", ["radial", "interval"])
+    def test_far_routes_evaluate_uv_once_per_node(self, monkeypatch, plane_params,
+                                                  plane_scales, shape):
+        # both quadratures of a far-field point come from one quadrature pass
+        # with one (U, V_-) pair per chunk of Gauss nodes: two
+        # analytic_uv_planepump calls per chunk, not one pass per quadrature
+        import confocal_opo.homodyne as homodyne
+
+        calls, passes, chunks = [], [], []
+        uv, panels = homodyne.analytic_uv_planepump, homodyne._gauss_panels
+
+        def counted_uv(*args, **kwargs):
+            calls.append(args[0].shape)
+            return uv(*args, **kwargs)
+
+        def counted_panels(*args, **kwargs):
+            passes.append(args)
+            for chunk in panels(*args, **kwargs):
+                chunks.append(chunk)
+                yield chunk
+
+        monkeypatch.setattr(homodyne, "analytic_uv_planepump", counted_uv)
+        monkeypatch.setattr(homodyne, "_gauss_panels", counted_panels)
+        lo = LocalOscillator(profile="gaussian", waist=plane_scales.r0)
+        sweep(plane_params, plane_scales, "far", shape, [1.3 * plane_scales.r0], lo)
+        assert len(passes) == 1 and len(chunks) >= 1
+        assert len(calls) == 2 * len(chunks)
+
+    def test_route_errors(self, plane_params, plane_scales):
+        det = DetectorMask.interval(plane_scales.l_coh, "near")
+        gaussian_lo = LocalOscillator(profile="gaussian", waist=plane_scales.l_coh)
+        with pytest.raises(ConfigurationError, match="plane LO"):
+            squeezing(det, gaussian_lo, plane_params, plane_scales)
+        p = replace(plane_params, plane_pump=False, w_p=3.0 * plane_scales.l_coh)
+        with pytest.raises(ConfigurationError, match="modes"):
+            squeezing(det, LocalOscillator(), p, derive_scales(p))
