@@ -31,9 +31,7 @@ from .kernels import (
     auto_grid,
     build_kernel_matrix,
     delta_2d,
-    kint_near_2d,
     ktilde_far,
-    ktilde_far_2d,
     phase_match_sinc,
     si,
 )
@@ -59,8 +57,7 @@ __all__ = [
     "__version__",
     "OpoParams", "DerivedScales", "validate", "derive_scales",
     "Grid1D", "KernelMatrix", "auto_grid",
-    "build_kernel_matrix", "delta_2d", "kint_near_2d", "ktilde_far",
-    "ktilde_far_2d", "phase_match_sinc", "si",
+    "build_kernel_matrix", "delta_2d", "ktilde_far", "phase_match_sinc", "si",
     "CavityModes", "analytic_uv_planepump", "mode_uv", "solve_io",
     "threshold_margin",
     "DetectorMask", "LocalOscillator", "SqueezingResult", "SweepPoint",

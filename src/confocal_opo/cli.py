@@ -316,11 +316,6 @@ def _preset_params(overrides: dict, **changes) -> OpoParams:
     w_p = base.pop("w_p", None)
     return OpoParams(plane_pump=plane_pump, w_p=w_p, **base)
 
-def _b_list(overrides: dict):
-    if "b" in overrides:
-        return tuple(float(x) for x in str(overrides["b"]).split(","))
-    return PRESET_B_VALUES
-
 def fig_scenarios(fig_id: int, overrides: dict) -> list[Scenario]:
     """Scenario list for one figure preset (one scenario per curve)."""
     if fig_id == 5:
@@ -332,7 +327,7 @@ def fig_scenarios(fig_id: int, overrides: dict) -> list[Scenario]:
                          abscissa_name="radius_over_lcoh", label="fig5")]
     if fig_id == 6 or fig_id == 7:
         out = []
-        for b in _b_list(overrides):
+        for b in overrides.get("b", PRESET_B_VALUES):
             p = _preset_params(overrides)
             s0 = derive_scales(replace(p, plane_pump=True, w_p=None))
             p = replace(p, w_p=math.sqrt(b) * s0.l_coh)
@@ -362,7 +357,7 @@ def fig_scenarios(fig_id: int, overrides: dict) -> list[Scenario]:
                          label="fig8_V")]
     if fig_id in (9, 10):
         out = []
-        for b in _b_list(overrides):
+        for b in overrides.get("b", PRESET_B_VALUES):
             p = _preset_params(overrides)
             s0 = derive_scales(replace(p, plane_pump=True, w_p=None))
             p = replace(p, w_p=math.sqrt(b) * s0.l_coh)
@@ -433,6 +428,17 @@ def _run_fig8_density(sc: Scenario, outdir: Path) -> None:
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _parse_b(value: str) -> tuple[float, ...]:
+    try:
+        values = tuple(float(x) for x in value.split(","))
+    except ValueError:
+        values = ()
+    if not values or not all(0 < b < math.inf for b in values):
+        raise ConfigurationError(
+            f"key 'b': need comma-separated finite positive numbers, got {value!r}"
+        )
+    return values
+
 def _parse_overrides(items) -> dict:
     out = {}
     for item in items or ():
@@ -441,7 +447,7 @@ def _parse_overrides(items) -> dict:
         key, value = item.split("=", 1)
         key = key.strip()
         if key == "b":
-            out[key] = value
+            out[key] = _parse_b(value)
         elif key in ARTIFACT_DEFAULTS:
             out[key] = _convert(key, value.strip())
         else:

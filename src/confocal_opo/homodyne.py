@@ -9,8 +9,10 @@ detector area.  Its noise spectrum normalized to shot noise is
 ``squeezing(det, lo, p, s, modes=None)`` is the one entry point: it returns
 vn of one detector at the quadrature ``lo.phase``.  ``sweep`` runs a family
 of detectors through the same evaluators and takes both canonical
-quadratures of each detector from one pass.  Every evaluator returns the
-shot noise N and vn at each requested phase, and ``_route`` picks one:
+quadratures of each detector from one pass.  A detector is its band
+inner <= |x| <= outer (``DetectorMask``), and every evaluator reads only
+that band.  Each returns the shot noise N and vn at each requested phase,
+and ``_route`` picks one:
 
 * With the cavity modes of a dense solve (K = Q diag(lambda) Q^T, per-mode
   transform u, v; see ``iosolver``), ``_noise_terms`` contracts the
@@ -30,11 +32,12 @@ shot noise N and vn at each requested phase, and ``_route`` picks one:
 * Without modes, a plane pump bypasses the dense solve: its response is
   diagonal in the transverse wavevector, with mode gain lambda =
   A_p sigma(q), so spectra reduce to 1-D quadratures over closed-form
-  densities.  A near-plane detector reads the cached tables of
-  ``_vn_planepump_near`` (plane LO only), a far-plane ``radial`` detector
-  the disk quadrature ``_vn_planepump_disk``, and a far-plane interval or
-  pixel pair ``_vn_planepump_far``.  Both far routes evaluate U and V_- once
-  per node and form R(phi) = |U + e^{2 i phi} conj(V_-)|^2 for each phase.
+  densities.  A near-plane detector combines the cached tables of
+  ``_vn_planepump_near`` (plane LO only) over the window terms of its band.
+  A far-plane detector runs the quadrature ``_vn_planepump_far`` over its
+  band; a ``radial`` disk is the same quadrature with the polar weight t
+  (route ``planepump_disk``).  It evaluates U and V_- once per node and
+  forms R(phi) = |U + e^{2 i phi} conj(V_-)|^2 for each phase.
   These routes cover detector sizes far beyond what a dense grid can span,
   and are cross-checked against the dense route where the two overlap.
 * A finite pump without modes is a ``ConfigurationError``.
@@ -43,16 +46,16 @@ The quadrature phi = pi/2 is the squeezed quadrature for this sign
 convention; phi = 0 gives its anti-squeezed dual, and both are always
 computable (their product is 1 per mode at resonance and zero frequency).
 
-All three closed-form routes share one rule, ``_gauss_panels``: 16-point
+Both closed-form evaluators share one rule, ``_gauss_panels``: 16-point
 Gauss-Legendre panels in t = q l_coh whose edges sit at the sinc zeros
 t = 2 sqrt(k pi), split to a maximum width.  Against adaptive QUADPACK
 references in the tests the near-field interval agrees to 5e-12 in vn at
-A_p = 0.99, and the far and disk routes to 1e-15 relative, at resonance and
-detuned.  The near-field window cos(a t) needs panels that shrink with the
-detector size a, so one near-field point costs ~1 ms up to a = 480 l_coh
-(cached panels) and grows linearly beyond, ~0.45 s at a = 1e4 l_coh on a
-2-core x86-64 host; the nodes are summed in fixed-size chunks, so memory
-stays bounded.
+A_p = 0.99, and the far-field interval and disk to 1e-15 relative, at
+resonance and detuned.  The near-field window cos(a t) needs panels that
+shrink with the detector size a, so one near-field point costs ~1 ms up to
+a = 480 l_coh (cached panels) and grows linearly beyond, ~0.45 s at
+a = 1e4 l_coh on a 2-core x86-64 host; the nodes are summed in fixed-size
+chunks, so memory stays bounded.
 """
 
 from __future__ import annotations
@@ -93,30 +96,32 @@ SQUEEZED_PHASE = math.pi / 2
 
 @dataclass(frozen=True)
 class DetectorMask:
-    """Symmetric photodetection region in the near or far plane.
+    """Symmetric photodetection region: the band inner <= |x| <= outer.
 
-    Extents are meters in the detection plane.  Far-field positions map to
-    transverse wavevectors through the imaging lens, q = 2 pi x / (lambda f).
-    All shapes are symmetric about the axis, as required for even-field
-    detection: ``interval`` spans [-half_width, half_width]; ``pixel_pair``
-    is two pixels of width ``pixel_width`` centered at +-``center_distance``
-    (pixels closer than half a width merge into one centered interval);
-    ``radial`` is a disk of given radius, which on a 1-D grid reduces to the
-    interval of the same half width.
+    ``plane`` is "near" or "far"; the band is in detection-plane meters, and
+    far-field positions map to transverse wavevectors through the imaging
+    lens, q = 2 pi x / (lambda f).  Every route reads only the band and the
+    shape.  ``interval`` is the band [0, half_width]; ``pixel_pair`` two
+    pixels of width w centered at +-rho, inner = max(0, rho - w/2) (pixels
+    closer than half a width merge into one centered interval); ``radial`` a
+    disk, the band [0, radius]: on a 1-D grid the interval of the same half
+    width, and in the far-field quadrature the same band with weight t.
     """
 
     shape: str
     plane: str
-    half_width: float | None = None
-    center_distance: float | None = None
-    pixel_width: float | None = None
-    radius: float | None = None
+    inner: float
+    outer: float
+
+    def __post_init__(self):
+        if self.plane not in ("near", "far"):
+            raise ConfigurationError(f"detector plane must be near or far, got {self.plane!r}")
 
     @classmethod
     def interval(cls, half_width: float, plane: str = "near") -> "DetectorMask":
         if not 0 < half_width < math.inf:
             raise ConfigurationError("interval half_width must be positive and finite")
-        return cls(shape="interval", plane=plane, half_width=half_width)
+        return cls("interval", plane, 0.0, half_width)
 
     @classmethod
     def pixel_pair(
@@ -126,39 +131,20 @@ class DetectorMask:
             raise ConfigurationError("pixel_width must be positive and finite")
         if not 0 <= center_distance < math.inf:
             raise ConfigurationError("center_distance must be non-negative and finite")
-        return cls(
-            shape="pixel_pair",
-            plane=plane,
-            center_distance=center_distance,
-            pixel_width=pixel_width,
-        )
+        half = pixel_width / 2.0
+        return cls("pixel_pair", plane, max(0.0, center_distance - half),
+                   center_distance + half)
 
     @classmethod
     def radial(cls, radius: float, plane: str = "far") -> "DetectorMask":
         if not 0 < radius < math.inf:
             raise ConfigurationError("radius must be positive and finite")
-        return cls(shape="radial", plane=plane, radius=radius)
-
-    def outer_extent(self) -> float:
-        """Outermost reach of the mask in its own plane (m)."""
-        if self.shape == "interval":
-            return self.half_width
-        if self.shape == "radial":
-            return self.radius
-        return self.center_distance + self.pixel_width / 2.0
-
-    def _q_scale(self, p: OpoParams) -> float:
-        return 2.0 * math.pi / (p.lambda_s * p.f_lens) if self.plane == "far" else 1.0
+        return cls("radial", plane, 0.0, radius)
 
     def bounds_on_axis(self, p: OpoParams) -> tuple[float, float]:
         """(inner, outer) bound of |coordinate| in grid units (m or 1/m)."""
-        c = self._q_scale(p)
-        if self.shape in ("interval", "radial"):
-            return 0.0, c * self.outer_extent()
-        lo = self.center_distance - self.pixel_width / 2.0
-        if lo < 0:  # overlapping pixels merge into one centered interval
-            return 0.0, c * (self.center_distance + self.pixel_width / 2.0)
-        return c * lo, c * (self.center_distance + self.pixel_width / 2.0)
+        c = 2.0 * math.pi / (p.lambda_s * p.f_lens) if self.plane == "far" else 1.0
+        return c * self.inner, c * self.outer
 
     def indicator(self, grid: Grid1D, p: OpoParams) -> np.ndarray:
         if grid.domain != self.plane:
@@ -199,10 +185,10 @@ class LocalOscillator:
     def __post_init__(self):
         if self.profile not in ("plane", "gaussian"):
             raise ConfigurationError(f"unknown LO profile {self.profile!r}")
-        if self.amplitude <= 0:
-            raise ConfigurationError("LO amplitude must be positive")
-        if self.profile == "gaussian" and (self.waist is None or self.waist <= 0):
-            raise ConfigurationError("gaussian LO needs a positive waist")
+        if not 0 < self.amplitude < math.inf:
+            raise ConfigurationError("LO amplitude must be positive and finite")
+        if self.profile == "gaussian" and not 0 < (self.waist or 0.0) < math.inf:
+            raise ConfigurationError("gaussian LO needs a positive finite waist")
 
     def magnitude(self, grid: Grid1D, p: OpoParams) -> np.ndarray:
         """|alpha| on the grid (phase applied separately)."""
@@ -223,10 +209,11 @@ class SqueezingResult:
     """Noise spectrum of one detection configuration, normalized to shot noise.
 
     vn = 1 means shot noise; vn < 1 squeezing.  sn = vn - 1 is the normally
-    ordered part.  ``shot`` is the detected LO photon number (for the
-    closed-form disk route: the LO-weighted detector measure in the scaled
-    radial variable).  ``quadrature`` is the LO phase, and ``meta["route"]``
-    names the route that computed the result.
+    ordered part.  ``shot`` is the detected LO photon number, the LO measure
+    of the detector band (for the closed-form disk, the far quadrature with
+    weight t: the LO-weighted disk measure in the scaled radius r / r0).
+    ``quadrature`` is the LO phase, and ``meta["route"]`` names the route
+    that computed the result.
     """
 
     vn: float
@@ -338,39 +325,16 @@ def _lo_panel_width(c: float) -> float:
     # 1/e half width, or a narrow spot falls between the nodes
     return _PANEL_WIDTH if c == 0.0 else min(_PANEL_WIDTH, 1.0 / math.sqrt(c))
 
-def _vn_planepump_disk(det: DetectorMask, lo: LocalOscillator, p: OpoParams,
-                       s: DerivedScales, phases):
-    """(N, [vn at each phase]) of a far-field disk, plane pump (2-D).
-
-    Ratio of two radial quadratures over the scaled radius u in [0, r/r0]
-    with weight u exp(-c u^2) and integrand R evaluated at sigma = sinc(u^2).
-    For a Gaussian LO of detection-plane waist w_lo, in terms of the
-    equivalent pre-lens waist w = lambda f/(pi w_lo) the weight reads
-    u exp(-w^2 k_s u^2 / l_c), so c = 2 (r0 / w_lo)^2 and a detection-plane
-    waist of r0 gives exp(-2 u^2); a plane LO has c = 0.  The numerator runs
-    on the Gauss panels of ``_gauss_panels`` in t = 2u; the denominator is
-    closed form.  r -> 0 returns the integrand limit R(sigma = 1).
-    """
-    big_x = det.radius / s.r0
-    if big_x <= 1e-9:
-        return 0.0, [float(r) for r in _densities(0.0, p, s, phases)]
-    c = 0.0 if lo.profile == "plane" else 2.0 * (s.r0 / lo.waist) ** 2
-    num = [0.0] * len(phases)
-    for t, w in _gauss_panels(0.0, 2.0 * big_x, _lo_panel_width(c / 4.0)):
-        u = t / 2.0  # q = t / l_coh maps sinc(u^2) onto the density argument
-        weight = u * np.exp(-c * u * u) * w
-        for k, density in enumerate(_densities(t / s.l_coh, p, s, phases)):
-            num[k] += float(weight @ density) / 2.0  # du = dt / 2
-    den = big_x**2 / 2.0 if c == 0.0 else (1.0 - math.exp(-c * big_x**2)) / (2.0 * c)
-    return den, [x / den for x in num]
-
 def _vn_planepump_far(det: DetectorMask, lo: LocalOscillator, p: OpoParams,
                       s: DerivedScales, phases):
-    """(N, [vn at each phase]) of a far-field interval or pixel pair, plane pump (1-D).
+    """(N, [vn at each phase]) of a far-field detector, plane pump.
 
-    vn = integral_det |alpha(q)|^2 R(q) dq / integral_det |alpha(q)|^2 dq
-    over the positive-q half of the symmetric detector, both on the Gauss
-    panels of ``_gauss_panels``.
+    vn = integral |alpha|^2 R rho dt / integral |alpha|^2 rho dt over the
+    positive half of the detector band in t = q l_coh, both on the Gauss
+    panels of ``_gauss_panels``.  rho = 1 for an interval or pixel pair (1-D);
+    a ``radial`` disk is the same quadrature in polar form, rho = t, on
+    [0, 2 r / r0].  N is the LO measure of the band: den / l_coh in q, and
+    for the disk den / 4 in the scaled radius u = r / r0 = t / 2.
     """
     q_lo, q_hi = det.bounds_on_axis(p)
     if q_hi <= q_lo:
@@ -379,14 +343,17 @@ def _vn_planepump_far(det: DetectorMask, lo: LocalOscillator, p: OpoParams,
     # exp(-c t^2) in t = q l_coh
     x_of_q = p.lambda_s * p.f_lens / (2.0 * math.pi)
     c = 0.0 if lo.profile == "plane" else 2.0 * (x_of_q / (lo.waist * s.l_coh)) ** 2
+    disk = det.shape == "radial"
     num = [0.0] * len(phases)
     den = 0.0
     for t, w in _gauss_panels(q_lo * s.l_coh, q_hi * s.l_coh, _lo_panel_width(c)):
         weight = np.exp(-c * t * t) * w
+        if disk:
+            weight = t * weight
         for k, density in enumerate(_densities(t / s.l_coh, p, s, phases)):
             num[k] += float(weight @ density)
         den += float(weight.sum())
-    return den / s.l_coh, [x / den for x in num]
+    return den / 4.0 if disk else den / s.l_coh, [x / den for x in num]
 
 
 class _PlanePumpNearTables:
@@ -474,25 +441,14 @@ def _vn_planepump_near(det: DetectorMask, lo: LocalOscillator, p: OpoParams,
     """
     if lo.profile != "plane":
         raise ConfigurationError("plane-pump near-field spectra support a plane LO only")
+    inner, outer = det.inner, det.outer
+    # |W(q)|^2 of the band as (coef, a) terms of (1 - cos(a q)) / q^2
+    terms = [(2.0, 2.0 * outer)]
+    if inner > 0:
+        terms = [(4.0, outer - inner), (-4.0, outer + inner), *terms,
+                 (2.0, 2.0 * inner)]
     tables = _near_tables(p, s)
-    if det.shape in ("interval", "radial"):
-        d = det.outer_extent()
-        terms = [(2.0, 2.0 * d)]
-        n_shot = 2.0 * d
-    else:
-        rho, w = det.center_distance, det.pixel_width
-        if rho < w / 2.0:  # merged pixels: one centered interval
-            d = rho + w / 2.0
-            terms = [(2.0, 2.0 * d)]
-            n_shot = 2.0 * d
-        else:
-            terms = [
-                (4.0, w),
-                (-4.0, 2.0 * rho),
-                (2.0, 2.0 * rho + w),
-                (2.0, abs(2.0 * rho - w)),
-            ]
-            n_shot = 2.0 * w
+    n_shot = 2.0 * (outer - inner)
     total = np.zeros(3)
     for coef, a in terms:
         total += coef * tables.t_vector(a)
@@ -513,9 +469,8 @@ def _route(det: DetectorMask, lo: LocalOscillator, p: OpoParams, s: DerivedScale
         raise ConfigurationError("a finite pump needs the cavity modes of a dense solve")
     if det.plane == "near":
         return "planepump_near", *_vn_planepump_near(det, lo, p, s, phases)
-    if det.shape == "radial":
-        return "planepump_disk", *_vn_planepump_disk(det, lo, p, s, phases)
-    return "planepump_far", *_vn_planepump_far(det, lo, p, s, phases)
+    route = "planepump_disk" if det.shape == "radial" else "planepump_far"
+    return route, *_vn_planepump_far(det, lo, p, s, phases)
 
 def squeezing(
     det: DetectorMask,
@@ -553,10 +508,11 @@ class SweepPoint:
     shot: float
 
 def _mask_for(shape, value, pixel_width, plane):
-    if shape in ("interval", "radial"):
-        ctor = DetectorMask.interval if shape == "interval" else DetectorMask.radial
-        return ctor(value, plane)
-    return DetectorMask.pixel_pair(value, pixel_width, plane)
+    if shape == "pixel_pair":
+        return DetectorMask.pixel_pair(value, pixel_width, plane)
+    if shape not in ("interval", "radial"):
+        raise ConfigurationError(f"unknown detector shape {shape!r}")
+    return getattr(DetectorMask, shape)(value, plane)
 
 def _zero_size(shape, value) -> bool:
     # a zero-size interval or disk detects nothing: shot noise by definition

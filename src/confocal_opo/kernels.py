@@ -5,8 +5,8 @@ operators at different transverse points.  In the near field (crystal center
 image plane) the coupling kernel is built from the function ``delta_2d``,
 a smeared delta of width ``l_coh`` written in terms of the sine integral.
 In the far field (Fourier plane) the same kernel is a product of the pump
-transform and a phase-matching sinc.  Both are evaluated here, in 2-D closed
-form and on 1-D numerical grids.
+transform and a phase-matching sinc.  Both are evaluated here on 1-D
+numerical grids; the near-field profile also in its 2-D closed form.
 
 Normalization: kernels act as integral operators on the even part of the
 field, in pump threshold units.  For a plane pump the far-field operator is
@@ -30,10 +30,8 @@ from .params import DerivedScales, OpoParams, validate
 __all__ = [
     "si",
     "delta_2d",
-    "kint_near_2d",
     "phase_match_sinc",
     "ktilde_far",
-    "ktilde_far_2d",
     "Grid1D",
     "KernelMatrix",
     "build_kernel_matrix",
@@ -111,42 +109,6 @@ def delta_2d(r, s: DerivedScales):
     u = (r / s.l_coh) ** 2
     return (np.pi / 2 - si(u)) / (np.pi * s.l_coh**2)
 
-def kint_near_2d(x, x2, p: OpoParams, s: DerivedScales):
-    """Near-field coupling kernel between transverse points x and x2 (2-D).
-
-    Real-valued, in threshold units times 1/m^2:
-
-        K(x, x2) = 1/2 [ A((x+x2)/2) Delta(|x-x2|) + A((x-x2)/2) Delta(|x+x2|) ]
-
-    where A is the pump amplitude profile (Gaussian of waist w_p, or the
-    constant A_p for a plane pump).  The symmetrized pair of terms confines
-    the dynamics to the even-parity subspace.
-
-    Parameters
-    ----------
-    x, x2 : array_like, shape (2,) or (..., 2)
-        Transverse positions (m).
-    """
-    x = np.asarray(x, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    plus = x + x2
-    minus = x - x2
-    r_minus = np.sqrt(np.sum(minus**2, axis=-1))
-    r_plus = np.sqrt(np.sum(plus**2, axis=-1))
-    if p.plane_pump:
-        amp_plus = amp_minus = p.A_p
-    else:
-        amp_plus = p.A_p * np.exp(-np.sum((plus / 2) ** 2, axis=-1) / p.w_p**2)
-        amp_minus = p.A_p * np.exp(-np.sum((minus / 2) ** 2, axis=-1) / p.w_p**2)
-    return 0.5 * (amp_plus * delta_2d(r_minus, s) + amp_minus * delta_2d(r_plus, s))
-
-
-def _as_vec2(q):
-    q = np.asarray(q, dtype=float)
-    if q.shape == () or q.shape[-1] != 2:
-        q = np.stack([q, np.zeros_like(q)], axis=-1)
-    return q
-
 def phase_match_sinc(q, s: DerivedScales):
     """Collinear phase-matching factor sigma(q) = sinc(l_c q^2 / (2 k_s)).
 
@@ -194,25 +156,6 @@ def ktilde_far(q, q2, p: OpoParams, s: DerivedScales):
         _pump_transform(q + q2, p) * _pair_sinc(q - q2, s)
         + _pump_transform(q - q2, p) * _pair_sinc(q + q2, s)
     )
-
-def ktilde_far_2d(q, q2, p: OpoParams, s: DerivedScales):
-    """2-D far-field coupling kernel (threshold units times m^2).
-
-    Same structure as the 1-D form with the 2-D integral-normalized pump
-    transform G(k) = A_p (w_p^2 / (4 pi)) exp(-|k|^2 w_p^2 / 4); q and q2
-    are transverse wavevectors of shape (..., 2).
-    """
-    if p.plane_pump:
-        raise ConfigurationError("plane-wave pump gives a distributional far-field kernel")
-    q = _as_vec2(q)
-    q2 = _as_vec2(q2)
-    lc_2ks = s.l_coh**2 / 4.0
-    amp = p.A_p * p.w_p**2 / (4.0 * math.pi)
-    qp2 = np.sum((q + q2) ** 2, axis=-1)
-    qm2 = np.sum((q - q2) ** 2, axis=-1)
-    g_plus = amp * np.exp(-qp2 * p.w_p**2 / 4.0)
-    g_minus = amp * np.exp(-qm2 * p.w_p**2 / 4.0)
-    return 0.5 * (g_plus * _sinc(lc_2ks * qm2 / 4.0) + g_minus * _sinc(lc_2ks * qp2 / 4.0))
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,13 @@ class TestFigPresets:
             assert code == 2
             assert f"'{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "-4", "4,,25", "", "0", "nan", "inf"])
+    def test_bad_b_exits_2(self, tmp_path, capsys, value):
+        # every comma item of b must be a finite positive number
+        code = main(["fig", "--id", "6", "--set", f"b={value}", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "'b'" in capsys.readouterr().err
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -117,6 +117,42 @@ class TestDetectorMask:
             with pytest.raises(ConfigurationError):
                 make()
 
+    def test_pixel_pair_band(self):
+        # the pixel merge is decided once, in the band
+        assert DetectorMask.pixel_pair(0.05, 0.25) == DetectorMask(
+            "pixel_pair", "near", 0.0, 0.175)
+        det = DetectorMask.pixel_pair(0.5, 0.25, "far")
+        assert (det.inner, det.outer) == (0.375, 0.625)
+
+    def test_unknown_plane_rejected(self, plane_params, plane_scales):
+        # a misspelt plane must not fall through to the far route, which
+        # would read meters as wavevectors
+        for make in (
+            lambda: DetectorMask.interval(1e-4, "nera"),
+            lambda: DetectorMask.radial(1e-4, "nera"),
+            lambda: DetectorMask.pixel_pair(1e-4, 1e-5, "nera"),
+        ):
+            with pytest.raises(ConfigurationError, match="nera"):
+                make()
+        with pytest.raises(ConfigurationError, match="nera"):
+            sweep(plane_params, plane_scales, "nera", "interval", [1e-4],
+                  LocalOscillator())
+
+
+class TestLocalOscillator:
+    @pytest.mark.parametrize("kwargs", [
+        {"amplitude": math.nan},
+        {"amplitude": math.inf},
+        {"amplitude": 0.0},
+        {"profile": "gaussian", "waist": math.nan},
+        {"profile": "gaussian", "waist": math.inf},
+        {"profile": "gaussian", "waist": -1e-4},
+        {"profile": "gaussian"},
+    ])
+    def test_bad_values_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            LocalOscillator(**kwargs)
+
 
 class TestShotNoise:
     def test_plane_lo_counts_cells(self, plane_params):
@@ -284,6 +320,15 @@ class TestRadialSpectrum:
         assert res.vn == pytest.approx(single_mode_vn(0.9), abs=1e-7)
         small = disk(0.01 * plane_scales.r0, plane_params, plane_scales, lo)
         assert small.vn == pytest.approx(single_mode_vn(0.9), abs=1e-4)
+
+    def test_tiny_disk_detects_light(self, plane_params, plane_scales):
+        # a non-empty disk has a positive LO measure however small it is,
+        # int_0^X u exp(-2 u^2) du ~ X^2 / 2 in u = r / r0
+        lo = LocalOscillator(profile="gaussian", waist=plane_scales.r0)
+        res = disk(1e-12 * plane_scales.r0, plane_params, plane_scales, lo)
+        assert res.shot > 0
+        assert abs(res.shot - 0.5e-24) <= 1e-9 * 0.5e-24
+        assert abs(res.vn - single_mode_vn(0.9)) <= 1e-12
 
     def test_zero_pump_flat(self, plane_params, plane_scales):
         p = replace(plane_params, A_p=0.0)
@@ -578,6 +623,16 @@ class TestSweep:
         with pytest.raises(GridTooCoarse):
             sweep(p, s, "near", "interval", [20 * plane_scales.l_coh],
                   LocalOscillator(), grid=g)
+
+    @pytest.mark.parametrize("pixel_width", [None, 1e-5])
+    def test_unknown_shape_rejected(self, plane_params, plane_scales, pixel_width):
+        # "disk" is neither run as a pixel pair nor left to a TypeError
+        lo = LocalOscillator()
+        with pytest.raises(ConfigurationError, match="disk"):
+            sweep(plane_params, plane_scales, "far", "disk", [1e-4], lo,
+                  pixel_width=pixel_width)
+        with pytest.raises(ConfigurationError, match="disk"):
+            sweep_extents(plane_params, "far", "disk", [1e-4], lo, pixel_width)
 
     def test_vn_nonnegative_and_quadratures_ordered(self, plane_params, plane_scales):
         # vn >= 0 on every route; at resonance and zero frequency the pi/2

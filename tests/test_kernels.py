@@ -15,13 +15,12 @@ from confocal_opo import (
     build_kernel_matrix,
     delta_2d,
     derive_scales,
-    kint_near_2d,
     ktilde_far,
-    ktilde_far_2d,
     phase_match_sinc,
     si,
 )
 from far_reference import entries, far_entries, fold_block
+from kernels_2d_reference import kint_near_2d, ktilde_far_2d
 from modes_reference import even_diagonal
 from near_reference import near_entries
 
