@@ -114,8 +114,15 @@ class DetectorMask:
     outer: float
 
     def __post_init__(self):
+        if self.shape not in ("interval", "pixel_pair", "radial"):
+            raise ConfigurationError(f"unknown detector shape {self.shape!r}")
         if self.plane not in ("near", "far"):
             raise ConfigurationError(f"detector plane must be near or far, got {self.plane!r}")
+        if not 0 <= self.inner < self.outer < math.inf:
+            raise ConfigurationError(
+                f"detector band needs 0 <= inner < outer < inf, got "
+                f"({self.inner!r}, {self.outer!r})"
+            )
 
     @classmethod
     def interval(cls, half_width: float, plane: str = "near") -> "DetectorMask":
@@ -127,7 +134,7 @@ class DetectorMask:
     def pixel_pair(
         cls, center_distance: float, pixel_width: float, plane: str = "near"
     ) -> "DetectorMask":
-        if not 0 < pixel_width < math.inf:
+        if pixel_width is None or not 0 < pixel_width < math.inf:
             raise ConfigurationError("pixel_width must be positive and finite")
         if not 0 <= center_distance < math.inf:
             raise ConfigurationError("center_distance must be non-negative and finite")
@@ -566,8 +573,6 @@ def sweep(
     values = [float(v) for v in values]
     if any(v < 0 for v in values):
         raise ConfigurationError("sweep values must be non-negative")
-    if detector_shape == "pixel_pair" and (pixel_width is None or pixel_width <= 0):
-        raise ConfigurationError("pixel_pair sweep needs a positive pixel_width")
 
     modes = None
     if not p.plane_pump:

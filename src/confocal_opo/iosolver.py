@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh
+from numpy.linalg import eigh, eigvalsh
 
 from .errors import AtOrAboveThreshold, SingularSystem
 from .kernels import KernelMatrix, Grid1D, phase_match_sinc
@@ -124,9 +124,9 @@ def solve_io(K: KernelMatrix, p: OpoParams) -> CavityModes:
     Bogoliubov identities to 1e-6.
     """
     a_abar = (1.0 + 1j * (p.detuning + p.omega_bar)) * (1.0 + 1j * (p.omega_bar - p.detuning))
-    # divide and conquer: faster than the default driver at n ~ 2000 and
-    # orthogonal to ~1e-13 in Frobenius norm, which the gate below relies on
-    lam, q = eigh(K.far, driver="evd")
+    # LAPACK dsyevd (divide and conquer): orthogonal to ~1e-13 in Frobenius
+    # norm at m ~ 3000, which the gate below relies on
+    lam, q = eigh(K.far)
     den = np.append(np.abs(a_abar - lam**2), abs(a_abar))  # odd subspace: lam = 0
     if not den.max() <= _CONDITION_CUTOFF * den.min():
         cond = den.max() / den.min() if den.min() > 0 else np.inf
@@ -134,8 +134,8 @@ def solve_io(K: KernelMatrix, p: OpoParams) -> CavityModes:
             f"input/output system condition {cond:.3e} exceeds {_CONDITION_CUTOFF:.0e}; "
             "the configuration is at/above threshold or the grid is too coarse"
         )
-    if K.cosine is not None:
-        q = K.cosine.T @ q
+    if K.grid.domain == "near":
+        q = K.cosine.T @ q  # C is built here, after the solve has freed its workspace
     at = (p.detuning, p.omega_bar)
     # the gate certifies the modes that are contracted, rotation included
     bound = _symplectic_bound(q, lam, at)

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import sici
 
 from .errors import ConfigurationError, GridTooCoarse
 from .params import DerivedScales, OpoParams, validate
@@ -53,10 +52,11 @@ _EXTENT_FACTOR = 4.0
 _THIN_STEP_RATIO = 7.0
 _THIN_CRYSTAL_RATIO = 1e-3
 # Largest grid size.  Every dense array is m x m (m = ceil(n/2)); the peak
-# is the divide-and-conquer eigh of the far block (a copy plus a 2 m^2
-# workspace) next to the block and the cosine matrix.  Fig 6 at b = 900
-# (n = 5761) peaks at 383 MB and takes ~4.5 s on a 2-core x86-64 host, so
-# this n covers fig 6 up to b ~ 980 (n ~ 192 sqrt(b)) within ~0.4 GB.
+# is the divide-and-conquer eigh of the far block (an input copy, a 2 m^2
+# workspace and the output) next to the block itself; the cosine matrix is
+# built only after it.  Fig 6 at b = 900 (n = 5761) peaks at 352 MB and
+# takes 4.4-5.1 s on a 2-core x86-64 host, so this n covers fig 6 up to
+# b ~ 980 (n ~ 192 sqrt(b)) within ~0.4 GB.
 MAX_GRID_N = 6000
 
 
@@ -82,6 +82,10 @@ def si(x):
     -------
     float or ndarray, matching the input shape.
     """
+    # imported on first use: only fig 2 and the plane-pump near tables
+    # evaluate Si, and scipy.special costs ~0.3 s of start-up
+    from scipy.special import sici
+
     out = sici(x)[0]
     return float(out) if np.ndim(out) == 0 else out
 
@@ -247,15 +251,22 @@ class KernelMatrix:
     is the real symmetric m x m block E^T K E of the far-field operator in
     the orthonormal even basis E of ``Grid1D.unfold`` (m = ceil(n/2)),
     where K[i, j] = K(q_i, q_j) w_j: on ``grid`` itself in the far domain,
-    on its conjugate grid in the near domain.  A near grid also carries
-    ``cosine``, the DFT restricted to the even subspace (an orthogonal
-    m x m matrix C), so the near block is C^T far C without being formed:
-    it has the spectrum of ``far`` and the modes C^T q_far.
+    on its conjugate grid in the near domain.  The near block is C^T far C
+    for the DFT restricted to the even subspace, an orthogonal m x m matrix
+    C (``cosine``), and is never formed: it has the spectrum of ``far`` and
+    the modes C^T q_far.
     """
 
     far: np.ndarray = field(repr=False)
     grid: Grid1D
-    cosine: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def cosine(self) -> np.ndarray | None:
+        """C of a near grid (None on a far grid), built from the grid on each
+        access, so that it is not held while ``far`` is diagonalized."""
+        if self.grid.domain == "far":
+            return None
+        return _cosine_restriction(self.grid, self.grid.conjugate())
 
 
 def _structure_scales(p: OpoParams, s: DerivedScales, domain: str):
@@ -387,11 +398,12 @@ def build_kernel_matrix(
     discrete delta), gathered by ``_far_even``.  Near domain: the discrete
     Fourier similarity transform W^H K_far W of the far-domain kernel built
     on the conjugate grid.  On the even subspace W is the real cosine
-    matrix C of ``_cosine_restriction``, which the result carries next to
-    the far block instead of forming C^T K_far,even C.  Building the near
-    kernel this way guarantees the transform-pair consistency of the two
-    representations, and avoids evaluating an oscillatory half-power
-    Fresnel integral for the 1-D position kernel, which has no closed form.
+    matrix C of ``_cosine_restriction``, which ``KernelMatrix.cosine``
+    builds from the grid when it is needed, instead of forming
+    C^T K_far,even C.  Building the near kernel this way guarantees the
+    transform-pair consistency of the two representations, and avoids
+    evaluating an oscillatory half-power Fresnel integral for the 1-D
+    position kernel, which has no closed form.
     Every array is m x m (m = ceil(n/2)).
 
     Raises ``GridTooCoarse`` when ``strict`` and the grid violates the
@@ -402,9 +414,5 @@ def build_kernel_matrix(
     validate(p)
     if strict:
         _check_sizing(g, p, s)
-    if g.domain == "far":
-        return KernelMatrix(far=_far_even(g, p, s), grid=g)
-    conj = g.conjugate()
-    return KernelMatrix(
-        far=_far_even(conj, p, s), grid=g, cosine=_cosine_restriction(g, conj)
-    )
+    far_grid = g if g.domain == "far" else g.conjugate()
+    return KernelMatrix(far=_far_even(far_grid, p, s), grid=g)

@@ -263,10 +263,34 @@ class TestFigPresets:
         assert "confocal-opo" in capsys.readouterr().out
 
 
-def test_import_leaves_out_scipy_integrate():
-    # no route integrates adaptively, so start-up skips scipy.integrate
-    code = "import sys, confocal_opo.cli; print('scipy.integrate' in sys.modules)"
+STARTUP_CODE = """\
+import math, sys
+from dataclasses import replace
+import confocal_opo.cli
+from confocal_opo import LocalOscillator, OpoParams, derive_scales, si, sweep
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+plane = OpoParams(lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.9,
+                  plane_pump=True)
+s0 = derive_scales(plane)
+gauss = replace(plane, plane_pump=False, w_p=2.0 * s0.l_coh)
+s = derive_scales(gauss)
+sweep(gauss, s, "near", "interval", [0.5 * s0.l_coh, s0.l_coh], LocalOscillator())
+sweep(gauss, s, "far", "interval", [0.5 * s0.r0, s0.r0], LocalOscillator())
+sweep(plane, s0, "far", "radial", [0.5 * s0.r0], LocalOscillator("gaussian", waist=s0.r0))
+print(scipy_modules())
+value = si(1.0)
+from scipy.special import sici
+print(value == sici(1.0)[0])
+"""
+
+
+def test_dense_and_far_routes_leave_out_scipy():
+    # only Si needs scipy: start-up, the dense solves in either plane and the
+    # far plane-pump quadrature run on numpy alone
     env = dict(os.environ, PYTHONPATH=str(Path(confocal_opo.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    out = subprocess.run([sys.executable, "-c", STARTUP_CODE], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n")[:2] == ["[]", "True"]

@@ -139,6 +139,34 @@ class TestDetectorMask:
                   LocalOscillator())
 
 
+    def test_unknown_shape_in_band_rejected(self, plane_params, plane_scales):
+        # a shape no route knows must not run as an interval
+        with pytest.raises(ConfigurationError, match="disk"):
+            squeezing(DetectorMask("disk", "far", 0.0, 1e-3), LocalOscillator(),
+                      plane_params, plane_scales)
+
+    @pytest.mark.parametrize("inner, outer", [(0.0, math.nan), (math.nan, 1e-4),
+                                              (0.0, math.inf)])
+    def test_non_finite_band_rejected(self, plane_params, plane_scales, inner, outer):
+        # the near tables size their panels from the band
+        with pytest.raises(ConfigurationError):
+            squeezing(DetectorMask("interval", "near", inner, outer), LocalOscillator(),
+                      plane_params, plane_scales)
+
+    @pytest.mark.parametrize("inner, outer", [(2e-4, 1e-4), (1e-4, 1e-4), (-1e-4, 1e-4)])
+    def test_empty_or_negative_band_rejected(self, plane_params, plane_scales, inner, outer):
+        # an inverted band would report a negative shot noise
+        with pytest.raises(ConfigurationError):
+            squeezing(DetectorMask("interval", "near", inner, outer), LocalOscillator(),
+                      plane_params, plane_scales)
+
+    def test_pixel_pair_needs_pixel_width(self, plane_params):
+        with pytest.raises(ConfigurationError, match="pixel_width"):
+            DetectorMask.pixel_pair(1e-4, None)
+        with pytest.raises(ConfigurationError, match="pixel_width"):
+            sweep_extents(plane_params, "near", "pixel_pair", [1e-4], LocalOscillator())
+
+
 class TestLocalOscillator:
     @pytest.mark.parametrize("kwargs", [
         {"amplitude": math.nan},

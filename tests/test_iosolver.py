@@ -4,20 +4,25 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import confocal_opo.iosolver as iosolver
+import confocal_opo.kernels as kernels
 from confocal_opo import (
     Grid1D,
     OpoParams,
     SingularSystem,
     analytic_uv_planepump,
+    auto_grid,
     build_kernel_matrix,
     derive_scales,
     mode_uv,
     phase_match_sinc,
     solve_io,
+    sweep_extents,
     threshold_margin,
 )
+from confocal_opo.cli import fig_scenarios
 from lu_reference import lu_uv, residuals
 from modes_reference import dense_uv, even_diagonal
 
@@ -185,17 +190,39 @@ class TestDenseSolve:
                     solve_io(K, p)
             monkeypatch.setattr(iosolver, "eigh", exact)
 
-    def test_gate_checks_rotated_near_modes(self):
+    def test_gate_checks_rotated_near_modes(self, monkeypatch):
         # near modes are C^T q_far; a cosine matrix that is not orthogonal
         # leaves the far eigensolve intact but breaks the rotated modes,
         # which the gate must refuse
         p, s, g = gauss_setup(b=16.0, a_p=0.9, n=257, domain="near")
         K = build_kernel_matrix(g, p, s)
         solve_io(K, p)  # the exact rotation passes
-        tilted = K.cosine.copy()
-        tilted[:, -1] += 1e-3 * tilted[:, -2]
+        exact = kernels._cosine_restriction
+
+        def tilted(*args):
+            cmat = exact(*args)
+            cmat[:, -1] += 1e-3 * cmat[:, -2]
+            return cmat
+
+        monkeypatch.setattr(kernels, "_cosine_restriction", tilted)
         with pytest.raises(SingularSystem):
-            solve_io(replace(K, cosine=tilted), p)
+            solve_io(K, p)
+
+    def test_eigensolver_matches_divide_and_conquer(self):
+        # the gate needs modes orthogonal to well below its 1e-6 bound; pin
+        # the eigensolver against LAPACK's divide-and-conquer driver on the
+        # fig 6 b = 100 far block (n = 1921, m = 961)
+        (sc,) = fig_scenarios(6, {"b": [100.0]})
+        s = derive_scales(sc.params)
+        extents = sweep_extents(sc.params, sc.plane, sc.detector, sc.values, sc.lo)
+        g = auto_grid(sc.params, s, sc.plane, extra_extents=extents)
+        K = build_kernel_matrix(g, sc.params, s)
+        assert K.far.shape == (961, 961)
+        lam, q = iosolver.eigh(K.far)
+        gram = q.T @ q - np.eye(len(lam))
+        assert np.linalg.norm(gram) <= 1e-12
+        lam_evd = scipy.linalg.eigh(K.far, driver="evd", eigvals_only=True)
+        assert np.abs(lam - lam_evd).max() <= 1e-13 * np.abs(lam_evd).max()
 
     def test_matches_lu_oracle(self):
         # the modes rebuild the LU solution of the cavity relation
