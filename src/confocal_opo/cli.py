@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, NumericalFailure, OpoError
-from .homodyne import LocalOscillator, noise_density_planepump, sweep, sweep_extents
+from .homodyne import LocalOscillator, _densities, sweep, sweep_extents
 from .iosolver import threshold_margin
 from .kernels import _EXTENT_FACTOR, MAX_GRID_N, Grid1D, auto_grid, build_kernel_matrix, delta_2d
 from .params import OpoParams, derive_scales, validate
@@ -413,12 +413,9 @@ def _run_fig8_density(sc: Scenario, outdir: Path) -> None:
     p = sc.params
     s = derive_scales(p)
     us = np.linspace(0.0, 5.0, 126)
-    rows = []
-    for u in us:
-        q = 2.0 * u / s.l_coh  # r/r0 = u maps to sinc(u^2)
-        r_sq = float(noise_density_planepump(q, p, s, math.pi / 2))
-        r_anti = float(noise_density_planepump(q, p, s, 0.0))
-        rows.append((u, r_sq, r_anti, 1.0))
+    q = 2.0 * us / s.l_coh  # r/r0 = u maps to sinc(u^2)
+    r_sq, r_anti = _densities(q, p, s, (math.pi / 2, 0.0))
+    rows = [(u, r1, r2, 1.0) for u, r1, r2 in zip(us, r_sq, r_anti)]
     pairs = [("label", "fig8_R"), ("A_p", p.A_p), ("detector", "pixel_pair_density")]
     _write_curve(outdir / "curve_R.csv", _echo(pairs),
                  "abscissa,vn_squeezed,vn_antisqueezed,shot", rows)

@@ -61,6 +61,7 @@ chunks, so memory stays bounded.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -88,6 +89,13 @@ __all__ = [
 ]
 
 SQUEEZED_PHASE = math.pi / 2
+
+
+def _real(value) -> bool:
+    """Whether ``value`` is a real number (NaN included), before a range check
+    compares it: None, a string or a complex number ends in ConfigurationError
+    rather than a TypeError."""
+    return isinstance(value, numbers.Real)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +126,8 @@ class DetectorMask:
             raise ConfigurationError(f"unknown detector shape {self.shape!r}")
         if self.plane not in ("near", "far"):
             raise ConfigurationError(f"detector plane must be near or far, got {self.plane!r}")
-        if not 0 <= self.inner < self.outer < math.inf:
+        if not (_real(self.inner) and _real(self.outer)
+                and 0 <= self.inner < self.outer < math.inf):
             raise ConfigurationError(
                 f"detector band needs 0 <= inner < outer < inf, got "
                 f"({self.inner!r}, {self.outer!r})"
@@ -126,7 +135,7 @@ class DetectorMask:
 
     @classmethod
     def interval(cls, half_width: float, plane: str = "near") -> "DetectorMask":
-        if not 0 < half_width < math.inf:
+        if not (_real(half_width) and 0 < half_width < math.inf):
             raise ConfigurationError("interval half_width must be positive and finite")
         return cls("interval", plane, 0.0, half_width)
 
@@ -134,9 +143,9 @@ class DetectorMask:
     def pixel_pair(
         cls, center_distance: float, pixel_width: float, plane: str = "near"
     ) -> "DetectorMask":
-        if pixel_width is None or not 0 < pixel_width < math.inf:
+        if not (_real(pixel_width) and 0 < pixel_width < math.inf):
             raise ConfigurationError("pixel_width must be positive and finite")
-        if not 0 <= center_distance < math.inf:
+        if not (_real(center_distance) and 0 <= center_distance < math.inf):
             raise ConfigurationError("center_distance must be non-negative and finite")
         half = pixel_width / 2.0
         return cls("pixel_pair", plane, max(0.0, center_distance - half),
@@ -144,7 +153,7 @@ class DetectorMask:
 
     @classmethod
     def radial(cls, radius: float, plane: str = "far") -> "DetectorMask":
-        if not 0 < radius < math.inf:
+        if not (_real(radius) and 0 < radius < math.inf):
             raise ConfigurationError("radius must be positive and finite")
         return cls("radial", plane, 0.0, radius)
 
@@ -192,10 +201,12 @@ class LocalOscillator:
     def __post_init__(self):
         if self.profile not in ("plane", "gaussian"):
             raise ConfigurationError(f"unknown LO profile {self.profile!r}")
-        if not 0 < self.amplitude < math.inf:
+        if not (_real(self.amplitude) and 0 < self.amplitude < math.inf):
             raise ConfigurationError("LO amplitude must be positive and finite")
-        if self.profile == "gaussian" and not 0 < (self.waist or 0.0) < math.inf:
+        if self.profile == "gaussian" and not (_real(self.waist) and 0 < self.waist < math.inf):
             raise ConfigurationError("gaussian LO needs a positive finite waist")
+        if not (_real(self.phase) and math.isfinite(self.phase)):
+            raise ConfigurationError(f"LO phase must be finite and real, got {self.phase!r}")
 
     def magnitude(self, grid: Grid1D, p: OpoParams) -> np.ndarray:
         """|alpha| on the grid (phase applied separately)."""

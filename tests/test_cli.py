@@ -263,34 +263,34 @@ class TestFigPresets:
         assert "confocal-opo" in capsys.readouterr().out
 
 
-STARTUP_CODE = """\
-import math, sys
+ROUTES_CODE = """\
+import sys
 from dataclasses import replace
-import confocal_opo.cli
-from confocal_opo import LocalOscillator, OpoParams, derive_scales, si, sweep
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import numpy as np
+from confocal_opo import LocalOscillator, OpoParams, delta_2d, derive_scales, sweep
+from confocal_opo.cli import main
 
 plane = OpoParams(lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.9,
                   plane_pump=True)
 s0 = derive_scales(plane)
 gauss = replace(plane, plane_pump=False, w_p=2.0 * s0.l_coh)
 s = derive_scales(gauss)
+delta_2d(np.linspace(0.0, 4.0, 41) * s0.l_coh, s0)
+sweep(plane, s0, "near", "interval", [0.5 * s0.l_coh, 20.0 * s0.l_coh], LocalOscillator())
 sweep(gauss, s, "near", "interval", [0.5 * s0.l_coh, s0.l_coh], LocalOscillator())
 sweep(gauss, s, "far", "interval", [0.5 * s0.r0, s0.r0], LocalOscillator())
 sweep(plane, s0, "far", "radial", [0.5 * s0.r0], LocalOscillator("gaussian", waist=s0.r0))
-print(scipy_modules())
-value = si(1.0)
-from scipy.special import sici
-print(value == sici(1.0)[0])
+for fig in ("2", "5", "8"):
+    assert main(["fig", "--id", fig, "--out", f"{sys.argv[1]}/fig{fig}"]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_dense_and_far_routes_leave_out_scipy():
-    # only Si needs scipy: start-up, the dense solves in either plane and the
-    # far plane-pump quadrature run on numpy alone
+def test_every_route_leaves_out_scipy(tmp_path):
+    # the library runs on numpy alone: the fig 2 profile (Si on both
+    # branches), the plane-pump near tables, the dense solves in either
+    # plane, the far-field disk and figs 2, 5 and 8 end to end
     env = dict(os.environ, PYTHONPATH=str(Path(confocal_opo.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", STARTUP_CODE], capture_output=True,
-                         text=True, check=True, env=env)
-    assert out.stdout.split("\n")[:2] == ["[]", "True"]
+    out = subprocess.run([sys.executable, "-c", ROUTES_CODE, str(tmp_path)],
+                         capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.splitlines()[-1] == "[]"

@@ -182,6 +182,28 @@ class TestLocalOscillator:
             LocalOscillator(**kwargs)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: DetectorMask.interval(None),
+    lambda: DetectorMask.radial(None),
+    lambda: DetectorMask.pixel_pair(None, 1e-5),
+    lambda: DetectorMask.pixel_pair(1e-4, "1e-5"),
+    lambda: DetectorMask.interval(1e-4 + 0j),
+    lambda: DetectorMask("interval", "near", None, 1.0),
+    lambda: DetectorMask("interval", "near", 0.0, "1.0"),
+    lambda: LocalOscillator(amplitude=None),
+    lambda: LocalOscillator("gaussian", waist="x"),
+    lambda: LocalOscillator(phase=None),
+    lambda: LocalOscillator(phase=math.nan),
+], ids=["interval-none", "radial-none", "pixel-center-none", "pixel-width-str",
+        "interval-complex", "band-inner-none", "band-outer-str", "lo-amplitude-none",
+        "lo-waist-str", "lo-phase-none", "lo-phase-nan"])
+def test_non_real_input_rejected(make):
+    # library callers get the documented error, not a TypeError from the
+    # range check
+    with pytest.raises(ConfigurationError):
+        make()
+
+
 class TestShotNoise:
     def test_plane_lo_counts_cells(self, plane_params):
         g = Grid1D.uniform(64, 1.0, "near")

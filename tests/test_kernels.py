@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import sici
@@ -19,14 +21,14 @@ from confocal_opo import (
     phase_match_sinc,
     si,
 )
+from confocal_opo.kernels import _SI_SWITCH
 from far_reference import entries, far_entries, fold_block
 from kernels_2d_reference import kint_near_2d, ktilde_far_2d
 from modes_reference import even_diagonal
 from near_reference import near_entries
 
 # Frozen oracle values: adaptive high-precision quadrature of sin(u)/u
-# (30-digit arithmetic), independent of scipy.special.sici, which ``si``
-# wraps; they carry the independent check of the sine integral.
+# (30-digit arithmetic), independent of both ``si`` and scipy.special.sici.
 SI_ORACLE = {
     0.5: 0.49310741804306668916,
     1.0: 0.94608307036718301494,
@@ -58,20 +60,29 @@ class TestSineIntegral:
     def test_asymptote(self):
         # |Si(x) - pi/2| <= 2/x tail bound; at 1e6 the true gap is ~9.37e-7
         assert abs(si(1e6) - math.pi / 2) <= 2e-6
+        assert si(math.inf) == math.pi / 2 and si(-math.inf) == -math.pi / 2
 
     def test_branch_agreement_at_switch(self):
-        below, above = si(6.0 - 1e-12), si(6.0 + 1e-12)
+        # the Legendre rule below the switch meets the Laguerre rule above it
+        below, above = si(_SI_SWITCH - 1e-12), si(_SI_SWITCH + 1e-12)
         assert abs(below - above) <= 1e-13
 
     def test_envelope_and_cross_implementation(self):
-        # monotone approach to pi/2 with oscillation amplitude <= 2/x, and
-        # agreement with sici at 50 log points (si wraps sici, so the frozen
-        # oracle values above carry the independent check)
-        xs = np.geomspace(10.0, 1e8, 50)
-        vals = si(xs)
-        assert np.all(np.abs(vals - math.pi / 2) <= 2.0 / xs)
-        ref = sici(xs)[0]
-        assert np.max(np.abs(vals - ref)) <= 1e-12
+        # agreement with the Cephes sici of scipy.special on both branches and
+        # across the switch, and the oscillation amplitude <= 2/x about pi/2
+        for xs in (np.geomspace(1e-8, 1e8, 4000), np.linspace(0.0, 40.0, 4000)):
+            for x in (xs, -xs):
+                assert np.max(np.abs(si(x) - sici(x)[0])) <= 4e-15
+            tail = xs[xs >= 10.0]
+            assert np.all(np.abs(si(tail) - math.pi / 2) <= 2.0 / tail)
+
+    @given(st.floats(min_value=0.0, max_value=1e12))
+    def test_odd_and_tail_bound(self, x):
+        # odd, zero at zero, |Si(x) - pi/2| <= 2/x for x >= 10
+        assert si(-x) == -si(x)
+        assert si(0.0) == 0.0
+        if x >= 10.0:
+            assert abs(si(x) - math.pi / 2) <= 2.0 / x
 
     def test_array_shape(self):
         out = si(np.ones((3, 4)))
