@@ -31,7 +31,6 @@ from .kernels import (
     auto_grid,
     build_kernel_matrix,
     delta_2d,
-    ktilde_far,
     phase_match_sinc,
     si,
 )
@@ -47,7 +46,6 @@ from .homodyne import (
     LocalOscillator,
     SqueezingResult,
     SweepPoint,
-    noise_density_planepump,
     squeezing,
     sweep,
     sweep_extents,
@@ -57,11 +55,11 @@ __all__ = [
     "__version__",
     "OpoParams", "DerivedScales", "validate", "derive_scales",
     "Grid1D", "KernelMatrix", "auto_grid",
-    "build_kernel_matrix", "delta_2d", "ktilde_far", "phase_match_sinc", "si",
+    "build_kernel_matrix", "delta_2d", "phase_match_sinc", "si",
     "CavityModes", "analytic_uv_planepump", "mode_uv", "solve_io",
     "threshold_margin",
     "DetectorMask", "LocalOscillator", "SqueezingResult", "SweepPoint",
-    "noise_density_planepump", "squeezing", "sweep", "sweep_extents",
+    "squeezing", "sweep", "sweep_extents",
     "OpoError", "ConfigurationError", "NumericalFailure", "NonPhysical",
     "AboveThreshold", "AmbiguousPump", "EmptyDetector", "PlaneMismatch",
     "GridTooCoarse", "SingularSystem", "AtOrAboveThreshold",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,12 +69,12 @@ class Scenario:
     detector: str
     values: list
     lo: LocalOscillator
+    abscissa_scale: float
+    abscissa_name: str
+    label: str
     pixel_width: float | None = None
     grid_n: int | None = None
     grid_L: float | None = None
-    abscissa_scale: float = 1.0
-    abscissa_name: str = "abscissa"
-    label: str = "run"
 
 
 def parse_config(path) -> dict:
@@ -163,16 +163,13 @@ def scenario_from_config(cfg: dict) -> Scenario:
         amplitude=cfg.get("lo_amplitude", 1.0),
         waist=cfg.get("lo_waist"),
     )
+    unit = _unit(params, scales, cfg["plane"])
     pixel_width = cfg.get("pixel_width")
     if cfg["detector"] == "pixel_pair" and pixel_width is None:
-        pixel_width = _default_pixel_width(params, scales, cfg["plane"])
+        pixel_width = unit
     if cfg["plane"] == "near":
-        scale, name = scales.l_coh, "size_over_lcoh"
+        name = "size_over_lcoh"
     else:
-        # abscissa in far-field coherence units q w_p (q = 2 pi x / lambda f);
-        # the detection-plane size of one coherence unit is q_coh lambda f / 2 pi
-        x_of_q = params.lambda_s * params.f_lens / (2.0 * math.pi)
-        scale = x_of_q * scales.q_coh if scales.q_coh > 0 else scales.r0
         name = "q_times_wp" if scales.q_coh > 0 else "r_over_r0"
     return Scenario(
         params=params,
@@ -180,20 +177,27 @@ def scenario_from_config(cfg: dict) -> Scenario:
         detector=cfg["detector"],
         values=values,
         lo=lo,
+        abscissa_scale=unit,
+        abscissa_name=name,
+        label="run",
         pixel_width=pixel_width,
         grid_n=grid_n,
         grid_L=grid_L,
-        abscissa_scale=scale,
-        abscissa_name=name,
-        label="run",
     )
 
-def _default_pixel_width(params, scales, plane):
-    """Pixel width defaults to the coherence scale of the chosen plane."""
+def _unit(p: OpoParams, scales, plane: str) -> float:
+    """Coherence unit of ``plane`` in detection-plane meters.
+
+    l_coh near the crystal.  In the far field, q = 2 pi x / (lambda f) maps
+    detection-plane positions to wavevectors, and the unit is the size of
+    q_coh = 1/w_p there, or r0 for a plane pump.  It scales the abscissa,
+    the preset sweeps and the default pixel width.
+    """
     if plane == "near":
         return scales.l_coh
-    qx = 2.0 * math.pi / (params.lambda_s * params.f_lens)
-    return scales.q_coh / qx if scales.q_coh > 0 else scales.r0
+    if scales.q_coh > 0:
+        return p.lambda_s * p.f_lens / (2.0 * math.pi) * scales.q_coh
+    return scales.r0
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +275,7 @@ def _explicit_grid(sc: Scenario, scales) -> Grid1D | None:
         half = auto.half_extent if half is None else half
     return Grid1D.uniform(n, half, sc.plane)
 
-def write_summary(outdir: Path, sc_list, extra_lines=()) -> Path:
+def write_summary(outdir: Path, sc_list) -> Path:
     """Derived scales and threshold margin for every scenario in the run."""
     lines = [
         "configuration and derived scales (artifact defaults unless a config "
@@ -292,7 +296,6 @@ def write_summary(outdir: Path, sc_list, extra_lines=()) -> Path:
         lines.append(f"  b = {b_text}")
         lines.append(f"  threshold_margin = {_fmt(_margin(p, scales))}")
         lines.append("")
-    lines.extend(extra_lines)
     path = outdir / "summary.txt"
     path.write_text("\n".join(lines) + "\n")
     return path
@@ -309,86 +312,64 @@ def _margin(p: OpoParams, scales) -> float:
 # ---------------------------------------------------------------------------
 
 def _preset_params(overrides: dict, **changes) -> OpoParams:
-    base = dict(ARTIFACT_DEFAULTS)
-    base.update({k: v for k, v in overrides.items() if k in base})
-    base.update(changes)
-    plane_pump = base.pop("plane_pump", False)
-    w_p = base.pop("w_p", None)
-    return OpoParams(plane_pump=plane_pump, w_p=w_p, **base)
+    pinned = {k: overrides.get(k, v) for k, v in ARTIFACT_DEFAULTS.items()}
+    return OpoParams(**pinned, **changes)
+
+# Figs 5-10, one row each: (pump, plane, detector, first, last, points,
+# abscissa name, LO profile, curve suffix).  first and last are in the
+# plane's coherence unit (``_unit``); a last of None is 3 sqrt(b).  A
+# Gaussian pump draws one curve per b, with w_p = sqrt(b) l_coh.  A pixel
+# is one unit wide, and a Gaussian LO has a waist of one unit.
+_PRESETS = {
+    5: ("plane", "near", "interval", 0.05, 5.0, 100, "radius_over_lcoh", "plane", ""),
+    6: ("gaussian", "near", "interval", 0.1, None, 30, "radius_over_lcoh", "plane", "b{b:g}"),
+    7: ("gaussian", "near", "pixel_pair", 0.0, None, 31, "pixel_distance_over_lcoh",
+        "plane", "b{b:g}"),
+    8: ("plane", "far", "radial", 0.02, 3.0, 75, "r_over_r0", "gaussian", "V"),
+    9: ("gaussian", "far", "interval", 0.1, 5.0, 30, "radius_times_qcoh", "plane", "b{b:g}"),
+    10: ("gaussian", "far", "pixel_pair", 0.0, 5.0, 26, "pixel_distance_times_qcoh",
+         "plane", "b{b:g}"),
+}
 
 def fig_scenarios(fig_id: int, overrides: dict) -> list[Scenario]:
     """Scenario list for one figure preset (one scenario per curve)."""
-    if fig_id == 5:
-        p = _preset_params(overrides, plane_pump=True)
-        s = derive_scales(p)
-        values = list(np.linspace(0.05, 5.0, 100) * s.l_coh)
-        return [Scenario(p, "near", "interval", values,
-                         LocalOscillator(), abscissa_scale=s.l_coh,
-                         abscissa_name="radius_over_lcoh", label="fig5")]
-    if fig_id == 6 or fig_id == 7:
-        out = []
-        for b in overrides.get("b", PRESET_B_VALUES):
-            p = _preset_params(overrides)
-            s0 = derive_scales(replace(p, plane_pump=True, w_p=None))
-            p = replace(p, w_p=math.sqrt(b) * s0.l_coh)
-            s = derive_scales(p)
-            reach = 3.0 * math.sqrt(b)
-            if fig_id == 6:
-                values = list(np.linspace(0.1, reach, 30) * s.l_coh)
-                sc = Scenario(p, "near", "interval", values, LocalOscillator(),
-                              abscissa_scale=s.l_coh,
-                              abscissa_name="radius_over_lcoh",
-                              label=f"fig6_b{b:g}")
-            else:
-                values = list(np.linspace(0.0, reach, 31) * s.l_coh)
-                sc = Scenario(p, "near", "pixel_pair", values, LocalOscillator(),
-                              pixel_width=s.l_coh, abscissa_scale=s.l_coh,
-                              abscissa_name="pixel_distance_over_lcoh",
-                              label=f"fig7_b{b:g}")
-            out.append(sc)
-        return out
-    if fig_id == 8:
-        p = _preset_params(overrides, plane_pump=True)
-        s = derive_scales(p)
-        values = list(np.linspace(0.02, 3.0, 75) * s.r0)
-        return [Scenario(p, "far", "radial", values,
-                         LocalOscillator(profile="gaussian", waist=s.r0),
-                         abscissa_scale=s.r0, abscissa_name="r_over_r0",
-                         label="fig8_V")]
-    if fig_id in (9, 10):
-        out = []
-        for b in overrides.get("b", PRESET_B_VALUES):
-            p = _preset_params(overrides)
-            s0 = derive_scales(replace(p, plane_pump=True, w_p=None))
-            p = replace(p, w_p=math.sqrt(b) * s0.l_coh)
-            s = derive_scales(p)
-            x_of_q = p.lambda_s * p.f_lens / (2.0 * math.pi)  # meters per 1/m
-            coh_x = x_of_q * s.q_coh  # detection-plane size of 1/w_p
-            if fig_id == 9:
-                values = list(np.linspace(0.1, 5.0, 30) * coh_x)
-                sc = Scenario(p, "far", "interval", values, LocalOscillator(),
-                              abscissa_scale=coh_x,
-                              abscissa_name="radius_times_qcoh",
-                              label=f"fig9_b{b:g}")
-            else:
-                values = list(np.linspace(0.0, 5.0, 26) * coh_x)
-                sc = Scenario(p, "far", "pixel_pair", values, LocalOscillator(),
-                              pixel_width=coh_x, abscissa_scale=coh_x,
-                              abscissa_name="pixel_distance_times_qcoh",
-                              label=f"fig10_b{b:g}")
-            out.append(sc)
-        return out
-    raise ConfigurationError(f"unknown figure preset id: {fig_id}")
+    if fig_id not in _PRESETS:
+        raise ConfigurationError(f"unknown figure preset id: {fig_id}")
+    pump, plane, detector, first, last, points, name, lo, suffix = _PRESETS[fig_id]
+    if pump == "plane":
+        family = [(math.inf, _preset_params(overrides, plane_pump=True))]
+    else:
+        l_coh = derive_scales(_preset_params(overrides, plane_pump=True)).l_coh
+        family = [(b, _preset_params(overrides, w_p=math.sqrt(b) * l_coh))
+                  for b in overrides.get("b", PRESET_B_VALUES)]
+    out = []
+    for b, p in family:
+        unit = _unit(p, derive_scales(p), plane)
+        stop = 3.0 * math.sqrt(b) if last is None else last
+        out.append(Scenario(
+            p, plane, detector, list(np.linspace(first, stop, points) * unit),
+            LocalOscillator(lo, waist=unit if lo == "gaussian" else None),
+            abscissa_scale=unit, abscissa_name=name,
+            label=f"fig{fig_id}_{suffix.format(b=b)}".rstrip("_"),
+            pixel_width=unit if detector == "pixel_pair" else None,
+        ))
+    return out
 
 def run_fig(fig_id: int, overrides: dict, outdir: Path) -> None:
+    families = [i for i, row in _PRESETS.items() if row[0] == "gaussian"]
+    if "b" in overrides and fig_id not in families:
+        raise ConfigurationError(
+            f"key 'b': fig {fig_id} has no b family; b applies to figs "
+            f"{', '.join(map(str, families))}"
+        )
     outdir.mkdir(parents=True, exist_ok=True)
     if fig_id == 2:
         _run_fig2(overrides, outdir)
         return
     scenarios = fig_scenarios(fig_id, overrides)
     for sc in scenarios:
-        name = "curve.csv" if fig_id == 5 else f"curve_{sc.label.split('_', 1)[-1]}.csv"
-        run_scenario(sc, outdir, csv_name=name)
+        suffix = sc.label.partition("_")[2]
+        run_scenario(sc, outdir, csv_name=f"curve_{suffix}.csv" if suffix else "curve.csv")
     if fig_id == 8:
         _run_fig8_density(scenarios[0], outdir)
     write_summary(outdir, scenarios)

@@ -5,6 +5,12 @@ geometry) and numerical failures (a solve or a grid that cannot deliver the
 requested accuracy).  The CLI maps them to exit codes 2 and 1 respectively.
 """
 
+__all__ = [
+    "OpoError", "ConfigurationError", "NonPhysical", "AboveThreshold",
+    "AmbiguousPump", "EmptyDetector", "PlaneMismatch", "NumericalFailure",
+    "GridTooCoarse", "SingularSystem", "AtOrAboveThreshold",
+]
+
 
 class OpoError(Exception):
     """Base class for all errors raised by this package."""

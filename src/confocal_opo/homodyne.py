@@ -71,6 +71,7 @@ from .errors import (
     ConfigurationError,
     EmptyDetector,
     GridTooCoarse,
+    NumericalFailure,
     PlaneMismatch,
 )
 from .iosolver import CavityModes, analytic_uv_planepump, mode_uv, solve_io
@@ -82,7 +83,6 @@ __all__ = [
     "LocalOscillator",
     "SqueezingResult",
     "SweepPoint",
-    "noise_density_planepump",
     "squeezing",
     "sweep",
     "sweep_extents",
@@ -282,20 +282,12 @@ def _noise_terms(modes: CavityModes, det: DetectorMask, lo: LocalOscillator,
 # ---------------------------------------------------------------------------
 
 def _densities(q, p: OpoParams, s: DerivedScales, phases):
-    # R(phi) for each phase from one evaluation of U and V_- at q
+    # spatial noise density R(phi) = |U + e^{2 i phi} conj(V_-)|^2 at each
+    # phase, from one evaluation of U and V_- at q
     u, _ = analytic_uv_planepump(q, p, s)
     _, v_neg = analytic_uv_planepump(q, p, s, omega_bar=-p.omega_bar)
     v_bar = np.conj(v_neg)
     return [np.abs(u + np.exp(2j * phase) * v_bar) ** 2 for phase in phases]
-
-def noise_density_planepump(q, p: OpoParams, s: DerivedScales, phase: float):
-    """Spatial noise density R(q) = |U(q) + e^{2 i phase} V_-*(q)|^2.
-
-    At resonance and zero frequency, phase = pi/2 gives the squeezed density
-    ((1 - A_p sigma)/(1 + A_p sigma))^2 and phase = 0 its reciprocal; the two
-    multiply to 1 for every q (pure squeezing transformation).
-    """
-    return _densities(q, p, s, (phase,))[0]
 
 #: 16-point Gauss-Legendre rule on [-1, 1], mapped onto every panel
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -480,15 +472,28 @@ def _vn_planepump_near(det: DetectorMask, lo: LocalOscillator, p: OpoParams,
 
 def _route(det: DetectorMask, lo: LocalOscillator, p: OpoParams, s: DerivedScales,
            modes: CavityModes | None, phases):
-    """(route name, N, [vn at each phase]) of one detector."""
+    """(route name, N, [vn at each phase]) of one detector.
+
+    Raises ``NumericalFailure`` when N or any vn is not finite, as when an
+    input near the float range (an LO amplitude, an analysis frequency)
+    overflows inside the route.
+    """
     if modes is not None:
-        return "dense", *_noise_terms(modes, det, lo, p, phases)
-    if not p.plane_pump:
+        route, (shot, vns) = "dense", _noise_terms(modes, det, lo, p, phases)
+    elif not p.plane_pump:
         raise ConfigurationError("a finite pump needs the cavity modes of a dense solve")
-    if det.plane == "near":
-        return "planepump_near", *_vn_planepump_near(det, lo, p, s, phases)
-    route = "planepump_disk" if det.shape == "radial" else "planepump_far"
-    return route, *_vn_planepump_far(det, lo, p, s, phases)
+    elif det.plane == "near":
+        route, (shot, vns) = "planepump_near", _vn_planepump_near(det, lo, p, s, phases)
+    else:
+        route = "planepump_disk" if det.shape == "radial" else "planepump_far"
+        shot, vns = _vn_planepump_far(det, lo, p, s, phases)
+    if not all(math.isfinite(x) for x in (shot, *vns)):
+        raise NumericalFailure(
+            f"route {route} gave a non-finite result (N = {shot:g}, vn = "
+            f"{', '.join(f'{vn:g}' for vn in vns)}) for the {det.shape} band "
+            f"[{det.inner:g}, {det.outer:g}]"
+        )
+    return route, shot, vns
 
 def squeezing(
     det: DetectorMask,

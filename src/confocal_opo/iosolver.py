@@ -72,7 +72,7 @@ class CavityModes:
     field values on ``grid`` (operator form, uniform weights): the
     m = ceil(n/2) even modes, stored as their even-subspace coefficients
     ``q`` (m x m), so that Q = E q for the even basis E of
-    ``Grid1D.unfold``.  The transform is
+    ``Grid1D.fold`` (E^T).  The transform is
     U = Q diag(u) Q^T + u(0) (I - Q Q^T), V = Q diag(v) Q^T with
     (u, v) = mode_uv(lam, *at); the odd subspace I - Q Q^T is untouched.
     """
@@ -81,11 +81,6 @@ class CavityModes:
     at: tuple[float, float]  # (detuning, omega_bar)
     q: np.ndarray = field(repr=False)
     lam: np.ndarray = field(repr=False)
-
-    @property
-    def Q(self) -> np.ndarray:
-        """The modes as grid vectors (n x m), Q = E q."""
-        return self.grid.unfold(self.q)
 
 
 def analytic_uv_planepump(

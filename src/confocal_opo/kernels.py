@@ -31,12 +31,10 @@ __all__ = [
     "si",
     "delta_2d",
     "phase_match_sinc",
-    "ktilde_far",
     "Grid1D",
     "KernelMatrix",
     "build_kernel_matrix",
     "auto_grid",
-    "MAX_GRID_N",
 ]
 
 # Grid sizing rule constants.  Steps must resolve the finest kernel scale by
@@ -182,30 +180,6 @@ def _pair_sinc(k, s: DerivedScales):
     lc_2ks = s.l_coh**2 / 4.0  # l_c / (2 k_s)
     return _sinc(lc_2ks * (k / 2.0) ** 2)
 
-def ktilde_far(q, q2, p: OpoParams, s: DerivedScales):
-    """1-D far-field coupling kernel (threshold units times m).
-
-    K(q, q2) = 1/2 [ G(q+q2) S(q-q2) + G(q-q2) S(q+q2) ] with the pump
-    transform G of ``_pump_transform`` and the phase-matching factor S of
-    ``_pair_sinc``; the plane-pump limit of the operator is A_p * sigma(q)
-    on the even subspace.
-
-    A plane pump makes G distributional; ``build_kernel_matrix`` collapses
-    it to a discrete delta on the grid instead.
-    """
-    if p.plane_pump:
-        raise ConfigurationError(
-            "plane-wave pump gives a distributional far-field kernel; "
-            "build_kernel_matrix handles it on a grid"
-        )
-    q = np.asarray(q, dtype=float)
-    q2 = np.asarray(q2, dtype=float)
-    return 0.5 * (
-        _pump_transform(q + q2, p) * _pair_sinc(q - q2, s)
-        + _pump_transform(q - q2, p) * _pair_sinc(q + q2, s)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Grids and discretized kernels
 # ---------------------------------------------------------------------------
@@ -216,8 +190,8 @@ class Grid1D:
 
     Points sit at cell centers, x_k = -L + (k + 1/2) h with h = 2L/n, so the
     set is exactly symmetric under sign flip (x_k = -x_{n-1-k}) and contains
-    0 when n is odd.  Midpoint weights (all equal to h) keep the quadrature
-    exactly flip-symmetric; the weights sum to 2L.
+    0 when n is odd.  The midpoint rule weighs every point by h, which keeps
+    the quadrature exactly flip-symmetric.
 
     ``domain`` is "near" (coordinates in m) or "far" (wavevectors in 1/m).
     """
@@ -226,7 +200,6 @@ class Grid1D:
     half_extent: float
     domain: str
     points: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
 
     @classmethod
     def uniform(cls, n: int, half_extent: float, domain: str) -> "Grid1D":
@@ -236,16 +209,11 @@ class Grid1D:
             raise ConfigurationError("need n >= 2 and half_extent > 0")
         h = 2.0 * half_extent / n
         pts = -half_extent + (np.arange(n) + 0.5) * h
-        wts = np.full(n, h)
-        return cls(n=n, half_extent=half_extent, domain=domain, points=pts, weights=wts)
+        return cls(n=n, half_extent=half_extent, domain=domain, points=pts)
 
     @property
     def step(self) -> float:
         return 2.0 * self.half_extent / self.n
-
-    def flip(self, i):
-        """Index of the sign-flipped coordinate, x_flip(i) = -x_i."""
-        return self.n - 1 - np.asarray(i)
 
     def conjugate(self) -> "Grid1D":
         """DFT-conjugate grid: same n, step dq = 2 pi / (n h), domain swapped."""
@@ -266,19 +234,13 @@ class Grid1D:
             coef[self.n // 2] = 1.0
         return coef
 
-    def unfold(self, block) -> np.ndarray:
-        """Grid values E @ block of even-subspace coefficients (axis 0, m -> n).
+    def fold(self, values) -> np.ndarray:
+        """Even-subspace coefficients E^T @ values of grid values (axis 0, n -> m).
 
         The orthonormal even basis E (n x m) has column a equal to
         (delta_a + delta_flip(a)) / sqrt(2) for the points left of center,
         and delta_c at the center point of an odd grid.
         """
-        block = np.asarray(block)
-        full = np.concatenate([block, block[: self.n - self.n_even][::-1]])
-        return full * self._even_coef().reshape((-1,) + (1,) * (block.ndim - 1))
-
-    def fold(self, values) -> np.ndarray:
-        """Even-subspace coefficients E^T @ values of grid values (axis 0, n -> m)."""
         values = np.asarray(values)
         values = values * self._even_coef().reshape((-1,) + (1,) * (values.ndim - 1))
         out = values[: self.n_even].copy()
@@ -293,8 +255,8 @@ class KernelMatrix:
     The kernel is even under sign flip of either argument and symmetric
     under swap, so it acts only on the even subspace of the grid.  ``far``
     is the real symmetric m x m block E^T K E of the far-field operator in
-    the orthonormal even basis E of ``Grid1D.unfold`` (m = ceil(n/2)),
-    where K[i, j] = K(q_i, q_j) w_j: on ``grid`` itself in the far domain,
+    the orthonormal even basis E of ``Grid1D.fold`` (m = ceil(n/2)),
+    where K[i, j] = K(q_i, q_j) h: on ``grid`` itself in the far domain,
     on its conjugate grid in the near domain.  The near block is C^T far C
     for the DFT restricted to the even subspace, an orthogonal m x m matrix
     C (``cosine``), and is never formed: it has the spectrum of ``far`` and
@@ -385,10 +347,13 @@ def auto_grid(
 def _far_even(g: Grid1D, p: OpoParams, s: DerivedScales) -> np.ndarray:
     """Even block E^T K E of the far-field operator on the far grid ``g``.
 
-    K is flip-even in either argument, so the four grid pairs behind each
-    pair of even basis vectors carry one value: K_even[a, b] = 2 h K(q_a, q_b)
-    over the m points q_a left of and at the center, with a factor
-    1/sqrt(2) per center index of an odd grid.  On the midpoint grid
+    The 1-D far-field kernel (threshold units times m) is
+    K(q, q2) = 1/2 [ G(q+q2) S(q-q2) + G(q-q2) S(q+q2) ], with the pump
+    transform G of ``_pump_transform`` and the phase-matching factor S of
+    ``_pair_sinc``.  K is flip-even in either argument, so the four grid
+    pairs behind each pair of even basis vectors carry one value:
+    K_even[a, b] = 2 h K(q_a, q_b) over the m points q_a left of and at the
+    center, with a factor 1/sqrt(2) per center index of an odd grid.  On the midpoint grid
     q_a + q_b and q_a - q_b take only 2m - 1 values each, so the block is
     gathered from four 1-D arrays: Hankel views of G(q_a + q_b) and
     S(q_a + q_b), Toeplitz views of G(q_a - q_b) and S(q_a - q_b).  A plane
@@ -433,9 +398,7 @@ def _cosine_restriction(g: Grid1D, conj: Grid1D) -> np.ndarray:
         cmat[:, -1] *= math.sqrt(0.5)
     return cmat
 
-def build_kernel_matrix(
-    g: Grid1D, p: OpoParams, s: DerivedScales, strict: bool = True
-) -> KernelMatrix:
+def build_kernel_matrix(g: Grid1D, p: OpoParams, s: DerivedScales) -> KernelMatrix:
     """Discretize the coupling kernel on ``g``.
 
     Far domain: the even block of the 1-D far-field kernel (plane pump:
@@ -450,13 +413,12 @@ def build_kernel_matrix(
     position kernel, which has no closed form.
     Every array is m x m (m = ceil(n/2)).
 
-    Raises ``GridTooCoarse`` when ``strict`` and the grid violates the
-    sizing rule (step <= l_coh/8 near, or beyond the thin-crystal regime;
-    step <= min(1/w_p, sqrt(2 k_s / l_c))/8 far; extent >= 4 w_p for a
-    finite pump).
+    Raises ``GridTooCoarse`` when the grid violates the sizing rule (step
+    <= l_coh/8 near, or beyond the thin-crystal regime; step <=
+    min(1/w_p, sqrt(2 k_s / l_c))/8 far; extent >= 4 w_p for a finite
+    pump).
     """
     validate(p)
-    if strict:
-        _check_sizing(g, p, s)
+    _check_sizing(g, p, s)
     far_grid = g if g.domain == "far" else g.conjugate()
     return KernelMatrix(far=_far_even(far_grid, p, s), grid=g)

@@ -9,7 +9,8 @@ near block C^T K_far,even C and the n x n operator form of a
 
 import numpy as np
 
-from confocal_opo import ktilde_far, phase_match_sinc
+from confocal_opo import phase_match_sinc
+from helpers import flip, ktilde_far, unfold
 
 _ROW_BLOCK = 64
 
@@ -25,12 +26,12 @@ def far_entries(g, p, s):
         entries = np.zeros((n, n))
         idx = np.arange(n)
         entries[idx, idx] += 0.5 * sig
-        entries[idx, g.flip(idx)] += 0.5 * sig
+        entries[idx, flip(g, idx)] += 0.5 * sig
         return entries
     entries = np.empty((g.n, g.n))
     for start in range(0, g.n, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        entries[rows] = ktilde_far(qs[rows, np.newaxis], qs, p, s) * g.weights
+        entries[rows] = ktilde_far(qs[rows, np.newaxis], qs, p, s) * g.step
     return entries
 
 
@@ -49,4 +50,4 @@ def even_block(K):
 def entries(K):
     """n x n operator form ``entries[i, j] = K(x_i, x_j) w_j`` on ``K.grid``."""
     g = K.grid
-    return g.unfold(g.unfold(even_block(K)).T).T
+    return unfold(g, unfold(g, even_block(K)).T).T

@@ -10,14 +10,14 @@ import math
 
 import numpy as np
 
-from confocal_opo import build_kernel_matrix
 from far_reference import entries
+from helpers import unchecked_kernel
 
 
 def near_entries(g, p, s):
     """n x n operator form of the near kernel on ``g`` by two complex DFTs."""
     conj = g.conjugate()
-    far_op = entries(build_kernel_matrix(conj, p, s, strict=False))
+    far_op = entries(unchecked_kernel(conj, p, s))
     # x -> q transform matrix (unitary-normalized, exact inverse pair on
     # conjugate grids since dq dx = 2 pi / n)
     fmat = (g.step / math.sqrt(2.0 * math.pi)) * np.exp(

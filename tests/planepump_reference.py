@@ -42,7 +42,7 @@ import numpy as np
 import scipy.integrate
 from scipy.optimize import brentq
 
-from confocal_opo import noise_density_planepump
+from helpers import noise_density
 
 #: truncation of the x integrals.  Beyond it R - 1 is a chirp of amplitude
 #: < 16 A_p / x^2; doubling the cut moves u_C by ~1e-6 and the windowed vn
@@ -142,7 +142,7 @@ def far_vn(x_lo: float, x_hi: float, p, s, phase: float, c: float = 0.0) -> floa
         return math.exp(-c * x * x)
 
     def num(x):
-        return weight(x) * float(noise_density_planepump(x / s.l_coh, p, s, phase))
+        return weight(x) * float(noise_density(x / s.l_coh, p, s, phase))
 
     return _sinc_zero_quad(num, x_lo, x_hi) / _sinc_zero_quad(weight, x_lo, x_hi)
 
@@ -155,7 +155,7 @@ def circular_vn(big_x: float, p, s, phase: float, c: float = 0.0) -> float:
     """
     def num(u):
         q = 2.0 * u / s.l_coh
-        return u * math.exp(-c * u * u) * float(noise_density_planepump(q, p, s, phase))
+        return u * math.exp(-c * u * u) * float(noise_density(q, p, s, phase))
 
     # sinc zeros sit at u = sqrt(k pi): integrate in x = 2u, du = dx / 2
     total = _sinc_zero_quad(lambda x: num(x / 2.0), 0.0, 2.0 * big_x) / 2.0

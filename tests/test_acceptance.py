@@ -26,12 +26,12 @@ from confocal_opo import (
     build_kernel_matrix,
     delta_2d,
     derive_scales,
-    noise_density_planepump,
     solve_io,
     squeezing,
     sweep,
 )
 from confocal_opo.cli import main
+from helpers import noise_density
 from lu_reference import residuals
 from modes_reference import dense_uv, even_diagonal
 from planepump_reference import (
@@ -208,8 +208,8 @@ def test_criterion_09_far_field_closed_forms():
     inner = squeezing(DetectorMask.radial(0.3 * s.r0, "far"), lo, p, s).vn
     outer = squeezing(DetectorMask.radial(3.0 * s.r0, "far"), lo, p, s).vn
     clause_v = outer > inner
-    r_in = float(noise_density_planepump(0.3 * 2.0 / s.l_coh, p, s, math.pi / 2))
-    r_out = float(noise_density_planepump(5.0 * 2.0 / s.l_coh, p, s, math.pi / 2))
+    r_in = float(noise_density(0.3 * 2.0 / s.l_coh, p, s, math.pi / 2))
+    r_out = float(noise_density(5.0 * 2.0 / s.l_coh, p, s, math.pi / 2))
     clause_r = r_in < 0.05 and abs(r_out - 1.0) < 0.05
     ok = clause_limit and clause_v and clause_r
     assert _report(9, ok, f"circular r->0: vn = {limit:.6f} (0.00277 +- 1e-5); "
@@ -222,7 +222,7 @@ def test_criterion_10_quadrature_duality():
     p = base_params()
     s = derive_scales(p)
     q = np.linspace(0.0, 5.0, 100) / s.l_coh
-    prod = noise_density_planepump(q, p, s, math.pi / 2) * noise_density_planepump(
+    prod = noise_density(q, p, s, math.pi / 2) * noise_density(
         q, p, s, 0.0
     )
     worst = float(np.abs(prod - 1.0).max())

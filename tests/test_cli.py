@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import confocal_opo
+from confocal_opo import cli, derive_scales, errors, homodyne, iosolver, kernels, params
 from confocal_opo.cli import main, parse_config, scenario_from_config
 from confocal_opo.errors import ConfigurationError
 
@@ -189,6 +190,20 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "huge")]) == 1
         assert "sizing rule demands" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("text", [
+        GOOD_CONFIG.replace("pixel_pair", "interval") + "lo_amplitude = 1e200\n",
+        PLANE_NEAR_CONFIG + "omega_bar = 1e200\n",
+    ], ids=["gaussian-lo_amplitude", "plane-omega_bar"])
+    def test_non_finite_result_exits_1(self, tmp_path, capsys, text):
+        # finite inputs that overflow inside a route end in a numerical
+        # failure, not in nan rows
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(write_config(tmp_path, text)), "--out", str(out)])
+        assert code == 1
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (out / "curve.csv").exists()
+
     def test_coarse_grid_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, GOOD_CONFIG + "grid_n = 16\n")
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -249,12 +264,90 @@ class TestFigPresets:
             assert code == 2
             assert f"'{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fig_id", ["2", "5", "8"])
+    def test_b_refused_without_b_family(self, tmp_path, capsys, fig_id):
+        # a preset with no b family refuses b rather than ignoring it, and
+        # still takes the preset keys
+        code = main(["fig", "--id", fig_id, "--set", "b=4", "--out", str(tmp_path / "b")])
+        assert code == 2
+        assert "'b'" in capsys.readouterr().err
+        args = ["fig", "--id", fig_id, "--set", "A_p=0.95", "--out", str(tmp_path / "a")]
+        assert main(args) == 0
+
     @pytest.mark.parametrize("value", ["abc", "-4", "4,,25", "", "0", "nan", "inf"])
     def test_bad_b_exits_2(self, tmp_path, capsys, value):
         # every comma item of b must be a finite positive number
         code = main(["fig", "--id", "6", "--set", f"b={value}", "--out", str(tmp_path / "x")])
         assert code == 2
         assert "'b'" in capsys.readouterr().err
+
+    # (label stem, plane, detector, points, first, last, pixel width, LO waist,
+    # abscissa name) of each preset; lengths in the plane's coherence unit:
+    # l_coh near, r0 far for a plane pump, the detection-plane size of 1/w_p
+    # far for a Gaussian pump; None for "not set"
+    PRESETS = {
+        5: ("fig5", "near", "interval", 100, 0.05, lambda b: 5.0, None, None,
+            "radius_over_lcoh"),
+        6: ("fig6", "near", "interval", 30, 0.1, lambda b: 3.0 * math.sqrt(b), None, None,
+            "radius_over_lcoh"),
+        7: ("fig7", "near", "pixel_pair", 31, 0.0, lambda b: 3.0 * math.sqrt(b), 1.0, None,
+            "pixel_distance_over_lcoh"),
+        8: ("fig8", "far", "radial", 75, 0.02, lambda b: 3.0, None, 1.0, "r_over_r0"),
+        9: ("fig9", "far", "interval", 30, 0.1, lambda b: 5.0, None, None,
+            "radius_times_qcoh"),
+        10: ("fig10", "far", "pixel_pair", 26, 0.0, lambda b: 5.0, 1.0, None,
+             "pixel_distance_times_qcoh"),
+    }
+
+    @pytest.mark.parametrize("fig_id,b_set", [
+        (5, None), (6, None), (7, None), (8, None), (9, None), (10, None),
+        (6, (4.0, 25.0)), (9, (4.0, 25.0)),
+    ])
+    def test_preset_scenarios_pinned(self, tmp_path, monkeypatch, fig_id, b_set):
+        # the geometry of every preset curve, read from fig_scenarios and from
+        # the CSV names run_fig hands to run_scenario; nothing is solved
+        stem, plane, detector, points, first, last, pixel, waist, name = self.PRESETS[fig_id]
+        overrides = {} if b_set is None else {"b": b_set}
+        scenarios = cli.fig_scenarios(fig_id, overrides)
+        if fig_id in (5, 8):
+            bs, labels = [math.inf], [stem if fig_id == 5 else "fig8_V"]
+            csv_names = ["curve.csv"] if fig_id == 5 else ["curve_V.csv", "curve_R.csv"]
+        else:
+            bs = list(b_set or (4.0, 25.0, 100.0))
+            labels = [f"{stem}_b{b:g}" for b in bs]
+            csv_names = [f"curve_b{b:g}.csv" for b in bs]
+        assert [sc.label for sc in scenarios] == labels
+        for sc, b in zip(scenarios, bs):
+            s = derive_scales(sc.params)
+            if plane == "near":
+                unit = s.l_coh
+            elif sc.params.plane_pump:
+                unit = s.r0
+            else:
+                unit = sc.params.lambda_s * sc.params.f_lens * s.q_coh / (2.0 * math.pi)
+            assert s.b == pytest.approx(b, rel=1e-12) if math.isfinite(b) else s.b == b
+            assert (sc.plane, sc.detector, len(sc.values)) == (plane, detector, points)
+            assert sc.values[0] / unit == pytest.approx(first, rel=1e-12, abs=1e-15)
+            assert sc.values[-1] / unit == pytest.approx(last(b), rel=1e-12)
+            assert sc.abscissa_scale == pytest.approx(unit, rel=1e-12)
+            assert sc.abscissa_name == name
+            if pixel is None:
+                assert sc.pixel_width is None
+            else:
+                assert sc.pixel_width / unit == pytest.approx(pixel, rel=1e-12)
+            assert sc.lo.profile == ("plane" if waist is None else "gaussian")
+            if waist is None:
+                assert sc.lo.waist is None
+            else:
+                assert sc.lo.waist / unit == pytest.approx(waist, rel=1e-12)
+
+        written = []
+        monkeypatch.setattr(cli, "run_scenario",
+                            lambda sc, outdir, csv_name: written.append(csv_name))
+        monkeypatch.setattr(cli, "write_summary", lambda outdir, sc_list: None)
+        cli.run_fig(fig_id, overrides, tmp_path)
+        written += sorted(path.name for path in tmp_path.iterdir())
+        assert written == csv_names
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -294,3 +387,15 @@ def test_every_route_leaves_out_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", ROUTES_CODE, str(tmp_path)],
                          capture_output=True, text=True, check=True, env=env)
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_package_all_is_union_of_submodules():
+    # the package exports exactly what its submodules export, and every
+    # exported name resolves
+    union = {"__version__"}
+    for module in (errors, params, kernels, iosolver, homodyne):
+        union |= set(module.__all__)
+        assert all(hasattr(module, name) for name in module.__all__)
+    assert len(confocal_opo.__all__) == len(set(confocal_opo.__all__))
+    assert set(confocal_opo.__all__) == union
+    assert all(hasattr(confocal_opo, name) for name in confocal_opo.__all__)

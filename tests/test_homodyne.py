@@ -16,12 +16,12 @@ from confocal_opo import (
     auto_grid,
     build_kernel_matrix,
     derive_scales,
-    noise_density_planepump,
     solve_io,
     squeezing,
     sweep,
     sweep_extents,
 )
+from helpers import noise_density, unchecked_kernel
 from lu_reference import lu_noise
 from planepump_reference import (
     circular_vn,
@@ -46,7 +46,7 @@ def single_mode_vn(a_p):
 def grid_shot(lo, det, g, p):
     """Shot noise of ``det`` on the grid ``g``, read from the dense route."""
     s = derive_scales(p)
-    modes = solve_io(build_kernel_matrix(g, p, s, strict=False), p)
+    modes = solve_io(unchecked_kernel(g, p, s), p)
     return squeezing(det, lo, p, s, modes).shot
 
 
@@ -342,20 +342,20 @@ class TestThinCrystalSingleMode:
 class TestNoiseDensity:
     def test_zero_pump(self, plane_params, plane_scales):
         p = replace(plane_params, A_p=0.0)
-        assert noise_density_planepump(0.0, p, plane_scales, math.pi / 2) == pytest.approx(1.0)
+        assert noise_density(0.0, p, plane_scales, math.pi / 2) == pytest.approx(1.0)
 
     def test_substitution_values(self, plane_params, plane_scales):
         p = replace(plane_params, A_p=0.5)
-        r_sq = noise_density_planepump(0.0, p, plane_scales, math.pi / 2)
-        r_anti = noise_density_planepump(0.0, p, plane_scales, 0.0)
+        r_sq = noise_density(0.0, p, plane_scales, math.pi / 2)
+        r_anti = noise_density(0.0, p, plane_scales, 0.0)
         assert r_sq == pytest.approx(1.0 / 9.0, rel=1e-12)
         assert r_anti == pytest.approx(9.0, rel=1e-12)
 
     def test_quadrature_duality(self, plane_params, plane_scales, rng):
         # R(pi/2) R(0) = 1 for every q at resonance and zero frequency
         q = rng.uniform(0.0, 5.0, size=100) / plane_scales.l_coh
-        r_sq = noise_density_planepump(q, plane_params, plane_scales, math.pi / 2)
-        r_anti = noise_density_planepump(q, plane_params, plane_scales, 0.0)
+        r_sq = noise_density(q, plane_params, plane_scales, math.pi / 2)
+        r_anti = noise_density(q, plane_params, plane_scales, 0.0)
         assert np.abs(r_sq * r_anti - 1.0).max() <= 1e-12
 
 
@@ -537,7 +537,7 @@ class TestPlanePumpFarSpectrum:
             qs = np.abs(g.points)
             mask = det.indicator(g, p)
             wgt = np.exp(-2.0 * (qs[mask] * x_of_q / s.r0) ** 2)
-            dens = noise_density_planepump(g.points[mask], p, s, math.pi / 2)
+            dens = noise_density(g.points[mask], p, s, math.pi / 2)
             riemann = float(np.sum(wgt * dens) / np.sum(wgt))
             assert dense.vn == pytest.approx(riemann, abs=1e-4)
 
@@ -557,7 +557,7 @@ class TestPlanePumpFarSpectrum:
             det = DetectorMask.interval(q_d * x_of_q, "far")
             dense = squeezing(det, replace(lo, phase=phase), p, s, modes)
             mask = det.indicator(g, p)
-            dens = noise_density_planepump(g.points[mask], p, s, phase)
+            dens = noise_density(g.points[mask], p, s, phase)
             assert dense.vn == pytest.approx(float(np.mean(dens)), abs=1e-4)
 
     @pytest.mark.parametrize("detuning,omega_bar", [(0.0, 0.0), (0.3, 0.5)])
@@ -590,7 +590,7 @@ class TestPlanePumpFarSpectrum:
         det = DetectorMask.pixel_pair(q_c * x_of_q, 0.002 * x_of_q / s.l_coh, "far")
         res = squeezing(det, LocalOscillator(), p, s)
         assert res.vn == pytest.approx(
-            float(noise_density_planepump(q_c, p, s, math.pi / 2)), abs=1e-4
+            float(noise_density(q_c, p, s, math.pi / 2)), abs=1e-4
         )
 
 

@@ -24,6 +24,7 @@ from confocal_opo import (
 )
 from confocal_opo.cli import fig_scenarios
 from lu_reference import lu_uv, residuals
+from helpers import flip
 from modes_reference import dense_uv, even_diagonal
 
 
@@ -137,7 +138,7 @@ class TestDenseSolve:
         idx = np.arange(n)
         width = int(round(8 * s.l_coh / g.step))
         dist_diag = np.abs(idx[:, None] - idx[None, :])
-        dist_anti = np.abs(idx[:, None] - g.flip(idx)[None, :])
+        dist_anti = np.abs(idx[:, None] - flip(g, idx)[None, :])
         band = (dist_diag <= width) | (dist_anti <= width)
         for mat in (u - np.eye(n), v):
             off_mass = np.abs(np.where(band, 0.0, mat)).sum()

@@ -17,12 +17,12 @@ from confocal_opo import (
     build_kernel_matrix,
     delta_2d,
     derive_scales,
-    ktilde_far,
     phase_match_sinc,
     si,
 )
 from confocal_opo.kernels import _SI_SWITCH
 from far_reference import entries, far_entries, fold_block
+from helpers import flip, ktilde_far, unchecked_kernel, unfold
 from kernels_2d_reference import kint_near_2d, ktilde_far_2d
 from modes_reference import even_diagonal
 from near_reference import near_entries
@@ -249,8 +249,9 @@ class TestGrid1D:
         g = Grid1D.uniform(n, 1.25e-3, "near")
         assert np.all(np.diff(g.points) > 0)
         assert np.allclose(g.points, -g.points[::-1], rtol=0, atol=1e-18)
-        assert np.all(g.weights > 0)
-        assert abs(g.weights.sum() - 2 * 1.25e-3) <= 1e-12 * 2.5e-3
+        # midpoint rule: n cells of width step fill [-L, L]
+        assert np.allclose(np.diff(g.points), g.step, rtol=1e-12, atol=0)
+        assert abs(g.n * g.step - 2 * 1.25e-3) <= 1e-12 * 2.5e-3
         assert (0.0 in g.points) == (n % 2 == 1)
 
     def test_conjugate_roundtrip(self):
@@ -272,7 +273,7 @@ class TestGrid1D:
     def test_flip_index(self):
         g = Grid1D.uniform(64, 1.0, "far")
         i = np.arange(64)
-        assert np.allclose(g.points[g.flip(i)], -g.points[i])
+        assert np.allclose(g.points[flip(g, i)], -g.points[i])
 
     @pytest.mark.parametrize("n", [32, 33])
     def test_even_basis_fold_unfold(self, n, rng):
@@ -281,13 +282,13 @@ class TestGrid1D:
         g = Grid1D.uniform(n, 1.0, "near")
         assert g.n_even == (n + 1) // 2
         block = rng.normal(size=(g.n_even, 3))
-        vals = g.unfold(block)
+        vals = unfold(g, block)
         assert vals.shape == (n, 3)
         assert np.array_equal(vals, vals[::-1])
         assert np.abs(g.fold(vals) - block).max() <= 1e-15
         x = rng.normal(size=n)
-        assert np.abs(g.unfold(g.fold(x)) - 0.5 * (x + x[::-1])).max() <= 1e-15
-        assert g.fold(x) @ g.fold(x) == pytest.approx(g.unfold(g.fold(x)) @ x, rel=1e-14)
+        assert np.abs(unfold(g, g.fold(x)) - 0.5 * (x + x[::-1])).max() <= 1e-15
+        assert g.fold(x) @ g.fold(x) == pytest.approx(unfold(g, g.fold(x)) @ x, rel=1e-14)
 
 
 def _gauss_setup(b=16.0, a_p=0.8, n=None, domain="far"):
@@ -317,7 +318,7 @@ class TestKernelMatrix:
         idx = np.arange(n)
         mask = np.ones((n, n), dtype=bool)
         mask[idx, idx] = False
-        mask[idx, g.flip(idx)] = False
+        mask[idx, flip(g, idx)] = False
         # only the two parity channels are populated
         assert np.abs(op[mask]).max() <= 1e-15 * np.abs(op).max()
         sig = plane_params.A_p * phase_match_sinc(g.points, plane_scales)
@@ -339,10 +340,10 @@ class TestKernelMatrix:
         op = entries(build_kernel_matrix(g, p, s))
         n = g.n
         idx = np.arange(n)
-        flip = g.flip(idx)
+        mirror = flip(g, idx)
         scale = np.abs(op).max()
-        assert np.abs(op[flip][:, :] - op).max() <= 1e-10 * scale
-        assert np.abs(op[:, flip] - op).max() <= 1e-10 * scale
+        assert np.abs(op[mirror][:, :] - op).max() <= 1e-10 * scale
+        assert np.abs(op[:, mirror] - op).max() <= 1e-10 * scale
         # unweighted kernel symmetric under swap (uniform weights cancel)
         assert np.abs(op - op.T).max() <= 1e-10 * scale
 
@@ -373,7 +374,7 @@ class TestKernelMatrix:
         else:
             p, s, g = _gauss_setup(b=16.0, n=n, domain=domain)
         far_grid = g if domain == "far" else g.conjugate()
-        K = build_kernel_matrix(g, p, s, strict=False)
+        K = unchecked_kernel(g, p, s)
         ref = fold_block(far_grid, far_entries(far_grid, p, s))
         assert K.far.shape == (g.n_even, g.n_even)
         assert np.abs(K.far - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -385,7 +386,7 @@ class TestKernelMatrix:
         p, s, g = _gauss_setup(b=16.0, n=257, domain="near")
         K_near = build_kernel_matrix(g, p, s)
         conj = g.conjugate()
-        K_far = build_kernel_matrix(conj, p, s, strict=False)
+        K_far = unchecked_kernel(conj, p, s)
         fmat = (g.step / math.sqrt(2 * math.pi)) * np.exp(
             -1j * np.outer(conj.points, g.points)
         )
@@ -417,7 +418,7 @@ class TestKernelMatrix:
             rows = idx
             cols = np.clip(idx + off, 0, n - 1)
             near_band[rows, cols] = True
-            near_band[rows, np.clip(g.flip(idx) + off, 0, n - 1)] = True
+            near_band[rows, np.clip(flip(g, idx) + off, 0, n - 1)] = True
         # rows concentrate on the parity band: outside it only alternating
         # discretization ripple far below the peak survives
         off_peak = np.abs(np.where(near_band, 0.0, op)).max(axis=1)
