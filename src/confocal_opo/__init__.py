@@ -39,7 +39,6 @@ from .iosolver import (
     analytic_uv_planepump,
     mode_uv,
     solve_io,
-    threshold_margin,
 )
 from .homodyne import (
     DetectorMask,
@@ -57,7 +56,6 @@ __all__ = [
     "Grid1D", "KernelMatrix", "auto_grid",
     "build_kernel_matrix", "delta_2d", "phase_match_sinc", "si",
     "CavityModes", "analytic_uv_planepump", "mode_uv", "solve_io",
-    "threshold_margin",
     "DetectorMask", "LocalOscillator", "SqueezingResult", "SweepPoint",
     "squeezing", "sweep", "sweep_extents",
     "OpoError", "ConfigurationError", "NumericalFailure", "NonPhysical",

@@ -23,8 +23,8 @@ import numpy as np
 from . import __version__
 from .errors import ConfigurationError, NumericalFailure, OpoError
 from .homodyne import LocalOscillator, _densities, sweep, sweep_extents
-from .iosolver import threshold_margin
-from .kernels import _EXTENT_FACTOR, MAX_GRID_N, Grid1D, auto_grid, build_kernel_matrix, delta_2d
+from .iosolver import CavityModes, solve_io
+from .kernels import MAX_GRID_N, Grid1D, auto_grid, build_kernel_matrix, delta_2d
 from .params import OpoParams, derive_scales, validate
 
 # Parameter values every preset shares.  These are artifact defaults chosen
@@ -237,55 +237,51 @@ def _scenario_echo(sc: Scenario):
     pairs.append(("abscissa", sc.abscissa_name))
     return pairs
 
-def run_scenario(sc: Scenario, outdir: Path, csv_name: str = "curve.csv") -> Path:
-    scales = derive_scales(sc.params)
-    grid = _explicit_grid(sc, scales)
+def run_scenario(sc: Scenario, outdir: Path, csv_name: str = "curve.csv") -> float:
+    """Write the sweep's curve; return the threshold margin 1 - max|lam| of
+    its solve (1 - A_p for a plane pump, whose strongest mode is q = 0)."""
+    p = sc.params
+    scales = derive_scales(p)
+    modes = _modes(sc, scales)
     points = sweep(
-        sc.params, scales, sc.plane, sc.detector, sc.values, sc.lo,
-        pixel_width=sc.pixel_width, grid=grid,
+        p, scales, sc.plane, sc.detector, sc.values, sc.lo,
+        pixel_width=sc.pixel_width, modes=modes,
     )
     rows = [
         (pt.value / sc.abscissa_scale, pt.vn_squeezed, pt.vn_antisqueezed, pt.shot)
         for pt in points
     ]
     outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / csv_name
-    _write_curve(path, _echo(_scenario_echo(sc)), "abscissa,vn_squeezed,vn_antisqueezed,shot", rows)
-    return path
+    _write_curve(outdir / csv_name, _echo(_scenario_echo(sc)),
+                 "abscissa,vn_squeezed,vn_antisqueezed,shot", rows)
+    return 1.0 - (p.A_p if modes is None else float(np.abs(modes.lam).max()))
 
-def _explicit_grid(sc: Scenario, scales) -> Grid1D | None:
-    """Grid1D from explicit grid_n / grid_L, or None for automatic sizing.
-
-    The value left out comes from the sizing rule: the half extent from the
-    sweep's detectors, or the point count from the step rule on grid_L.
-    """
-    if sc.grid_n is None and sc.grid_L is None:
+def _modes(sc: Scenario, scales) -> CavityModes | None:
+    """The modes of the sweep's one dense solve, None for a plane pump.  A
+    grid_n or grid_L left out comes from the sizing rule: the half extent
+    from the sweep's detectors and LO, n from the step rule on grid_L."""
+    p = sc.params
+    if p.plane_pump:
         return None
-    if sc.params.plane_pump:
-        return None  # closed-form routes, no grid involved
     n, half = sc.grid_n, sc.grid_L
     if n is None or half is None:
-        if half is None:
-            extents = sweep_extents(sc.params, sc.plane, sc.detector, sc.values,
-                                    sc.lo, sc.pixel_width)
-        else:
-            extents = (half / _EXTENT_FACTOR,)  # auto_grid covers 4x each reach
-        auto = auto_grid(sc.params, scales, sc.plane, extra_extents=extents)
-        n = auto.n if n is None else n
-        half = auto.half_extent if half is None else half
-    return Grid1D.uniform(n, half, sc.plane)
+        cover = ((), (half,)) if half is not None else sweep_extents(
+            p, sc.plane, sc.detector, sc.values, sc.lo, sc.pixel_width)
+        auto = auto_grid(p, scales, sc.plane, *cover)
+        n, half = n or auto.n, half or auto.half_extent
+    grid = Grid1D.uniform(n, half, sc.plane)
+    return solve_io(build_kernel_matrix(grid, p, scales), p)
 
-def write_summary(outdir: Path, sc_list) -> Path:
-    """Derived scales and threshold margin for every scenario in the run."""
+def write_summary(outdir: Path, runs) -> Path:
+    """Derived scales and threshold margin of every (scenario, margin) run."""
     lines = [
         "configuration and derived scales (artifact defaults unless a config "
         "or --set override was given; preset parameter choices are made by "
         "this implementation, not published data)",
         "",
     ]
-    for sc in sc_list:
-        p = sc.params
-        scales = derive_scales(p)
+    for sc, margin in runs:
+        scales = derive_scales(sc.params)
         lines.append(f"[{sc.label}]")
         lines.extend(f"  {k} = {v if isinstance(v, str) else _fmt(v)}"
                      for k, v in _scenario_echo(sc))
@@ -294,17 +290,11 @@ def write_summary(outdir: Path, sc_list) -> Path:
         lines.append(f"  r0 = {_fmt(scales.r0)}")
         b_text = "inf" if math.isinf(scales.b) else _fmt(scales.b)
         lines.append(f"  b = {b_text}")
-        lines.append(f"  threshold_margin = {_fmt(_margin(p, scales))}")
+        lines.append(f"  threshold_margin = {_fmt(margin)}")
         lines.append("")
     path = outdir / "summary.txt"
     path.write_text("\n".join(lines) + "\n")
     return path
-
-def _margin(p: OpoParams, scales) -> float:
-    if p.plane_pump:
-        return 1.0 - p.A_p  # threshold mode is q = 0 where sinc = 1
-    grid = auto_grid(p, scales, "far")
-    return threshold_margin(build_kernel_matrix(grid, p, scales), p)
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +357,14 @@ def run_fig(fig_id: int, overrides: dict, outdir: Path) -> None:
         _run_fig2(overrides, outdir)
         return
     scenarios = fig_scenarios(fig_id, overrides)
+    margins = []
     for sc in scenarios:
         suffix = sc.label.partition("_")[2]
-        run_scenario(sc, outdir, csv_name=f"curve_{suffix}.csv" if suffix else "curve.csv")
+        margins.append(run_scenario(
+            sc, outdir, csv_name=f"curve_{suffix}.csv" if suffix else "curve.csv"))
     if fig_id == 8:
         _run_fig8_density(scenarios[0], outdir)
-    write_summary(outdir, scenarios)
+    write_summary(outdir, list(zip(scenarios, margins)))
 
 def _run_fig2(overrides: dict, outdir: Path) -> None:
     p = _preset_params(overrides, plane_pump=True)
@@ -459,8 +451,7 @@ def main(argv=None) -> int:
             sc = scenario_from_config(cfg)
             outdir = Path(args.out or cfg.get("output", "out"))
             outdir.mkdir(parents=True, exist_ok=True)
-            run_scenario(sc, outdir)
-            write_summary(outdir, [sc])
+            write_summary(outdir, [(sc, run_scenario(sc, outdir))])
         else:
             overrides = _parse_overrides(args.set)
             outdir = Path(args.out or f"out_fig{args.id}")

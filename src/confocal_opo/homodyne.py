@@ -75,7 +75,7 @@ from .errors import (
     PlaneMismatch,
 )
 from .iosolver import CavityModes, analytic_uv_planepump, mode_uv, solve_io
-from .kernels import Grid1D, auto_grid, build_kernel_matrix, phase_match_sinc, si
+from .kernels import _EXTENT_FACTOR, Grid1D, auto_grid, build_kernel_matrix, phase_match_sinc, si
 from .params import DerivedScales, OpoParams, validate
 
 __all__ = [
@@ -478,15 +478,17 @@ def _route(det: DetectorMask, lo: LocalOscillator, p: OpoParams, s: DerivedScale
     input near the float range (an LO amplitude, an analysis frequency)
     overflows inside the route.
     """
-    if modes is not None:
-        route, (shot, vns) = "dense", _noise_terms(modes, det, lo, p, phases)
-    elif not p.plane_pump:
-        raise ConfigurationError("a finite pump needs the cavity modes of a dense solve")
-    elif det.plane == "near":
-        route, (shot, vns) = "planepump_near", _vn_planepump_near(det, lo, p, s, phases)
-    else:
-        route = "planepump_disk" if det.shape == "radial" else "planepump_far"
-        shot, vns = _vn_planepump_far(det, lo, p, s, phases)
+    # the check below reports an overflow, so numpy does not warn of it too
+    with np.errstate(all="ignore"):
+        if modes is not None:
+            route, (shot, vns) = "dense", _noise_terms(modes, det, lo, p, phases)
+        elif not p.plane_pump:
+            raise ConfigurationError("a finite pump needs the cavity modes of a dense solve")
+        elif det.plane == "near":
+            route, (shot, vns) = "planepump_near", _vn_planepump_near(det, lo, p, s, phases)
+        else:
+            route = "planepump_disk" if det.shape == "radial" else "planepump_far"
+            shot, vns = _vn_planepump_far(det, lo, p, s, phases)
     if not all(math.isfinite(x) for x in (shot, *vns)):
         raise NumericalFailure(
             f"route {route} gave a non-finite result (N = {shot:g}, vn = "
@@ -548,21 +550,22 @@ def sweep_extents(
     values,
     lo: LocalOscillator,
     pixel_width: float | None = None,
-) -> tuple[float, ...]:
-    """Half extents a dense sweep grid must cover (m near, 1/m far).
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(reaches, extents) a dense sweep grid must cover (m near, 1/m far).
 
-    The outer reach of every non-empty detector of the sweep, and the spot
-    of a Gaussian local oscillator; ``auto_grid`` takes them as
-    ``extra_extents``.
+    The reaches are the outer bounds of the sweep's non-empty detectors; the
+    extents hold the spot of a Gaussian local oscillator at 4 waists, an
+    envelope like the pump's.  ``auto_grid(p, s, plane, *sweep_extents(...))``
+    sizes the sweep's grid.
     """
-    extents = [
+    reaches = tuple(
         _mask_for(detector_shape, v, pixel_width, plane).bounds_on_axis(p)[1]
         for v in values
         if not _zero_size(detector_shape, v)
-    ]
-    if lo.profile == "gaussian":
-        extents.append(lo.waist if plane == "near" else lo.q_reach(p))
-    return tuple(extents)
+    )
+    if lo.profile == "plane":
+        return reaches, ()
+    return reaches, (_EXTENT_FACTOR * (lo.waist if plane == "near" else lo.q_reach(p)),)
 
 def sweep(
     p: OpoParams,
@@ -572,29 +575,28 @@ def sweep(
     values,
     lo: LocalOscillator,
     pixel_width: float | None = None,
-    grid: Grid1D | None = None,
+    modes: CavityModes | None = None,
 ) -> list[SweepPoint]:
     """Deterministic noise curve over a family of detector settings.
 
     ``values`` are interval half widths / radii, or pixel center distances
     (with ``pixel_width``), in detection-plane meters.  Plane-pump scenarios
-    run on the closed-form diagonal routes; a finite pump triggers one
-    eigendecomposition (its modes serve every detector) on ``grid`` or on an
-    automatically sized one.  Every point then goes through the evaluator
-    ``squeezing`` uses, once for both canonical quadratures; a zero-size
-    interval or disk reads shot noise.  Points are returned in the order
-    given.
+    run on the closed-form diagonal routes.  A finite pump contracts every
+    detector over ``modes``, the ``CavityModes`` of one dense solve on a
+    ``plane`` grid; without them the sweep solves once on the grid
+    ``auto_grid`` sizes for its detectors.  Every point then goes through
+    the evaluator ``squeezing`` uses, once for both canonical quadratures; a
+    zero-size interval or disk reads shot noise.  Points are returned in the
+    order given.
     """
     validate(p)
     values = [float(v) for v in values]
     if any(v < 0 for v in values):
         raise ConfigurationError("sweep values must be non-negative")
 
-    modes = None
-    if not p.plane_pump:
-        if grid is None:
-            extents = sweep_extents(p, plane, detector_shape, values, lo, pixel_width)
-            grid = auto_grid(p, s, plane, extra_extents=extents)
+    if modes is None and not p.plane_pump:
+        grid = auto_grid(p, s, plane, *sweep_extents(p, plane, detector_shape, values, lo,
+                                                      pixel_width))
         modes = solve_io(build_kernel_matrix(grid, p, s), p)
     out = []
     for value in values:

@@ -38,9 +38,14 @@ __all__ = [
 ]
 
 # Grid sizing rule constants.  Steps must resolve the finest kernel scale by
-# this factor; extents must cover the widest envelope by this factor.
+# this factor; extents must cover the pump envelope (and a Gaussian LO spot)
+# by this factor.
 _STEP_DIVISOR = 8.0
 _EXTENT_FACTOR = 4.0
+# Automatic far extent of a finite pump, in 1/l_coh: the phase-matching band
+# (sigma's first zero is 2 sqrt(pi)).  Against 5x the extent, max|lam| is off
+# by 2.7e-7 at 4 and 7e-9 at 5 (b = 4), and within 1e-11 at 6 (b = 4-100).
+_PHASE_MATCH_BAND = 6.0
 # Near-field thin-limit branch: for a physically thin crystal
 # (l_c / z_C below _THIN_CRYSTAL_RATIO) a step of at least _THIN_STEP_RATIO
 # coherence lengths leaves the kernel delta-like at grid resolution (the
@@ -53,9 +58,10 @@ _THIN_CRYSTAL_RATIO = 1e-3
 # Largest grid size.  Every dense array is m x m (m = ceil(n/2)); the peak
 # is the divide-and-conquer eigh of the far block (an input copy, a 2 m^2
 # workspace and the output) next to the block itself; the cosine matrix is
-# built only after it.  Fig 6 at b = 900 (n = 5761) peaks at 352 MB and
-# takes 4.4-5.1 s on a 2-core x86-64 host, so this n covers fig 6 up to
-# b ~ 980 (n ~ 192 sqrt(b)) within ~0.4 GB.
+# built only after it.  Near n = 64 sqrt(b) (4 w_p in steps of l_coh / 8)
+# and far n = 96 sqrt(b) (the band 6 / l_coh in steps of 1 / (8 w_p)), so
+# this n covers fig 6 up to b ~ 8,780 and fig 9 up to b ~ 3,900; both take
+# 5.4-6.6 s and 376-378 MB there on a 2-core x86-64 host.
 MAX_GRID_N = 6000
 
 
@@ -276,7 +282,12 @@ class KernelMatrix:
 
 
 def _structure_scales(p: OpoParams, s: DerivedScales, domain: str):
-    """(finest step allowed, minimum half extent) demanded by pump + kernel."""
+    """(largest step, smallest half extent) the kernel demands on ``domain``.
+
+    The step resolves l_coh near, and 2 / l_coh and 1 / w_p far; the extent
+    covers 4 pump envelopes, w_p near and 2 / w_p far (none for a plane
+    pump).  ``build_kernel_matrix`` refuses a grid outside either bound.
+    """
     if domain == "near":
         step_max = s.l_coh / _STEP_DIVISOR
         extent_min = _EXTENT_FACTOR * p.w_p if not p.plane_pump else 0.0
@@ -319,17 +330,23 @@ def auto_grid(
     p: OpoParams,
     s: DerivedScales,
     domain: str,
-    extra_extents: tuple[float, ...] = (),
+    reaches: tuple[float, ...] = (),
+    extents: tuple[float, ...] = (),
 ) -> Grid1D:
-    """Smallest odd-n grid satisfying the sizing rule.
+    """Smallest odd-n grid (0 on the grid) that holds the modes and detectors.
 
-    ``extra_extents`` are additional half extents that must be covered with
-    the same 4x margin (detector reach, local-oscillator waist scale); they
-    are in m for the near domain and 1/m for the far domain.  Odd n keeps
-    the zero coordinate on the grid.
+    The step is the largest ``_structure_scales`` allows; the half extent the
+    largest of its pump envelopes (4 w_p near, 8 / w_p far), the band
+    ``_PHASE_MATCH_BAND`` / l_coh on a far grid of a finite pump (no mode
+    has gain outside it), each detector reach in ``reaches`` plus one step
+    (beyond the pump or band a detector sees vacuum, so the step only keeps
+    its band inside the grid), and each half extent in ``extents`` as given
+    (4 Gaussian-LO waists, an explicit extent).  m near, 1/m far.
     """
     step_max, extent_min = _structure_scales(p, s, domain)
-    extent = max([extent_min] + [_EXTENT_FACTOR * e for e in extra_extents if e > 0])
+    if domain == "far" and not p.plane_pump:
+        extent_min = max(extent_min, _PHASE_MATCH_BAND / s.l_coh)
+    extent = max([extent_min, *extents] + [r + step_max for r in reaches])
     if extent <= 0:
         raise GridTooCoarse("no finite extent available to size the grid")
     n = int(math.ceil(2.0 * extent / step_max))

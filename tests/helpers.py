@@ -53,6 +53,13 @@ def ktilde_far(q, q2, p, s):
     )
 
 
+def threshold_margin(K, p):
+    """1 - max|lam| of a kernel matrix, the strongest mode gain's distance
+    from threshold (the eigenvalues alone; the far block has the spectrum of
+    K in either domain).  A plane pump at A_p gives A_p at q = 0."""
+    return 1.0 - float(np.abs(np.linalg.eigvalsh(K.far)).max())
+
+
 def noise_density(q, p, s, phase):
     """Plane-pump spatial noise density R(q) = |U(q) + e^{2 i phase} V_-*(q)|^2.
 

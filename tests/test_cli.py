@@ -190,18 +190,28 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "huge")]) == 1
         assert "sizing rule demands" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("text", [
         GOOD_CONFIG.replace("pixel_pair", "interval") + "lo_amplitude = 1e200\n",
         PLANE_NEAR_CONFIG + "omega_bar = 1e200\n",
-    ], ids=["gaussian-lo_amplitude", "plane-omega_bar"])
-    def test_non_finite_result_exits_1(self, tmp_path, capsys, text):
-        # finite inputs that overflow inside a route end in a numerical
-        # failure, not in nan rows
+        PLANE_FAR_RADIAL_CONFIG.replace("sweep_min = 0.0", "sweep_min = 1e-5")
+        + "omega_bar = 1e200\n",
+        GOOD_CONFIG + "omega_bar = 1e200\n",
+    ], ids=["gaussian-lo_amplitude", "plane-omega_bar", "plane-far-omega_bar",
+            "gaussian-omega_bar"])
+    def test_non_finite_result_exits_1(self, tmp_path, text):
+        # finite inputs that overflow inside a route or the solve's gate end
+        # in a numerical failure, not in nan rows; the user's stderr is that
+        # one line, with no numpy RuntimeWarning before it
+        env = dict(os.environ, PYTHONPATH=str(Path(confocal_opo.__file__).parents[1]))
         out = tmp_path / "o"
-        code = main(["run", "--config", str(write_config(tmp_path, text)), "--out", str(out)])
-        assert code == 1
-        assert "numerical failure" in capsys.readouterr().err
+        proc = subprocess.run(
+            [sys.executable, "-m", "confocal_opo.cli", "run",
+             "--config", str(write_config(tmp_path, text)), "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: "), proc.stderr
         assert not (out / "curve.csv").exists()
 
     def test_coarse_grid_exits_1(self, tmp_path, capsys):

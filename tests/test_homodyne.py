@@ -636,7 +636,8 @@ class TestSweep:
             p = replace(p0, plane_pump=False, w_p=math.sqrt(b) * s0.l_coh)
             s = derive_scales(p)
             g = Grid1D.uniform(961, 4 * radius, "near")
-            pts = sweep(p, s, "near", "interval", [radius], LocalOscillator(), grid=g)
+            modes = solve_io(build_kernel_matrix(g, p, s), p)
+            pts = sweep(p, s, "near", "interval", [radius], LocalOscillator(), modes=modes)
             vns[b] = pts[0].vn_squeezed
         assert vns[25.0] <= vns[4.0]
 
@@ -670,9 +671,10 @@ class TestSweep:
         p = replace(plane_params, plane_pump=False, w_p=4 * plane_scales.l_coh)
         s = derive_scales(p)
         g = Grid1D.uniform(257, 16 * plane_scales.l_coh, "near")
+        modes = solve_io(build_kernel_matrix(g, p, s), p)
         with pytest.raises(GridTooCoarse):
             sweep(p, s, "near", "interval", [20 * plane_scales.l_coh],
-                  LocalOscillator(), grid=g)
+                  LocalOscillator(), modes=modes)
 
     @pytest.mark.parametrize("pixel_width", [None, 1e-5])
     def test_unknown_shape_rejected(self, plane_params, plane_scales, pixel_width):
@@ -743,12 +745,11 @@ class TestOnePath:
             lo = LocalOscillator(profile="gaussian", waist=2.0 * unit)
         pixel_width = unit if shape == "pixel_pair" else None
         values = [0.7 * unit, 2.3 * unit]
-        grid = modes = None
+        modes = None
         if pump == "gaussian":
-            extents = sweep_extents(p, plane, shape, values, lo, pixel_width)
-            grid = auto_grid(p, s, plane, extra_extents=extents)
+            grid = auto_grid(p, s, plane, *sweep_extents(p, plane, shape, values, lo, pixel_width))
             modes = solve_io(build_kernel_matrix(grid, p, s), p)
-        pts = sweep(p, s, plane, shape, values, lo, pixel_width=pixel_width, grid=grid)
+        pts = sweep(p, s, plane, shape, values, lo, pixel_width=pixel_width, modes=modes)
         for pt, value in zip(pts, values):
             if shape == "pixel_pair":
                 det = DetectorMask.pixel_pair(value, pixel_width, plane)

@@ -19,12 +19,10 @@ from confocal_opo import (
     mode_uv,
     phase_match_sinc,
     solve_io,
-    sweep_extents,
-    threshold_margin,
 )
 from confocal_opo.cli import fig_scenarios
 from lu_reference import lu_uv, residuals
-from helpers import flip
+from helpers import flip, threshold_margin
 from modes_reference import dense_uv, even_diagonal
 
 
@@ -212,11 +210,11 @@ class TestDenseSolve:
     def test_eigensolver_matches_divide_and_conquer(self):
         # the gate needs modes orthogonal to well below its 1e-6 bound; pin
         # the eigensolver against LAPACK's divide-and-conquer driver on the
-        # fig 6 b = 100 far block (n = 1921, m = 961)
+        # far block of fig 6 at b = 100 on a grid three times as wide as its
+        # own (n = 1921, m = 961)
         (sc,) = fig_scenarios(6, {"b": [100.0]})
         s = derive_scales(sc.params)
-        extents = sweep_extents(sc.params, sc.plane, sc.detector, sc.values, sc.lo)
-        g = auto_grid(sc.params, s, sc.plane, extra_extents=extents)
+        g = auto_grid(sc.params, s, sc.plane, extents=(12.0 * sc.params.w_p,))
         K = build_kernel_matrix(g, sc.params, s)
         assert K.far.shape == (961, 961)
         lam, q = iosolver.eigh(K.far)
