@@ -36,7 +36,6 @@ from .kernels import (
 )
 from .iosolver import (
     CavityModes,
-    analytic_uv_planepump,
     mode_uv,
     solve_io,
 )
@@ -55,7 +54,7 @@ __all__ = [
     "OpoParams", "DerivedScales", "validate", "derive_scales",
     "Grid1D", "KernelMatrix", "auto_grid",
     "build_kernel_matrix", "delta_2d", "phase_match_sinc", "si",
-    "CavityModes", "analytic_uv_planepump", "mode_uv", "solve_io",
+    "CavityModes", "mode_uv", "solve_io",
     "DetectorMask", "LocalOscillator", "SqueezingResult", "SweepPoint",
     "squeezing", "sweep", "sweep_extents",
     "OpoError", "ConfigurationError", "NumericalFailure", "NonPhysical",

@@ -22,10 +22,11 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, NumericalFailure, OpoError
-from .homodyne import LocalOscillator, _densities, sweep, sweep_extents
+from .homodyne import LocalOscillator, _check_threshold, _mode_noise, sweep, sweep_extents
 from .iosolver import CavityModes, solve_io
-from .kernels import MAX_GRID_N, Grid1D, auto_grid, build_kernel_matrix, delta_2d
-from .params import OpoParams, derive_scales, validate
+from .kernels import (MAX_GRID_N, Grid1D, auto_grid, build_kernel_matrix, delta_2d,
+                      phase_match_sinc)
+from .params import OpoParams, derive_scales
 
 # Parameter values every preset shares.  These are artifact defaults chosen
 # for this implementation (a 1 cm crystal at 1.064 um in a n = 2.12 medium
@@ -80,7 +81,7 @@ class Scenario:
 def parse_config(path) -> dict:
     """Read a flat key=value file; unknown keys are a hard error."""
     cfg = {}
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -139,7 +140,6 @@ def scenario_from_config(cfg: dict) -> Scenario:
         omega_bar=cfg.get("omega_bar", 0.0),
         f_lens=cfg.get("f_lens", 0.1),
     )
-    validate(params)
     scales = derive_scales(params)
     npts = cfg.get("sweep_points", 25)
     if npts is None or npts < 2:
@@ -385,9 +385,11 @@ def _run_fig8_density(sc: Scenario, outdir: Path) -> None:
     """Companion pixel-pair density curve R(r) for the far-field preset."""
     p = sc.params
     s = derive_scales(p)
+    _check_threshold(p)
     us = np.linspace(0.0, 5.0, 126)
-    q = 2.0 * us / s.l_coh  # r/r0 = u maps to sinc(u^2)
-    r_sq, r_anti = _densities(q, p, s, (math.pi / 2, 0.0))
+    lam = p.A_p * phase_match_sinc(2.0 * us / s.l_coh, s)  # r/r0 = u maps to sinc(u^2)
+    r_sq, r_anti = (1.0 + _mode_noise(lam, phase, p.detuning, p.omega_bar)
+                    for phase in (math.pi / 2, 0.0))
     rows = [(u, r1, r2, 1.0) for u, r1, r2 in zip(us, r_sq, r_anti)]
     pairs = [("label", "fig8_R"), ("A_p", p.A_p), ("detector", "pixel_pair_density")]
     _write_curve(outdir / "curve_R.csv", _echo(pairs),
@@ -458,6 +460,11 @@ def main(argv=None) -> int:
             run_fig(args.id, overrides, outdir)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except (OSError, UnicodeDecodeError) as exc:  # an unreadable config or output path
+        where, reason = ((exc.filename, exc.strerror) if isinstance(exc, OSError)
+                         else (args.config, "not UTF-8 text"))
+        print(f"configuration error: {where}: {reason}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -24,20 +24,20 @@ and ``_route`` picks one:
   ``CavityModes`` and the fold E^T of ``Grid1D.fold``:
 
       N = w l^T l,
-      vn = 1 + (2 w / N) [ sum_k c_k^2 |v_k|^2
-                           + Re( e^{-2 i phi} sum_k c_k^2 u_k v_-k ) ],
+      vn = 1 + (w / N) sum_k c_k^2 (R_phi(lambda_k) - 1),
+      R_phi = |u + e^{2 i phi} conj(v_-)|^2,
 
   where v_- is the per-mode v at the opposite analysis frequency, a closed
-  form at no extra cost.
+  form at no extra cost.  Every route takes R_phi - 1 from ``_mode_noise``.
 * Without modes, a plane pump bypasses the dense solve: its response is
   diagonal in the transverse wavevector, with mode gain lambda =
-  A_p sigma(q), so spectra reduce to 1-D quadratures over closed-form
-  densities.  A near-plane detector combines the cached tables of
-  ``_vn_planepump_near`` (plane LO only) over the window terms of its band.
+  A_p sigma(q), so spectra are the same sum as 1-D quadratures over q.  A
+  near-plane detector combines the cached tables of ``_vn_planepump_near``
+  (plane LO only) over the window terms of its band.
   A far-plane detector runs the quadrature ``_vn_planepump_far`` over its
   band; a ``radial`` disk is the same quadrature with the polar weight t
-  (route ``planepump_disk``).  It evaluates U and V_- once per node and
-  forms R(phi) = |U + e^{2 i phi} conj(V_-)|^2 for each phase.
+  (route ``planepump_disk``).  Both raise ``AtOrAboveThreshold`` when the
+  strongest mode, gain A_p at q = 0, is at threshold within rounding.
   These routes cover detector sizes far beyond what a dense grid can span,
   and are cross-checked against the dense route where the two overlap.
 * A finite pump without modes is a ``ConfigurationError``.
@@ -50,12 +50,15 @@ Both closed-form evaluators share one rule, ``_gauss_panels``: 16-point
 Gauss-Legendre panels in t = q l_coh whose edges sit at the sinc zeros
 t = 2 sqrt(k pi), split to a maximum width.  Against adaptive QUADPACK
 references in the tests the near-field interval agrees to 5e-12 in vn at
-A_p = 0.99, and the far-field interval and disk to 1e-15 relative, at
-resonance and detuned.  The near-field window cos(a t) needs panels that
-shrink with the detector size a, so one near-field point costs ~1 ms up to
-a = 480 l_coh (cached panels) and grows linearly beyond, ~0.45 s at
-a = 1e4 l_coh on a 2-core x86-64 host; the nodes are summed in fixed-size
-chunks, so memory stays bounded.
+A_p = 0.99 and to 1e-12 up to A_p = 1 - 1e-10, and the far-field interval
+and disk to 1e-15 relative, at resonance and detuned.  The near-field
+window cos(a t) needs panels that shrink with the detector size a, so one
+near-field point costs ~1 ms up to a = 480 l_coh (cached panels) and grows
+linearly beyond, ~0.45 s at a = 1e4 l_coh on a 2-core x86-64 host; the
+nodes are summed in fixed-size chunks, so memory stays bounded.  Each chunk
+is summed with einsum, not a BLAS dot: OpenBLAS threads a dot past 10,000
+entries, which cost a wide far-field sweep twice the CPU time on that host,
+and up to 4x the wall time while the second core was busy.
 """
 
 from __future__ import annotations
@@ -68,13 +71,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    AtOrAboveThreshold,
     ConfigurationError,
     EmptyDetector,
     GridTooCoarse,
     NumericalFailure,
     PlaneMismatch,
 )
-from .iosolver import CavityModes, analytic_uv_planepump, mode_uv, solve_io
+from .iosolver import CavityModes, solve_io
 from .kernels import _EXTENT_FACTOR, Grid1D, auto_grid, build_kernel_matrix, phase_match_sinc, si
 from .params import DerivedScales, OpoParams, validate
 
@@ -245,49 +249,46 @@ class SqueezingResult:
 # Dense-grid route
 # ---------------------------------------------------------------------------
 
-def _noise_weights(lam, detuning: float, omega_bar: float):
-    """Per-mode noise weights (|v|^2, u v_-) of a mode of gain ``lam``.
+def _mode_noise(lam, phase: float, detuning: float, omega_bar: float):
+    """R_phi(lam) - 1, R = |u + z conj(v_-)|^2 with z = e^{2 i phi}, of a mode
+    of gain ``lam`` (v_- is v at -omega_bar; u, v of ``iosolver.mode_uv``).  As
+    v_- has the denominator conj(D), u + z conj(v_-) is
 
-    v_- is v at the opposite analysis frequency; the dense contraction and
-    the plane-pump near tables both weigh their modes with these.
+        ((lam + z)^2 + conj(a) abar - z^2) / D,  D = (1 - lam)(1 + lam) + (a abar - 1),
+
+    where no term cancels as lam -> 1: R - 1 keeps its absolute accuracy up
+    to threshold.
     """
-    u, v = mode_uv(lam, detuning, omega_bar)
-    _, v_neg = mode_uv(lam, detuning, -omega_bar)
-    return np.abs(v) ** 2, u * v_neg
-
-def _vn(n_shot, s_plus, anom, w, phase) -> float:
-    # vn(phi) = 1 + (2 w / N) (s_plus + Re(e^{-2 i phi} anom)), w the measure
-    return float(1.0 + (2.0 * w / n_shot) * (s_plus + (np.exp(-2j * phase) * anom).real))
+    alpha, beta = detuning + omega_bar, omega_bar - detuning
+    z = np.exp(2j * phase)
+    den = (1.0 - lam) * (1.0 + lam) + complex(-alpha * beta, alpha + beta)
+    num = (lam + z) ** 2 + (complex(1.0 + alpha * beta, beta - alpha) - z * z)
+    return np.abs(num / den) ** 2 - 1.0
 
 def _noise_terms(modes: CavityModes, det: DetectorMask, lo: LocalOscillator,
                  p: OpoParams, phases):
-    """(N, [vn at each phase]) of one detector from the cavity modes.
-
-    lvec is the LO magnitude on the detector cells, c = q^T fold(lvec) its
-    even part in the mode basis, s_plus = sum c^2 |v|^2 and
-    anom = sum c^2 u v_-.
-    """
+    """(N, [vn at each phase]) of one detector from the cavity modes: lvec is
+    the LO magnitude on the detector cells, c = q^T fold(lvec) its even part
+    in the mode basis, vn = 1 + (w / N) sum_k c_k^2 (R_phi(lam_k) - 1)."""
     grid = modes.grid
     lvec = lo.magnitude(grid, p) * det.indicator(grid, p)
-    normal, anomalous = _noise_weights(modes.lam, *modes.at)
     c2 = (modes.q.T @ grid.fold(lvec)) ** 2
     w = grid.step
     n_shot = w * float(lvec @ lvec)
-    s_plus, anom = float(c2 @ normal), complex(c2 @ anomalous)
-    return n_shot, [_vn(n_shot, s_plus, anom, w, phase) for phase in phases]
+    return n_shot, [1.0 + (w / n_shot) * float(c2 @ _mode_noise(modes.lam, phase, *modes.at))
+                    for phase in phases]
 
 
 # ---------------------------------------------------------------------------
 # Plane-pump closed-form routes
 # ---------------------------------------------------------------------------
 
-def _densities(q, p: OpoParams, s: DerivedScales, phases):
-    # spatial noise density R(phi) = |U + e^{2 i phi} conj(V_-)|^2 at each
-    # phase, from one evaluation of U and V_- at q
-    u, _ = analytic_uv_planepump(q, p, s)
-    _, v_neg = analytic_uv_planepump(q, p, s, omega_bar=-p.omega_bar)
-    v_bar = np.conj(v_neg)
-    return [np.abs(u + np.exp(2j * phase) * v_bar) ** 2 for phase in phases]
+def _check_threshold(p: OpoParams) -> None:
+    """Refuse a plane pump whose strongest mode, q = 0 with gain A_p, sits
+    at threshold within rounding, |a abar - A_p^2| <= 1e-14."""
+    a_abar = (1.0 + 1j * (p.detuning + p.omega_bar)) * (1.0 + 1j * (p.omega_bar - p.detuning))
+    if np.abs(a_abar - p.A_p**2) <= 1e-14:
+        raise AtOrAboveThreshold("plane-pump response diverges: a*abar = (A_p sigma)^2")
 
 #: 16-point Gauss-Legendre rule on [-1, 1], mapped onto every panel
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -339,9 +340,9 @@ def _vn_planepump_far(det: DetectorMask, lo: LocalOscillator, p: OpoParams,
                       s: DerivedScales, phases):
     """(N, [vn at each phase]) of a far-field detector, plane pump.
 
-    vn = integral |alpha|^2 R rho dt / integral |alpha|^2 rho dt over the
-    positive half of the detector band in t = q l_coh, both on the Gauss
-    panels of ``_gauss_panels``.  rho = 1 for an interval or pixel pair (1-D);
+    vn = 1 + integral |alpha|^2 (R - 1) rho dt / integral |alpha|^2 rho dt
+    over the positive half of the detector band in t = q l_coh, both on the
+    Gauss panels of ``_gauss_panels``.  rho = 1 for an interval or pixel pair (1-D);
     a ``radial`` disk is the same quadrature in polar form, rho = t, on
     [0, 2 r / r0].  N is the LO measure of the band: den / l_coh in q, and
     for the disk den / 4 in the scaled radius u = r / r0 = t / 2.
@@ -360,10 +361,12 @@ def _vn_planepump_far(det: DetectorMask, lo: LocalOscillator, p: OpoParams,
         weight = np.exp(-c * t * t) * w
         if disk:
             weight = t * weight
-        for k, density in enumerate(_densities(t / s.l_coh, p, s, phases)):
-            num[k] += float(weight @ density)
+        lam = p.A_p * phase_match_sinc(t / s.l_coh, s)
+        for k, phase in enumerate(phases):
+            num[k] += float(np.einsum("i,i", weight, _mode_noise(lam, phase, p.detuning,
+                                                                  p.omega_bar)))
         den += float(weight.sum())
-    return den / 4.0 if disk else den / s.l_coh, [x / den for x in num]
+    return den / 4.0 if disk else den / s.l_coh, [1.0 + x / den for x in num]
 
 
 class _PlanePumpNearTables:
@@ -371,19 +374,20 @@ class _PlanePumpNearTables:
 
     Every symmetric detector with a plane LO has a window |W(q)|^2 that is a
     combination of (1 - cos(a q)) / q^2 terms, so the normally ordered noise
-    reduces to T_k(a) = integral_0^inf (1 - cos(a q)) f_k(q) / q^2 dq over
-    the three density components f1 = |V|^2, f2 = Re(U V_-), f3 = Im(U V_-).
-    In the scaled variables t = q l_coh and a / l_coh, with f0 = f(0)
+    reduces to T(a) = integral_0^inf (1 - cos(a q)) f(q) / q^2 dq over one
+    row f = R_phi - 1 per requested LO phase, at the gain A_p sigma(q).  In
+    the scaled variables t = q l_coh and a / l_coh, with f0 = f(0)
     subtracted below t = SWITCH = 1, each is one formula,
 
-        T_k(a) = f0_k (a Si(a) - 1 + cos a) + sum (1 - cos(a t)) g_k(t) w,
+        T(a) = f0 (a Si(a) - 1 + cos a) + sum (1 - cos(a t)) g(t) w,
 
-    with g_k = (f_k - f0_k) / t^2 below SWITCH and f_k / t^2 above, summed on
-    the Gauss panels of ``_gauss_panels`` up to t = CUT.  The panel width
-    halves per level L = max(0, ceil(log2(a / PANEL_A))), so no panel holds
-    more than ~1.2 periods of cos(a t).  The (t, g w) chunks of a level are
-    built once and kept up to level CACHED_LEVEL; beyond it they are built
-    chunk by chunk on every call, so memory stays bounded for any a.
+    with g = (f - f0) / t^2 below SWITCH and f / t^2 above, summed on the
+    Gauss panels of ``_gauss_panels`` up to t = CUT.  The panel width halves
+    per level L = max(0, ceil(log2(a / PANEL_A))), so no panel holds more
+    than ~1.2 periods of cos(a t).  A table serves one tuple of phases; the
+    (t, g w) chunks of a level are built once and kept up to level
+    CACHED_LEVEL, and beyond it built chunk by chunk on every call, so
+    memory stays bounded for any a.
     """
 
     #: end of the subtracted small-t piece (l_coh units)
@@ -393,34 +397,28 @@ class _PlanePumpNearTables:
     #: largest a / l_coh served by level 0 (panels 0.125 wide below SWITCH,
     #: 0.25 above)
     PANEL_A = 30.0
-    #: highest level whose chunks are kept, a / l_coh <= 480 (~7 MB for
-    #: levels 0 to 4 together)
+    #: highest level whose chunks are kept, a / l_coh <= 480 (~5 MB for
+    #: levels 0 to 4 together, t and two phases)
     CACHED_LEVEL = 4
 
-    def __init__(self, p: OpoParams, s: DerivedScales):
-        self.p, self.s = p, s
-        self.f_zero = self._components(np.zeros(1))[:, 0]
+    def __init__(self, p: OpoParams, s: DerivedScales, phases):
+        self.p, self.s, self.phases = p, s, phases
+        self.f_zero = [_mode_noise(p.A_p, phase, p.detuning, p.omega_bar) for phase in phases]
         self._levels = {}
 
-    def _components(self, t):
-        # (f1, f2, f3) at scaled wavevectors t = q l_coh: the per-mode noise
-        # weights at the plane-pump mode gain A_p sigma(q)
-        p, s = self.p, self.s
-        lam = p.A_p * phase_match_sinc(t / s.l_coh, s)
-        normal, anomalous = _noise_weights(lam, p.detuning, p.omega_bar)
-        return np.stack([normal, anomalous.real, anomalous.imag])
-
     def _weighted_panels(self, level: int):
-        scale = 0.5**level
-        for t, w in _gauss_panels(0.0, self.SWITCH, 0.5 * _PANEL_WIDTH * scale):
-            yield t, (self._components(t) - self.f_zero[:, None]) / t**2 * w
-        for t, w in _gauss_panels(self.SWITCH, self.CUT, _PANEL_WIDTH * scale):
-            yield t, self._components(t) / t**2 * w
+        # (t, [g w at each phase]) chunks, one mode gain evaluation per chunk
+        p, s, scale = self.p, self.s, 0.5**level
+        below = (0.0, self.SWITCH, 0.5 * _PANEL_WIDTH * scale, self.f_zero)
+        above = (self.SWITCH, self.CUT, _PANEL_WIDTH * scale, [0.0] * len(self.phases))
+        for t_lo, t_hi, width, f_sub in (below, above):
+            for t, w in _gauss_panels(t_lo, t_hi, width):
+                lam = p.A_p * phase_match_sinc(t / s.l_coh, s)
+                yield t, [(_mode_noise(lam, phase, p.detuning, p.omega_bar) - f0) / t**2 * w
+                          for phase, f0 in zip(self.phases, f_sub)]
 
     def t_vector(self, a_phys: float) -> np.ndarray:
-        """T_k(a) (physical units, meters in a) for the three components."""
-        if a_phys <= 0:
-            return np.zeros(3)
+        """T(a) (meters in a > 0) at each phase, each row summed on its own."""
         a = a_phys / self.s.l_coh  # scaled conjugate variable
         level = max(0, math.ceil(math.log2(a / self.PANEL_A)))
         chunks = self._levels.get(level)
@@ -429,25 +427,26 @@ class _PlanePumpNearTables:
             if level <= self.CACHED_LEVEL:
                 chunks = self._levels[level] = list(chunks)
         x = a * self.SWITCH
-        out = self.f_zero * (a * si(x) - (1.0 - math.cos(x)) / self.SWITCH)
-        for t, gw in chunks:
-            out = out + gw @ (1.0 - np.cos(a * t))
-        return self.s.l_coh * out
+        window = a * si(x) - (1.0 - math.cos(x)) / self.SWITCH
+        out = [f0 * window for f0 in self.f_zero]
+        for t, gws in chunks:
+            cosine = 1.0 - np.cos(a * t)
+            out = [total + np.einsum("i,i", gw, cosine) for total, gw in zip(out, gws)]
+        return self.s.l_coh * np.array(out)
 
 
 @lru_cache(maxsize=16)
-def _near_tables(p: OpoParams, s: DerivedScales) -> _PlanePumpNearTables:
-    return _PlanePumpNearTables(p, s)
+def _near_tables(p: OpoParams, s: DerivedScales, phases) -> _PlanePumpNearTables:
+    return _PlanePumpNearTables(p, s, phases)
 
 def _vn_planepump_near(det: DetectorMask, lo: LocalOscillator, p: OpoParams,
                        s: DerivedScales, phases):
     """(N, [vn at each phase]) of a symmetric near-field detector, plane pump.
 
     The near-field counterpart of ``_noise_terms``: the detector window of a
-    plane LO combines the tables' T_k into s_plus = T_1 and
-    anom = T_2 + i T_3, taken with the measure ``_Q_MEASURE``.  This covers
-    detector sizes a dense grid cannot span, from a small fraction of l_coh
-    to the single-mode limit.
+    plane LO combines the tables' T into vn = 1 + (w / N) T, with the
+    measure w = ``_Q_MEASURE``.  This covers detector sizes a dense grid
+    cannot span, from a small fraction of l_coh to the single-mode limit.
     """
     if lo.profile != "plane":
         raise ConfigurationError("plane-pump near-field spectra support a plane LO only")
@@ -457,13 +456,12 @@ def _vn_planepump_near(det: DetectorMask, lo: LocalOscillator, p: OpoParams,
     if inner > 0:
         terms = [(4.0, outer - inner), (-4.0, outer + inner), *terms,
                  (2.0, 2.0 * inner)]
-    tables = _near_tables(p, s)
+    tables = _near_tables(p, s, phases)
     n_shot = 2.0 * (outer - inner)
-    total = np.zeros(3)
+    total = np.zeros(len(phases))
     for coef, a in terms:
         total += coef * tables.t_vector(a)
-    anom = complex(total[1], total[2])
-    return n_shot, [_vn(n_shot, total[0], anom, _Q_MEASURE, phase) for phase in phases]
+    return n_shot, [1.0 + (_Q_MEASURE / n_shot) * float(x) for x in total]
 
 
 # ---------------------------------------------------------------------------
@@ -484,11 +482,13 @@ def _route(det: DetectorMask, lo: LocalOscillator, p: OpoParams, s: DerivedScale
             route, (shot, vns) = "dense", _noise_terms(modes, det, lo, p, phases)
         elif not p.plane_pump:
             raise ConfigurationError("a finite pump needs the cavity modes of a dense solve")
-        elif det.plane == "near":
-            route, (shot, vns) = "planepump_near", _vn_planepump_near(det, lo, p, s, phases)
         else:
-            route = "planepump_disk" if det.shape == "radial" else "planepump_far"
-            shot, vns = _vn_planepump_far(det, lo, p, s, phases)
+            _check_threshold(p)
+            if det.plane == "near":
+                route, (shot, vns) = "planepump_near", _vn_planepump_near(det, lo, p, s, phases)
+            else:
+                route = "planepump_disk" if det.shape == "radial" else "planepump_far"
+                shot, vns = _vn_planepump_far(det, lo, p, s, phases)
     if not all(math.isfinite(x) for x in (shot, *vns)):
         raise NumericalFailure(
             f"route {route} gave a non-finite result (N = {shot:g}, vn = "

@@ -20,6 +20,9 @@ The odd fields are modes of gain 0, u = u(0), v = 0.  Each mode is an
 independent single-mode OPO with gain lambda, and |u|^2 - |v|^2 = 1
 identically.  A plane pump is diagonal in the transverse wavevector with
 lambda = A_p sigma(q), so its closed form is the same per-mode function.
+Homodyne detection at the LO phase phi contracts one number per mode,
+R_phi(lambda) - 1 with R_phi = |u + e^{2 i phi} conj(v_-)|^2 (v_- at
+-omega_bar): vn = 1 + (w / N) sum_k c_k^2 (R_phi(lambda_k) - 1).
 
 The Bogoliubov identities U U^+ - V V^+ = I and U V^T = V U^T then hold to
 the orthogonality of Q; ``solve_io`` checks a bound on both after every
@@ -33,13 +36,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import eigh
 
-from .errors import AtOrAboveThreshold, SingularSystem
-from .kernels import KernelMatrix, Grid1D, phase_match_sinc
-from .params import DerivedScales, OpoParams
+from .errors import SingularSystem
+from .kernels import KernelMatrix, Grid1D
+from .params import OpoParams
 
 __all__ = [
     "CavityModes",
-    "analytic_uv_planepump",
     "mode_uv",
     "solve_io",
 ]
@@ -80,29 +82,6 @@ class CavityModes:
     at: tuple[float, float]  # (detuning, omega_bar)
     q: np.ndarray = field(repr=False)
     lam: np.ndarray = field(repr=False)
-
-
-def analytic_uv_planepump(
-    q,
-    p: OpoParams,
-    s: DerivedScales,
-    omega_bar: float | None = None,
-):
-    """Closed-form (U, V) of the plane-pump cavity at transverse wavevector q.
-
-    ``mode_uv`` at the mode gain A_p sigma(q), sigma = sinc(l_c q^2 / (2 k_s)).
-    |U|^2 - |V|^2 = 1 identically (each even mode is an independent OPO
-    below threshold).  ``omega_bar`` overrides the analysis frequency of
-    ``p`` (used for the negative-frequency partner).
-
-    Raises ``AtOrAboveThreshold`` when |D| vanishes within 1e-14.
-    """
-    om = p.omega_bar if omega_bar is None else omega_bar
-    sig = p.A_p * phase_match_sinc(np.asarray(q, dtype=float), s)
-    a_abar = (1.0 + 1j * (p.detuning + om)) * (1.0 + 1j * (om - p.detuning))
-    if np.any(np.abs(a_abar - sig**2) <= 1e-14):
-        raise AtOrAboveThreshold("plane-pump response diverges: a*abar = (A_p sigma)^2")
-    return mode_uv(sig, p.detuning, om)
 
 
 def solve_io(K: KernelMatrix, p: OpoParams) -> CavityModes:

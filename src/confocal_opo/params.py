@@ -15,6 +15,7 @@ Conventions
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -139,24 +140,34 @@ def validate(p: OpoParams) -> OpoParams:
     return p
 
 
+def _positive(**scales) -> None:
+    for name, value in scales.items():
+        if not 0.0 < value < math.inf:
+            raise NonPhysical(f"derived scale {name} = {value!r} is not positive and "
+                              "finite: the inputs reach past the floating-point range")
+
+
 def derive_scales(p: OpoParams) -> DerivedScales:
     """Compute every derived scale from a validated configuration.
 
     Pure function: identical inputs give bit-identical outputs.  The two
     closed forms of the coherence length, sqrt(lambda l_c / (pi n_s)) and
-    sqrt(2 l_c / k_s), agree to rounding by construction.
+    sqrt(2 l_c / k_s), agree to rounding by construction.  Raises
+    ``NonPhysical`` unless every scale, and the far-field lens factor
+    2 pi / (lambda_s f_lens), is positive and finite.
     """
     validate(p)
     k_s = 2.0 * math.pi * p.n_s / p.lambda_s
     l_coh = math.sqrt(p.lambda_s * p.l_c / (math.pi * p.n_s))
     w_C = math.sqrt(p.lambda_s * p.z_C / math.pi)
+    _positive(k_s=k_s, l_coh=l_coh, w_C=w_C, lens_factor=2.0 * math.pi / p.lambda_s / p.f_lens)
     r0 = p.lambda_s * p.f_lens / (math.pi * l_coh)
-    if p.plane_pump:
-        b = math.inf
-        q_coh = 0.0
-        z_p = math.inf
-    else:
-        b = (p.w_p / l_coh) ** 2
+    _positive(r0=r0)
+    b, q_coh, z_p = math.inf, 0.0, math.inf  # a plane pump
+    if not p.plane_pump:
         q_coh = 1.0 / p.w_p
-        z_p = math.pi * p.w_p**2 / (2.0 * p.lambda_s)
+        with contextlib.suppress(OverflowError):  # an overflow leaves inf, refused below
+            b = (p.w_p / l_coh) ** 2
+            z_p = math.pi * p.w_p**2 / (2.0 * p.lambda_s)
+        _positive(b=b, q_coh=q_coh, z_p=z_p)
     return DerivedScales(k_s=k_s, l_coh=l_coh, b=b, w_C=w_C, r0=r0, q_coh=q_coh, z_p=z_p)

@@ -8,8 +8,14 @@ the library's own pieces.
 
 import numpy as np
 
-from confocal_opo import ConfigurationError, KernelMatrix
-from confocal_opo.homodyne import _densities
+from confocal_opo import (
+    AtOrAboveThreshold,
+    ConfigurationError,
+    KernelMatrix,
+    mode_uv,
+    phase_match_sinc,
+)
+from confocal_opo.homodyne import _mode_noise
 from confocal_opo.kernels import _far_even, _pair_sinc, _pump_transform
 
 
@@ -60,10 +66,30 @@ def threshold_margin(K, p):
     return 1.0 - float(np.abs(np.linalg.eigvalsh(K.far)).max())
 
 
+def analytic_uv_planepump(q, p, s, omega_bar=None):
+    """Closed-form (U, V) of the plane-pump cavity at transverse wavevector q.
+
+    ``mode_uv`` at the mode gain A_p sigma(q), sigma = sinc(l_c q^2 / (2 k_s)).
+    |U|^2 - |V|^2 = 1 identically (each even mode is an independent OPO
+    below threshold).  ``omega_bar`` overrides the analysis frequency of
+    ``p`` (used for the negative-frequency partner).
+
+    Raises ``AtOrAboveThreshold`` when |D| vanishes within 1e-14.
+    """
+    om = p.omega_bar if omega_bar is None else omega_bar
+    sig = p.A_p * phase_match_sinc(np.asarray(q, dtype=float), s)
+    a_abar = (1.0 + 1j * (p.detuning + om)) * (1.0 + 1j * (om - p.detuning))
+    if np.any(np.abs(a_abar - sig**2) <= 1e-14):
+        raise AtOrAboveThreshold("plane-pump response diverges: a*abar = (A_p sigma)^2")
+    return mode_uv(sig, p.detuning, om)
+
+
 def noise_density(q, p, s, phase):
     """Plane-pump spatial noise density R(q) = |U(q) + e^{2 i phase} V_-*(q)|^2.
 
-    At resonance and zero frequency, phase = pi/2 gives the squeezed density
+    The library's per-mode noise at the gain A_p sigma(q).  At resonance and
+    zero frequency, phase = pi/2 gives the squeezed density
     ((1 - A_p sigma)/(1 + A_p sigma))^2 and phase = 0 its reciprocal.
     """
-    return _densities(q, p, s, (phase,))[0]
+    lam = p.A_p * phase_match_sinc(np.asarray(q, dtype=float), s)
+    return 1.0 + _mode_noise(lam, phase, p.detuning, p.omega_bar)

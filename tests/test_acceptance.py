@@ -22,7 +22,6 @@ from confocal_opo import (
     Grid1D,
     LocalOscillator,
     OpoParams,
-    analytic_uv_planepump,
     build_kernel_matrix,
     delta_2d,
     derive_scales,
@@ -31,7 +30,7 @@ from confocal_opo import (
     sweep,
 )
 from confocal_opo.cli import main
-from helpers import noise_density
+from helpers import analytic_uv_planepump, noise_density
 from lu_reference import residuals
 from modes_reference import dense_uv, even_diagonal
 from planepump_reference import (

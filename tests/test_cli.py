@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,31 @@ class TestRunCommand:
         assert len(lines) == 1 and lines[0].startswith("numerical failure: "), proc.stderr
         assert not (out / "curve.csv").exists()
 
+    @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "out-under-file"])
+    def test_unreadable_path_exits_2(self, tmp_path, case):
+        # a path the CLI cannot read or write ends in one configuration
+        # error line naming it, not in a traceback
+        cfg = write_config(tmp_path, GOOD_CONFIG)
+        out = tmp_path / "o"
+        if case == "missing":
+            cfg = tmp_path / "missing.cfg"
+        elif case == "directory":
+            cfg = tmp_path
+        elif case == "not-utf8":
+            cfg.write_bytes(GOOD_CONFIG.encode() + b"# \xff\n")
+        else:
+            out = cfg / "x"
+        env = dict(os.environ, PYTHONPATH=str(Path(confocal_opo.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "confocal_opo.cli", "run", "--config", str(cfg),
+             "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error: "), proc.stderr
+        assert str(out if case == "out-under-file" else cfg) in lines[0]
+
     def test_coarse_grid_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, GOOD_CONFIG + "grid_n = 16\n")
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -257,6 +283,27 @@ class TestFigPresets:
         assert rows_v[-1, 1] > rows_v[0, 1]
         # density curve returns to shot noise beyond r0
         assert abs(rows_r[-1, 1] - 1.0) < 0.1
+
+    def test_fig5_near_threshold_stays_squeezed(self, tmp_path):
+        # R - 1 keeps its accuracy near threshold: no row collapses to shot
+        # noise or goes negative
+        out = tmp_path / "fig5"
+        assert main(["fig", "--id", "5", "--set", "A_p=0.999999999", "--out", str(out)]) == 0
+        _, rows = read_curve(out / "curve.csv")
+        assert np.all((rows[:, 1] > 0) & (rows[:, 1] < 1))
+
+    @pytest.mark.parametrize("fig_id", ["5", "8"])
+    def test_plane_pump_at_threshold_exits_1(self, tmp_path, capsys, fig_id):
+        # the strongest plane-pump mode is checked once, before any curve
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fig", "--id", fig_id, "--set", "A_p=0.999999999999999",
+                         "--out", str(out)])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: "), lines
+        assert not list(out.glob("curve*.csv"))
 
     def test_fig9_small_detector_reaches_shot_noise(self, tmp_path):
         out = tmp_path / "fig9"
@@ -409,3 +456,28 @@ def test_package_all_is_union_of_submodules():
     assert len(confocal_opo.__all__) == len(set(confocal_opo.__all__))
     assert set(confocal_opo.__all__) == union
     assert all(hasattr(confocal_opo, name) for name in confocal_opo.__all__)
+
+
+#: --set keys and extreme values of the exit-code grid: the float range's
+#: ends, subnormals and a pump amplitude 1e-15 below threshold
+EXTREME_KEYS = ("lambda_s", "n_s", "l_c", "z_C", "f_lens", "A_p")
+EXTREME_VALUES = ("5e-324", "1e-320", "1e-300", "1e300", "1.7e308", "0.999999999999999")
+
+
+@pytest.mark.parametrize("fig_id", ["2", "5", "8"])
+def test_extreme_overrides_exit_with_a_code(tmp_path, capsys, fig_id):
+    # every valid-looking value ends in exit 0, 1 or 2 with no exception
+    # escaping main: out-of-range derived scales are refused as non-physical
+    escaped = []
+    for key in EXTREME_KEYS:
+        for value in EXTREME_VALUES:
+            argv = ["fig", "--id", fig_id, "--set", f"{key}={value}", "--out", str(tmp_path)]
+            try:
+                code = main(argv)
+            except Exception as exc:  # reported with every other escape below
+                escaped.append((key, value, repr(exc)))
+            else:
+                if code not in (0, 1, 2):
+                    escaped.append((key, value, code))
+    capsys.readouterr()
+    assert escaped == []

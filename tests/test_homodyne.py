@@ -452,6 +452,17 @@ class TestPlanePumpNearSpectrum:
         vns = np.array([pt.vn_squeezed for pt in pts])
         assert np.abs(vns - interval_vn(d, a_p)).max() <= 1e-9
 
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-10])
+    def test_near_threshold_matches_interval_oracle(self, plane_params, eps):
+        # R - 1 keeps its absolute accuracy as the gain nears threshold;
+        # weights split into |v|^2 and u v_- lost it all by A_p = 1 - 1e-8
+        p = replace(plane_params, A_p=1.0 - eps)
+        s = derive_scales(p)
+        d = np.array([0.3, 1.0, 3.0])
+        pts = sweep(p, s, "near", "interval", list(d * s.l_coh), LocalOscillator())
+        vns = np.array([pt.vn_squeezed for pt in pts])
+        assert np.abs(vns - interval_vn(d, p.A_p)).max() <= 1e-12
+
     def test_wide_detector_approaches_single_mode(self, plane_params, plane_scales):
         det = DetectorMask.interval(200.0 * plane_scales.l_coh, "near")
         res = squeezing(det, LocalOscillator(), plane_params, plane_scales)
@@ -765,19 +776,15 @@ class TestOnePath:
             assert sq.meta == anti.meta == {"route": route}
 
     @pytest.mark.parametrize("shape", ["radial", "interval"])
-    def test_far_routes_evaluate_uv_once_per_node(self, monkeypatch, plane_params,
-                                                  plane_scales, shape):
-        # both quadratures of a far-field point come from one quadrature pass
-        # with one (U, V_-) pair per chunk of Gauss nodes: two
-        # analytic_uv_planepump calls per chunk, not one pass per quadrature
+    def test_far_routes_evaluate_gain_once_per_chunk(self, monkeypatch, plane_params,
+                                                     plane_scales, shape):
+        # both quadratures of a far-field point come from one quadrature pass:
+        # one mode-gain evaluation per chunk of Gauss nodes and one per-mode
+        # noise call per (chunk, phase), not one pass per quadrature
         import confocal_opo.homodyne as homodyne
 
-        calls, passes, chunks = [], [], []
-        uv, panels = homodyne.analytic_uv_planepump, homodyne._gauss_panels
-
-        def counted_uv(*args, **kwargs):
-            calls.append(args[0].shape)
-            return uv(*args, **kwargs)
+        passes, chunks, gains, noises = [], [], [], []
+        panels, sinc, noise = homodyne._gauss_panels, homodyne.phase_match_sinc, homodyne._mode_noise
 
         def counted_panels(*args, **kwargs):
             passes.append(args)
@@ -785,12 +792,22 @@ class TestOnePath:
                 chunks.append(chunk)
                 yield chunk
 
-        monkeypatch.setattr(homodyne, "analytic_uv_planepump", counted_uv)
+        def counted_sinc(q, s):
+            gains.append(q.shape)
+            return sinc(q, s)
+
+        def counted_noise(lam, phase, *at):
+            noises.append((lam.shape, phase))
+            return noise(lam, phase, *at)
+
         monkeypatch.setattr(homodyne, "_gauss_panels", counted_panels)
+        monkeypatch.setattr(homodyne, "phase_match_sinc", counted_sinc)
+        monkeypatch.setattr(homodyne, "_mode_noise", counted_noise)
         lo = LocalOscillator(profile="gaussian", waist=plane_scales.r0)
         sweep(plane_params, plane_scales, "far", shape, [1.3 * plane_scales.r0], lo)
         assert len(passes) == 1 and len(chunks) >= 1
-        assert len(calls) == 2 * len(chunks)
+        assert gains == [t.shape for t, _ in chunks]
+        assert noises == [(t.shape, phase) for t, _ in chunks for phase in (math.pi / 2, 0.0)]
 
     def test_route_errors(self, plane_params, plane_scales):
         det = DetectorMask.interval(plane_scales.l_coh, "near")

@@ -12,7 +12,6 @@ from confocal_opo import (
     Grid1D,
     OpoParams,
     SingularSystem,
-    analytic_uv_planepump,
     auto_grid,
     build_kernel_matrix,
     derive_scales,
@@ -22,7 +21,7 @@ from confocal_opo import (
 )
 from confocal_opo.cli import fig_scenarios
 from lu_reference import lu_uv, residuals
-from helpers import flip, threshold_margin
+from helpers import analytic_uv_planepump, flip, threshold_margin
 from modes_reference import dense_uv, even_diagonal
 
 
