@@ -50,6 +50,7 @@ _FLOAT_KEYS = {
     "sweep_min", "sweep_max", "grid_L",
 }
 _INT_KEYS = {"sweep_points", "grid_n"}
+_MAX_SWEEP_POINTS = 100_000  # every point holds a result row until the curve is written
 _AUTO_KEYS = {"grid_n", "grid_L"}  # "auto" leaves the value to the sizing rule
 _CHOICE_KEYS = {
     "pump": ("plane", "gaussian"),
@@ -142,8 +143,10 @@ def scenario_from_config(cfg: dict) -> Scenario:
     )
     scales = derive_scales(params)
     npts = cfg.get("sweep_points", 25)
-    if npts is None or npts < 2:
-        raise ConfigurationError("key 'sweep_points': need at least 2 sweep points")
+    if npts is None or not 2 <= npts <= _MAX_SWEEP_POINTS:
+        raise ConfigurationError(
+            f"key 'sweep_points': need between 2 and {_MAX_SWEEP_POINTS} sweep points, got {npts}"
+        )
     if cfg["sweep_max"] <= cfg["sweep_min"]:
         raise ConfigurationError("key 'sweep_max': must exceed sweep_min")
     if cfg["sweep_min"] < 0:

@@ -31,12 +31,13 @@ and ``_route`` picks one:
   form at no extra cost.  Every route takes R_phi - 1 from ``_mode_noise``.
 * Without modes, a plane pump bypasses the dense solve: its response is
   diagonal in the transverse wavevector, with mode gain lambda =
-  A_p sigma(q), so spectra are the same sum as 1-D quadratures over q.  A
-  near-plane detector combines the cached tables of ``_vn_planepump_near``
-  (plane LO only) over the window terms of its band.
-  A far-plane detector runs the quadrature ``_vn_planepump_far`` over its
-  band; a ``radial`` disk is the same quadrature with the polar weight t
-  (route ``planepump_disk``).  Both raise ``AtOrAboveThreshold`` when the
+  A_p sigma(q), so vn is one window-weighted sum over q of the same
+  R_phi - 1, taken on the chunks of ``_panel_noise``.  A near-plane
+  detector (``_vn_planepump_near``, plane LO only) weighs it by the window
+  of its band [a, b], |W(t)|^2 = 4 (sin(b t) - sin(a t))^2 / t^2; a
+  far-plane detector (``_vn_planepump_far``) by the LO intensity on its
+  band, and a ``radial`` disk also by the polar weight t (route
+  ``planepump_disk``).  Both raise ``AtOrAboveThreshold`` when the
   strongest mode, gain A_p at q = 0, is at threshold within rounding.
   These routes cover detector sizes far beyond what a dense grid can span,
   and are cross-checked against the dense route where the two overlap.
@@ -46,15 +47,16 @@ The quadrature phi = pi/2 is the squeezed quadrature for this sign
 convention; phi = 0 gives its anti-squeezed dual, and both are always
 computable (their product is 1 per mode at resonance and zero frequency).
 
-Both closed-form evaluators share one rule, ``_gauss_panels``: 16-point
-Gauss-Legendre panels in t = q l_coh whose edges sit at the sinc zeros
-t = 2 sqrt(k pi), split to a maximum width.  Against adaptive QUADPACK
+Both closed-form evaluators sum on one node set: 16-point Gauss-Legendre
+panels in t = q l_coh whose edges sit at the sinc zeros t = 2 sqrt(k pi),
+split to a maximum width (``_gauss_panels``).  Against adaptive QUADPACK
 references in the tests the near-field interval agrees to 5e-12 in vn at
 A_p = 0.99 and to 1e-12 up to A_p = 1 - 1e-10, and the far-field interval
 and disk to 1e-15 relative, at resonance and detuned.  The near-field
-window cos(a t) needs panels that shrink with the detector size a, so one
-near-field point costs ~1 ms up to a = 480 l_coh (cached panels) and grows
-linearly beyond, ~0.45 s at a = 1e4 l_coh on a 2-core x86-64 host; the
+window oscillates with period 2 pi / b, so its panels halve in width per
+doubling of 2b past 30 l_coh: one near-field point costs 0.3 ms at
+2b = 30 l_coh and 2 ms at 480 (cached panels), and grows linearly beyond,
+0.03 s at 2b = 1e3 l_coh and 0.2 s at 1e4 on a 2-core x86-64 host; the
 nodes are summed in fixed-size chunks, so memory stays bounded.  Each chunk
 is summed with einsum, not a BLAS dot: OpenBLAS threads a dot past 10,000
 entries, which cost a wide far-field sweep twice the CPU time on that host,
@@ -79,7 +81,7 @@ from .errors import (
     PlaneMismatch,
 )
 from .iosolver import CavityModes, solve_io
-from .kernels import _EXTENT_FACTOR, Grid1D, auto_grid, build_kernel_matrix, phase_match_sinc, si
+from .kernels import _EXTENT_FACTOR, Grid1D, auto_grid, build_kernel_matrix, phase_match_sinc
 from .params import DerivedScales, OpoParams, validate
 
 __all__ = [
@@ -294,11 +296,15 @@ def _check_threshold(p: OpoParams) -> None:
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 #: sinc-zero intervals, or panels, handled at once: bounds every node array
 _CHUNK = 4096
-#: widest panel in t = q l_coh: ~1.2 periods of cos(a t) at a = 30
+#: widest panel in t = q l_coh: ~1.2 periods of the near window at 2b = 30
 _PANEL_WIDTH = 0.25
-#: q-space measure dq / pi of the near-field sums, the counterpart of the
-#: grid step in ``_noise_terms``
-_Q_MEASURE = 1.0 / math.pi
+#: truncation of the near-field t integral; |sinc| < (2/CUT)^2 = 4e-4 beyond
+_NEAR_CUT = 100.0
+#: largest 2b (b the outer band edge in l_coh) served by near level 0
+_NEAR_PANEL_A = 30.0
+#: highest near level whose chunks are cached, 2b <= 480 l_coh; level 4
+#: holds 2.7 MB (t and two phases), so the 32 cached levels stay under 90 MB
+_NEAR_CACHED_LEVEL = 4
 
 
 def _gauss_panels(t_lo: float, t_hi: float, max_width: float):
@@ -331,6 +337,15 @@ def _gauss_panels(t_lo: float, t_hi: float, max_width: float):
             return
         t_lo, k = edges[-1], k + _CHUNK
 
+def _panel_noise(p: OpoParams, s: DerivedScales, t_lo: float, t_hi: float, width: float,
+                 phases):
+    """(t, w, [R_phi - 1 at each phase]) chunks on the panels of
+    ``_gauss_panels``, at the plane-pump mode gain A_p sigma: one gain
+    evaluation per chunk, shared by every phase."""
+    for t, w in _gauss_panels(t_lo, t_hi, width):
+        lam = p.A_p * phase_match_sinc(t / s.l_coh, s)
+        yield t, w, [_mode_noise(lam, phase, p.detuning, p.omega_bar) for phase in phases]
+
 def _lo_panel_width(c: float) -> float:
     # a Gaussian LO weight exp(-c t^2) also needs panels no wider than its
     # 1/e half width, or a narrow spot falls between the nodes
@@ -342,7 +357,7 @@ def _vn_planepump_far(det: DetectorMask, lo: LocalOscillator, p: OpoParams,
 
     vn = 1 + integral |alpha|^2 (R - 1) rho dt / integral |alpha|^2 rho dt
     over the positive half of the detector band in t = q l_coh, both on the
-    Gauss panels of ``_gauss_panels``.  rho = 1 for an interval or pixel pair (1-D);
+    chunks of ``_panel_noise``.  rho = 1 for an interval or pixel pair (1-D);
     a ``radial`` disk is the same quadrature in polar form, rho = t, on
     [0, 2 r / r0].  N is the LO measure of the band: den / l_coh in q, and
     for the disk den / 4 in the scaled radius u = r / r0 = t / 2.
@@ -357,111 +372,58 @@ def _vn_planepump_far(det: DetectorMask, lo: LocalOscillator, p: OpoParams,
     disk = det.shape == "radial"
     num = [0.0] * len(phases)
     den = 0.0
-    for t, w in _gauss_panels(q_lo * s.l_coh, q_hi * s.l_coh, _lo_panel_width(c)):
+    for t, w, noise in _panel_noise(p, s, q_lo * s.l_coh, q_hi * s.l_coh,
+                                    _lo_panel_width(c), phases):
         weight = np.exp(-c * t * t) * w
         if disk:
             weight = t * weight
-        lam = p.A_p * phase_match_sinc(t / s.l_coh, s)
-        for k, phase in enumerate(phases):
-            num[k] += float(np.einsum("i,i", weight, _mode_noise(lam, phase, p.detuning,
-                                                                  p.omega_bar)))
+        num = [x + float(np.einsum("i,i", weight, f)) for x, f in zip(num, noise)]
         den += float(weight.sum())
     return den / 4.0 if disk else den / s.l_coh, [1.0 + x / den for x in num]
 
 
-class _PlanePumpNearTables:
-    """Cached q-space integrals behind the plane-pump near-field spectra.
+def _near_chunks(p: OpoParams, s: DerivedScales, phases, level: int):
+    # (t, [4 w (R - 1) / t^2 at each phase]) on panels 0.125 wide below t = 1,
+    # where the anti-squeezed R - 1 peaks sharply near threshold, and 0.25
+    # above, both halved per level
+    width = _PANEL_WIDTH * 0.5**level
+    for t_lo, t_hi, max_width in ((0.0, 1.0, 0.5 * width), (1.0, _NEAR_CUT, width)):
+        for t, w, noise in _panel_noise(p, s, t_lo, t_hi, max_width, phases):
+            yield t, [4.0 * w * f / t**2 for f in noise]
 
-    Every symmetric detector with a plane LO has a window |W(q)|^2 that is a
-    combination of (1 - cos(a q)) / q^2 terms, so the normally ordered noise
-    reduces to T(a) = integral_0^inf (1 - cos(a q)) f(q) / q^2 dq over one
-    row f = R_phi - 1 per requested LO phase, at the gain A_p sigma(q).  In
-    the scaled variables t = q l_coh and a / l_coh, with f0 = f(0)
-    subtracted below t = SWITCH = 1, each is one formula,
-
-        T(a) = f0 (a Si(a) - 1 + cos a) + sum (1 - cos(a t)) g(t) w,
-
-    with g = (f - f0) / t^2 below SWITCH and f / t^2 above, summed on the
-    Gauss panels of ``_gauss_panels`` up to t = CUT.  The panel width halves
-    per level L = max(0, ceil(log2(a / PANEL_A))), so no panel holds more
-    than ~1.2 periods of cos(a t).  A table serves one tuple of phases; the
-    (t, g w) chunks of a level are built once and kept up to level
-    CACHED_LEVEL, and beyond it built chunk by chunk on every call, so
-    memory stays bounded for any a.
-    """
-
-    #: end of the subtracted small-t piece (l_coh units)
-    SWITCH = 1.0
-    #: truncation of the t integrals; |sinc| < (2/CUT)^2 = 4e-4 beyond
-    CUT = 100.0
-    #: largest a / l_coh served by level 0 (panels 0.125 wide below SWITCH,
-    #: 0.25 above)
-    PANEL_A = 30.0
-    #: highest level whose chunks are kept, a / l_coh <= 480 (~5 MB for
-    #: levels 0 to 4 together, t and two phases)
-    CACHED_LEVEL = 4
-
-    def __init__(self, p: OpoParams, s: DerivedScales, phases):
-        self.p, self.s, self.phases = p, s, phases
-        self.f_zero = [_mode_noise(p.A_p, phase, p.detuning, p.omega_bar) for phase in phases]
-        self._levels = {}
-
-    def _weighted_panels(self, level: int):
-        # (t, [g w at each phase]) chunks, one mode gain evaluation per chunk
-        p, s, scale = self.p, self.s, 0.5**level
-        below = (0.0, self.SWITCH, 0.5 * _PANEL_WIDTH * scale, self.f_zero)
-        above = (self.SWITCH, self.CUT, _PANEL_WIDTH * scale, [0.0] * len(self.phases))
-        for t_lo, t_hi, width, f_sub in (below, above):
-            for t, w in _gauss_panels(t_lo, t_hi, width):
-                lam = p.A_p * phase_match_sinc(t / s.l_coh, s)
-                yield t, [(_mode_noise(lam, phase, p.detuning, p.omega_bar) - f0) / t**2 * w
-                          for phase, f0 in zip(self.phases, f_sub)]
-
-    def t_vector(self, a_phys: float) -> np.ndarray:
-        """T(a) (meters in a > 0) at each phase, each row summed on its own."""
-        a = a_phys / self.s.l_coh  # scaled conjugate variable
-        level = max(0, math.ceil(math.log2(a / self.PANEL_A)))
-        chunks = self._levels.get(level)
-        if chunks is None:
-            chunks = self._weighted_panels(level)
-            if level <= self.CACHED_LEVEL:
-                chunks = self._levels[level] = list(chunks)
-        x = a * self.SWITCH
-        window = a * si(x) - (1.0 - math.cos(x)) / self.SWITCH
-        out = [f0 * window for f0 in self.f_zero]
-        for t, gws in chunks:
-            cosine = 1.0 - np.cos(a * t)
-            out = [total + np.einsum("i,i", gw, cosine) for total, gw in zip(out, gws)]
-        return self.s.l_coh * np.array(out)
-
-
-@lru_cache(maxsize=16)
-def _near_tables(p: OpoParams, s: DerivedScales, phases) -> _PlanePumpNearTables:
-    return _PlanePumpNearTables(p, s, phases)
+@lru_cache(maxsize=32)
+def _cached_near_chunks(p: OpoParams, s: DerivedScales, phases, level: int) -> list:
+    return list(_near_chunks(p, s, phases, level))
 
 def _vn_planepump_near(det: DetectorMask, lo: LocalOscillator, p: OpoParams,
                        s: DerivedScales, phases):
     """(N, [vn at each phase]) of a symmetric near-field detector, plane pump.
 
-    The near-field counterpart of ``_noise_terms``: the detector window of a
-    plane LO combines the tables' T into vn = 1 + (w / N) T, with the
-    measure w = ``_Q_MEASURE``.  This covers detector sizes a dense grid
-    cannot span, from a small fraction of l_coh to the single-mode limit.
+    The near-field counterpart of ``_noise_terms``: the band [a, b] (l_coh
+    units) of a plane LO has the window |W(t)|^2 = 4 (sin(b t) - sin(a t))^2
+    / t^2 and the measure N = 2 (b - a), and
+
+        vn = 1 + integral_0^CUT |W(t)|^2 (R_phi - 1) dt / (pi N),
+
+    CUT = ``_NEAR_CUT``, summed on the chunks of ``_near_chunks``.  Their
+    width halves per level L = max(0, ceil(log2(2b / ``_NEAR_PANEL_A``))),
+    so no panel holds more than ~1.2 periods of the window; the chunks of a
+    level are cached up to ``_NEAR_CACHED_LEVEL`` and built on every call
+    beyond it, so memory stays bounded for any b.  This covers detector
+    sizes a dense grid cannot span, from a small fraction of l_coh to the
+    single-mode limit.
     """
     if lo.profile != "plane":
         raise ConfigurationError("plane-pump near-field spectra support a plane LO only")
-    inner, outer = det.inner, det.outer
-    # |W(q)|^2 of the band as (coef, a) terms of (1 - cos(a q)) / q^2
-    terms = [(2.0, 2.0 * outer)]
-    if inner > 0:
-        terms = [(4.0, outer - inner), (-4.0, outer + inner), *terms,
-                 (2.0, 2.0 * inner)]
-    tables = _near_tables(p, s, phases)
-    n_shot = 2.0 * (outer - inner)
-    total = np.zeros(len(phases))
-    for coef, a in terms:
-        total += coef * tables.t_vector(a)
-    return n_shot, [1.0 + (_Q_MEASURE / n_shot) * float(x) for x in total]
+    a, b = det.inner / s.l_coh, det.outer / s.l_coh
+    level = max(0, math.ceil(math.log2(2.0 * b / _NEAR_PANEL_A)))
+    chunks = (_cached_near_chunks(p, s, phases, level) if level <= _NEAR_CACHED_LEVEL
+              else _near_chunks(p, s, phases, level))
+    total = [0.0] * len(phases)
+    for t, gs in chunks:
+        window = (np.sin(b * t) - np.sin(a * t) if a > 0 else np.sin(b * t)) ** 2
+        total = [x + float(np.einsum("i,i", g, window)) for x, g in zip(total, gs)]
+    return 2.0 * (det.outer - det.inner), [1.0 + x / (2.0 * math.pi * (b - a)) for x in total]
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +470,8 @@ def squeezing(
 
     With ``modes``, the ``CavityModes`` of a dense solve, the detector is
     contracted over the modes (first principles, any pump).  Without them a
-    plane pump runs on its closed-form routes: the near-field tables (plane
-    LO only), the far-field disk for a ``radial`` far detector, and the
+    plane pump runs on its closed-form routes: the near-field window sum
+    (plane LO only), the far-field disk for a ``radial`` far detector, and the
     far-field interval or pixel pair otherwise.  A finite pump without
     modes raises ``ConfigurationError``.
     """

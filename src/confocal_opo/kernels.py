@@ -211,8 +211,8 @@ class Grid1D:
     def uniform(cls, n: int, half_extent: float, domain: str) -> "Grid1D":
         if domain not in ("near", "far"):
             raise ConfigurationError(f"domain must be 'near' or 'far', got {domain!r}")
-        if n < 2 or half_extent <= 0:
-            raise ConfigurationError("need n >= 2 and half_extent > 0")
+        if n < 2 or not 0 < half_extent < math.inf:
+            raise ConfigurationError("need n >= 2 and a positive finite half_extent")
         h = 2.0 * half_extent / n
         pts = -half_extent + (np.arange(n) + 0.5) * h
         return cls(n=n, half_extent=half_extent, domain=domain, points=pts)
@@ -349,12 +349,14 @@ def auto_grid(
     extent = max([extent_min, *extents] + [r + step_max for r in reaches])
     if extent <= 0:
         raise GridTooCoarse("no finite extent available to size the grid")
-    n = int(math.ceil(2.0 * extent / step_max))
+    # n stays a float until it fits: an extent near the float range has no int n
+    cells = 2.0 * extent / step_max
+    n = math.ceil(cells) if cells <= MAX_GRID_N else cells
     if n % 2 == 0:
         n += 1
-    if n > MAX_GRID_N:
+    if not n <= MAX_GRID_N:
         raise GridTooCoarse(
-            f"sizing rule demands n = {n} > {MAX_GRID_N} points "
+            f"sizing rule demands n = {n:.3e} > {MAX_GRID_N} points "
             f"(extent {extent:.3e}, step {step_max:.3e})"
         )
     n = max(n, 33)

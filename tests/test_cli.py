@@ -186,10 +186,12 @@ class TestRunCommand:
             assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
         alone = (tmp_path / "alone" / "curve.csv").read_bytes()
         assert alone == (tmp_path / "both" / "curve.csv").read_bytes()
-        # an extent the sizing rule cannot serve within MAX_GRID_N points
-        cfg = write_config(tmp_path, text + "grid_L = 1.0\n", name="huge.cfg")
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "huge")]) == 1
-        assert "sizing rule demands" in capsys.readouterr().err
+        # an extent the sizing rule cannot serve within MAX_GRID_N points,
+        # up to one whose point count overflows an integer
+        for huge in ("1.0", "1.7e308"):
+            cfg = write_config(tmp_path, text + f"grid_L = {huge}\n", name="huge.cfg")
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "huge")]) == 1
+            assert "sizing rule demands" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
         GOOD_CONFIG.replace("pixel_pair", "interval") + "lo_amplitude = 1e200\n",
@@ -438,7 +440,7 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 
 def test_every_route_leaves_out_scipy(tmp_path):
     # the library runs on numpy alone: the fig 2 profile (Si on both
-    # branches), the plane-pump near tables, the dense solves in either
+    # branches), the plane-pump near route, the dense solves in either
     # plane, the far-field disk and figs 2, 5 and 8 end to end
     env = dict(os.environ, PYTHONPATH=str(Path(confocal_opo.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", ROUTES_CODE, str(tmp_path)],
@@ -464,12 +466,17 @@ EXTREME_KEYS = ("lambda_s", "n_s", "l_c", "z_C", "f_lens", "A_p")
 EXTREME_VALUES = ("5e-324", "1e-320", "1e-300", "1e300", "1.7e308", "0.999999999999999")
 
 
-@pytest.mark.parametrize("fig_id", ["2", "5", "8"])
+#: the keys of the grid per figure: fig 6, a dense Gaussian-pump preset, is
+#: run over its pump size b only
+EXTREME_FIG_KEYS = {"2": EXTREME_KEYS, "5": EXTREME_KEYS, "8": EXTREME_KEYS, "6": ("b",)}
+
+
+@pytest.mark.parametrize("fig_id", list(EXTREME_FIG_KEYS))
 def test_extreme_overrides_exit_with_a_code(tmp_path, capsys, fig_id):
     # every valid-looking value ends in exit 0, 1 or 2 with no exception
     # escaping main: out-of-range derived scales are refused as non-physical
     escaped = []
-    for key in EXTREME_KEYS:
+    for key in EXTREME_FIG_KEYS[fig_id]:
         for value in EXTREME_VALUES:
             argv = ["fig", "--id", fig_id, "--set", f"{key}={value}", "--out", str(tmp_path)]
             try:
@@ -481,3 +488,27 @@ def test_extreme_overrides_exit_with_a_code(tmp_path, capsys, fig_id):
                     escaped.append((key, value, code))
     capsys.readouterr()
     assert escaped == []
+
+
+@pytest.mark.parametrize("argv,config,code,prefix", [
+    (["fig", "--id", "6", "--set", "b=1e300"], None, 1, "numerical failure: "),
+    (["run"], GOOD_CONFIG + "grid_L = 1.7e308\n", 1, "numerical failure: "),
+    (["run"], GOOD_CONFIG.replace("sweep_points = 5", "sweep_points = 1000000000000"),
+     2, "configuration error: "),
+    (["run"], GOOD_CONFIG.replace("sweep_points = 5", "sweep_points = " + "1" + "0" * 29),
+     2, "configuration error: "),
+], ids=["fig6-b-1e300", "grid_L-1.7e308", "sweep_points-1e12", "sweep_points-1e29"])
+def test_out_of_range_size_exits_with_one_line(tmp_path, argv, config, code, prefix):
+    # a grid or sweep size no machine can hold ends in one stderr line with
+    # its exit code: no traceback, no allocation tried, and no number printed
+    # with a hundred digits
+    if config is not None:
+        argv = argv + ["--config", str(write_config(tmp_path, config))]
+    env = dict(os.environ, PYTHONPATH=str(Path(confocal_opo.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "confocal_opo.cli", *argv,
+                           "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == code
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), proc.stderr
+    assert len(lines[0]) < 200

@@ -148,7 +148,7 @@ class TestDetectorMask:
     @pytest.mark.parametrize("inner, outer", [(0.0, math.nan), (math.nan, 1e-4),
                                               (0.0, math.inf)])
     def test_non_finite_band_rejected(self, plane_params, plane_scales, inner, outer):
-        # the near tables size their panels from the band
+        # the near route sizes its panels from the band
         with pytest.raises(ConfigurationError):
             squeezing(DetectorMask("interval", "near", inner, outer), LocalOscillator(),
                       plane_params, plane_scales)
@@ -442,12 +442,12 @@ class TestPlanePumpNearSpectrum:
 
     @pytest.mark.parametrize("a_p", [0.9, 0.99])
     def test_sweep_matches_interval_oracle(self, plane_params, a_p):
-        # half widths on both sides of a / l_coh = 2d = 30, where the panel
-        # width starts to halve, up to level 4 (a = 300), where unhalved
-        # panels would err by 5e-4
+        # half widths on both sides of 2d = 30 l_coh, where the panel width
+        # starts to halve, through level 4 (2d = 300), where unhalved panels
+        # would err by 5e-4, to the uncached levels 5 and 7 (2d = 600, 2000)
         p = replace(plane_params, A_p=a_p)
         s = derive_scales(p)
-        d = np.array([0.05, 0.5, 5.0, 17.5, 22.5, 27.5, 60.0, 150.0])
+        d = np.array([0.05, 0.5, 5.0, 17.5, 22.5, 27.5, 60.0, 150.0, 300.0, 1000.0])
         pts = sweep(p, s, "near", "interval", list(d * s.l_coh), LocalOscillator())
         vns = np.array([pt.vn_squeezed for pt in pts])
         assert np.abs(vns - interval_vn(d, a_p)).max() <= 1e-9
@@ -462,6 +462,26 @@ class TestPlanePumpNearSpectrum:
         pts = sweep(p, s, "near", "interval", list(d * s.l_coh), LocalOscillator())
         vns = np.array([pt.vn_squeezed for pt in pts])
         assert np.abs(vns - interval_vn(d, p.A_p)).max() <= 1e-12
+
+    def test_uncached_level_leaves_the_cache_alone(self, plane_params, plane_scales):
+        # the chunks of a level past the cached ones are built per call and
+        # dropped, so a wide detector adds nothing to the cache
+        from confocal_opo.homodyne import _NEAR_CACHED_LEVEL, _cached_near_chunks
+
+        # 2b = 2 x 300 l_coh is level 5; 2 x 1 l_coh is level 0, cached
+        assert _NEAR_CACHED_LEVEL < 5
+        _cached_near_chunks.cache_clear()
+        for d, size in ((1.0, 1), (300.0, 1)):
+            det = DetectorMask.interval(d * plane_scales.l_coh, "near")
+            squeezing(det, LocalOscillator(), plane_params, plane_scales)
+            assert _cached_near_chunks.cache_info().currsize == size
+
+    def test_cache_size_is_bounded(self):
+        # memory stays bounded: no more cached chunk lists than 16 parameter
+        # sets with 5 levels each
+        from confocal_opo.homodyne import _cached_near_chunks
+
+        assert _cached_near_chunks.cache_info().maxsize <= 16 * 5
 
     def test_wide_detector_approaches_single_mode(self, plane_params, plane_scales):
         det = DetectorMask.interval(200.0 * plane_scales.l_coh, "near")

@@ -265,6 +265,7 @@ class TestGrid1D:
 
     @pytest.mark.parametrize("n,half_extent,domain", [
         (1, 1.0, "near"), (33, 0.0, "near"), (33, -1.0, "far"), (33, 1.0, "focal"),
+        (33, math.nan, "near"), (33, math.inf, "far"),
     ])
     def test_bad_uniform_grid_rejected(self, n, half_extent, domain):
         with pytest.raises(ConfigurationError):
