@@ -129,13 +129,18 @@ def scenario_from_config(cfg: dict) -> Scenario:
     pump = cfg["pump"]
     if pump == "gaussian" and "w_p" not in cfg:
         raise ConfigurationError("key 'w_p': required for pump = gaussian")
+    # a key that changes no row is refused, not echoed as if it applied
+    for key, needs, setting in (("w_p", "pump", "gaussian"), ("lo_waist", "lo", "gaussian"),
+                                ("pixel_width", "detector", "pixel_pair")):
+        if key in cfg and cfg.get(needs) != setting:
+            raise ConfigurationError(f"key {key!r}: applies to {needs} = {setting} only")
     params = OpoParams(
         lambda_s=cfg["lambda_s"],
         n_s=cfg["n_s"],
         l_c=cfg["l_c"],
         z_C=cfg["z_C"],
         A_p=cfg["A_p"],
-        w_p=cfg.get("w_p") if pump == "gaussian" else None,
+        w_p=cfg.get("w_p"),
         plane_pump=(pump == "plane"),
         detuning=cfg.get("detuning", 0.0),
         omega_bar=cfg.get("omega_bar", 0.0),
@@ -346,6 +351,10 @@ def fig_scenarios(fig_id: int, overrides: dict) -> list[Scenario]:
             label=f"fig{fig_id}_{suffix.format(b=b)}".rstrip("_"),
             pixel_width=unit if detector == "pixel_pair" else None,
         ))
+    labels = [sc.label for sc in out]
+    if len(set(labels)) < len(labels):
+        raise ConfigurationError(
+            f"key 'b': values {overrides['b']} give repeated curve labels {labels}")
     return out
 
 def run_fig(fig_id: int, overrides: dict, outdir: Path) -> None:
@@ -421,6 +430,8 @@ def _parse_overrides(items) -> dict:
             raise ConfigurationError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         key = key.strip()
+        if key in out:
+            raise ConfigurationError(f"--set: duplicate key: {key!r}")
         if key == "b":
             out[key] = _parse_b(value)
         elif key in ARTIFACT_DEFAULTS:

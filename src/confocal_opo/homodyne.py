@@ -20,8 +20,9 @@ and ``_route`` picks one:
   commutation rules.  For a symmetric detector and an even local oscillator
   only the even part of the output contributes beyond shot noise; the odd
   part stays in the vacuum.  With the LO-on-detector vector l (grid step w)
-  and its mode coefficients c = q^T E^T l, with the m x m modes q of
-  ``CavityModes`` and the fold E^T of ``Grid1D.fold``:
+  and its mode coefficients c = q^T E^T l, with the m x m far-grid modes q
+  of ``CavityModes`` and the fold E^T of ``Grid1D.fold`` (a near l first
+  goes to the far grid, l -> W l, by one FFT):
 
       N = w l^T l,
       vn = 1 + (w / N) sum_k c_k^2 (R_phi(lambda_k) - 1),
@@ -267,14 +268,30 @@ def _mode_noise(lam, phase: float, detuning: float, omega_bar: float):
     num = (lam + z) ** 2 + (complex(1.0 + alpha * beta, beta - alpha) - z * z)
     return np.abs(num / den) ** 2 - 1.0
 
+def _conjugate_image(grid: Grid1D, vec: np.ndarray) -> np.ndarray:
+    """W vec, real and even, of an even real vector on ``grid`` under the
+    unitary DFT W_jk = exp(-i q_j x_k) / sqrt(n) onto the conjugate grid.
+
+    On midpoint grids q_j x_k = n pi/2 - pi (j + k + 1) + 2 pi (j + 1/2)(k + 1/2) / n,
+    so W = c D F D with the plain DFT F, D = diag((-1)^k e^{-i pi k / n}) and
+    c = e^{-i pi (n/2 - 1 + 1/(2n))} / sqrt(n), its whole turns taken exactly.
+    """
+    n = grid.n
+    d = np.exp(-1j * np.pi * np.arange(n) / n)
+    d[1::2] *= -1.0
+    c = -((-1j) ** (n % 4)) * np.exp(-0.5j * np.pi / n) / math.sqrt(n)
+    return (c * d * np.fft.fft(d * vec)).real
+
 def _noise_terms(modes: CavityModes, det: DetectorMask, lo: LocalOscillator,
                  p: OpoParams, phases):
     """(N, [vn at each phase]) of one detector from the cavity modes: lvec is
-    the LO magnitude on the detector cells, c = q^T fold(lvec) its even part
-    in the mode basis, vn = 1 + (w / N) sum_k c_k^2 (R_phi(lam_k) - 1)."""
+    the LO magnitude on the detector cells, on a near grid carried to the far
+    grid of the modes by ``_conjugate_image``; c = q^T fold(lvec) is its even
+    part in the mode basis, vn = 1 + (w / N) sum_k c_k^2 (R_phi(lam_k) - 1)."""
     grid = modes.grid
     lvec = lo.magnitude(grid, p) * det.indicator(grid, p)
-    c2 = (modes.q.T @ grid.fold(lvec)) ** 2
+    far = lvec if grid.domain == "far" else _conjugate_image(grid, lvec)
+    c2 = (modes.q.T @ grid.fold(far)) ** 2
     w = grid.step
     n_shot = w * float(lvec @ lvec)
     return n_shot, [1.0 + (w / n_shot) * float(c2 @ _mode_noise(modes.lam, phase, *modes.at))

@@ -14,8 +14,8 @@ diagonalizes both at every detuning and analysis frequency at once
 (Bloch-Messiah reduction): U = Q diag(u) Q^T and V = Q diag(v) Q^T with
 the per-mode closed forms u(lambda), v(lambda) of ``mode_uv``.  K vanishes
 on the odd subspace of the grid, so only its m = ceil(n/2) even modes are
-computed, all from the far-field block: a near-field operator is that block
-rotated by the orthogonal cosine matrix C, so its modes are C^T q_far.
+computed, all from the far-field block, and they stay on the far grid in
+either domain: a near detector is carried to them by the unitary DFT.
 The odd fields are modes of gain 0, u = u(0), v = 0.  Each mode is an
 independent single-mode OPO with gain lambda, and |u|^2 - |v|^2 = 1
 identically.  A plane pump is diagonal in the transverse wavevector with
@@ -70,10 +70,11 @@ class CavityModes:
     """Eigenmodes of the coupling matrix at one (detuning, omega_bar) point.
 
     ``K = Q diag(lam) Q^T`` with orthonormal real columns of ``Q`` over the
-    field values on ``grid`` (operator form, uniform weights): the
+    field values on the far grid (operator form, uniform weights): the
     m = ceil(n/2) even modes, stored as their even-subspace coefficients
     ``q`` (m x m), so that Q = E q for the even basis E of
-    ``Grid1D.fold`` (E^T).  The transform is
+    ``Grid1D.fold`` (E^T), on ``grid`` itself or on its conjugate when
+    ``grid`` is near.  The transform is
     U = Q diag(u) Q^T + u(0) (I - Q Q^T), V = Q diag(v) Q^T with
     (u, v) = mode_uv(lam, *at); the odd subspace I - Q Q^T is untouched.
     """
@@ -87,8 +88,7 @@ class CavityModes:
 def solve_io(K: KernelMatrix, p: OpoParams) -> CavityModes:
     """Eigenmodes of the real symmetric coupling matrix ``K`` at the point of ``p``.
 
-    One ``eigh`` call on the m x m far block; a near grid's modes are the
-    far modes rotated by the cosine matrix, C^T q_far, one m^3 product.
+    One ``eigh`` call on the m x m far block, whose modes serve either domain.
     Raises ``SingularSystem`` when the spectral condition
     max|a abar - lam^2| / min|a abar - lam^2| of the system matrix
     a I - K^2 / abar, the odd subspace (lam = 0) included, exceeds 1e12
@@ -107,11 +107,9 @@ def solve_io(K: KernelMatrix, p: OpoParams) -> CavityModes:
             f"input/output system condition {cond:.3e} exceeds {_CONDITION_CUTOFF:.0e}; "
             "the configuration is at/above threshold or the grid is too coarse"
         )
-    if K.grid.domain == "near":
-        q = K.cosine.T @ q  # C is built here, after the solve has freed its workspace
     at = (p.detuning, p.omega_bar)
-    # the gate certifies the modes that are contracted, rotation included;
-    # an overflow makes the bound nan, which it refuses without numpy's warning
+    # the gate certifies the modes that are contracted; an overflow makes
+    # the bound nan, which it refuses without numpy's warning
     with np.errstate(all="ignore"):
         bound = _symplectic_bound(q, lam, at)
     if not bound <= _SYMPLECTIC_TOLERANCE:

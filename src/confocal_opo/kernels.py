@@ -57,8 +57,8 @@ _THIN_STEP_RATIO = 7.0
 _THIN_CRYSTAL_RATIO = 1e-3
 # Largest grid size.  Every dense array is m x m (m = ceil(n/2)); the peak
 # is the divide-and-conquer eigh of the far block (an input copy, a 2 m^2
-# workspace and the output) next to the block itself; the cosine matrix is
-# built only after it.  Near n = 64 sqrt(b) (4 w_p in steps of l_coh / 8)
+# workspace and the output) next to the block itself, in either domain: the
+# modes stay on the far grid.  Near n = 64 sqrt(b) (4 w_p in steps of l_coh / 8)
 # and far n = 96 sqrt(b) (the band 6 / l_coh in steps of 1 / (8 w_p)), so
 # this n covers fig 6 up to b ~ 8,780 and fig 9 up to b ~ 3,900; both take
 # 5.4-6.6 s and 376-378 MB there on a 2-core x86-64 host.
@@ -263,22 +263,14 @@ class KernelMatrix:
     is the real symmetric m x m block E^T K E of the far-field operator in
     the orthonormal even basis E of ``Grid1D.fold`` (m = ceil(n/2)),
     where K[i, j] = K(q_i, q_j) h: on ``grid`` itself in the far domain,
-    on its conjugate grid in the near domain.  The near block is C^T far C
-    for the DFT restricted to the even subspace, an orthogonal m x m matrix
-    C (``cosine``), and is never formed: it has the spectrum of ``far`` and
-    the modes C^T q_far.
+    on its conjugate grid in the near domain.  The near operator is the
+    unitary DFT similarity of ``far`` and is never formed: it has the
+    spectrum of ``far``, and its modes stay in the far eigenbasis, where a
+    near detector is moved instead (``homodyne._noise_terms``).
     """
 
     far: np.ndarray = field(repr=False)
     grid: Grid1D
-
-    @property
-    def cosine(self) -> np.ndarray | None:
-        """C of a near grid (None on a far grid), built from the grid on each
-        access, so that it is not held while ``far`` is diagonalized."""
-        if self.grid.domain == "far":
-            return None
-        return _cosine_restriction(self.grid, self.grid.conjugate())
 
 
 def _structure_scales(p: OpoParams, s: DerivedScales, domain: str):
@@ -399,38 +391,18 @@ def _far_even(g: Grid1D, p: OpoParams, s: DerivedScales) -> np.ndarray:
         block[:, -1] *= math.sqrt(0.5)
     return block
 
-def _cosine_restriction(g: Grid1D, conj: Grid1D) -> np.ndarray:
-    """C = E^T W E, the unitary DFT W_jk = exp(-i q_j x_k) / sqrt(n) between
-    ``g`` and its conjugate grid restricted to the even subspace.
-
-    W maps flip-even vectors to flip-even vectors and W_j,flip(k) is the
-    complex conjugate of W_jk, so the restriction is the real orthogonal
-    cosine matrix (2 / sqrt(n)) cos(q_a x_b), with a factor 1/sqrt(2) for
-    each center index of an odd grid.
-    """
-    m = g.n_even
-    cmat = np.outer(conj.points[:m], g.points[:m])
-    np.cos(cmat, out=cmat)
-    cmat *= 2.0 / math.sqrt(g.n)
-    if g.n % 2:
-        cmat[-1] *= math.sqrt(0.5)
-        cmat[:, -1] *= math.sqrt(0.5)
-    return cmat
-
 def build_kernel_matrix(g: Grid1D, p: OpoParams, s: DerivedScales) -> KernelMatrix:
     """Discretize the coupling kernel on ``g``.
 
     Far domain: the even block of the 1-D far-field kernel (plane pump:
     discrete delta), gathered by ``_far_even``.  Near domain: the discrete
     Fourier similarity transform W^H K_far W of the far-domain kernel built
-    on the conjugate grid.  On the even subspace W is the real cosine
-    matrix C of ``_cosine_restriction``, which ``KernelMatrix.cosine``
-    builds from the grid when it is needed, instead of forming
-    C^T K_far,even C.  Building the near kernel this way guarantees the
-    transform-pair consistency of the two representations, and avoids
-    evaluating an oscillatory half-power Fresnel integral for the 1-D
-    position kernel, which has no closed form.
-    Every array is m x m (m = ceil(n/2)).
+    on the conjugate grid, held as that far block alone, so the near modes
+    are the far modes and a near detector reaches them through one DFT.
+    Building the near kernel this way guarantees the transform-pair
+    consistency of the two representations, and avoids evaluating an
+    oscillatory half-power Fresnel integral for the 1-D position kernel,
+    which has no closed form.  Every array is m x m (m = ceil(n/2)).
 
     Raises ``GridTooCoarse`` when the grid violates the sizing rule (step
     <= l_coh/8 near, or beyond the thin-crystal regime; step <=

@@ -10,7 +10,7 @@ near block C^T K_far,even C and the n x n operator form of a
 import numpy as np
 
 from confocal_opo import phase_match_sinc
-from helpers import flip, ktilde_far, unfold
+from helpers import cosine, flip, ktilde_far, unfold
 
 _ROW_BLOCK = 64
 
@@ -42,9 +42,10 @@ def fold_block(g, op):
 
 def even_block(K):
     """m x m even block of ``K`` on its own grid: C^T far C for a near grid."""
-    if K.cosine is None:
+    if K.grid.domain == "far":
         return K.far
-    return K.cosine.T @ K.far @ K.cosine
+    cmat = cosine(K.grid)
+    return cmat.T @ K.far @ cmat
 
 
 def entries(K):

@@ -6,6 +6,8 @@ pointwise kernels that the oracles compare against.  These build them from
 the library's own pieces.
 """
 
+import math
+
 import numpy as np
 
 from confocal_opo import (
@@ -34,6 +36,34 @@ def unfold(g, block):
     block = np.asarray(block)
     full = np.concatenate([block, block[: g.n - g.n_even][::-1]])
     return full * g._even_coef().reshape((-1,) + (1,) * (block.ndim - 1))
+
+
+def cosine(g):
+    """C = E^T W E of a near grid ``g``: the unitary DFT W_jk =
+    exp(-i q_j x_k) / sqrt(n) onto its conjugate grid, restricted to the even
+    subspace.
+
+    W maps flip-even vectors to flip-even vectors and W_j,flip(k) is the
+    complex conjugate of W_jk, so the restriction is the real orthogonal
+    cosine matrix (2 / sqrt(n)) cos(q_a x_b), with a factor 1/sqrt(2) for
+    each center index of an odd grid.  The near block of a ``KernelMatrix``
+    is C^T far C.
+    """
+    m = g.n_even
+    cmat = np.cos(np.outer(g.conjugate().points[:m], g.points[:m]))
+    cmat *= 2.0 / math.sqrt(g.n)
+    if g.n % 2:
+        cmat[-1] *= math.sqrt(0.5)
+        cmat[:, -1] *= math.sqrt(0.5)
+    return cmat
+
+
+def grid_modes(modes):
+    """Even-subspace coefficients of the modes on ``modes.grid``: the far
+    modes q themselves on a far grid, C^T q on a near one."""
+    if modes.grid.domain == "far":
+        return modes.q
+    return cosine(modes.grid).T @ modes.q
 
 
 def unchecked_kernel(g, p, s):

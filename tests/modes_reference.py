@@ -3,7 +3,7 @@
 import numpy as np
 
 from confocal_opo import mode_uv
-from helpers import unfold
+from helpers import grid_modes, unfold
 
 
 def dense_uv(modes):
@@ -15,7 +15,7 @@ def dense_uv(modes):
     """
     u, v = mode_uv(modes.lam, *modes.at)
     u0, _ = mode_uv(0.0, *modes.at)
-    q = unfold(modes.grid, modes.q)  # the modes as grid vectors, Q = E q
+    q = unfold(modes.grid, grid_modes(modes))  # the modes as grid vectors, Q = E q
     odd = np.eye(q.shape[0]) - q @ q.T
     return (q * u) @ q.T + u0 * odd, (q * v) @ q.T
 

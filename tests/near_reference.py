@@ -2,8 +2,9 @@
 
 Builds the near-field operator as the full complex similarity transform
 B K_far F of the far-field operator on the conjugate grid, over all n grid
-points with no use of the even subspace, so the cosine-restricted build of
-the library can be checked against it.
+points with no use of the even subspace, so the library's far block, taken
+to the near grid by the cosine oracle of ``helpers``, can be checked against
+it.
 """
 
 import math

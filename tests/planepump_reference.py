@@ -99,23 +99,25 @@ def correlation_first_zero(a_p: float) -> float:
 def interval_vn(half_widths, a_p: float) -> np.ndarray:
     """Squeezed vn of centred intervals (half widths in l_coh units).
 
-    Direct quadrature of window x density, one adaptive vector-valued rule
-    over all half widths at once; a zero half width is shot noise (1).
+    Direct quadrature of window x density, one adaptive rule per half width,
+    so that each is split into panels by its own window alone; a zero half
+    width is shot noise (1).
     """
     d = np.asarray(half_widths, dtype=float)
 
-    def integrand(x):
+    def integrand(x, di):
         if x == 0.0:
-            return d * d * density_minus_one(0.0, a_p)
-        return np.sin(x * d) ** 2 / (x * x) * density_minus_one(x, a_p)
+            return di * di * density_minus_one(0.0, a_p)
+        return math.sin(x * di) ** 2 / (x * x) * density_minus_one(x, a_p)
 
-    val = scipy.integrate.quad_vec(
-        integrand, 0.0, CUT, points=EDGES[1:-1], epsabs=1e-10, epsrel=1e-10,
-        limit=10000,
-    )[0]
     out = np.ones_like(d)
-    nonzero = d > 0.0
-    out[nonzero] = 1.0 + 2.0 / (math.pi * d[nonzero]) * val[nonzero]
+    for i, di in enumerate(d):
+        if di > 0.0:
+            val = scipy.integrate.quad_vec(
+                integrand, 0.0, CUT, args=(di,), points=EDGES[1:-1], epsabs=1e-10,
+                epsrel=1e-10, limit=10000,
+            )[0]
+            out[i] = 1.0 + 2.0 / (math.pi * di) * val
     return out
 
 

@@ -512,3 +512,47 @@ def test_out_of_range_size_exits_with_one_line(tmp_path, argv, config, code, pre
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix), proc.stderr
     assert len(lines[0]) < 200
+
+
+def _one_line_exit(tmp_path, argv):
+    """(exit code, the one stderr line) of the CLI run in its own process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(confocal_opo.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "confocal_opo.cli", *argv,
+                           "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=env)
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    return proc.returncode, lines[0]
+
+
+@pytest.mark.parametrize("sets", [
+    ["b=4", "b=25"], ["A_p=0.9", "A_p=0.95"], ["b=4,4"], ["b=4,4.0000001"],
+], ids=["repeated-b", "repeated-A_p", "b-list-repeat", "b-list-same-label"])
+def test_repeated_fig_set_exits_2(tmp_path, sets):
+    # a repeated --set key, or b values whose curves would share a label and
+    # file, is refused: neither is silently dropped or overwritten
+    argv = ["fig", "--id", "6"] + [arg for item in sets for arg in ("--set", item)]
+    code, line = _one_line_exit(tmp_path, argv)
+    assert code == 2 and line.startswith("configuration error: ")
+    assert not list(tmp_path.rglob("*.csv")) and not list(tmp_path.rglob("summary.txt"))
+
+
+@pytest.mark.parametrize("text,key", [
+    (PLANE_NEAR_CONFIG + "pixel_width = 4e-5\n", "pixel_width"),
+    (PLANE_FAR_RADIAL_CONFIG + "pixel_width = 4e-5\n", "pixel_width"),
+    (PLANE_NEAR_CONFIG + "lo_waist = 1e-4\n", "lo_waist"),
+    (GOOD_CONFIG + "lo = plane\nlo_waist = 1e-4\n", "lo_waist"),
+    (PLANE_NEAR_CONFIG + "w_p = 2.4e-4\n", "w_p"),
+], ids=["pixel_width-interval", "pixel_width-radial", "lo_waist-default-lo",
+        "lo_waist-plane-lo", "w_p-plane-pump"])
+def test_run_key_that_changes_nothing_exits_2(tmp_path, text, key):
+    # a key the scenario does not read would be echoed into curve.csv and
+    # summary.txt as if it applied; it is refused instead
+    code, line = _one_line_exit(tmp_path, ["run", "--config", str(write_config(tmp_path, text))])
+    assert code == 2 and line.startswith(f"configuration error: key '{key}'")
+    assert not (tmp_path / "o" / "curve.csv").exists()
+    # where the key applies, it is taken
+    sc = scenario_from_config(parse_config(write_config(
+        tmp_path, GOOD_CONFIG + "pixel_width = 4e-5\nlo = gaussian\nlo_waist = 1e-4\n",
+        name="applies.cfg")))
+    assert (sc.pixel_width, sc.lo.waist, sc.params.w_p) == (4e-5, 1e-4, 2.4e-4)

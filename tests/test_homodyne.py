@@ -21,7 +21,8 @@ from confocal_opo import (
     sweep,
     sweep_extents,
 )
-from helpers import noise_density, unchecked_kernel
+from confocal_opo.homodyne import _conjugate_image
+from helpers import cosine, noise_density, unchecked_kernel
 from lu_reference import lu_noise
 from planepump_reference import (
     circular_vn,
@@ -320,6 +321,42 @@ class TestModeRouteMatchesLU:
                     res = squeezing(det, replace(lo, phase=phase), p, s, modes)
                     ref = oracle(lvec, phase)
                     assert abs(res.vn - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def _extended_image(g, vec):
+    """Even half (j < m) of W vec by the defining sum in np.longdouble, with
+    the phase q_j x_k = pi N_jk / (2n), N_jk = n^2 - 2n(j + k + 1)
+    + (2j + 1)(2k + 1), reduced modulo 4n in integers."""
+    n, m = g.n, g.n_even
+    pi = 4 * np.arctan(np.longdouble(1))
+    cos = np.cos(pi * np.arange(4 * n, dtype=np.longdouble) / (2 * n))  # at each N mod 4n
+    k = np.arange(n)
+    out = np.empty(m, dtype=np.longdouble)
+    for lo in range(0, m, 256):
+        j = np.arange(lo, min(m, lo + 256))[:, None]
+        phase = (n * n - 2 * n * (j + k + 1) + (2 * j + 1) * (2 * k + 1)) % (4 * n)
+        out[lo:lo + 256] = cos[phase] @ vec.astype(np.longdouble)
+    return out / np.sqrt(np.longdouble(n))
+
+
+class TestConjugateImage:
+    # a near detector reaches the far modes through one FFT: fold(W l) = C fold(l)
+    @pytest.mark.parametrize("n", [33, 34, 320, 641])
+    def test_matches_cosine_matrix(self, rng, n):
+        g = Grid1D.uniform(n, 1e-3, "near")
+        v = rng.standard_normal(n)
+        v += v[::-1]
+        ref = cosine(g) @ g.fold(v)
+        out = g.fold(_conjugate_image(g, v))
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_matches_extended_precision(self):
+        # a Gaussian LO on an interval detector, at n = 4001
+        g = Grid1D.uniform(4001, 1e-3, "near")
+        v = np.exp(-(g.points / 3e-4) ** 2) * (np.abs(g.points) <= 5e-4)
+        ref = _extended_image(g, v)
+        ref = np.concatenate([ref, ref[: g.n - g.n_even][::-1]])  # the image is even
+        assert np.abs(_conjugate_image(g, v) - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 class TestThinCrystalSingleMode:

@@ -350,12 +350,12 @@ class TestKernelMatrix:
 
     @pytest.mark.parametrize("n", [256, 257])
     def test_near_matches_two_dft_oracle(self, n):
-        # the cosine-restricted even block unfolds to the full complex
-        # two-DFT transform of the conjugate-grid far operator
+        # the far block, taken to the near grid by the cosine oracle, unfolds
+        # to the full complex two-DFT transform of the conjugate-grid far operator
         p, s, g = _gauss_setup(b=16.0, n=n, domain="near")
         K = build_kernel_matrix(g, p, s)
         ref = near_entries(g, p, s)
-        assert K.far.shape == K.cosine.shape == (g.n_even, g.n_even)
+        assert K.far.shape == (g.n_even, g.n_even)
         assert np.abs(entries(K) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("domain", ["far", "near"])
@@ -379,7 +379,6 @@ class TestKernelMatrix:
         ref = fold_block(far_grid, far_entries(far_grid, p, s))
         assert K.far.shape == (g.n_even, g.n_even)
         assert np.abs(K.far - ref).max() <= 1e-13 * np.abs(ref).max()
-        assert (K.cosine is None) == (domain == "far")
 
     def test_transform_pair_consistency(self):
         # the double DFT of the near matrix reproduces the far matrix built
