@@ -490,6 +490,17 @@ def test_extreme_overrides_exit_with_a_code(tmp_path, capsys, fig_id):
     assert escaped == []
 
 
+def _one_line_exit(tmp_path, argv):
+    """(exit code, the one stderr line) of the CLI run in its own process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(confocal_opo.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "confocal_opo.cli", *argv,
+                           "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=env)
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    return proc.returncode, lines[0]
+
+
 @pytest.mark.parametrize("argv,config,code,prefix", [
     (["fig", "--id", "6", "--set", "b=1e300"], None, 1, "numerical failure: "),
     (["run"], GOOD_CONFIG + "grid_L = 1.7e308\n", 1, "numerical failure: "),
@@ -504,25 +515,9 @@ def test_out_of_range_size_exits_with_one_line(tmp_path, argv, config, code, pre
     # with a hundred digits
     if config is not None:
         argv = argv + ["--config", str(write_config(tmp_path, config))]
-    env = dict(os.environ, PYTHONPATH=str(Path(confocal_opo.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "confocal_opo.cli", *argv,
-                           "--out", str(tmp_path / "o")],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == code
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(prefix), proc.stderr
-    assert len(lines[0]) < 200
-
-
-def _one_line_exit(tmp_path, argv):
-    """(exit code, the one stderr line) of the CLI run in its own process."""
-    env = dict(os.environ, PYTHONPATH=str(Path(confocal_opo.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "confocal_opo.cli", *argv,
-                           "--out", str(tmp_path / "o")],
-                          capture_output=True, text=True, env=env)
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1, proc.stderr
-    return proc.returncode, lines[0]
+    got, line = _one_line_exit(tmp_path, argv)
+    assert got == code and line.startswith(prefix), line
+    assert len(line) < 200
 
 
 @pytest.mark.parametrize("sets", [
