@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     AboveThreshold,
-    AmbiguousPump,
     AtOrAboveThreshold,
     ConfigurationError,
     EmptyDetector,
@@ -58,6 +57,6 @@ __all__ = [
     "DetectorMask", "LocalOscillator", "SqueezingResult", "SweepPoint",
     "squeezing", "sweep", "sweep_extents",
     "OpoError", "ConfigurationError", "NumericalFailure", "NonPhysical",
-    "AboveThreshold", "AmbiguousPump", "EmptyDetector", "PlaneMismatch",
+    "AboveThreshold", "EmptyDetector", "PlaneMismatch",
     "GridTooCoarse", "SingularSystem", "AtOrAboveThreshold",
 ]

@@ -43,6 +43,10 @@ ARTIFACT_DEFAULTS = dict(
     omega_bar=0.0,
 )
 PRESET_B_VALUES = (4.0, 25.0, 100.0)
+# The fig 2 kernel profile reads l_coh alone.  A_p changes none of its bytes
+# either, but stays accepted until the benchmark, which sets it on every
+# preset, stops passing it to fig 2.
+_FIG2_KEYS = ("lambda_s", "n_s", "l_c", "A_p")
 
 _FLOAT_KEYS = {
     "lambda_s", "n_s", "l_c", "z_C", "A_p", "w_p", "detuning", "omega_bar",
@@ -126,22 +130,25 @@ def scenario_from_config(cfg: dict) -> Scenario:
     for key in required:
         if key not in cfg:
             raise ConfigurationError(f"missing required configuration key: {key!r}")
-    pump = cfg["pump"]
-    if pump == "gaussian" and "w_p" not in cfg:
-        raise ConfigurationError("key 'w_p': required for pump = gaussian")
+    for key, needs, setting in (("w_p", "pump", "gaussian"), ("lo_waist", "lo", "gaussian")):
+        if cfg.get(needs) == setting and key not in cfg:
+            raise ConfigurationError(f"key {key!r}: required for {needs} = {setting}")
     # a key that changes no row is refused, not echoed as if it applied
     for key, needs, setting in (("w_p", "pump", "gaussian"), ("lo_waist", "lo", "gaussian"),
                                 ("pixel_width", "detector", "pixel_pair")):
         if key in cfg and cfg.get(needs) != setting:
             raise ConfigurationError(f"key {key!r}: applies to {needs} = {setting} only")
+    if cfg["detector"] == "radial" and (cfg["pump"], cfg["plane"]) != ("plane", "far"):
+        raise ConfigurationError(
+            "key 'detector': radial is a 2-D disk, computed for pump = plane and "
+            "plane = far only; the other routes are 1-D")
     params = OpoParams(
         lambda_s=cfg["lambda_s"],
         n_s=cfg["n_s"],
         l_c=cfg["l_c"],
         z_C=cfg["z_C"],
         A_p=cfg["A_p"],
-        w_p=cfg.get("w_p"),
-        plane_pump=(pump == "plane"),
+        w_p=cfg.get("w_p", math.inf),  # given exactly when pump = gaussian
         detuning=cfg.get("detuning", 0.0),
         omega_bar=cfg.get("omega_bar", 0.0),
         f_lens=cfg.get("f_lens", 0.1),
@@ -165,12 +172,8 @@ def scenario_from_config(cfg: dict) -> Scenario:
     if grid_L is not None and not (math.isfinite(grid_L) and grid_L > 0):
         raise ConfigurationError("key 'grid_L': must be a positive finite half extent")
     values = list(np.linspace(cfg["sweep_min"], cfg["sweep_max"], npts))
-    lo_profile = cfg.get("lo", "plane")
-    lo = LocalOscillator(
-        profile=lo_profile,
-        amplitude=cfg.get("lo_amplitude", 1.0),
-        waist=cfg.get("lo_waist"),
-    )
+    lo = LocalOscillator(amplitude=cfg.get("lo_amplitude", 1.0),
+                         waist=cfg.get("lo_waist", math.inf))
     unit = _unit(params, scales, cfg["plane"])
     pixel_width = cfg.get("pixel_width")
     if cfg["detector"] == "pixel_pair" and pixel_width is None:
@@ -236,9 +239,10 @@ def _scenario_echo(sc: Scenario):
     pairs += [
         ("detuning", p.detuning), ("omega_bar", p.omega_bar), ("f_lens", p.f_lens),
         ("plane", sc.plane), ("detector", sc.detector),
-        ("lo", sc.lo.profile), ("lo_amplitude", sc.lo.amplitude),
+        ("lo", "plane" if math.isinf(sc.lo.waist) else "gaussian"),
+        ("lo_amplitude", sc.lo.amplitude),
     ]
-    if sc.lo.waist is not None:
+    if math.isfinite(sc.lo.waist):
         pairs.append(("lo_waist", sc.lo.waist))
     if sc.pixel_width is not None:
         pairs.append(("pixel_width", sc.pixel_width))
@@ -314,39 +318,36 @@ def _preset_params(overrides: dict, **changes) -> OpoParams:
     return OpoParams(**pinned, **changes)
 
 # Figs 5-10, one row each: (pump, plane, detector, first, last, points,
-# abscissa name, LO profile, curve suffix).  first and last are in the
-# plane's coherence unit (``_unit``); a last of None is 3 sqrt(b).  A
-# Gaussian pump draws one curve per b, with w_p = sqrt(b) l_coh.  A pixel
-# is one unit wide, and a Gaussian LO has a waist of one unit.
+# abscissa name, LO waist, curve suffix).  first, last and the LO waist are
+# in the plane's coherence unit (``_unit``); a last of None is 3 sqrt(b),
+# and an LO waist of inf is the plane LO.  A Gaussian pump draws one curve
+# per b, with w_p = sqrt(b) l_coh; a plane pump is its b = inf member.  A
+# pixel is one unit wide.
 _PRESETS = {
-    5: ("plane", "near", "interval", 0.05, 5.0, 100, "radius_over_lcoh", "plane", ""),
-    6: ("gaussian", "near", "interval", 0.1, None, 30, "radius_over_lcoh", "plane", "b{b:g}"),
+    5: ("plane", "near", "interval", 0.05, 5.0, 100, "radius_over_lcoh", math.inf, ""),
+    6: ("gaussian", "near", "interval", 0.1, None, 30, "radius_over_lcoh", math.inf, "b{b:g}"),
     7: ("gaussian", "near", "pixel_pair", 0.0, None, 31, "pixel_distance_over_lcoh",
-        "plane", "b{b:g}"),
-    8: ("plane", "far", "radial", 0.02, 3.0, 75, "r_over_r0", "gaussian", "V"),
-    9: ("gaussian", "far", "interval", 0.1, 5.0, 30, "radius_times_qcoh", "plane", "b{b:g}"),
+        math.inf, "b{b:g}"),
+    8: ("plane", "far", "radial", 0.02, 3.0, 75, "r_over_r0", 1.0, "V"),
+    9: ("gaussian", "far", "interval", 0.1, 5.0, 30, "radius_times_qcoh", math.inf, "b{b:g}"),
     10: ("gaussian", "far", "pixel_pair", 0.0, 5.0, 26, "pixel_distance_times_qcoh",
-         "plane", "b{b:g}"),
+         math.inf, "b{b:g}"),
 }
 
 def fig_scenarios(fig_id: int, overrides: dict) -> list[Scenario]:
     """Scenario list for one figure preset (one scenario per curve)."""
     if fig_id not in _PRESETS:
         raise ConfigurationError(f"unknown figure preset id: {fig_id}")
-    pump, plane, detector, first, last, points, name, lo, suffix = _PRESETS[fig_id]
-    if pump == "plane":
-        family = [(math.inf, _preset_params(overrides, plane_pump=True))]
-    else:
-        l_coh = derive_scales(_preset_params(overrides, plane_pump=True)).l_coh
-        family = [(b, _preset_params(overrides, w_p=math.sqrt(b) * l_coh))
-                  for b in overrides.get("b", PRESET_B_VALUES)]
+    pump, plane, detector, first, last, points, name, lo_waist, suffix = _PRESETS[fig_id]
+    l_coh = derive_scales(_preset_params(overrides, w_p=math.inf)).l_coh
     out = []
-    for b, p in family:
+    for b in overrides.get("b", PRESET_B_VALUES) if pump == "gaussian" else (math.inf,):
+        p = _preset_params(overrides, w_p=math.sqrt(b) * l_coh)
         unit = _unit(p, derive_scales(p), plane)
         stop = 3.0 * math.sqrt(b) if last is None else last
         out.append(Scenario(
             p, plane, detector, list(np.linspace(first, stop, points) * unit),
-            LocalOscillator(lo, waist=unit if lo == "gaussian" else None),
+            LocalOscillator(waist=lo_waist * unit),
             abscissa_scale=unit, abscissa_name=name,
             label=f"fig{fig_id}_{suffix.format(b=b)}".rstrip("_"),
             pixel_width=unit if detector == "pixel_pair" else None,
@@ -364,6 +365,10 @@ def run_fig(fig_id: int, overrides: dict, outdir: Path) -> None:
             f"key 'b': fig {fig_id} has no b family; b applies to figs "
             f"{', '.join(map(str, families))}"
         )
+    unread = [key for key in overrides if fig_id == 2 and key not in _FIG2_KEYS]
+    if unread:
+        raise ConfigurationError(f"key {unread[0]!r}: fig 2 draws the kernel profile, "
+                                 "which reads only lambda_s, n_s and l_c")
     outdir.mkdir(parents=True, exist_ok=True)
     if fig_id == 2:
         _run_fig2(overrides, outdir)
@@ -379,7 +384,7 @@ def run_fig(fig_id: int, overrides: dict, outdir: Path) -> None:
     write_summary(outdir, list(zip(scenarios, margins)))
 
 def _run_fig2(overrides: dict, outdir: Path) -> None:
-    p = _preset_params(overrides, plane_pump=True)
+    p = _preset_params(overrides, w_p=math.inf)
     s = derive_scales(p)
     xs = np.linspace(0.0, 4.0, 401)
     rows = [(x, float(delta_2d(x * s.l_coh, s)) * s.l_coh**2) for x in xs]

@@ -6,9 +6,8 @@ requested accuracy).  The CLI maps them to exit codes 2 and 1 respectively.
 """
 
 __all__ = [
-    "OpoError", "ConfigurationError", "NonPhysical", "AboveThreshold",
-    "AmbiguousPump", "EmptyDetector", "PlaneMismatch", "NumericalFailure",
-    "GridTooCoarse", "SingularSystem", "AtOrAboveThreshold",
+    "OpoError", "ConfigurationError", "NonPhysical", "AboveThreshold", "EmptyDetector",
+    "PlaneMismatch", "NumericalFailure", "GridTooCoarse", "SingularSystem", "AtOrAboveThreshold",
 ]
 
 
@@ -28,12 +27,8 @@ class AboveThreshold(ConfigurationError):
     """Pump amplitude at or above the oscillation threshold (A_p >= 1)."""
 
 
-class AmbiguousPump(ConfigurationError):
-    """Pump must be either a finite-waist Gaussian or an explicit plane wave."""
-
-
 class EmptyDetector(ConfigurationError):
-    """No grid point falls inside the detector mask."""
+    """No grid point falls inside the detector mask, or no LO light reaches it."""
 
 
 class PlaneMismatch(ConfigurationError):

@@ -66,6 +66,7 @@ and up to 4x the wall time while the second core was busy.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -96,6 +97,8 @@ __all__ = [
 ]
 
 SQUEEZED_PHASE = math.pi / 2
+_DISK_ONLY = ("a radial detector is a 2-D disk, computed only for a plane pump in the "
+              "far field; the dense modes and the near field are 1-D")
 
 
 def _real(value) -> bool:
@@ -119,8 +122,10 @@ class DetectorMask:
     shape.  ``interval`` is the band [0, half_width]; ``pixel_pair`` two
     pixels of width w centered at +-rho, inner = max(0, rho - w/2) (pixels
     closer than half a width merge into one centered interval); ``radial`` a
-    disk, the band [0, radius]: on a 1-D grid the interval of the same half
-    width, and in the far-field quadrature the same band with weight t.
+    far-field disk, the band [0, radius] with the polar weight t.  Only the
+    plane-pump far-field quadrature computes a disk: a near ``radial`` is
+    refused here, and a ``radial`` on the 1-D dense modes by ``squeezing``
+    and ``sweep``.
     """
 
     shape: str
@@ -133,6 +138,8 @@ class DetectorMask:
             raise ConfigurationError(f"unknown detector shape {self.shape!r}")
         if self.plane not in ("near", "far"):
             raise ConfigurationError(f"detector plane must be near or far, got {self.plane!r}")
+        if self.shape == "radial" and self.plane == "near":
+            raise ConfigurationError(_DISK_ONLY)
         if not (_real(self.inner) and _real(self.outer)
                 and 0 <= self.inner < self.outer < math.inf):
             raise ConfigurationError(
@@ -192,37 +199,32 @@ class DetectorMask:
 class LocalOscillator:
     """Intense coherent reference beam with a constant phase across the plane.
 
-    ``profile`` is "plane" (uniform amplitude) or "gaussian".  The Gaussian
-    amplitude is exp(-x^2 / waist^2) with the waist in detection-plane
+    The amplitude is exp(-x^2 / waist^2) with the waist in detection-plane
     meters for either plane (far-field positions map to wavevectors through
     the lens, x = q lambda f / (2 pi); a detection-plane waist of r0
-    corresponds to a pre-lens beam waist of l_coh).  ``phase`` selects the
-    measured quadrature.
+    corresponds to a pre-lens beam waist of l_coh).  The default waist,
+    ``math.inf``, is the plane LO of uniform amplitude.  ``phase`` selects
+    the measured quadrature.
     """
 
-    profile: str = "plane"
     amplitude: float = 1.0
-    waist: float | None = None
+    waist: float = math.inf
     phase: float = SQUEEZED_PHASE
 
     def __post_init__(self):
-        if self.profile not in ("plane", "gaussian"):
-            raise ConfigurationError(f"unknown LO profile {self.profile!r}")
         if not (_real(self.amplitude) and 0 < self.amplitude < math.inf):
             raise ConfigurationError("LO amplitude must be positive and finite")
-        if self.profile == "gaussian" and not (_real(self.waist) and 0 < self.waist < math.inf):
-            raise ConfigurationError("gaussian LO needs a positive finite waist")
+        if not (_real(self.waist) and self.waist > 0):
+            raise ConfigurationError(f"LO waist must be positive or inf, got {self.waist!r}")
         if not (_real(self.phase) and math.isfinite(self.phase)):
             raise ConfigurationError(f"LO phase must be finite and real, got {self.phase!r}")
 
     def magnitude(self, grid: Grid1D, p: OpoParams) -> np.ndarray:
         """|alpha| on the grid (phase applied separately)."""
-        if self.profile == "plane":
-            return np.full(grid.n, self.amplitude)
-        if grid.domain == "near":
-            return self.amplitude * np.exp(-(grid.points / self.waist) ** 2)
-        x_det = grid.points * p.lambda_s * p.f_lens / (2.0 * math.pi)
-        return self.amplitude * np.exp(-(x_det / self.waist) ** 2)
+        x = grid.points
+        if grid.domain == "far":
+            x = x * p.lambda_s * p.f_lens / (2.0 * math.pi)
+        return self.amplitude * np.exp(-(x / self.waist) ** 2)
 
     def q_reach(self, p: OpoParams) -> float:
         """Wavevector extent of the far-plane spot (grid sizing)."""
@@ -268,6 +270,12 @@ def _mode_noise(lam, phase: float, detuning: float, omega_bar: float):
     num = (lam + z) ** 2 + (complex(1.0 + alpha * beta, beta - alpha) - z * z)
     return np.abs(num / den) ** 2 - 1.0
 
+def _check_lit(n_shot: float, det: DetectorMask) -> None:
+    # a Gaussian LO spot that ends long before the band leaves no N to normalize by
+    if n_shot == 0.0:
+        raise EmptyDetector(f"no LO light reaches the {det.shape} band "
+                            f"[{det.inner:g}, {det.outer:g}]")
+
 def _conjugate_image(grid: Grid1D, vec: np.ndarray) -> np.ndarray:
     """W vec, real and even, of an even real vector on ``grid`` under the
     unitary DFT W_jk = exp(-i q_j x_k) / sqrt(n) onto the conjugate grid.
@@ -294,6 +302,7 @@ def _noise_terms(modes: CavityModes, det: DetectorMask, lo: LocalOscillator,
     c2 = (modes.q.T @ grid.fold(far)) ** 2
     w = grid.step
     n_shot = w * float(lvec @ lvec)
+    _check_lit(n_shot, det)
     return n_shot, [1.0 + (w / n_shot) * float(c2 @ _mode_noise(modes.lam, phase, *modes.at))
                     for phase in phases]
 
@@ -322,6 +331,10 @@ _NEAR_PANEL_A = 30.0
 #: highest near level whose chunks are cached, 2b <= 480 l_coh; level 4
 #: holds 2.7 MB (t and two phases), so the 32 cached levels stay under 90 MB
 _NEAR_CACHED_LEVEL = 4
+#: most Gauss panels one quadrature may take (one point at the limit takes
+#: ~6 s on a 2-core x86-64 host); a band or a Gaussian-LO spot that needs
+#: more, up to one near the float range that would never finish, is refused
+_MAX_PANELS = 2**22
 
 
 def _gauss_panels(t_lo: float, t_hi: float, max_width: float):
@@ -331,8 +344,14 @@ def _gauss_panels(t_lo: float, t_hi: float, max_width: float):
     t = 2 sqrt(k pi) of the phase-matching sinc sigma = sinc(t^2 / 4), and
     every interval between them is split evenly into panels at most
     ``max_width`` wide.  Yields (t, w) arrays of at most ``_CHUNK`` panels,
-    so memory stays bounded however long the span.
+    so memory stays bounded however long the span.  Raises
+    ``NumericalFailure`` past ``_MAX_PANELS`` panels.
     """
+    sinc_zeros = (t_hi * t_hi - t_lo * t_lo) / (4.0 * math.pi)
+    if not (max_width > 0 and sinc_zeros + (t_hi - t_lo) / max_width <= _MAX_PANELS):
+        raise NumericalFailure(
+            f"t = q l_coh in [{t_lo:.3g}, {t_hi:.3g}] at panel width {max_width:.3g} "
+            f"needs more than {_MAX_PANELS} Gauss panels")
     k = math.floor(t_lo**2 / (4.0 * math.pi)) + 1  # first sinc zero above t_lo
     while True:
         zeros = 2.0 * np.sqrt(math.pi * np.arange(k, k + _CHUNK))
@@ -382,10 +401,12 @@ def _vn_planepump_far(det: DetectorMask, lo: LocalOscillator, p: OpoParams,
     q_lo, q_hi = det.bounds_on_axis(p)
     if q_hi <= q_lo:
         raise EmptyDetector("empty wavevector interval")
-    # |alpha|^2 of a Gaussian LO is exp(-2 (x / waist)^2) at x = q lambda f / (2 pi),
-    # exp(-c t^2) in t = q l_coh
+    # |alpha|^2 is exp(-2 (x / waist)^2) at x = q lambda f / (2 pi), exp(-c t^2)
+    # in t = q l_coh; c = 0 for a plane LO
     x_of_q = p.lambda_s * p.f_lens / (2.0 * math.pi)
-    c = 0.0 if lo.profile == "plane" else 2.0 * (x_of_q / (lo.waist * s.l_coh)) ** 2
+    c = math.inf  # a spot too narrow to square, refused by the panel limit
+    with contextlib.suppress(OverflowError):
+        c = 2.0 * (x_of_q / (lo.waist * s.l_coh)) ** 2
     disk = det.shape == "radial"
     num = [0.0] * len(phases)
     den = 0.0
@@ -396,6 +417,7 @@ def _vn_planepump_far(det: DetectorMask, lo: LocalOscillator, p: OpoParams,
             weight = t * weight
         num = [x + float(np.einsum("i,i", weight, f)) for x, f in zip(num, noise)]
         den += float(weight.sum())
+    _check_lit(den, det)
     return den / 4.0 if disk else den / s.l_coh, [1.0 + x / den for x in num]
 
 
@@ -430,10 +452,11 @@ def _vn_planepump_near(det: DetectorMask, lo: LocalOscillator, p: OpoParams,
     sizes a dense grid cannot span, from a small fraction of l_coh to the
     single-mode limit.
     """
-    if lo.profile != "plane":
+    if lo.waist != math.inf:
         raise ConfigurationError("plane-pump near-field spectra support a plane LO only")
     a, b = det.inner / s.l_coh, det.outer / s.l_coh
-    level = max(0, math.ceil(math.log2(2.0 * b / _NEAR_PANEL_A)))
+    # capped, so a band past the float range reaches the panel limit, not an overflow
+    level = max(0, math.ceil(math.log2(min(2.0 * b / _NEAR_PANEL_A, 2.0**64))))
     chunks = (_cached_near_chunks(p, s, phases, level) if level <= _NEAR_CACHED_LEVEL
               else _near_chunks(p, s, phases, level))
     total = [0.0] * len(phases)
@@ -455,6 +478,8 @@ def _route(det: DetectorMask, lo: LocalOscillator, p: OpoParams, s: DerivedScale
     input near the float range (an LO amplitude, an analysis frequency)
     overflows inside the route.
     """
+    if modes is not None and det.shape == "radial":
+        raise ConfigurationError(_DISK_ONLY)
     # the check below reports an overflow, so numpy does not warn of it too
     with np.errstate(all="ignore"):
         if modes is not None:
@@ -542,7 +567,7 @@ def sweep_extents(
         for v in values
         if not _zero_size(detector_shape, v)
     )
-    if lo.profile == "plane":
+    if lo.waist == math.inf:
         return reaches, ()
     return reaches, (_EXTENT_FACTOR * (lo.waist if plane == "near" else lo.q_reach(p)),)
 
@@ -572,6 +597,8 @@ def sweep(
     values = [float(v) for v in values]
     if any(v < 0 for v in values):
         raise ConfigurationError("sweep values must be non-negative")
+    if detector_shape == "radial" and not p.plane_pump:
+        raise ConfigurationError(_DISK_ONLY)  # before the solve; _route refuses given modes
 
     if modes is None and not p.plane_pump:
         grid = auto_grid(p, s, plane, *sweep_extents(p, plane, detector_shape, values, lo,

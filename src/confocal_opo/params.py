@@ -19,7 +19,7 @@ import contextlib
 import math
 from dataclasses import dataclass
 
-from .errors import AboveThreshold, AmbiguousPump, NonPhysical
+from .errors import AboveThreshold, NonPhysical
 
 __all__ = ["OpoParams", "DerivedScales", "validate", "derive_scales"]
 
@@ -41,12 +41,10 @@ class OpoParams:
     A_p : float
         Pump amplitude in threshold units, 0 <= A_p < 1 (strictly below
         threshold; A_p = 1 is rejected).
-    w_p : float or None
-        Pump waist (m) for a Gaussian pump with amplitude profile
-        exp(-|x|^2 / w_p^2).  ``None`` together with ``plane_pump=True``
-        selects an exactly plane pump.
-    plane_pump : bool
-        Explicit plane-wave pump flag.  Mutually exclusive with ``w_p``.
+    w_p : float
+        Pump waist (m) of the Gaussian amplitude profile exp(-|x|^2 / w_p^2).
+        ``math.inf`` is the plane pump, the limit of the Gaussian as the
+        waist grows (``plane_pump``).
     detuning : float
         Normalized cavity detuning of the resonant even mode family.
     omega_bar : float
@@ -61,11 +59,15 @@ class OpoParams:
     l_c: float
     z_C: float
     A_p: float
-    w_p: float | None = None
-    plane_pump: bool = False
+    w_p: float
     detuning: float = 0.0
     omega_bar: float = 0.0
     f_lens: float = 0.1
+
+    @property
+    def plane_pump(self) -> bool:
+        """Whether the pump is the plane wave w_p = inf."""
+        return self.w_p == math.inf
 
 
 @dataclass(frozen=True)
@@ -112,9 +114,8 @@ def validate(p: OpoParams) -> OpoParams:
         If ``A_p >= 1`` (the linearized below-threshold model breaks down)
         or ``A_p < 0``.
     NonPhysical
-        If any length is non-positive or ``n_s < 1``.
-    AmbiguousPump
-        If both the plane-pump flag and a finite waist are given, or neither.
+        If any length is non-positive (``w_p = inf``, the plane pump, is
+        allowed) or ``n_s < 1``.
     """
     for name in ("lambda_s", "l_c", "z_C", "f_lens"):
         value = getattr(p, name)
@@ -128,13 +129,8 @@ def validate(p: OpoParams) -> OpoParams:
         raise AboveThreshold(
             f"A_p = {p.A_p!r} is at or above the oscillation threshold (A_p < 1 required)"
         )
-    if p.plane_pump and p.w_p is not None:
-        raise AmbiguousPump("both plane_pump flag and a finite w_p were given")
-    if not p.plane_pump:
-        if p.w_p is None:
-            raise AmbiguousPump("pump is neither plane (plane_pump=True) nor finite (w_p)")
-        if not (math.isfinite(p.w_p) and p.w_p > 0):
-            raise NonPhysical(f"w_p must be a positive length, got {p.w_p!r}")
+    if not (isinstance(p.w_p, (int, float)) and p.w_p > 0):
+        raise NonPhysical(f"w_p must be a positive length or inf (a plane pump), got {p.w_p!r}")
     if not (math.isfinite(p.detuning) and math.isfinite(p.omega_bar)):
         raise NonPhysical("detuning and omega_bar must be finite")
     return p

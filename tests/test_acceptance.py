@@ -49,7 +49,7 @@ def _report(num, ok, description):
 
 def base_params(**kw):
     args = dict(
-        lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.9, plane_pump=True
+        lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.9, w_p=math.inf
     )
     args.update(kw)
     return OpoParams(**args)
@@ -107,7 +107,7 @@ def test_criterion_05_bogoliubov_residuals_random_draws():
     for _ in range(10):
         b = float(rng.uniform(4.0, 100.0))
         a_p = float(rng.uniform(0.3, 0.95))
-        p = replace(p0, plane_pump=False, w_p=math.sqrt(b) * s0.l_coh, A_p=a_p)
+        p = replace(p0, w_p=math.sqrt(b) * s0.l_coh, A_p=a_p)
         s = derive_scales(p)
         g = Grid1D.uniform(256, 16.0 / p.w_p, "far")
         modes = solve_io(build_kernel_matrix(g, p, s), p)
@@ -186,7 +186,7 @@ def test_criterion_07_near_field_detector_size_trend():
 def test_criterion_08_pixel_pair_finite_pump():
     p0 = base_params()
     s0 = derive_scales(p0)
-    p = replace(p0, plane_pump=False, w_p=10.0 * s0.l_coh)  # b = 100
+    p = replace(p0, w_p=10.0 * s0.l_coh)  # b = 100
     s = derive_scales(p)
     values = [0.0, 3.0 * p.w_p]
     pts = sweep(p, s, "near", "pixel_pair", values, LocalOscillator(),
@@ -200,7 +200,7 @@ def test_criterion_08_pixel_pair_finite_pump():
 def test_criterion_09_far_field_closed_forms():
     p = base_params()
     s = derive_scales(p)
-    lo = LocalOscillator(profile="gaussian", waist=s.r0)
+    lo = LocalOscillator(waist=s.r0)
     # a radius of 1e-12 r0 reads the r -> 0 limit of the disk quadrature
     limit = squeezing(DetectorMask.radial(1e-12 * s.r0, "far"), lo, p, s).vn
     clause_limit = abs(limit - 0.00277) <= 1e-5

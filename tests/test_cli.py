@@ -394,9 +394,8 @@ class TestFigPresets:
                 assert sc.pixel_width is None
             else:
                 assert sc.pixel_width / unit == pytest.approx(pixel, rel=1e-12)
-            assert sc.lo.profile == ("plane" if waist is None else "gaussian")
             if waist is None:
-                assert sc.lo.waist is None
+                assert sc.lo.waist == math.inf
             else:
                 assert sc.lo.waist / unit == pytest.approx(waist, rel=1e-12)
 
@@ -416,6 +415,7 @@ class TestFigPresets:
 
 
 ROUTES_CODE = """\
+import math
 import sys
 from dataclasses import replace
 import numpy as np
@@ -423,15 +423,15 @@ from confocal_opo import LocalOscillator, OpoParams, delta_2d, derive_scales, sw
 from confocal_opo.cli import main
 
 plane = OpoParams(lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.9,
-                  plane_pump=True)
+                  w_p=math.inf)
 s0 = derive_scales(plane)
-gauss = replace(plane, plane_pump=False, w_p=2.0 * s0.l_coh)
+gauss = replace(plane, w_p=2.0 * s0.l_coh)
 s = derive_scales(gauss)
 delta_2d(np.linspace(0.0, 4.0, 41) * s0.l_coh, s0)
 sweep(plane, s0, "near", "interval", [0.5 * s0.l_coh, 20.0 * s0.l_coh], LocalOscillator())
 sweep(gauss, s, "near", "interval", [0.5 * s0.l_coh, s0.l_coh], LocalOscillator())
 sweep(gauss, s, "far", "interval", [0.5 * s0.r0, s0.r0], LocalOscillator())
-sweep(plane, s0, "far", "radial", [0.5 * s0.r0], LocalOscillator("gaussian", waist=s0.r0))
+sweep(plane, s0, "far", "radial", [0.5 * s0.r0], LocalOscillator(waist=s0.r0))
 for fig in ("2", "5", "8"):
     assert main(["fig", "--id", fig, "--out", f"{sys.argv[1]}/fig{fig}"]) == 0
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
@@ -551,3 +551,40 @@ def test_run_key_that_changes_nothing_exits_2(tmp_path, text, key):
         tmp_path, GOOD_CONFIG + "pixel_width = 4e-5\nlo = gaussian\nlo_waist = 1e-4\n",
         name="applies.cfg")))
     assert (sc.pixel_width, sc.lo.waist, sc.params.w_p) == (4e-5, 1e-4, 2.4e-4)
+
+
+RADIAL_1D_CONFIGS = [
+    GOOD_CONFIG.replace("detector = pixel_pair", "detector = radial"),
+    GOOD_CONFIG.replace("detector = pixel_pair", "detector = radial").replace(
+        "plane = near", "plane = far"),
+    PLANE_NEAR_CONFIG.replace("detector = interval", "detector = radial"),
+]
+
+
+@pytest.mark.parametrize("text", RADIAL_1D_CONFIGS,
+                         ids=["gaussian-near", "gaussian-far", "plane-near"])
+def test_radial_off_the_disk_route_exits_2(tmp_path, text):
+    # radial is a 2-D disk, which only the plane-pump far quadrature
+    # computes; elsewhere it would run as the 1-D interval of the same half
+    # width, so it is refused while the scenario is read, before any solve
+    cfg = write_config(tmp_path, text)
+    with pytest.raises(ConfigurationError, match="radial"):
+        scenario_from_config(parse_config(cfg))
+    code, line = _one_line_exit(tmp_path, ["run", "--config", str(cfg)])
+    assert code == 2 and line.startswith("configuration error: key 'detector'"), line
+    assert not (tmp_path / "o" / "curve.csv").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("z_C", "0.07"), ("f_lens", "0.3"), ("detuning", "0.4"), ("omega_bar", "0.2"),
+])
+def test_fig2_refuses_keys_it_does_not_read(tmp_path, capsys, key, value):
+    # the kernel profile reads l_coh alone: a key that leaves its bytes as
+    # they are is refused, not accepted and ignored
+    assert main(["fig", "--id", "2", "--set", f"{key}={value}", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"configuration error: key '{key}'")
+    assert not list(tmp_path.iterdir())
+    # the keys it reads, and A_p, are taken
+    for ok in ("l_c=0.02", "A_p=0.3"):
+        assert main(["fig", "--id", "2", "--set", ok, "--out", str(tmp_path / ok)]) == 0

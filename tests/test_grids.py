@@ -104,7 +104,7 @@ def test_sweeps_match_wider_grid(case):
     _assert_matches_wide(case, "interval", sizes, LocalOscillator())
     _assert_matches_wide(case, "pixel_pair", [0.0, *sizes[1:]], LocalOscillator(),
                          pixel_width=0.5 * unit)
-    lo = LocalOscillator("gaussian", waist=unit)
+    lo = LocalOscillator(waist=unit)
     _assert_matches_wide(case, "interval", sizes, lo)
     _assert_matches_wide(case, "pixel_pair", [0.0, 0.5 * unit, unit], lo, pixel_width=0.5 * unit)
 

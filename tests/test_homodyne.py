@@ -173,10 +173,10 @@ class TestLocalOscillator:
         {"amplitude": math.nan},
         {"amplitude": math.inf},
         {"amplitude": 0.0},
-        {"profile": "gaussian", "waist": math.nan},
-        {"profile": "gaussian", "waist": math.inf},
-        {"profile": "gaussian", "waist": -1e-4},
-        {"profile": "gaussian"},
+        {"waist": math.nan},
+        {"waist": 0.0},
+        {"waist": -1e-4},
+        {"waist": None},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -192,7 +192,7 @@ class TestLocalOscillator:
     lambda: DetectorMask("interval", "near", None, 1.0),
     lambda: DetectorMask("interval", "near", 0.0, "1.0"),
     lambda: LocalOscillator(amplitude=None),
-    lambda: LocalOscillator("gaussian", waist="x"),
+    lambda: LocalOscillator(waist="x"),
     lambda: LocalOscillator(phase=None),
     lambda: LocalOscillator(phase=math.nan),
 ], ids=["interval-none", "radial-none", "pixel-center-none", "pixel-width-str",
@@ -227,7 +227,7 @@ class TestShotNoise:
         w = 0.21
         d = g.points[768] + g.step / 2  # edge between cells
         det = DetectorMask.interval(d, "near")
-        lo = LocalOscillator(profile="gaussian", waist=w, amplitude=1.3)
+        lo = LocalOscillator(waist=w, amplitude=1.3)
         num = grid_shot(lo, det, g, plane_params)
         exact = 1.3**2 * w * math.sqrt(math.pi / 2) * erf(math.sqrt(2) * d / w)
         assert num == pytest.approx(exact, rel=1e-6)
@@ -237,7 +237,7 @@ class TestShotNoise:
         # |alpha(q)| = exp(-(x/waist)^2) at x = q lambda f / (2 pi)
         g = Grid1D.uniform(129, 4.0e5, "far")
         w = 1e-4
-        lo = LocalOscillator(profile="gaussian", waist=w)
+        lo = LocalOscillator(waist=w)
         mag = lo.magnitude(g, plane_params)
         x_of_q = plane_params.lambda_s * plane_params.f_lens / (2 * math.pi)
         i = 100
@@ -251,11 +251,11 @@ class TestSqueezingNumericVacuum:
     @pytest.mark.parametrize("lo", [
         LocalOscillator(),
         LocalOscillator(phase=0.0),
-        LocalOscillator(profile="gaussian", waist=3e-4),
+        LocalOscillator(waist=3e-4),
     ])
     def test_zero_pump_is_shot_noise(self, plane_scales, lo):
         p = OpoParams(
-            lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.0, plane_pump=True
+            lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.0, w_p=math.inf
         )
         g = Grid1D.uniform(257, 8.0 * plane_scales.l_coh, "near")
         modes = solve_io(build_kernel_matrix(g, p, plane_scales), p)
@@ -273,7 +273,7 @@ class TestSqueezingNumericVacuum:
         # modes give in closed form from the one solve
         p = OpoParams(
             lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.5,
-            plane_pump=True, detuning=0.5, omega_bar=1.0,
+            w_p=math.inf, detuning=0.5, omega_bar=1.0,
         )
         g = Grid1D.uniform(129, 8.0 * plane_scales.l_coh, "near")
         K = build_kernel_matrix(g, p, plane_scales)
@@ -312,7 +312,7 @@ class TestModeRouteMatchesLU:
         modes = solve_io(K, p)
         oracle = lu_noise(K, p)
         x_of_q = 1.0 if plane == "near" else p.lambda_s * p.f_lens / (2 * math.pi)
-        gaussian = LocalOscillator(profile="gaussian", waist=0.4 * extent * x_of_q)
+        gaussian = LocalOscillator(waist=0.4 * extent * x_of_q)
         for lo in (LocalOscillator(), gaussian):
             for frac in (0.05, 0.3, 0.7):
                 det = DetectorMask.interval(frac * extent * x_of_q, plane)
@@ -364,7 +364,7 @@ class TestThinCrystalSingleMode:
         # thin crystal, plane pump, plane LO: the squeezed quadrature equals
         # the single-mode value regardless of the detection region
         p = OpoParams(
-            lambda_s=1.064e-6, n_s=2.12, l_c=5e-6, z_C=0.05, A_p=0.5, plane_pump=True
+            lambda_s=1.064e-6, n_s=2.12, l_c=5e-6, z_C=0.05, A_p=0.5, w_p=math.inf
         )
         s = derive_scales(p)
         g = Grid1D.uniform(641, 20.0 * s.w_C, "near")
@@ -402,7 +402,7 @@ def disk(radius, p, s, lo):
 
 class TestRadialSpectrum:
     def test_small_radius_limit(self, plane_params, plane_scales):
-        lo = LocalOscillator(profile="gaussian", waist=plane_scales.r0)
+        lo = LocalOscillator(waist=plane_scales.r0)
         res = disk(1e-12 * plane_scales.r0, plane_params, plane_scales, lo)
         assert res.vn == pytest.approx(single_mode_vn(0.9), abs=1e-7)
         small = disk(0.01 * plane_scales.r0, plane_params, plane_scales, lo)
@@ -411,7 +411,7 @@ class TestRadialSpectrum:
     def test_tiny_disk_detects_light(self, plane_params, plane_scales):
         # a non-empty disk has a positive LO measure however small it is,
         # int_0^X u exp(-2 u^2) du ~ X^2 / 2 in u = r / r0
-        lo = LocalOscillator(profile="gaussian", waist=plane_scales.r0)
+        lo = LocalOscillator(waist=plane_scales.r0)
         res = disk(1e-12 * plane_scales.r0, plane_params, plane_scales, lo)
         assert res.shot > 0
         assert abs(res.shot - 0.5e-24) <= 1e-9 * 0.5e-24
@@ -419,17 +419,43 @@ class TestRadialSpectrum:
 
     def test_zero_pump_flat(self, plane_params, plane_scales):
         p = replace(plane_params, A_p=0.0)
-        lo = LocalOscillator(profile="gaussian", waist=plane_scales.r0)
+        lo = LocalOscillator(waist=plane_scales.r0)
         for r in (0.3, 1.0, 2.5):
             res = disk(r * plane_scales.r0, p, plane_scales, lo)
             assert res.vn == pytest.approx(1.0, abs=1e-10)
 
     def test_squeezing_degrades_past_r0(self, plane_params, plane_scales):
-        lo = LocalOscillator(profile="gaussian", waist=plane_scales.r0)
+        lo = LocalOscillator(waist=plane_scales.r0)
         inner = disk(0.3 * plane_scales.r0, plane_params, plane_scales, lo)
         outer = disk(3.0 * plane_scales.r0, plane_params, plane_scales, lo)
         assert outer.vn > inner.vn
         assert inner.vn < 0.02
+
+    def test_disk_only_on_the_plane_pump_far_route(self, monkeypatch, plane_params,
+                                                   plane_scales):
+        # radial is a 2-D disk; the 1-D routes (near field, dense modes)
+        # refuse it rather than run the interval of the same half width
+        import confocal_opo.homodyne as homodyne
+
+        r = 0.5 * plane_scales.r0
+        for make in (lambda: DetectorMask.radial(plane_scales.l_coh, "near"),
+                     lambda: DetectorMask("radial", "near", 0.0, plane_scales.l_coh)):
+            with pytest.raises(ConfigurationError, match="radial"):
+                make()
+        p = replace(plane_params, w_p=3.0 * plane_scales.l_coh)
+        s = derive_scales(p)
+        grid = auto_grid(p, s, "far", *sweep_extents(p, "far", "interval", [r],
+                                                     LocalOscillator()))
+        for q, qs in ((p, s), (plane_params, plane_scales)):
+            modes = solve_io(build_kernel_matrix(grid, q, qs), q)
+            with pytest.raises(ConfigurationError, match="radial"):
+                squeezing(DetectorMask.radial(r, "far"), LocalOscillator(), q, qs, modes)
+            with pytest.raises(ConfigurationError, match="radial"):
+                sweep(q, qs, "far", "radial", [r], LocalOscillator(), modes=modes)
+        # a finite pump without modes is refused before its sweep solves
+        monkeypatch.setattr(homodyne, "solve_io", lambda *args: pytest.fail("solved"))
+        with pytest.raises(ConfigurationError, match="radial"):
+            sweep(p, s, "far", "radial", [r], LocalOscillator())
 
     @pytest.mark.parametrize("radius", [-1e-4, math.inf, math.nan])
     def test_bad_radius_rejected(self, plane_params, plane_scales, radius):
@@ -445,23 +471,25 @@ class TestRadialSpectrum:
         for w_lo in (None, s.r0, 0.01 * s.r0):
             c = 0.0 if w_lo is None else 2.0 * (s.r0 / w_lo) ** 2
             lo = (LocalOscillator() if w_lo is None
-                  else LocalOscillator(profile="gaussian", waist=w_lo))
+                  else LocalOscillator(waist=w_lo))
             for big_x in (0.4, 1.7, 3.0):
                 for phase in (math.pi / 2, 0.0):
                     got = disk(big_x * s.r0, p, s, replace(lo, phase=phase)).vn
                     ref = circular_vn(big_x, p, s, phase, c)
                     assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
-    def test_lo_profile_decides_the_weight(self, plane_params, plane_scales):
-        # a waist given with a plane LO weighs nothing, as on the other routes
+    def test_infinite_waist_is_the_plane_lo(self, plane_params, plane_scales):
+        # the plane LO is the Gaussian of infinite waist: the default, and
+        # the limit that ever wider Gaussian LOs approach
         r = 1.3 * plane_scales.r0
         plane = disk(r, plane_params, plane_scales, LocalOscillator())
-        stray = disk(r, plane_params, plane_scales,
-                     LocalOscillator(waist=0.5 * plane_scales.r0))
-        assert (stray.vn, stray.shot) == (plane.vn, plane.shot)
+        infinite = disk(r, plane_params, plane_scales, LocalOscillator(waist=math.inf))
+        assert (infinite.vn, infinite.shot) == (plane.vn, plane.shot)
+        wide = disk(r, plane_params, plane_scales, LocalOscillator(waist=1e6 * plane_scales.r0))
+        assert abs(wide.vn - plane.vn) <= 1e-11 and abs(wide.shot / plane.shot - 1) <= 1e-11
 
     def test_vn_is_one_plus_sn(self, plane_params, plane_scales):
-        lo = LocalOscillator(profile="gaussian", waist=plane_scales.r0)
+        lo = LocalOscillator(waist=plane_scales.r0)
         res = disk(1.3 * plane_scales.r0, plane_params, plane_scales, lo)
         assert res.vn == pytest.approx(res.sn + 1.0, abs=1e-12)
         assert res.vn >= 0.0
@@ -471,7 +499,7 @@ class TestPlanePumpNearSpectrum:
     @pytest.mark.parametrize("d_scaled,expected", sorted(BRUTE_INTERVAL_VN.items()))
     def test_brute_force_reference(self, plane_scales, d_scaled, expected):
         p = OpoParams(
-            lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.99, plane_pump=True
+            lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.99, w_p=math.inf
         )
         det = DetectorMask.interval(d_scaled * plane_scales.l_coh, "near")
         res = squeezing(det, LocalOscillator(), p, plane_scales)
@@ -581,7 +609,7 @@ class TestPlanePumpNearSpectrum:
 class TestPlanePumpFarSpectrum:
     def far_setup(self, a_p=0.9):
         p = OpoParams(
-            lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=a_p, plane_pump=True
+            lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=a_p, w_p=math.inf
         )
         s = derive_scales(p)
         return p, s
@@ -594,7 +622,7 @@ class TestPlanePumpFarSpectrum:
         g = Grid1D.uniform(1025, 4.0 * q_max, "far")
         modes = solve_io(build_kernel_matrix(g, p, s), p)
         x_of_q = p.lambda_s * p.f_lens / (2 * math.pi)
-        lo = LocalOscillator(profile="gaussian", waist=s.r0)
+        lo = LocalOscillator(waist=s.r0)
         for cells in (64, 192):
             q_d = (cells + 0.5) * g.step
             det = DetectorMask.interval(q_d * x_of_q, "far")
@@ -634,8 +662,8 @@ class TestPlanePumpFarSpectrum:
         p = replace(p, detuning=detuning, omega_bar=omega_bar)
         x_of_q = p.lambda_s * p.f_lens / (2 * math.pi)
         unit = x_of_q / s.l_coh  # detection-plane meters per unit of q l_coh
-        gauss = LocalOscillator(profile="gaussian", waist=s.r0)
-        narrow = LocalOscillator(profile="gaussian", waist=0.01 * s.r0)
+        gauss = LocalOscillator(waist=s.r0)
+        narrow = LocalOscillator(waist=0.01 * s.r0)
         cases = [
             (DetectorMask.interval(7.3 * unit, "far"), LocalOscillator()),
             (DetectorMask.pixel_pair(5.0 * unit, 3.0 * unit, "far"), LocalOscillator()),
@@ -644,7 +672,7 @@ class TestPlanePumpFarSpectrum:
             (DetectorMask.interval(1.0 * unit, "far"), narrow),
         ]
         for det, lo in cases:
-            c = 0.0 if lo.waist is None else 2.0 * (x_of_q / (lo.waist * s.l_coh)) ** 2
+            c = 0.0 if math.isinf(lo.waist) else 2.0 * (x_of_q / (lo.waist * s.l_coh)) ** 2
             x_lo, x_hi = (b * s.l_coh for b in det.bounds_on_axis(p))
             for phase in (math.pi / 2, 0.0):
                 got = squeezing(det, replace(lo, phase=phase), p, s).vn
@@ -681,13 +709,15 @@ class TestSweep:
 
     @pytest.mark.parametrize("plane_pump", [True, False])
     def test_zero_radius_far_point_is_shot_noise(self, plane_params, plane_pump):
-        # an empty disk detects nothing on either pump route
+        # an empty detector detects nothing on either pump route: a disk on
+        # the plane-pump route, its 1-D counterpart, the interval, on the
+        # dense one (which computes no disk)
         p = plane_params if plane_pump else replace(
-            plane_params, plane_pump=False, w_p=4 * derive_scales(plane_params).l_coh)
+            plane_params, w_p=4 * derive_scales(plane_params).l_coh)
         s = derive_scales(p)
         r0 = derive_scales(plane_params).r0
-        lo = LocalOscillator(profile="gaussian", waist=r0)
-        pts = sweep(p, s, "far", "radial", [0.0, 0.5 * r0], lo)
+        lo = LocalOscillator(waist=r0)
+        pts = sweep(p, s, "far", "radial" if plane_pump else "interval", [0.0, 0.5 * r0], lo)
         assert (pts[0].vn_squeezed, pts[0].vn_antisqueezed, pts[0].shot) == (1.0, 1.0, 0.0)
         assert pts[1].vn_squeezed < 1.0 < pts[1].vn_antisqueezed and pts[1].shot > 0
 
@@ -695,13 +725,13 @@ class TestSweep:
         # ordering by mode count: at a fixed large detector the wider pump
         # (larger b) keeps more squeezing
         p0 = OpoParams(
-            lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.9, plane_pump=True
+            lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.9, w_p=math.inf
         )
         s0 = derive_scales(p0)
         radius = 7.5 * s0.l_coh
         vns = {}
         for b in (4.0, 25.0):
-            p = replace(p0, plane_pump=False, w_p=math.sqrt(b) * s0.l_coh)
+            p = replace(p0, w_p=math.sqrt(b) * s0.l_coh)
             s = derive_scales(p)
             g = Grid1D.uniform(961, 4 * radius, "near")
             modes = solve_io(build_kernel_matrix(g, p, s), p)
@@ -711,10 +741,10 @@ class TestSweep:
 
     def test_gaussian_pump_pixel_sweep_returns_to_shot_noise(self):
         p0 = OpoParams(
-            lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.9, plane_pump=True
+            lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.9, w_p=math.inf
         )
         s0 = derive_scales(p0)
-        p = replace(p0, plane_pump=False, w_p=2.0 * s0.l_coh)
+        p = replace(p0, w_p=2.0 * s0.l_coh)
         s = derive_scales(p)
         values = [0.0, 6.0 * s0.l_coh]
         pts = sweep(p, s, "near", "pixel_pair", values, LocalOscillator(),
@@ -725,7 +755,7 @@ class TestSweep:
     def test_detuned_finite_frequency_sweep(self, plane_params, plane_scales):
         # both detuning and analysis frequency nonzero: the sweep solves the
         # opposite-frequency system itself
-        p = replace(plane_params, plane_pump=False, w_p=3 * plane_scales.l_coh,
+        p = replace(plane_params, w_p=3 * plane_scales.l_coh,
                     detuning=0.3, omega_bar=0.5)
         s = derive_scales(p)
         pts = sweep(p, s, "near", "interval", [2 * plane_scales.l_coh],
@@ -736,7 +766,7 @@ class TestSweep:
     def test_detector_beyond_grid_rejected(self, plane_params, plane_scales):
         from confocal_opo import GridTooCoarse
 
-        p = replace(plane_params, plane_pump=False, w_p=4 * plane_scales.l_coh)
+        p = replace(plane_params, w_p=4 * plane_scales.l_coh)
         s = derive_scales(p)
         g = Grid1D.uniform(257, 16 * plane_scales.l_coh, "near")
         modes = solve_io(build_kernel_matrix(g, p, s), p)
@@ -762,8 +792,8 @@ class TestSweep:
                      list(np.linspace(0.1, 4.0, 9) * s0.l_coh), LocalOscillator())
         far = sweep(plane_params, s0, "far", "radial",
                     list(np.linspace(0.1, 2.0, 5) * s0.r0),
-                    LocalOscillator(profile="gaussian", waist=s0.r0))
-        p_g = replace(plane_params, plane_pump=False, w_p=3 * s0.l_coh)
+                    LocalOscillator(waist=s0.r0))
+        p_g = replace(plane_params, w_p=3 * s0.l_coh)
         s_g = derive_scales(p_g)
         dense = sweep(p_g, s_g, "near", "interval",
                       list(np.linspace(0.5, 6.0, 4) * s0.l_coh), LocalOscillator())
@@ -804,13 +834,13 @@ class TestOnePath:
         # squeezing returns for the same detector on the same route
         p = plane_params
         if pump == "gaussian":
-            p = replace(p, plane_pump=False, w_p=3.0 * plane_scales.l_coh)
+            p = replace(p, w_p=3.0 * plane_scales.l_coh)
         s = derive_scales(p)
         x_of_q = p.lambda_s * p.f_lens / (2 * math.pi)
         unit = s.l_coh if plane == "near" else x_of_q / plane_scales.l_coh
         lo = LocalOscillator()
         if lo_profile == "gaussian":
-            lo = LocalOscillator(profile="gaussian", waist=2.0 * unit)
+            lo = LocalOscillator(waist=2.0 * unit)
         pixel_width = unit if shape == "pixel_pair" else None
         values = [0.7 * unit, 2.3 * unit]
         modes = None
@@ -860,17 +890,28 @@ class TestOnePath:
         monkeypatch.setattr(homodyne, "_gauss_panels", counted_panels)
         monkeypatch.setattr(homodyne, "phase_match_sinc", counted_sinc)
         monkeypatch.setattr(homodyne, "_mode_noise", counted_noise)
-        lo = LocalOscillator(profile="gaussian", waist=plane_scales.r0)
+        lo = LocalOscillator(waist=plane_scales.r0)
         sweep(plane_params, plane_scales, "far", shape, [1.3 * plane_scales.r0], lo)
         assert len(passes) == 1 and len(chunks) >= 1
         assert gains == [t.shape for t, _ in chunks]
         assert noises == [(t.shape, phase) for t, _ in chunks for phase in (math.pi / 2, 0.0)]
 
+    def test_band_past_the_lo_spot_is_refused(self, plane_params, plane_scales):
+        # a Gaussian LO whose intensity underflows to 0 on the whole band
+        # leaves no shot noise to normalize by, on either far route
+        unit = plane_scales.r0
+        lo = LocalOscillator(waist=0.3 * unit)
+        p = replace(plane_params, w_p=2.0 * plane_scales.l_coh)
+        for q in (plane_params, p):
+            with pytest.raises(EmptyDetector, match="LO"):
+                sweep(q, derive_scales(q), "far", "pixel_pair", [20.0 * unit], lo,
+                      pixel_width=unit)
+
     def test_route_errors(self, plane_params, plane_scales):
         det = DetectorMask.interval(plane_scales.l_coh, "near")
-        gaussian_lo = LocalOscillator(profile="gaussian", waist=plane_scales.l_coh)
+        gaussian_lo = LocalOscillator(waist=plane_scales.l_coh)
         with pytest.raises(ConfigurationError, match="plane LO"):
             squeezing(det, gaussian_lo, plane_params, plane_scales)
-        p = replace(plane_params, plane_pump=False, w_p=3.0 * plane_scales.l_coh)
+        p = replace(plane_params, w_p=3.0 * plane_scales.l_coh)
         with pytest.raises(ConfigurationError, match="modes"):
             squeezing(det, LocalOscillator(), p, derive_scales(p))

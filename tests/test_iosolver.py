@@ -26,11 +26,11 @@ from modes_reference import dense_uv, even_diagonal
 
 def gauss_setup(b=16.0, a_p=0.8, n=257, domain="far", detuning=0.0, omega_bar=0.0):
     p0 = OpoParams(
-        lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=a_p, plane_pump=True,
+        lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=a_p, w_p=math.inf,
         detuning=detuning, omega_bar=omega_bar,
     )
     s0 = derive_scales(p0)
-    p = replace(p0, plane_pump=False, w_p=math.sqrt(b) * s0.l_coh)
+    p = replace(p0, w_p=math.sqrt(b) * s0.l_coh)
     s = derive_scales(p)
     if domain == "far":
         g = Grid1D.uniform(n, 16.0 / p.w_p, "far")
@@ -93,7 +93,7 @@ class TestDenseSolve:
     def test_plane_pump_reproduces_analytic(self, detuning, omega_bar):
         p = OpoParams(
             lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.9,
-            plane_pump=True, detuning=detuning, omega_bar=omega_bar,
+            w_p=math.inf, detuning=detuning, omega_bar=omega_bar,
         )
         s = derive_scales(p)
         g = Grid1D.uniform(257, 16.0 / s.l_coh, "far")
@@ -123,10 +123,10 @@ class TestDenseSolve:
         # under 1 percent, which is the operational meaning of a local
         # parametric interaction.
         p0 = OpoParams(
-            lambda_s=1e-6, n_s=1.0, l_c=1e-6, z_C=0.01, A_p=0.8, plane_pump=True
+            lambda_s=1e-6, n_s=1.0, l_c=1e-6, z_C=0.01, A_p=0.8, w_p=math.inf
         )
         s0 = derive_scales(p0)
-        p = replace(p0, plane_pump=False, w_p=10 * s0.l_coh)
+        p = replace(p0, w_p=10 * s0.l_coh)
         s = derive_scales(p)
         g = Grid1D.uniform(641, 4 * p.w_p, "near")
         u, v = dense_uv(solve_io(build_kernel_matrix(g, p, s), p))
@@ -156,7 +156,7 @@ class TestDenseSolve:
     def test_singular_system_near_threshold(self, plane_scales):
         p = OpoParams(
             lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05,
-            A_p=1.0 - 1e-13, plane_pump=True,
+            A_p=1.0 - 1e-13, w_p=math.inf,
         )
         g = Grid1D.uniform(129, 8.0 / plane_scales.l_coh, "far")
         K = build_kernel_matrix(g, p, plane_scales)

@@ -186,7 +186,7 @@ class TestPhaseMismatch:
 class TestFarKernel:
     def gauss_params(self, b=25.0):
         p0 = OpoParams(
-            lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.8, plane_pump=True
+            lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.8, w_p=math.inf
         )
         s0 = derive_scales(p0)
         p = OpoParams(
@@ -294,7 +294,7 @@ class TestGrid1D:
 
 def _gauss_setup(b=16.0, a_p=0.8, n=None, domain="far"):
     p0 = OpoParams(
-        lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=a_p, plane_pump=True
+        lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=a_p, w_p=math.inf
     )
     s0 = derive_scales(p0)
     p = OpoParams(
@@ -404,10 +404,10 @@ class TestKernelMatrix:
         from dataclasses import replace
 
         p0 = OpoParams(
-            lambda_s=1e-6, n_s=1.0, l_c=1e-6, z_C=0.01, A_p=0.8, plane_pump=True
+            lambda_s=1e-6, n_s=1.0, l_c=1e-6, z_C=0.01, A_p=0.8, w_p=math.inf
         )
         s0 = derive_scales(p0)
-        p = replace(p0, plane_pump=False, w_p=100 * s0.l_coh)
+        p = replace(p0, w_p=100 * s0.l_coh)
         s = derive_scales(p)
         g = Grid1D.uniform(101, 4 * p.w_p, "near")
         op = entries(build_kernel_matrix(g, p, s))

@@ -5,7 +5,6 @@ import pytest
 
 from confocal_opo import (
     AboveThreshold,
-    AmbiguousPump,
     NonPhysical,
     OpoParams,
     derive_scales,
@@ -42,12 +41,14 @@ class TestValidate:
         with pytest.raises(NonPhysical):
             validate(make(n_s=0.99))
 
-    def test_pump_must_be_exactly_one_kind(self):
-        with pytest.raises(AmbiguousPump):
-            validate(make(plane_pump=True))  # both flag and w_p
-        with pytest.raises(AmbiguousPump):
-            validate(make(w_p=None))  # neither
-        validate(make(w_p=None, plane_pump=True))  # plane alone is fine
+    def test_pump_waist_must_be_positive_or_inf(self):
+        # one field says which pump: a positive waist, or inf for the plane
+        # pump; anything else is no pump at all
+        for w_p in (None, math.nan, 0.0, -math.inf, "4e-4"):
+            with pytest.raises(NonPhysical, match="w_p"):
+                validate(make(w_p=w_p))
+        assert validate(make(w_p=math.inf)).plane_pump
+        assert not validate(make(w_p=1e300)).plane_pump
 
     def test_negative_waist_rejected(self):
         with pytest.raises(NonPhysical):
@@ -89,7 +90,7 @@ class TestDerivedScales:
         assert s1.l_coh < 1e-6
 
     def test_b_is_waist_over_lcoh_squared(self):
-        p = make(w_p=None, plane_pump=True)
+        p = make(w_p=math.inf)
         s0 = derive_scales(p)
         p10 = make(w_p=10 * s0.l_coh)
         assert abs(derive_scales(p10).b - 100.0) <= 1e-9
@@ -101,7 +102,7 @@ class TestDerivedScales:
             assert abs(s.b - 2.0 * p.n_s * s.z_p / p.l_c) <= 1e-12 * s.b
 
     def test_plane_pump_scales(self):
-        s = derive_scales(make(w_p=None, plane_pump=True))
+        s = derive_scales(make(w_p=math.inf))
         assert math.isinf(s.b)
         assert s.q_coh == 0.0
 
