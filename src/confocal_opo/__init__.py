@@ -23,7 +23,7 @@ from .errors import (
     PlaneMismatch,
     SingularSystem,
 )
-from .params import DerivedScales, OpoParams, derive_scales, validate
+from .params import OpoParams
 from .kernels import (
     Grid1D,
     KernelMatrix,
@@ -49,8 +49,7 @@ from .homodyne import (
 )
 
 __all__ = [
-    "__version__",
-    "OpoParams", "DerivedScales", "validate", "derive_scales",
+    "__version__", "OpoParams",
     "Grid1D", "KernelMatrix", "auto_grid",
     "build_kernel_matrix", "delta_2d", "phase_match_sinc", "si",
     "CavityModes", "mode_uv", "solve_io",

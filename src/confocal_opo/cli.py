@@ -26,7 +26,7 @@ from .homodyne import LocalOscillator, _check_threshold, _mode_noise, sweep, swe
 from .iosolver import CavityModes, solve_io
 from .kernels import (MAX_GRID_N, Grid1D, auto_grid, build_kernel_matrix, delta_2d,
                       phase_match_sinc)
-from .params import OpoParams, derive_scales
+from .params import OpoParams
 
 # Parameter values every preset shares.  These are artifact defaults chosen
 # for this implementation (a 1 cm crystal at 1.064 um in a n = 2.12 medium
@@ -153,7 +153,6 @@ def scenario_from_config(cfg: dict) -> Scenario:
         omega_bar=cfg.get("omega_bar", 0.0),
         f_lens=cfg.get("f_lens", 0.1),
     )
-    scales = derive_scales(params)
     npts = cfg.get("sweep_points", 25)
     if npts is None or not 2 <= npts <= _MAX_SWEEP_POINTS:
         raise ConfigurationError(
@@ -174,29 +173,19 @@ def scenario_from_config(cfg: dict) -> Scenario:
     values = list(np.linspace(cfg["sweep_min"], cfg["sweep_max"], npts))
     lo = LocalOscillator(amplitude=cfg.get("lo_amplitude", 1.0),
                          waist=cfg.get("lo_waist", math.inf))
-    unit = _unit(params, scales, cfg["plane"])
+    unit = _unit(params, cfg["plane"])
     pixel_width = cfg.get("pixel_width")
     if cfg["detector"] == "pixel_pair" and pixel_width is None:
         pixel_width = unit
     if cfg["plane"] == "near":
         name = "size_over_lcoh"
     else:
-        name = "q_times_wp" if scales.q_coh > 0 else "r_over_r0"
-    return Scenario(
-        params=params,
-        plane=cfg["plane"],
-        detector=cfg["detector"],
-        values=values,
-        lo=lo,
-        abscissa_scale=unit,
-        abscissa_name=name,
-        label="run",
-        pixel_width=pixel_width,
-        grid_n=grid_n,
-        grid_L=grid_L,
-    )
+        name = "r_over_r0" if params.plane_pump else "q_times_wp"
+    return Scenario(params, cfg["plane"], cfg["detector"], values, lo, abscissa_scale=unit,
+                    abscissa_name=name, label="run", pixel_width=pixel_width,
+                    grid_n=grid_n, grid_L=grid_L)
 
-def _unit(p: OpoParams, scales, plane: str) -> float:
+def _unit(p: OpoParams, plane: str) -> float:
     """Coherence unit of ``plane`` in detection-plane meters.
 
     l_coh near the crystal.  In the far field, q = 2 pi x / (lambda f) maps
@@ -205,10 +194,10 @@ def _unit(p: OpoParams, scales, plane: str) -> float:
     the preset sweeps and the default pixel width.
     """
     if plane == "near":
-        return scales.l_coh
-    if scales.q_coh > 0:
-        return p.lambda_s * p.f_lens / (2.0 * math.pi) * scales.q_coh
-    return scales.r0
+        return p.l_coh
+    if p.plane_pump:
+        return p.r0
+    return p.lambda_s * p.f_lens / (2.0 * math.pi) * (1.0 / p.w_p)
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +242,9 @@ def run_scenario(sc: Scenario, outdir: Path, csv_name: str = "curve.csv") -> flo
     """Write the sweep's curve; return the threshold margin 1 - max|lam| of
     its solve (1 - A_p for a plane pump, whose strongest mode is q = 0)."""
     p = sc.params
-    scales = derive_scales(p)
-    modes = _modes(sc, scales)
+    modes = _modes(sc)
     points = sweep(
-        p, scales, sc.plane, sc.detector, sc.values, sc.lo,
+        p, sc.plane, sc.detector, sc.values, sc.lo,
         pixel_width=sc.pixel_width, modes=modes,
     )
     rows = [
@@ -268,7 +256,7 @@ def run_scenario(sc: Scenario, outdir: Path, csv_name: str = "curve.csv") -> flo
                  "abscissa,vn_squeezed,vn_antisqueezed,shot", rows)
     return 1.0 - (p.A_p if modes is None else float(np.abs(modes.lam).max()))
 
-def _modes(sc: Scenario, scales) -> CavityModes | None:
+def _modes(sc: Scenario) -> CavityModes | None:
     """The modes of the sweep's one dense solve, None for a plane pump.  A
     grid_n or grid_L left out comes from the sizing rule: the half extent
     from the sweep's detectors and LO, n from the step rule on grid_L."""
@@ -279,10 +267,10 @@ def _modes(sc: Scenario, scales) -> CavityModes | None:
     if n is None or half is None:
         cover = ((), (half,)) if half is not None else sweep_extents(
             p, sc.plane, sc.detector, sc.values, sc.lo, sc.pixel_width)
-        auto = auto_grid(p, scales, sc.plane, *cover)
+        auto = auto_grid(p, sc.plane, *cover)
         n, half = n or auto.n, half or auto.half_extent
     grid = Grid1D.uniform(n, half, sc.plane)
-    return solve_io(build_kernel_matrix(grid, p, scales), p)
+    return solve_io(build_kernel_matrix(grid, p), p)
 
 def write_summary(outdir: Path, runs) -> Path:
     """Derived scales and threshold margin of every (scenario, margin) run."""
@@ -293,15 +281,14 @@ def write_summary(outdir: Path, runs) -> Path:
         "",
     ]
     for sc, margin in runs:
-        scales = derive_scales(sc.params)
+        p = sc.params
         lines.append(f"[{sc.label}]")
         lines.extend(f"  {k} = {v if isinstance(v, str) else _fmt(v)}"
                      for k, v in _scenario_echo(sc))
-        lines.append(f"  l_coh = {_fmt(scales.l_coh)}")
-        lines.append(f"  w_C = {_fmt(scales.w_C)}")
-        lines.append(f"  r0 = {_fmt(scales.r0)}")
-        b_text = "inf" if math.isinf(scales.b) else _fmt(scales.b)
-        lines.append(f"  b = {b_text}")
+        lines.append(f"  l_coh = {_fmt(p.l_coh)}")
+        lines.append(f"  w_C = {_fmt(p.w_C)}")
+        lines.append(f"  r0 = {_fmt(p.r0)}")
+        lines.append(f"  b = {_fmt(p.b)}")  # inf for a plane pump
         lines.append(f"  threshold_margin = {_fmt(margin)}")
         lines.append("")
     path = outdir / "summary.txt"
@@ -339,11 +326,11 @@ def fig_scenarios(fig_id: int, overrides: dict) -> list[Scenario]:
     if fig_id not in _PRESETS:
         raise ConfigurationError(f"unknown figure preset id: {fig_id}")
     pump, plane, detector, first, last, points, name, lo_waist, suffix = _PRESETS[fig_id]
-    l_coh = derive_scales(_preset_params(overrides, w_p=math.inf)).l_coh
+    l_coh = _preset_params(overrides, w_p=math.inf).l_coh
     out = []
     for b in overrides.get("b", PRESET_B_VALUES) if pump == "gaussian" else (math.inf,):
         p = _preset_params(overrides, w_p=math.sqrt(b) * l_coh)
-        unit = _unit(p, derive_scales(p), plane)
+        unit = _unit(p, plane)
         stop = 3.0 * math.sqrt(b) if last is None else last
         out.append(Scenario(
             p, plane, detector, list(np.linspace(first, stop, points) * unit),
@@ -385,26 +372,24 @@ def run_fig(fig_id: int, overrides: dict, outdir: Path) -> None:
 
 def _run_fig2(overrides: dict, outdir: Path) -> None:
     p = _preset_params(overrides, w_p=math.inf)
-    s = derive_scales(p)
     xs = np.linspace(0.0, 4.0, 401)
-    rows = [(x, float(delta_2d(x * s.l_coh, s)) * s.l_coh**2) for x in xs]
+    rows = [(x, float(delta_2d(x * p.l_coh, p)) * p.l_coh**2) for x in xs]
     sc_pairs = [("label", "fig2"), ("lambda_s", p.lambda_s), ("n_s", p.n_s),
-                ("l_c", p.l_c), ("l_coh", s.l_coh)]
+                ("l_c", p.l_c), ("l_coh", p.l_coh)]
     _write_curve(outdir / "curve.csv", _echo(sc_pairs), "r_over_lcoh,delta_lcoh2", rows)
     lines = [
         "kernel profile preset (artifact defaults)",
-        f"  l_coh = {_fmt(s.l_coh)}",
-        f"  delta(0) * l_coh^2 = {_fmt(float(delta_2d(0.0, s)) * s.l_coh**2)}",
+        f"  l_coh = {_fmt(p.l_coh)}",
+        f"  delta(0) * l_coh^2 = {_fmt(float(delta_2d(0.0, p)) * p.l_coh**2)}",
     ]
     (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
 
 def _run_fig8_density(sc: Scenario, outdir: Path) -> None:
     """Companion pixel-pair density curve R(r) for the far-field preset."""
     p = sc.params
-    s = derive_scales(p)
     _check_threshold(p)
     us = np.linspace(0.0, 5.0, 126)
-    lam = p.A_p * phase_match_sinc(2.0 * us / s.l_coh, s)  # r/r0 = u maps to sinc(u^2)
+    lam = p.A_p * phase_match_sinc(2.0 * us / p.l_coh, p)  # r/r0 = u maps to sinc(u^2)
     r_sq, r_anti = (1.0 + _mode_noise(lam, phase, p.detuning, p.omega_bar)
                     for phase in (math.pi / 2, 0.0))
     rows = [(u, r1, r2, 1.0) for u, r1, r2 in zip(us, r_sq, r_anti)]

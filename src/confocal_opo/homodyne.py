@@ -6,7 +6,7 @@ detector area.  Its noise spectrum normalized to shot noise is
 
     vn = V / N = 1 + S / N.
 
-``squeezing(det, lo, p, s, modes=None)`` is the one entry point: it returns
+``squeezing(det, lo, p, modes=None)`` is the one entry point: it returns
 vn of one detector at the quadrature ``lo.phase``.  ``sweep`` runs a family
 of detectors through the same evaluators and takes both canonical
 quadratures of each detector from one pass.  A detector is its band
@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -84,7 +83,7 @@ from .errors import (
 )
 from .iosolver import CavityModes, solve_io
 from .kernels import _EXTENT_FACTOR, Grid1D, auto_grid, build_kernel_matrix, phase_match_sinc
-from .params import DerivedScales, OpoParams, validate
+from .params import OpoParams, _real
 
 __all__ = [
     "DetectorMask",
@@ -99,13 +98,6 @@ __all__ = [
 SQUEEZED_PHASE = math.pi / 2
 _DISK_ONLY = ("a radial detector is a 2-D disk, computed only for a plane pump in the "
               "far field; the dense modes and the near field are 1-D")
-
-
-def _real(value) -> bool:
-    """Whether ``value`` is a real number (NaN included), before a range check
-    compares it: None, a string or a complex number ends in ConfigurationError
-    rather than a TypeError."""
-    return isinstance(value, numbers.Real)
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +365,12 @@ def _gauss_panels(t_lo: float, t_hi: float, max_width: float):
             return
         t_lo, k = edges[-1], k + _CHUNK
 
-def _panel_noise(p: OpoParams, s: DerivedScales, t_lo: float, t_hi: float, width: float,
-                 phases):
+def _panel_noise(p: OpoParams, t_lo: float, t_hi: float, width: float, phases):
     """(t, w, [R_phi - 1 at each phase]) chunks on the panels of
     ``_gauss_panels``, at the plane-pump mode gain A_p sigma: one gain
     evaluation per chunk, shared by every phase."""
     for t, w in _gauss_panels(t_lo, t_hi, width):
-        lam = p.A_p * phase_match_sinc(t / s.l_coh, s)
+        lam = p.A_p * phase_match_sinc(t / p.l_coh, p)
         yield t, w, [_mode_noise(lam, phase, p.detuning, p.omega_bar) for phase in phases]
 
 def _lo_panel_width(c: float) -> float:
@@ -387,16 +378,15 @@ def _lo_panel_width(c: float) -> float:
     # 1/e half width, or a narrow spot falls between the nodes
     return _PANEL_WIDTH if c == 0.0 else min(_PANEL_WIDTH, 1.0 / math.sqrt(c))
 
-def _vn_planepump_far(det: DetectorMask, lo: LocalOscillator, p: OpoParams,
-                      s: DerivedScales, phases):
+def _vn_planepump_far(det: DetectorMask, lo: LocalOscillator, p: OpoParams, phases):
     """(N, [vn at each phase]) of a far-field detector, plane pump.
 
     vn = 1 + integral |alpha|^2 (R - 1) rho dt / integral |alpha|^2 rho dt
     over the positive half of the detector band in t = q l_coh, both on the
     chunks of ``_panel_noise``.  rho = 1 for an interval or pixel pair (1-D);
     a ``radial`` disk is the same quadrature in polar form, rho = t, on
-    [0, 2 r / r0].  N is the LO measure of the band: den / l_coh in q, and
-    for the disk den / 4 in the scaled radius u = r / r0 = t / 2.
+    [0, 2 r / r0].  N at unit LO amplitude is the measure of the band: 2 den /
+    l_coh in q, both halves, and for the disk den / 4 in u = r / r0 = t / 2.
     """
     q_lo, q_hi = det.bounds_on_axis(p)
     if q_hi <= q_lo:
@@ -406,36 +396,35 @@ def _vn_planepump_far(det: DetectorMask, lo: LocalOscillator, p: OpoParams,
     x_of_q = p.lambda_s * p.f_lens / (2.0 * math.pi)
     c = math.inf  # a spot too narrow to square, refused by the panel limit
     with contextlib.suppress(OverflowError):
-        c = 2.0 * (x_of_q / (lo.waist * s.l_coh)) ** 2
+        c = 2.0 * (x_of_q / (lo.waist * p.l_coh)) ** 2
     disk = det.shape == "radial"
     num = [0.0] * len(phases)
     den = 0.0
-    for t, w, noise in _panel_noise(p, s, q_lo * s.l_coh, q_hi * s.l_coh,
-                                    _lo_panel_width(c), phases):
+    for t, w, noise in _panel_noise(p, q_lo * p.l_coh, q_hi * p.l_coh, _lo_panel_width(c),
+                                    phases):
         weight = np.exp(-c * t * t) * w
         if disk:
             weight = t * weight
         num = [x + float(np.einsum("i,i", weight, f)) for x, f in zip(num, noise)]
         den += float(weight.sum())
     _check_lit(den, det)
-    return den / 4.0 if disk else den / s.l_coh, [1.0 + x / den for x in num]
+    return den / 4.0 if disk else 2.0 * den / p.l_coh, [1.0 + x / den for x in num]
 
 
-def _near_chunks(p: OpoParams, s: DerivedScales, phases, level: int):
+def _near_chunks(p: OpoParams, phases, level: int):
     # (t, [4 w (R - 1) / t^2 at each phase]) on panels 0.125 wide below t = 1,
     # where the anti-squeezed R - 1 peaks sharply near threshold, and 0.25
     # above, both halved per level
     width = _PANEL_WIDTH * 0.5**level
     for t_lo, t_hi, max_width in ((0.0, 1.0, 0.5 * width), (1.0, _NEAR_CUT, width)):
-        for t, w, noise in _panel_noise(p, s, t_lo, t_hi, max_width, phases):
+        for t, w, noise in _panel_noise(p, t_lo, t_hi, max_width, phases):
             yield t, [4.0 * w * f / t**2 for f in noise]
 
 @lru_cache(maxsize=32)
-def _cached_near_chunks(p: OpoParams, s: DerivedScales, phases, level: int) -> list:
-    return list(_near_chunks(p, s, phases, level))
+def _cached_near_chunks(p: OpoParams, phases, level: int) -> list:
+    return list(_near_chunks(p, phases, level))
 
-def _vn_planepump_near(det: DetectorMask, lo: LocalOscillator, p: OpoParams,
-                       s: DerivedScales, phases):
+def _vn_planepump_near(det: DetectorMask, lo: LocalOscillator, p: OpoParams, phases):
     """(N, [vn at each phase]) of a symmetric near-field detector, plane pump.
 
     The near-field counterpart of ``_noise_terms``: the band [a, b] (l_coh
@@ -454,11 +443,11 @@ def _vn_planepump_near(det: DetectorMask, lo: LocalOscillator, p: OpoParams,
     """
     if lo.waist != math.inf:
         raise ConfigurationError("plane-pump near-field spectra support a plane LO only")
-    a, b = det.inner / s.l_coh, det.outer / s.l_coh
+    a, b = det.inner / p.l_coh, det.outer / p.l_coh
     # capped, so a band past the float range reaches the panel limit, not an overflow
     level = max(0, math.ceil(math.log2(min(2.0 * b / _NEAR_PANEL_A, 2.0**64))))
-    chunks = (_cached_near_chunks(p, s, phases, level) if level <= _NEAR_CACHED_LEVEL
-              else _near_chunks(p, s, phases, level))
+    chunks = (_cached_near_chunks(p, phases, level) if level <= _NEAR_CACHED_LEVEL
+              else _near_chunks(p, phases, level))
     total = [0.0] * len(phases)
     for t, gs in chunks:
         window = (np.sin(b * t) - np.sin(a * t) if a > 0 else np.sin(b * t)) ** 2
@@ -470,8 +459,8 @@ def _vn_planepump_near(det: DetectorMask, lo: LocalOscillator, p: OpoParams,
 # The one path from a detector to its noise
 # ---------------------------------------------------------------------------
 
-def _route(det: DetectorMask, lo: LocalOscillator, p: OpoParams, s: DerivedScales,
-           modes: CavityModes | None, phases):
+def _route(det: DetectorMask, lo: LocalOscillator, p: OpoParams, modes: CavityModes | None,
+           phases):
     """(route name, N, [vn at each phase]) of one detector.
 
     Raises ``NumericalFailure`` when N or any vn is not finite, as when an
@@ -489,10 +478,13 @@ def _route(det: DetectorMask, lo: LocalOscillator, p: OpoParams, s: DerivedScale
         else:
             _check_threshold(p)
             if det.plane == "near":
-                route, (shot, vns) = "planepump_near", _vn_planepump_near(det, lo, p, s, phases)
+                route, (shot, vns) = "planepump_near", _vn_planepump_near(det, lo, p, phases)
             else:
                 route = "planepump_disk" if det.shape == "radial" else "planepump_far"
-                shot, vns = _vn_planepump_far(det, lo, p, s, phases)
+                shot, vns = _vn_planepump_far(det, lo, p, phases)
+            # both closed forms give N at unit LO amplitude; a product past the
+            # float range is inf, which the check below refuses
+            shot *= lo.amplitude * lo.amplitude
     if not all(math.isfinite(x) for x in (shot, *vns)):
         raise NumericalFailure(
             f"route {route} gave a non-finite result (N = {shot:g}, vn = "
@@ -505,7 +497,6 @@ def squeezing(
     det: DetectorMask,
     lo: LocalOscillator,
     p: OpoParams,
-    s: DerivedScales,
     modes: CavityModes | None = None,
 ) -> SqueezingResult:
     """Noise spectrum of one detector at the LO phase ``lo.phase``.
@@ -517,8 +508,7 @@ def squeezing(
     far-field interval or pixel pair otherwise.  A finite pump without
     modes raises ``ConfigurationError``.
     """
-    validate(p)
-    route, shot, (vn,) = _route(det, lo, p, s, modes, (lo.phase,))
+    route, shot, (vn,) = _route(det, lo, p, modes, (lo.phase,))
     return SqueezingResult(vn=vn, sn=vn - 1.0, shot=shot, quadrature=lo.phase,
                            meta={"route": route})
 
@@ -559,7 +549,7 @@ def sweep_extents(
 
     The reaches are the outer bounds of the sweep's non-empty detectors; the
     extents hold the spot of a Gaussian local oscillator at 4 waists, an
-    envelope like the pump's.  ``auto_grid(p, s, plane, *sweep_extents(...))``
+    envelope like the pump's.  ``auto_grid(p, plane, *sweep_extents(...))``
     sizes the sweep's grid.
     """
     reaches = tuple(
@@ -573,7 +563,6 @@ def sweep_extents(
 
 def sweep(
     p: OpoParams,
-    s: DerivedScales,
     plane: str,
     detector_shape: str,
     values,
@@ -593,7 +582,6 @@ def sweep(
     zero-size interval or disk reads shot noise.  Points are returned in the
     order given.
     """
-    validate(p)
     values = [float(v) for v in values]
     if any(v < 0 for v in values):
         raise ConfigurationError("sweep values must be non-negative")
@@ -601,15 +589,15 @@ def sweep(
         raise ConfigurationError(_DISK_ONLY)  # before the solve; _route refuses given modes
 
     if modes is None and not p.plane_pump:
-        grid = auto_grid(p, s, plane, *sweep_extents(p, plane, detector_shape, values, lo,
-                                                      pixel_width))
-        modes = solve_io(build_kernel_matrix(grid, p, s), p)
+        grid = auto_grid(p, plane, *sweep_extents(p, plane, detector_shape, values, lo,
+                                                   pixel_width))
+        modes = solve_io(build_kernel_matrix(grid, p), p)
     out = []
     for value in values:
         if _zero_size(detector_shape, value):
             out.append(SweepPoint(value, 1.0, 1.0, 0.0))
             continue
         det = _mask_for(detector_shape, value, pixel_width, plane)
-        _, shot, (vn_sq, vn_anti) = _route(det, lo, p, s, modes, (SQUEEZED_PHASE, 0.0))
+        _, shot, (vn_sq, vn_anti) = _route(det, lo, p, modes, (SQUEEZED_PHASE, 0.0))
         out.append(SweepPoint(value, vn_sq, vn_anti, shot))
     return out

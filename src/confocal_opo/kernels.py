@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, GridTooCoarse
-from .params import DerivedScales, OpoParams, validate
+from .params import OpoParams
 
 __all__ = [
     "si",
@@ -142,7 +142,7 @@ def si(x):
 # Closed-form 2-D kernels
 # ---------------------------------------------------------------------------
 
-def delta_2d(r, s: DerivedScales):
+def delta_2d(r, p: OpoParams):
     """Near-field coupling profile Delta(r) of the thick crystal (1/m^2).
 
     Delta(r) = (k_s / (2 pi l_c)) * (pi/2 - Si(k_s r^2 / (2 l_c))), with the
@@ -155,20 +155,20 @@ def delta_2d(r, s: DerivedScales):
     ----------
     r : float or array_like
         Transverse distance (m), r >= 0.
-    s : DerivedScales
+    p : OpoParams
     """
     r = np.asarray(r, dtype=float)
-    u = (r / s.l_coh) ** 2
-    return (np.pi / 2 - si(u)) / (np.pi * s.l_coh**2)
+    u = (r / p.l_coh) ** 2
+    return (np.pi / 2 - si(u)) / (np.pi * p.l_coh**2)
 
-def phase_match_sinc(q, s: DerivedScales):
+def phase_match_sinc(q, p: OpoParams):
     """Collinear phase-matching factor sigma(q) = sinc(l_c q^2 / (2 k_s)).
 
     The argument equals (q l_coh / 2)^2; sigma is the per-mode coupling of a
     plane pump in the far field.
     """
     q = np.asarray(q, dtype=float)
-    return _sinc((q * s.l_coh / 2.0) ** 2)
+    return _sinc((q * p.l_coh / 2.0) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +181,9 @@ def _pump_transform(k, p: OpoParams):
     amp = p.A_p * p.w_p / (2.0 * math.sqrt(math.pi))
     return amp * np.exp(-(k * p.w_p / 2.0) ** 2)
 
-def _pair_sinc(k, s: DerivedScales):
+def _pair_sinc(k, p: OpoParams):
     """Phase-matching factor S(k) = sinc(m) with m = (l_c / (2 k_s)) (k/2)^2."""
-    lc_2ks = s.l_coh**2 / 4.0  # l_c / (2 k_s)
+    lc_2ks = p.l_coh**2 / 4.0  # l_c / (2 k_s)
     return _sinc(lc_2ks * (k / 2.0) ** 2)
 
 # ---------------------------------------------------------------------------
@@ -273,7 +273,7 @@ class KernelMatrix:
     grid: Grid1D
 
 
-def _structure_scales(p: OpoParams, s: DerivedScales, domain: str):
+def _structure_scales(p: OpoParams, domain: str):
     """(largest step, smallest half extent) the kernel demands on ``domain``.
 
     The step resolves l_coh near, and 2 / l_coh and 1 / w_p far; the extent
@@ -281,25 +281,25 @@ def _structure_scales(p: OpoParams, s: DerivedScales, domain: str):
     pump).  ``build_kernel_matrix`` refuses a grid outside either bound.
     """
     if domain == "near":
-        step_max = s.l_coh / _STEP_DIVISOR
+        step_max = p.l_coh / _STEP_DIVISOR
         extent_min = _EXTENT_FACTOR * p.w_p if not p.plane_pump else 0.0
     else:
-        scales = [2.0 / s.l_coh]  # sqrt(2 k_s / l_c): phase-matching sinc scale
+        scales = [2.0 / p.l_coh]  # sqrt(2 k_s / l_c): phase-matching sinc scale
         if not p.plane_pump:
             scales.append(1.0 / p.w_p)
         step_max = min(scales) / _STEP_DIVISOR
         extent_min = _EXTENT_FACTOR * (2.0 / p.w_p) if not p.plane_pump else 0.0
     return step_max, extent_min
 
-def _check_sizing(g: Grid1D, p: OpoParams, s: DerivedScales) -> None:
-    step_max, extent_min = _structure_scales(p, s, g.domain)
+def _check_sizing(g: Grid1D, p: OpoParams) -> None:
+    step_max, extent_min = _structure_scales(p, g.domain)
     if g.domain == "near" and g.step > step_max:
         # Thin-limit branch: for a physically thin crystal a step far above
         # l_coh samples the kernel where it is indistinguishable from a
         # delta, which is equally faithful.
         thin = (
             p.l_c <= _THIN_CRYSTAL_RATIO * p.z_C
-            and g.step >= _THIN_STEP_RATIO * s.l_coh
+            and g.step >= _THIN_STEP_RATIO * p.l_coh
         )
         if not thin:
             raise GridTooCoarse(
@@ -320,7 +320,6 @@ def _check_sizing(g: Grid1D, p: OpoParams, s: DerivedScales) -> None:
 
 def auto_grid(
     p: OpoParams,
-    s: DerivedScales,
     domain: str,
     reaches: tuple[float, ...] = (),
     extents: tuple[float, ...] = (),
@@ -335,9 +334,9 @@ def auto_grid(
     its band inside the grid), and each half extent in ``extents`` as given
     (4 Gaussian-LO waists, an explicit extent).  m near, 1/m far.
     """
-    step_max, extent_min = _structure_scales(p, s, domain)
+    step_max, extent_min = _structure_scales(p, domain)
     if domain == "far" and not p.plane_pump:
-        extent_min = max(extent_min, _PHASE_MATCH_BAND / s.l_coh)
+        extent_min = max(extent_min, _PHASE_MATCH_BAND / p.l_coh)
     extent = max([extent_min, *extents] + [r + step_max for r in reaches])
     if extent <= 0:
         raise GridTooCoarse("no finite extent available to size the grid")
@@ -355,7 +354,7 @@ def auto_grid(
     return Grid1D.uniform(n, extent, domain)
 
 
-def _far_even(g: Grid1D, p: OpoParams, s: DerivedScales) -> np.ndarray:
+def _far_even(g: Grid1D, p: OpoParams) -> np.ndarray:
     """Even block E^T K E of the far-field operator on the far grid ``g``.
 
     The 1-D far-field kernel (threshold units times m) is
@@ -374,14 +373,14 @@ def _far_even(g: Grid1D, p: OpoParams, s: DerivedScales) -> np.ndarray:
     m = g.n_even
     qs = g.points[:m]
     if p.plane_pump:
-        return np.diag(p.A_p * phase_match_sinc(qs, s))
+        return np.diag(p.A_p * phase_match_sinc(qs, p))
     h = g.step
     sums = np.concatenate([qs[0] + qs, qs[1:] + qs[-1]])  # q_a + q_b at a + b
     diffs = h * np.arange(1 - m, m)  # q_a - q_b at a - b + m - 1
     window = np.lib.stride_tricks.sliding_window_view  # [a, b] -> f[a + b]
-    g_sum, s_sum = (window(f, m) for f in (_pump_transform(sums, p), _pair_sinc(sums, s)))
+    g_sum, s_sum = (window(f, m) for f in (_pump_transform(sums, p), _pair_sinc(sums, p)))
     g_diff, s_diff = (
-        window(f, m)[:, ::-1] for f in (_pump_transform(diffs, p), _pair_sinc(diffs, s))
+        window(f, m)[:, ::-1] for f in (_pump_transform(diffs, p), _pair_sinc(diffs, p))
     )
     block = g_sum * s_diff
     block += g_diff * s_sum
@@ -391,7 +390,7 @@ def _far_even(g: Grid1D, p: OpoParams, s: DerivedScales) -> np.ndarray:
         block[:, -1] *= math.sqrt(0.5)
     return block
 
-def build_kernel_matrix(g: Grid1D, p: OpoParams, s: DerivedScales) -> KernelMatrix:
+def build_kernel_matrix(g: Grid1D, p: OpoParams) -> KernelMatrix:
     """Discretize the coupling kernel on ``g``.
 
     Far domain: the even block of the 1-D far-field kernel (plane pump:
@@ -409,7 +408,6 @@ def build_kernel_matrix(g: Grid1D, p: OpoParams, s: DerivedScales) -> KernelMatr
     min(1/w_p, sqrt(2 k_s / l_c))/8 far; extent >= 4 w_p for a finite
     pump).
     """
-    validate(p)
-    _check_sizing(g, p, s)
+    _check_sizing(g, p)
     far_grid = g if g.domain == "far" else g.conjugate()
-    return KernelMatrix(far=_far_even(far_grid, p, s), grid=g)
+    return KernelMatrix(far=_far_even(far_grid, p), grid=g)

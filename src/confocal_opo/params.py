@@ -2,8 +2,9 @@
 
 Conventions
 -----------
-* All inputs are SI (meters, radians); every derived scale is computed once
-  here and reused by the other modules.
+* All inputs are SI (meters, radians).  An ``OpoParams`` is checked when it
+  is made, ``dataclasses.replace`` included, and its derived scales are
+  read-only properties of it.
 * The pump amplitude ``A_p`` is dimensionless, expressed in threshold units:
   with a plane pump at zero detuning and zero analysis frequency the
   oscillation threshold sits exactly at ``A_p = 1``.  The microscopic
@@ -17,16 +18,31 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 from .errors import AboveThreshold, NonPhysical
 
-__all__ = ["OpoParams", "DerivedScales", "validate", "derive_scales"]
+__all__ = ["OpoParams"]
+
+
+def _real(value) -> bool:
+    """Whether ``value`` is a real number (NaN included), before a range check
+    compares it: None, a string or a complex number ends in ConfigurationError
+    rather than a TypeError."""
+    return isinstance(value, numbers.Real)
+
+
+def _positive(**scales) -> None:
+    for name, value in scales.items():
+        if not 0.0 < value < math.inf:
+            raise NonPhysical(f"derived scale {name} = {value!r} is not positive and "
+                              "finite: the inputs reach past the floating-point range")
 
 
 @dataclass(frozen=True)
 class OpoParams:
-    """Physical configuration of the degenerate OPO.
+    """Physical configuration of the degenerate OPO, checked when it is made.
 
     Attributes
     ----------
@@ -52,6 +68,11 @@ class OpoParams:
     f_lens : float
         Focal length (m) of the imaging lens that maps the far field onto
         the detection plane, position x <-> wavevector q = 2 pi x / (lambda f).
+
+    Raises ``AboveThreshold`` if A_p >= 1, and ``NonPhysical`` if a field is
+    not a real number, a length is not positive (w_p = inf is allowed),
+    n_s < 1, A_p < 0, detuning or omega_bar is not finite, or a derived scale
+    or the far-field lens factor 2 pi / (lambda_s f_lens) is not in (0, inf).
     """
 
     lambda_s: float
@@ -64,106 +85,59 @@ class OpoParams:
     omega_bar: float = 0.0
     f_lens: float = 0.1
 
+    def __post_init__(self):
+        for f in fields(self):
+            if not _real(getattr(self, f.name)):
+                raise NonPhysical(f"{f.name} must be a real number, got {getattr(self, f.name)!r}")
+        for name in ("lambda_s", "l_c", "z_C", "f_lens"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise NonPhysical(f"{name} must be a positive length, got {value!r}")
+        if not (math.isfinite(self.n_s) and self.n_s >= 1.0):
+            raise NonPhysical(f"n_s must be >= 1, got {self.n_s!r}")
+        if not (0.0 <= self.A_p):
+            raise NonPhysical(f"A_p must be non-negative, got {self.A_p!r}")
+        if self.A_p >= 1.0:
+            raise AboveThreshold(f"A_p = {self.A_p!r} is at or above the oscillation "
+                                 "threshold (A_p < 1 required)")
+        if not self.w_p > 0:
+            raise NonPhysical(
+                f"w_p must be a positive length or inf (a plane pump), got {self.w_p!r}")
+        if not (math.isfinite(self.detuning) and math.isfinite(self.omega_bar)):
+            raise NonPhysical("detuning and omega_bar must be finite")
+        # in this order: r0 divides by l_coh
+        _positive(l_coh=self.l_coh, w_C=self.w_C,
+                  lens_factor=2.0 * math.pi / self.lambda_s / self.f_lens)
+        _positive(r0=self.r0)
+        if not self.plane_pump:
+            b = math.inf
+            with contextlib.suppress(OverflowError):  # an overflow leaves inf, refused
+                b = self.b
+            _positive(b=b)
+
     @property
     def plane_pump(self) -> bool:
         """Whether the pump is the plane wave w_p = inf."""
         return self.w_p == math.inf
 
+    @property
+    def l_coh(self) -> float:
+        """Transverse coherence length sqrt(lambda_s l_c / (pi n_s)) (m), the
+        minimum detector size over which near-field squeezing survives."""
+        return math.sqrt(self.lambda_s * self.l_c / (math.pi * self.n_s))
 
-@dataclass(frozen=True)
-class DerivedScales:
-    """Secondary scales, all computed once from a validated OpoParams.
+    @property
+    def b(self) -> float:
+        """Mode-count parameter w_p^2 / l_coh^2 (inf for a plane pump)."""
+        return math.inf if self.plane_pump else (self.w_p / self.l_coh) ** 2
 
-    Attributes
-    ----------
-    k_s : float
-        Signal wavenumber in the crystal, 2 pi n_s / lambda_s (1/m).
-    l_coh : float
-        Transverse coherence length sqrt(lambda_s l_c / (pi n_s)) (m); the
-        minimum detector size over which near-field squeezing survives.
-    b : float
-        Mode-count parameter w_p^2 / l_coh^2 (infinite for a plane pump).
-    w_C : float
-        Cavity waist implied by the Rayleigh range, sqrt(lambda_s z_C / pi).
-    r0 : float
-        Far-field detection-plane scale lambda_s f / (pi l_coh) (m) beyond
-        which phase matching suppresses squeezing.
-    q_coh : float
-        Far-field coherence scale in wavevector units, 1 / w_p (1/m); zero
-        for a plane pump.
-    z_p : float
-        Pump diffraction length, defined as pi w_p^2 / (2 lambda_s) so that
-        the identity b = 2 n_s z_p / l_c holds exactly.
-    """
+    @property
+    def w_C(self) -> float:
+        """Cavity waist implied by the Rayleigh range, sqrt(lambda_s z_C / pi) (m)."""
+        return math.sqrt(self.lambda_s * self.z_C / math.pi)
 
-    k_s: float
-    l_coh: float
-    b: float
-    w_C: float
-    r0: float
-    q_coh: float
-    z_p: float
-
-
-def validate(p: OpoParams) -> OpoParams:
-    """Check every invariant of the configuration and return it unchanged.
-
-    Raises
-    ------
-    AboveThreshold
-        If ``A_p >= 1`` (the linearized below-threshold model breaks down)
-        or ``A_p < 0``.
-    NonPhysical
-        If any length is non-positive (``w_p = inf``, the plane pump, is
-        allowed) or ``n_s < 1``.
-    """
-    for name in ("lambda_s", "l_c", "z_C", "f_lens"):
-        value = getattr(p, name)
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-            raise NonPhysical(f"{name} must be a positive length, got {value!r}")
-    if not (math.isfinite(p.n_s) and p.n_s >= 1.0):
-        raise NonPhysical(f"n_s must be >= 1, got {p.n_s!r}")
-    if not (0.0 <= p.A_p):
-        raise NonPhysical(f"A_p must be non-negative, got {p.A_p!r}")
-    if p.A_p >= 1.0:
-        raise AboveThreshold(
-            f"A_p = {p.A_p!r} is at or above the oscillation threshold (A_p < 1 required)"
-        )
-    if not (isinstance(p.w_p, (int, float)) and p.w_p > 0):
-        raise NonPhysical(f"w_p must be a positive length or inf (a plane pump), got {p.w_p!r}")
-    if not (math.isfinite(p.detuning) and math.isfinite(p.omega_bar)):
-        raise NonPhysical("detuning and omega_bar must be finite")
-    return p
-
-
-def _positive(**scales) -> None:
-    for name, value in scales.items():
-        if not 0.0 < value < math.inf:
-            raise NonPhysical(f"derived scale {name} = {value!r} is not positive and "
-                              "finite: the inputs reach past the floating-point range")
-
-
-def derive_scales(p: OpoParams) -> DerivedScales:
-    """Compute every derived scale from a validated configuration.
-
-    Pure function: identical inputs give bit-identical outputs.  The two
-    closed forms of the coherence length, sqrt(lambda l_c / (pi n_s)) and
-    sqrt(2 l_c / k_s), agree to rounding by construction.  Raises
-    ``NonPhysical`` unless every scale, and the far-field lens factor
-    2 pi / (lambda_s f_lens), is positive and finite.
-    """
-    validate(p)
-    k_s = 2.0 * math.pi * p.n_s / p.lambda_s
-    l_coh = math.sqrt(p.lambda_s * p.l_c / (math.pi * p.n_s))
-    w_C = math.sqrt(p.lambda_s * p.z_C / math.pi)
-    _positive(k_s=k_s, l_coh=l_coh, w_C=w_C, lens_factor=2.0 * math.pi / p.lambda_s / p.f_lens)
-    r0 = p.lambda_s * p.f_lens / (math.pi * l_coh)
-    _positive(r0=r0)
-    b, q_coh, z_p = math.inf, 0.0, math.inf  # a plane pump
-    if not p.plane_pump:
-        q_coh = 1.0 / p.w_p
-        with contextlib.suppress(OverflowError):  # an overflow leaves inf, refused below
-            b = (p.w_p / l_coh) ** 2
-            z_p = math.pi * p.w_p**2 / (2.0 * p.lambda_s)
-        _positive(b=b, q_coh=q_coh, z_p=z_p)
-    return DerivedScales(k_s=k_s, l_coh=l_coh, b=b, w_C=w_C, r0=r0, q_coh=q_coh, z_p=z_p)
+    @property
+    def r0(self) -> float:
+        """Far-field detection-plane scale lambda_s f / (pi l_coh) (m) beyond
+        which phase matching suppresses squeezing."""
+        return self.lambda_s * self.f_lens / (math.pi * self.l_coh)

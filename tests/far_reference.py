@@ -15,14 +15,14 @@ from helpers import cosine, flip, ktilde_far, unfold
 _ROW_BLOCK = 64
 
 
-def far_entries(g, p, s):
+def far_entries(g, p):
     """n x n operator form K(q_i, q_j) w_j of the far kernel on the far grid ``g``."""
     qs = g.points
     if p.plane_pump:
         # G collapses to a discrete delta: weight w_j cancels against the
         # 1/w_j of the delta, leaving the two parity channels
         n = g.n
-        sig = p.A_p * phase_match_sinc(qs, s)
+        sig = p.A_p * phase_match_sinc(qs, p)
         entries = np.zeros((n, n))
         idx = np.arange(n)
         entries[idx, idx] += 0.5 * sig
@@ -31,7 +31,7 @@ def far_entries(g, p, s):
     entries = np.empty((g.n, g.n))
     for start in range(0, g.n, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        entries[rows] = ktilde_far(qs[rows, np.newaxis], qs, p, s) * g.step
+        entries[rows] = ktilde_far(qs[rows, np.newaxis], qs, p) * g.step
     return entries
 
 

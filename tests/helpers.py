@@ -66,12 +66,12 @@ def grid_modes(modes):
     return cosine(modes.grid).T @ modes.q
 
 
-def unchecked_kernel(g, p, s):
+def unchecked_kernel(g, p):
     """``build_kernel_matrix`` without the sizing rule: any grid is taken."""
-    return KernelMatrix(far=_far_even(g if g.domain == "far" else g.conjugate(), p, s), grid=g)
+    return KernelMatrix(far=_far_even(g if g.domain == "far" else g.conjugate(), p), grid=g)
 
 
-def ktilde_far(q, q2, p, s):
+def ktilde_far(q, q2, p):
     """1-D far-field coupling kernel (threshold units times m).
 
     K(q, q2) = 1/2 [ G(q+q2) S(q-q2) + G(q-q2) S(q+q2) ] with the library's
@@ -84,8 +84,8 @@ def ktilde_far(q, q2, p, s):
     q = np.asarray(q, dtype=float)
     q2 = np.asarray(q2, dtype=float)
     return 0.5 * (
-        _pump_transform(q + q2, p) * _pair_sinc(q - q2, s)
-        + _pump_transform(q - q2, p) * _pair_sinc(q + q2, s)
+        _pump_transform(q + q2, p) * _pair_sinc(q - q2, p)
+        + _pump_transform(q - q2, p) * _pair_sinc(q + q2, p)
     )
 
 
@@ -96,7 +96,7 @@ def threshold_margin(K, p):
     return 1.0 - float(np.abs(np.linalg.eigvalsh(K.far)).max())
 
 
-def analytic_uv_planepump(q, p, s, omega_bar=None):
+def analytic_uv_planepump(q, p, omega_bar=None):
     """Closed-form (U, V) of the plane-pump cavity at transverse wavevector q.
 
     ``mode_uv`` at the mode gain A_p sigma(q), sigma = sinc(l_c q^2 / (2 k_s)).
@@ -107,19 +107,19 @@ def analytic_uv_planepump(q, p, s, omega_bar=None):
     Raises ``AtOrAboveThreshold`` when |D| vanishes within 1e-14.
     """
     om = p.omega_bar if omega_bar is None else omega_bar
-    sig = p.A_p * phase_match_sinc(np.asarray(q, dtype=float), s)
+    sig = p.A_p * phase_match_sinc(np.asarray(q, dtype=float), p)
     a_abar = (1.0 + 1j * (p.detuning + om)) * (1.0 + 1j * (om - p.detuning))
     if np.any(np.abs(a_abar - sig**2) <= 1e-14):
         raise AtOrAboveThreshold("plane-pump response diverges: a*abar = (A_p sigma)^2")
     return mode_uv(sig, p.detuning, om)
 
 
-def noise_density(q, p, s, phase):
+def noise_density(q, p, phase):
     """Plane-pump spatial noise density R(q) = |U(q) + e^{2 i phase} V_-*(q)|^2.
 
     The library's per-mode noise at the gain A_p sigma(q).  At resonance and
     zero frequency, phase = pi/2 gives the squeezed density
     ((1 - A_p sigma)/(1 + A_p sigma))^2 and phase = 0 its reciprocal.
     """
-    lam = p.A_p * phase_match_sinc(np.asarray(q, dtype=float), s)
+    lam = p.A_p * phase_match_sinc(np.asarray(q, dtype=float), p)
     return 1.0 + _mode_noise(lam, phase, p.detuning, p.omega_bar)

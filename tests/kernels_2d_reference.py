@@ -12,7 +12,7 @@ import numpy as np
 from confocal_opo import ConfigurationError, delta_2d
 
 
-def kint_near_2d(x, x2, p, s):
+def kint_near_2d(x, x2, p):
     """Near-field coupling kernel between transverse points x and x2 (2-D).
 
     Real-valued, in threshold units times 1/m^2:
@@ -35,7 +35,7 @@ def kint_near_2d(x, x2, p, s):
     else:
         amp_plus = p.A_p * np.exp(-np.sum((plus / 2) ** 2, axis=-1) / p.w_p**2)
         amp_minus = p.A_p * np.exp(-np.sum((minus / 2) ** 2, axis=-1) / p.w_p**2)
-    return 0.5 * (amp_plus * delta_2d(r_minus, s) + amp_minus * delta_2d(r_plus, s))
+    return 0.5 * (amp_plus * delta_2d(r_minus, p) + amp_minus * delta_2d(r_plus, p))
 
 
 def _as_vec2(q):
@@ -49,7 +49,7 @@ def _sinc(x):
     return np.sinc(np.asarray(x) / np.pi)
 
 
-def ktilde_far_2d(q, q2, p, s):
+def ktilde_far_2d(q, q2, p):
     """2-D far-field coupling kernel (threshold units times m^2).
 
     Same structure as the 1-D ``ktilde_far`` with the 2-D integral-normalized
@@ -60,7 +60,7 @@ def ktilde_far_2d(q, q2, p, s):
         raise ConfigurationError("plane-wave pump gives a distributional far-field kernel")
     q = _as_vec2(q)
     q2 = _as_vec2(q2)
-    lc_2ks = s.l_coh**2 / 4.0
+    lc_2ks = p.l_coh**2 / 4.0
     amp = p.A_p * p.w_p**2 / (4.0 * math.pi)
     qp2 = np.sum((q + q2) ** 2, axis=-1)
     qm2 = np.sum((q - q2) ** 2, axis=-1)

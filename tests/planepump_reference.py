@@ -135,7 +135,7 @@ def sinc_zeros_below(x_hi: float) -> list[float]:
     return [2.0 * math.sqrt(k * math.pi) for k in range(1, int(x_hi**2 / (4 * math.pi)) + 2)]
 
 
-def far_vn(x_lo: float, x_hi: float, p, s, phase: float, c: float = 0.0) -> float:
+def far_vn(x_lo: float, x_hi: float, p, phase: float, c: float = 0.0) -> float:
     """vn of the positive-q half [x_lo, x_hi] of a far-field detector.
 
     x = q l_coh; the LO weight is exp(-c x^2) (c = 0: plane LO).
@@ -144,20 +144,20 @@ def far_vn(x_lo: float, x_hi: float, p, s, phase: float, c: float = 0.0) -> floa
         return math.exp(-c * x * x)
 
     def num(x):
-        return weight(x) * float(noise_density(x / s.l_coh, p, s, phase))
+        return weight(x) * float(noise_density(x / p.l_coh, p, phase))
 
     return _sinc_zero_quad(num, x_lo, x_hi) / _sinc_zero_quad(weight, x_lo, x_hi)
 
 
-def circular_vn(big_x: float, p, s, phase: float, c: float = 0.0) -> float:
+def circular_vn(big_x: float, p, phase: float, c: float = 0.0) -> float:
     """vn of a far-field disk of radius big_x r0 with LO weight exp(-c u^2).
 
     Radial variable u = r / r0, density at q = 2 u / l_coh (sinc(u^2)); the
     denominator integral_0^X u exp(-c u^2) du is closed form.
     """
     def num(u):
-        q = 2.0 * u / s.l_coh
-        return u * math.exp(-c * u * u) * float(noise_density(q, p, s, phase))
+        q = 2.0 * u / p.l_coh
+        return u * math.exp(-c * u * u) * float(noise_density(q, p, phase))
 
     # sinc zeros sit at u = sqrt(k pi): integrate in x = 2u, du = dx / 2
     total = _sinc_zero_quad(lambda x: num(x / 2.0), 0.0, 2.0 * big_x) / 2.0

@@ -24,7 +24,6 @@ from confocal_opo import (
     OpoParams,
     build_kernel_matrix,
     delta_2d,
-    derive_scales,
     solve_io,
     squeezing,
     sweep,
@@ -57,26 +56,24 @@ def base_params(**kw):
 
 def test_criterion_01_kernel_zero_crossing():
     p = base_params()
-    s = derive_scales(p)
-    root = brentq(lambda r: float(delta_2d(r * s.l_coh, s)), 1.0, 1.6, xtol=1e-12)
+    root = brentq(lambda r: float(delta_2d(r * p.l_coh, p)), 1.0, 1.6, xtol=1e-12)
     ok = abs(root - 1.37) <= 0.03
     assert _report(1, ok, f"first kernel zero at {root:.4f} l_coh, required 1.37 +- 0.03")
 
 
 def test_criterion_02_coherence_length_anchor():
-    s = derive_scales(base_params())
-    ok = abs(s.l_coh - 40e-6) <= 0.10 * 40e-6
-    assert _report(2, ok, f"l_coh = {s.l_coh * 1e6:.3f} um, required 40 um +- 10%")
+    p = base_params()
+    ok = abs(p.l_coh - 40e-6) <= 0.10 * 40e-6
+    assert _report(2, ok, f"l_coh = {p.l_coh * 1e6:.3f} um, required 40 um +- 10%")
 
 
 def test_criterion_03_analytic_identity():
     p = base_params()
-    s = derive_scales(p)
-    qs = np.linspace(0.0, 5.0, 50) / s.l_coh
+    qs = np.linspace(0.0, 5.0, 50) / p.l_coh
     oms = np.linspace(-3.0, 3.0, 20)
     worst = 0.0
     for om in oms:
-        u, v = analytic_uv_planepump(qs, replace(p, omega_bar=float(om)), s)
+        u, v = analytic_uv_planepump(qs, replace(p, omega_bar=float(om)))
         worst = max(worst, float(np.abs(np.abs(u) ** 2 - np.abs(v) ** 2 - 1.0).max()))
     ok = worst <= 1e-12
     assert _report(3, ok, f"max | |U|^2 - |V|^2 - 1 | = {worst:.2e} over 1000 probe points (<= 1e-12)")
@@ -87,10 +84,9 @@ def test_criterion_04_dense_matches_analytic_plane_pump():
     for detuning in (0.0, 0.5):
         for omega_bar in (0.0, 1.0):
             p = base_params(detuning=detuning, omega_bar=omega_bar)
-            s = derive_scales(p)
-            g = Grid1D.uniform(512, 16.0 / s.l_coh, "far")
-            u, v = dense_uv(solve_io(build_kernel_matrix(g, p, s), p))
-            ua, va = analytic_uv_planepump(g.points, p, s)
+            g = Grid1D.uniform(512, 16.0 / p.l_coh, "far")
+            u, v = dense_uv(solve_io(build_kernel_matrix(g, p), p))
+            ua, va = analytic_uv_planepump(g.points, p)
             rel_u = np.abs(even_diagonal(u) - ua) / np.abs(ua)
             rel_v = np.abs(even_diagonal(v) - va) / np.maximum(np.abs(va), 1e-30)
             worst = max(worst, float(rel_u.max()), float(rel_v.max()))
@@ -102,15 +98,13 @@ def test_criterion_04_dense_matches_analytic_plane_pump():
 def test_criterion_05_bogoliubov_residuals_random_draws():
     rng = np.random.default_rng(7)
     p0 = base_params()
-    s0 = derive_scales(p0)
     worst = 0.0
     for _ in range(10):
         b = float(rng.uniform(4.0, 100.0))
         a_p = float(rng.uniform(0.3, 0.95))
-        p = replace(p0, w_p=math.sqrt(b) * s0.l_coh, A_p=a_p)
-        s = derive_scales(p)
+        p = replace(p0, w_p=math.sqrt(b) * p0.l_coh, A_p=a_p)
         g = Grid1D.uniform(256, 16.0 / p.w_p, "far")
-        modes = solve_io(build_kernel_matrix(g, p, s), p)
+        modes = solve_io(build_kernel_matrix(g, p), p)
         worst = max(worst, *residuals(*dense_uv(modes)))
     ok = worst <= 1e-8
     assert _report(5, ok, f"10 random finite-pump draws, n = 256: "
@@ -121,15 +115,14 @@ def test_criterion_06_thin_crystal_limit():
     # l_c / z_C = 1e-4: the discrete model is exactly local, so the
     # squeezing equals the single-mode value for any detection region
     p = base_params(l_c=5e-6, A_p=0.9)
-    s = derive_scales(p)
     assert p.l_c / p.z_C == pytest.approx(1e-4)
-    g = Grid1D.uniform(1281, 40.0 * s.w_C, "near")
-    modes = solve_io(build_kernel_matrix(g, p, s), p)
+    g = Grid1D.uniform(1281, 40.0 * p.w_C, "near")
+    modes = solve_io(build_kernel_matrix(g, p), p)
     lo = LocalOscillator()
     vns = []
     for frac in (0.1, 0.3, 1.0, 3.0, 10.0):
-        det = DetectorMask.interval(frac * s.w_C, "near")
-        vns.append(squeezing(det, lo, p, s, modes).vn)
+        det = DetectorMask.interval(frac * p.w_C, "near")
+        vns.append(squeezing(det, lo, p, modes).vn)
     vns = np.array(vns)
     spread = float(vns.max() - vns.min())
     dev = float(np.abs(vns - SINGLE_MODE_09).max())
@@ -151,17 +144,16 @@ def test_criterion_07_near_field_detector_size_trend():
     # match a direct quadrature of window x density, so the rises are shown
     # to belong to the model.
     p = base_params(A_p=0.99)
-    s = derive_scales(p)
     lo = LocalOscillator()
-    vn_small = squeezing(DetectorMask.interval(0.05 * s.l_coh, "near"), lo, p, s).vn
-    vn_large = squeezing(DetectorMask.interval(5.0 * s.l_coh, "near"), lo, p, s).vn
+    vn_small = squeezing(DetectorMask.interval(0.05 * p.l_coh, "near"), lo, p).vn
+    vn_large = squeezing(DetectorMask.interval(5.0 * p.l_coh, "near"), lo, p).vn
     u_c = correlation_first_zero(p.A_p)
     guaranteed = np.linspace(0.0, u_c / 2.0, 20)
-    pts = sweep(p, s, "near", "interval", list(guaranteed * s.l_coh), LocalOscillator())
+    pts = sweep(p, "near", "interval", list(guaranteed * p.l_coh), LocalOscillator())
     vns = [pt.vn_squeezed for pt in pts]
     early = rises(guaranteed, vns)
     wide = np.linspace(0.0, 1.3, 20)
-    pts = sweep(p, s, "near", "interval", list(wide * s.l_coh), LocalOscillator())
+    pts = sweep(p, "near", "interval", list(wide * p.l_coh), LocalOscillator())
     vns_wide = np.array([pt.vn_squeezed for pt in pts])
     model_dev = float(np.abs(vns_wide - interval_vn(wide, p.A_p)).max())
     clause_small = vn_small > 0.9
@@ -185,12 +177,10 @@ def test_criterion_07_near_field_detector_size_trend():
 
 def test_criterion_08_pixel_pair_finite_pump():
     p0 = base_params()
-    s0 = derive_scales(p0)
-    p = replace(p0, w_p=10.0 * s0.l_coh)  # b = 100
-    s = derive_scales(p)
+    p = replace(p0, w_p=10.0 * p0.l_coh)  # b = 100
     values = [0.0, 3.0 * p.w_p]
-    pts = sweep(p, s, "near", "pixel_pair", values, LocalOscillator(),
-                pixel_width=s.l_coh)
+    pts = sweep(p, "near", "pixel_pair", values, LocalOscillator(),
+                pixel_width=p.l_coh)
     vn_zero, vn_far = pts[0].vn_squeezed, pts[1].vn_squeezed
     ok = vn_zero < 0.9 and vn_far > 0.95
     assert _report(8, ok, f"b = 100 pixel pair: vn(0) = {vn_zero:.4f} (< 0.9), "
@@ -199,16 +189,15 @@ def test_criterion_08_pixel_pair_finite_pump():
 
 def test_criterion_09_far_field_closed_forms():
     p = base_params()
-    s = derive_scales(p)
-    lo = LocalOscillator(waist=s.r0)
+    lo = LocalOscillator(waist=p.r0)
     # a radius of 1e-12 r0 reads the r -> 0 limit of the disk quadrature
-    limit = squeezing(DetectorMask.radial(1e-12 * s.r0, "far"), lo, p, s).vn
+    limit = squeezing(DetectorMask.radial(1e-12 * p.r0, "far"), lo, p).vn
     clause_limit = abs(limit - 0.00277) <= 1e-5
-    inner = squeezing(DetectorMask.radial(0.3 * s.r0, "far"), lo, p, s).vn
-    outer = squeezing(DetectorMask.radial(3.0 * s.r0, "far"), lo, p, s).vn
+    inner = squeezing(DetectorMask.radial(0.3 * p.r0, "far"), lo, p).vn
+    outer = squeezing(DetectorMask.radial(3.0 * p.r0, "far"), lo, p).vn
     clause_v = outer > inner
-    r_in = float(noise_density(0.3 * 2.0 / s.l_coh, p, s, math.pi / 2))
-    r_out = float(noise_density(5.0 * 2.0 / s.l_coh, p, s, math.pi / 2))
+    r_in = float(noise_density(0.3 * 2.0 / p.l_coh, p, math.pi / 2))
+    r_out = float(noise_density(5.0 * 2.0 / p.l_coh, p, math.pi / 2))
     clause_r = r_in < 0.05 and abs(r_out - 1.0) < 0.05
     ok = clause_limit and clause_v and clause_r
     assert _report(9, ok, f"circular r->0: vn = {limit:.6f} (0.00277 +- 1e-5); "
@@ -219,10 +208,9 @@ def test_criterion_09_far_field_closed_forms():
 
 def test_criterion_10_quadrature_duality():
     p = base_params()
-    s = derive_scales(p)
-    q = np.linspace(0.0, 5.0, 100) / s.l_coh
-    prod = noise_density(q, p, s, math.pi / 2) * noise_density(
-        q, p, s, 0.0
+    q = np.linspace(0.0, 5.0, 100) / p.l_coh
+    prod = noise_density(q, p, math.pi / 2) * noise_density(
+        q, p, 0.0
     )
     worst = float(np.abs(prod - 1.0).max())
     ok = worst <= 1e-12

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import confocal_opo
-from confocal_opo import cli, derive_scales, errors, homodyne, iosolver, kernels, params
+from confocal_opo import cli, errors, homodyne, iosolver, kernels, params
 from confocal_opo.cli import main, parse_config, scenario_from_config
 from confocal_opo.errors import ConfigurationError
 
@@ -377,14 +377,14 @@ class TestFigPresets:
             csv_names = [f"curve_b{b:g}.csv" for b in bs]
         assert [sc.label for sc in scenarios] == labels
         for sc, b in zip(scenarios, bs):
-            s = derive_scales(sc.params)
+            p = sc.params
             if plane == "near":
-                unit = s.l_coh
-            elif sc.params.plane_pump:
-                unit = s.r0
+                unit = p.l_coh
+            elif p.plane_pump:
+                unit = p.r0
             else:
-                unit = sc.params.lambda_s * sc.params.f_lens * s.q_coh / (2.0 * math.pi)
-            assert s.b == pytest.approx(b, rel=1e-12) if math.isfinite(b) else s.b == b
+                unit = p.lambda_s * p.f_lens / p.w_p / (2.0 * math.pi)
+            assert p.b == pytest.approx(b, rel=1e-12) if math.isfinite(b) else p.b == b
             assert (sc.plane, sc.detector, len(sc.values)) == (plane, detector, points)
             assert sc.values[0] / unit == pytest.approx(first, rel=1e-12, abs=1e-15)
             assert sc.values[-1] / unit == pytest.approx(last(b), rel=1e-12)
@@ -419,19 +419,17 @@ import math
 import sys
 from dataclasses import replace
 import numpy as np
-from confocal_opo import LocalOscillator, OpoParams, delta_2d, derive_scales, sweep
+from confocal_opo import LocalOscillator, OpoParams, delta_2d, sweep
 from confocal_opo.cli import main
 
 plane = OpoParams(lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.9,
                   w_p=math.inf)
-s0 = derive_scales(plane)
-gauss = replace(plane, w_p=2.0 * s0.l_coh)
-s = derive_scales(gauss)
-delta_2d(np.linspace(0.0, 4.0, 41) * s0.l_coh, s0)
-sweep(plane, s0, "near", "interval", [0.5 * s0.l_coh, 20.0 * s0.l_coh], LocalOscillator())
-sweep(gauss, s, "near", "interval", [0.5 * s0.l_coh, s0.l_coh], LocalOscillator())
-sweep(gauss, s, "far", "interval", [0.5 * s0.r0, s0.r0], LocalOscillator())
-sweep(plane, s0, "far", "radial", [0.5 * s0.r0], LocalOscillator(waist=s0.r0))
+gauss = replace(plane, w_p=2.0 * plane.l_coh)
+delta_2d(np.linspace(0.0, 4.0, 41) * plane.l_coh, plane)
+sweep(plane, "near", "interval", [0.5 * plane.l_coh, 20.0 * plane.l_coh], LocalOscillator())
+sweep(gauss, "near", "interval", [0.5 * plane.l_coh, plane.l_coh], LocalOscillator())
+sweep(gauss, "far", "interval", [0.5 * plane.r0, plane.r0], LocalOscillator())
+sweep(plane, "far", "radial", [0.5 * plane.r0], LocalOscillator(waist=plane.r0))
 for fig in ("2", "5", "8"):
     assert main(["fig", "--id", fig, "--out", f"{sys.argv[1]}/fig{fig}"]) == 0
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))

@@ -23,7 +23,6 @@ from confocal_opo import (
     LocalOscillator,
     auto_grid,
     build_kernel_matrix,
-    derive_scales,
     solve_io,
     sweep,
     sweep_extents,
@@ -48,9 +47,8 @@ class Case:
 
 
 def _auto(sc, shape, values, lo, pixel_width=None):
-    s = derive_scales(sc.params)
     reaches, extents = sweep_extents(sc.params, sc.plane, shape, values, lo, pixel_width)
-    return auto_grid(sc.params, s, sc.plane, reaches, extents)
+    return auto_grid(sc.params, sc.plane, reaches, extents)
 
 
 @pytest.fixture(scope="module", params=[(plane, b) for plane in FIG_OF_PLANE for b in B_VALUES],
@@ -58,10 +56,10 @@ def _auto(sc, shape, values, lo, pixel_width=None):
 def case(request):
     plane, b = request.param
     (sc,) = fig_scenarios(FIG_OF_PLANE[plane], {"b": (b,)})
-    p, s = sc.params, derive_scales(sc.params)
+    p = sc.params
     grid = _auto(sc, sc.detector, sc.values, sc.lo)
     wide = Grid1D.uniform(5 * grid.n, 5 * grid.half_extent, plane)
-    return Case(b, sc, grid, solve_io(build_kernel_matrix(wide, p, s), p))
+    return Case(b, sc, grid, solve_io(build_kernel_matrix(wide, p), p))
 
 
 def _pump_unit(sc):
@@ -71,11 +69,11 @@ def _pump_unit(sc):
 
 def _assert_matches_wide(case, shape, values, lo, pixel_width=None):
     sc = case.sc
-    p, s = sc.params, derive_scales(sc.params)
+    p = sc.params
     grid = _auto(sc, shape, values, lo, pixel_width)
     assert (grid.n, grid.half_extent) == (case.grid.n, case.grid.half_extent)
-    auto = sweep(p, s, sc.plane, shape, values, lo, pixel_width=pixel_width)
-    ref = sweep(p, s, sc.plane, shape, values, lo, pixel_width=pixel_width, modes=case.wide)
+    auto = sweep(p, sc.plane, shape, values, lo, pixel_width=pixel_width)
+    ref = sweep(p, sc.plane, shape, values, lo, pixel_width=pixel_width, modes=case.wide)
     for pt, wide in zip(auto, ref):
         for vn, vn_wide in ((pt.vn_squeezed, wide.vn_squeezed),
                             (pt.vn_antisqueezed, wide.vn_antisqueezed)):
@@ -87,7 +85,7 @@ def test_fig6_grid_sizes():
     # reaches 3 w_p); no solve
     sizes = {}
     for sc in fig_scenarios(6, {"b": (4.0, 25.0, 100.0, 900.0)}):
-        sizes[round(derive_scales(sc.params).b)] = _auto(sc, sc.detector, sc.values, sc.lo).n
+        sizes[round(sc.params.b)] = _auto(sc, sc.detector, sc.values, sc.lo).n
     assert [sizes[b] for b in (4, 25, 100)] == [129, 321, 641]
     assert sizes[900] <= 2000
 

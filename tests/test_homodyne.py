@@ -15,7 +15,6 @@ from confocal_opo import (
     PlaneMismatch,
     auto_grid,
     build_kernel_matrix,
-    derive_scales,
     solve_io,
     squeezing,
     sweep,
@@ -46,16 +45,15 @@ def single_mode_vn(a_p):
 
 def grid_shot(lo, det, g, p):
     """Shot noise of ``det`` on the grid ``g``, read from the dense route."""
-    s = derive_scales(p)
-    modes = solve_io(unchecked_kernel(g, p, s), p)
-    return squeezing(det, lo, p, s, modes).shot
+    modes = solve_io(unchecked_kernel(g, p), p)
+    return squeezing(det, lo, p, modes).shot
 
 
 @pytest.fixture
-def dense_plane_near(plane_params, plane_scales):
+def dense_plane_near(plane_params):
     """Dense solve for the plane pump on a resolved near grid, A_p = 0.9."""
-    g = Grid1D.uniform(641, 20.0 * plane_scales.l_coh, "near")
-    K = build_kernel_matrix(g, plane_params, plane_scales)
+    g = Grid1D.uniform(641, 20.0 * plane_params.l_coh, "near")
+    K = build_kernel_matrix(g, plane_params)
     return solve_io(K, plane_params), g
 
 
@@ -86,14 +84,14 @@ class TestDetectorMask:
         assert n_all == g.step * left.sum() + g.step * right.sum()
         assert np.array_equal(mask, left | right)
 
-    def test_far_plane_maps_to_wavevectors(self, plane_params, plane_scales):
-        det = DetectorMask.interval(plane_scales.r0, "far")
+    def test_far_plane_maps_to_wavevectors(self, plane_params):
+        det = DetectorMask.interval(plane_params.r0, "far")
         lo_b, hi_b = det.bounds_on_axis(plane_params)
-        expected = 2 * math.pi * plane_scales.r0 / (
+        expected = 2 * math.pi * plane_params.r0 / (
             plane_params.lambda_s * plane_params.f_lens
         )
         assert hi_b == pytest.approx(expected, rel=1e-14)
-        assert hi_b == pytest.approx(2.0 / plane_scales.l_coh, rel=1e-12)
+        assert hi_b == pytest.approx(2.0 / plane_params.l_coh, rel=1e-12)
 
     def test_plane_mismatch(self, plane_params):
         g = Grid1D.uniform(33, 1.0, "near")
@@ -125,7 +123,7 @@ class TestDetectorMask:
         det = DetectorMask.pixel_pair(0.5, 0.25, "far")
         assert (det.inner, det.outer) == (0.375, 0.625)
 
-    def test_unknown_plane_rejected(self, plane_params, plane_scales):
+    def test_unknown_plane_rejected(self, plane_params):
         # a misspelt plane must not fall through to the far route, which
         # would read meters as wavevectors
         for make in (
@@ -136,30 +134,30 @@ class TestDetectorMask:
             with pytest.raises(ConfigurationError, match="nera"):
                 make()
         with pytest.raises(ConfigurationError, match="nera"):
-            sweep(plane_params, plane_scales, "nera", "interval", [1e-4],
+            sweep(plane_params, "nera", "interval", [1e-4],
                   LocalOscillator())
 
 
-    def test_unknown_shape_in_band_rejected(self, plane_params, plane_scales):
+    def test_unknown_shape_in_band_rejected(self, plane_params):
         # a shape no route knows must not run as an interval
         with pytest.raises(ConfigurationError, match="disk"):
             squeezing(DetectorMask("disk", "far", 0.0, 1e-3), LocalOscillator(),
-                      plane_params, plane_scales)
+                      plane_params)
 
     @pytest.mark.parametrize("inner, outer", [(0.0, math.nan), (math.nan, 1e-4),
                                               (0.0, math.inf)])
-    def test_non_finite_band_rejected(self, plane_params, plane_scales, inner, outer):
+    def test_non_finite_band_rejected(self, plane_params, inner, outer):
         # the near route sizes its panels from the band
         with pytest.raises(ConfigurationError):
             squeezing(DetectorMask("interval", "near", inner, outer), LocalOscillator(),
-                      plane_params, plane_scales)
+                      plane_params)
 
     @pytest.mark.parametrize("inner, outer", [(2e-4, 1e-4), (1e-4, 1e-4), (-1e-4, 1e-4)])
-    def test_empty_or_negative_band_rejected(self, plane_params, plane_scales, inner, outer):
+    def test_empty_or_negative_band_rejected(self, plane_params, inner, outer):
         # an inverted band would report a negative shot noise
         with pytest.raises(ConfigurationError):
             squeezing(DetectorMask("interval", "near", inner, outer), LocalOscillator(),
-                      plane_params, plane_scales)
+                      plane_params)
 
     def test_pixel_pair_needs_pixel_width(self, plane_params):
         with pytest.raises(ConfigurationError, match="pixel_width"):
@@ -232,6 +230,41 @@ class TestShotNoise:
         exact = 1.3**2 * w * math.sqrt(math.pi / 2) * erf(math.sqrt(2) * d / w)
         assert num == pytest.approx(exact, rel=1e-6)
 
+    @pytest.mark.parametrize("amplitude", [1.0, 2.0])
+    @pytest.mark.parametrize("plane,shape", [
+        ("near", "interval"), ("near", "pixel_pair"),
+        ("far", "interval"), ("far", "pixel_pair"), ("far", "radial"),
+    ])
+    def test_closed_form_shot_is_the_band_measure(self, plane_params, plane, shape, amplitude):
+        # amplitude^2 times the measure of both halves of the band, m near and
+        # 1/m far; the disk keeps its polar measure in r / r0 units
+        unit = plane_params.l_coh if plane == "near" else plane_params.r0
+        det = {"interval": DetectorMask.interval(0.5 * unit, plane),
+               "pixel_pair": DetectorMask.pixel_pair(2.0 * unit, unit, plane),
+               "radial": DetectorMask.radial(0.5 * unit)}[shape]
+        res = squeezing(det, LocalOscillator(amplitude=amplitude), plane_params)
+        inner, outer = det.bounds_on_axis(plane_params)
+        measure = (det.outer / unit) ** 2 / 2 if shape == "radial" else 2.0 * (outer - inner)
+        assert res.shot == pytest.approx(amplitude**2 * measure, rel=1e-12)
+
+    @pytest.mark.parametrize("amplitude", [1.0, 2.0])
+    @pytest.mark.parametrize("plane", ["near", "far"])
+    def test_dense_shot_matches_the_closed_form(self, plane_params, plane, amplitude):
+        # the dense route counts whole cells: within one step per band edge
+        p = plane_params
+        if plane == "near":
+            unit, g = p.l_coh, Grid1D.uniform(641, 20.0 * p.l_coh, "near")
+        else:
+            unit, g = p.r0, Grid1D.uniform(257, 8.0 / p.l_coh, "far")
+        modes = solve_io(build_kernel_matrix(g, p), p)
+        lo = LocalOscillator(amplitude=amplitude)
+        for det in (DetectorMask.interval(0.5 * unit, plane),
+                    DetectorMask.pixel_pair(2.0 * unit, unit, plane)):
+            dense = squeezing(det, lo, p, modes).shot
+            closed = squeezing(det, lo, p).shot
+            edges = 2 if det.inner == 0 else 4
+            assert abs(dense - closed) <= amplitude**2 * g.step * edges
+
     def test_far_gaussian_lo_detection_plane_convention(self, plane_params):
         # far-plane Gaussian LO waist is given in detection-plane meters:
         # |alpha(q)| = exp(-(x/waist)^2) at x = q lambda f / (2 pi)
@@ -253,21 +286,21 @@ class TestSqueezingNumericVacuum:
         LocalOscillator(phase=0.0),
         LocalOscillator(waist=3e-4),
     ])
-    def test_zero_pump_is_shot_noise(self, plane_scales, lo):
+    def test_zero_pump_is_shot_noise(self, plane_params, lo):
         p = OpoParams(
             lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.0, w_p=math.inf
         )
-        g = Grid1D.uniform(257, 8.0 * plane_scales.l_coh, "near")
-        modes = solve_io(build_kernel_matrix(g, p, plane_scales), p)
+        g = Grid1D.uniform(257, 8.0 * plane_params.l_coh, "near")
+        modes = solve_io(build_kernel_matrix(g, p), p)
         for det in (
             DetectorMask.interval(2e-5, "near"),
             DetectorMask.pixel_pair(5e-5, 2e-5, "near"),
         ):
-            res = squeezing(det, lo, p, plane_scales, modes)
+            res = squeezing(det, lo, p, modes)
             assert abs(res.vn - 1.0) <= 1e-12
             assert res.sn == res.vn - 1.0
 
-    def test_requires_negative_frequency_pair(self, plane_scales):
+    def test_requires_negative_frequency_pair(self, plane_params):
         # detuned with nonzero analysis frequency: the noise needs V at the
         # opposite frequency, which the oracle solves for separately and the
         # modes give in closed form from the one solve
@@ -275,14 +308,14 @@ class TestSqueezingNumericVacuum:
             lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.5,
             w_p=math.inf, detuning=0.5, omega_bar=1.0,
         )
-        g = Grid1D.uniform(129, 8.0 * plane_scales.l_coh, "near")
-        K = build_kernel_matrix(g, p, plane_scales)
+        g = Grid1D.uniform(129, 8.0 * plane_params.l_coh, "near")
+        K = build_kernel_matrix(g, p)
         modes = solve_io(K, p)
         oracle = lu_noise(K, p)
         det = DetectorMask.interval(2e-5, "near")
         for phase in (math.pi / 2, 0.0):
             lo = LocalOscillator(phase=phase)
-            res = squeezing(det, lo, p, plane_scales, modes)
+            res = squeezing(det, lo, p, modes)
             ref = oracle(lo.magnitude(g, p) * det.indicator(g, p), phase)
             assert res.vn > 0
             assert abs(res.vn - ref) <= 1e-12 * max(1.0, abs(ref))
@@ -297,18 +330,17 @@ class TestModeRouteMatchesLU:
         ("near", 4.0, 257, 0.8, 0.0),
         ("near", 9.0, 320, 0.3, 0.9),  # even n: no center point on the grid
     ])
-    def test_vn_matches_two_solve_oracle(self, plane_scales, plane, b, n, detuning,
+    def test_vn_matches_two_solve_oracle(self, plane_params, plane, b, n, detuning,
                                          omega_bar):
         # one eigendecomposition against the LU oracle (two solves when
         # detuned at nonzero frequency), both quadratures, several detectors
         p = OpoParams(
             lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.9,
-            w_p=math.sqrt(b) * plane_scales.l_coh, detuning=detuning, omega_bar=omega_bar,
+            w_p=math.sqrt(b) * plane_params.l_coh, detuning=detuning, omega_bar=omega_bar,
         )
-        s = derive_scales(p)
         extent = 4.0 * p.w_p if plane == "near" else 16.0 / p.w_p
         g = Grid1D.uniform(n, extent, plane)
-        K = build_kernel_matrix(g, p, s)
+        K = build_kernel_matrix(g, p)
         modes = solve_io(K, p)
         oracle = lu_noise(K, p)
         x_of_q = 1.0 if plane == "near" else p.lambda_s * p.f_lens / (2 * math.pi)
@@ -318,7 +350,7 @@ class TestModeRouteMatchesLU:
                 det = DetectorMask.interval(frac * extent * x_of_q, plane)
                 lvec = lo.magnitude(g, p) * det.indicator(g, p)
                 for phase in (math.pi / 2, 0.0):
-                    res = squeezing(det, replace(lo, phase=phase), p, s, modes)
+                    res = squeezing(det, replace(lo, phase=phase), p, modes)
                     ref = oracle(lvec, phase)
                     assert abs(res.vn - ref) <= 1e-12 * max(1.0, abs(ref))
 
@@ -366,143 +398,139 @@ class TestThinCrystalSingleMode:
         p = OpoParams(
             lambda_s=1.064e-6, n_s=2.12, l_c=5e-6, z_C=0.05, A_p=0.5, w_p=math.inf
         )
-        s = derive_scales(p)
-        g = Grid1D.uniform(641, 20.0 * s.w_C, "near")
-        modes = solve_io(build_kernel_matrix(g, p, s), p)
+        g = Grid1D.uniform(641, 20.0 * p.w_C, "near")
+        modes = solve_io(build_kernel_matrix(g, p), p)
         lo = LocalOscillator()
         for frac in (0.2, 1.0, 4.0):
-            det = DetectorMask.interval(frac * s.w_C, "near")
-            res = squeezing(det, lo, p, s, modes)
+            det = DetectorMask.interval(frac * p.w_C, "near")
+            res = squeezing(det, lo, p, modes)
             assert res.vn == pytest.approx(1.0 / 9.0, abs=1e-3)
 
 
 class TestNoiseDensity:
-    def test_zero_pump(self, plane_params, plane_scales):
+    def test_zero_pump(self, plane_params):
         p = replace(plane_params, A_p=0.0)
-        assert noise_density(0.0, p, plane_scales, math.pi / 2) == pytest.approx(1.0)
+        assert noise_density(0.0, p, math.pi / 2) == pytest.approx(1.0)
 
-    def test_substitution_values(self, plane_params, plane_scales):
+    def test_substitution_values(self, plane_params):
         p = replace(plane_params, A_p=0.5)
-        r_sq = noise_density(0.0, p, plane_scales, math.pi / 2)
-        r_anti = noise_density(0.0, p, plane_scales, 0.0)
+        r_sq = noise_density(0.0, p, math.pi / 2)
+        r_anti = noise_density(0.0, p, 0.0)
         assert r_sq == pytest.approx(1.0 / 9.0, rel=1e-12)
         assert r_anti == pytest.approx(9.0, rel=1e-12)
 
-    def test_quadrature_duality(self, plane_params, plane_scales, rng):
+    def test_quadrature_duality(self, plane_params, rng):
         # R(pi/2) R(0) = 1 for every q at resonance and zero frequency
-        q = rng.uniform(0.0, 5.0, size=100) / plane_scales.l_coh
-        r_sq = noise_density(q, plane_params, plane_scales, math.pi / 2)
-        r_anti = noise_density(q, plane_params, plane_scales, 0.0)
+        q = rng.uniform(0.0, 5.0, size=100) / plane_params.l_coh
+        r_sq = noise_density(q, plane_params, math.pi / 2)
+        r_anti = noise_density(q, plane_params, 0.0)
         assert np.abs(r_sq * r_anti - 1.0).max() <= 1e-12
 
 
-def disk(radius, p, s, lo):
-    return squeezing(DetectorMask.radial(radius, "far"), lo, p, s)
+def disk(radius, p, lo):
+    return squeezing(DetectorMask.radial(radius, "far"), lo, p)
 
 
 class TestRadialSpectrum:
-    def test_small_radius_limit(self, plane_params, plane_scales):
-        lo = LocalOscillator(waist=plane_scales.r0)
-        res = disk(1e-12 * plane_scales.r0, plane_params, plane_scales, lo)
+    def test_small_radius_limit(self, plane_params):
+        lo = LocalOscillator(waist=plane_params.r0)
+        res = disk(1e-12 * plane_params.r0, plane_params, lo)
         assert res.vn == pytest.approx(single_mode_vn(0.9), abs=1e-7)
-        small = disk(0.01 * plane_scales.r0, plane_params, plane_scales, lo)
+        small = disk(0.01 * plane_params.r0, plane_params, lo)
         assert small.vn == pytest.approx(single_mode_vn(0.9), abs=1e-4)
 
-    def test_tiny_disk_detects_light(self, plane_params, plane_scales):
+    def test_tiny_disk_detects_light(self, plane_params):
         # a non-empty disk has a positive LO measure however small it is,
         # int_0^X u exp(-2 u^2) du ~ X^2 / 2 in u = r / r0
-        lo = LocalOscillator(waist=plane_scales.r0)
-        res = disk(1e-12 * plane_scales.r0, plane_params, plane_scales, lo)
+        lo = LocalOscillator(waist=plane_params.r0)
+        res = disk(1e-12 * plane_params.r0, plane_params, lo)
         assert res.shot > 0
         assert abs(res.shot - 0.5e-24) <= 1e-9 * 0.5e-24
         assert abs(res.vn - single_mode_vn(0.9)) <= 1e-12
 
-    def test_zero_pump_flat(self, plane_params, plane_scales):
+    def test_zero_pump_flat(self, plane_params):
         p = replace(plane_params, A_p=0.0)
-        lo = LocalOscillator(waist=plane_scales.r0)
+        lo = LocalOscillator(waist=plane_params.r0)
         for r in (0.3, 1.0, 2.5):
-            res = disk(r * plane_scales.r0, p, plane_scales, lo)
+            res = disk(r * plane_params.r0, p, lo)
             assert res.vn == pytest.approx(1.0, abs=1e-10)
 
-    def test_squeezing_degrades_past_r0(self, plane_params, plane_scales):
-        lo = LocalOscillator(waist=plane_scales.r0)
-        inner = disk(0.3 * plane_scales.r0, plane_params, plane_scales, lo)
-        outer = disk(3.0 * plane_scales.r0, plane_params, plane_scales, lo)
+    def test_squeezing_degrades_past_r0(self, plane_params):
+        lo = LocalOscillator(waist=plane_params.r0)
+        inner = disk(0.3 * plane_params.r0, plane_params, lo)
+        outer = disk(3.0 * plane_params.r0, plane_params, lo)
         assert outer.vn > inner.vn
         assert inner.vn < 0.02
 
-    def test_disk_only_on_the_plane_pump_far_route(self, monkeypatch, plane_params,
-                                                   plane_scales):
+    def test_disk_only_on_the_plane_pump_far_route(self, monkeypatch, plane_params):
         # radial is a 2-D disk; the 1-D routes (near field, dense modes)
         # refuse it rather than run the interval of the same half width
         import confocal_opo.homodyne as homodyne
 
-        r = 0.5 * plane_scales.r0
-        for make in (lambda: DetectorMask.radial(plane_scales.l_coh, "near"),
-                     lambda: DetectorMask("radial", "near", 0.0, plane_scales.l_coh)):
+        r = 0.5 * plane_params.r0
+        for make in (lambda: DetectorMask.radial(plane_params.l_coh, "near"),
+                     lambda: DetectorMask("radial", "near", 0.0, plane_params.l_coh)):
             with pytest.raises(ConfigurationError, match="radial"):
                 make()
-        p = replace(plane_params, w_p=3.0 * plane_scales.l_coh)
-        s = derive_scales(p)
-        grid = auto_grid(p, s, "far", *sweep_extents(p, "far", "interval", [r],
+        p = replace(plane_params, w_p=3.0 * plane_params.l_coh)
+        grid = auto_grid(p, "far", *sweep_extents(p, "far", "interval", [r],
                                                      LocalOscillator()))
-        for q, qs in ((p, s), (plane_params, plane_scales)):
-            modes = solve_io(build_kernel_matrix(grid, q, qs), q)
+        for q in (p, plane_params):
+            modes = solve_io(build_kernel_matrix(grid, q), q)
             with pytest.raises(ConfigurationError, match="radial"):
-                squeezing(DetectorMask.radial(r, "far"), LocalOscillator(), q, qs, modes)
+                squeezing(DetectorMask.radial(r, "far"), LocalOscillator(), q, modes)
             with pytest.raises(ConfigurationError, match="radial"):
-                sweep(q, qs, "far", "radial", [r], LocalOscillator(), modes=modes)
+                sweep(q, "far", "radial", [r], LocalOscillator(), modes=modes)
         # a finite pump without modes is refused before its sweep solves
         monkeypatch.setattr(homodyne, "solve_io", lambda *args: pytest.fail("solved"))
         with pytest.raises(ConfigurationError, match="radial"):
-            sweep(p, s, "far", "radial", [r], LocalOscillator())
+            sweep(p, "far", "radial", [r], LocalOscillator())
 
     @pytest.mark.parametrize("radius", [-1e-4, math.inf, math.nan])
-    def test_bad_radius_rejected(self, plane_params, plane_scales, radius):
+    def test_bad_radius_rejected(self, plane_params, radius):
         with pytest.raises(ConfigurationError):
-            disk(radius, plane_params, plane_scales, LocalOscillator())
+            disk(radius, plane_params, LocalOscillator())
 
     @pytest.mark.parametrize("detuning,omega_bar", [(0.0, 0.0), (0.3, 0.5)])
     def test_matches_quadpack_oracle(self, plane_params, detuning, omega_bar):
         # Gauss panels against adaptive QUADPACK on the same density; the
         # narrow LO spots need panels narrower than the sinc lobes
         p = replace(plane_params, detuning=detuning, omega_bar=omega_bar)
-        s = derive_scales(p)
-        for w_lo in (None, s.r0, 0.01 * s.r0):
-            c = 0.0 if w_lo is None else 2.0 * (s.r0 / w_lo) ** 2
+        for w_lo in (None, p.r0, 0.01 * p.r0):
+            c = 0.0 if w_lo is None else 2.0 * (p.r0 / w_lo) ** 2
             lo = (LocalOscillator() if w_lo is None
                   else LocalOscillator(waist=w_lo))
             for big_x in (0.4, 1.7, 3.0):
                 for phase in (math.pi / 2, 0.0):
-                    got = disk(big_x * s.r0, p, s, replace(lo, phase=phase)).vn
-                    ref = circular_vn(big_x, p, s, phase, c)
+                    got = disk(big_x * p.r0, p, replace(lo, phase=phase)).vn
+                    ref = circular_vn(big_x, p, phase, c)
                     assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
-    def test_infinite_waist_is_the_plane_lo(self, plane_params, plane_scales):
+    def test_infinite_waist_is_the_plane_lo(self, plane_params):
         # the plane LO is the Gaussian of infinite waist: the default, and
         # the limit that ever wider Gaussian LOs approach
-        r = 1.3 * plane_scales.r0
-        plane = disk(r, plane_params, plane_scales, LocalOscillator())
-        infinite = disk(r, plane_params, plane_scales, LocalOscillator(waist=math.inf))
+        r = 1.3 * plane_params.r0
+        plane = disk(r, plane_params, LocalOscillator())
+        infinite = disk(r, plane_params, LocalOscillator(waist=math.inf))
         assert (infinite.vn, infinite.shot) == (plane.vn, plane.shot)
-        wide = disk(r, plane_params, plane_scales, LocalOscillator(waist=1e6 * plane_scales.r0))
+        wide = disk(r, plane_params, LocalOscillator(waist=1e6 * plane_params.r0))
         assert abs(wide.vn - plane.vn) <= 1e-11 and abs(wide.shot / plane.shot - 1) <= 1e-11
 
-    def test_vn_is_one_plus_sn(self, plane_params, plane_scales):
-        lo = LocalOscillator(waist=plane_scales.r0)
-        res = disk(1.3 * plane_scales.r0, plane_params, plane_scales, lo)
+    def test_vn_is_one_plus_sn(self, plane_params):
+        lo = LocalOscillator(waist=plane_params.r0)
+        res = disk(1.3 * plane_params.r0, plane_params, lo)
         assert res.vn == pytest.approx(res.sn + 1.0, abs=1e-12)
         assert res.vn >= 0.0
 
 
 class TestPlanePumpNearSpectrum:
     @pytest.mark.parametrize("d_scaled,expected", sorted(BRUTE_INTERVAL_VN.items()))
-    def test_brute_force_reference(self, plane_scales, d_scaled, expected):
+    def test_brute_force_reference(self, plane_params, d_scaled, expected):
         p = OpoParams(
             lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.99, w_p=math.inf
         )
-        det = DetectorMask.interval(d_scaled * plane_scales.l_coh, "near")
-        res = squeezing(det, LocalOscillator(), p, plane_scales)
+        det = DetectorMask.interval(d_scaled * plane_params.l_coh, "near")
+        res = squeezing(det, LocalOscillator(), p)
         assert res.vn == pytest.approx(expected, abs=2e-5)
 
     @pytest.mark.parametrize("a_p", [0.9, 0.99])
@@ -511,9 +539,8 @@ class TestPlanePumpNearSpectrum:
         # starts to halve, through level 4 (2d = 300), where unhalved panels
         # would err by 5e-4, to the uncached levels 5 and 7 (2d = 600, 2000)
         p = replace(plane_params, A_p=a_p)
-        s = derive_scales(p)
         d = np.array([0.05, 0.5, 5.0, 17.5, 22.5, 27.5, 60.0, 150.0, 300.0, 1000.0])
-        pts = sweep(p, s, "near", "interval", list(d * s.l_coh), LocalOscillator())
+        pts = sweep(p, "near", "interval", list(d * p.l_coh), LocalOscillator())
         vns = np.array([pt.vn_squeezed for pt in pts])
         assert np.abs(vns - interval_vn(d, a_p)).max() <= 1e-9
 
@@ -522,13 +549,12 @@ class TestPlanePumpNearSpectrum:
         # R - 1 keeps its absolute accuracy as the gain nears threshold;
         # weights split into |v|^2 and u v_- lost it all by A_p = 1 - 1e-8
         p = replace(plane_params, A_p=1.0 - eps)
-        s = derive_scales(p)
         d = np.array([0.3, 1.0, 3.0])
-        pts = sweep(p, s, "near", "interval", list(d * s.l_coh), LocalOscillator())
+        pts = sweep(p, "near", "interval", list(d * p.l_coh), LocalOscillator())
         vns = np.array([pt.vn_squeezed for pt in pts])
         assert np.abs(vns - interval_vn(d, p.A_p)).max() <= 1e-12
 
-    def test_uncached_level_leaves_the_cache_alone(self, plane_params, plane_scales):
+    def test_uncached_level_leaves_the_cache_alone(self, plane_params):
         # the chunks of a level past the cached ones are built per call and
         # dropped, so a wide detector adds nothing to the cache
         from confocal_opo.homodyne import _NEAR_CACHED_LEVEL, _cached_near_chunks
@@ -537,8 +563,8 @@ class TestPlanePumpNearSpectrum:
         assert _NEAR_CACHED_LEVEL < 5
         _cached_near_chunks.cache_clear()
         for d, size in ((1.0, 1), (300.0, 1)):
-            det = DetectorMask.interval(d * plane_scales.l_coh, "near")
-            squeezing(det, LocalOscillator(), plane_params, plane_scales)
+            det = DetectorMask.interval(d * plane_params.l_coh, "near")
+            squeezing(det, LocalOscillator(), plane_params)
             assert _cached_near_chunks.cache_info().currsize == size
 
     def test_cache_size_is_bounded(self):
@@ -548,19 +574,19 @@ class TestPlanePumpNearSpectrum:
 
         assert _cached_near_chunks.cache_info().maxsize <= 16 * 5
 
-    def test_wide_detector_approaches_single_mode(self, plane_params, plane_scales):
-        det = DetectorMask.interval(200.0 * plane_scales.l_coh, "near")
-        res = squeezing(det, LocalOscillator(), plane_params, plane_scales)
+    def test_wide_detector_approaches_single_mode(self, plane_params):
+        det = DetectorMask.interval(200.0 * plane_params.l_coh, "near")
+        res = squeezing(det, LocalOscillator(), plane_params)
         assert res.vn == pytest.approx(single_mode_vn(0.9), abs=1e-3)
 
-    def test_antisqueezed_quadrature(self, plane_params, plane_scales):
-        det = DetectorMask.interval(2.0 * plane_scales.l_coh, "near")
+    def test_antisqueezed_quadrature(self, plane_params):
+        det = DetectorMask.interval(2.0 * plane_params.l_coh, "near")
         lo = LocalOscillator()
-        r_sq = squeezing(det, replace(lo, phase=math.pi / 2), plane_params, plane_scales)
-        r_anti = squeezing(det, replace(lo, phase=0.0), plane_params, plane_scales)
+        r_sq = squeezing(det, replace(lo, phase=math.pi / 2), plane_params)
+        r_anti = squeezing(det, replace(lo, phase=0.0), plane_params)
         assert r_sq.vn < 1.0 < r_anti.vn
 
-    def test_dense_consistency_interval(self, plane_params, plane_scales,
+    def test_dense_consistency_interval(self, plane_params,
                                         dense_plane_near):
         # dense matrix route and closed-form diagonal route agree where the
         # grid resolves the problem (detector edges snapped between cells)
@@ -569,12 +595,12 @@ class TestPlanePumpNearSpectrum:
         for cells in (17, 34):
             d = (cells + 0.5) * g.step
             det = DetectorMask.interval(d, "near")
-            dense = squeezing(det, lo, plane_params, plane_scales, modes)
-            closed = squeezing(det, lo, plane_params, plane_scales)
+            dense = squeezing(det, lo, plane_params, modes)
+            closed = squeezing(det, lo, plane_params)
             assert dense.vn == pytest.approx(closed.vn, abs=1e-3)
             assert dense.shot == pytest.approx(closed.shot, rel=2e-2)
 
-    def test_dense_consistency_pixel_pair(self, plane_params, plane_scales,
+    def test_dense_consistency_pixel_pair(self, plane_params,
                                           dense_plane_near):
         modes, g = dense_plane_near
         lo = LocalOscillator()
@@ -582,27 +608,26 @@ class TestPlanePumpNearSpectrum:
         for rho_cells in (64, 96):
             rho = rho_cells * g.step
             det = DetectorMask.pixel_pair(rho, width, "near")
-            dense = squeezing(det, lo, plane_params, plane_scales, modes)
-            closed = squeezing(det, lo, plane_params, plane_scales)
+            dense = squeezing(det, lo, plane_params, modes)
+            closed = squeezing(det, lo, plane_params)
             assert dense.vn == pytest.approx(closed.vn, abs=2e-3)
 
-    def test_merged_pixels_match_interval(self, plane_params, plane_scales):
+    def test_merged_pixels_match_interval(self, plane_params):
         # pixels closer than half a width form one centered interval
-        w = plane_scales.l_coh
+        w = plane_params.l_coh
         lo = LocalOscillator()
         pair = DetectorMask.pixel_pair(0.0, w, "near")
-        merged = squeezing(pair, lo, plane_params, plane_scales)
-        interval = squeezing(DetectorMask.interval(w / 2, "near"), lo, plane_params,
-                             plane_scales)
+        merged = squeezing(pair, lo, plane_params)
+        interval = squeezing(DetectorMask.interval(w / 2, "near"), lo, plane_params)
         assert merged.vn == pytest.approx(interval.vn, rel=1e-9)
 
-    def test_continuity_at_pixel_merge_point(self, plane_params, plane_scales):
-        w = plane_scales.l_coh
+    def test_continuity_at_pixel_merge_point(self, plane_params):
+        w = plane_params.l_coh
         lo = LocalOscillator()
         just_merged = squeezing(DetectorMask.pixel_pair(w / 2 * 0.9999, w, "near"), lo,
-                                plane_params, plane_scales)
+                                plane_params)
         just_split = squeezing(DetectorMask.pixel_pair(w / 2 * 1.0001, w, "near"), lo,
-                               plane_params, plane_scales)
+                               plane_params)
         assert just_merged.vn == pytest.approx(just_split.vn, abs=1e-3)
 
 
@@ -611,29 +636,28 @@ class TestPlanePumpFarSpectrum:
         p = OpoParams(
             lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=a_p, w_p=math.inf
         )
-        s = derive_scales(p)
-        return p, s
+        return p
 
     def test_numeric_analytic_consistency(self):
         # dense far-field solve against the 1-D restriction of the closed
         # forms: same detector and LO expressed in each formalism, 1e-4
-        p, s = self.far_setup()
-        q_max = 2.0 / s.l_coh
+        p = self.far_setup()
+        q_max = 2.0 / p.l_coh
         g = Grid1D.uniform(1025, 4.0 * q_max, "far")
-        modes = solve_io(build_kernel_matrix(g, p, s), p)
+        modes = solve_io(build_kernel_matrix(g, p), p)
         x_of_q = p.lambda_s * p.f_lens / (2 * math.pi)
-        lo = LocalOscillator(waist=s.r0)
+        lo = LocalOscillator(waist=p.r0)
         for cells in (64, 192):
             q_d = (cells + 0.5) * g.step
             det = DetectorMask.interval(q_d * x_of_q, "far")
-            dense = squeezing(det, lo, p, s, modes)
-            closed = squeezing(det, lo, p, s)
+            dense = squeezing(det, lo, p, modes)
+            closed = squeezing(det, lo, p)
             assert dense.vn == pytest.approx(closed.vn, abs=1e-4)
             # independent Riemann evaluation of the same 1-D density ratio
             qs = np.abs(g.points)
             mask = det.indicator(g, p)
-            wgt = np.exp(-2.0 * (qs[mask] * x_of_q / s.r0) ** 2)
-            dens = noise_density(g.points[mask], p, s, math.pi / 2)
+            wgt = np.exp(-2.0 * (qs[mask] * x_of_q / p.r0) ** 2)
+            dens = noise_density(g.points[mask], p, math.pi / 2)
             riemann = float(np.sum(wgt * dens) / np.sum(wgt))
             assert dense.vn == pytest.approx(riemann, abs=1e-4)
 
@@ -641,29 +665,29 @@ class TestPlanePumpFarSpectrum:
         # at resonance with nonzero analysis frequency the single dense pair
         # suffices (V at -omega is its conjugate); cross-check against the
         # closed-form density, which evaluates V(-omega) explicitly
-        p, s = self.far_setup()
+        p = self.far_setup()
         p = replace(p, omega_bar=1.0)
-        q_max = 2.0 / s.l_coh
+        q_max = 2.0 / p.l_coh
         g = Grid1D.uniform(1025, 4.0 * q_max, "far")
-        modes = solve_io(build_kernel_matrix(g, p, s), p)
+        modes = solve_io(build_kernel_matrix(g, p), p)
         x_of_q = p.lambda_s * p.f_lens / (2 * math.pi)
         lo = LocalOscillator()
         for phase, cells in ((math.pi / 2, 96), (0.7, 160)):
             q_d = (cells + 0.5) * g.step
             det = DetectorMask.interval(q_d * x_of_q, "far")
-            dense = squeezing(det, replace(lo, phase=phase), p, s, modes)
+            dense = squeezing(det, replace(lo, phase=phase), p, modes)
             mask = det.indicator(g, p)
-            dens = noise_density(g.points[mask], p, s, phase)
+            dens = noise_density(g.points[mask], p, phase)
             assert dense.vn == pytest.approx(float(np.mean(dens)), abs=1e-4)
 
     @pytest.mark.parametrize("detuning,omega_bar", [(0.0, 0.0), (0.3, 0.5)])
     def test_matches_quadpack_oracle(self, detuning, omega_bar):
-        p, s = self.far_setup()
+        p = self.far_setup()
         p = replace(p, detuning=detuning, omega_bar=omega_bar)
         x_of_q = p.lambda_s * p.f_lens / (2 * math.pi)
-        unit = x_of_q / s.l_coh  # detection-plane meters per unit of q l_coh
-        gauss = LocalOscillator(waist=s.r0)
-        narrow = LocalOscillator(waist=0.01 * s.r0)
+        unit = x_of_q / p.l_coh  # detection-plane meters per unit of q l_coh
+        gauss = LocalOscillator(waist=p.r0)
+        narrow = LocalOscillator(waist=0.01 * p.r0)
         cases = [
             (DetectorMask.interval(7.3 * unit, "far"), LocalOscillator()),
             (DetectorMask.pixel_pair(5.0 * unit, 3.0 * unit, "far"), LocalOscillator()),
@@ -672,39 +696,39 @@ class TestPlanePumpFarSpectrum:
             (DetectorMask.interval(1.0 * unit, "far"), narrow),
         ]
         for det, lo in cases:
-            c = 0.0 if math.isinf(lo.waist) else 2.0 * (x_of_q / (lo.waist * s.l_coh)) ** 2
-            x_lo, x_hi = (b * s.l_coh for b in det.bounds_on_axis(p))
+            c = 0.0 if math.isinf(lo.waist) else 2.0 * (x_of_q / (lo.waist * p.l_coh)) ** 2
+            x_lo, x_hi = (b * p.l_coh for b in det.bounds_on_axis(p))
             for phase in (math.pi / 2, 0.0):
-                got = squeezing(det, replace(lo, phase=phase), p, s).vn
-                ref = far_vn(x_lo, x_hi, p, s, phase, c)
+                got = squeezing(det, replace(lo, phase=phase), p).vn
+                ref = far_vn(x_lo, x_hi, p, phase, c)
                 assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_pixel_pair_small_width_matches_density(self):
-        p, s = self.far_setup()
+        p = self.far_setup()
         x_of_q = p.lambda_s * p.f_lens / (2 * math.pi)
-        q_c = 0.8 / s.l_coh
-        det = DetectorMask.pixel_pair(q_c * x_of_q, 0.002 * x_of_q / s.l_coh, "far")
-        res = squeezing(det, LocalOscillator(), p, s)
+        q_c = 0.8 / p.l_coh
+        det = DetectorMask.pixel_pair(q_c * x_of_q, 0.002 * x_of_q / p.l_coh, "far")
+        res = squeezing(det, LocalOscillator(), p)
         assert res.vn == pytest.approx(
-            float(noise_density(q_c, p, s, math.pi / 2)), abs=1e-4
+            float(noise_density(q_c, p, math.pi / 2)), abs=1e-4
         )
 
 
 class TestSweep:
-    def test_plane_near_matches_pointwise(self, plane_params, plane_scales):
-        values = [0.5 * plane_scales.l_coh, 2.0 * plane_scales.l_coh]
-        pts = sweep(plane_params, plane_scales, "near", "interval", values,
+    def test_plane_near_matches_pointwise(self, plane_params):
+        values = [0.5 * plane_params.l_coh, 2.0 * plane_params.l_coh]
+        pts = sweep(plane_params, "near", "interval", values,
                     LocalOscillator())
         for pt, v in zip(pts, values):
             ref = squeezing(DetectorMask.interval(v, "near"), LocalOscillator(),
-                            plane_params, plane_scales)
+                            plane_params)
             assert pt.vn_squeezed == pytest.approx(ref.vn, rel=1e-12)
             assert pt.value == v
             assert pt.vn_antisqueezed > 1.0
 
-    def test_zero_size_point_is_shot_noise(self, plane_params, plane_scales):
-        pts = sweep(plane_params, plane_scales, "near", "interval",
-                    [0.0, plane_scales.l_coh], LocalOscillator())
+    def test_zero_size_point_is_shot_noise(self, plane_params):
+        pts = sweep(plane_params, "near", "interval",
+                    [0.0, plane_params.l_coh], LocalOscillator())
         assert pts[0].vn_squeezed == 1.0 and pts[0].vn_antisqueezed == 1.0
 
     @pytest.mark.parametrize("plane_pump", [True, False])
@@ -713,11 +737,10 @@ class TestSweep:
         # the plane-pump route, its 1-D counterpart, the interval, on the
         # dense one (which computes no disk)
         p = plane_params if plane_pump else replace(
-            plane_params, w_p=4 * derive_scales(plane_params).l_coh)
-        s = derive_scales(p)
-        r0 = derive_scales(plane_params).r0
+            plane_params, w_p=4 * plane_params.l_coh)
+        r0 = plane_params.r0
         lo = LocalOscillator(waist=r0)
-        pts = sweep(p, s, "far", "radial" if plane_pump else "interval", [0.0, 0.5 * r0], lo)
+        pts = sweep(p, "far", "radial" if plane_pump else "interval", [0.0, 0.5 * r0], lo)
         assert (pts[0].vn_squeezed, pts[0].vn_antisqueezed, pts[0].shot) == (1.0, 1.0, 0.0)
         assert pts[1].vn_squeezed < 1.0 < pts[1].vn_antisqueezed and pts[1].shot > 0
 
@@ -727,15 +750,13 @@ class TestSweep:
         p0 = OpoParams(
             lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.9, w_p=math.inf
         )
-        s0 = derive_scales(p0)
-        radius = 7.5 * s0.l_coh
+        radius = 7.5 * p0.l_coh
         vns = {}
         for b in (4.0, 25.0):
-            p = replace(p0, w_p=math.sqrt(b) * s0.l_coh)
-            s = derive_scales(p)
+            p = replace(p0, w_p=math.sqrt(b) * p0.l_coh)
             g = Grid1D.uniform(961, 4 * radius, "near")
-            modes = solve_io(build_kernel_matrix(g, p, s), p)
-            pts = sweep(p, s, "near", "interval", [radius], LocalOscillator(), modes=modes)
+            modes = solve_io(build_kernel_matrix(g, p), p)
+            pts = sweep(p, "near", "interval", [radius], LocalOscillator(), modes=modes)
             vns[b] = pts[0].vn_squeezed
         assert vns[25.0] <= vns[4.0]
 
@@ -743,73 +764,67 @@ class TestSweep:
         p0 = OpoParams(
             lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.9, w_p=math.inf
         )
-        s0 = derive_scales(p0)
-        p = replace(p0, w_p=2.0 * s0.l_coh)
-        s = derive_scales(p)
-        values = [0.0, 6.0 * s0.l_coh]
-        pts = sweep(p, s, "near", "pixel_pair", values, LocalOscillator(),
-                    pixel_width=s0.l_coh)
+        p = replace(p0, w_p=2.0 * p0.l_coh)
+        values = [0.0, 6.0 * p0.l_coh]
+        pts = sweep(p, "near", "pixel_pair", values, LocalOscillator(),
+                    pixel_width=p0.l_coh)
         assert pts[0].vn_squeezed < 0.9  # squeezing survives at contact
         assert pts[1].vn_squeezed > 0.95  # far pixels are uncorrelated vacuum
 
-    def test_detuned_finite_frequency_sweep(self, plane_params, plane_scales):
+    def test_detuned_finite_frequency_sweep(self, plane_params):
         # both detuning and analysis frequency nonzero: the sweep solves the
         # opposite-frequency system itself
-        p = replace(plane_params, w_p=3 * plane_scales.l_coh,
+        p = replace(plane_params, w_p=3 * plane_params.l_coh,
                     detuning=0.3, omega_bar=0.5)
-        s = derive_scales(p)
-        pts = sweep(p, s, "near", "interval", [2 * plane_scales.l_coh],
+        pts = sweep(p, "near", "interval", [2 * plane_params.l_coh],
                     LocalOscillator())
         assert 0.0 <= pts[0].vn_squeezed < 1.0
         assert np.isfinite(pts[0].vn_antisqueezed)
 
-    def test_detector_beyond_grid_rejected(self, plane_params, plane_scales):
+    def test_detector_beyond_grid_rejected(self, plane_params):
         from confocal_opo import GridTooCoarse
 
-        p = replace(plane_params, w_p=4 * plane_scales.l_coh)
-        s = derive_scales(p)
-        g = Grid1D.uniform(257, 16 * plane_scales.l_coh, "near")
-        modes = solve_io(build_kernel_matrix(g, p, s), p)
+        p = replace(plane_params, w_p=4 * plane_params.l_coh)
+        g = Grid1D.uniform(257, 16 * plane_params.l_coh, "near")
+        modes = solve_io(build_kernel_matrix(g, p), p)
         with pytest.raises(GridTooCoarse):
-            sweep(p, s, "near", "interval", [20 * plane_scales.l_coh],
+            sweep(p, "near", "interval", [20 * plane_params.l_coh],
                   LocalOscillator(), modes=modes)
 
     @pytest.mark.parametrize("pixel_width", [None, 1e-5])
-    def test_unknown_shape_rejected(self, plane_params, plane_scales, pixel_width):
+    def test_unknown_shape_rejected(self, plane_params, pixel_width):
         # "disk" is neither run as a pixel pair nor left to a TypeError
         lo = LocalOscillator()
         with pytest.raises(ConfigurationError, match="disk"):
-            sweep(plane_params, plane_scales, "far", "disk", [1e-4], lo,
+            sweep(plane_params, "far", "disk", [1e-4], lo,
                   pixel_width=pixel_width)
         with pytest.raises(ConfigurationError, match="disk"):
             sweep_extents(plane_params, "far", "disk", [1e-4], lo, pixel_width)
 
-    def test_vn_nonnegative_and_quadratures_ordered(self, plane_params, plane_scales):
+    def test_vn_nonnegative_and_quadratures_ordered(self, plane_params):
         # vn >= 0 on every route; at resonance and zero frequency the pi/2
         # quadrature never exceeds the phi = 0 one
-        s0 = plane_scales
-        near = sweep(plane_params, s0, "near", "interval",
-                     list(np.linspace(0.1, 4.0, 9) * s0.l_coh), LocalOscillator())
-        far = sweep(plane_params, s0, "far", "radial",
-                    list(np.linspace(0.1, 2.0, 5) * s0.r0),
-                    LocalOscillator(waist=s0.r0))
-        p_g = replace(plane_params, w_p=3 * s0.l_coh)
-        s_g = derive_scales(p_g)
-        dense = sweep(p_g, s_g, "near", "interval",
-                      list(np.linspace(0.5, 6.0, 4) * s0.l_coh), LocalOscillator())
+        near = sweep(plane_params, "near", "interval",
+                     list(np.linspace(0.1, 4.0, 9) * plane_params.l_coh), LocalOscillator())
+        far = sweep(plane_params, "far", "radial",
+                    list(np.linspace(0.1, 2.0, 5) * plane_params.r0),
+                    LocalOscillator(waist=plane_params.r0))
+        p_g = replace(plane_params, w_p=3 * plane_params.l_coh)
+        dense = sweep(p_g, "near", "interval",
+                      list(np.linspace(0.5, 6.0, 4) * plane_params.l_coh), LocalOscillator())
         for pt in near + far + dense:
             assert pt.vn_squeezed >= 0.0
             assert pt.vn_squeezed <= pt.vn_antisqueezed + 1e-12
 
-    def test_interval_monotonicity_before_kernel_zero(self, plane_params, plane_scales):
+    def test_interval_monotonicity_before_kernel_zero(self, plane_params):
         # vn cannot rise while the detector's largest separation 2d stays
         # below the first zero u_C of the noise correlation (see
         # planepump_reference); beyond d = u_C / 2 it may, and near threshold
         # it does around d ~ l_coh
         u_c = correlation_first_zero(plane_params.A_p)
         half_widths = np.linspace(0.0, u_c / 2.0, 20)
-        pts = sweep(plane_params, plane_scales, "near", "interval",
-                    list(half_widths * plane_scales.l_coh), LocalOscillator())
+        pts = sweep(plane_params, "near", "interval",
+                    list(half_widths * plane_params.l_coh), LocalOscillator())
         vns = [pt.vn_squeezed for pt in pts]
         assert not rises(half_widths, vns)
 
@@ -828,16 +843,15 @@ class TestOnePath:
     ], ids=["dense-near", "dense-far", "near-interval", "near-pixel_pair",
             "far-interval-plane_lo", "far-interval-gaussian_lo",
             "far-pixel_pair-plane_lo", "far-pixel_pair-gaussian_lo", "disk"])
-    def test_sweep_point_is_squeezing(self, plane_params, plane_scales, pump, plane,
+    def test_sweep_point_is_squeezing(self, plane_params, pump, plane,
                                       shape, lo_profile):
         # every sweep point, in both quadratures and in shot, is exactly what
         # squeezing returns for the same detector on the same route
         p = plane_params
         if pump == "gaussian":
-            p = replace(p, w_p=3.0 * plane_scales.l_coh)
-        s = derive_scales(p)
+            p = replace(p, w_p=3.0 * plane_params.l_coh)
         x_of_q = p.lambda_s * p.f_lens / (2 * math.pi)
-        unit = s.l_coh if plane == "near" else x_of_q / plane_scales.l_coh
+        unit = p.l_coh if plane == "near" else x_of_q / plane_params.l_coh
         lo = LocalOscillator()
         if lo_profile == "gaussian":
             lo = LocalOscillator(waist=2.0 * unit)
@@ -845,16 +859,16 @@ class TestOnePath:
         values = [0.7 * unit, 2.3 * unit]
         modes = None
         if pump == "gaussian":
-            grid = auto_grid(p, s, plane, *sweep_extents(p, plane, shape, values, lo, pixel_width))
-            modes = solve_io(build_kernel_matrix(grid, p, s), p)
-        pts = sweep(p, s, plane, shape, values, lo, pixel_width=pixel_width, modes=modes)
+            grid = auto_grid(p, plane, *sweep_extents(p, plane, shape, values, lo, pixel_width))
+            modes = solve_io(build_kernel_matrix(grid, p), p)
+        pts = sweep(p, plane, shape, values, lo, pixel_width=pixel_width, modes=modes)
         for pt, value in zip(pts, values):
             if shape == "pixel_pair":
                 det = DetectorMask.pixel_pair(value, pixel_width, plane)
             else:
                 det = getattr(DetectorMask, shape)(value, plane)
-            sq = squeezing(det, replace(lo, phase=math.pi / 2), p, s, modes)
-            anti = squeezing(det, replace(lo, phase=0.0), p, s, modes)
+            sq = squeezing(det, replace(lo, phase=math.pi / 2), p, modes)
+            anti = squeezing(det, replace(lo, phase=0.0), p, modes)
             assert pt.vn_squeezed == sq.vn
             assert pt.vn_antisqueezed == anti.vn
             assert pt.shot == sq.shot == anti.shot
@@ -864,7 +878,7 @@ class TestOnePath:
 
     @pytest.mark.parametrize("shape", ["radial", "interval"])
     def test_far_routes_evaluate_gain_once_per_chunk(self, monkeypatch, plane_params,
-                                                     plane_scales, shape):
+                                                     shape):
         # both quadratures of a far-field point come from one quadrature pass:
         # one mode-gain evaluation per chunk of Gauss nodes and one per-mode
         # noise call per (chunk, phase), not one pass per quadrature
@@ -879,9 +893,9 @@ class TestOnePath:
                 chunks.append(chunk)
                 yield chunk
 
-        def counted_sinc(q, s):
+        def counted_sinc(q, p):
             gains.append(q.shape)
-            return sinc(q, s)
+            return sinc(q, p)
 
         def counted_noise(lam, phase, *at):
             noises.append((lam.shape, phase))
@@ -890,28 +904,28 @@ class TestOnePath:
         monkeypatch.setattr(homodyne, "_gauss_panels", counted_panels)
         monkeypatch.setattr(homodyne, "phase_match_sinc", counted_sinc)
         monkeypatch.setattr(homodyne, "_mode_noise", counted_noise)
-        lo = LocalOscillator(waist=plane_scales.r0)
-        sweep(plane_params, plane_scales, "far", shape, [1.3 * plane_scales.r0], lo)
+        lo = LocalOscillator(waist=plane_params.r0)
+        sweep(plane_params, "far", shape, [1.3 * plane_params.r0], lo)
         assert len(passes) == 1 and len(chunks) >= 1
         assert gains == [t.shape for t, _ in chunks]
         assert noises == [(t.shape, phase) for t, _ in chunks for phase in (math.pi / 2, 0.0)]
 
-    def test_band_past_the_lo_spot_is_refused(self, plane_params, plane_scales):
+    def test_band_past_the_lo_spot_is_refused(self, plane_params):
         # a Gaussian LO whose intensity underflows to 0 on the whole band
         # leaves no shot noise to normalize by, on either far route
-        unit = plane_scales.r0
+        unit = plane_params.r0
         lo = LocalOscillator(waist=0.3 * unit)
-        p = replace(plane_params, w_p=2.0 * plane_scales.l_coh)
+        p = replace(plane_params, w_p=2.0 * plane_params.l_coh)
         for q in (plane_params, p):
             with pytest.raises(EmptyDetector, match="LO"):
-                sweep(q, derive_scales(q), "far", "pixel_pair", [20.0 * unit], lo,
+                sweep(q, "far", "pixel_pair", [20.0 * unit], lo,
                       pixel_width=unit)
 
-    def test_route_errors(self, plane_params, plane_scales):
-        det = DetectorMask.interval(plane_scales.l_coh, "near")
-        gaussian_lo = LocalOscillator(waist=plane_scales.l_coh)
+    def test_route_errors(self, plane_params):
+        det = DetectorMask.interval(plane_params.l_coh, "near")
+        gaussian_lo = LocalOscillator(waist=plane_params.l_coh)
         with pytest.raises(ConfigurationError, match="plane LO"):
-            squeezing(det, gaussian_lo, plane_params, plane_scales)
-        p = replace(plane_params, w_p=3.0 * plane_scales.l_coh)
+            squeezing(det, gaussian_lo, plane_params)
+        p = replace(plane_params, w_p=3.0 * plane_params.l_coh)
         with pytest.raises(ConfigurationError, match="modes"):
-            squeezing(det, LocalOscillator(), p, derive_scales(p))
+            squeezing(det, LocalOscillator(), p)

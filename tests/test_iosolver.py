@@ -13,7 +13,6 @@ from confocal_opo import (
     SingularSystem,
     auto_grid,
     build_kernel_matrix,
-    derive_scales,
     mode_uv,
     phase_match_sinc,
     solve_io,
@@ -29,31 +28,29 @@ def gauss_setup(b=16.0, a_p=0.8, n=257, domain="far", detuning=0.0, omega_bar=0.
         lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=a_p, w_p=math.inf,
         detuning=detuning, omega_bar=omega_bar,
     )
-    s0 = derive_scales(p0)
-    p = replace(p0, w_p=math.sqrt(b) * s0.l_coh)
-    s = derive_scales(p)
+    p = replace(p0, w_p=math.sqrt(b) * p0.l_coh)
     if domain == "far":
         g = Grid1D.uniform(n, 16.0 / p.w_p, "far")
     else:
         g = Grid1D.uniform(n, 4.0 * p.w_p, "near")
-    return p, s, g
+    return p, g
 
 
 class TestAnalyticPair:
-    def test_empty_cavity(self, plane_params, plane_scales):
+    def test_empty_cavity(self, plane_params):
         p = replace(plane_params, A_p=0.0)
-        u, v = analytic_uv_planepump(0.0, p, plane_scales)
+        u, v = analytic_uv_planepump(0.0, p)
         assert u == pytest.approx(1.0, abs=1e-15)
         assert v == pytest.approx(0.0, abs=1e-15)
 
-    def test_hand_checked_point(self, plane_params, plane_scales):
+    def test_hand_checked_point(self, plane_params):
         # direct substitution at A_p = 0.5, q = 0, resonance, zero frequency
         p = replace(plane_params, A_p=0.5)
-        u, v = analytic_uv_planepump(0.0, p, plane_scales)
+        u, v = analytic_uv_planepump(0.0, p)
         assert u == pytest.approx(5.0 / 3.0, rel=1e-14)
         assert v == pytest.approx(4.0 / 3.0, rel=1e-14)
 
-    def test_commutator_identity_probe_set(self, plane_params, plane_scales, rng):
+    def test_commutator_identity_probe_set(self, plane_params, rng):
         # |U|^2 - |V|^2 = 1 across a 1000-point (q, omega_bar, detuning)
         # probe set, machine precision
         worst = 0.0
@@ -64,25 +61,25 @@ class TestAnalyticPair:
                 detuning=float(rng.uniform(-2, 2)),
                 omega_bar=float(rng.uniform(-3, 3)),
             )
-            q = rng.uniform(0, 4, size=100) / plane_scales.l_coh
-            u, v = analytic_uv_planepump(q, p, plane_scales)
+            q = rng.uniform(0, 4, size=100) / plane_params.l_coh
+            u, v = analytic_uv_planepump(q, p)
             worst = max(worst, np.abs(np.abs(u) ** 2 - np.abs(v) ** 2 - 1.0).max())
         assert worst <= 1e-12
 
-    def test_plane_pump_is_the_mode_function(self, plane_params, plane_scales):
+    def test_plane_pump_is_the_mode_function(self, plane_params):
         # the closed form is the per-mode transform at gain A_p sigma(q)
         p = replace(plane_params, detuning=0.4, omega_bar=-1.2)
-        q = np.linspace(0, 2, 7) / plane_scales.l_coh
-        lam = p.A_p * phase_match_sinc(q, plane_scales)
-        u, v = analytic_uv_planepump(q, p, plane_scales)
+        q = np.linspace(0, 2, 7) / plane_params.l_coh
+        lam = p.A_p * phase_match_sinc(q, p)
+        u, v = analytic_uv_planepump(q, p)
         um, vm = mode_uv(lam, 0.4, -1.2)
         assert np.array_equal(u, um) and np.array_equal(v, vm)
 
 
 class TestDenseSolve:
-    def test_empty_cavity_reflection(self, plane_scales):
-        p, s, g = gauss_setup(b=9.0, a_p=0.0)
-        K = build_kernel_matrix(g, p, s)
+    def test_empty_cavity_reflection(self, plane_params):
+        p, g = gauss_setup(b=9.0, a_p=0.0)
+        K = build_kernel_matrix(g, p)
         u, v = dense_uv(solve_io(K, p))
         off = u - np.diag(np.diag(u))
         assert np.abs(off).max() <= 1e-14
@@ -95,23 +92,22 @@ class TestDenseSolve:
             lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.9,
             w_p=math.inf, detuning=detuning, omega_bar=omega_bar,
         )
-        s = derive_scales(p)
-        g = Grid1D.uniform(257, 16.0 / s.l_coh, "far")
-        u, v = dense_uv(solve_io(build_kernel_matrix(g, p, s), p))
-        ua, va = analytic_uv_planepump(g.points, p, s)
+        g = Grid1D.uniform(257, 16.0 / p.l_coh, "far")
+        u, v = dense_uv(solve_io(build_kernel_matrix(g, p), p))
+        ua, va = analytic_uv_planepump(g.points, p)
         assert np.abs(even_diagonal(u) - ua).max() <= 1e-8 * np.abs(ua).max()
         assert np.abs(even_diagonal(v) - va).max() <= 1e-8 * max(np.abs(va).max(), 1.0)
 
     @pytest.mark.parametrize("domain,n,b", [("far", 256, 49.0), ("near", 257, 9.0)])
     def test_bogoliubov_residuals(self, domain, n, b):
-        p, s, g = gauss_setup(b=b, a_p=0.9, n=n, domain=domain)
-        r1, r2 = residuals(*dense_uv(solve_io(build_kernel_matrix(g, p, s), p)))
+        p, g = gauss_setup(b=b, a_p=0.9, n=n, domain=domain)
+        r1, r2 = residuals(*dense_uv(solve_io(build_kernel_matrix(g, p), p)))
         assert r1 <= 1e-10
         assert r2 <= 1e-10
 
     def test_residuals_with_detuning_and_frequency(self):
-        p, s, g = gauss_setup(b=25.0, a_p=0.7, detuning=0.8, omega_bar=1.5)
-        modes = solve_io(build_kernel_matrix(g, p, s), p)
+        p, g = gauss_setup(b=25.0, a_p=0.7, detuning=0.8, omega_bar=1.5)
+        modes = solve_io(build_kernel_matrix(g, p), p)
         assert max(residuals(*dense_uv(modes))) <= 1e-10
         assert modes.at == (0.8, 1.5)
 
@@ -125,14 +121,12 @@ class TestDenseSolve:
         p0 = OpoParams(
             lambda_s=1e-6, n_s=1.0, l_c=1e-6, z_C=0.01, A_p=0.8, w_p=math.inf
         )
-        s0 = derive_scales(p0)
-        p = replace(p0, w_p=10 * s0.l_coh)
-        s = derive_scales(p)
+        p = replace(p0, w_p=10 * p0.l_coh)
         g = Grid1D.uniform(641, 4 * p.w_p, "near")
-        u, v = dense_uv(solve_io(build_kernel_matrix(g, p, s), p))
+        u, v = dense_uv(solve_io(build_kernel_matrix(g, p), p))
         n = g.n
         idx = np.arange(n)
-        width = int(round(8 * s.l_coh / g.step))
+        width = int(round(8 * p.l_coh / g.step))
         dist_diag = np.abs(idx[:, None] - idx[None, :])
         dist_anti = np.abs(idx[:, None] - flip(g, idx)[None, :])
         band = (dist_diag <= width) | (dist_anti <= width)
@@ -146,20 +140,20 @@ class TestDenseSolve:
             assert err <= 0.01 * np.abs(rho * probe).max()
 
     def test_continuity_in_pump_amplitude(self):
-        p, s, g = gauss_setup(b=25.0, a_p=0.5)
-        u1, v1 = dense_uv(solve_io(build_kernel_matrix(g, p, s), p))
+        p, g = gauss_setup(b=25.0, a_p=0.5)
+        u1, v1 = dense_uv(solve_io(build_kernel_matrix(g, p), p))
         p2 = replace(p, A_p=0.505)
-        u2, v2 = dense_uv(solve_io(build_kernel_matrix(g, p2, s), p2))
+        u2, v2 = dense_uv(solve_io(build_kernel_matrix(g, p2), p2))
         assert np.abs(u2 - u1).max() <= 0.2
         assert np.abs(v2 - v1).max() <= 0.2
 
-    def test_singular_system_near_threshold(self, plane_scales):
+    def test_singular_system_near_threshold(self, plane_params):
         p = OpoParams(
             lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05,
             A_p=1.0 - 1e-13, w_p=math.inf,
         )
-        g = Grid1D.uniform(129, 8.0 / plane_scales.l_coh, "far")
-        K = build_kernel_matrix(g, p, plane_scales)
+        g = Grid1D.uniform(129, 8.0 / plane_params.l_coh, "far")
+        K = build_kernel_matrix(g, p)
         with pytest.raises(SingularSystem):
             solve_io(K, p)
 
@@ -168,8 +162,8 @@ class TestDenseSolve:
         # Bogoliubov identities of the rebuilt transform; whenever the n^3
         # residual check would see more than 1e-6, the mode-basis gate must
         # refuse the modes
-        p, s, g = gauss_setup(b=25.0, a_p=0.9)
-        K = build_kernel_matrix(g, p, s)
+        p, g = gauss_setup(b=25.0, a_p=0.9)
+        K = build_kernel_matrix(g, p)
         exact = iosolver.eigh
         for eps in (1e-9, 1e-6, 1e-3):
             def corrupted(a, **kwargs):
@@ -193,9 +187,8 @@ class TestDenseSolve:
         # far block of fig 6 at b = 100 on a grid three times as wide as its
         # own (n = 1921, m = 961)
         (sc,) = fig_scenarios(6, {"b": [100.0]})
-        s = derive_scales(sc.params)
-        g = auto_grid(sc.params, s, sc.plane, extents=(12.0 * sc.params.w_p,))
-        K = build_kernel_matrix(g, sc.params, s)
+        g = auto_grid(sc.params, sc.plane, extents=(12.0 * sc.params.w_p,))
+        K = build_kernel_matrix(g, sc.params)
         assert K.far.shape == (961, 961)
         lam, q = iosolver.eigh(K.far)
         gram = q.T @ q - np.eye(len(lam))
@@ -205,9 +198,9 @@ class TestDenseSolve:
 
     def test_matches_lu_oracle(self):
         # the modes rebuild the LU solution of the cavity relation
-        p, s, g = gauss_setup(b=16.0, a_p=0.9, n=321, domain="near",
+        p, g = gauss_setup(b=16.0, a_p=0.9, n=321, domain="near",
                               detuning=0.4, omega_bar=-0.9)
-        K = build_kernel_matrix(g, p, s)
+        K = build_kernel_matrix(g, p)
         u, v = dense_uv(solve_io(K, p))
         u_lu, v_lu = lu_uv(K, p)
         assert np.abs(u - u_lu).max() <= 1e-12 * np.abs(u_lu).max()
@@ -219,7 +212,7 @@ class TestDenseMemory:
         # every dense step runs on m x m arrays (m = ceil(n/2)): neither the
         # kernel build nor the solve allocates as much as one n x n float64
         # array above what is live on entry
-        p, s, g = gauss_setup(b=100.0, a_p=0.9, n=2001, domain="near")
+        p, g = gauss_setup(b=100.0, a_p=0.9, n=2001, domain="near")
         unit = g.n**2 * np.dtype(float).itemsize
 
         def allocated(fn, *args):
@@ -230,7 +223,7 @@ class TestDenseMemory:
 
         tracemalloc.start()
         try:
-            K, build = allocated(build_kernel_matrix, g, p, s)
+            K, build = allocated(build_kernel_matrix, g, p)
             _, solve = allocated(solve_io, K, p)
         finally:
             tracemalloc.stop()
@@ -240,20 +233,20 @@ class TestDenseMemory:
 
 class TestThresholdMargin:
     def test_zero_pump(self):
-        p, s, g = gauss_setup(b=16.0, a_p=0.0)
-        assert threshold_margin(build_kernel_matrix(g, p, s), p) == pytest.approx(1.0, abs=1e-14)
+        p, g = gauss_setup(b=16.0, a_p=0.0)
+        assert threshold_margin(build_kernel_matrix(g, p), p) == pytest.approx(1.0, abs=1e-14)
 
-    def test_plane_pump_margin(self, plane_params, plane_scales):
+    def test_plane_pump_margin(self, plane_params):
         # odd grid holds the q = 0 threshold mode, where sinc is exactly 1
-        g = Grid1D.uniform(257, 16.0 / plane_scales.l_coh, "far")
-        K = build_kernel_matrix(g, plane_params, plane_scales)
+        g = Grid1D.uniform(257, 16.0 / plane_params.l_coh, "far")
+        K = build_kernel_matrix(g, plane_params)
         assert abs(threshold_margin(K, plane_params) - 0.1) <= 1e-9
 
     def test_margin_grows_for_tighter_pump(self):
         margins = []
         for b in (100.0, 25.0, 4.0):
-            p, s, g = gauss_setup(b=b, a_p=0.9)
-            margins.append(threshold_margin(build_kernel_matrix(g, p, s), p))
+            p, g = gauss_setup(b=b, a_p=0.9)
+            margins.append(threshold_margin(build_kernel_matrix(g, p), p))
         assert margins[0] < margins[1] < margins[2]
         assert margins[0] > 0.1  # finite pump is always further from threshold
 

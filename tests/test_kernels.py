@@ -16,7 +16,6 @@ from confocal_opo import (
     auto_grid,
     build_kernel_matrix,
     delta_2d,
-    derive_scales,
     phase_match_sinc,
     si,
 )
@@ -91,35 +90,34 @@ class TestSineIntegral:
 
 
 class TestDelta2D:
-    def test_value_at_zero(self, plane_scales):
-        s = plane_scales
-        assert abs(delta_2d(0.0, s) * 2.0 * s.l_coh**2 - 1.0) <= 1e-12
+    def test_value_at_zero(self, plane_params):
+        p = plane_params
+        assert abs(delta_2d(0.0, p) * 2.0 * p.l_coh**2 - 1.0) <= 1e-12
 
-    def test_first_zero_position(self, plane_scales):
-        s = plane_scales
-        f = lambda r: float(delta_2d(r * s.l_coh, s))
+    def test_first_zero_position(self, plane_params):
+        p = plane_params
+        f = lambda r: float(delta_2d(r * p.l_coh, p))
         root = brentq(f, 1.0, 1.6, xtol=1e-12)
         assert 1.34 <= root <= 1.40  # anchored at 1.37 +- 0.03
         assert abs(root - FIRST_ZERO_LCOH) <= 1e-6
         assert abs(root - math.sqrt(SI_EQ_HALFPI_ROOT)) <= 1e-9
 
-    def test_negligible_far_tail(self, plane_scales):
+    def test_negligible_far_tail(self, plane_params):
+        p = plane_params
         # oracle value at r = 10 l_coh: (pi/2 - Si(100))/pi = 2.728e-3, and
         # the tail envelope |Delta| l_coh^2 <= 1/(pi (r/l_coh)^2) beyond
-        s = plane_scales
-        val = abs(delta_2d(10 * s.l_coh, s)) * s.l_coh**2
+        val = abs(delta_2d(10 * p.l_coh, p)) * p.l_coh**2
         assert val == pytest.approx((math.pi / 2 - sici(100.0)[0]) / math.pi, rel=1e-10)
         assert val < 3.2e-3
         for r_scaled in (10.0, 14.0, 30.0, 100.0):
-            tail = abs(delta_2d(r_scaled * s.l_coh, s)) * s.l_coh**2
+            tail = abs(delta_2d(r_scaled * p.l_coh, p)) * p.l_coh**2
             assert tail <= 1.0 / (math.pi * r_scaled**2) * 1.0000001
 
-    def test_unit_transverse_integral(self, plane_scales):
+    def test_unit_transverse_integral(self, plane_params):
         # integral of Delta over the plane equals 1 (it tends to a 2-D
         # delta).  In v = (r/l_coh)^2 the disk integral is
         # int_0^V (pi/2 - Si(v)) dv = V (pi/2 - Si(V)) + 1 - cos V exactly
         # (integration by parts), against which the quadrature is checked.
-        s = plane_scales
         for big_v in (20.0, 35.5):
             num = quad(
                 lambda v: math.pi / 2 - sici(v)[0], 0.0, big_v,
@@ -134,53 +132,50 @@ class TestDelta2D:
 
 
 class TestNearKernel2D:
-    def test_plane_pump_origin(self, plane_params, plane_scales):
-        p, s = plane_params, plane_scales
-        val = kint_near_2d((0.0, 0.0), (0.0, 0.0), p, s)
-        assert abs(val - p.A_p / (2.0 * s.l_coh**2)) <= 1e-9 * abs(val)
+    def test_plane_pump_origin(self, plane_params):
+        p = plane_params
+        val = kint_near_2d((0.0, 0.0), (0.0, 0.0), p)
+        assert abs(val - p.A_p / (2.0 * p.l_coh**2)) <= 1e-9 * abs(val)
 
-    def test_swap_symmetry(self, plane_scales, rng):
+    def test_swap_symmetry(self, plane_params, rng):
         p = OpoParams(
             lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.7,
-            w_p=10 * plane_scales.l_coh,
+            w_p=10 * plane_params.l_coh,
         )
-        s = derive_scales(p)
         for _ in range(20):
-            x = rng.uniform(-3, 3, 2) * s.l_coh
-            y = rng.uniform(-3, 3, 2) * s.l_coh
-            assert kint_near_2d(x, y, p, s) == pytest.approx(
-                kint_near_2d(y, x, p, s), rel=1e-12
+            x = rng.uniform(-3, 3, 2) * p.l_coh
+            y = rng.uniform(-3, 3, 2) * p.l_coh
+            assert kint_near_2d(x, y, p) == pytest.approx(
+                kint_near_2d(y, x, p), rel=1e-12
             )
 
-    def test_parity(self, plane_scales, rng):
+    def test_parity(self, plane_params, rng):
         p = OpoParams(
             lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.7,
-            w_p=10 * plane_scales.l_coh,
+            w_p=10 * plane_params.l_coh,
         )
-        s = derive_scales(p)
         for _ in range(20):
-            x = rng.uniform(-3, 3, 2) * s.l_coh
-            y = rng.uniform(-3, 3, 2) * s.l_coh
-            assert kint_near_2d(-x, y, p, s) == pytest.approx(
-                kint_near_2d(x, y, p, s), rel=1e-12
+            x = rng.uniform(-3, 3, 2) * p.l_coh
+            y = rng.uniform(-3, 3, 2) * p.l_coh
+            assert kint_near_2d(-x, y, p) == pytest.approx(
+                kint_near_2d(x, y, p), rel=1e-12
             )
 
-    def test_near_zero_at_kernel_null(self, plane_params, plane_scales):
+    def test_near_zero_at_kernel_null(self, plane_params):
         # both terms small: one argument at the kernel zero, the other deep
         # in the tail
-        p, s = plane_params, plane_scales
-        x = np.array([20.0, 0.0]) * s.l_coh
-        y = x - np.array([1.37, 0.0]) * s.l_coh
-        val = kint_near_2d(x, y, p, s)
-        assert abs(val) < 0.01 * p.A_p * delta_2d(0.0, s)
+        p = plane_params
+        x = np.array([20.0, 0.0]) * p.l_coh
+        y = x - np.array([1.37, 0.0]) * p.l_coh
+        val = kint_near_2d(x, y, p)
+        assert abs(val) < 0.01 * p.A_p * delta_2d(0.0, p)
 
 
 class TestPhaseMismatch:
-    def test_sinc_factor(self, plane_scales):
-        s = plane_scales
-        assert phase_match_sinc(0.0, s) == 1.0
-        q_zero = 2.0 * math.sqrt(math.pi) / s.l_coh
-        assert abs(phase_match_sinc(q_zero, s)) <= 1e-12
+    def test_sinc_factor(self, plane_params):
+        assert phase_match_sinc(0.0, plane_params) == 1.0
+        q_zero = 2.0 * math.sqrt(math.pi) / plane_params.l_coh
+        assert abs(phase_match_sinc(q_zero, plane_params)) <= 1e-12
 
 
 class TestFarKernel:
@@ -188,57 +183,56 @@ class TestFarKernel:
         p0 = OpoParams(
             lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.8, w_p=math.inf
         )
-        s0 = derive_scales(p0)
         p = OpoParams(
             lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.8,
-            w_p=math.sqrt(b) * s0.l_coh,
+            w_p=math.sqrt(b) * p0.l_coh,
         )
-        return p, derive_scales(p)
+        return p
 
     def test_origin_value_is_pump_transform_peak(self):
         # integral-normalized transform: K(0,0) = A_p w_p / (2 sqrt(pi)).
         # The peak is not A_p itself; that normalization would not recover
         # the plane-pump operator in the wide-pump limit.
-        p, s = self.gauss_params()
+        p = self.gauss_params()
         expected = p.A_p * p.w_p / (2.0 * math.sqrt(math.pi))
-        assert ktilde_far(0.0, 0.0, p, s) == pytest.approx(expected, rel=1e-12)
+        assert ktilde_far(0.0, 0.0, p) == pytest.approx(expected, rel=1e-12)
 
     def test_transform_integrates_to_amplitude(self):
         # Integral normalization behind threshold units: the pump transform
         # G extracted from the kernel, G(k) = K(0, k) / sinc(m(0, k)),
         # integrates to A_p, so the wide-pump operator recovers the
         # plane-pump coupling A_p at q = 0.
-        p, s = self.gauss_params()
+        p = self.gauss_params()
 
         def transform(k):
-            m = (s.l_coh**2 / 4.0) * (k / 2.0) ** 2
-            return ktilde_far(0.0, k, p, s) / np.sinc(m / math.pi)
+            m = (p.l_coh**2 / 4.0) * (k / 2.0) ** 2
+            return ktilde_far(0.0, k, p) / np.sinc(m / math.pi)
 
         val = quad(transform, -10 / p.w_p, 10 / p.w_p, limit=300, epsrel=1e-11)[0]
         assert val == pytest.approx(p.A_p, rel=1e-8)
 
     def test_swap_and_parity(self, rng):
-        p, s = self.gauss_params()
+        p = self.gauss_params()
         for _ in range(20):
-            q = float(rng.uniform(-3, 3) / s.l_coh)
-            q2 = float(rng.uniform(-3, 3) / s.l_coh)
-            assert ktilde_far(q, q2, p, s) == pytest.approx(
-                ktilde_far(q2, q, p, s), rel=1e-12
+            q = float(rng.uniform(-3, 3) / p.l_coh)
+            q2 = float(rng.uniform(-3, 3) / p.l_coh)
+            assert ktilde_far(q, q2, p) == pytest.approx(
+                ktilde_far(q2, q, p), rel=1e-12
             )
-            assert ktilde_far(-q, q2, p, s) == pytest.approx(
-                ktilde_far(q, q2, p, s), rel=1e-12
+            assert ktilde_far(-q, q2, p) == pytest.approx(
+                ktilde_far(q, q2, p), rel=1e-12
             )
 
-    def test_plane_pump_rejected(self, plane_params, plane_scales):
+    def test_plane_pump_rejected(self, plane_params):
         with pytest.raises(ConfigurationError):
-            ktilde_far(0.0, 0.0, plane_params, plane_scales)
+            ktilde_far(0.0, 0.0, plane_params)
         with pytest.raises(ConfigurationError):
-            ktilde_far_2d((0.0, 0.0), (0.0, 0.0), plane_params, plane_scales)
+            ktilde_far_2d((0.0, 0.0), (0.0, 0.0), plane_params)
 
     def test_2d_origin(self):
-        p, s = self.gauss_params()
+        p = self.gauss_params()
         expected = p.A_p * p.w_p**2 / (4.0 * math.pi)
-        assert ktilde_far_2d((0.0, 0.0), (0.0, 0.0), p, s) == pytest.approx(
+        assert ktilde_far_2d((0.0, 0.0), (0.0, 0.0), p) == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -296,25 +290,23 @@ def _gauss_setup(b=16.0, a_p=0.8, n=None, domain="far"):
     p0 = OpoParams(
         lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=a_p, w_p=math.inf
     )
-    s0 = derive_scales(p0)
     p = OpoParams(
         lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=a_p,
-        w_p=math.sqrt(b) * s0.l_coh,
+        w_p=math.sqrt(b) * p0.l_coh,
     )
-    s = derive_scales(p)
     if n is None:
-        g = auto_grid(p, s, domain)
+        g = auto_grid(p, domain)
     elif domain == "far":
         g = Grid1D.uniform(n, 16.0 / p.w_p, "far")
     else:
         g = Grid1D.uniform(n, 4.0 * p.w_p, "near")
-    return p, s, g
+    return p, g
 
 
 class TestKernelMatrix:
-    def test_plane_pump_far_is_diagonal_on_even_subspace(self, plane_params, plane_scales):
-        g = Grid1D.uniform(257, 20.0 / plane_scales.l_coh, "far")
-        op = entries(build_kernel_matrix(g, plane_params, plane_scales))
+    def test_plane_pump_far_is_diagonal_on_even_subspace(self, plane_params):
+        g = Grid1D.uniform(257, 20.0 / plane_params.l_coh, "far")
+        op = entries(build_kernel_matrix(g, plane_params))
         n = g.n
         idx = np.arange(n)
         mask = np.ones((n, n), dtype=bool)
@@ -322,23 +314,22 @@ class TestKernelMatrix:
         mask[idx, flip(g, idx)] = False
         # only the two parity channels are populated
         assert np.abs(op[mask]).max() <= 1e-15 * np.abs(op).max()
-        sig = plane_params.A_p * phase_match_sinc(g.points, plane_scales)
+        sig = plane_params.A_p * phase_match_sinc(g.points, plane_params)
         assert np.allclose(even_diagonal(op), sig, atol=1e-14)
 
-    def test_zero_pump_gives_zero_matrix(self, plane_scales):
+    def test_zero_pump_gives_zero_matrix(self, plane_params):
         p = OpoParams(
             lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.0,
-            w_p=4 * plane_scales.l_coh,
+            w_p=4 * plane_params.l_coh,
         )
-        s = derive_scales(p)
-        g = auto_grid(p, s, "far")
-        K = build_kernel_matrix(g, p, s)
+        g = auto_grid(p, "far")
+        K = build_kernel_matrix(g, p)
         assert np.abs(entries(K)).max() == 0.0
 
     @pytest.mark.parametrize("domain", ["far", "near"])
     def test_parity_and_symmetry_invariants(self, domain):
-        p, s, g = _gauss_setup(b=9.0, n=257, domain=domain)
-        op = entries(build_kernel_matrix(g, p, s))
+        p, g = _gauss_setup(b=9.0, n=257, domain=domain)
+        op = entries(build_kernel_matrix(g, p))
         n = g.n
         idx = np.arange(n)
         mirror = flip(g, idx)
@@ -352,9 +343,9 @@ class TestKernelMatrix:
     def test_near_matches_two_dft_oracle(self, n):
         # the far block, taken to the near grid by the cosine oracle, unfolds
         # to the full complex two-DFT transform of the conjugate-grid far operator
-        p, s, g = _gauss_setup(b=16.0, n=n, domain="near")
-        K = build_kernel_matrix(g, p, s)
-        ref = near_entries(g, p, s)
+        p, g = _gauss_setup(b=16.0, n=n, domain="near")
+        K = build_kernel_matrix(g, p)
+        ref = near_entries(g, p)
         assert K.far.shape == (g.n_even, g.n_even)
         assert np.abs(entries(K) - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -363,30 +354,30 @@ class TestKernelMatrix:
         (256, False), (257, False), (1921, False), (256, True), (257, True),
     ])
     def test_gathered_block_matches_far_oracle(
-        self, plane_params, plane_scales, domain, n, plane
+        self, plane_params, domain, n, plane
     ):
         # the Hankel/Toeplitz gather reproduces the fold of the far kernel
         # evaluated on all n^2 grid pairs, which is flip-even only to
         # rounding; the gathered block is flip-even by construction
         if plane:
-            p, s = plane_params, plane_scales
-            g = Grid1D.uniform(n, 20.0 / s.l_coh, "far")
+            p = plane_params
+            g = Grid1D.uniform(n, 20.0 / p.l_coh, "far")
             g = g if domain == "far" else g.conjugate()
         else:
-            p, s, g = _gauss_setup(b=16.0, n=n, domain=domain)
+            p, g = _gauss_setup(b=16.0, n=n, domain=domain)
         far_grid = g if domain == "far" else g.conjugate()
-        K = unchecked_kernel(g, p, s)
-        ref = fold_block(far_grid, far_entries(far_grid, p, s))
+        K = unchecked_kernel(g, p)
+        ref = fold_block(far_grid, far_entries(far_grid, p))
         assert K.far.shape == (g.n_even, g.n_even)
         assert np.abs(K.far - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_transform_pair_consistency(self):
         # the double DFT of the near matrix reproduces the far matrix built
         # on the conjugate grid (n >= 256, 1e-8 relative)
-        p, s, g = _gauss_setup(b=16.0, n=257, domain="near")
-        K_near = build_kernel_matrix(g, p, s)
+        p, g = _gauss_setup(b=16.0, n=257, domain="near")
+        K_near = build_kernel_matrix(g, p)
         conj = g.conjugate()
-        K_far = unchecked_kernel(conj, p, s)
+        K_far = unchecked_kernel(conj, p)
         fmat = (g.step / math.sqrt(2 * math.pi)) * np.exp(
             -1j * np.outer(conj.points, g.points)
         )
@@ -406,11 +397,9 @@ class TestKernelMatrix:
         p0 = OpoParams(
             lambda_s=1e-6, n_s=1.0, l_c=1e-6, z_C=0.01, A_p=0.8, w_p=math.inf
         )
-        s0 = derive_scales(p0)
-        p = replace(p0, w_p=100 * s0.l_coh)
-        s = derive_scales(p)
+        p = replace(p0, w_p=100 * p0.l_coh)
         g = Grid1D.uniform(101, 4 * p.w_p, "near")
-        op = entries(build_kernel_matrix(g, p, s))
+        op = entries(build_kernel_matrix(g, p))
         n = g.n
         idx = np.arange(n)
         near_band = np.zeros((n, n), dtype=bool)
@@ -433,23 +422,22 @@ class TestKernelMatrix:
         probe = np.exp(-(g.points / (2 * p.w_p)) ** 2)
         assert np.abs(op @ probe - pump * probe).max() <= 1e-3
 
-    def test_grid_too_coarse(self, plane_scales):
+    def test_grid_too_coarse(self, plane_params):
         p = OpoParams(
             lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.5,
-            w_p=100 * plane_scales.l_coh,
+            w_p=100 * plane_params.l_coh,
         )
-        s = derive_scales(p)
         g = Grid1D.uniform(16, 4 * p.w_p, "near")
         with pytest.raises(GridTooCoarse):
-            build_kernel_matrix(g, p, s)
+            build_kernel_matrix(g, p)
         # far domain: extent below 4x the pump ridge scale
         g2 = Grid1D.uniform(64, 1.0 / p.w_p, "far")
         with pytest.raises(GridTooCoarse):
-            build_kernel_matrix(g2, p, s)
+            build_kernel_matrix(g2, p)
 
     def test_auto_grid_satisfies_rule(self):
-        p, s, _ = _gauss_setup(b=25.0)
+        p, _ = _gauss_setup(b=25.0)
         for domain in ("near", "far"):
-            g = auto_grid(p, s, domain)
-            build_kernel_matrix(g, p, s)  # must not raise
+            g = auto_grid(p, domain)
+            build_kernel_matrix(g, p)  # must not raise
             assert g.n % 2 == 1

@@ -13,7 +13,7 @@ from pathlib import Path
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from confocal_opo import LocalOscillator, OpoParams, derive_scales, sweep
+from confocal_opo import LocalOscillator, OpoParams, sweep
 from confocal_opo.cli import main
 
 #: the uncertainty bound vn_sq * vn_anti >= 1, less rounding (the benchmark's
@@ -25,32 +25,31 @@ SIZES = st.floats(0.05, 20.0)  # in the plane's coherence unit
 
 @st.composite
 def plane_pump_detectors(draw):
-    """(params, scales, plane, shape, value, pixel width, LO) of one detector
+    """(params, plane, shape, value, pixel width, LO) of one detector
     on a plane-pump closed form, every size and LO waist in the plane's
     coherence unit: l_coh near, r0 far."""
     p = OpoParams(lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, w_p=math.inf,
                   A_p=draw(st.floats(0.0, 0.99)), detuning=draw(st.floats(-3.0, 3.0)),
                   omega_bar=draw(st.floats(-3.0, 3.0)))
-    s = derive_scales(p)
     plane = draw(st.sampled_from(["near", "far"]))
     shape = draw(st.sampled_from(["interval", "pixel_pair"] + ["radial"] * (plane == "far")))
-    unit = s.l_coh if plane == "near" else s.r0
+    unit = p.l_coh if plane == "near" else p.r0
     pixel = draw(SIZES) * unit if shape == "pixel_pair" else None
     # the near-field closed form takes a plane LO only
     waists = st.just(math.inf) if plane == "near" else st.just(math.inf) | st.floats(0.3, 5.0)
     lo = LocalOscillator(waist=draw(waists) * unit)
-    return p, s, plane, shape, draw(SIZES) * unit, pixel, lo
+    return p, plane, shape, draw(SIZES) * unit, pixel, lo
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(plane_pump_detectors())
 def test_plane_pump_closed_forms_obey_the_uncertainty_bound(case):
-    p, s, plane, shape, value, pixel, lo = case
+    p, plane, shape, value, pixel, lo = case
     # a band the LO spot never reaches is refused instead (see
     # test_homodyne's test_band_past_the_lo_spot_is_refused)
     inner = max(0.0, value - pixel / 2) if pixel else 0.0
     assume(math.exp(-2.0 * (inner / lo.waist) ** 2) > 1e-200)
-    (pt,) = sweep(p, s, plane, shape, [value], lo, pixel_width=pixel)
+    (pt,) = sweep(p, plane, shape, [value], lo, pixel_width=pixel)
     assert pt.shot > 0
     assert pt.vn_squeezed > 0 and pt.vn_antisqueezed > 0
     assert pt.vn_squeezed * pt.vn_antisqueezed >= PRODUCT_FLOOR
