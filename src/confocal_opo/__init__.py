@@ -26,9 +26,7 @@ from .errors import (
 from .params import OpoParams
 from .kernels import (
     Grid1D,
-    KernelMatrix,
     auto_grid,
-    build_kernel_matrix,
     delta_2d,
     phase_match_sinc,
     si,
@@ -50,8 +48,7 @@ from .homodyne import (
 
 __all__ = [
     "__version__", "OpoParams",
-    "Grid1D", "KernelMatrix", "auto_grid",
-    "build_kernel_matrix", "delta_2d", "phase_match_sinc", "si",
+    "Grid1D", "auto_grid", "delta_2d", "phase_match_sinc", "si",
     "CavityModes", "mode_uv", "solve_io",
     "DetectorMask", "LocalOscillator", "SqueezingResult", "SweepPoint",
     "squeezing", "sweep", "sweep_extents",

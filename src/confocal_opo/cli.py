@@ -24,8 +24,7 @@ from . import __version__
 from .errors import ConfigurationError, NumericalFailure, OpoError
 from .homodyne import LocalOscillator, _check_threshold, _mode_noise, sweep, sweep_extents
 from .iosolver import CavityModes, solve_io
-from .kernels import (MAX_GRID_N, Grid1D, auto_grid, build_kernel_matrix, delta_2d,
-                      phase_match_sinc)
+from .kernels import MAX_GRID_N, Grid1D, auto_grid, delta_2d, phase_match_sinc
 from .params import OpoParams
 
 # Parameter values every preset shares.  These are artifact defaults chosen
@@ -269,8 +268,7 @@ def _modes(sc: Scenario) -> CavityModes | None:
             p, sc.plane, sc.detector, sc.values, sc.lo, sc.pixel_width)
         auto = auto_grid(p, sc.plane, *cover)
         n, half = n or auto.n, half or auto.half_extent
-    grid = Grid1D.uniform(n, half, sc.plane)
-    return solve_io(build_kernel_matrix(grid, p), p)
+    return solve_io(Grid1D.uniform(n, half, sc.plane), p)
 
 def write_summary(outdir: Path, runs) -> Path:
     """Derived scales and threshold margin of every (scenario, margin) run."""
@@ -332,6 +330,9 @@ def fig_scenarios(fig_id: int, overrides: dict) -> list[Scenario]:
         p = _preset_params(overrides, w_p=math.sqrt(b) * l_coh)
         unit = _unit(p, plane)
         stop = 3.0 * math.sqrt(b) if last is None else last
+        if not stop > first:  # the abscissa would run backwards
+            raise ConfigurationError(f"key 'b': fig {fig_id} sweeps from {first:g} to 3 sqrt(b), "
+                                     f"so b must exceed {(first / 3.0) ** 2:.6g}, got {b:g}")
         out.append(Scenario(
             p, plane, detector, list(np.linspace(first, stop, points) * unit),
             LocalOscillator(waist=lo_waist * unit),

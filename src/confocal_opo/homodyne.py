@@ -82,7 +82,7 @@ from .errors import (
     PlaneMismatch,
 )
 from .iosolver import CavityModes, solve_io
-from .kernels import _EXTENT_FACTOR, Grid1D, auto_grid, build_kernel_matrix, phase_match_sinc
+from .kernels import _EXTENT_FACTOR, Grid1D, auto_grid, phase_match_sinc
 from .params import OpoParams, _real
 
 __all__ = [
@@ -134,10 +134,9 @@ class DetectorMask:
             raise ConfigurationError(_DISK_ONLY)
         if not (_real(self.inner) and _real(self.outer)
                 and 0 <= self.inner < self.outer < math.inf):
-            raise ConfigurationError(
-                f"detector band needs 0 <= inner < outer < inf, got "
-                f"({self.inner!r}, {self.outer!r})"
-            )
+            got = tuple(float(x) if isinstance(x, np.floating) else x
+                        for x in (self.inner, self.outer))
+            raise ConfigurationError(f"detector band needs 0 <= inner < outer < inf, got {got}")
 
     @classmethod
     def interval(cls, half_width: float, plane: str = "near") -> "DetectorMask":
@@ -591,7 +590,7 @@ def sweep(
     if modes is None and not p.plane_pump:
         grid = auto_grid(p, plane, *sweep_extents(p, plane, detector_shape, values, lo,
                                                    pixel_width))
-        modes = solve_io(build_kernel_matrix(grid, p), p)
+        modes = solve_io(grid, p)
     out = []
     for value in values:
         if _zero_size(detector_shape, value):

@@ -14,8 +14,9 @@ diagonalizes both at every detuning and analysis frequency at once
 (Bloch-Messiah reduction): U = Q diag(u) Q^T and V = Q diag(v) Q^T with
 the per-mode closed forms u(lambda), v(lambda) of ``mode_uv``.  K vanishes
 on the odd subspace of the grid, so only its m = ceil(n/2) even modes are
-computed, all from the far-field block, and they stay on the far grid in
-either domain: a near detector is carried to them by the unitary DFT.
+computed, all from the far-field block that ``solve_io`` gathers with
+``build_kernel_matrix``, and they stay on the far grid in either domain: a
+near detector is carried to them by the unitary DFT.
 The odd fields are modes of gain 0, u = u(0), v = 0.  Each mode is an
 independent single-mode OPO with gain lambda, and |u|^2 - |v|^2 = 1
 identically.  A plane pump is diagonal in the transverse wavevector with
@@ -36,8 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import eigh
 
-from .errors import SingularSystem
-from .kernels import KernelMatrix, Grid1D
+from .errors import NumericalFailure, SingularSystem
+from .kernels import Grid1D, build_kernel_matrix
 from .params import OpoParams
 
 __all__ = [
@@ -67,7 +68,7 @@ def mode_uv(lam, detuning: float, omega_bar: float):
 
 @dataclass(frozen=True, eq=False)
 class CavityModes:
-    """Eigenmodes of the coupling matrix at one (detuning, omega_bar) point.
+    """Eigenmodes of the coupling operator on ``grid`` at one (detuning, omega_bar) point.
 
     ``K = Q diag(lam) Q^T`` with orthonormal real columns of ``Q`` over the
     field values on the far grid (operator form, uniform weights): the
@@ -85,21 +86,29 @@ class CavityModes:
     lam: np.ndarray = field(repr=False)
 
 
-def solve_io(K: KernelMatrix, p: OpoParams) -> CavityModes:
-    """Eigenmodes of the real symmetric coupling matrix ``K`` at the point of ``p``.
+def solve_io(grid: Grid1D, p: OpoParams) -> CavityModes:
+    """Eigenmodes of the coupling operator on ``grid`` at the point of ``p``.
 
-    One ``eigh`` call on the m x m far block, whose modes serve either domain.
-    Raises ``SingularSystem`` when the spectral condition
+    One ``eigh`` call on the m x m far block of ``build_kernel_matrix``
+    (``GridTooCoarse`` on a grid that breaks the sizing rule), whose modes
+    serve either domain.  Raises ``NumericalFailure`` when the block is not
+    finite (an overflowing kernel), and ``SingularSystem`` when the spectral condition
     max|a abar - lam^2| / min|a abar - lam^2| of the system matrix
     a I - K^2 / abar, the odd subspace (lam = 0) included, exceeds 1e12
     (at/above threshold, or a grid too coarse to keep the discretized
     operator below threshold), or when the modes cannot certify the
     Bogoliubov identities to 1e-6.
     """
+    # an overflowing kernel is refused below, without numpy's warnings
+    with np.errstate(all="ignore"):
+        block = build_kernel_matrix(grid, p)
+    if not np.isfinite(block).all():
+        raise NumericalFailure(f"coupling kernel is not finite on the {grid.domain} grid "
+                               f"(l_coh = {p.l_coh:.3e} m): a kernel argument overflows")
     a_abar = (1.0 + 1j * (p.detuning + p.omega_bar)) * (1.0 + 1j * (p.omega_bar - p.detuning))
     # LAPACK dsyevd (divide and conquer): orthogonal to ~1e-13 in Frobenius
     # norm at m ~ 3000, which the gate below relies on
-    lam, q = eigh(K.far)
+    lam, q = eigh(block)
     den = np.append(np.abs(a_abar - lam**2), abs(a_abar))  # odd subspace: lam = 0
     if not den.max() <= _CONDITION_CUTOFF * den.min():
         cond = den.max() / den.min() if den.min() > 0 else np.inf
@@ -117,7 +126,7 @@ def solve_io(K: KernelMatrix, p: OpoParams) -> CavityModes:
             f"Bogoliubov residual bound {bound:.2e} exceeds {_SYMPLECTIC_TOLERANCE:.0e}; "
             "the modes do not define a symplectic transform"
         )
-    return CavityModes(grid=K.grid, at=at, q=q, lam=lam)
+    return CavityModes(grid=grid, at=at, q=q, lam=lam)
 
 
 def _symplectic_bound(q: np.ndarray, lam: np.ndarray, at: tuple[float, float]) -> float:

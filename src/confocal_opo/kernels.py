@@ -32,8 +32,6 @@ __all__ = [
     "delta_2d",
     "phase_match_sinc",
     "Grid1D",
-    "KernelMatrix",
-    "build_kernel_matrix",
     "auto_grid",
 ]
 
@@ -254,25 +252,6 @@ class Grid1D:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class KernelMatrix:
-    """Quadrature-weighted discretization of the coupling kernel on ``grid``.
-
-    The kernel is even under sign flip of either argument and symmetric
-    under swap, so it acts only on the even subspace of the grid.  ``far``
-    is the real symmetric m x m block E^T K E of the far-field operator in
-    the orthonormal even basis E of ``Grid1D.fold`` (m = ceil(n/2)),
-    where K[i, j] = K(q_i, q_j) h: on ``grid`` itself in the far domain,
-    on its conjugate grid in the near domain.  The near operator is the
-    unitary DFT similarity of ``far`` and is never formed: it has the
-    spectrum of ``far``, and its modes stay in the far eigenbasis, where a
-    near detector is moved instead (``homodyne._noise_terms``).
-    """
-
-    far: np.ndarray = field(repr=False)
-    grid: Grid1D
-
-
 def _structure_scales(p: OpoParams, domain: str):
     """(largest step, smallest half extent) the kernel demands on ``domain``.
 
@@ -390,18 +369,19 @@ def _far_even(g: Grid1D, p: OpoParams) -> np.ndarray:
         block[:, -1] *= math.sqrt(0.5)
     return block
 
-def build_kernel_matrix(g: Grid1D, p: OpoParams) -> KernelMatrix:
-    """Discretize the coupling kernel on ``g``.
+def build_kernel_matrix(g: Grid1D, p: OpoParams) -> np.ndarray:
+    """The coupling kernel on ``g`` as its real symmetric m x m far block.
 
-    Far domain: the even block of the 1-D far-field kernel (plane pump:
-    discrete delta), gathered by ``_far_even``.  Near domain: the discrete
-    Fourier similarity transform W^H K_far W of the far-domain kernel built
-    on the conjugate grid, held as that far block alone, so the near modes
-    are the far modes and a near detector reaches them through one DFT.
-    Building the near kernel this way guarantees the transform-pair
-    consistency of the two representations, and avoids evaluating an
-    oscillatory half-power Fresnel integral for the 1-D position kernel,
-    which has no closed form.  Every array is m x m (m = ceil(n/2)).
+    The kernel is flip-even in either argument and symmetric under swap, so
+    it acts on the even subspace alone: the block is E^T K E of the far
+    operator K[i, j] = K(q_i, q_j) h in the even basis E of ``Grid1D.fold``
+    (m = ceil(n/2)), gathered by ``_far_even`` on ``g`` itself in the far
+    domain and on its conjugate grid in the near domain.  The near operator,
+    the DFT similarity W^H K_far W, is never formed: it has the spectrum of
+    the block, and a near detector reaches the far modes through one DFT
+    (``homodyne._noise_terms``).  This keeps the two domains a transform
+    pair without the 1-D position kernel's half-power Fresnel integral,
+    which has no closed form.
 
     Raises ``GridTooCoarse`` when the grid violates the sizing rule (step
     <= l_coh/8 near, or beyond the thin-crystal regime; step <=
@@ -409,5 +389,4 @@ def build_kernel_matrix(g: Grid1D, p: OpoParams) -> KernelMatrix:
     pump).
     """
     _check_sizing(g, p)
-    far_grid = g if g.domain == "far" else g.conjugate()
-    return KernelMatrix(far=_far_even(far_grid, p), grid=g)
+    return _far_even(g if g.domain == "far" else g.conjugate(), p)

@@ -3,8 +3,8 @@
 Evaluates the far-field operator on all n^2 grid pairs and folds it onto the
 even subspace with the library's ``Grid1D.fold``, so the gathered even block
 of ``build_kernel_matrix`` can be checked against it.  Also rebuilds the
-near block C^T K_far,even C and the n x n operator form of a
-``KernelMatrix``, which the library no longer forms.
+near block C^T K_far,even C and the n x n operator form of a gathered far
+block on its grid, which the library never forms.
 """
 
 import numpy as np
@@ -40,15 +40,16 @@ def fold_block(g, op):
     return g.fold(g.fold(op).T).T
 
 
-def even_block(K):
-    """m x m even block of ``K`` on its own grid: C^T far C for a near grid."""
-    if K.grid.domain == "far":
-        return K.far
-    cmat = cosine(K.grid)
-    return cmat.T @ K.far @ cmat
+def even_block(g, block):
+    """m x m even block on ``g`` of the far ``block`` that ``build_kernel_matrix``
+    gathers for it: the block itself on a far grid, C^T block C on a near one."""
+    if g.domain == "far":
+        return block
+    cmat = cosine(g)
+    return cmat.T @ block @ cmat
 
 
-def entries(K):
-    """n x n operator form ``entries[i, j] = K(x_i, x_j) w_j`` on ``K.grid``."""
-    g = K.grid
-    return unfold(g, unfold(g, even_block(K)).T).T
+def entries(g, block):
+    """n x n operator form ``entries[i, j] = K(x_i, x_j) w_j`` on ``g`` of the
+    far ``block`` gathered for ``g``."""
+    return unfold(g, unfold(g, even_block(g, block)).T).T

@@ -13,12 +13,11 @@ import numpy as np
 from confocal_opo import (
     AtOrAboveThreshold,
     ConfigurationError,
-    KernelMatrix,
     mode_uv,
     phase_match_sinc,
 )
 from confocal_opo.homodyne import _mode_noise
-from confocal_opo.kernels import _far_even, _pair_sinc, _pump_transform
+from confocal_opo.kernels import _far_even, _pair_sinc, _pump_transform, build_kernel_matrix
 
 
 def flip(g, i):
@@ -46,8 +45,8 @@ def cosine(g):
     W maps flip-even vectors to flip-even vectors and W_j,flip(k) is the
     complex conjugate of W_jk, so the restriction is the real orthogonal
     cosine matrix (2 / sqrt(n)) cos(q_a x_b), with a factor 1/sqrt(2) for
-    each center index of an odd grid.  The near block of a ``KernelMatrix``
-    is C^T far C.
+    each center index of an odd grid.  The near block of the kernel is
+    C^T far C, with the far block that ``build_kernel_matrix`` gathers.
     """
     m = g.n_even
     cmat = np.cos(np.outer(g.conjugate().points[:m], g.points[:m]))
@@ -67,8 +66,9 @@ def grid_modes(modes):
 
 
 def unchecked_kernel(g, p):
-    """``build_kernel_matrix`` without the sizing rule: any grid is taken."""
-    return KernelMatrix(far=_far_even(g if g.domain == "far" else g.conjugate(), p), grid=g)
+    """The far block of ``build_kernel_matrix`` without the sizing rule: any
+    grid is taken."""
+    return _far_even(g if g.domain == "far" else g.conjugate(), p)
 
 
 def ktilde_far(q, q2, p):
@@ -89,11 +89,11 @@ def ktilde_far(q, q2, p):
     )
 
 
-def threshold_margin(K, p):
-    """1 - max|lam| of a kernel matrix, the strongest mode gain's distance
+def threshold_margin(g, p):
+    """1 - max|lam| of the kernel on ``g``, the strongest mode gain's distance
     from threshold (the eigenvalues alone; the far block has the spectrum of
-    K in either domain).  A plane pump at A_p gives A_p at q = 0."""
-    return 1.0 - float(np.abs(np.linalg.eigvalsh(K.far)).max())
+    the kernel in either domain).  A plane pump at A_p gives A_p at q = 0."""
+    return 1.0 - float(np.abs(np.linalg.eigvalsh(build_kernel_matrix(g, p))).max())
 
 
 def analytic_uv_planepump(q, p, omega_bar=None):

@@ -11,17 +11,18 @@ the eigenmodes, so the mode route of the library can be checked against it.
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
+from confocal_opo.kernels import build_kernel_matrix
 from far_reference import entries
 
 
-def lu_uv(K, p, omega_bar=None):
-    """(U, V) in operator form on the grid of ``K`` at (p.detuning, omega_bar)."""
+def lu_uv(g, p, omega_bar=None):
+    """(U, V) in operator form on the grid ``g`` at (p.detuning, omega_bar)."""
     om = p.omega_bar if omega_bar is None else omega_bar
     a = 1.0 + 1j * (p.detuning + om)
     abar = 1.0 + 1j * (om - p.detuning)
-    kop = np.asarray(entries(K), dtype=complex)
+    kop = np.asarray(entries(g, build_kernel_matrix(g, p)), dtype=complex)
     kk = kop @ kop
-    eye = np.eye(K.grid.n)
+    eye = np.eye(g.n)
     lu = lu_factor(a * eye - kk / abar)
     return lu_solve(lu, (2.0 - a) * eye + kk / abar), lu_solve(lu, (2.0 / abar) * kop)
 
@@ -33,16 +34,16 @@ def residuals(u, v):
     return float(r1), float(r2)
 
 
-def lu_noise(K, p):
+def lu_noise(g, p):
     """Normalized homodyne noise vn(lvec, phase) of the LU route, two solves.
 
     vn = 1 + (2 w / N) [ |P V^+ l|^2 + Re(e^{-2 i phi} (P U^T l*)^T V_-^T l*) ]
     with N = w l^+ l for the LO-on-detector vector l, P the even projector
     and V_- the transform solved again at the opposite analysis frequency.
     """
-    u, v = lu_uv(K, p)
-    _, v_neg = lu_uv(K, p, omega_bar=-p.omega_bar)
-    w = K.grid.step
+    u, v = lu_uv(g, p)
+    _, v_neg = lu_uv(g, p, omega_bar=-p.omega_bar)
+    w = g.step
 
     def vn(lvec, phase):
         n_shot = w * float(np.vdot(lvec, lvec).real)

@@ -18,7 +18,7 @@ from helpers import unchecked_kernel
 def near_entries(g, p):
     """n x n operator form of the near kernel on ``g`` by two complex DFTs."""
     conj = g.conjugate()
-    far_op = entries(unchecked_kernel(conj, p))
+    far_op = entries(conj, unchecked_kernel(conj, p))
     # x -> q transform matrix (unitary-normalized, exact inverse pair on
     # conjugate grids since dq dx = 2 pi / n)
     fmat = (g.step / math.sqrt(2.0 * math.pi)) * np.exp(

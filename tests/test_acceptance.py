@@ -22,7 +22,6 @@ from confocal_opo import (
     Grid1D,
     LocalOscillator,
     OpoParams,
-    build_kernel_matrix,
     delta_2d,
     solve_io,
     squeezing,
@@ -85,7 +84,7 @@ def test_criterion_04_dense_matches_analytic_plane_pump():
         for omega_bar in (0.0, 1.0):
             p = base_params(detuning=detuning, omega_bar=omega_bar)
             g = Grid1D.uniform(512, 16.0 / p.l_coh, "far")
-            u, v = dense_uv(solve_io(build_kernel_matrix(g, p), p))
+            u, v = dense_uv(solve_io(g, p))
             ua, va = analytic_uv_planepump(g.points, p)
             rel_u = np.abs(even_diagonal(u) - ua) / np.abs(ua)
             rel_v = np.abs(even_diagonal(v) - va) / np.maximum(np.abs(va), 1e-30)
@@ -104,7 +103,7 @@ def test_criterion_05_bogoliubov_residuals_random_draws():
         a_p = float(rng.uniform(0.3, 0.95))
         p = replace(p0, w_p=math.sqrt(b) * p0.l_coh, A_p=a_p)
         g = Grid1D.uniform(256, 16.0 / p.w_p, "far")
-        modes = solve_io(build_kernel_matrix(g, p), p)
+        modes = solve_io(g, p)
         worst = max(worst, *residuals(*dense_uv(modes)))
     ok = worst <= 1e-8
     assert _report(5, ok, f"10 random finite-pump draws, n = 256: "
@@ -117,7 +116,7 @@ def test_criterion_06_thin_crystal_limit():
     p = base_params(l_c=5e-6, A_p=0.9)
     assert p.l_c / p.z_C == pytest.approx(1e-4)
     g = Grid1D.uniform(1281, 40.0 * p.w_C, "near")
-    modes = solve_io(build_kernel_matrix(g, p), p)
+    modes = solve_io(g, p)
     lo = LocalOscillator()
     vns = []
     for frac in (0.1, 0.3, 1.0, 3.0, 10.0):

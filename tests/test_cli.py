@@ -340,6 +340,23 @@ class TestFigPresets:
         assert code == 2
         assert "'b'" in capsys.readouterr().err
 
+    def test_fig6_b_below_its_sweep_start_exits_2(self, tmp_path, capsys):
+        # fig 6 sweeps from 0.1 to 3 sqrt(b): a b at or below (0.1 / 3)^2
+        # would write an abscissa that runs backwards
+        code = main(["fig", "--id", "6", "--set", "b=1e-4", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'b'" in err and "0.00111111" in err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_degenerate_band_message_has_plain_floats(self, tmp_path, capsys):
+        # at b = 1e300 a fig 7 pixel one l_coh wide vanishes next to its
+        # center distance, and the refused band prints as plain numbers
+        code = main(["fig", "--id", "7", "--set", "b=1e300", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2 and "detector band" in err
+        assert "np.float64" not in err
+
     # (label stem, plane, detector, points, first, last, pixel width, LO waist,
     # abscissa name) of each preset; lengths in the plane's coherence unit:
     # l_coh near, r0 far for a plane pump, the detection-plane size of 1/w_p
@@ -464,9 +481,11 @@ EXTREME_KEYS = ("lambda_s", "n_s", "l_c", "z_C", "f_lens", "A_p")
 EXTREME_VALUES = ("5e-324", "1e-320", "1e-300", "1e300", "1.7e308", "0.999999999999999")
 
 
-#: the keys of the grid per figure: fig 6, a dense Gaussian-pump preset, is
-#: run over its pump size b only
-EXTREME_FIG_KEYS = {"2": EXTREME_KEYS, "5": EXTREME_KEYS, "8": EXTREME_KEYS, "6": ("b",)}
+#: the keys of the grid per figure: figs 6 and 9, the dense Gaussian-pump
+#: presets of each plane, are run over their pump size b and the two keys
+#: whose extremes overflow the coupling kernel
+EXTREME_FIG_KEYS = {"2": EXTREME_KEYS, "5": EXTREME_KEYS, "8": EXTREME_KEYS,
+                    "6": ("b", "n_s", "l_c"), "9": ("b", "n_s", "l_c")}
 
 
 @pytest.mark.parametrize("fig_id", list(EXTREME_FIG_KEYS))
@@ -516,6 +535,16 @@ def test_out_of_range_size_exits_with_one_line(tmp_path, argv, config, code, pre
     got, line = _one_line_exit(tmp_path, argv)
     assert got == code and line.startswith(prefix), line
     assert len(line) < 200
+
+
+@pytest.mark.parametrize("fig_id,item", [
+    ("6", "n_s=1e300"), ("7", "l_c=1e-300"), ("9", "n_s=1e300"), ("10", "l_c=1e-300"),
+])
+def test_overflowing_kernel_exits_with_one_line(tmp_path, fig_id, item):
+    # a coupling kernel that overflows is refused before the eigensolver,
+    # with no numpy warning ahead of its one line
+    code, line = _one_line_exit(tmp_path, ["fig", "--id", fig_id, "--set", item])
+    assert code == 1 and line.startswith("numerical failure: coupling kernel is not finite")
 
 
 @pytest.mark.parametrize("sets", [

@@ -22,7 +22,6 @@ from confocal_opo import (
     Grid1D,
     LocalOscillator,
     auto_grid,
-    build_kernel_matrix,
     solve_io,
     sweep,
     sweep_extents,
@@ -59,7 +58,7 @@ def case(request):
     p = sc.params
     grid = _auto(sc, sc.detector, sc.values, sc.lo)
     wide = Grid1D.uniform(5 * grid.n, 5 * grid.half_extent, plane)
-    return Case(b, sc, grid, solve_io(build_kernel_matrix(wide, p), p))
+    return Case(b, sc, grid, solve_io(wide, p))
 
 
 def _pump_unit(sc):

@@ -9,15 +9,16 @@ import scipy.linalg
 import confocal_opo.iosolver as iosolver
 from confocal_opo import (
     Grid1D,
+    GridTooCoarse,
     OpoParams,
     SingularSystem,
     auto_grid,
-    build_kernel_matrix,
     mode_uv,
     phase_match_sinc,
     solve_io,
 )
 from confocal_opo.cli import fig_scenarios
+from confocal_opo.kernels import build_kernel_matrix
 from lu_reference import lu_uv, residuals
 from helpers import analytic_uv_planepump, flip, threshold_margin
 from modes_reference import dense_uv, even_diagonal
@@ -79,8 +80,7 @@ class TestAnalyticPair:
 class TestDenseSolve:
     def test_empty_cavity_reflection(self, plane_params):
         p, g = gauss_setup(b=9.0, a_p=0.0)
-        K = build_kernel_matrix(g, p)
-        u, v = dense_uv(solve_io(K, p))
+        u, v = dense_uv(solve_io(g, p))
         off = u - np.diag(np.diag(u))
         assert np.abs(off).max() <= 1e-14
         assert np.abs(np.abs(np.diag(u)) - 1.0).max() <= 1e-12
@@ -93,7 +93,7 @@ class TestDenseSolve:
             w_p=math.inf, detuning=detuning, omega_bar=omega_bar,
         )
         g = Grid1D.uniform(257, 16.0 / p.l_coh, "far")
-        u, v = dense_uv(solve_io(build_kernel_matrix(g, p), p))
+        u, v = dense_uv(solve_io(g, p))
         ua, va = analytic_uv_planepump(g.points, p)
         assert np.abs(even_diagonal(u) - ua).max() <= 1e-8 * np.abs(ua).max()
         assert np.abs(even_diagonal(v) - va).max() <= 1e-8 * max(np.abs(va).max(), 1.0)
@@ -101,13 +101,13 @@ class TestDenseSolve:
     @pytest.mark.parametrize("domain,n,b", [("far", 256, 49.0), ("near", 257, 9.0)])
     def test_bogoliubov_residuals(self, domain, n, b):
         p, g = gauss_setup(b=b, a_p=0.9, n=n, domain=domain)
-        r1, r2 = residuals(*dense_uv(solve_io(build_kernel_matrix(g, p), p)))
+        r1, r2 = residuals(*dense_uv(solve_io(g, p)))
         assert r1 <= 1e-10
         assert r2 <= 1e-10
 
     def test_residuals_with_detuning_and_frequency(self):
         p, g = gauss_setup(b=25.0, a_p=0.7, detuning=0.8, omega_bar=1.5)
-        modes = solve_io(build_kernel_matrix(g, p), p)
+        modes = solve_io(g, p)
         assert max(residuals(*dense_uv(modes))) <= 1e-10
         assert modes.at == (0.8, 1.5)
 
@@ -123,7 +123,7 @@ class TestDenseSolve:
         )
         p = replace(p0, w_p=10 * p0.l_coh)
         g = Grid1D.uniform(641, 4 * p.w_p, "near")
-        u, v = dense_uv(solve_io(build_kernel_matrix(g, p), p))
+        u, v = dense_uv(solve_io(g, p))
         n = g.n
         idx = np.arange(n)
         width = int(round(8 * p.l_coh / g.step))
@@ -141,9 +141,9 @@ class TestDenseSolve:
 
     def test_continuity_in_pump_amplitude(self):
         p, g = gauss_setup(b=25.0, a_p=0.5)
-        u1, v1 = dense_uv(solve_io(build_kernel_matrix(g, p), p))
+        u1, v1 = dense_uv(solve_io(g, p))
         p2 = replace(p, A_p=0.505)
-        u2, v2 = dense_uv(solve_io(build_kernel_matrix(g, p2), p2))
+        u2, v2 = dense_uv(solve_io(g, p2))
         assert np.abs(u2 - u1).max() <= 0.2
         assert np.abs(v2 - v1).max() <= 0.2
 
@@ -153,9 +153,15 @@ class TestDenseSolve:
             A_p=1.0 - 1e-13, w_p=math.inf,
         )
         g = Grid1D.uniform(129, 8.0 / plane_params.l_coh, "far")
-        K = build_kernel_matrix(g, p)
         with pytest.raises(SingularSystem):
-            solve_io(K, p)
+            solve_io(g, p)
+
+    def test_grid_too_coarse(self):
+        # the solve gathers its own block, under the kernel's sizing rule
+        p, _ = gauss_setup(b=16.0)
+        for g in (Grid1D.uniform(16, 4 * p.w_p, "near"), Grid1D.uniform(64, 1.0 / p.w_p, "far")):
+            with pytest.raises(GridTooCoarse):
+                solve_io(g, p)
 
     def test_gate_rejects_non_orthogonal_modes(self, monkeypatch):
         # tilting the strongest mode toward its neighbour breaks the
@@ -163,7 +169,7 @@ class TestDenseSolve:
         # residual check would see more than 1e-6, the mode-basis gate must
         # refuse the modes
         p, g = gauss_setup(b=25.0, a_p=0.9)
-        K = build_kernel_matrix(g, p)
+        block = build_kernel_matrix(g, p)
         exact = iosolver.eigh
         for eps in (1e-9, 1e-6, 1e-3):
             def corrupted(a, **kwargs):
@@ -171,14 +177,14 @@ class TestDenseSolve:
                 q[:, -1] += eps * q[:, -2]
                 return lam, q
 
-            lam, q = corrupted(K.far)
+            lam, q = corrupted(block)
             modes = iosolver.CavityModes(grid=g, at=(0.0, 0.0), q=q, lam=lam)
             broken = max(residuals(*dense_uv(modes))) > 1e-6
             assert broken or eps < 1e-3
             monkeypatch.setattr(iosolver, "eigh", corrupted)
             if broken:
                 with pytest.raises(SingularSystem):
-                    solve_io(K, p)
+                    solve_io(g, p)
             monkeypatch.setattr(iosolver, "eigh", exact)
 
     def test_eigensolver_matches_divide_and_conquer(self):
@@ -188,21 +194,20 @@ class TestDenseSolve:
         # own (n = 1921, m = 961)
         (sc,) = fig_scenarios(6, {"b": [100.0]})
         g = auto_grid(sc.params, sc.plane, extents=(12.0 * sc.params.w_p,))
-        K = build_kernel_matrix(g, sc.params)
-        assert K.far.shape == (961, 961)
-        lam, q = iosolver.eigh(K.far)
+        block = build_kernel_matrix(g, sc.params)
+        assert block.shape == (961, 961)
+        lam, q = iosolver.eigh(block)
         gram = q.T @ q - np.eye(len(lam))
         assert np.linalg.norm(gram) <= 1e-12
-        lam_evd = scipy.linalg.eigh(K.far, driver="evd", eigvals_only=True)
+        lam_evd = scipy.linalg.eigh(block, driver="evd", eigvals_only=True)
         assert np.abs(lam - lam_evd).max() <= 1e-13 * np.abs(lam_evd).max()
 
     def test_matches_lu_oracle(self):
         # the modes rebuild the LU solution of the cavity relation
         p, g = gauss_setup(b=16.0, a_p=0.9, n=321, domain="near",
                               detuning=0.4, omega_bar=-0.9)
-        K = build_kernel_matrix(g, p)
-        u, v = dense_uv(solve_io(K, p))
-        u_lu, v_lu = lu_uv(K, p)
+        u, v = dense_uv(solve_io(g, p))
+        u_lu, v_lu = lu_uv(g, p)
         assert np.abs(u - u_lu).max() <= 1e-12 * np.abs(u_lu).max()
         assert np.abs(v - v_lu).max() <= 1e-12 * np.abs(v_lu).max()
 
@@ -210,7 +215,8 @@ class TestDenseSolve:
 class TestDenseMemory:
     def test_no_n_by_n_array_in_build_or_solve(self):
         # every dense step runs on m x m arrays (m = ceil(n/2)): neither the
-        # kernel build nor the solve allocates as much as one n x n float64
+        # kernel build nor the solve, its own build included, allocates as much
+        # as one n x n float64
         # array above what is live on entry
         p, g = gauss_setup(b=100.0, a_p=0.9, n=2001, domain="near")
         unit = g.n**2 * np.dtype(float).itemsize
@@ -223,8 +229,8 @@ class TestDenseMemory:
 
         tracemalloc.start()
         try:
-            K, build = allocated(build_kernel_matrix, g, p)
-            _, solve = allocated(solve_io, K, p)
+            _, build = allocated(build_kernel_matrix, g, p)
+            _, solve = allocated(solve_io, g, p)
         finally:
             tracemalloc.stop()
         assert build < unit, f"build_kernel_matrix allocated {build / unit:.2f} n^2 floats"
@@ -234,19 +240,18 @@ class TestDenseMemory:
 class TestThresholdMargin:
     def test_zero_pump(self):
         p, g = gauss_setup(b=16.0, a_p=0.0)
-        assert threshold_margin(build_kernel_matrix(g, p), p) == pytest.approx(1.0, abs=1e-14)
+        assert threshold_margin(g, p) == pytest.approx(1.0, abs=1e-14)
 
     def test_plane_pump_margin(self, plane_params):
         # odd grid holds the q = 0 threshold mode, where sinc is exactly 1
         g = Grid1D.uniform(257, 16.0 / plane_params.l_coh, "far")
-        K = build_kernel_matrix(g, plane_params)
-        assert abs(threshold_margin(K, plane_params) - 0.1) <= 1e-9
+        assert abs(threshold_margin(g, plane_params) - 0.1) <= 1e-9
 
     def test_margin_grows_for_tighter_pump(self):
         margins = []
         for b in (100.0, 25.0, 4.0):
             p, g = gauss_setup(b=b, a_p=0.9)
-            margins.append(threshold_margin(build_kernel_matrix(g, p), p))
+            margins.append(threshold_margin(g, p))
         assert margins[0] < margins[1] < margins[2]
         assert margins[0] > 0.1  # finite pump is always further from threshold
 

@@ -7,7 +7,8 @@ checkout's ``src``).  Both trees run the same commands, each in its own
 fresh Python process with that tree first on ``PYTHONPATH``:
 
 * ``fig --id N`` for every figure preset, 2 and 5-10;
-* ``fig --id 6 --set b=900``;
+* ``fig --id 6 --set b=900`` and ``fig --id 9 --set b=900``, the largest
+  near and far dense solves (n = 1,921 and 2,881);
 * every ``run`` invocation of the benchmark's workloads at seed 0, read
   through ``perfbench/workloads.invocations(name, 0)``.
 
@@ -34,7 +35,7 @@ sys.dont_write_bytecode = True  # leave the benchmark's directory as checked out
 import workloads  # noqa: E402
 
 FIGURES = [["fig", "--id", str(i)] for i in (2, 5, 6, 7, 8, 9, 10)]
-FIGURES.append(["fig", "--id", "6", "--set", "b=900"])
+FIGURES += [["fig", "--id", str(i), "--set", "b=900"] for i in (6, 9)]
 SEED = 0
 
 
