@@ -40,7 +40,6 @@ from .homodyne import (
     DetectorMask,
     LocalOscillator,
     SqueezingResult,
-    SweepPoint,
     squeezing,
     sweep,
     sweep_extents,
@@ -50,7 +49,7 @@ __all__ = [
     "__version__", "OpoParams",
     "Grid1D", "auto_grid", "delta_2d", "phase_match_sinc", "si",
     "CavityModes", "mode_uv", "solve_io",
-    "DetectorMask", "LocalOscillator", "SqueezingResult", "SweepPoint",
+    "DetectorMask", "LocalOscillator", "SqueezingResult",
     "squeezing", "sweep", "sweep_extents",
     "OpoError", "ConfigurationError", "NumericalFailure", "NonPhysical",
     "AboveThreshold", "EmptyDetector", "PlaneMismatch",

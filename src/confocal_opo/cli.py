@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, NumericalFailure, OpoError
-from .homodyne import LocalOscillator, _check_threshold, _mode_noise, sweep, sweep_extents
+from .homodyne import _PHASES, LocalOscillator, _check_threshold, _mode_noise, sweep, sweep_extents
 from .iosolver import CavityModes, solve_io
 from .kernels import MAX_GRID_N, Grid1D, auto_grid, delta_2d, phase_match_sinc
 from .params import OpoParams
@@ -141,6 +141,8 @@ def scenario_from_config(cfg: dict) -> Scenario:
         raise ConfigurationError(
             "key 'detector': radial is a 2-D disk, computed for pump = plane and "
             "plane = far only; the other routes are 1-D")
+    if cfg.get("lo") == "gaussian" and (cfg["pump"], cfg["plane"]) == ("plane", "near"):
+        raise ConfigurationError("key 'lo': a plane pump in the near plane takes a plane LO only")
     params = OpoParams(
         lambda_s=cfg["lambda_s"],
         n_s=cfg["n_s"],
@@ -242,13 +244,13 @@ def run_scenario(sc: Scenario, outdir: Path, csv_name: str = "curve.csv") -> flo
     its solve (1 - A_p for a plane pump, whose strongest mode is q = 0)."""
     p = sc.params
     modes = _modes(sc)
-    points = sweep(
+    results = sweep(
         p, sc.plane, sc.detector, sc.values, sc.lo,
         pixel_width=sc.pixel_width, modes=modes,
     )
     rows = [
-        (pt.value / sc.abscissa_scale, pt.vn_squeezed, pt.vn_antisqueezed, pt.shot)
-        for pt in points
+        (float(value) / sc.abscissa_scale, res.vn_squeezed, res.vn_antisqueezed, res.shot)
+        for value, res in zip(sc.values, results)
     ]
     outdir.mkdir(parents=True, exist_ok=True)
     _write_curve(outdir / csv_name, _echo(_scenario_echo(sc)),
@@ -391,8 +393,7 @@ def _run_fig8_density(sc: Scenario, outdir: Path) -> None:
     _check_threshold(p)
     us = np.linspace(0.0, 5.0, 126)
     lam = p.A_p * phase_match_sinc(2.0 * us / p.l_coh, p)  # r/r0 = u maps to sinc(u^2)
-    r_sq, r_anti = (1.0 + _mode_noise(lam, phase, p.detuning, p.omega_bar)
-                    for phase in (math.pi / 2, 0.0))
+    r_sq, r_anti = (1.0 + _mode_noise(lam, phase, p.detuning, p.omega_bar) for phase in _PHASES)
     rows = [(u, r1, r2, 1.0) for u, r1, r2 in zip(us, r_sq, r_anti)]
     pairs = [("label", "fig8_R"), ("A_p", p.A_p), ("detector", "pixel_pair_density")]
     _write_curve(outdir / "curve_R.csv", _echo(pairs),

@@ -7,12 +7,12 @@ detector area.  Its noise spectrum normalized to shot noise is
     vn = V / N = 1 + S / N.
 
 ``squeezing(det, lo, p, modes=None)`` is the one entry point: it returns
-vn of one detector at the quadrature ``lo.phase``.  ``sweep`` runs a family
-of detectors through the same evaluators and takes both canonical
-quadratures of each detector from one pass.  A detector is its band
+vn of one detector in both canonical quadratures, the squeezed phi = pi/2
+and the anti-squeezed phi = 0, from one pass (``SqueezingResult``).
+``sweep`` runs a family of detectors through it.  A detector is its band
 inner <= |x| <= outer (``DetectorMask``), and every evaluator reads only
-that band.  Each returns the shot noise N and vn at each requested phase,
-and ``_route`` picks one:
+that band.  Each returns the shot noise N and vn at both phases, and
+``squeezing`` picks one and records its name:
 
 * With the cavity modes of a dense solve (K = Q diag(lambda) Q^T, per-mode
   transform u, v; see ``iosolver``), ``_noise_terms`` contracts the
@@ -44,9 +44,9 @@ and ``_route`` picks one:
   and are cross-checked against the dense route where the two overlap.
 * A finite pump without modes is a ``ConfigurationError``.
 
-The quadrature phi = pi/2 is the squeezed quadrature for this sign
-convention; phi = 0 gives its anti-squeezed dual, and both are always
-computable (their product is 1 per mode at resonance and zero frequency).
+The squeezed quadrature is phi = pi/2 in this sign convention and phi = 0
+its anti-squeezed dual (product 1 per mode at resonance and zero
+frequency); every route takes the two in the order of ``_PHASES``.
 
 Both closed-form evaluators sum on one node set: 16-point Gauss-Legendre
 panels in t = q l_coh whose edges sit at the sinc zeros t = 2 sqrt(k pi),
@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -89,13 +89,12 @@ __all__ = [
     "DetectorMask",
     "LocalOscillator",
     "SqueezingResult",
-    "SweepPoint",
     "squeezing",
     "sweep",
     "sweep_extents",
 ]
 
-SQUEEZED_PHASE = math.pi / 2
+_PHASES = (math.pi / 2, 0.0)  # the squeezed quadrature, then its dual
 _DISK_ONLY = ("a radial detector is a 2-D disk, computed only for a plane pump in the "
               "far field; the dense modes and the near field are 1-D")
 
@@ -194,24 +193,20 @@ class LocalOscillator:
     meters for either plane (far-field positions map to wavevectors through
     the lens, x = q lambda f / (2 pi); a detection-plane waist of r0
     corresponds to a pre-lens beam waist of l_coh).  The default waist,
-    ``math.inf``, is the plane LO of uniform amplitude.  ``phase`` selects
-    the measured quadrature.
+    ``math.inf``, is the plane LO of uniform amplitude.
     """
 
     amplitude: float = 1.0
     waist: float = math.inf
-    phase: float = SQUEEZED_PHASE
 
     def __post_init__(self):
         if not (_real(self.amplitude) and 0 < self.amplitude < math.inf):
             raise ConfigurationError("LO amplitude must be positive and finite")
         if not (_real(self.waist) and self.waist > 0):
             raise ConfigurationError(f"LO waist must be positive or inf, got {self.waist!r}")
-        if not (_real(self.phase) and math.isfinite(self.phase)):
-            raise ConfigurationError(f"LO phase must be finite and real, got {self.phase!r}")
 
     def magnitude(self, grid: Grid1D, p: OpoParams) -> np.ndarray:
-        """|alpha| on the grid (phase applied separately)."""
+        """|alpha| on the grid."""
         x = grid.points
         if grid.domain == "far":
             x = x * p.lambda_s * p.f_lens / (2.0 * math.pi)
@@ -224,21 +219,21 @@ class LocalOscillator:
 
 @dataclass(frozen=True)
 class SqueezingResult:
-    """Noise spectrum of one detection configuration, normalized to shot noise.
+    """Noise spectrum of one detector in both quadratures, in shot-noise units.
 
-    vn = 1 means shot noise; vn < 1 squeezing.  sn = vn - 1 is the normally
-    ordered part.  ``shot`` is the detected LO photon number, the LO measure
-    of the detector band (for the closed-form disk, the far quadrature with
-    weight t: the LO-weighted disk measure in the scaled radius r / r0).
-    ``quadrature`` is the LO phase, and ``meta["route"]`` names the route
-    that computed the result.
+    vn = 1 means shot noise; vn < 1 squeezing.  ``vn_squeezed`` is the LO
+    phase pi/2, ``vn_antisqueezed`` its dual 0.  ``shot`` is the detected LO
+    photon number, the LO measure of the detector band (for the closed-form
+    disk, the far quadrature with weight t: the LO-weighted disk measure in
+    the scaled radius r / r0).  ``route`` names the route that computed the
+    result: "dense", "planepump_near", "planepump_far", "planepump_disk", or
+    "empty" for a zero-size ``sweep`` point, which reads shot noise.
     """
 
-    vn: float
-    sn: float
+    vn_squeezed: float
+    vn_antisqueezed: float
     shot: float
-    quadrature: float
-    meta: dict = field(default_factory=dict)
+    route: str
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +276,8 @@ def _conjugate_image(grid: Grid1D, vec: np.ndarray) -> np.ndarray:
     c = -((-1j) ** (n % 4)) * np.exp(-0.5j * np.pi / n) / math.sqrt(n)
     return (c * d * np.fft.fft(d * vec)).real
 
-def _noise_terms(modes: CavityModes, det: DetectorMask, lo: LocalOscillator,
-                 p: OpoParams, phases):
-    """(N, [vn at each phase]) of one detector from the cavity modes: lvec is
+def _noise_terms(modes: CavityModes, det: DetectorMask, lo: LocalOscillator, p: OpoParams):
+    """(N, [vn at both phases]) of one detector from the cavity modes: lvec is
     the LO magnitude on the detector cells, on a near grid carried to the far
     grid of the modes by ``_conjugate_image``; c = q^T fold(lvec) is its even
     part in the mode basis, vn = 1 + (w / N) sum_k c_k^2 (R_phi(lam_k) - 1)."""
@@ -294,8 +288,9 @@ def _noise_terms(modes: CavityModes, det: DetectorMask, lo: LocalOscillator,
     w = grid.step
     n_shot = w * float(lvec @ lvec)
     _check_lit(n_shot, det)
-    return n_shot, [1.0 + (w / n_shot) * float(c2 @ _mode_noise(modes.lam, phase, *modes.at))
-                    for phase in phases]
+    at = (modes.p.detuning, modes.p.omega_bar)
+    return n_shot, [1.0 + (w / n_shot) * float(c2 @ _mode_noise(modes.lam, phase, *at))
+                    for phase in _PHASES]
 
 
 # ---------------------------------------------------------------------------
@@ -364,21 +359,21 @@ def _gauss_panels(t_lo: float, t_hi: float, max_width: float):
             return
         t_lo, k = edges[-1], k + _CHUNK
 
-def _panel_noise(p: OpoParams, t_lo: float, t_hi: float, width: float, phases):
-    """(t, w, [R_phi - 1 at each phase]) chunks on the panels of
+def _panel_noise(p: OpoParams, t_lo: float, t_hi: float, width: float):
+    """(t, w, [R_phi - 1 at both phases]) chunks on the panels of
     ``_gauss_panels``, at the plane-pump mode gain A_p sigma: one gain
     evaluation per chunk, shared by every phase."""
     for t, w in _gauss_panels(t_lo, t_hi, width):
         lam = p.A_p * phase_match_sinc(t / p.l_coh, p)
-        yield t, w, [_mode_noise(lam, phase, p.detuning, p.omega_bar) for phase in phases]
+        yield t, w, [_mode_noise(lam, phase, p.detuning, p.omega_bar) for phase in _PHASES]
 
 def _lo_panel_width(c: float) -> float:
     # a Gaussian LO weight exp(-c t^2) also needs panels no wider than its
     # 1/e half width, or a narrow spot falls between the nodes
     return _PANEL_WIDTH if c == 0.0 else min(_PANEL_WIDTH, 1.0 / math.sqrt(c))
 
-def _vn_planepump_far(det: DetectorMask, lo: LocalOscillator, p: OpoParams, phases):
-    """(N, [vn at each phase]) of a far-field detector, plane pump.
+def _vn_planepump_far(det: DetectorMask, lo: LocalOscillator, p: OpoParams):
+    """(N, [vn at both phases]) of a far-field detector, plane pump.
 
     vn = 1 + integral |alpha|^2 (R - 1) rho dt / integral |alpha|^2 rho dt
     over the positive half of the detector band in t = q l_coh, both on the
@@ -397,10 +392,9 @@ def _vn_planepump_far(det: DetectorMask, lo: LocalOscillator, p: OpoParams, phas
     with contextlib.suppress(OverflowError):
         c = 2.0 * (x_of_q / (lo.waist * p.l_coh)) ** 2
     disk = det.shape == "radial"
-    num = [0.0] * len(phases)
+    num = [0.0] * len(_PHASES)
     den = 0.0
-    for t, w, noise in _panel_noise(p, q_lo * p.l_coh, q_hi * p.l_coh, _lo_panel_width(c),
-                                    phases):
+    for t, w, noise in _panel_noise(p, q_lo * p.l_coh, q_hi * p.l_coh, _lo_panel_width(c)):
         weight = np.exp(-c * t * t) * w
         if disk:
             weight = t * weight
@@ -410,21 +404,21 @@ def _vn_planepump_far(det: DetectorMask, lo: LocalOscillator, p: OpoParams, phas
     return den / 4.0 if disk else 2.0 * den / p.l_coh, [1.0 + x / den for x in num]
 
 
-def _near_chunks(p: OpoParams, phases, level: int):
-    # (t, [4 w (R - 1) / t^2 at each phase]) on panels 0.125 wide below t = 1,
+def _near_chunks(p: OpoParams, level: int):
+    # (t, [4 w (R - 1) / t^2 at both phases]) on panels 0.125 wide below t = 1,
     # where the anti-squeezed R - 1 peaks sharply near threshold, and 0.25
     # above, both halved per level
     width = _PANEL_WIDTH * 0.5**level
     for t_lo, t_hi, max_width in ((0.0, 1.0, 0.5 * width), (1.0, _NEAR_CUT, width)):
-        for t, w, noise in _panel_noise(p, t_lo, t_hi, max_width, phases):
+        for t, w, noise in _panel_noise(p, t_lo, t_hi, max_width):
             yield t, [4.0 * w * f / t**2 for f in noise]
 
 @lru_cache(maxsize=32)
-def _cached_near_chunks(p: OpoParams, phases, level: int) -> list:
-    return list(_near_chunks(p, phases, level))
+def _cached_near_chunks(p: OpoParams, level: int) -> list:
+    return list(_near_chunks(p, level))
 
-def _vn_planepump_near(det: DetectorMask, lo: LocalOscillator, p: OpoParams, phases):
-    """(N, [vn at each phase]) of a symmetric near-field detector, plane pump.
+def _vn_planepump_near(det: DetectorMask, lo: LocalOscillator, p: OpoParams):
+    """(N, [vn at both phases]) of a symmetric near-field detector, plane pump.
 
     The near-field counterpart of ``_noise_terms``: the band [a, b] (l_coh
     units) of a plane LO has the window |W(t)|^2 = 4 (sin(b t) - sin(a t))^2
@@ -445,9 +439,9 @@ def _vn_planepump_near(det: DetectorMask, lo: LocalOscillator, p: OpoParams, pha
     a, b = det.inner / p.l_coh, det.outer / p.l_coh
     # capped, so a band past the float range reaches the panel limit, not an overflow
     level = max(0, math.ceil(math.log2(min(2.0 * b / _NEAR_PANEL_A, 2.0**64))))
-    chunks = (_cached_near_chunks(p, phases, level) if level <= _NEAR_CACHED_LEVEL
-              else _near_chunks(p, phases, level))
-    total = [0.0] * len(phases)
+    chunks = (_cached_near_chunks(p, level) if level <= _NEAR_CACHED_LEVEL
+              else _near_chunks(p, level))
+    total = [0.0] * len(_PHASES)
     for t, gs in chunks:
         window = (np.sin(b * t) - np.sin(a * t) if a > 0 else np.sin(b * t)) ** 2
         total = [x + float(np.einsum("i,i", g, window)) for x, g in zip(total, gs)]
@@ -458,29 +452,40 @@ def _vn_planepump_near(det: DetectorMask, lo: LocalOscillator, p: OpoParams, pha
 # The one path from a detector to its noise
 # ---------------------------------------------------------------------------
 
-def _route(det: DetectorMask, lo: LocalOscillator, p: OpoParams, modes: CavityModes | None,
-           phases):
-    """(route name, N, [vn at each phase]) of one detector.
+def squeezing(det: DetectorMask, lo: LocalOscillator, p: OpoParams,
+              modes: CavityModes | None = None) -> SqueezingResult:
+    """Noise spectrum of one detector in both canonical quadratures.
 
-    Raises ``NumericalFailure`` when N or any vn is not finite, as when an
-    input near the float range (an LO amplitude, an analysis frequency)
-    overflows inside the route.
+    With ``modes``, the ``CavityModes`` of a dense solve for ``p`` itself,
+    the detector is contracted over the modes (first principles, any pump).
+    Without them a plane pump runs on its closed-form routes: the near-field
+    window sum (plane LO only), the far-field disk for a ``radial`` far
+    detector, and the far-field interval or pixel pair otherwise.  Modes
+    solved for another configuration, a ``radial`` detector on the modes, and
+    a finite pump without them raise ``ConfigurationError``.  Raises
+    ``NumericalFailure`` when N or either vn is not finite, as when an input
+    near the float range (an LO amplitude, an analysis frequency) overflows
+    inside the route.
     """
     if modes is not None and det.shape == "radial":
         raise ConfigurationError(_DISK_ONLY)
+    if modes is not None and modes.p != p:
+        name = next(f.name for f in fields(p) if getattr(p, f.name) != getattr(modes.p, f.name))
+        was, got = (float(getattr(q, name)) for q in (modes.p, p))
+        raise ConfigurationError(f"the modes were solved for {name} = {was!r}, not {got!r}")
     # the check below reports an overflow, so numpy does not warn of it too
     with np.errstate(all="ignore"):
         if modes is not None:
-            route, (shot, vns) = "dense", _noise_terms(modes, det, lo, p, phases)
+            route, (shot, vns) = "dense", _noise_terms(modes, det, lo, p)
         elif not p.plane_pump:
             raise ConfigurationError("a finite pump needs the cavity modes of a dense solve")
         else:
             _check_threshold(p)
             if det.plane == "near":
-                route, (shot, vns) = "planepump_near", _vn_planepump_near(det, lo, p, phases)
+                route, (shot, vns) = "planepump_near", _vn_planepump_near(det, lo, p)
             else:
                 route = "planepump_disk" if det.shape == "radial" else "planepump_far"
-                shot, vns = _vn_planepump_far(det, lo, p, phases)
+                shot, vns = _vn_planepump_far(det, lo, p)
             # both closed forms give N at unit LO amplitude; a product past the
             # float range is inf, which the check below refuses
             shot *= lo.amplitude * lo.amplitude
@@ -490,40 +495,12 @@ def _route(det: DetectorMask, lo: LocalOscillator, p: OpoParams, modes: CavityMo
             f"{', '.join(f'{vn:g}' for vn in vns)}) for the {det.shape} band "
             f"[{det.inner:g}, {det.outer:g}]"
         )
-    return route, shot, vns
-
-def squeezing(
-    det: DetectorMask,
-    lo: LocalOscillator,
-    p: OpoParams,
-    modes: CavityModes | None = None,
-) -> SqueezingResult:
-    """Noise spectrum of one detector at the LO phase ``lo.phase``.
-
-    With ``modes``, the ``CavityModes`` of a dense solve, the detector is
-    contracted over the modes (first principles, any pump).  Without them a
-    plane pump runs on its closed-form routes: the near-field window sum
-    (plane LO only), the far-field disk for a ``radial`` far detector, and the
-    far-field interval or pixel pair otherwise.  A finite pump without
-    modes raises ``ConfigurationError``.
-    """
-    route, shot, (vn,) = _route(det, lo, p, modes, (lo.phase,))
-    return SqueezingResult(vn=vn, sn=vn - 1.0, shot=shot, quadrature=lo.phase,
-                           meta={"route": route})
+    return SqueezingResult(*vns, shot, route)
 
 
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One sweep sample: both canonical quadratures at one detector setting."""
-
-    value: float  # detector size / pixel distance, meters in its plane
-    vn_squeezed: float  # phi_LO = pi/2
-    vn_antisqueezed: float  # phi_LO = 0
-    shot: float
 
 def _mask_for(shape, value, pixel_width, plane):
     if shape == "pixel_pair":
@@ -568,7 +545,7 @@ def sweep(
     lo: LocalOscillator,
     pixel_width: float | None = None,
     modes: CavityModes | None = None,
-) -> list[SweepPoint]:
+) -> list[SqueezingResult]:
     """Deterministic noise curve over a family of detector settings.
 
     ``values`` are interval half widths / radii, or pixel center distances
@@ -576,27 +553,21 @@ def sweep(
     run on the closed-form diagonal routes.  A finite pump contracts every
     detector over ``modes``, the ``CavityModes`` of one dense solve on a
     ``plane`` grid; without them the sweep solves once on the grid
-    ``auto_grid`` sizes for its detectors.  Every point then goes through
-    the evaluator ``squeezing`` uses, once for both canonical quadratures; a
-    zero-size interval or disk reads shot noise.  Points are returned in the
-    order given.
+    ``auto_grid`` sizes for its detectors.  Every point is the
+    ``SqueezingResult`` of ``squeezing`` on its detector; a zero-size
+    interval or disk reads shot noise, ``SqueezingResult(1.0, 1.0, 0.0,
+    "empty")``.  Results are returned in the order of ``values``.
     """
     values = [float(v) for v in values]
     if any(v < 0 for v in values):
         raise ConfigurationError("sweep values must be non-negative")
     if detector_shape == "radial" and not p.plane_pump:
-        raise ConfigurationError(_DISK_ONLY)  # before the solve; _route refuses given modes
+        raise ConfigurationError(_DISK_ONLY)  # before the solve; squeezing refuses given modes
 
     if modes is None and not p.plane_pump:
         grid = auto_grid(p, plane, *sweep_extents(p, plane, detector_shape, values, lo,
                                                    pixel_width))
         modes = solve_io(grid, p)
-    out = []
-    for value in values:
-        if _zero_size(detector_shape, value):
-            out.append(SweepPoint(value, 1.0, 1.0, 0.0))
-            continue
-        det = _mask_for(detector_shape, value, pixel_width, plane)
-        _, shot, (vn_sq, vn_anti) = _route(det, lo, p, modes, (SQUEEZED_PHASE, 0.0))
-        out.append(SweepPoint(value, vn_sq, vn_anti, shot))
-    return out
+    return [SqueezingResult(1.0, 1.0, 0.0, "empty") if _zero_size(detector_shape, value)
+            else squeezing(_mask_for(detector_shape, value, pixel_width, plane), lo, p, modes)
+            for value in values]

@@ -68,7 +68,7 @@ def mode_uv(lam, detuning: float, omega_bar: float):
 
 @dataclass(frozen=True, eq=False)
 class CavityModes:
-    """Eigenmodes of the coupling operator on ``grid`` at one (detuning, omega_bar) point.
+    """Eigenmodes of the coupling operator on ``grid`` for the configuration ``p``.
 
     ``K = Q diag(lam) Q^T`` with orthonormal real columns of ``Q`` over the
     field values on the far grid (operator form, uniform weights): the
@@ -77,11 +77,11 @@ class CavityModes:
     ``Grid1D.fold`` (E^T), on ``grid`` itself or on its conjugate when
     ``grid`` is near.  The transform is
     U = Q diag(u) Q^T + u(0) (I - Q Q^T), V = Q diag(v) Q^T with
-    (u, v) = mode_uv(lam, *at); the odd subspace I - Q Q^T is untouched.
+    (u, v) = mode_uv(lam, p.detuning, p.omega_bar); the odd subspace I - Q Q^T is untouched.
     """
 
     grid: Grid1D
-    at: tuple[float, float]  # (detuning, omega_bar)
+    p: OpoParams  # the configuration solved for
     q: np.ndarray = field(repr=False)
     lam: np.ndarray = field(repr=False)
 
@@ -116,17 +116,16 @@ def solve_io(grid: Grid1D, p: OpoParams) -> CavityModes:
             f"input/output system condition {cond:.3e} exceeds {_CONDITION_CUTOFF:.0e}; "
             "the configuration is at/above threshold or the grid is too coarse"
         )
-    at = (p.detuning, p.omega_bar)
     # the gate certifies the modes that are contracted; an overflow makes
     # the bound nan, which it refuses without numpy's warning
     with np.errstate(all="ignore"):
-        bound = _symplectic_bound(q, lam, at)
+        bound = _symplectic_bound(q, lam, (p.detuning, p.omega_bar))
     if not bound <= _SYMPLECTIC_TOLERANCE:
         raise SingularSystem(
             f"Bogoliubov residual bound {bound:.2e} exceeds {_SYMPLECTIC_TOLERANCE:.0e}; "
             "the modes do not define a symplectic transform"
         )
-    return CavityModes(grid=grid, at=at, q=q, lam=lam)
+    return CavityModes(grid=grid, p=p, q=q, lam=lam)
 
 
 def _symplectic_bound(q: np.ndarray, lam: np.ndarray, at: tuple[float, float]) -> float:

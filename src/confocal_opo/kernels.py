@@ -19,13 +19,14 @@ approach the plane-pump one continuously as ``w_p`` grows.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigurationError, GridTooCoarse
-from .params import OpoParams
+from .params import OpoParams, _real
 
 __all__ = [
     "si",
@@ -209,8 +210,11 @@ class Grid1D:
     def uniform(cls, n: int, half_extent: float, domain: str) -> "Grid1D":
         if domain not in ("near", "far"):
             raise ConfigurationError(f"domain must be 'near' or 'far', got {domain!r}")
-        if n < 2 or not 0 < half_extent < math.inf:
-            raise ConfigurationError("need n >= 2 and a positive finite half_extent")
+        # the type checks come first, so the comparisons never meet None or a string
+        if not (isinstance(n, numbers.Integral) and _real(half_extent)
+                and n >= 2 and 0 < half_extent < math.inf):
+            raise ConfigurationError("need an integer n >= 2 and a positive finite half_extent, "
+                                     f"got {n!r} and {half_extent!r}")
         h = 2.0 * half_extent / n
         pts = -half_extent + (np.arange(n) + 0.5) * h
         return cls(n=n, half_extent=half_extent, domain=domain, points=pts)

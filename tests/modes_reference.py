@@ -13,8 +13,9 @@ def dense_uv(modes):
     modes of Q, and the odd subspace as modes of gain 0 (u(0) = conj(a)/a,
     v(0) = 0).
     """
-    u, v = mode_uv(modes.lam, *modes.at)
-    u0, _ = mode_uv(0.0, *modes.at)
+    at = (modes.p.detuning, modes.p.omega_bar)
+    u, v = mode_uv(modes.lam, *at)
+    u0, _ = mode_uv(0.0, *at)
     q = unfold(modes.grid, grid_modes(modes))  # the modes as grid vectors, Q = E q
     odd = np.eye(q.shape[0]) - q @ q.T
     return (q * u) @ q.T + u0 * odd, (q * v) @ q.T

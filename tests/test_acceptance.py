@@ -121,7 +121,7 @@ def test_criterion_06_thin_crystal_limit():
     vns = []
     for frac in (0.1, 0.3, 1.0, 3.0, 10.0):
         det = DetectorMask.interval(frac * p.w_C, "near")
-        vns.append(squeezing(det, lo, p, modes).vn)
+        vns.append(squeezing(det, lo, p, modes).vn_squeezed)
     vns = np.array(vns)
     spread = float(vns.max() - vns.min())
     dev = float(np.abs(vns - SINGLE_MODE_09).max())
@@ -144,8 +144,8 @@ def test_criterion_07_near_field_detector_size_trend():
     # to belong to the model.
     p = base_params(A_p=0.99)
     lo = LocalOscillator()
-    vn_small = squeezing(DetectorMask.interval(0.05 * p.l_coh, "near"), lo, p).vn
-    vn_large = squeezing(DetectorMask.interval(5.0 * p.l_coh, "near"), lo, p).vn
+    vn_small = squeezing(DetectorMask.interval(0.05 * p.l_coh, "near"), lo, p).vn_squeezed
+    vn_large = squeezing(DetectorMask.interval(5.0 * p.l_coh, "near"), lo, p).vn_squeezed
     u_c = correlation_first_zero(p.A_p)
     guaranteed = np.linspace(0.0, u_c / 2.0, 20)
     pts = sweep(p, "near", "interval", list(guaranteed * p.l_coh), LocalOscillator())
@@ -190,10 +190,10 @@ def test_criterion_09_far_field_closed_forms():
     p = base_params()
     lo = LocalOscillator(waist=p.r0)
     # a radius of 1e-12 r0 reads the r -> 0 limit of the disk quadrature
-    limit = squeezing(DetectorMask.radial(1e-12 * p.r0, "far"), lo, p).vn
+    limit = squeezing(DetectorMask.radial(1e-12 * p.r0, "far"), lo, p).vn_squeezed
     clause_limit = abs(limit - 0.00277) <= 1e-5
-    inner = squeezing(DetectorMask.radial(0.3 * p.r0, "far"), lo, p).vn
-    outer = squeezing(DetectorMask.radial(3.0 * p.r0, "far"), lo, p).vn
+    inner = squeezing(DetectorMask.radial(0.3 * p.r0, "far"), lo, p).vn_squeezed
+    outer = squeezing(DetectorMask.radial(3.0 * p.r0, "far"), lo, p).vn_squeezed
     clause_v = outer > inner
     r_in = float(noise_density(0.3 * 2.0 / p.l_coh, p, math.pi / 2))
     r_out = float(noise_density(5.0 * 2.0 / p.l_coh, p, math.pi / 2))

@@ -602,6 +602,17 @@ def test_radial_off_the_disk_route_exits_2(tmp_path, text):
     assert not (tmp_path / "o" / "curve.csv").exists()
 
 
+def test_plane_pump_near_gaussian_lo_exits_2(tmp_path):
+    # the plane-pump near-field window sum takes a plane LO only: a Gaussian
+    # LO is refused while the scenario is read, and the message names its key
+    cfg = write_config(tmp_path, PLANE_NEAR_CONFIG + "lo = gaussian\nlo_waist = 1e-4\n")
+    with pytest.raises(ConfigurationError, match="^key 'lo': "):
+        scenario_from_config(parse_config(cfg))
+    code, line = _one_line_exit(tmp_path, ["run", "--config", str(cfg)])
+    assert code == 2 and line.startswith("configuration error: key 'lo': "), line
+    assert not (tmp_path / "o" / "curve.csv").exists()
+
+
 @pytest.mark.parametrize("key,value", [
     ("z_C", "0.07"), ("f_lens", "0.3"), ("detuning", "0.4"), ("omega_bar", "0.2"),
 ])

@@ -73,10 +73,10 @@ def _assert_matches_wide(case, shape, values, lo, pixel_width=None):
     assert (grid.n, grid.half_extent) == (case.grid.n, case.grid.half_extent)
     auto = sweep(p, sc.plane, shape, values, lo, pixel_width=pixel_width)
     ref = sweep(p, sc.plane, shape, values, lo, pixel_width=pixel_width, modes=case.wide)
-    for pt, wide in zip(auto, ref):
+    for value, pt, wide in zip(values, auto, ref):
         for vn, vn_wide in ((pt.vn_squeezed, wide.vn_squeezed),
                             (pt.vn_antisqueezed, wide.vn_antisqueezed)):
-            assert abs(vn - vn_wide) <= VN_TOL * max(1.0, abs(vn_wide)), (shape, lo, pt.value)
+            assert abs(vn - vn_wide) <= VN_TOL * max(1.0, abs(vn_wide)), (shape, lo, value)
 
 
 def test_fig6_grid_sizes():

@@ -14,6 +14,7 @@ from confocal_opo import (
     LocalOscillator,
     OpoParams,
     PlaneMismatch,
+    SqueezingResult,
     auto_grid,
     solve_io,
     squeezing,
@@ -193,11 +194,9 @@ class TestLocalOscillator:
     lambda: DetectorMask("interval", "near", 0.0, "1.0"),
     lambda: LocalOscillator(amplitude=None),
     lambda: LocalOscillator(waist="x"),
-    lambda: LocalOscillator(phase=None),
-    lambda: LocalOscillator(phase=math.nan),
 ], ids=["interval-none", "radial-none", "pixel-center-none", "pixel-width-str",
         "interval-complex", "band-inner-none", "band-outer-str", "lo-amplitude-none",
-        "lo-waist-str", "lo-phase-none", "lo-phase-nan"])
+        "lo-waist-str"])
 def test_non_real_input_rejected(make):
     # library callers get the documented error, not a TypeError from the
     # range check
@@ -285,7 +284,7 @@ class TestShotNoise:
 class TestSqueezingNumericVacuum:
     @pytest.mark.parametrize("lo", [
         LocalOscillator(),
-        LocalOscillator(phase=0.0),
+        LocalOscillator(amplitude=2.0),
         LocalOscillator(waist=3e-4),
     ])
     def test_zero_pump_is_shot_noise(self, plane_params, lo):
@@ -299,8 +298,8 @@ class TestSqueezingNumericVacuum:
             DetectorMask.pixel_pair(5e-5, 2e-5, "near"),
         ):
             res = squeezing(det, lo, p, modes)
-            assert abs(res.vn - 1.0) <= 1e-12
-            assert res.sn == res.vn - 1.0
+            assert abs(res.vn_squeezed - 1.0) <= 1e-12
+            assert abs(res.vn_antisqueezed - 1.0) <= 1e-12
 
     def test_requires_negative_frequency_pair(self, plane_params):
         # detuned with nonzero analysis frequency: the noise needs V at the
@@ -314,12 +313,12 @@ class TestSqueezingNumericVacuum:
         modes = solve_io(g, p)
         oracle = lu_noise(g, p)
         det = DetectorMask.interval(2e-5, "near")
-        for phase in (math.pi / 2, 0.0):
-            lo = LocalOscillator(phase=phase)
-            res = squeezing(det, lo, p, modes)
+        lo = LocalOscillator()
+        res = squeezing(det, lo, p, modes)
+        for phase, vn in ((math.pi / 2, res.vn_squeezed), (0.0, res.vn_antisqueezed)):
             ref = oracle(lo.magnitude(g, p) * det.indicator(g, p), phase)
-            assert res.vn > 0
-            assert abs(res.vn - ref) <= 1e-12 * max(1.0, abs(ref))
+            assert vn > 0
+            assert abs(vn - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 class TestModeRouteMatchesLU:
@@ -349,10 +348,10 @@ class TestModeRouteMatchesLU:
             for frac in (0.05, 0.3, 0.7):
                 det = DetectorMask.interval(frac * extent * x_of_q, plane)
                 lvec = lo.magnitude(g, p) * det.indicator(g, p)
-                for phase in (math.pi / 2, 0.0):
-                    res = squeezing(det, replace(lo, phase=phase), p, modes)
+                res = squeezing(det, lo, p, modes)
+                for phase, vn in ((math.pi / 2, res.vn_squeezed), (0.0, res.vn_antisqueezed)):
                     ref = oracle(lvec, phase)
-                    assert abs(res.vn - ref) <= 1e-12 * max(1.0, abs(ref))
+                    assert abs(vn - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def _extended_image(g, vec):
@@ -404,7 +403,7 @@ class TestThinCrystalSingleMode:
         for frac in (0.2, 1.0, 4.0):
             det = DetectorMask.interval(frac * p.w_C, "near")
             res = squeezing(det, lo, p, modes)
-            assert res.vn == pytest.approx(1.0 / 9.0, abs=1e-3)
+            assert res.vn_squeezed == pytest.approx(1.0 / 9.0, abs=1e-3)
 
 
 class TestNoiseDensity:
@@ -435,9 +434,9 @@ class TestRadialSpectrum:
     def test_small_radius_limit(self, plane_params):
         lo = LocalOscillator(waist=plane_params.r0)
         res = disk(1e-12 * plane_params.r0, plane_params, lo)
-        assert res.vn == pytest.approx(single_mode_vn(0.9), abs=1e-7)
+        assert res.vn_squeezed == pytest.approx(single_mode_vn(0.9), abs=1e-7)
         small = disk(0.01 * plane_params.r0, plane_params, lo)
-        assert small.vn == pytest.approx(single_mode_vn(0.9), abs=1e-4)
+        assert small.vn_squeezed == pytest.approx(single_mode_vn(0.9), abs=1e-4)
 
     def test_tiny_disk_detects_light(self, plane_params):
         # a non-empty disk has a positive LO measure however small it is,
@@ -446,21 +445,21 @@ class TestRadialSpectrum:
         res = disk(1e-12 * plane_params.r0, plane_params, lo)
         assert res.shot > 0
         assert abs(res.shot - 0.5e-24) <= 1e-9 * 0.5e-24
-        assert abs(res.vn - single_mode_vn(0.9)) <= 1e-12
+        assert abs(res.vn_squeezed - single_mode_vn(0.9)) <= 1e-12
 
     def test_zero_pump_flat(self, plane_params):
         p = replace(plane_params, A_p=0.0)
         lo = LocalOscillator(waist=plane_params.r0)
         for r in (0.3, 1.0, 2.5):
             res = disk(r * plane_params.r0, p, lo)
-            assert res.vn == pytest.approx(1.0, abs=1e-10)
+            assert res.vn_squeezed == pytest.approx(1.0, abs=1e-10)
 
     def test_squeezing_degrades_past_r0(self, plane_params):
         lo = LocalOscillator(waist=plane_params.r0)
         inner = disk(0.3 * plane_params.r0, plane_params, lo)
         outer = disk(3.0 * plane_params.r0, plane_params, lo)
-        assert outer.vn > inner.vn
-        assert inner.vn < 0.02
+        assert outer.vn_squeezed > inner.vn_squeezed
+        assert inner.vn_squeezed < 0.02
 
     def test_disk_only_on_the_plane_pump_far_route(self, monkeypatch, plane_params):
         # radial is a 2-D disk; the 1-D routes (near field, dense modes)
@@ -501,8 +500,8 @@ class TestRadialSpectrum:
             lo = (LocalOscillator() if w_lo is None
                   else LocalOscillator(waist=w_lo))
             for big_x in (0.4, 1.7, 3.0):
-                for phase in (math.pi / 2, 0.0):
-                    got = disk(big_x * p.r0, p, replace(lo, phase=phase)).vn
+                res = disk(big_x * p.r0, p, lo)
+                for phase, got in ((math.pi / 2, res.vn_squeezed), (0.0, res.vn_antisqueezed)):
                     ref = circular_vn(big_x, p, phase, c)
                     assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
@@ -512,15 +511,15 @@ class TestRadialSpectrum:
         r = 1.3 * plane_params.r0
         plane = disk(r, plane_params, LocalOscillator())
         infinite = disk(r, plane_params, LocalOscillator(waist=math.inf))
-        assert (infinite.vn, infinite.shot) == (plane.vn, plane.shot)
+        assert (infinite.vn_squeezed, infinite.shot) == (plane.vn_squeezed, plane.shot)
         wide = disk(r, plane_params, LocalOscillator(waist=1e6 * plane_params.r0))
-        assert abs(wide.vn - plane.vn) <= 1e-11 and abs(wide.shot / plane.shot - 1) <= 1e-11
+        assert abs(wide.vn_squeezed - plane.vn_squeezed) <= 1e-11
+        assert abs(wide.shot / plane.shot - 1) <= 1e-11
 
-    def test_vn_is_one_plus_sn(self, plane_params):
+    def test_vn_is_non_negative(self, plane_params):
         lo = LocalOscillator(waist=plane_params.r0)
         res = disk(1.3 * plane_params.r0, plane_params, lo)
-        assert res.vn == pytest.approx(res.sn + 1.0, abs=1e-12)
-        assert res.vn >= 0.0
+        assert res.vn_squeezed >= 0.0 and res.vn_antisqueezed >= 0.0
 
 
 class TestPlanePumpNearSpectrum:
@@ -531,7 +530,7 @@ class TestPlanePumpNearSpectrum:
         )
         det = DetectorMask.interval(d_scaled * plane_params.l_coh, "near")
         res = squeezing(det, LocalOscillator(), p)
-        assert res.vn == pytest.approx(expected, abs=2e-5)
+        assert res.vn_squeezed == pytest.approx(expected, abs=2e-5)
 
     @pytest.mark.parametrize("a_p", [0.9, 0.99])
     def test_sweep_matches_interval_oracle(self, plane_params, a_p):
@@ -577,14 +576,12 @@ class TestPlanePumpNearSpectrum:
     def test_wide_detector_approaches_single_mode(self, plane_params):
         det = DetectorMask.interval(200.0 * plane_params.l_coh, "near")
         res = squeezing(det, LocalOscillator(), plane_params)
-        assert res.vn == pytest.approx(single_mode_vn(0.9), abs=1e-3)
+        assert res.vn_squeezed == pytest.approx(single_mode_vn(0.9), abs=1e-3)
 
     def test_antisqueezed_quadrature(self, plane_params):
         det = DetectorMask.interval(2.0 * plane_params.l_coh, "near")
-        lo = LocalOscillator()
-        r_sq = squeezing(det, replace(lo, phase=math.pi / 2), plane_params)
-        r_anti = squeezing(det, replace(lo, phase=0.0), plane_params)
-        assert r_sq.vn < 1.0 < r_anti.vn
+        res = squeezing(det, LocalOscillator(), plane_params)
+        assert res.vn_squeezed < 1.0 < res.vn_antisqueezed
 
     def test_dense_consistency_interval(self, plane_params,
                                         dense_plane_near):
@@ -597,7 +594,7 @@ class TestPlanePumpNearSpectrum:
             det = DetectorMask.interval(d, "near")
             dense = squeezing(det, lo, plane_params, modes)
             closed = squeezing(det, lo, plane_params)
-            assert dense.vn == pytest.approx(closed.vn, abs=1e-3)
+            assert dense.vn_squeezed == pytest.approx(closed.vn_squeezed, abs=1e-3)
             assert dense.shot == pytest.approx(closed.shot, rel=2e-2)
 
     def test_dense_consistency_pixel_pair(self, plane_params,
@@ -610,7 +607,7 @@ class TestPlanePumpNearSpectrum:
             det = DetectorMask.pixel_pair(rho, width, "near")
             dense = squeezing(det, lo, plane_params, modes)
             closed = squeezing(det, lo, plane_params)
-            assert dense.vn == pytest.approx(closed.vn, abs=2e-3)
+            assert dense.vn_squeezed == pytest.approx(closed.vn_squeezed, abs=2e-3)
 
     def test_merged_pixels_match_interval(self, plane_params):
         # pixels closer than half a width form one centered interval
@@ -619,7 +616,7 @@ class TestPlanePumpNearSpectrum:
         pair = DetectorMask.pixel_pair(0.0, w, "near")
         merged = squeezing(pair, lo, plane_params)
         interval = squeezing(DetectorMask.interval(w / 2, "near"), lo, plane_params)
-        assert merged.vn == pytest.approx(interval.vn, rel=1e-9)
+        assert merged.vn_squeezed == pytest.approx(interval.vn_squeezed, rel=1e-9)
 
     def test_continuity_at_pixel_merge_point(self, plane_params):
         w = plane_params.l_coh
@@ -628,7 +625,7 @@ class TestPlanePumpNearSpectrum:
                                 plane_params)
         just_split = squeezing(DetectorMask.pixel_pair(w / 2 * 1.0001, w, "near"), lo,
                                plane_params)
-        assert just_merged.vn == pytest.approx(just_split.vn, abs=1e-3)
+        assert just_merged.vn_squeezed == pytest.approx(just_split.vn_squeezed, abs=1e-3)
 
 
 class TestPlanePumpFarSpectrum:
@@ -652,14 +649,14 @@ class TestPlanePumpFarSpectrum:
             det = DetectorMask.interval(q_d * x_of_q, "far")
             dense = squeezing(det, lo, p, modes)
             closed = squeezing(det, lo, p)
-            assert dense.vn == pytest.approx(closed.vn, abs=1e-4)
+            assert dense.vn_squeezed == pytest.approx(closed.vn_squeezed, abs=1e-4)
             # independent Riemann evaluation of the same 1-D density ratio
             qs = np.abs(g.points)
             mask = det.indicator(g, p)
             wgt = np.exp(-2.0 * (qs[mask] * x_of_q / p.r0) ** 2)
             dens = noise_density(g.points[mask], p, math.pi / 2)
             riemann = float(np.sum(wgt * dens) / np.sum(wgt))
-            assert dense.vn == pytest.approx(riemann, abs=1e-4)
+            assert dense.vn_squeezed == pytest.approx(riemann, abs=1e-4)
 
     def test_nonzero_frequency_matches_density(self):
         # at resonance with nonzero analysis frequency the single dense pair
@@ -672,13 +669,14 @@ class TestPlanePumpFarSpectrum:
         modes = solve_io(g, p)
         x_of_q = p.lambda_s * p.f_lens / (2 * math.pi)
         lo = LocalOscillator()
-        for phase, cells in ((math.pi / 2, 96), (0.7, 160)):
+        for phase, cells in ((math.pi / 2, 96), (0.0, 160)):
             q_d = (cells + 0.5) * g.step
             det = DetectorMask.interval(q_d * x_of_q, "far")
-            dense = squeezing(det, replace(lo, phase=phase), p, modes)
+            dense = squeezing(det, lo, p, modes)
+            vn = dense.vn_squeezed if phase else dense.vn_antisqueezed
             mask = det.indicator(g, p)
             dens = noise_density(g.points[mask], p, phase)
-            assert dense.vn == pytest.approx(float(np.mean(dens)), abs=1e-4)
+            assert vn == pytest.approx(float(np.mean(dens)), abs=1e-4)
 
     @pytest.mark.parametrize("detuning,omega_bar", [(0.0, 0.0), (0.3, 0.5)])
     def test_matches_quadpack_oracle(self, detuning, omega_bar):
@@ -698,8 +696,8 @@ class TestPlanePumpFarSpectrum:
         for det, lo in cases:
             c = 0.0 if math.isinf(lo.waist) else 2.0 * (x_of_q / (lo.waist * p.l_coh)) ** 2
             x_lo, x_hi = (b * p.l_coh for b in det.bounds_on_axis(p))
-            for phase in (math.pi / 2, 0.0):
-                got = squeezing(det, replace(lo, phase=phase), p).vn
+            res = squeezing(det, lo, p)
+            for phase, got in ((math.pi / 2, res.vn_squeezed), (0.0, res.vn_antisqueezed)):
                 ref = far_vn(x_lo, x_hi, p, phase, c)
                 assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
@@ -709,7 +707,7 @@ class TestPlanePumpFarSpectrum:
         q_c = 0.8 / p.l_coh
         det = DetectorMask.pixel_pair(q_c * x_of_q, 0.002 * x_of_q / p.l_coh, "far")
         res = squeezing(det, LocalOscillator(), p)
-        assert res.vn == pytest.approx(
+        assert res.vn_squeezed == pytest.approx(
             float(noise_density(q_c, p, math.pi / 2)), abs=1e-4
         )
 
@@ -722,14 +720,21 @@ class TestSweep:
         for pt, v in zip(pts, values):
             ref = squeezing(DetectorMask.interval(v, "near"), LocalOscillator(),
                             plane_params)
-            assert pt.vn_squeezed == pytest.approx(ref.vn, rel=1e-12)
-            assert pt.value == v
+            assert pt.vn_squeezed == pytest.approx(ref.vn_squeezed, rel=1e-12)
             assert pt.vn_antisqueezed > 1.0
 
     def test_zero_size_point_is_shot_noise(self, plane_params):
         pts = sweep(plane_params, "near", "interval",
                     [0.0, plane_params.l_coh], LocalOscillator())
         assert pts[0].vn_squeezed == 1.0 and pts[0].vn_antisqueezed == 1.0
+
+    @pytest.mark.parametrize("plane_pump", [True, False])
+    def test_zero_size_point_names_the_empty_route(self, plane_params, plane_pump):
+        # a zero-size point runs no route, and its result says so
+        p = plane_params if plane_pump else replace(plane_params, w_p=2 * plane_params.l_coh)
+        pts = sweep(p, "near", "interval", [0.0, p.l_coh], LocalOscillator())
+        assert pts[0] == SqueezingResult(1.0, 1.0, 0.0, "empty")
+        assert pts[1].route == ("planepump_near" if plane_pump else "dense")
 
     @pytest.mark.parametrize("plane_pump", [True, False])
     def test_zero_radius_far_point_is_shot_noise(self, plane_params, plane_pump):
@@ -867,14 +872,10 @@ class TestOnePath:
                 det = DetectorMask.pixel_pair(value, pixel_width, plane)
             else:
                 det = getattr(DetectorMask, shape)(value, plane)
-            sq = squeezing(det, replace(lo, phase=math.pi / 2), p, modes)
-            anti = squeezing(det, replace(lo, phase=0.0), p, modes)
-            assert pt.vn_squeezed == sq.vn
-            assert pt.vn_antisqueezed == anti.vn
-            assert pt.shot == sq.shot == anti.shot
             route = ("dense" if modes is not None else "planepump_near" if plane == "near"
                      else "planepump_disk" if shape == "radial" else "planepump_far")
-            assert sq.meta == anti.meta == {"route": route}
+            assert pt == squeezing(det, lo, p, modes)
+            assert pt.route == route
 
     @pytest.mark.parametrize("shape", ["radial", "interval"])
     def test_far_routes_evaluate_gain_once_per_chunk(self, monkeypatch, plane_params,
@@ -909,6 +910,20 @@ class TestOnePath:
         assert len(passes) == 1 and len(chunks) >= 1
         assert gains == [t.shape for t, _ in chunks]
         assert noises == [(t.shape, phase) for t, _ in chunks for phase in (math.pi / 2, 0.0)]
+
+    @pytest.mark.parametrize("key,value", [("A_p", 0.1), ("omega_bar", 3.0), ("w_p", 1e-4)])
+    def test_modes_of_another_configuration_are_refused(self, plane_params, key, value):
+        # the dense route reads the configuration its modes were solved for:
+        # a p that differs from it is refused, naming the field, not ignored
+        p = replace(plane_params, w_p=2.0 * plane_params.l_coh)
+        modes = solve_io(auto_grid(p, "near", reaches=(p.l_coh,)), p)
+        q = replace(p, **{key: value})
+        det = DetectorMask.interval(p.l_coh, "near")
+        with pytest.raises(ConfigurationError, match=f"^the modes were solved for {key} = "):
+            squeezing(det, LocalOscillator(), q, modes)
+        with pytest.raises(ConfigurationError, match=f"for {key} = "):
+            sweep(q, "near", "interval", [p.l_coh], LocalOscillator(), modes=modes)
+        assert squeezing(det, LocalOscillator(), p, modes).route == "dense"
 
     def test_band_past_the_lo_spot_is_refused(self, plane_params):
         # a Gaussian LO whose intensity underflows to 0 on the whole band

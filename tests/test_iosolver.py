@@ -109,7 +109,7 @@ class TestDenseSolve:
         p, g = gauss_setup(b=25.0, a_p=0.7, detuning=0.8, omega_bar=1.5)
         modes = solve_io(g, p)
         assert max(residuals(*dense_uv(modes))) <= 1e-10
-        assert modes.at == (0.8, 1.5)
+        assert (modes.p.detuning, modes.p.omega_bar) == (0.8, 1.5)
 
     def test_thin_crystal_diagonal_dominance(self):
         # local interaction at l_c / z_C = 1e-4 on a fully resolved grid:
@@ -178,7 +178,7 @@ class TestDenseSolve:
                 return lam, q
 
             lam, q = corrupted(block)
-            modes = iosolver.CavityModes(grid=g, at=(0.0, 0.0), q=q, lam=lam)
+            modes = iosolver.CavityModes(grid=g, p=p, q=q, lam=lam)
             broken = max(residuals(*dense_uv(modes))) > 1e-6
             assert broken or eps < 1e-3
             monkeypatch.setattr(iosolver, "eigh", corrupted)

@@ -259,10 +259,21 @@ class TestGrid1D:
     @pytest.mark.parametrize("n,half_extent,domain", [
         (1, 1.0, "near"), (33, 0.0, "near"), (33, -1.0, "far"), (33, 1.0, "focal"),
         (33, math.nan, "near"), (33, math.inf, "far"),
+        # a size that is not an integer, and a half extent that is not a number
+        pytest.param(641.0, 1.0, "near", id="n-float"),
+        pytest.param(641.5, 1.0, "near", id="n-fraction"),
+        pytest.param("129", 1.0, "near", id="n-str"),
+        pytest.param(None, 1.0, "near", id="n-none"),
+        pytest.param(33, "1.0", "near", id="half_extent-str"),
+        pytest.param(33, None, "far", id="half_extent-none"),
     ])
     def test_bad_uniform_grid_rejected(self, n, half_extent, domain):
         with pytest.raises(ConfigurationError):
             Grid1D.uniform(n, half_extent, domain)
+
+    def test_numpy_integer_size_accepted(self):
+        g = Grid1D.uniform(np.int64(33), 1.0, "near")
+        assert g.n == 33 and len(g.points) == 33
 
     def test_flip_index(self):
         g = Grid1D.uniform(64, 1.0, "far")

@@ -13,7 +13,7 @@ def test_quick_tour_runs():
     ns = {}
     exec(compile(block, str(README), "exec"), ns)
     res, pts = ns["res"], ns["pts"]
-    assert 0.0 < res.vn < 1.0 and math.isfinite(res.shot)
-    assert res.meta["route"] == "dense"
-    assert pts[1].vn_squeezed == res.vn
+    assert 0.0 < res.vn_squeezed < 1.0 < res.vn_antisqueezed and math.isfinite(res.shot)
+    assert res.route == "dense"
+    assert pts[1] == res
     assert all(pt.vn_squeezed < 1.0 < pt.vn_antisqueezed for pt in pts)

@@ -16,6 +16,10 @@ Every ``curve*.csv`` and ``summary.txt`` is then compared.  The script
 prints one line per command and exits 1 on any difference: a file that
 differs or that one side lacks, or a differing exit code.  It exits 0 when
 every output is byte-identical.
+
+It first prints the size of each tree: the ``wc -l`` total of
+``confocal_opo/*.py`` and the number of names in ``confocal_opo.__all__``.
+These lines are informational and leave the exit code as it is.
 """
 
 from __future__ import annotations
@@ -63,6 +67,17 @@ def run(src: Path, args: list[str], config: str | None, outdir: Path) -> int:
     return proc.returncode
 
 
+def size(src: Path) -> str:
+    """The ``wc -l`` total of the package's modules and the length of its
+    ``__all__``, read in a fresh process with ``src`` first on the path."""
+    lines = sum(f.read_bytes().count(b"\n") for f in (src / "confocal_opo").glob("*.py"))
+    code = "import confocal_opo; print(len(confocal_opo.__all__))"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True)
+    names = proc.stdout.strip() if proc.returncode == 0 else "?"
+    return f"{lines} lines in confocal_opo/*.py, {names} names in confocal_opo.__all__"
+
+
 def outputs(outdir: Path) -> dict[str, bytes]:
     files = sorted(outdir.glob("curve*.csv")) + sorted(outdir.glob("summary.txt"))
     return {f.name: f.read_bytes() for f in files}
@@ -95,6 +110,8 @@ def main(argv=None) -> int:
     for src in srcs:
         if not (src / "confocal_opo" / "__init__.py").is_file():
             parser.error(f"{src} holds no confocal_opo package")
+    for side, src in zip(("parent", "change"), srcs):
+        print(f"{side}: {size(src)}")
     cmds, failed = commands(), 0
     with tempfile.TemporaryDirectory() as tmp:
         for i, (name, cli_args, config) in enumerate(cmds):
