@@ -258,7 +258,8 @@ def run_scenario(sc: Scenario, outdir: Path, csv_name: str = "curve.csv") -> flo
     return 1.0 - (p.A_p if modes is None else float(np.abs(modes.lam).max()))
 
 def _modes(sc: Scenario) -> CavityModes | None:
-    """The modes of the sweep's one dense solve, None for a plane pump.  A
+    """The modes of the sweep's one dense solve, None for a plane pump: the
+    one place a run sizes and solves a grid, as ``sweep`` solves none.  A
     grid_n or grid_L left out comes from the sizing rule: the half extent
     from the sweep's detectors and LO, n from the step rule on grid_L."""
     p = sc.params
@@ -376,7 +377,7 @@ def run_fig(fig_id: int, overrides: dict, outdir: Path) -> None:
 def _run_fig2(overrides: dict, outdir: Path) -> None:
     p = _preset_params(overrides, w_p=math.inf)
     xs = np.linspace(0.0, 4.0, 401)
-    rows = [(x, float(delta_2d(x * p.l_coh, p)) * p.l_coh**2) for x in xs]
+    rows = zip(xs, delta_2d(xs * p.l_coh, p) * p.l_coh**2)
     sc_pairs = [("label", "fig2"), ("lambda_s", p.lambda_s), ("n_s", p.n_s),
                 ("l_c", p.l_c), ("l_coh", p.l_coh)]
     _write_curve(outdir / "curve.csv", _echo(sc_pairs), "r_over_lcoh,delta_lcoh2", rows)

@@ -9,10 +9,11 @@ detector area.  Its noise spectrum normalized to shot noise is
 ``squeezing(det, lo, p, modes=None)`` is the one entry point: it returns
 vn of one detector in both canonical quadratures, the squeezed phi = pi/2
 and the anti-squeezed phi = 0, from one pass (``SqueezingResult``).
-``sweep`` runs a family of detectors through it.  A detector is its band
-inner <= |x| <= outer (``DetectorMask``), and every evaluator reads only
-that band.  Each returns the shot noise N and vn at both phases, and
-``squeezing`` picks one and records its name:
+``sweep`` runs a family of detectors through it.  This module sizes and
+solves no grid: the dense route contracts the modes its caller solved.  A
+detector is its band inner <= |x| <= outer (``DetectorMask``), and every
+evaluator reads only that band.  Each returns the shot noise N and vn at
+both phases, and ``squeezing`` picks one and records its name:
 
 * With the cavity modes of a dense solve (K = Q diag(lambda) Q^T, per-mode
   transform u, v; see ``iosolver``), ``_noise_terms`` contracts the
@@ -81,8 +82,8 @@ from .errors import (
     NumericalFailure,
     PlaneMismatch,
 )
-from .iosolver import CavityModes, solve_io
-from .kernels import _EXTENT_FACTOR, Grid1D, auto_grid, phase_match_sinc
+from .iosolver import CavityModes
+from .kernels import _EXTENT_FACTOR, Grid1D, phase_match_sinc
 from .params import OpoParams, _real
 
 __all__ = [
@@ -115,8 +116,7 @@ class DetectorMask:
     closer than half a width merge into one centered interval); ``radial`` a
     far-field disk, the band [0, radius] with the polar weight t.  Only the
     plane-pump far-field quadrature computes a disk: a near ``radial`` is
-    refused here, and a ``radial`` on the 1-D dense modes by ``squeezing``
-    and ``sweep``.
+    refused here, and a ``radial`` on the 1-D dense modes by ``squeezing``.
     """
 
     shape: str
@@ -549,25 +549,17 @@ def sweep(
     """Deterministic noise curve over a family of detector settings.
 
     ``values`` are interval half widths / radii, or pixel center distances
-    (with ``pixel_width``), in detection-plane meters.  Plane-pump scenarios
-    run on the closed-form diagonal routes.  A finite pump contracts every
-    detector over ``modes``, the ``CavityModes`` of one dense solve on a
-    ``plane`` grid; without them the sweep solves once on the grid
-    ``auto_grid`` sizes for its detectors.  Every point is the
-    ``SqueezingResult`` of ``squeezing`` on its detector; a zero-size
+    (with ``pixel_width``), in detection-plane meters.  Every point is the
+    ``SqueezingResult`` of ``squeezing`` on its detector and ``modes``: a
+    finite pump needs the ``CavityModes`` of one dense solve on a ``plane``
+    grid, as the sweep sizes and solves none (``auto_grid(p, plane,
+    *sweep_extents(...))`` sizes one for its detectors).  A zero-size
     interval or disk reads shot noise, ``SqueezingResult(1.0, 1.0, 0.0,
     "empty")``.  Results are returned in the order of ``values``.
     """
     values = [float(v) for v in values]
     if any(v < 0 for v in values):
         raise ConfigurationError("sweep values must be non-negative")
-    if detector_shape == "radial" and not p.plane_pump:
-        raise ConfigurationError(_DISK_ONLY)  # before the solve; squeezing refuses given modes
-
-    if modes is None and not p.plane_pump:
-        grid = auto_grid(p, plane, *sweep_extents(p, plane, detector_shape, values, lo,
-                                                   pixel_width))
-        modes = solve_io(grid, p)
     return [SqueezingResult(1.0, 1.0, 0.0, "empty") if _zero_size(detector_shape, value)
             else squeezing(_mask_for(detector_shape, value, pixel_width, plane), lo, p, modes)
             for value in values]

@@ -13,8 +13,11 @@ import numpy as np
 from confocal_opo import (
     AtOrAboveThreshold,
     ConfigurationError,
+    auto_grid,
     mode_uv,
     phase_match_sinc,
+    solve_io,
+    sweep_extents,
 )
 from confocal_opo.homodyne import _mode_noise
 from confocal_opo.kernels import _far_even, _pair_sinc, _pump_transform, build_kernel_matrix
@@ -63,6 +66,14 @@ def grid_modes(modes):
     if modes.grid.domain == "far":
         return modes.q
     return cosine(modes.grid).T @ modes.q
+
+
+def sweep_modes(p, plane, shape, values, lo, pixel_width=None):
+    """The modes of one dense solve on the grid ``auto_grid`` sizes for a
+    sweep's detectors and LO, the grid a run without grid_n or grid_L
+    solves."""
+    return solve_io(auto_grid(p, plane, *sweep_extents(p, plane, shape, values, lo,
+                                                        pixel_width)), p)
 
 
 def unchecked_kernel(g, p):

@@ -28,7 +28,7 @@ from confocal_opo import (
     sweep,
 )
 from confocal_opo.cli import main
-from helpers import analytic_uv_planepump, noise_density
+from helpers import analytic_uv_planepump, noise_density, sweep_modes
 from lu_reference import residuals
 from modes_reference import dense_uv, even_diagonal
 from planepump_reference import (
@@ -178,8 +178,9 @@ def test_criterion_08_pixel_pair_finite_pump():
     p0 = base_params()
     p = replace(p0, w_p=10.0 * p0.l_coh)  # b = 100
     values = [0.0, 3.0 * p.w_p]
-    pts = sweep(p, "near", "pixel_pair", values, LocalOscillator(),
-                pixel_width=p.l_coh)
+    lo = LocalOscillator()
+    pts = sweep(p, "near", "pixel_pair", values, lo, pixel_width=p.l_coh,
+                modes=sweep_modes(p, "near", "pixel_pair", values, lo, p.l_coh))
     vn_zero, vn_far = pts[0].vn_squeezed, pts[1].vn_squeezed
     ok = vn_zero < 0.9 and vn_far > 0.95
     assert _report(8, ok, f"b = 100 pixel pair: vn(0) = {vn_zero:.4f} (< 0.9), "

@@ -436,7 +436,8 @@ import math
 import sys
 from dataclasses import replace
 import numpy as np
-from confocal_opo import LocalOscillator, OpoParams, delta_2d, sweep
+from confocal_opo import (LocalOscillator, OpoParams, auto_grid, delta_2d, solve_io, sweep,
+                         sweep_extents)
 from confocal_opo.cli import main
 
 plane = OpoParams(lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.9,
@@ -444,8 +445,11 @@ plane = OpoParams(lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.9,
 gauss = replace(plane, w_p=2.0 * plane.l_coh)
 delta_2d(np.linspace(0.0, 4.0, 41) * plane.l_coh, plane)
 sweep(plane, "near", "interval", [0.5 * plane.l_coh, 20.0 * plane.l_coh], LocalOscillator())
-sweep(gauss, "near", "interval", [0.5 * plane.l_coh, plane.l_coh], LocalOscillator())
-sweep(gauss, "far", "interval", [0.5 * plane.r0, plane.r0], LocalOscillator())
+for where, values in (("near", [0.5 * plane.l_coh, plane.l_coh]),
+                      ("far", [0.5 * plane.r0, plane.r0])):
+    grid = auto_grid(gauss, where, *sweep_extents(gauss, where, "interval", values,
+                                                   LocalOscillator()))
+    sweep(gauss, where, "interval", values, LocalOscillator(), modes=solve_io(grid, gauss))
 sweep(plane, "far", "radial", [0.5 * plane.r0], LocalOscillator(waist=plane.r0))
 for fig in ("2", "5", "8"):
     assert main(["fig", "--id", fig, "--out", f"{sys.argv[1]}/fig{fig}"]) == 0

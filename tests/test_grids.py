@@ -71,7 +71,8 @@ def _assert_matches_wide(case, shape, values, lo, pixel_width=None):
     p = sc.params
     grid = _auto(sc, shape, values, lo, pixel_width)
     assert (grid.n, grid.half_extent) == (case.grid.n, case.grid.half_extent)
-    auto = sweep(p, sc.plane, shape, values, lo, pixel_width=pixel_width)
+    auto = sweep(p, sc.plane, shape, values, lo, pixel_width=pixel_width,
+                 modes=solve_io(grid, p))
     ref = sweep(p, sc.plane, shape, values, lo, pixel_width=pixel_width, modes=case.wide)
     for value, pt, wide in zip(values, auto, ref):
         for vn, vn_wide in ((pt.vn_squeezed, wide.vn_squeezed),

@@ -23,7 +23,7 @@ from confocal_opo import (
 )
 import confocal_opo.kernels as kernels
 from confocal_opo.homodyne import _conjugate_image
-from helpers import cosine, noise_density
+from helpers import cosine, noise_density, sweep_modes
 from lu_reference import lu_noise
 from planepump_reference import (
     circular_vn,
@@ -461,11 +461,9 @@ class TestRadialSpectrum:
         assert outer.vn_squeezed > inner.vn_squeezed
         assert inner.vn_squeezed < 0.02
 
-    def test_disk_only_on_the_plane_pump_far_route(self, monkeypatch, plane_params):
+    def test_disk_only_on_the_plane_pump_far_route(self, plane_params):
         # radial is a 2-D disk; the 1-D routes (near field, dense modes)
         # refuse it rather than run the interval of the same half width
-        import confocal_opo.homodyne as homodyne
-
         r = 0.5 * plane_params.r0
         for make in (lambda: DetectorMask.radial(plane_params.l_coh, "near"),
                      lambda: DetectorMask("radial", "near", 0.0, plane_params.l_coh)):
@@ -480,9 +478,8 @@ class TestRadialSpectrum:
                 squeezing(DetectorMask.radial(r, "far"), LocalOscillator(), q, modes)
             with pytest.raises(ConfigurationError, match="radial"):
                 sweep(q, "far", "radial", [r], LocalOscillator(), modes=modes)
-        # a finite pump without modes is refused before its sweep solves
-        monkeypatch.setattr(homodyne, "solve_io", lambda *args: pytest.fail("solved"))
-        with pytest.raises(ConfigurationError, match="radial"):
+        # a finite pump without modes has no route at all, disk or not
+        with pytest.raises(ConfigurationError, match="finite pump"):
             sweep(p, "far", "radial", [r], LocalOscillator())
 
     @pytest.mark.parametrize("radius", [-1e-4, math.inf, math.nan])
@@ -711,6 +708,27 @@ class TestPlanePumpFarSpectrum:
             float(noise_density(q_c, p, math.pi / 2)), abs=1e-4
         )
 
+    def test_panel_blocks_continue_past_the_first(self, monkeypatch, plane_params):
+        # a band past t = 2 sqrt(_CHUNK pi) ~ 227, a far detector wider than
+        # ~113 r0, takes its sinc zeros in more than one block; every result
+        # equals the one-block evaluation
+        import confocal_opo.homodyne as homodyne
+
+        p = plane_params
+        cases = [(getattr(DetectorMask, shape)(x * p.r0, "far"), lo)
+                 for shape in ("interval", "radial") for x in (150.0, 400.0)
+                 for lo in (LocalOscillator(), LocalOscillator(waist=30.0 * p.r0))]
+        for det, _ in cases:  # t = 2 r / r0 spans more sinc zeros than one block
+            assert (2.0 * det.outer / p.r0) ** 2 / (4.0 * math.pi) > homodyne._CHUNK
+        blocks = [squeezing(det, lo, p) for det, lo in cases]
+        monkeypatch.setattr(homodyne, "_CHUNK", 2**20)
+        for (det, lo), got in zip(cases, blocks):
+            ref = squeezing(det, lo, p)
+            assert got.route == ref.route
+            assert abs(got.vn_squeezed - ref.vn_squeezed) <= 1e-14
+            assert abs(got.vn_antisqueezed - ref.vn_antisqueezed) <= 1e-14
+            assert abs(got.shot / ref.shot - 1.0) <= 1e-14
+
 
 class TestSweep:
     def test_plane_near_matches_pointwise(self, plane_params):
@@ -732,7 +750,10 @@ class TestSweep:
     def test_zero_size_point_names_the_empty_route(self, plane_params, plane_pump):
         # a zero-size point runs no route, and its result says so
         p = plane_params if plane_pump else replace(plane_params, w_p=2 * plane_params.l_coh)
-        pts = sweep(p, "near", "interval", [0.0, p.l_coh], LocalOscillator())
+        values = [0.0, p.l_coh]
+        modes = None if plane_pump else sweep_modes(p, "near", "interval", values,
+                                                    LocalOscillator())
+        pts = sweep(p, "near", "interval", values, LocalOscillator(), modes=modes)
         assert pts[0] == SqueezingResult(1.0, 1.0, 0.0, "empty")
         assert pts[1].route == ("planepump_near" if plane_pump else "dense")
 
@@ -745,9 +766,23 @@ class TestSweep:
             plane_params, w_p=4 * plane_params.l_coh)
         r0 = plane_params.r0
         lo = LocalOscillator(waist=r0)
-        pts = sweep(p, "far", "radial" if plane_pump else "interval", [0.0, 0.5 * r0], lo)
+        shape, values = "radial" if plane_pump else "interval", [0.0, 0.5 * r0]
+        modes = None if plane_pump else sweep_modes(p, "far", shape, values, lo)
+        pts = sweep(p, "far", shape, values, lo, modes=modes)
         assert (pts[0].vn_squeezed, pts[0].vn_antisqueezed, pts[0].shot) == (1.0, 1.0, 0.0)
         assert pts[1].vn_squeezed < 1.0 < pts[1].vn_antisqueezed and pts[1].shot > 0
+
+    @pytest.mark.parametrize("plane", ["near", "far"])
+    def test_finite_pump_needs_modes(self, plane_params, plane):
+        # sweep contracts the modes it is given and solves none: a finite
+        # pump without them is refused at its first non-empty point, and a
+        # sweep of zero-size detectors alone reads shot noise
+        p = replace(plane_params, w_p=2.0 * plane_params.l_coh)
+        unit = p.l_coh if plane == "near" else p.r0
+        with pytest.raises(ConfigurationError, match="finite pump"):
+            sweep(p, plane, "interval", [0.0, unit], LocalOscillator())
+        empty = SqueezingResult(1.0, 1.0, 0.0, "empty")
+        assert sweep(p, plane, "interval", [0.0, 0.0], LocalOscillator()) == [empty, empty]
 
     def test_more_modes_keep_squeezing_at_large_detectors(self):
         # ordering by mode count: at a fixed large detector the wider pump
@@ -771,18 +806,20 @@ class TestSweep:
         )
         p = replace(p0, w_p=2.0 * p0.l_coh)
         values = [0.0, 6.0 * p0.l_coh]
-        pts = sweep(p, "near", "pixel_pair", values, LocalOscillator(),
-                    pixel_width=p0.l_coh)
+        lo = LocalOscillator()
+        pts = sweep(p, "near", "pixel_pair", values, lo, pixel_width=p0.l_coh,
+                    modes=sweep_modes(p, "near", "pixel_pair", values, lo, p0.l_coh))
         assert pts[0].vn_squeezed < 0.9  # squeezing survives at contact
         assert pts[1].vn_squeezed > 0.95  # far pixels are uncorrelated vacuum
 
     def test_detuned_finite_frequency_sweep(self, plane_params):
-        # both detuning and analysis frequency nonzero: the sweep solves the
-        # opposite-frequency system itself
+        # both detuning and analysis frequency nonzero: the modes of one
+        # solve give the opposite-frequency system too
         p = replace(plane_params, w_p=3 * plane_params.l_coh,
                     detuning=0.3, omega_bar=0.5)
-        pts = sweep(p, "near", "interval", [2 * plane_params.l_coh],
-                    LocalOscillator())
+        values = [2 * plane_params.l_coh]
+        pts = sweep(p, "near", "interval", values, LocalOscillator(),
+                    modes=sweep_modes(p, "near", "interval", values, LocalOscillator()))
         assert 0.0 <= pts[0].vn_squeezed < 1.0
         assert np.isfinite(pts[0].vn_antisqueezed)
 
@@ -815,8 +852,9 @@ class TestSweep:
                     list(np.linspace(0.1, 2.0, 5) * plane_params.r0),
                     LocalOscillator(waist=plane_params.r0))
         p_g = replace(plane_params, w_p=3 * plane_params.l_coh)
-        dense = sweep(p_g, "near", "interval",
-                      list(np.linspace(0.5, 6.0, 4) * plane_params.l_coh), LocalOscillator())
+        values = list(np.linspace(0.5, 6.0, 4) * plane_params.l_coh)
+        dense = sweep(p_g, "near", "interval", values, LocalOscillator(),
+                      modes=sweep_modes(p_g, "near", "interval", values, LocalOscillator()))
         for pt in near + far + dense:
             assert pt.vn_squeezed >= 0.0
             assert pt.vn_squeezed <= pt.vn_antisqueezed + 1e-12
@@ -864,8 +902,7 @@ class TestOnePath:
         values = [0.7 * unit, 2.3 * unit]
         modes = None
         if pump == "gaussian":
-            grid = auto_grid(p, plane, *sweep_extents(p, plane, shape, values, lo, pixel_width))
-            modes = solve_io(grid, p)
+            modes = sweep_modes(p, plane, shape, values, lo, pixel_width)
         pts = sweep(p, plane, shape, values, lo, pixel_width=pixel_width, modes=modes)
         for pt, value in zip(pts, values):
             if shape == "pixel_pair":
@@ -931,10 +968,11 @@ class TestOnePath:
         unit = plane_params.r0
         lo = LocalOscillator(waist=0.3 * unit)
         p = replace(plane_params, w_p=2.0 * plane_params.l_coh)
-        for q in (plane_params, p):
+        values = [20.0 * unit]
+        for q, modes in ((plane_params, None),
+                         (p, sweep_modes(p, "far", "pixel_pair", values, lo, unit))):
             with pytest.raises(EmptyDetector, match="LO"):
-                sweep(q, "far", "pixel_pair", [20.0 * unit], lo,
-                      pixel_width=unit)
+                sweep(q, "far", "pixel_pair", values, lo, pixel_width=unit, modes=modes)
 
     def test_route_errors(self, plane_params):
         det = DetectorMask.interval(plane_params.l_coh, "near")
