@@ -7,6 +7,8 @@ the library's own pieces.
 """
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +23,33 @@ from confocal_opo import (
 )
 from confocal_opo.homodyne import _mode_noise
 from confocal_opo.kernels import _far_even, _pair_sinc, _pump_transform, build_kernel_matrix
+
+
+#: golden outputs of the CLI, one directory per command
+GOLDEN = Path(__file__).resolve().parent / "golden"
+#: a number as the CLI writes it (``{:.12g}``), also inside a label or key
+_NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def golden_commands():
+    """{name: CLI arguments without --out} of every golden output set: each
+    figure preset, and ``run`` on each explicit-grid config in ``GOLDEN``."""
+    cmds = {f"fig{i}": ["fig", "--id", str(i)] for i in (2, 5, 6, 7, 8, 9, 10)}
+    cmds.update({cfg.stem: ["run", "--config", str(cfg)] for cfg in sorted(GOLDEN.glob("*.cfg"))})
+    return cmds
+
+
+def output_files(outdir):
+    """{file name: text} of the curves and summary a command wrote."""
+    files = sorted(outdir.glob("curve*.csv")) + sorted(outdir.glob("summary.txt"))
+    return {f.name: f.read_text() for f in files}
+
+
+def split_numbers(line):
+    """(text, numbers) of one output line: the pieces between its numbers,
+    and the numbers as floats."""
+    parts = _NUMBER.split(line)
+    return parts[0::2], [float(x) for x in parts[1::2]]
 
 
 def flip(g, i):

@@ -11,8 +11,8 @@ fresh Python process with that tree first on ``PYTHONPATH``:
   near and far dense solves (n = 1,921 and 2,881);
 * every ``run`` invocation of the benchmark's workloads at seed 0, read
   through ``perfbench/workloads.invocations(name, 0)``;
-* three Gaussian-pump ``run`` configs at b = 25 that set ``grid_n`` only,
-  ``grid_L`` only, and both (``EXPLICIT_GRID_RUNS``), so the CLI's
+* the Gaussian-pump ``run`` configs at b = 25 in ``tests/golden/*.cfg``,
+  which set ``grid_n`` only, ``grid_L`` only, and both, so the CLI's
   explicit-grid solves are compared too.
 
 Every ``curve*.csv`` and ``summary.txt`` is then compared.  The script
@@ -44,21 +44,8 @@ import workloads  # noqa: E402
 FIGURES = [["fig", "--id", str(i)] for i in (2, 5, 6, 7, 8, 9, 10)]
 FIGURES += [["fig", "--id", str(i), "--set", "b=900"] for i in (6, 9)]
 SEED = 0
-# b = 25 (w_p = 5 l_coh = 200 um); each grid is at least as fine as the step
-# rule asks and covers the sizing rule's extent
-_B25 = ("lambda_s = 1.064e-6\nn_s = 2.12\nl_c = 0.01\nz_C = 0.05\nA_p = 0.9\n"
-        "pump = gaussian\nw_p = 2.0e-4\nsweep_points = 9\n")
-EXPLICIT_GRID_RUNS = {
-    # n = 401 on the auto half extent 4 w_p (auto n = 321)
-    "grid_n": _B25 + "plane = near\ndetector = interval\nsweep_min = 0.0\n"
-                     "sweep_max = 4.0e-4\ngrid_n = 401\n",
-    # L = 1 mm, n = 401 from the step rule l_coh / 8
-    "grid_L": _B25 + "plane = near\ndetector = pixel_pair\nsweep_min = 0.0\n"
-                     "sweep_max = 4.0e-4\ngrid_L = 1.0e-3\n",
-    # L = 1.6e5 /m past the band 6 / l_coh, step 615 /m under 1 / (8 w_p)
-    "grid_n+grid_L": _B25 + "plane = far\ndetector = interval\nsweep_min = 0.0\n"
-                            "sweep_max = 0.4e-3\ngrid_n = 521\ngrid_L = 1.6e5\n",
-}
+#: the explicit-grid run configs, shared with the golden-output test
+EXPLICIT_GRID_RUNS = sorted((ROOT / "tests" / "golden").glob("*.cfg"))
 
 
 def commands() -> list[tuple[str, list[str], str | None]]:
@@ -68,7 +55,7 @@ def commands() -> list[tuple[str, list[str], str | None]]:
         for inv in workloads.invocations(workload, SEED):
             if inv.config is not None:
                 out.append((f"run {inv.name} (seed {SEED})", list(inv.args), inv.config))
-    out += [(f"run {name}", ["run"], config) for name, config in EXPLICIT_GRID_RUNS.items()]
+    out += [(f"run {cfg.stem}", ["run"], cfg.read_text()) for cfg in EXPLICIT_GRID_RUNS]
     return out
 
 
