@@ -41,8 +41,6 @@ from .homodyne import (
     LocalOscillator,
     SqueezingResult,
     squeezing,
-    sweep,
-    sweep_extents,
 )
 
 __all__ = [
@@ -50,7 +48,7 @@ __all__ = [
     "Grid1D", "auto_grid", "delta_2d", "phase_match_sinc", "si",
     "CavityModes", "mode_uv", "solve_io",
     "DetectorMask", "LocalOscillator", "SqueezingResult",
-    "squeezing", "sweep", "sweep_extents",
+    "squeezing",
     "OpoError", "ConfigurationError", "NumericalFailure", "NonPhysical",
     "AboveThreshold", "EmptyDetector", "PlaneMismatch",
     "GridTooCoarse", "SingularSystem", "AtOrAboveThreshold",

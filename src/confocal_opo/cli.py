@@ -22,7 +22,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, NumericalFailure, OpoError
-from .homodyne import _PHASES, LocalOscillator, _check_threshold, _mode_noise, sweep, sweep_extents
+from .homodyne import (_PHASES, DetectorMask, LocalOscillator, _check_threshold, _mode_noise,
+                       squeezing)
 from .iosolver import CavityModes, solve_io
 from .kernels import MAX_GRID_N, Grid1D, auto_grid, delta_2d, phase_match_sinc
 from .params import OpoParams
@@ -240,36 +241,53 @@ def _scenario_echo(sc: Scenario):
     return pairs
 
 def run_scenario(sc: Scenario, outdir: Path, csv_name: str = "curve.csv") -> float:
-    """Write the sweep's curve; return the threshold margin 1 - max|lam| of
-    its solve (1 - A_p for a plane pump, whose strongest mode is q = 0)."""
+    """Write the sweep's curve, one row per value: ``squeezing`` of its
+    detector on the modes of the sweep's one solve, or shot noise (vn = 1,
+    N = 0) for a zero-size interval or disk, which detects nothing.  Return
+    the threshold margin 1 - max|lam| of the solve (1 - A_p for a plane
+    pump, whose strongest mode is q = 0)."""
     p = sc.params
-    modes = _modes(sc)
-    results = sweep(
-        p, sc.plane, sc.detector, sc.values, sc.lo,
-        pixel_width=sc.pixel_width, modes=modes,
-    )
-    rows = [
-        (float(value) / sc.abscissa_scale, res.vn_squeezed, res.vn_antisqueezed, res.shot)
-        for value, res in zip(sc.values, results)
-    ]
+    dets = [_detector(sc, float(value)) for value in sc.values]
+    modes = _modes(sc, dets)
+    rows = []
+    for value, det in zip(sc.values, dets):
+        x = float(value) / sc.abscissa_scale
+        if det is None:
+            rows.append((x, 1.0, 1.0, 0.0))
+        else:
+            res = squeezing(det, sc.lo, p, modes)
+            rows.append((x, res.vn_squeezed, res.vn_antisqueezed, res.shot))
     outdir.mkdir(parents=True, exist_ok=True)
     _write_curve(outdir / csv_name, _echo(_scenario_echo(sc)),
                  "abscissa,vn_squeezed,vn_antisqueezed,shot", rows)
     return 1.0 - (p.A_p if modes is None else float(np.abs(modes.lam).max()))
 
-def _modes(sc: Scenario) -> CavityModes | None:
+def _detector(sc: Scenario, value: float) -> DetectorMask | None:
+    """The sweep's detector at ``value`` (a half width, radius or pixel
+    center distance), None for a zero-size interval or disk."""
+    if sc.detector == "pixel_pair":
+        return DetectorMask.pixel_pair(value, sc.pixel_width, sc.plane)
+    if value == 0:
+        return None
+    return getattr(DetectorMask, sc.detector)(value, sc.plane)
+
+def _modes(sc: Scenario, dets) -> CavityModes | None:
     """The modes of the sweep's one dense solve, None for a plane pump: the
-    one place a run sizes and solves a grid, as ``sweep`` solves none.  A
-    grid_n or grid_L left out comes from the sizing rule: the half extent
-    from the sweep's detectors and LO, n from the step rule on grid_L."""
+    one place a run sizes and solves a grid.  A grid_n or grid_L left out
+    comes from the sizing rule: the half extent from the outer reach of the
+    detectors ``dets`` and the LO spot, n from the step rule on grid_L."""
     p = sc.params
     if p.plane_pump:
         return None
     n, half = sc.grid_n, sc.grid_L
     if n is None or half is None:
-        cover = ((), (half,)) if half is not None else sweep_extents(
-            p, sc.plane, sc.detector, sc.values, sc.lo, sc.pixel_width)
-        auto = auto_grid(p, sc.plane, *cover)
+        if half is not None:
+            auto = auto_grid(p, sc.plane, (), (half,))
+        else:
+            spot = sc.lo.q_reach(p, sc.plane)
+            auto = auto_grid(p, sc.plane,
+                             [det.bounds_on_axis(p)[1] for det in dets if det is not None],
+                             () if spot is None else (spot,))
         n, half = n or auto.n, half or auto.half_extent
     return solve_io(Grid1D.uniform(n, half, sc.plane), p)
 

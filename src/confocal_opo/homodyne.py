@@ -8,12 +8,13 @@ detector area.  Its noise spectrum normalized to shot noise is
 
 ``squeezing(det, lo, p, modes=None)`` is the one entry point: it returns
 vn of one detector in both canonical quadratures, the squeezed phi = pi/2
-and the anti-squeezed phi = 0, from one pass (``SqueezingResult``).
-``sweep`` runs a family of detectors through it.  This module sizes and
-solves no grid: the dense route contracts the modes its caller solved.  A
-detector is its band inner <= |x| <= outer (``DetectorMask``), and every
-evaluator reads only that band.  Each returns the shot noise N and vn at
-both phases, and ``squeezing`` picks one and records its name:
+and the anti-squeezed phi = 0, from one pass (``SqueezingResult``).  A
+curve over detector sizes is one call per detector (the CLI draws them).
+This module sizes and solves no grid: the dense route contracts the modes
+its caller solved.  A detector is its band inner <= |x| <= outer
+(``DetectorMask``), and every evaluator reads only that band.  Each returns
+the shot noise N at unit LO amplitude and vn at both phases, and
+``squeezing`` picks one, scales N by the amplitude^2 and records its name:
 
 * With the cavity modes of a dense solve (K = Q diag(lambda) Q^T, per-mode
   transform u, v; see ``iosolver``), ``_noise_terms`` contracts the
@@ -91,8 +92,6 @@ __all__ = [
     "LocalOscillator",
     "SqueezingResult",
     "squeezing",
-    "sweep",
-    "sweep_extents",
 ]
 
 _PHASES = (math.pi / 2, 0.0)  # the squeezed quadrature, then its dual
@@ -193,7 +192,9 @@ class LocalOscillator:
     meters for either plane (far-field positions map to wavevectors through
     the lens, x = q lambda f / (2 pi); a detection-plane waist of r0
     corresponds to a pre-lens beam waist of l_coh).  The default waist,
-    ``math.inf``, is the plane LO of uniform amplitude.
+    ``math.inf``, is the plane LO of uniform amplitude.  ``vn`` does not
+    depend on the amplitude, only the shot noise N, which scales as its
+    square.
     """
 
     amplitude: float = 1.0
@@ -206,15 +207,21 @@ class LocalOscillator:
             raise ConfigurationError(f"LO waist must be positive or inf, got {self.waist!r}")
 
     def magnitude(self, grid: Grid1D, p: OpoParams) -> np.ndarray:
-        """|alpha| on the grid."""
+        """|alpha| on the grid at unit amplitude."""
         x = grid.points
         if grid.domain == "far":
             x = x * p.lambda_s * p.f_lens / (2.0 * math.pi)
-        return self.amplitude * np.exp(-(x / self.waist) ** 2)
+        return np.exp(-(x / self.waist) ** 2)
 
-    def q_reach(self, p: OpoParams) -> float:
-        """Wavevector extent of the far-plane spot (grid sizing)."""
-        return 2.0 * math.pi * self.waist / (p.lambda_s * p.f_lens)
+    def q_reach(self, p: OpoParams, plane: str) -> float | None:
+        """Half extent a ``plane`` grid needs to hold the spot, 4 waists in
+        grid units (m near, 1/m far), like the pump's envelope; None for a
+        plane LO, which sizes no grid."""
+        if self.waist == math.inf:
+            return None
+        if plane == "near":
+            return _EXTENT_FACTOR * self.waist
+        return _EXTENT_FACTOR * (2.0 * math.pi * self.waist / (p.lambda_s * p.f_lens))
 
 
 @dataclass(frozen=True)
@@ -226,8 +233,7 @@ class SqueezingResult:
     photon number, the LO measure of the detector band (for the closed-form
     disk, the far quadrature with weight t: the LO-weighted disk measure in
     the scaled radius r / r0).  ``route`` names the route that computed the
-    result: "dense", "planepump_near", "planepump_far", "planepump_disk", or
-    "empty" for a zero-size ``sweep`` point, which reads shot noise.
+    result: "dense", "planepump_near", "planepump_far" or "planepump_disk".
     """
 
     vn_squeezed: float
@@ -278,9 +284,10 @@ def _conjugate_image(grid: Grid1D, vec: np.ndarray) -> np.ndarray:
 
 def _noise_terms(modes: CavityModes, det: DetectorMask, lo: LocalOscillator, p: OpoParams):
     """(N, [vn at both phases]) of one detector from the cavity modes: lvec is
-    the LO magnitude on the detector cells, on a near grid carried to the far
-    grid of the modes by ``_conjugate_image``; c = q^T fold(lvec) is its even
-    part in the mode basis, vn = 1 + (w / N) sum_k c_k^2 (R_phi(lam_k) - 1)."""
+    the unit-amplitude LO magnitude on the detector cells, on a near grid
+    carried to the far grid of the modes by ``_conjugate_image``; c = q^T
+    fold(lvec) is its even part in the mode basis, vn = 1 + (w / N) sum_k
+    c_k^2 (R_phi(lam_k) - 1)."""
     grid = modes.grid
     lvec = lo.magnitude(grid, p) * det.indicator(grid, p)
     far = lvec if grid.domain == "far" else _conjugate_image(grid, lvec)
@@ -486,9 +493,9 @@ def squeezing(det: DetectorMask, lo: LocalOscillator, p: OpoParams,
             else:
                 route = "planepump_disk" if det.shape == "radial" else "planepump_far"
                 shot, vns = _vn_planepump_far(det, lo, p)
-            # both closed forms give N at unit LO amplitude; a product past the
-            # float range is inf, which the check below refuses
-            shot *= lo.amplitude * lo.amplitude
+        # every route gives N at unit LO amplitude; a product past the float
+        # range is inf, which the check below refuses
+        shot *= lo.amplitude * lo.amplitude
     if not all(math.isfinite(x) for x in (shot, *vns)):
         raise NumericalFailure(
             f"route {route} gave a non-finite result (N = {shot:g}, vn = "
@@ -496,70 +503,3 @@ def squeezing(det: DetectorMask, lo: LocalOscillator, p: OpoParams,
             f"[{det.inner:g}, {det.outer:g}]"
         )
     return SqueezingResult(*vns, shot, route)
-
-
-# ---------------------------------------------------------------------------
-# Sweeps
-# ---------------------------------------------------------------------------
-
-def _mask_for(shape, value, pixel_width, plane):
-    if shape == "pixel_pair":
-        return DetectorMask.pixel_pair(value, pixel_width, plane)
-    if shape not in ("interval", "radial"):
-        raise ConfigurationError(f"unknown detector shape {shape!r}")
-    return getattr(DetectorMask, shape)(value, plane)
-
-def _zero_size(shape, value) -> bool:
-    # a zero-size interval or disk detects nothing: shot noise by definition
-    return value <= 0 and shape in ("interval", "radial")
-
-def sweep_extents(
-    p: OpoParams,
-    plane: str,
-    detector_shape: str,
-    values,
-    lo: LocalOscillator,
-    pixel_width: float | None = None,
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(reaches, extents) a dense sweep grid must cover (m near, 1/m far).
-
-    The reaches are the outer bounds of the sweep's non-empty detectors; the
-    extents hold the spot of a Gaussian local oscillator at 4 waists, an
-    envelope like the pump's.  ``auto_grid(p, plane, *sweep_extents(...))``
-    sizes the sweep's grid.
-    """
-    reaches = tuple(
-        _mask_for(detector_shape, v, pixel_width, plane).bounds_on_axis(p)[1]
-        for v in values
-        if not _zero_size(detector_shape, v)
-    )
-    if lo.waist == math.inf:
-        return reaches, ()
-    return reaches, (_EXTENT_FACTOR * (lo.waist if plane == "near" else lo.q_reach(p)),)
-
-def sweep(
-    p: OpoParams,
-    plane: str,
-    detector_shape: str,
-    values,
-    lo: LocalOscillator,
-    pixel_width: float | None = None,
-    modes: CavityModes | None = None,
-) -> list[SqueezingResult]:
-    """Deterministic noise curve over a family of detector settings.
-
-    ``values`` are interval half widths / radii, or pixel center distances
-    (with ``pixel_width``), in detection-plane meters.  Every point is the
-    ``SqueezingResult`` of ``squeezing`` on its detector and ``modes``: a
-    finite pump needs the ``CavityModes`` of one dense solve on a ``plane``
-    grid, as the sweep sizes and solves none (``auto_grid(p, plane,
-    *sweep_extents(...))`` sizes one for its detectors).  A zero-size
-    interval or disk reads shot noise, ``SqueezingResult(1.0, 1.0, 0.0,
-    "empty")``.  Results are returned in the order of ``values``.
-    """
-    values = [float(v) for v in values]
-    if any(v < 0 for v in values):
-        raise ConfigurationError("sweep values must be non-negative")
-    return [SqueezingResult(1.0, 1.0, 0.0, "empty") if _zero_size(detector_shape, value)
-            else squeezing(_mask_for(detector_shape, value, pixel_width, plane), lo, p, modes)
-            for value in values]

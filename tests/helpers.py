@@ -15,11 +15,10 @@ import numpy as np
 from confocal_opo import (
     AtOrAboveThreshold,
     ConfigurationError,
+    DetectorMask,
     auto_grid,
     mode_uv,
     phase_match_sinc,
-    solve_io,
-    sweep_extents,
 )
 from confocal_opo.homodyne import _mode_noise
 from confocal_opo.kernels import _far_even, _pair_sinc, _pump_transform, build_kernel_matrix
@@ -97,12 +96,23 @@ def grid_modes(modes):
     return cosine(modes.grid).T @ modes.q
 
 
-def sweep_modes(p, plane, shape, values, lo, pixel_width=None):
-    """The modes of one dense solve on the grid ``auto_grid`` sizes for a
-    sweep's detectors and LO, the grid a run without grid_n or grid_L
-    solves."""
-    return solve_io(auto_grid(p, plane, *sweep_extents(p, plane, shape, values, lo,
-                                                        pixel_width)), p)
+def masks(plane, shape, values, pixel_width=None):
+    """The ``DetectorMask`` of each sweep value on ``plane`` (a half width,
+    radius or pixel center distance) as ``cli.run_scenario`` builds it: None
+    for a zero-size interval or disk, which detects nothing."""
+    values = [float(v) for v in values]
+    if shape == "pixel_pair":
+        return [DetectorMask.pixel_pair(v, pixel_width, plane) for v in values]
+    return [None if v == 0 else getattr(DetectorMask, shape)(v, plane) for v in values]
+
+
+def sized_grid(p, plane, dets, lo):
+    """The grid ``auto_grid`` sizes on ``plane`` for the detectors ``dets``
+    (None skipped) and the LO ``lo``, the grid a run without grid_n or
+    grid_L solves."""
+    spot = lo.q_reach(p, plane)
+    return auto_grid(p, plane, [det.bounds_on_axis(p)[1] for det in dets if det is not None],
+                     () if spot is None else (spot,))
 
 
 def unchecked_kernel(g, p):

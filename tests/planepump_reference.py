@@ -8,7 +8,7 @@ squeezed (phi_LO = pi/2) noise density is written out directly,
 
 and integrated with QUADPACK on panels between the sinc zeros
 x_k = 2 sqrt(k pi).  Nothing goes through the library's (U, V) routine or its
-near-field panel sum, so agreement with ``sweep`` is a real cross-check.
+near-field panel sum, so agreement with ``squeezing`` is a real cross-check.
 
 Two quantities follow from R.
 

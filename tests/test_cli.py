@@ -217,6 +217,21 @@ class TestRunCommand:
         assert len(lines) == 1 and lines[0].startswith("numerical failure: "), proc.stderr
         assert not (out / "curve.csv").exists()
 
+    @pytest.mark.parametrize("plane", ["near", "far"])
+    def test_faint_lo_on_the_dense_route(self, tmp_path, plane):
+        # vn does not depend on the LO amplitude: an amplitude whose square
+        # underflows in the contraction (1e-160) still runs, to the same vn
+        # columns as amplitude 1
+        text = GOOD_CONFIG.replace("plane = near", f"plane = {plane}")
+        curves = {}
+        for amplitude in ("1", "1e-160"):
+            cfg = write_config(tmp_path, text + f"lo_amplitude = {amplitude}\n")
+            out = tmp_path / amplitude
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            lines = (out / "curve.csv").read_text().splitlines()[2:]
+            curves[amplitude] = [line.split(",")[:3] for line in lines]
+        assert curves["1e-160"] == curves["1"]
+
     @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "out-under-file"])
     def test_unreadable_path_exits_2(self, tmp_path, case):
         # a path the CLI cannot read or write ends in one configuration
@@ -436,21 +451,24 @@ import math
 import sys
 from dataclasses import replace
 import numpy as np
-from confocal_opo import (LocalOscillator, OpoParams, auto_grid, delta_2d, solve_io, sweep,
-                         sweep_extents)
+from confocal_opo import (DetectorMask, LocalOscillator, OpoParams, auto_grid, delta_2d,
+                         solve_io, squeezing)
 from confocal_opo.cli import main
 
 plane = OpoParams(lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.9,
                   w_p=math.inf)
 gauss = replace(plane, w_p=2.0 * plane.l_coh)
 delta_2d(np.linspace(0.0, 4.0, 41) * plane.l_coh, plane)
-sweep(plane, "near", "interval", [0.5 * plane.l_coh, 20.0 * plane.l_coh], LocalOscillator())
+for d in (0.5 * plane.l_coh, 20.0 * plane.l_coh):
+    squeezing(DetectorMask.interval(d), LocalOscillator(), plane)
 for where, values in (("near", [0.5 * plane.l_coh, plane.l_coh]),
                       ("far", [0.5 * plane.r0, plane.r0])):
-    grid = auto_grid(gauss, where, *sweep_extents(gauss, where, "interval", values,
-                                                   LocalOscillator()))
-    sweep(gauss, where, "interval", values, LocalOscillator(), modes=solve_io(grid, gauss))
-sweep(plane, "far", "radial", [0.5 * plane.r0], LocalOscillator(waist=plane.r0))
+    dets = [DetectorMask.interval(v, where) for v in values]
+    grid = auto_grid(gauss, where, [det.bounds_on_axis(gauss)[1] for det in dets])
+    modes = solve_io(grid, gauss)
+    for det in dets:
+        squeezing(det, LocalOscillator(), gauss, modes)
+squeezing(DetectorMask.radial(0.5 * plane.r0), LocalOscillator(waist=plane.r0), plane)
 for fig in ("2", "5", "8"):
     assert main(["fig", "--id", fig, "--out", f"{sys.argv[1]}/fig{fig}"]) == 0
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))

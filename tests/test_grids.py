@@ -21,12 +21,11 @@ from confocal_opo import (
     CavityModes,
     Grid1D,
     LocalOscillator,
-    auto_grid,
     solve_io,
-    sweep,
-    sweep_extents,
+    squeezing,
 )
 from confocal_opo.cli import Scenario, fig_scenarios, main
+from helpers import masks, sized_grid
 
 B_VALUES = (4.0, 25.0, 100.0)
 FIG_OF_PLANE = {"near": 6, "far": 9}
@@ -46,8 +45,7 @@ class Case:
 
 
 def _auto(sc, shape, values, lo, pixel_width=None):
-    reaches, extents = sweep_extents(sc.params, sc.plane, shape, values, lo, pixel_width)
-    return auto_grid(sc.params, sc.plane, reaches, extents)
+    return sized_grid(sc.params, sc.plane, masks(sc.plane, shape, values, pixel_width), lo)
 
 
 @pytest.fixture(scope="module", params=[(plane, b) for plane in FIG_OF_PLANE for b in B_VALUES],
@@ -71,10 +69,9 @@ def _assert_matches_wide(case, shape, values, lo, pixel_width=None):
     p = sc.params
     grid = _auto(sc, shape, values, lo, pixel_width)
     assert (grid.n, grid.half_extent) == (case.grid.n, case.grid.half_extent)
-    auto = sweep(p, sc.plane, shape, values, lo, pixel_width=pixel_width,
-                 modes=solve_io(grid, p))
-    ref = sweep(p, sc.plane, shape, values, lo, pixel_width=pixel_width, modes=case.wide)
-    for value, pt, wide in zip(values, auto, ref):
+    modes = solve_io(grid, p)
+    for value, det in zip(values, masks(sc.plane, shape, values, pixel_width)):
+        pt, wide = (squeezing(det, lo, p, m) for m in (modes, case.wide))
         for vn, vn_wide in ((pt.vn_squeezed, wide.vn_squeezed),
                             (pt.vn_antisqueezed, wide.vn_antisqueezed)):
             assert abs(vn - vn_wide) <= VN_TOL * max(1.0, abs(vn_wide)), (shape, lo, value)

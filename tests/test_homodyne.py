@@ -14,16 +14,14 @@ from confocal_opo import (
     LocalOscillator,
     OpoParams,
     PlaneMismatch,
-    SqueezingResult,
     auto_grid,
     solve_io,
     squeezing,
-    sweep,
-    sweep_extents,
 )
 import confocal_opo.kernels as kernels
+from confocal_opo.cli import Scenario, _fmt, main, run_scenario
 from confocal_opo.homodyne import _conjugate_image
-from helpers import cosine, noise_density, sweep_modes
+from helpers import cosine, masks, noise_density, sized_grid
 from lu_reference import lu_noise
 from planepump_reference import (
     circular_vn,
@@ -126,7 +124,7 @@ class TestDetectorMask:
         det = DetectorMask.pixel_pair(0.5, 0.25, "far")
         assert (det.inner, det.outer) == (0.375, 0.625)
 
-    def test_unknown_plane_rejected(self, plane_params):
+    def test_unknown_plane_rejected(self):
         # a misspelt plane must not fall through to the far route, which
         # would read meters as wavevectors
         for make in (
@@ -136,9 +134,6 @@ class TestDetectorMask:
         ):
             with pytest.raises(ConfigurationError, match="nera"):
                 make()
-        with pytest.raises(ConfigurationError, match="nera"):
-            sweep(plane_params, "nera", "interval", [1e-4],
-                  LocalOscillator())
 
 
     def test_unknown_shape_in_band_rejected(self, plane_params):
@@ -162,11 +157,9 @@ class TestDetectorMask:
             squeezing(DetectorMask("interval", "near", inner, outer), LocalOscillator(),
                       plane_params)
 
-    def test_pixel_pair_needs_pixel_width(self, plane_params):
+    def test_pixel_pair_needs_pixel_width(self):
         with pytest.raises(ConfigurationError, match="pixel_width"):
             DetectorMask.pixel_pair(1e-4, None)
-        with pytest.raises(ConfigurationError, match="pixel_width"):
-            sweep_extents(plane_params, "near", "pixel_pair", [1e-4], LocalOscillator())
 
 
 class TestLocalOscillator:
@@ -278,7 +271,10 @@ class TestShotNoise:
         assert mag[i] == pytest.approx(
             math.exp(-(g.points[i] * x_of_q / w) ** 2), rel=1e-14
         )
-        assert lo.q_reach(plane_params) == pytest.approx(w / x_of_q, rel=1e-14)
+        # the grid extent that holds the spot: 4 waists in either plane
+        assert lo.q_reach(plane_params, "far") == pytest.approx(4 * w / x_of_q, rel=1e-14)
+        assert lo.q_reach(plane_params, "near") == 4 * w
+        assert LocalOscillator().q_reach(plane_params, "far") is None
 
 
 class TestSqueezingNumericVacuum:
@@ -470,17 +466,14 @@ class TestRadialSpectrum:
             with pytest.raises(ConfigurationError, match="radial"):
                 make()
         p = replace(plane_params, w_p=3.0 * plane_params.l_coh)
-        grid = auto_grid(p, "far", *sweep_extents(p, "far", "interval", [r],
-                                                     LocalOscillator()))
+        grid = sized_grid(p, "far", [DetectorMask.interval(r, "far")], LocalOscillator())
         for q in (p, plane_params):
             modes = solve_io(grid, q)
             with pytest.raises(ConfigurationError, match="radial"):
                 squeezing(DetectorMask.radial(r, "far"), LocalOscillator(), q, modes)
-            with pytest.raises(ConfigurationError, match="radial"):
-                sweep(q, "far", "radial", [r], LocalOscillator(), modes=modes)
         # a finite pump without modes has no route at all, disk or not
         with pytest.raises(ConfigurationError, match="finite pump"):
-            sweep(p, "far", "radial", [r], LocalOscillator())
+            squeezing(DetectorMask.radial(r, "far"), LocalOscillator(), p)
 
     @pytest.mark.parametrize("radius", [-1e-4, math.inf, math.nan])
     def test_bad_radius_rejected(self, plane_params, radius):
@@ -536,8 +529,8 @@ class TestPlanePumpNearSpectrum:
         # would err by 5e-4, to the uncached levels 5 and 7 (2d = 600, 2000)
         p = replace(plane_params, A_p=a_p)
         d = np.array([0.05, 0.5, 5.0, 17.5, 22.5, 27.5, 60.0, 150.0, 300.0, 1000.0])
-        pts = sweep(p, "near", "interval", list(d * p.l_coh), LocalOscillator())
-        vns = np.array([pt.vn_squeezed for pt in pts])
+        vns = np.array([squeezing(det, LocalOscillator(), p).vn_squeezed
+                        for det in masks("near", "interval", d * p.l_coh)])
         assert np.abs(vns - interval_vn(d, a_p)).max() <= 1e-9
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-10])
@@ -546,8 +539,8 @@ class TestPlanePumpNearSpectrum:
         # weights split into |v|^2 and u v_- lost it all by A_p = 1 - 1e-8
         p = replace(plane_params, A_p=1.0 - eps)
         d = np.array([0.3, 1.0, 3.0])
-        pts = sweep(p, "near", "interval", list(d * p.l_coh), LocalOscillator())
-        vns = np.array([pt.vn_squeezed for pt in pts])
+        vns = np.array([squeezing(det, LocalOscillator(), p).vn_squeezed
+                        for det in masks("near", "interval", d * p.l_coh)])
         assert np.abs(vns - interval_vn(d, p.A_p)).max() <= 1e-12
 
     def test_uncached_level_leaves_the_cache_alone(self, plane_params):
@@ -730,59 +723,45 @@ class TestPlanePumpFarSpectrum:
             assert abs(got.shot / ref.shot - 1.0) <= 1e-14
 
 
+def _curve_rows(tmp_path, p, plane, shape, values, lo, pixel_width=None):
+    """The rows the CLI writes for a sweep of ``values`` (abscissa in
+    detection-plane meters), each split into its printed fields."""
+    sc = Scenario(p, plane, shape, list(values), lo, abscissa_scale=1.0, abscissa_name="x",
+                  label="run", pixel_width=pixel_width)
+    run_scenario(sc, tmp_path)
+    return [line.split(",") for line in (tmp_path / "curve.csv").read_text().splitlines()[2:]]
+
+
 class TestSweep:
-    def test_plane_near_matches_pointwise(self, plane_params):
-        values = [0.5 * plane_params.l_coh, 2.0 * plane_params.l_coh]
-        pts = sweep(plane_params, "near", "interval", values,
-                    LocalOscillator())
-        for pt, v in zip(pts, values):
-            ref = squeezing(DetectorMask.interval(v, "near"), LocalOscillator(),
-                            plane_params)
-            assert pt.vn_squeezed == pytest.approx(ref.vn_squeezed, rel=1e-12)
-            assert pt.vn_antisqueezed > 1.0
-
-    def test_zero_size_point_is_shot_noise(self, plane_params):
-        pts = sweep(plane_params, "near", "interval",
-                    [0.0, plane_params.l_coh], LocalOscillator())
-        assert pts[0].vn_squeezed == 1.0 and pts[0].vn_antisqueezed == 1.0
+    def test_zero_size_point_is_shot_noise(self, plane_params, tmp_path):
+        # a zero-size detector detects nothing: the CLI writes shot noise
+        rows = _curve_rows(tmp_path, plane_params, "near", "interval",
+                           [0.0, plane_params.l_coh], LocalOscillator())
+        assert rows[0] == ["0", "1", "1", "0"]
+        assert float(rows[1][1]) < 1.0 < float(rows[1][2])
 
     @pytest.mark.parametrize("plane_pump", [True, False])
-    def test_zero_size_point_names_the_empty_route(self, plane_params, plane_pump):
-        # a zero-size point runs no route, and its result says so
-        p = plane_params if plane_pump else replace(plane_params, w_p=2 * plane_params.l_coh)
-        values = [0.0, p.l_coh]
-        modes = None if plane_pump else sweep_modes(p, "near", "interval", values,
-                                                    LocalOscillator())
-        pts = sweep(p, "near", "interval", values, LocalOscillator(), modes=modes)
-        assert pts[0] == SqueezingResult(1.0, 1.0, 0.0, "empty")
-        assert pts[1].route == ("planepump_near" if plane_pump else "dense")
-
-    @pytest.mark.parametrize("plane_pump", [True, False])
-    def test_zero_radius_far_point_is_shot_noise(self, plane_params, plane_pump):
+    def test_zero_radius_far_point_is_shot_noise(self, plane_params, plane_pump, tmp_path):
         # an empty detector detects nothing on either pump route: a disk on
         # the plane-pump route, its 1-D counterpart, the interval, on the
         # dense one (which computes no disk)
         p = plane_params if plane_pump else replace(
             plane_params, w_p=4 * plane_params.l_coh)
         r0 = plane_params.r0
-        lo = LocalOscillator(waist=r0)
-        shape, values = "radial" if plane_pump else "interval", [0.0, 0.5 * r0]
-        modes = None if plane_pump else sweep_modes(p, "far", shape, values, lo)
-        pts = sweep(p, "far", shape, values, lo, modes=modes)
-        assert (pts[0].vn_squeezed, pts[0].vn_antisqueezed, pts[0].shot) == (1.0, 1.0, 0.0)
-        assert pts[1].vn_squeezed < 1.0 < pts[1].vn_antisqueezed and pts[1].shot > 0
+        shape = "radial" if plane_pump else "interval"
+        rows = _curve_rows(tmp_path, p, "far", shape, [0.0, 0.5 * r0], LocalOscillator(waist=r0))
+        assert [float(x) for x in rows[0][1:]] == [1.0, 1.0, 0.0]
+        vn_sq, vn_anti, shot = (float(x) for x in rows[1][1:])
+        assert vn_sq < 1.0 < vn_anti and shot > 0
 
     @pytest.mark.parametrize("plane", ["near", "far"])
     def test_finite_pump_needs_modes(self, plane_params, plane):
-        # sweep contracts the modes it is given and solves none: a finite
-        # pump without them is refused at its first non-empty point, and a
-        # sweep of zero-size detectors alone reads shot noise
+        # squeezing contracts the modes it is given and solves none: a
+        # finite pump without them is refused in either plane
         p = replace(plane_params, w_p=2.0 * plane_params.l_coh)
         unit = p.l_coh if plane == "near" else p.r0
         with pytest.raises(ConfigurationError, match="finite pump"):
-            sweep(p, plane, "interval", [0.0, unit], LocalOscillator())
-        empty = SqueezingResult(1.0, 1.0, 0.0, "empty")
-        assert sweep(p, plane, "interval", [0.0, 0.0], LocalOscillator()) == [empty, empty]
+            squeezing(DetectorMask.interval(unit, plane), LocalOscillator(), p)
 
     def test_more_modes_keep_squeezing_at_large_detectors(self):
         # ordering by mode count: at a fixed large detector the wider pump
@@ -796,8 +775,8 @@ class TestSweep:
             p = replace(p0, w_p=math.sqrt(b) * p0.l_coh)
             g = Grid1D.uniform(961, 4 * radius, "near")
             modes = solve_io(g, p)
-            pts = sweep(p, "near", "interval", [radius], LocalOscillator(), modes=modes)
-            vns[b] = pts[0].vn_squeezed
+            det = DetectorMask.interval(radius, "near")
+            vns[b] = squeezing(det, LocalOscillator(), p, modes).vn_squeezed
         assert vns[25.0] <= vns[4.0]
 
     def test_gaussian_pump_pixel_sweep_returns_to_shot_noise(self):
@@ -807,8 +786,9 @@ class TestSweep:
         p = replace(p0, w_p=2.0 * p0.l_coh)
         values = [0.0, 6.0 * p0.l_coh]
         lo = LocalOscillator()
-        pts = sweep(p, "near", "pixel_pair", values, lo, pixel_width=p0.l_coh,
-                    modes=sweep_modes(p, "near", "pixel_pair", values, lo, p0.l_coh))
+        dets = masks("near", "pixel_pair", values, p0.l_coh)
+        modes = solve_io(sized_grid(p, "near", dets, lo), p)
+        pts = [squeezing(det, lo, p, modes) for det in dets]
         assert pts[0].vn_squeezed < 0.9  # squeezing survives at contact
         assert pts[1].vn_squeezed > 0.95  # far pixels are uncorrelated vacuum
 
@@ -817,11 +797,11 @@ class TestSweep:
         # solve give the opposite-frequency system too
         p = replace(plane_params, w_p=3 * plane_params.l_coh,
                     detuning=0.3, omega_bar=0.5)
-        values = [2 * plane_params.l_coh]
-        pts = sweep(p, "near", "interval", values, LocalOscillator(),
-                    modes=sweep_modes(p, "near", "interval", values, LocalOscillator()))
-        assert 0.0 <= pts[0].vn_squeezed < 1.0
-        assert np.isfinite(pts[0].vn_antisqueezed)
+        det = DetectorMask.interval(2 * plane_params.l_coh, "near")
+        modes = solve_io(sized_grid(p, "near", [det], LocalOscillator()), p)
+        pt = squeezing(det, LocalOscillator(), p, modes)
+        assert 0.0 <= pt.vn_squeezed < 1.0
+        assert np.isfinite(pt.vn_antisqueezed)
 
     def test_detector_beyond_grid_rejected(self, plane_params):
         from confocal_opo import GridTooCoarse
@@ -830,31 +810,35 @@ class TestSweep:
         g = Grid1D.uniform(257, 16 * plane_params.l_coh, "near")
         modes = solve_io(g, p)
         with pytest.raises(GridTooCoarse):
-            sweep(p, "near", "interval", [20 * plane_params.l_coh],
-                  LocalOscillator(), modes=modes)
+            squeezing(DetectorMask.interval(20 * plane_params.l_coh, "near"),
+                      LocalOscillator(), p, modes)
 
     @pytest.mark.parametrize("pixel_width", [None, 1e-5])
-    def test_unknown_shape_rejected(self, plane_params, pixel_width):
-        # "disk" is neither run as a pixel pair nor left to a TypeError
-        lo = LocalOscillator()
-        with pytest.raises(ConfigurationError, match="disk"):
-            sweep(plane_params, "far", "disk", [1e-4], lo,
-                  pixel_width=pixel_width)
-        with pytest.raises(ConfigurationError, match="disk"):
-            sweep_extents(plane_params, "far", "disk", [1e-4], lo, pixel_width)
+    def test_unknown_shape_rejected(self, tmp_path, capsys, pixel_width):
+        # "disk" is neither run as a pixel pair nor left to a TypeError: a
+        # run naming it exits 2 with one line
+        text = ("lambda_s = 1.064e-6\nn_s = 2.12\nl_c = 0.01\nz_C = 0.05\nA_p = 0.9\n"
+                "pump = plane\nplane = far\ndetector = disk\nsweep_min = 0\nsweep_max = 1e-4\n")
+        if pixel_width is not None:
+            text += f"pixel_width = {pixel_width}\n"
+        cfg = tmp_path / "disk.cfg"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "disk" in line
 
     def test_vn_nonnegative_and_quadratures_ordered(self, plane_params):
         # vn >= 0 on every route; at resonance and zero frequency the pi/2
         # quadrature never exceeds the phi = 0 one
-        near = sweep(plane_params, "near", "interval",
-                     list(np.linspace(0.1, 4.0, 9) * plane_params.l_coh), LocalOscillator())
-        far = sweep(plane_params, "far", "radial",
-                    list(np.linspace(0.1, 2.0, 5) * plane_params.r0),
-                    LocalOscillator(waist=plane_params.r0))
+        lo, far_lo = LocalOscillator(), LocalOscillator(waist=plane_params.r0)
+        near = [squeezing(det, lo, plane_params) for det in
+                masks("near", "interval", np.linspace(0.1, 4.0, 9) * plane_params.l_coh)]
+        far = [squeezing(det, far_lo, plane_params) for det in
+               masks("far", "radial", np.linspace(0.1, 2.0, 5) * plane_params.r0)]
         p_g = replace(plane_params, w_p=3 * plane_params.l_coh)
-        values = list(np.linspace(0.5, 6.0, 4) * plane_params.l_coh)
-        dense = sweep(p_g, "near", "interval", values, LocalOscillator(),
-                      modes=sweep_modes(p_g, "near", "interval", values, LocalOscillator()))
+        dets = masks("near", "interval", np.linspace(0.5, 6.0, 4) * plane_params.l_coh)
+        modes = solve_io(sized_grid(p_g, "near", dets, lo), p_g)
+        dense = [squeezing(det, lo, p_g, modes) for det in dets]
         for pt in near + far + dense:
             assert pt.vn_squeezed >= 0.0
             assert pt.vn_squeezed <= pt.vn_antisqueezed + 1e-12
@@ -866,9 +850,9 @@ class TestSweep:
         # it does around d ~ l_coh
         u_c = correlation_first_zero(plane_params.A_p)
         half_widths = np.linspace(0.0, u_c / 2.0, 20)
-        pts = sweep(plane_params, "near", "interval",
-                    list(half_widths * plane_params.l_coh), LocalOscillator())
-        vns = [pt.vn_squeezed for pt in pts]
+        # the zero-size detector at d = 0 detects nothing: shot noise
+        vns = [1.0 if det is None else squeezing(det, LocalOscillator(), plane_params).vn_squeezed
+               for det in masks("near", "interval", half_widths * plane_params.l_coh)]
         assert not rises(half_widths, vns)
 
 
@@ -887,9 +871,10 @@ class TestOnePath:
             "far-interval-plane_lo", "far-interval-gaussian_lo",
             "far-pixel_pair-plane_lo", "far-pixel_pair-gaussian_lo", "disk"])
     def test_sweep_point_is_squeezing(self, plane_params, pump, plane,
-                                      shape, lo_profile):
-        # every sweep point, in both quadratures and in shot, is exactly what
-        # squeezing returns for the same detector on the same route
+                                      shape, lo_profile, tmp_path):
+        # every row of a CLI curve, in both quadratures and in shot, is what
+        # squeezing returns for the same detector on the modes of the same
+        # grid, as printed, on the route its pump and detector select
         p = plane_params
         if pump == "gaussian":
             p = replace(p, w_p=3.0 * plane_params.l_coh)
@@ -900,19 +885,19 @@ class TestOnePath:
             lo = LocalOscillator(waist=2.0 * unit)
         pixel_width = unit if shape == "pixel_pair" else None
         values = [0.7 * unit, 2.3 * unit]
+        dets = masks(plane, shape, values, pixel_width)
         modes = None
         if pump == "gaussian":
-            modes = sweep_modes(p, plane, shape, values, lo, pixel_width)
-        pts = sweep(p, plane, shape, values, lo, pixel_width=pixel_width, modes=modes)
-        for pt, value in zip(pts, values):
-            if shape == "pixel_pair":
-                det = DetectorMask.pixel_pair(value, pixel_width, plane)
-            else:
-                det = getattr(DetectorMask, shape)(value, plane)
-            route = ("dense" if modes is not None else "planepump_near" if plane == "near"
-                     else "planepump_disk" if shape == "radial" else "planepump_far")
-            assert pt == squeezing(det, lo, p, modes)
-            assert pt.route == route
+            modes = solve_io(sized_grid(p, plane, dets, lo), p)
+        rows = _curve_rows(tmp_path, p, plane, shape, values, lo, pixel_width)
+        route = ("dense" if modes is not None else "planepump_near" if plane == "near"
+                 else "planepump_disk" if shape == "radial" else "planepump_far")
+        assert len(rows) == len(values)
+        for row, value, det in zip(rows, values, dets):
+            res = squeezing(det, lo, p, modes)
+            assert row == [_fmt(x) for x in (value, res.vn_squeezed, res.vn_antisqueezed,
+                                              res.shot)]
+            assert res.route == route
 
     @pytest.mark.parametrize("shape", ["radial", "interval"])
     def test_far_routes_evaluate_gain_once_per_chunk(self, monkeypatch, plane_params,
@@ -943,7 +928,8 @@ class TestOnePath:
         monkeypatch.setattr(homodyne, "phase_match_sinc", counted_sinc)
         monkeypatch.setattr(homodyne, "_mode_noise", counted_noise)
         lo = LocalOscillator(waist=plane_params.r0)
-        sweep(plane_params, "far", shape, [1.3 * plane_params.r0], lo)
+        (det,) = masks("far", shape, [1.3 * plane_params.r0])
+        squeezing(det, lo, plane_params)
         assert len(passes) == 1 and len(chunks) >= 1
         assert gains == [t.shape for t, _ in chunks]
         assert noises == [(t.shape, phase) for t, _ in chunks for phase in (math.pi / 2, 0.0)]
@@ -958,8 +944,6 @@ class TestOnePath:
         det = DetectorMask.interval(p.l_coh, "near")
         with pytest.raises(ConfigurationError, match=f"^the modes were solved for {key} = "):
             squeezing(det, LocalOscillator(), q, modes)
-        with pytest.raises(ConfigurationError, match=f"for {key} = "):
-            sweep(q, "near", "interval", [p.l_coh], LocalOscillator(), modes=modes)
         assert squeezing(det, LocalOscillator(), p, modes).route == "dense"
 
     def test_band_past_the_lo_spot_is_refused(self, plane_params):
@@ -968,11 +952,11 @@ class TestOnePath:
         unit = plane_params.r0
         lo = LocalOscillator(waist=0.3 * unit)
         p = replace(plane_params, w_p=2.0 * plane_params.l_coh)
-        values = [20.0 * unit]
+        det = DetectorMask.pixel_pair(20.0 * unit, unit, "far")
         for q, modes in ((plane_params, None),
-                         (p, sweep_modes(p, "far", "pixel_pair", values, lo, unit))):
+                         (p, solve_io(sized_grid(p, "far", [det], lo), p))):
             with pytest.raises(EmptyDetector, match="LO"):
-                sweep(q, "far", "pixel_pair", values, lo, pixel_width=unit, modes=modes)
+                squeezing(det, lo, q, modes)
 
     def test_route_errors(self, plane_params):
         det = DetectorMask.interval(plane_params.l_coh, "near")

@@ -1,4 +1,5 @@
-"""Property tests over random valid inputs and fuzzed configurations.
+"""Property tests over random valid inputs and fuzzed configurations, and
+the invariance of every route under a change of length scales.
 
 The examples are derandomized, so every run draws the same cases; a failure
 prints the smallest input hypothesis found.
@@ -8,13 +9,16 @@ import contextlib
 import io
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from confocal_opo import LocalOscillator, OpoParams, sweep
-from confocal_opo.cli import main
+from confocal_opo import Grid1D, LocalOscillator, OpoParams, solve_io, squeezing
+from confocal_opo.cli import _unit, main
+from helpers import masks, sized_grid
 
 #: the uncertainty bound vn_sq * vn_anti >= 1, less rounding (the benchmark's
 #: output check uses the same floor)
@@ -49,10 +53,81 @@ def test_plane_pump_closed_forms_obey_the_uncertainty_bound(case):
     # test_homodyne's test_band_past_the_lo_spot_is_refused)
     inner = max(0.0, value - pixel / 2) if pixel else 0.0
     assume(math.exp(-2.0 * (inner / lo.waist) ** 2) > 1e-200)
-    (pt,) = sweep(p, plane, shape, [value], lo, pixel_width=pixel)
+    (det,) = masks(plane, shape, [value], pixel)
+    pt = squeezing(det, lo, p)
     assert pt.shot > 0
     assert pt.vn_squeezed > 0 and pt.vn_antisqueezed > 0
     assert pt.vn_squeezed * pt.vn_antisqueezed >= PRODUCT_FLOOR
+
+
+@st.composite
+def dense_detectors(draw):
+    """(params, detector, LO) of one detector on the dense route: a Gaussian
+    pump of b in [1, 25], every size and LO waist in the plane's coherence
+    unit (l_coh near, the detection-plane size of 1/w_p far).  Sizes start
+    at two grid steps, so a pixel always holds a grid point."""
+    p = OpoParams(lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, w_p=math.inf,
+                  A_p=draw(st.floats(0.0, 0.95)), detuning=draw(st.floats(-2.0, 2.0)),
+                  omega_bar=draw(st.floats(-2.0, 2.0)))
+    p = replace(p, w_p=math.sqrt(draw(st.floats(1.0, 25.0))) * p.l_coh)
+    plane = draw(st.sampled_from(["near", "far"]))
+    shape = draw(st.sampled_from(["interval", "pixel_pair"]))
+    unit = _unit(p, plane)
+    pixel = draw(st.floats(0.25, 10.0)) * unit if shape == "pixel_pair" else None
+    (det,) = masks(plane, shape, [draw(st.floats(0.25, 10.0)) * unit], pixel)
+    lo = LocalOscillator(waist=draw(st.just(math.inf) | st.floats(0.3, 5.0)) * unit)
+    return p, det, lo
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(dense_detectors())
+def test_dense_route_obeys_the_uncertainty_bound(case):
+    p, det, lo = case
+    assume(math.exp(-2.0 * (det.inner / lo.waist) ** 2) > 1e-200)
+    res = squeezing(det, lo, p, solve_io(sized_grid(p, det.plane, [det], lo), p))
+    assert res.vn_squeezed > 0 and res.vn_antisqueezed > 0
+    assert res.vn_squeezed * res.vn_antisqueezed >= PRODUCT_FLOOR
+
+
+# A configuration and its copy at other length scales: l_coh grows by
+# sqrt(3) (l_c x 3), lambda_s and n_s grow together (k_s stays) and r0 moves
+# again with f_lens; b, A_p, the detuning and omega_bar stay.
+SCALED = [dict(lambda_s=1.064e-6, n_s=2.12, l_c=0.01, f_lens=0.1),
+          dict(lambda_s=1.37 * 1.064e-6, n_s=1.37 * 2.12, l_c=0.03, f_lens=0.07)]
+# (route, b, plane, shape, size, pixel width, LO waist, dense grid): lengths in
+# the plane's coherence unit (``cli._unit``), the dense grid as (n, half
+# extent) in l_coh near and 1/w_p far, its cells clear of every band edge
+SCALE_CASES = [
+    ("planepump_near", math.inf, "near", "interval", 1.7, None, math.inf, None),
+    ("planepump_near", math.inf, "near", "pixel_pair", 1.2, 0.8, math.inf, None),
+    ("planepump_far", math.inf, "far", "pixel_pair", 1.2, 0.8, 1.3, None),
+    ("planepump_disk", math.inf, "far", "radial", 0.8, None, 1.0, None),
+    ("dense", 9.0, "near", "interval", 2.0, None, math.inf, (321, 12.0)),
+    ("dense", 9.0, "far", "pixel_pair", 1.0, 0.5, 2.0, (401, 24.0)),
+]
+
+
+@pytest.mark.parametrize("case", SCALE_CASES,
+                         ids=lambda case: f"{case[0]}-{case[2]}-{case[3]}")
+def test_routes_are_invariant_under_length_scales(case):
+    route, b, plane, shape, size, pixel, waist, grid = case
+    results = []
+    for lengths in SCALED:
+        p = OpoParams(**lengths, z_C=0.05, A_p=0.8, detuning=0.3, omega_bar=0.5, w_p=math.inf)
+        p = replace(p, w_p=math.sqrt(b) * p.l_coh)
+        unit = _unit(p, plane)
+        (det,) = masks(plane, shape, [size * unit], None if pixel is None else pixel * unit)
+        modes = None
+        if grid is not None:
+            n, extent = grid
+            modes = solve_io(Grid1D.uniform(n, extent * (p.l_coh if plane == "near"
+                                                         else 1.0 / p.w_p), plane), p)
+        results.append(squeezing(det, LocalOscillator(waist=waist * unit), p, modes))
+    first, second = results
+    assert first.route == second.route == route
+    for vn, vn_scaled in ((first.vn_squeezed, second.vn_squeezed),
+                          (first.vn_antisqueezed, second.vn_antisqueezed)):
+        assert abs(vn_scaled - vn) <= 1e-12 * max(1.0, abs(vn))
 
 
 # Cheap configurations to mutate: every Gaussian pump has b = 4, so a solve
