@@ -24,7 +24,7 @@ from . import __version__
 from .errors import ConfigurationError, NumericalFailure, OpoError
 from .homodyne import (_PHASES, DetectorMask, LocalOscillator, _check_threshold, _mode_noise,
                        squeezing)
-from .iosolver import CavityModes, solve_io
+from .iosolver import solve_io
 from .kernels import MAX_GRID_N, Grid1D, auto_grid, delta_2d, phase_match_sinc
 from .params import OpoParams
 
@@ -247,8 +247,9 @@ def run_scenario(sc: Scenario, outdir: Path, csv_name: str = "curve.csv") -> flo
     the threshold margin 1 - max|lam| of the solve (1 - A_p for a plane
     pump, whose strongest mode is q = 0)."""
     p = sc.params
-    dets = [_detector(sc, float(value)) for value in sc.values]
-    modes = _modes(sc, dets)
+    dets = [_detector(sc.detector, sc.plane, float(value), sc.pixel_width) for value in sc.values]
+    modes = None if p.plane_pump else solve_io(
+        _grid(p, sc.plane, dets, sc.lo, sc.grid_n, sc.grid_L), p)
     rows = []
     for value, det in zip(sc.values, dets):
         x = float(value) / sc.abscissa_scale
@@ -262,34 +263,32 @@ def run_scenario(sc: Scenario, outdir: Path, csv_name: str = "curve.csv") -> flo
                  "abscissa,vn_squeezed,vn_antisqueezed,shot", rows)
     return 1.0 - (p.A_p if modes is None else float(np.abs(modes.lam).max()))
 
-def _detector(sc: Scenario, value: float) -> DetectorMask | None:
-    """The sweep's detector at ``value`` (a half width, radius or pixel
-    center distance), None for a zero-size interval or disk."""
-    if sc.detector == "pixel_pair":
-        return DetectorMask.pixel_pair(value, sc.pixel_width, sc.plane)
+def _detector(shape: str, plane: str, value: float,
+              pixel_width: float | None = None) -> DetectorMask | None:
+    """The ``shape`` detector on ``plane`` at ``value`` (a half width, radius
+    or pixel center distance), None for a zero-size interval or disk."""
+    if shape == "pixel_pair":
+        return DetectorMask.pixel_pair(value, pixel_width, plane)
     if value == 0:
         return None
-    return getattr(DetectorMask, sc.detector)(value, sc.plane)
+    return getattr(DetectorMask, shape)(value, plane)
 
-def _modes(sc: Scenario, dets) -> CavityModes | None:
-    """The modes of the sweep's one dense solve, None for a plane pump: the
-    one place a run sizes and solves a grid.  A grid_n or grid_L left out
-    comes from the sizing rule: the half extent from the outer reach of the
-    detectors ``dets`` and the LO spot, n from the step rule on grid_L."""
-    p = sc.params
-    if p.plane_pump:
-        return None
-    n, half = sc.grid_n, sc.grid_L
+def _grid(p: OpoParams, plane: str, dets, lo: LocalOscillator,
+          n: int | None = None, half: float | None = None) -> Grid1D:
+    """The grid a run solves on ``plane``: the one place a run sizes a grid.
+    An ``n`` or ``half`` (half extent) left out comes from the sizing rule:
+    the half extent from the outer reach of the detectors ``dets`` (None
+    skipped) and the spot of ``lo``, n from the step rule on ``half``."""
     if n is None or half is None:
         if half is not None:
-            auto = auto_grid(p, sc.plane, (), (half,))
+            auto = auto_grid(p, plane, (), (half,))
         else:
-            spot = sc.lo.q_reach(p, sc.plane)
-            auto = auto_grid(p, sc.plane,
+            spot = lo.q_reach(p, plane)
+            auto = auto_grid(p, plane,
                              [det.bounds_on_axis(p)[1] for det in dets if det is not None],
                              () if spot is None else (spot,))
         n, half = n or auto.n, half or auto.half_extent
-    return solve_io(Grid1D.uniform(n, half, sc.plane), p)
+    return Grid1D.uniform(n, half, plane)
 
 def write_summary(outdir: Path, runs) -> Path:
     """Derived scales and threshold margin of every (scenario, margin) run."""

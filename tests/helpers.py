@@ -3,7 +3,8 @@
 The library works on the even subspace of a grid, as coefficients
 (``Grid1D.fold``), and never forms the grid-level vectors, index maps or
 pointwise kernels that the oracles compare against.  These build them from
-the library's own pieces.
+the library's own pieces.  The golden outputs' command list and comparator
+live here too, shared by ``test_golden`` and the two tools that check outputs.
 """
 
 import math
@@ -15,8 +16,6 @@ import numpy as np
 from confocal_opo import (
     AtOrAboveThreshold,
     ConfigurationError,
-    DetectorMask,
-    auto_grid,
     mode_uv,
     phase_match_sinc,
 )
@@ -32,23 +31,60 @@ _NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 def golden_commands():
     """{name: CLI arguments without --out} of every golden output set: each
-    figure preset, and ``run`` on each explicit-grid config in ``GOLDEN``."""
+    figure preset, figs 6 and 9 at b = 900, and ``run`` on each config in
+    ``GOLDEN``."""
     cmds = {f"fig{i}": ["fig", "--id", str(i)] for i in (2, 5, 6, 7, 8, 9, 10)}
+    cmds.update({f"fig{i}_b900": ["fig", "--id", str(i), "--set", "b=900"] for i in (6, 9)})
     cmds.update({cfg.stem: ["run", "--config", str(cfg)] for cfg in sorted(GOLDEN.glob("*.cfg"))})
     return cmds
 
 
 def output_files(outdir):
-    """{file name: text} of the curves and summary a command wrote."""
+    """{file name: text, byte for byte} of the curves and summary a command
+    wrote."""
     files = sorted(outdir.glob("curve*.csv")) + sorted(outdir.glob("summary.txt"))
-    return {f.name: f.read_text() for f in files}
+    return {f.name: f.read_bytes().decode() for f in files}
 
 
-def split_numbers(line):
-    """(text, numbers) of one output line: the pieces between its numbers,
-    and the numbers as floats."""
-    parts = _NUMBER.split(line)
-    return parts[0::2], [float(x) for x in parts[1::2]]
+def deviations(want, got):
+    """{file name: why its text differs, or {column: largest relative
+    deviation}} of two ``output_files`` sets.
+
+    Lines must match in everything but their numbers.  A number x that
+    becomes y deviates by |y - x| / max(|x|, |y|), so an exact 0 must stay
+    0.  A CSV's columns are named by its header; the numbers in its comment
+    and header lines count as column "echo", and all of another file's as
+    column "all"."""
+    out = {}
+    for fname in sorted(want.keys() | got.keys()):
+        if fname not in want or fname not in got:
+            out[fname] = "new" if fname in got else "not written"
+            continue
+        lines, new_lines = want[fname].splitlines(), got[fname].splitlines()
+        if len(lines) != len(new_lines):
+            out[fname] = f"{len(lines)} -> {len(new_lines)} lines"
+            continue
+        csv = fname.endswith(".csv")
+        worst = {}
+        for row, (line, new_line) in enumerate(zip(lines, new_lines), 1):
+            parts, new_parts = _NUMBER.split(line), _NUMBER.split(new_line)
+            if new_parts[0::2] != parts[0::2]:
+                worst = f"text differs on line {row}"
+                break
+            names = lines[1].split(",") if csv and row > 2 else None
+            for j, (x, y) in enumerate(zip(map(float, parts[1::2]), map(float, new_parts[1::2]))):
+                name = names[j] if names else "echo" if csv else "all"
+                scale = max(abs(x), abs(y))
+                worst[name] = max(worst.get(name, 0.0), abs(y - x) / scale if scale else 0.0)
+        out[fname] = worst
+    return out
+
+
+def describe(deviation):
+    """One line of a ``deviations`` entry."""
+    if isinstance(deviation, str):
+        return deviation
+    return ", ".join(f"{name} {x:.3g}" for name, x in deviation.items())
 
 
 def flip(g, i):
@@ -94,25 +130,6 @@ def grid_modes(modes):
     if modes.grid.domain == "far":
         return modes.q
     return cosine(modes.grid).T @ modes.q
-
-
-def masks(plane, shape, values, pixel_width=None):
-    """The ``DetectorMask`` of each sweep value on ``plane`` (a half width,
-    radius or pixel center distance) as ``cli.run_scenario`` builds it: None
-    for a zero-size interval or disk, which detects nothing."""
-    values = [float(v) for v in values]
-    if shape == "pixel_pair":
-        return [DetectorMask.pixel_pair(v, pixel_width, plane) for v in values]
-    return [None if v == 0 else getattr(DetectorMask, shape)(v, plane) for v in values]
-
-
-def sized_grid(p, plane, dets, lo):
-    """The grid ``auto_grid`` sizes on ``plane`` for the detectors ``dets``
-    (None skipped) and the LO ``lo``, the grid a run without grid_n or
-    grid_L solves."""
-    spot = lo.q_reach(p, plane)
-    return auto_grid(p, plane, [det.bounds_on_axis(p)[1] for det in dets if det is not None],
-                     () if spot is None else (spot,))
 
 
 def unchecked_kernel(g, p):

@@ -26,8 +26,8 @@ from confocal_opo import (
     solve_io,
     squeezing,
 )
-from confocal_opo.cli import main
-from helpers import analytic_uv_planepump, masks, noise_density, sized_grid
+from confocal_opo.cli import _detector, _grid, main
+from helpers import analytic_uv_planepump, noise_density
 from lu_reference import residuals
 from modes_reference import dense_uv, even_diagonal
 from planepump_reference import (
@@ -149,11 +149,11 @@ def test_criterion_07_near_field_detector_size_trend():
     guaranteed = np.linspace(0.0, u_c / 2.0, 20)
     # the zero-size detector at d = 0 detects nothing: shot noise
     vns = [1.0 if det is None else squeezing(det, lo, p).vn_squeezed
-           for det in masks("near", "interval", guaranteed * p.l_coh)]
+           for det in [_detector("interval", "near", x) for x in guaranteed * p.l_coh]]
     early = rises(guaranteed, vns)
     wide = np.linspace(0.0, 1.3, 20)
     vns_wide = np.array([1.0 if det is None else squeezing(det, lo, p).vn_squeezed
-                         for det in masks("near", "interval", wide * p.l_coh)])
+                         for det in [_detector("interval", "near", x) for x in wide * p.l_coh]])
     model_dev = float(np.abs(vns_wide - interval_vn(wide, p.A_p)).max())
     clause_small = vn_small > 0.9
     clause_large = vn_large < 0.05
@@ -179,8 +179,8 @@ def test_criterion_08_pixel_pair_finite_pump():
     p = replace(p0, w_p=10.0 * p0.l_coh)  # b = 100
     values = [0.0, 3.0 * p.w_p]
     lo = LocalOscillator()
-    dets = masks("near", "pixel_pair", values, p.l_coh)
-    modes = solve_io(sized_grid(p, "near", dets, lo), p)
+    dets = [_detector("pixel_pair", "near", v, p.l_coh) for v in values]
+    modes = solve_io(_grid(p, "near", dets, lo), p)
     vn_zero, vn_far = (squeezing(det, lo, p, modes).vn_squeezed for det in dets)
     ok = vn_zero < 0.9 and vn_far > 0.95
     assert _report(8, ok, f"b = 100 pixel pair: vn(0) = {vn_zero:.4f} (< 0.9), "

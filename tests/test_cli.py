@@ -451,9 +451,8 @@ import math
 import sys
 from dataclasses import replace
 import numpy as np
-from confocal_opo import (DetectorMask, LocalOscillator, OpoParams, auto_grid, delta_2d,
-                         solve_io, squeezing)
-from confocal_opo.cli import main
+from confocal_opo import DetectorMask, LocalOscillator, OpoParams, delta_2d, solve_io, squeezing
+from confocal_opo.cli import _grid, main
 
 plane = OpoParams(lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.9,
                   w_p=math.inf)
@@ -464,8 +463,7 @@ for d in (0.5 * plane.l_coh, 20.0 * plane.l_coh):
 for where, values in (("near", [0.5 * plane.l_coh, plane.l_coh]),
                       ("far", [0.5 * plane.r0, plane.r0])):
     dets = [DetectorMask.interval(v, where) for v in values]
-    grid = auto_grid(gauss, where, [det.bounds_on_axis(gauss)[1] for det in dets])
-    modes = solve_io(grid, gauss)
+    modes = solve_io(_grid(gauss, where, dets, LocalOscillator()), gauss)
     for det in dets:
         squeezing(det, LocalOscillator(), gauss, modes)
 squeezing(DetectorMask.radial(0.5 * plane.r0), LocalOscillator(waist=plane.r0), plane)

@@ -24,8 +24,7 @@ from confocal_opo import (
     solve_io,
     squeezing,
 )
-from confocal_opo.cli import Scenario, fig_scenarios, main
-from helpers import masks, sized_grid
+from confocal_opo.cli import Scenario, _detector, _grid, fig_scenarios, main
 
 B_VALUES = (4.0, 25.0, 100.0)
 FIG_OF_PLANE = {"near": 6, "far": 9}
@@ -44,8 +43,8 @@ class Case:
     wide: CavityModes
 
 
-def _auto(sc, shape, values, lo, pixel_width=None):
-    return sized_grid(sc.params, sc.plane, masks(sc.plane, shape, values, pixel_width), lo)
+def _dets(sc, shape, values, pixel_width=None):
+    return [_detector(shape, sc.plane, float(v), pixel_width) for v in values]
 
 
 @pytest.fixture(scope="module", params=[(plane, b) for plane in FIG_OF_PLANE for b in B_VALUES],
@@ -54,7 +53,7 @@ def case(request):
     plane, b = request.param
     (sc,) = fig_scenarios(FIG_OF_PLANE[plane], {"b": (b,)})
     p = sc.params
-    grid = _auto(sc, sc.detector, sc.values, sc.lo)
+    grid = _grid(p, plane, _dets(sc, sc.detector, sc.values), sc.lo)
     wide = Grid1D.uniform(5 * grid.n, 5 * grid.half_extent, plane)
     return Case(b, sc, grid, solve_io(wide, p))
 
@@ -67,10 +66,11 @@ def _pump_unit(sc):
 def _assert_matches_wide(case, shape, values, lo, pixel_width=None):
     sc = case.sc
     p = sc.params
-    grid = _auto(sc, shape, values, lo, pixel_width)
+    dets = _dets(sc, shape, values, pixel_width)
+    grid = _grid(p, sc.plane, dets, lo)
     assert (grid.n, grid.half_extent) == (case.grid.n, case.grid.half_extent)
     modes = solve_io(grid, p)
-    for value, det in zip(values, masks(sc.plane, shape, values, pixel_width)):
+    for value, det in zip(values, dets):
         pt, wide = (squeezing(det, lo, p, m) for m in (modes, case.wide))
         for vn, vn_wide in ((pt.vn_squeezed, wide.vn_squeezed),
                             (pt.vn_antisqueezed, wide.vn_antisqueezed)):
@@ -82,7 +82,8 @@ def test_fig6_grid_sizes():
     # reaches 3 w_p); no solve
     sizes = {}
     for sc in fig_scenarios(6, {"b": (4.0, 25.0, 100.0, 900.0)}):
-        sizes[round(sc.params.b)] = _auto(sc, sc.detector, sc.values, sc.lo).n
+        sizes[round(sc.params.b)] = _grid(sc.params, sc.plane, _dets(sc, sc.detector, sc.values),
+                                          sc.lo).n
     assert [sizes[b] for b in (4, 25, 100)] == [129, 321, 641]
     assert sizes[900] <= 2000
 

@@ -19,9 +19,9 @@ from confocal_opo import (
     squeezing,
 )
 import confocal_opo.kernels as kernels
-from confocal_opo.cli import Scenario, _fmt, main, run_scenario
+from confocal_opo.cli import Scenario, _detector, _fmt, _grid, main, run_scenario
 from confocal_opo.homodyne import _conjugate_image
-from helpers import cosine, masks, noise_density, sized_grid
+from helpers import cosine, noise_density
 from lu_reference import lu_noise
 from planepump_reference import (
     circular_vn,
@@ -466,7 +466,7 @@ class TestRadialSpectrum:
             with pytest.raises(ConfigurationError, match="radial"):
                 make()
         p = replace(plane_params, w_p=3.0 * plane_params.l_coh)
-        grid = sized_grid(p, "far", [DetectorMask.interval(r, "far")], LocalOscillator())
+        grid = _grid(p, "far", [DetectorMask.interval(r, "far")], LocalOscillator())
         for q in (p, plane_params):
             modes = solve_io(grid, q)
             with pytest.raises(ConfigurationError, match="radial"):
@@ -529,8 +529,9 @@ class TestPlanePumpNearSpectrum:
         # would err by 5e-4, to the uncached levels 5 and 7 (2d = 600, 2000)
         p = replace(plane_params, A_p=a_p)
         d = np.array([0.05, 0.5, 5.0, 17.5, 22.5, 27.5, 60.0, 150.0, 300.0, 1000.0])
-        vns = np.array([squeezing(det, LocalOscillator(), p).vn_squeezed
-                        for det in masks("near", "interval", d * p.l_coh)])
+        lo = LocalOscillator()
+        vns = np.array([squeezing(_detector("interval", "near", x), lo, p).vn_squeezed
+                        for x in d * p.l_coh])
         assert np.abs(vns - interval_vn(d, a_p)).max() <= 1e-9
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-10])
@@ -539,8 +540,9 @@ class TestPlanePumpNearSpectrum:
         # weights split into |v|^2 and u v_- lost it all by A_p = 1 - 1e-8
         p = replace(plane_params, A_p=1.0 - eps)
         d = np.array([0.3, 1.0, 3.0])
-        vns = np.array([squeezing(det, LocalOscillator(), p).vn_squeezed
-                        for det in masks("near", "interval", d * p.l_coh)])
+        lo = LocalOscillator()
+        vns = np.array([squeezing(_detector("interval", "near", x), lo, p).vn_squeezed
+                        for x in d * p.l_coh])
         assert np.abs(vns - interval_vn(d, p.A_p)).max() <= 1e-12
 
     def test_uncached_level_leaves_the_cache_alone(self, plane_params):
@@ -786,8 +788,8 @@ class TestSweep:
         p = replace(p0, w_p=2.0 * p0.l_coh)
         values = [0.0, 6.0 * p0.l_coh]
         lo = LocalOscillator()
-        dets = masks("near", "pixel_pair", values, p0.l_coh)
-        modes = solve_io(sized_grid(p, "near", dets, lo), p)
+        dets = [_detector("pixel_pair", "near", v, p0.l_coh) for v in values]
+        modes = solve_io(_grid(p, "near", dets, lo), p)
         pts = [squeezing(det, lo, p, modes) for det in dets]
         assert pts[0].vn_squeezed < 0.9  # squeezing survives at contact
         assert pts[1].vn_squeezed > 0.95  # far pixels are uncorrelated vacuum
@@ -798,7 +800,7 @@ class TestSweep:
         p = replace(plane_params, w_p=3 * plane_params.l_coh,
                     detuning=0.3, omega_bar=0.5)
         det = DetectorMask.interval(2 * plane_params.l_coh, "near")
-        modes = solve_io(sized_grid(p, "near", [det], LocalOscillator()), p)
+        modes = solve_io(_grid(p, "near", [det], LocalOscillator()), p)
         pt = squeezing(det, LocalOscillator(), p, modes)
         assert 0.0 <= pt.vn_squeezed < 1.0
         assert np.isfinite(pt.vn_antisqueezed)
@@ -831,13 +833,14 @@ class TestSweep:
         # vn >= 0 on every route; at resonance and zero frequency the pi/2
         # quadrature never exceeds the phi = 0 one
         lo, far_lo = LocalOscillator(), LocalOscillator(waist=plane_params.r0)
-        near = [squeezing(det, lo, plane_params) for det in
-                masks("near", "interval", np.linspace(0.1, 4.0, 9) * plane_params.l_coh)]
-        far = [squeezing(det, far_lo, plane_params) for det in
-               masks("far", "radial", np.linspace(0.1, 2.0, 5) * plane_params.r0)]
+        near = [squeezing(_detector("interval", "near", x), lo, plane_params)
+                for x in np.linspace(0.1, 4.0, 9) * plane_params.l_coh]
+        far = [squeezing(_detector("radial", "far", x), far_lo, plane_params)
+               for x in np.linspace(0.1, 2.0, 5) * plane_params.r0]
         p_g = replace(plane_params, w_p=3 * plane_params.l_coh)
-        dets = masks("near", "interval", np.linspace(0.5, 6.0, 4) * plane_params.l_coh)
-        modes = solve_io(sized_grid(p_g, "near", dets, lo), p_g)
+        dets = [_detector("interval", "near", x)
+                for x in np.linspace(0.5, 6.0, 4) * plane_params.l_coh]
+        modes = solve_io(_grid(p_g, "near", dets, lo), p_g)
         dense = [squeezing(det, lo, p_g, modes) for det in dets]
         for pt in near + far + dense:
             assert pt.vn_squeezed >= 0.0
@@ -851,8 +854,9 @@ class TestSweep:
         u_c = correlation_first_zero(plane_params.A_p)
         half_widths = np.linspace(0.0, u_c / 2.0, 20)
         # the zero-size detector at d = 0 detects nothing: shot noise
+        dets = [_detector("interval", "near", x) for x in half_widths * plane_params.l_coh]
         vns = [1.0 if det is None else squeezing(det, LocalOscillator(), plane_params).vn_squeezed
-               for det in masks("near", "interval", half_widths * plane_params.l_coh)]
+               for det in dets]
         assert not rises(half_widths, vns)
 
 
@@ -885,10 +889,10 @@ class TestOnePath:
             lo = LocalOscillator(waist=2.0 * unit)
         pixel_width = unit if shape == "pixel_pair" else None
         values = [0.7 * unit, 2.3 * unit]
-        dets = masks(plane, shape, values, pixel_width)
+        dets = [_detector(shape, plane, v, pixel_width) for v in values]
         modes = None
         if pump == "gaussian":
-            modes = solve_io(sized_grid(p, plane, dets, lo), p)
+            modes = solve_io(_grid(p, plane, dets, lo), p)
         rows = _curve_rows(tmp_path, p, plane, shape, values, lo, pixel_width)
         route = ("dense" if modes is not None else "planepump_near" if plane == "near"
                  else "planepump_disk" if shape == "radial" else "planepump_far")
@@ -928,7 +932,7 @@ class TestOnePath:
         monkeypatch.setattr(homodyne, "phase_match_sinc", counted_sinc)
         monkeypatch.setattr(homodyne, "_mode_noise", counted_noise)
         lo = LocalOscillator(waist=plane_params.r0)
-        (det,) = masks("far", shape, [1.3 * plane_params.r0])
+        det = _detector(shape, "far", 1.3 * plane_params.r0)
         squeezing(det, lo, plane_params)
         assert len(passes) == 1 and len(chunks) >= 1
         assert gains == [t.shape for t, _ in chunks]
@@ -954,7 +958,7 @@ class TestOnePath:
         p = replace(plane_params, w_p=2.0 * plane_params.l_coh)
         det = DetectorMask.pixel_pair(20.0 * unit, unit, "far")
         for q, modes in ((plane_params, None),
-                         (p, solve_io(sized_grid(p, "far", [det], lo), p))):
+                         (p, solve_io(_grid(p, "far", [det], lo), p))):
             with pytest.raises(EmptyDetector, match="LO"):
                 squeezing(det, lo, q, modes)
 

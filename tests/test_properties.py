@@ -17,8 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from confocal_opo import Grid1D, LocalOscillator, OpoParams, solve_io, squeezing
-from confocal_opo.cli import _unit, main
-from helpers import masks, sized_grid
+from confocal_opo.cli import _detector, _grid, _unit, main
 
 #: the uncertainty bound vn_sq * vn_anti >= 1, less rounding (the benchmark's
 #: output check uses the same floor)
@@ -53,7 +52,7 @@ def test_plane_pump_closed_forms_obey_the_uncertainty_bound(case):
     # test_homodyne's test_band_past_the_lo_spot_is_refused)
     inner = max(0.0, value - pixel / 2) if pixel else 0.0
     assume(math.exp(-2.0 * (inner / lo.waist) ** 2) > 1e-200)
-    (det,) = masks(plane, shape, [value], pixel)
+    det = _detector(shape, plane, value, pixel)
     pt = squeezing(det, lo, p)
     assert pt.shot > 0
     assert pt.vn_squeezed > 0 and pt.vn_antisqueezed > 0
@@ -74,7 +73,7 @@ def dense_detectors(draw):
     shape = draw(st.sampled_from(["interval", "pixel_pair"]))
     unit = _unit(p, plane)
     pixel = draw(st.floats(0.25, 10.0)) * unit if shape == "pixel_pair" else None
-    (det,) = masks(plane, shape, [draw(st.floats(0.25, 10.0)) * unit], pixel)
+    det = _detector(shape, plane, draw(st.floats(0.25, 10.0)) * unit, pixel)
     lo = LocalOscillator(waist=draw(st.just(math.inf) | st.floats(0.3, 5.0)) * unit)
     return p, det, lo
 
@@ -84,7 +83,7 @@ def dense_detectors(draw):
 def test_dense_route_obeys_the_uncertainty_bound(case):
     p, det, lo = case
     assume(math.exp(-2.0 * (det.inner / lo.waist) ** 2) > 1e-200)
-    res = squeezing(det, lo, p, solve_io(sized_grid(p, det.plane, [det], lo), p))
+    res = squeezing(det, lo, p, solve_io(_grid(p, det.plane, [det], lo), p))
     assert res.vn_squeezed > 0 and res.vn_antisqueezed > 0
     assert res.vn_squeezed * res.vn_antisqueezed >= PRODUCT_FLOOR
 
@@ -116,7 +115,7 @@ def test_routes_are_invariant_under_length_scales(case):
         p = OpoParams(**lengths, z_C=0.05, A_p=0.8, detuning=0.3, omega_bar=0.5, w_p=math.inf)
         p = replace(p, w_p=math.sqrt(b) * p.l_coh)
         unit = _unit(p, plane)
-        (det,) = masks(plane, shape, [size * unit], None if pixel is None else pixel * unit)
+        det = _detector(shape, plane, size * unit, None if pixel is None else pixel * unit)
         modes = None
         if grid is not None:
             n, extent = grid

@@ -3,22 +3,20 @@
     python tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 
 Each SRC is a directory that holds the ``confocal_opo`` package (a
-checkout's ``src``).  Both trees run the same commands, each in its own
-fresh Python process with that tree first on ``PYTHONPATH``:
-
-* ``fig --id N`` for every figure preset, 2 and 5-10;
-* ``fig --id 6 --set b=900`` and ``fig --id 9 --set b=900``, the largest
-  near and far dense solves (n = 1,921 and 2,881);
-* every ``run`` invocation of the benchmark's workloads at seed 0, read
-  through ``perfbench/workloads.invocations(name, 0)``;
-* the Gaussian-pump ``run`` configs at b = 25 in ``tests/golden/*.cfg``,
-  which set ``grid_n`` only, ``grid_L`` only, and both, so the CLI's
-  explicit-grid solves are compared too.
+checkout's ``src``).  Both trees run every command of
+``tests/helpers.golden_commands``, the list the golden test checks: the
+figure presets, figs 6 and 9 at b = 900 (the largest near and far dense
+solves, n = 1,921 and 2,881), and ``run`` on each config in
+``tests/golden`` (the benchmark's seed-0 run configs and the explicit-grid
+configs).  The list is read from this checkout, with its ``src`` and
+``tests`` first on this process's path.  Each command runs in its own
+fresh Python process with the tree under test first on ``PYTHONPATH``.
 
 Every ``curve*.csv`` and ``summary.txt`` is then compared.  The script
 prints one line per command and exits 1 on any difference: a file that
-differs or that one side lacks, or a differing exit code.  It exits 0 when
-every output is byte-identical.
+differs or that one side lacks, or a differing exit code.  For each such
+file it prints what ``helpers.deviations`` finds.  It exits 0 when every
+output is byte-identical.
 
 It first prints the size of each tree: the ``wc -l`` total of
 ``confocal_opo/*.py`` and the number of names in ``confocal_opo.__all__``.
@@ -28,7 +26,6 @@ These lines are informational and leave the exit code as it is.
 from __future__ import annotations
 
 import argparse
-import difflib
 import os
 import subprocess
 import sys
@@ -36,41 +33,16 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
-sys.dont_write_bytecode = True  # leave the benchmark's directory as checked out
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-import workloads  # noqa: E402
-
-FIGURES = [["fig", "--id", str(i)] for i in (2, 5, 6, 7, 8, 9, 10)]
-FIGURES += [["fig", "--id", str(i), "--set", "b=900"] for i in (6, 9)]
-SEED = 0
-#: the explicit-grid run configs, shared with the golden-output test
-EXPLICIT_GRID_RUNS = sorted((ROOT / "tests" / "golden").glob("*.cfg"))
+from helpers import describe, deviations, golden_commands, output_files  # noqa: E402
 
 
-def commands() -> list[tuple[str, list[str], str | None]]:
-    """(name, CLI arguments without --config/--out, config text or None)."""
-    out = [(" ".join(args), args, None) for args in FIGURES]
-    for workload in workloads.WORKLOADS:
-        for inv in workloads.invocations(workload, SEED):
-            if inv.config is not None:
-                out.append((f"run {inv.name} (seed {SEED})", list(inv.args), inv.config))
-    out += [(f"run {cfg.stem}", ["run"], cfg.read_text()) for cfg in EXPLICIT_GRID_RUNS]
-    return out
-
-
-def run(src: Path, args: list[str], config: str | None, outdir: Path) -> int:
+def run(src: Path, args: list[str], outdir: Path) -> int:
     """Exit code of the CLI from ``src`` writing into ``outdir``."""
-    outdir.mkdir(parents=True)
-    argv = list(args)
-    if config is not None:
-        path = outdir.parent / f"{outdir.name}.cfg"
-        path.write_text(config)
-        argv += ["--config", str(path)]
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-m", "confocal_opo.cli", *argv,
-                           "--out", str(outdir)], env=env, capture_output=True, text=True)
-    return proc.returncode
+    return subprocess.run([sys.executable, "-m", "confocal_opo.cli", *args, "--out", str(outdir)],
+                          env=env, capture_output=True).returncode
 
 
 def size(src: Path) -> str:
@@ -84,29 +56,6 @@ def size(src: Path) -> str:
     return f"{lines} lines in confocal_opo/*.py, {names} names in confocal_opo.__all__"
 
 
-def outputs(outdir: Path) -> dict[str, bytes]:
-    files = sorted(outdir.glob("curve*.csv")) + sorted(outdir.glob("summary.txt"))
-    return {f.name: f.read_bytes() for f in files}
-
-
-def compare(old: dict, new: dict) -> list[str]:
-    """One line per difference between two output sets, with a short diff."""
-    problems = []
-    for fname in sorted(old.keys() | new.keys()):
-        if fname not in old or fname not in new:
-            side = "parent" if fname not in old else "change"
-            problems.append(f"  {fname}: missing in the {side} tree")
-        elif old[fname] != new[fname]:
-            diff = difflib.unified_diff(old[fname].decode().splitlines(),
-                                        new[fname].decode().splitlines(),
-                                        "parent", "change", n=0, lineterm="")
-            problems.append(f"  {fname}: differs")
-            problems.extend(f"    {line}" for line in list(diff)[:8])
-    if not old:
-        problems.append("  no outputs written")
-    return problems
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", type=Path)
@@ -118,15 +67,19 @@ def main(argv=None) -> int:
             parser.error(f"{src} holds no confocal_opo package")
     for side, src in zip(("parent", "change"), srcs):
         print(f"{side}: {size(src)}")
-    cmds, failed = commands(), 0
+    cmds, failed = golden_commands(), 0
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (name, cli_args, config) in enumerate(cmds):
+        for i, (name, cli_args) in enumerate(cmds.items()):
             codes, files = [], []
             for side, src in zip(("parent", "change"), srcs):
                 outdir = Path(tmp) / f"{i}_{side}"
-                codes.append(run(src, cli_args, config, outdir))
-                files.append(outputs(outdir))
-            problems = compare(*files)
+                codes.append(run(src, cli_args, outdir))
+                files.append(output_files(outdir))
+            problems = [f"  {fname}: {describe(deviation)}"
+                        for fname, deviation in deviations(*files).items()
+                        if files[0].get(fname) != files[1].get(fname)]
+            if not files[0]:
+                problems.append("  no outputs written")
             if codes[0] != codes[1]:
                 problems.insert(0, f"  exit code {codes[0]} (parent) != {codes[1]} (change)")
             count = len(files[1])

@@ -2,13 +2,15 @@
 
     python tools/update_goldens.py
 
-Runs every command of ``tests/helpers.golden_commands`` (the figure presets
-and each explicit-grid ``run`` config in ``tests/golden``) in this process,
-with this checkout's ``src`` first on the path, and writes its curves and
-summary into ``tests/golden/<name>/``.  For each file that was already
-there it prints the largest |new - old| per column: per CSV column of the
-data rows, and over all numbers of any other file.  A file whose text
-around the numbers changed is reported as such.
+Runs every command of ``tests/helpers.golden_commands`` (the figure presets,
+figs 6 and 9 at b = 900, and ``run`` on each config in ``tests/golden``) in
+this process, with this checkout's ``src`` first on the path, and writes its
+curves and summary into ``tests/golden/<name>/``.  For each file it prints
+``identical`` when the new bytes equal the old, and otherwise what
+``helpers.deviations`` finds, as the golden test does: the largest relative
+deviation per column, or why the text does not compare.  A run that changes
+no output thus states a byte claim for this tree.  A directory under
+``tests/golden`` that no command writes is reported, and left as it is.
 """
 
 from __future__ import annotations
@@ -23,31 +25,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 sys.dont_write_bytecode = True  # leave the test directory as checked out
 
 from confocal_opo.cli import main as cli_main  # noqa: E402
-from helpers import GOLDEN, golden_commands, output_files, split_numbers  # noqa: E402
-
-
-def deviations(fname: str, old: str, new: str) -> str:
-    """The largest |new - old| per column, or why the texts do not compare."""
-    old_lines, new_lines = old.splitlines(), new.splitlines()
-    if len(old_lines) != len(new_lines):
-        return f"{len(old_lines)} -> {len(new_lines)} lines"
-    csv = fname.endswith(".csv")
-    names = old_lines[1].split(",") if csv else ["all"]
-    worst = dict.fromkeys(names, 0.0)
-    for row, (line, new_line) in enumerate(zip(old_lines, new_lines)):
-        (pieces, xs), (new_pieces, new_xs) = split_numbers(line), split_numbers(new_line)
-        if new_pieces != pieces or len(new_xs) != len(xs):
-            return f"text differs on line {row + 1}"
-        if csv and row < 2:  # the echo comment and the header: text only
-            continue
-        for j, (x, y) in enumerate(zip(xs, new_xs)):
-            name = names[j] if csv else "all"
-            worst[name] = max(worst[name], abs(y - x))
-    return ", ".join(f"{name} {value:.3g}" for name, value in worst.items())
+from helpers import GOLDEN, describe, deviations, golden_commands, output_files  # noqa: E402
 
 
 def main() -> int:
-    for name, args in golden_commands().items():
+    cmds = golden_commands()
+    for name, args in cmds.items():
         target = GOLDEN / name
         with tempfile.TemporaryDirectory() as tmp:
             code = cli_main([*args, "--out", tmp])
@@ -58,14 +41,12 @@ def main() -> int:
             shutil.rmtree(target, ignore_errors=True)
             target.mkdir(parents=True)
             for fname, text in new.items():
-                (target / fname).write_text(text)
-        for fname in sorted(old.keys() | new.keys()):
-            if fname not in new:
-                print(f"{name}/{fname}: removed")
-            elif fname not in old:
-                print(f"{name}/{fname}: new")
-            else:
-                print(f"{name}/{fname}: {deviations(fname, old[fname], new[fname])}")
+                (target / fname).write_bytes(text.encode())
+        for fname, deviation in deviations(old, new).items():
+            same = old.get(fname) == new.get(fname)
+            print(f"{name}/{fname}: {'identical' if same else describe(deviation)}")
+    for stale in sorted(d.name for d in GOLDEN.iterdir() if d.is_dir() and d.name not in cmds):
+        print(f"{stale}: no command writes it; remove it or add its command")
     return 0
 
 
