@@ -11,18 +11,7 @@ local oscillators, normalized to shot noise.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    AboveThreshold,
-    AtOrAboveThreshold,
-    ConfigurationError,
-    EmptyDetector,
-    GridTooCoarse,
-    NonPhysical,
-    NumericalFailure,
-    OpoError,
-    PlaneMismatch,
-    SingularSystem,
-)
+from .errors import ConfigurationError, NumericalFailure
 from .params import OpoParams
 from .kernels import (
     Grid1D,
@@ -49,7 +38,5 @@ __all__ = [
     "CavityModes", "mode_uv", "solve_io",
     "DetectorMask", "LocalOscillator", "SqueezingResult",
     "squeezing",
-    "OpoError", "ConfigurationError", "NumericalFailure", "NonPhysical",
-    "AboveThreshold", "EmptyDetector", "PlaneMismatch",
-    "GridTooCoarse", "SingularSystem", "AtOrAboveThreshold",
+    "ConfigurationError", "NumericalFailure",
 ]

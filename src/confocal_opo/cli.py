@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError, NumericalFailure, OpoError
+from .errors import ConfigurationError, NumericalFailure
 from .homodyne import (_PHASES, DetectorMask, LocalOscillator, _check_threshold, _mode_noise,
                        squeezing)
 from .iosolver import solve_io
@@ -156,7 +156,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
         f_lens=cfg.get("f_lens", 0.1),
     )
     npts = cfg.get("sweep_points", 25)
-    if npts is None or not 2 <= npts <= _MAX_SWEEP_POINTS:
+    if not 2 <= npts <= _MAX_SWEEP_POINTS:
         raise ConfigurationError(
             f"key 'sweep_points': need between 2 and {_MAX_SWEEP_POINTS} sweep points, got {npts}"
         )
@@ -492,9 +492,6 @@ def main(argv=None) -> int:
         return 2
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
-    except OpoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
 

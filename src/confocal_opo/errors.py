@@ -1,51 +1,20 @@
-"""Exception hierarchy shared by all modules.
+"""The two errors the package raises, one per CLI exit code.
 
-Two families matter to callers: configuration problems (bad input, bad
-geometry) and numerical failures (a solve or a grid that cannot deliver the
-requested accuracy).  The CLI maps them to exit codes 2 and 1 respectively.
+``ConfigurationError`` (exit 2) covers bad input: a non-physical parameter,
+a pump at or above threshold, an unknown key, a detector that no grid point
+or LO light reaches, or a detector on a grid of the other plane.
+``NumericalFailure`` (exit 1) covers a computation that cannot meet its
+accuracy contract: a grid that breaks the sizing rule, an ill-conditioned or
+non-finite solve, or a closed form that diverges at threshold.  The message
+says which.
 """
 
-__all__ = [
-    "OpoError", "ConfigurationError", "NonPhysical", "AboveThreshold", "EmptyDetector",
-    "PlaneMismatch", "NumericalFailure", "GridTooCoarse", "SingularSystem", "AtOrAboveThreshold",
-]
+__all__ = ["ConfigurationError", "NumericalFailure"]
 
 
-class OpoError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class ConfigurationError(OpoError):
+class ConfigurationError(Exception):
     """Invalid parameters, configuration keys, or detection geometry."""
 
 
-class NonPhysical(ConfigurationError):
-    """A length is non-positive or a refractive index is below 1."""
-
-
-class AboveThreshold(ConfigurationError):
-    """Pump amplitude at or above the oscillation threshold (A_p >= 1)."""
-
-
-class EmptyDetector(ConfigurationError):
-    """No grid point falls inside the detector mask, or no LO light reaches it."""
-
-
-class PlaneMismatch(ConfigurationError):
-    """Detector, local oscillator, and field live in different planes."""
-
-
-class NumericalFailure(OpoError):
+class NumericalFailure(Exception):
     """A numerical operation cannot meet its accuracy contract."""
-
-
-class GridTooCoarse(NumericalFailure):
-    """Grid cannot resolve the pump envelope or the coherence-scale kernel."""
-
-
-class SingularSystem(NumericalFailure):
-    """Input/output solve is singular or near-singular (condition > 1e12)."""
-
-
-class AtOrAboveThreshold(NumericalFailure):
-    """Closed-form response diverges: the mode is at or above threshold."""

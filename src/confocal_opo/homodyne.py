@@ -40,7 +40,7 @@ the shot noise N at unit LO amplitude and vn at both phases, and
   of its band [a, b], |W(t)|^2 = 4 (sin(b t) - sin(a t))^2 / t^2; a
   far-plane detector (``_vn_planepump_far``) by the LO intensity on its
   band, and a ``radial`` disk also by the polar weight t (route
-  ``planepump_disk``).  Both raise ``AtOrAboveThreshold`` when the
+  ``planepump_disk``).  Both raise ``NumericalFailure`` when the
   strongest mode, gain A_p at q = 0, is at threshold within rounding.
   These routes cover detector sizes far beyond what a dense grid can span,
   and are cross-checked against the dense route where the two overlap.
@@ -75,14 +75,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    AtOrAboveThreshold,
-    ConfigurationError,
-    EmptyDetector,
-    GridTooCoarse,
-    NumericalFailure,
-    PlaneMismatch,
-)
+from .errors import ConfigurationError, NumericalFailure
 from .iosolver import CavityModes
 from .kernels import _EXTENT_FACTOR, Grid1D, phase_match_sinc
 from .params import OpoParams, _real
@@ -167,20 +160,20 @@ class DetectorMask:
 
     def indicator(self, grid: Grid1D, p: OpoParams) -> np.ndarray:
         if grid.domain != self.plane:
-            raise PlaneMismatch(
+            raise ConfigurationError(
                 f"{self.shape} detector lives in the {self.plane} plane, "
                 f"grid is {grid.domain}"
             )
         lo, hi = self.bounds_on_axis(p)
         if hi > grid.half_extent:
-            raise GridTooCoarse(
+            raise NumericalFailure(
                 f"detector reach {hi:.3e} exceeds the grid half extent "
                 f"{grid.half_extent:.3e}"
             )
         u = np.abs(grid.points)
         mask = (u >= lo) & (u <= hi)
         if not mask.any():
-            raise EmptyDetector("no grid point falls inside the detector mask")
+            raise ConfigurationError("no grid point falls inside the detector mask")
         return mask
 
 
@@ -265,8 +258,8 @@ def _mode_noise(lam, phase: float, detuning: float, omega_bar: float):
 def _check_lit(n_shot: float, det: DetectorMask) -> None:
     # a Gaussian LO spot that ends long before the band leaves no N to normalize by
     if n_shot == 0.0:
-        raise EmptyDetector(f"no LO light reaches the {det.shape} band "
-                            f"[{det.inner:g}, {det.outer:g}]")
+        raise ConfigurationError(f"no LO light reaches the {det.shape} band "
+                                 f"[{det.inner:g}, {det.outer:g}]")
 
 def _conjugate_image(grid: Grid1D, vec: np.ndarray) -> np.ndarray:
     """W vec, real and even, of an even real vector on ``grid`` under the
@@ -309,7 +302,7 @@ def _check_threshold(p: OpoParams) -> None:
     at threshold within rounding, |a abar - A_p^2| <= 1e-14."""
     a_abar = (1.0 + 1j * (p.detuning + p.omega_bar)) * (1.0 + 1j * (p.omega_bar - p.detuning))
     if np.abs(a_abar - p.A_p**2) <= 1e-14:
-        raise AtOrAboveThreshold("plane-pump response diverges: a*abar = (A_p sigma)^2")
+        raise NumericalFailure("plane-pump response diverges: a*abar = (A_p sigma)^2")
 
 #: 16-point Gauss-Legendre rule on [-1, 1], mapped onto every panel
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -391,7 +384,7 @@ def _vn_planepump_far(det: DetectorMask, lo: LocalOscillator, p: OpoParams):
     """
     q_lo, q_hi = det.bounds_on_axis(p)
     if q_hi <= q_lo:
-        raise EmptyDetector("empty wavevector interval")
+        raise ConfigurationError("empty wavevector interval")
     # |alpha|^2 is exp(-2 (x / waist)^2) at x = q lambda f / (2 pi), exp(-c t^2)
     # in t = q l_coh; c = 0 for a plane LO
     x_of_q = p.lambda_s * p.f_lens / (2.0 * math.pi)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import eigh
 
-from .errors import NumericalFailure, SingularSystem
+from .errors import NumericalFailure
 from .kernels import Grid1D, build_kernel_matrix
 from .params import OpoParams
 
@@ -89,10 +89,10 @@ class CavityModes:
 def solve_io(grid: Grid1D, p: OpoParams) -> CavityModes:
     """Eigenmodes of the coupling operator on ``grid`` at the point of ``p``.
 
-    One ``eigh`` call on the m x m far block of ``build_kernel_matrix``
-    (``GridTooCoarse`` on a grid that breaks the sizing rule), whose modes
-    serve either domain.  Raises ``NumericalFailure`` when the block is not
-    finite (an overflowing kernel), and ``SingularSystem`` when the spectral condition
+    One ``eigh`` call on the m x m far block of ``build_kernel_matrix``,
+    whose modes serve either domain.  Raises ``NumericalFailure`` on a grid
+    that breaks the sizing rule, when the block is not finite (an
+    overflowing kernel), when the spectral condition
     max|a abar - lam^2| / min|a abar - lam^2| of the system matrix
     a I - K^2 / abar, the odd subspace (lam = 0) included, exceeds 1e12
     (at/above threshold, or a grid too coarse to keep the discretized
@@ -112,7 +112,7 @@ def solve_io(grid: Grid1D, p: OpoParams) -> CavityModes:
     den = np.append(np.abs(a_abar - lam**2), abs(a_abar))  # odd subspace: lam = 0
     if not den.max() <= _CONDITION_CUTOFF * den.min():
         cond = den.max() / den.min() if den.min() > 0 else np.inf
-        raise SingularSystem(
+        raise NumericalFailure(
             f"input/output system condition {cond:.3e} exceeds {_CONDITION_CUTOFF:.0e}; "
             "the configuration is at/above threshold or the grid is too coarse"
         )
@@ -121,7 +121,7 @@ def solve_io(grid: Grid1D, p: OpoParams) -> CavityModes:
     with np.errstate(all="ignore"):
         bound = _symplectic_bound(q, lam, (p.detuning, p.omega_bar))
     if not bound <= _SYMPLECTIC_TOLERANCE:
-        raise SingularSystem(
+        raise NumericalFailure(
             f"Bogoliubov residual bound {bound:.2e} exceeds {_SYMPLECTIC_TOLERANCE:.0e}; "
             "the modes do not define a symplectic transform"
         )

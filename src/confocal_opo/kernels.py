@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, GridTooCoarse
+from .errors import ConfigurationError, NumericalFailure
 from .params import OpoParams, _real
 
 __all__ = [
@@ -285,18 +285,18 @@ def _check_sizing(g: Grid1D, p: OpoParams) -> None:
             and g.step >= _THIN_STEP_RATIO * p.l_coh
         )
         if not thin:
-            raise GridTooCoarse(
+            raise NumericalFailure(
                 f"near grid step {g.step:.3e} m exceeds l_coh/{_STEP_DIVISOR:g} = "
                 f"{step_max:.3e} m (thin-crystal escape needs l_c <= "
                 f"{_THIN_CRYSTAL_RATIO:g} z_C and step >= {_THIN_STEP_RATIO:g} l_coh)"
             )
     elif g.domain == "far" and g.step > step_max:
-        raise GridTooCoarse(
+        raise NumericalFailure(
             f"far grid step {g.step:.3e} /m exceeds min(1/w_p, sqrt(2 k_s/l_c))/"
             f"{_STEP_DIVISOR:g} = {step_max:.3e} /m"
         )
     if g.half_extent < extent_min:
-        raise GridTooCoarse(
+        raise NumericalFailure(
             f"{g.domain} grid half extent {g.half_extent:.3e} is below "
             f"{_EXTENT_FACTOR:g} x the pump envelope scale {extent_min / _EXTENT_FACTOR:.3e}"
         )
@@ -322,14 +322,14 @@ def auto_grid(
         extent_min = max(extent_min, _PHASE_MATCH_BAND / p.l_coh)
     extent = max([extent_min, *extents] + [r + step_max for r in reaches])
     if extent <= 0:
-        raise GridTooCoarse("no finite extent available to size the grid")
+        raise NumericalFailure("no finite extent available to size the grid")
     # n stays a float until it fits: an extent near the float range has no int n
     cells = 2.0 * extent / step_max
     n = math.ceil(cells) if cells <= MAX_GRID_N else cells
     if n % 2 == 0:
         n += 1
     if not n <= MAX_GRID_N:
-        raise GridTooCoarse(
+        raise NumericalFailure(
             f"sizing rule demands n = {n:.3e} > {MAX_GRID_N} points "
             f"(extent {extent:.3e}, step {step_max:.3e})"
         )
@@ -387,7 +387,7 @@ def build_kernel_matrix(g: Grid1D, p: OpoParams) -> np.ndarray:
     pair without the 1-D position kernel's half-power Fresnel integral,
     which has no closed form.
 
-    Raises ``GridTooCoarse`` when the grid violates the sizing rule (step
+    Raises ``NumericalFailure`` when the grid violates the sizing rule (step
     <= l_coh/8 near, or beyond the thin-crystal regime; step <=
     min(1/w_p, sqrt(2 k_s / l_c))/8 far; extent >= 4 w_p for a finite
     pump).

@@ -21,7 +21,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 
-from .errors import AboveThreshold, NonPhysical
+from .errors import ConfigurationError
 
 __all__ = ["OpoParams"]
 
@@ -36,8 +36,8 @@ def _real(value) -> bool:
 def _positive(**scales) -> None:
     for name, value in scales.items():
         if not 0.0 < value < math.inf:
-            raise NonPhysical(f"derived scale {name} = {value!r} is not positive and "
-                              "finite: the inputs reach past the floating-point range")
+            raise ConfigurationError(f"derived scale {name} = {value!r} is not positive and "
+                                     "finite: the inputs reach past the floating-point range")
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,11 @@ class OpoParams:
         Focal length (m) of the imaging lens that maps the far field onto
         the detection plane, position x <-> wavevector q = 2 pi x / (lambda f).
 
-    Raises ``AboveThreshold`` if A_p >= 1, and ``NonPhysical`` if a field is
-    not a real number, a length is not positive (w_p = inf is allowed),
-    n_s < 1, A_p < 0, detuning or omega_bar is not finite, or a derived scale
-    or the far-field lens factor 2 pi / (lambda_s f_lens) is not in (0, inf).
+    Raises ``ConfigurationError`` if A_p >= 1 (at or above threshold), a
+    field is not a real number, a length is not positive (w_p = inf is
+    allowed), n_s < 1, A_p < 0, detuning or omega_bar is not finite, or a
+    derived scale or the far-field lens factor 2 pi / (lambda_s f_lens) is
+    not in (0, inf).
     """
 
     lambda_s: float
@@ -88,23 +89,24 @@ class OpoParams:
     def __post_init__(self):
         for f in fields(self):
             if not _real(getattr(self, f.name)):
-                raise NonPhysical(f"{f.name} must be a real number, got {getattr(self, f.name)!r}")
+                raise ConfigurationError(
+                    f"{f.name} must be a real number, got {getattr(self, f.name)!r}")
         for name in ("lambda_s", "l_c", "z_C", "f_lens"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
-                raise NonPhysical(f"{name} must be a positive length, got {value!r}")
+                raise ConfigurationError(f"{name} must be a positive length, got {value!r}")
         if not (math.isfinite(self.n_s) and self.n_s >= 1.0):
-            raise NonPhysical(f"n_s must be >= 1, got {self.n_s!r}")
+            raise ConfigurationError(f"n_s must be >= 1, got {self.n_s!r}")
         if not (0.0 <= self.A_p):
-            raise NonPhysical(f"A_p must be non-negative, got {self.A_p!r}")
+            raise ConfigurationError(f"A_p must be non-negative, got {self.A_p!r}")
         if self.A_p >= 1.0:
-            raise AboveThreshold(f"A_p = {self.A_p!r} is at or above the oscillation "
-                                 "threshold (A_p < 1 required)")
+            raise ConfigurationError(f"A_p = {self.A_p!r} is at or above the oscillation "
+                                     "threshold (A_p < 1 required)")
         if not self.w_p > 0:
-            raise NonPhysical(
+            raise ConfigurationError(
                 f"w_p must be a positive length or inf (a plane pump), got {self.w_p!r}")
         if not (math.isfinite(self.detuning) and math.isfinite(self.omega_bar)):
-            raise NonPhysical("detuning and omega_bar must be finite")
+            raise ConfigurationError("detuning and omega_bar must be finite")
         # in this order: r0 divides by l_coh
         _positive(l_coh=self.l_coh, w_C=self.w_C,
                   lens_factor=2.0 * math.pi / self.lambda_s / self.f_lens)

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from confocal_opo import (
-    AtOrAboveThreshold,
     ConfigurationError,
+    NumericalFailure,
     mode_uv,
     phase_match_sinc,
 )
@@ -171,13 +171,13 @@ def analytic_uv_planepump(q, p, omega_bar=None):
     below threshold).  ``omega_bar`` overrides the analysis frequency of
     ``p`` (used for the negative-frequency partner).
 
-    Raises ``AtOrAboveThreshold`` when |D| vanishes within 1e-14.
+    Raises ``NumericalFailure`` when |D| vanishes within 1e-14.
     """
     om = p.omega_bar if omega_bar is None else omega_bar
     sig = p.A_p * phase_match_sinc(np.asarray(q, dtype=float), p)
     a_abar = (1.0 + 1j * (p.detuning + om)) * (1.0 + 1j * (om - p.detuning))
     if np.any(np.abs(a_abar - sig**2) <= 1e-14):
-        raise AtOrAboveThreshold("plane-pump response diverges: a*abar = (A_p sigma)^2")
+        raise NumericalFailure("plane-pump response diverges: a*abar = (A_p sigma)^2")
     return mode_uv(sig, p.detuning, om)
 
 

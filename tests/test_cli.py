@@ -493,6 +493,8 @@ def test_package_all_is_union_of_submodules():
     assert len(confocal_opo.__all__) == len(set(confocal_opo.__all__))
     assert set(confocal_opo.__all__) == union
     assert all(hasattr(confocal_opo, name) for name in confocal_opo.__all__)
+    # one error class per exit code
+    assert errors.__all__ == ["ConfigurationError", "NumericalFailure"]
 
 
 #: --set keys and extreme values of the exit-code grid: the float range's
@@ -646,3 +648,32 @@ def test_fig2_refuses_keys_it_does_not_read(tmp_path, capsys, key, value):
     # the keys it reads, and A_p, are taken
     for ok in ("l_c=0.02", "A_p=0.3"):
         assert main(["fig", "--id", "2", "--set", ok, "--out", str(tmp_path / ok)]) == 0
+
+
+MISS_CONFIG = """\
+lambda_s = 1.064e-6
+n_s = 2.12
+l_c = 0.01
+z_C = 0.05
+A_p = 0.9
+pump = gaussian
+w_p = 2e-4
+sweep_points = 3
+"""
+
+
+@pytest.mark.parametrize("text,code,line", [
+    ("plane = far\ndetector = pixel_pair\npixel_width = 1e-5\nlo = gaussian\n"
+     "lo_waist = 1e-6\nsweep_min = 4e-4\nsweep_max = 5e-4\n", 2,
+     "configuration error: no LO light reaches the pixel_pair band [0.000395, 0.000405]"),
+    ("plane = near\ndetector = pixel_pair\npixel_width = 1e-9\n"
+     "sweep_min = 1.23456e-5\nsweep_max = 2e-4\n", 2,
+     "configuration error: no grid point falls inside the detector mask"),
+    ("plane = near\ndetector = interval\ngrid_L = 9e-4\nsweep_min = 0\nsweep_max = 1e-3\n", 1,
+     "numerical failure: detector reach 1.000e-03 exceeds the grid half extent 9.000e-04"),
+], ids=["lo-misses-band", "pixels-between-grid-points", "detector-beyond-grid"])
+def test_detector_the_run_cannot_see_exits_with_one_line(tmp_path, text, code, line):
+    # a detector that no LO light, no grid point or no grid reaches ends the
+    # run in its exit code and one line that says which
+    cfg = write_config(tmp_path, MISS_CONFIG + text)
+    assert _one_line_exit(tmp_path, ["run", "--config", str(cfg)]) == (code, line)

@@ -9,9 +9,8 @@ import scipy.linalg
 import confocal_opo.iosolver as iosolver
 from confocal_opo import (
     Grid1D,
-    GridTooCoarse,
+    NumericalFailure,
     OpoParams,
-    SingularSystem,
     auto_grid,
     mode_uv,
     phase_match_sinc,
@@ -153,14 +152,18 @@ class TestDenseSolve:
             A_p=1.0 - 1e-13, w_p=math.inf,
         )
         g = Grid1D.uniform(129, 8.0 / plane_params.l_coh, "far")
-        with pytest.raises(SingularSystem):
+        with pytest.raises(NumericalFailure, match=r"^input/output system condition \S+ exceeds "
+                                                   r"1e\+12; the configuration is at/above"):
             solve_io(g, p)
 
     def test_grid_too_coarse(self):
         # the solve gathers its own block, under the kernel's sizing rule
         p, _ = gauss_setup(b=16.0)
-        for g in (Grid1D.uniform(16, 4 * p.w_p, "near"), Grid1D.uniform(64, 1.0 / p.w_p, "far")):
-            with pytest.raises(GridTooCoarse):
+        for g, match in ((Grid1D.uniform(16, 4 * p.w_p, "near"),
+                          r"^near grid step \S+ m exceeds l_coh/8 = "),
+                         (Grid1D.uniform(64, 1.0 / p.w_p, "far"),
+                          r"^far grid half extent \S+ is below 4 x the pump envelope scale ")):
+            with pytest.raises(NumericalFailure, match=match):
                 solve_io(g, p)
 
     def test_gate_rejects_non_orthogonal_modes(self, monkeypatch):
@@ -183,7 +186,8 @@ class TestDenseSolve:
             assert broken or eps < 1e-3
             monkeypatch.setattr(iosolver, "eigh", corrupted)
             if broken:
-                with pytest.raises(SingularSystem):
+                with pytest.raises(NumericalFailure, match=r"^Bogoliubov residual bound \S+ "
+                                                           r"exceeds 1e-06; the modes do not"):
                     solve_io(g, p)
             monkeypatch.setattr(iosolver, "eigh", exact)
 
