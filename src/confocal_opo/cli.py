@@ -75,7 +75,6 @@ class Scenario:
     detector: str
     values: list
     lo: LocalOscillator
-    abscissa_scale: float
     abscissa_name: str
     label: str
     pixel_width: float | None = None
@@ -183,17 +182,16 @@ def scenario_from_config(cfg: dict) -> Scenario:
         name = "size_over_lcoh"
     else:
         name = "r_over_r0" if params.plane_pump else "q_times_wp"
-    return Scenario(params, cfg["plane"], cfg["detector"], values, lo, abscissa_scale=unit,
-                    abscissa_name=name, label="run", pixel_width=pixel_width,
-                    grid_n=grid_n, grid_L=grid_L)
+    return Scenario(params, cfg["plane"], cfg["detector"], values, lo, abscissa_name=name,
+                    label="run", pixel_width=pixel_width, grid_n=grid_n, grid_L=grid_L)
 
 def _unit(p: OpoParams, plane: str) -> float:
     """Coherence unit of ``plane`` in detection-plane meters.
 
     l_coh near the crystal.  In the far field, q = 2 pi x / (lambda f) maps
     detection-plane positions to wavevectors, and the unit is the size of
-    q_coh = 1/w_p there, or r0 for a plane pump.  It scales the abscissa,
-    the preset sweeps and the default pixel width.
+    q_coh = 1/w_p there, or r0 for a plane pump.  It scales the abscissa of
+    every curve, the preset sweeps and the default pixel width.
     """
     if plane == "near":
         return p.l_coh
@@ -240,28 +238,32 @@ def _scenario_echo(sc: Scenario):
     pairs.append(("abscissa", sc.abscissa_name))
     return pairs
 
-def run_scenario(sc: Scenario, outdir: Path, csv_name: str = "curve.csv") -> float:
-    """Write the sweep's curve, one row per value: ``squeezing`` of its
-    detector on the modes of the sweep's one solve, or shot noise (vn = 1,
-    N = 0) for a zero-size interval or disk, which detects nothing.  Return
-    the threshold margin 1 - max|lam| of the solve (1 - A_p for a plane
-    pump, whose strongest mode is q = 0)."""
+def run_scenario(sc: Scenario, outdir: Path) -> float:
+    """Write the sweep's curve, one row per value (abscissa: the value /
+    ``_unit``): ``squeezing`` of its detector on the sweep's cavity (a plane
+    pump's parameters, or the modes of its one solve), or shot noise (vn = 1,
+    N = 0) for a zero-size interval or disk, which detects nothing.  A label
+    ``<name>_<suffix>`` names the file ``curve_<suffix>.csv``, one without
+    "_" ``curve.csv``.  Return the threshold margin 1 - max|lam| of the
+    solve (1 - A_p for a plane pump, whose strongest mode is q = 0)."""
     p = sc.params
     dets = [_detector(sc.detector, sc.plane, float(value), sc.pixel_width) for value in sc.values]
-    modes = None if p.plane_pump else solve_io(
+    cavity = p if p.plane_pump else solve_io(
         _grid(p, sc.plane, dets, sc.lo, sc.grid_n, sc.grid_L), p)
+    unit = _unit(p, sc.plane)
     rows = []
     for value, det in zip(sc.values, dets):
-        x = float(value) / sc.abscissa_scale
+        x = float(value) / unit
         if det is None:
             rows.append((x, 1.0, 1.0, 0.0))
         else:
-            res = squeezing(det, sc.lo, p, modes)
+            res = squeezing(det, sc.lo, cavity)
             rows.append((x, res.vn_squeezed, res.vn_antisqueezed, res.shot))
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_curve(outdir / csv_name, _echo(_scenario_echo(sc)),
-                 "abscissa,vn_squeezed,vn_antisqueezed,shot", rows)
-    return 1.0 - (p.A_p if modes is None else float(np.abs(modes.lam).max()))
+    suffix = sc.label.partition("_")[2]
+    _write_curve(outdir / (f"curve_{suffix}.csv" if suffix else "curve.csv"),
+                 _echo(_scenario_echo(sc)), "abscissa,vn_squeezed,vn_antisqueezed,shot", rows)
+    return 1.0 - (cavity.A_p if cavity is p else float(np.abs(cavity.lam).max()))
 
 def _detector(shape: str, plane: str, value: float,
               pixel_width: float | None = None) -> DetectorMask | None:
@@ -355,8 +357,7 @@ def fig_scenarios(fig_id: int, overrides: dict) -> list[Scenario]:
                                      f"so b must exceed {(first / 3.0) ** 2:.6g}, got {b:g}")
         out.append(Scenario(
             p, plane, detector, list(np.linspace(first, stop, points) * unit),
-            LocalOscillator(waist=lo_waist * unit),
-            abscissa_scale=unit, abscissa_name=name,
+            LocalOscillator(waist=lo_waist * unit), abscissa_name=name,
             label=f"fig{fig_id}_{suffix.format(b=b)}".rstrip("_"),
             pixel_width=unit if detector == "pixel_pair" else None,
         ))
@@ -381,15 +382,10 @@ def run_fig(fig_id: int, overrides: dict, outdir: Path) -> None:
     if fig_id == 2:
         _run_fig2(overrides, outdir)
         return
-    scenarios = fig_scenarios(fig_id, overrides)
-    margins = []
-    for sc in scenarios:
-        suffix = sc.label.partition("_")[2]
-        margins.append(run_scenario(
-            sc, outdir, csv_name=f"curve_{suffix}.csv" if suffix else "curve.csv"))
+    runs = [(sc, run_scenario(sc, outdir)) for sc in fig_scenarios(fig_id, overrides)]
     if fig_id == 8:
-        _run_fig8_density(scenarios[0], outdir)
-    write_summary(outdir, list(zip(scenarios, margins)))
+        _run_fig8_density(runs[0][0], outdir)
+    write_summary(outdir, runs)
 
 def _run_fig2(overrides: dict, outdir: Path) -> None:
     p = _preset_params(overrides, w_p=math.inf)
@@ -466,7 +462,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", default=None)
     p_fig = sub.add_parser("fig", help="run a figure preset")
     p_fig.add_argument("--id", type=int, required=True,
-                       choices=(2, 5, 6, 7, 8, 9, 10))
+                       choices=(2, *_PRESETS))
     p_fig.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     p_fig.add_argument("--out", default=None)
     args = parser.parse_args(argv)

@@ -6,7 +6,7 @@ detector area.  Its noise spectrum normalized to shot noise is
 
     vn = V / N = 1 + S / N.
 
-``squeezing(det, lo, p, modes=None)`` is the one entry point: it returns
+``squeezing(det, lo, cavity)`` is the one entry point: it returns
 vn of one detector in both canonical quadratures, the squeezed phi = pi/2
 and the anti-squeezed phi = 0, from one pass (``SqueezingResult``).  A
 curve over detector sizes is one call per detector (the CLI draws them).
@@ -32,7 +32,7 @@ the shot noise N at unit LO amplitude and vn at both phases, and
 
   where v_- is the per-mode v at the opposite analysis frequency, a closed
   form at no extra cost.  Every route takes R_phi - 1 from ``_mode_noise``.
-* Without modes, a plane pump bypasses the dense solve: its response is
+* A plane pump's ``OpoParams`` bypasses the dense solve: its response is
   diagonal in the transverse wavevector, with mode gain lambda =
   A_p sigma(q), so vn is one window-weighted sum over q of the same
   R_phi - 1, taken on the chunks of ``_panel_noise``.  A near-plane
@@ -44,7 +44,7 @@ the shot noise N at unit LO amplitude and vn at both phases, and
   strongest mode, gain A_p at q = 0, is at threshold within rounding.
   These routes cover detector sizes far beyond what a dense grid can span,
   and are cross-checked against the dense route where the two overlap.
-* A finite pump without modes is a ``ConfigurationError``.
+* A finite pump's ``OpoParams`` is a ``ConfigurationError``: it needs modes.
 
 The squeezed quadrature is phi = pi/2 in this sign convention and phi = 0
 its anti-squeezed dual (product 1 per mode at resonance and zero
@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -275,20 +275,20 @@ def _conjugate_image(grid: Grid1D, vec: np.ndarray) -> np.ndarray:
     c = -((-1j) ** (n % 4)) * np.exp(-0.5j * np.pi / n) / math.sqrt(n)
     return (c * d * np.fft.fft(d * vec)).real
 
-def _noise_terms(modes: CavityModes, det: DetectorMask, lo: LocalOscillator, p: OpoParams):
-    """(N, [vn at both phases]) of one detector from the cavity modes: lvec is
-    the unit-amplitude LO magnitude on the detector cells, on a near grid
-    carried to the far grid of the modes by ``_conjugate_image``; c = q^T
-    fold(lvec) is its even part in the mode basis, vn = 1 + (w / N) sum_k
-    c_k^2 (R_phi(lam_k) - 1)."""
-    grid = modes.grid
+def _noise_terms(modes: CavityModes, det: DetectorMask, lo: LocalOscillator):
+    """(N, [vn at both phases]) of one detector from the cavity modes at
+    their configuration ``modes.p``: lvec is the unit-amplitude LO magnitude
+    on the detector cells, on a near grid carried to the far grid of the
+    modes by ``_conjugate_image``; c = q^T fold(lvec) is its even part in
+    the mode basis, vn = 1 + (w / N) sum_k c_k^2 (R_phi(lam_k) - 1)."""
+    grid, p = modes.grid, modes.p
     lvec = lo.magnitude(grid, p) * det.indicator(grid, p)
     far = lvec if grid.domain == "far" else _conjugate_image(grid, lvec)
     c2 = (modes.q.T @ grid.fold(far)) ** 2
     w = grid.step
     n_shot = w * float(lvec @ lvec)
     _check_lit(n_shot, det)
-    at = (modes.p.detuning, modes.p.omega_bar)
+    at = (p.detuning, p.omega_bar)
     return n_shot, [1.0 + (w / n_shot) * float(c2 @ _mode_noise(modes.lam, phase, *at))
                     for phase in _PHASES]
 
@@ -452,40 +452,40 @@ def _vn_planepump_near(det: DetectorMask, lo: LocalOscillator, p: OpoParams):
 # The one path from a detector to its noise
 # ---------------------------------------------------------------------------
 
-def squeezing(det: DetectorMask, lo: LocalOscillator, p: OpoParams,
-              modes: CavityModes | None = None) -> SqueezingResult:
+def squeezing(det: DetectorMask, lo: LocalOscillator,
+              cavity: CavityModes | OpoParams) -> SqueezingResult:
     """Noise spectrum of one detector in both canonical quadratures.
 
-    With ``modes``, the ``CavityModes`` of a dense solve for ``p`` itself,
-    the detector is contracted over the modes (first principles, any pump).
-    Without them a plane pump runs on its closed-form routes: the near-field
-    window sum (plane LO only), the far-field disk for a ``radial`` far
-    detector, and the far-field interval or pixel pair otherwise.  Modes
-    solved for another configuration, a ``radial`` detector on the modes, and
-    a finite pump without them raise ``ConfigurationError``.  Raises
-    ``NumericalFailure`` when N or either vn is not finite, as when an input
-    near the float range (an LO amplitude, an analysis frequency) overflows
-    inside the route.
+    ``cavity`` is either the ``CavityModes`` of a dense solve, whose
+    configuration is ``cavity.p``, over which the detector is contracted
+    (first principles, any pump), or a plane pump's ``OpoParams``, which
+    runs on its closed-form routes: the near-field window sum (plane LO
+    only), the far-field disk for a ``radial`` far detector, and the
+    far-field interval or pixel pair otherwise.  A ``radial`` detector on
+    the modes, a finite pump's ``OpoParams`` and a ``cavity`` of any other
+    type raise ``ConfigurationError``.  Raises ``NumericalFailure`` when N
+    or either vn is not finite, as when an input near the float range (an
+    LO amplitude, an analysis frequency) overflows inside the route.
     """
-    if modes is not None and det.shape == "radial":
+    dense = isinstance(cavity, CavityModes)
+    if not (dense or isinstance(cavity, OpoParams)):
+        raise ConfigurationError(
+            f"cavity must be CavityModes or OpoParams, got {type(cavity).__name__}")
+    if dense and det.shape == "radial":
         raise ConfigurationError(_DISK_ONLY)
-    if modes is not None and modes.p != p:
-        name = next(f.name for f in fields(p) if getattr(p, f.name) != getattr(modes.p, f.name))
-        was, got = (float(getattr(q, name)) for q in (modes.p, p))
-        raise ConfigurationError(f"the modes were solved for {name} = {was!r}, not {got!r}")
     # the check below reports an overflow, so numpy does not warn of it too
     with np.errstate(all="ignore"):
-        if modes is not None:
-            route, (shot, vns) = "dense", _noise_terms(modes, det, lo, p)
-        elif not p.plane_pump:
+        if dense:
+            route, (shot, vns) = "dense", _noise_terms(cavity, det, lo)
+        elif not cavity.plane_pump:
             raise ConfigurationError("a finite pump needs the cavity modes of a dense solve")
         else:
-            _check_threshold(p)
+            _check_threshold(cavity)
             if det.plane == "near":
-                route, (shot, vns) = "planepump_near", _vn_planepump_near(det, lo, p)
+                route, (shot, vns) = "planepump_near", _vn_planepump_near(det, lo, cavity)
             else:
                 route = "planepump_disk" if det.shape == "radial" else "planepump_far"
-                shot, vns = _vn_planepump_far(det, lo, p)
+                shot, vns = _vn_planepump_far(det, lo, cavity)
         # every route gives N at unit LO amplitude; a product past the float
         # range is inf, which the check below refuses
         shot *= lo.amplitude * lo.amplitude

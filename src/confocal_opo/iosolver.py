@@ -71,13 +71,13 @@ class CavityModes:
     """Eigenmodes of the coupling operator on ``grid`` for the configuration ``p``.
 
     ``K = Q diag(lam) Q^T`` with orthonormal real columns of ``Q`` over the
-    field values on the far grid (operator form, uniform weights): the
-    m = ceil(n/2) even modes, stored as their even-subspace coefficients
-    ``q`` (m x m), so that Q = E q for the even basis E of
-    ``Grid1D.fold`` (E^T), on ``grid`` itself or on its conjugate when
-    ``grid`` is near.  The transform is
-    U = Q diag(u) Q^T + u(0) (I - Q Q^T), V = Q diag(v) Q^T with
-    (u, v) = mode_uv(lam, p.detuning, p.omega_bar); the odd subspace I - Q Q^T is untouched.
+    field values on the far grid (operator form, uniform weights): the m =
+    ceil(n/2) even modes, stored as their even-subspace coefficients ``q``
+    (m x m), so that Q = E q for the even basis E of ``Grid1D.fold`` (E^T),
+    on ``grid`` itself or on its conjugate when ``grid`` is near.  The
+    transform is U = Q diag(u) Q^T + u(0) (I - Q Q^T), V = Q diag(v) Q^T with
+    (u, v) = mode_uv(lam, p.detuning, p.omega_bar), the odd subspace I - Q Q^T
+    untouched.  ``squeezing`` reads the configuration from ``p`` alone.
     """
 
     grid: Grid1D

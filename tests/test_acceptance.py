@@ -120,7 +120,7 @@ def test_criterion_06_thin_crystal_limit():
     vns = []
     for frac in (0.1, 0.3, 1.0, 3.0, 10.0):
         det = DetectorMask.interval(frac * p.w_C, "near")
-        vns.append(squeezing(det, lo, p, modes).vn_squeezed)
+        vns.append(squeezing(det, lo, modes).vn_squeezed)
     vns = np.array(vns)
     spread = float(vns.max() - vns.min())
     dev = float(np.abs(vns - SINGLE_MODE_09).max())
@@ -181,7 +181,7 @@ def test_criterion_08_pixel_pair_finite_pump():
     lo = LocalOscillator()
     dets = [_detector("pixel_pair", "near", v, p.l_coh) for v in values]
     modes = solve_io(_grid(p, "near", dets, lo), p)
-    vn_zero, vn_far = (squeezing(det, lo, p, modes).vn_squeezed for det in dets)
+    vn_zero, vn_far = (squeezing(det, lo, modes).vn_squeezed for det in dets)
     ok = vn_zero < 0.9 and vn_far > 0.95
     assert _report(8, ok, f"b = 100 pixel pair: vn(0) = {vn_zero:.4f} (< 0.9), "
                           f"vn(3 w_p) = {vn_far:.4f} (> 0.95)")

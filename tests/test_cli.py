@@ -396,7 +396,7 @@ class TestFigPresets:
     ])
     def test_preset_scenarios_pinned(self, tmp_path, monkeypatch, fig_id, b_set):
         # the geometry of every preset curve, read from fig_scenarios and from
-        # the CSV names run_fig hands to run_scenario; nothing is solved
+        # the CSV names run_scenario writes; nothing is solved
         stem, plane, detector, points, first, last, pixel, waist, name = self.PRESETS[fig_id]
         overrides = {} if b_set is None else {"b": b_set}
         scenarios = cli.fig_scenarios(fig_id, overrides)
@@ -420,7 +420,7 @@ class TestFigPresets:
             assert (sc.plane, sc.detector, len(sc.values)) == (plane, detector, points)
             assert sc.values[0] / unit == pytest.approx(first, rel=1e-12, abs=1e-15)
             assert sc.values[-1] / unit == pytest.approx(last(b), rel=1e-12)
-            assert sc.abscissa_scale == pytest.approx(unit, rel=1e-12)
+            assert cli._unit(sc.params, sc.plane) == pytest.approx(unit, rel=1e-12)
             assert sc.abscissa_name == name
             if pixel is None:
                 assert sc.pixel_width is None
@@ -432,8 +432,11 @@ class TestFigPresets:
                 assert sc.lo.waist / unit == pytest.approx(waist, rel=1e-12)
 
         written = []
-        monkeypatch.setattr(cli, "run_scenario",
-                            lambda sc, outdir, csv_name: written.append(csv_name))
+        monkeypatch.setattr(cli, "solve_io",
+                            lambda grid, p: iosolver.CavityModes(grid, p, None, np.zeros(1)))
+        monkeypatch.setattr(cli, "squeezing", lambda det, lo, cavity:
+                            homodyne.SqueezingResult(1.0, 1.0, 1.0, "stub"))
+        monkeypatch.setattr(cli, "_write_curve", lambda path, *rest: written.append(path.name))
         monkeypatch.setattr(cli, "write_summary", lambda outdir, sc_list: None)
         cli.run_fig(fig_id, overrides, tmp_path)
         written += sorted(path.name for path in tmp_path.iterdir())
@@ -465,7 +468,7 @@ for where, values in (("near", [0.5 * plane.l_coh, plane.l_coh]),
     dets = [DetectorMask.interval(v, where) for v in values]
     modes = solve_io(_grid(gauss, where, dets, LocalOscillator()), gauss)
     for det in dets:
-        squeezing(det, LocalOscillator(), gauss, modes)
+        squeezing(det, LocalOscillator(), modes)
 squeezing(DetectorMask.radial(0.5 * plane.r0), LocalOscillator(waist=plane.r0), plane)
 for fig in ("2", "5", "8"):
     assert main(["fig", "--id", fig, "--out", f"{sys.argv[1]}/fig{fig}"]) == 0

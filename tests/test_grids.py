@@ -24,7 +24,7 @@ from confocal_opo import (
     solve_io,
     squeezing,
 )
-from confocal_opo.cli import Scenario, _detector, _grid, fig_scenarios, main
+from confocal_opo.cli import Scenario, _detector, _grid, _unit, fig_scenarios, main
 
 B_VALUES = (4.0, 25.0, 100.0)
 FIG_OF_PLANE = {"near": 6, "far": 9}
@@ -60,7 +60,7 @@ def case(request):
 
 def _pump_unit(sc):
     # w_p near; in the far field the detection-plane length of 1 / w_p
-    return sc.params.w_p if sc.plane == "near" else sc.abscissa_scale
+    return sc.params.w_p if sc.plane == "near" else _unit(sc.params, sc.plane)
 
 
 def _assert_matches_wide(case, shape, values, lo, pixel_width=None):
@@ -71,7 +71,7 @@ def _assert_matches_wide(case, shape, values, lo, pixel_width=None):
     assert (grid.n, grid.half_extent) == (case.grid.n, case.grid.half_extent)
     modes = solve_io(grid, p)
     for value, det in zip(values, dets):
-        pt, wide = (squeezing(det, lo, p, m) for m in (modes, case.wide))
+        pt, wide = (squeezing(det, lo, m) for m in (modes, case.wide))
         for vn, vn_wide in ((pt.vn_squeezed, wide.vn_squeezed),
                             (pt.vn_antisqueezed, wide.vn_antisqueezed)):
             assert abs(vn - vn_wide) <= VN_TOL * max(1.0, abs(vn_wide)), (shape, lo, value)

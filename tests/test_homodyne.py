@@ -13,12 +13,11 @@ from confocal_opo import (
     LocalOscillator,
     NumericalFailure,
     OpoParams,
-    auto_grid,
     solve_io,
     squeezing,
 )
 import confocal_opo.kernels as kernels
-from confocal_opo.cli import Scenario, _detector, _fmt, _grid, main, run_scenario
+from confocal_opo.cli import Scenario, _detector, _fmt, _grid, _unit, main, run_scenario
 from confocal_opo.homodyne import _conjugate_image
 from helpers import cosine, noise_density
 from lu_reference import lu_noise
@@ -47,7 +46,7 @@ def grid_shot(lo, det, g, p):
     whatever the sizing rule says of ``g``."""
     with patch.object(kernels, "_check_sizing", lambda g, p: None):
         modes = solve_io(g, p)
-    return squeezing(det, lo, p, modes).shot
+    return squeezing(det, lo, modes).shot
 
 
 @pytest.fixture
@@ -255,7 +254,7 @@ class TestShotNoise:
         lo = LocalOscillator(amplitude=amplitude)
         for det in (DetectorMask.interval(0.5 * unit, plane),
                     DetectorMask.pixel_pair(2.0 * unit, unit, plane)):
-            dense = squeezing(det, lo, p, modes).shot
+            dense = squeezing(det, lo, modes).shot
             closed = squeezing(det, lo, p).shot
             edges = 2 if det.inner == 0 else 4
             assert abs(dense - closed) <= amplitude**2 * g.step * edges
@@ -294,7 +293,7 @@ class TestSqueezingNumericVacuum:
             DetectorMask.interval(2e-5, "near"),
             DetectorMask.pixel_pair(5e-5, 2e-5, "near"),
         ):
-            res = squeezing(det, lo, p, modes)
+            res = squeezing(det, lo, modes)
             assert abs(res.vn_squeezed - 1.0) <= 1e-12
             assert abs(res.vn_antisqueezed - 1.0) <= 1e-12
 
@@ -311,7 +310,7 @@ class TestSqueezingNumericVacuum:
         oracle = lu_noise(g, p)
         det = DetectorMask.interval(2e-5, "near")
         lo = LocalOscillator()
-        res = squeezing(det, lo, p, modes)
+        res = squeezing(det, lo, modes)
         for phase, vn in ((math.pi / 2, res.vn_squeezed), (0.0, res.vn_antisqueezed)):
             ref = oracle(lo.magnitude(g, p) * det.indicator(g, p), phase)
             assert vn > 0
@@ -345,7 +344,7 @@ class TestModeRouteMatchesLU:
             for frac in (0.05, 0.3, 0.7):
                 det = DetectorMask.interval(frac * extent * x_of_q, plane)
                 lvec = lo.magnitude(g, p) * det.indicator(g, p)
-                res = squeezing(det, lo, p, modes)
+                res = squeezing(det, lo, modes)
                 for phase, vn in ((math.pi / 2, res.vn_squeezed), (0.0, res.vn_antisqueezed)):
                     ref = oracle(lvec, phase)
                     assert abs(vn - ref) <= 1e-12 * max(1.0, abs(ref))
@@ -399,7 +398,7 @@ class TestThinCrystalSingleMode:
         lo = LocalOscillator()
         for frac in (0.2, 1.0, 4.0):
             det = DetectorMask.interval(frac * p.w_C, "near")
-            res = squeezing(det, lo, p, modes)
+            res = squeezing(det, lo, modes)
             assert res.vn_squeezed == pytest.approx(1.0 / 9.0, abs=1e-3)
 
 
@@ -471,7 +470,7 @@ class TestRadialSpectrum:
         for q in (p, plane_params):
             modes = solve_io(grid, q)
             with pytest.raises(ConfigurationError, match="radial"):
-                squeezing(DetectorMask.radial(r, "far"), LocalOscillator(), q, modes)
+                squeezing(DetectorMask.radial(r, "far"), LocalOscillator(), modes)
         # a finite pump without modes has no route at all, disk or not
         with pytest.raises(ConfigurationError, match="finite pump"):
             squeezing(DetectorMask.radial(r, "far"), LocalOscillator(), p)
@@ -585,7 +584,7 @@ class TestPlanePumpNearSpectrum:
         for cells in (17, 34):
             d = (cells + 0.5) * g.step
             det = DetectorMask.interval(d, "near")
-            dense = squeezing(det, lo, plane_params, modes)
+            dense = squeezing(det, lo, modes)
             closed = squeezing(det, lo, plane_params)
             assert dense.vn_squeezed == pytest.approx(closed.vn_squeezed, abs=1e-3)
             assert dense.shot == pytest.approx(closed.shot, rel=2e-2)
@@ -598,7 +597,7 @@ class TestPlanePumpNearSpectrum:
         for rho_cells in (64, 96):
             rho = rho_cells * g.step
             det = DetectorMask.pixel_pair(rho, width, "near")
-            dense = squeezing(det, lo, plane_params, modes)
+            dense = squeezing(det, lo, modes)
             closed = squeezing(det, lo, plane_params)
             assert dense.vn_squeezed == pytest.approx(closed.vn_squeezed, abs=2e-3)
 
@@ -640,7 +639,7 @@ class TestPlanePumpFarSpectrum:
         for cells in (64, 192):
             q_d = (cells + 0.5) * g.step
             det = DetectorMask.interval(q_d * x_of_q, "far")
-            dense = squeezing(det, lo, p, modes)
+            dense = squeezing(det, lo, modes)
             closed = squeezing(det, lo, p)
             assert dense.vn_squeezed == pytest.approx(closed.vn_squeezed, abs=1e-4)
             # independent Riemann evaluation of the same 1-D density ratio
@@ -665,7 +664,7 @@ class TestPlanePumpFarSpectrum:
         for phase, cells in ((math.pi / 2, 96), (0.0, 160)):
             q_d = (cells + 0.5) * g.step
             det = DetectorMask.interval(q_d * x_of_q, "far")
-            dense = squeezing(det, lo, p, modes)
+            dense = squeezing(det, lo, modes)
             vn = dense.vn_squeezed if phase else dense.vn_antisqueezed
             mask = det.indicator(g, p)
             dens = noise_density(g.points[mask], p, phase)
@@ -729,8 +728,8 @@ class TestPlanePumpFarSpectrum:
 def _curve_rows(tmp_path, p, plane, shape, values, lo, pixel_width=None):
     """The rows the CLI writes for a sweep of ``values`` (abscissa in
     detection-plane meters), each split into its printed fields."""
-    sc = Scenario(p, plane, shape, list(values), lo, abscissa_scale=1.0, abscissa_name="x",
-                  label="run", pixel_width=pixel_width)
+    sc = Scenario(p, plane, shape, list(values), lo, abscissa_name="x", label="run",
+                  pixel_width=pixel_width)
     run_scenario(sc, tmp_path)
     return [line.split(",") for line in (tmp_path / "curve.csv").read_text().splitlines()[2:]]
 
@@ -779,7 +778,7 @@ class TestSweep:
             g = Grid1D.uniform(961, 4 * radius, "near")
             modes = solve_io(g, p)
             det = DetectorMask.interval(radius, "near")
-            vns[b] = squeezing(det, LocalOscillator(), p, modes).vn_squeezed
+            vns[b] = squeezing(det, LocalOscillator(), modes).vn_squeezed
         assert vns[25.0] <= vns[4.0]
 
     def test_gaussian_pump_pixel_sweep_returns_to_shot_noise(self):
@@ -791,7 +790,7 @@ class TestSweep:
         lo = LocalOscillator()
         dets = [_detector("pixel_pair", "near", v, p0.l_coh) for v in values]
         modes = solve_io(_grid(p, "near", dets, lo), p)
-        pts = [squeezing(det, lo, p, modes) for det in dets]
+        pts = [squeezing(det, lo, modes) for det in dets]
         assert pts[0].vn_squeezed < 0.9  # squeezing survives at contact
         assert pts[1].vn_squeezed > 0.95  # far pixels are uncorrelated vacuum
 
@@ -802,7 +801,7 @@ class TestSweep:
                     detuning=0.3, omega_bar=0.5)
         det = DetectorMask.interval(2 * plane_params.l_coh, "near")
         modes = solve_io(_grid(p, "near", [det], LocalOscillator()), p)
-        pt = squeezing(det, LocalOscillator(), p, modes)
+        pt = squeezing(det, LocalOscillator(), modes)
         assert 0.0 <= pt.vn_squeezed < 1.0
         assert np.isfinite(pt.vn_antisqueezed)
 
@@ -814,7 +813,7 @@ class TestSweep:
         with pytest.raises(NumericalFailure, match=f"^detector reach {reach:.3e} exceeds "
                                                    f"the grid half extent {half:.3e}$"):
             squeezing(DetectorMask.interval(20 * plane_params.l_coh, "near"),
-                      LocalOscillator(), p, modes)
+                      LocalOscillator(), modes)
 
     @pytest.mark.parametrize("pixel_width", [None, 1e-5])
     def test_unknown_shape_rejected(self, tmp_path, capsys, pixel_width):
@@ -842,7 +841,7 @@ class TestSweep:
         dets = [_detector("interval", "near", x)
                 for x in np.linspace(0.5, 6.0, 4) * plane_params.l_coh]
         modes = solve_io(_grid(p_g, "near", dets, lo), p_g)
-        dense = [squeezing(det, lo, p_g, modes) for det in dets]
+        dense = [squeezing(det, lo, modes) for det in dets]
         for pt in near + far + dense:
             assert pt.vn_squeezed >= 0.0
             assert pt.vn_squeezed <= pt.vn_antisqueezed + 1e-12
@@ -899,8 +898,8 @@ class TestOnePath:
                  else "planepump_disk" if shape == "radial" else "planepump_far")
         assert len(rows) == len(values)
         for row, value, det in zip(rows, values, dets):
-            res = squeezing(det, lo, p, modes)
-            assert row == [_fmt(x) for x in (value, res.vn_squeezed, res.vn_antisqueezed,
+            res = squeezing(det, lo, p if modes is None else modes)
+            assert row == [_fmt(x) for x in (value / _unit(p, plane), res.vn_squeezed, res.vn_antisqueezed,
                                               res.shot)]
             assert res.route == route
 
@@ -939,18 +938,6 @@ class TestOnePath:
         assert gains == [t.shape for t, _ in chunks]
         assert noises == [(t.shape, phase) for t, _ in chunks for phase in (math.pi / 2, 0.0)]
 
-    @pytest.mark.parametrize("key,value", [("A_p", 0.1), ("omega_bar", 3.0), ("w_p", 1e-4)])
-    def test_modes_of_another_configuration_are_refused(self, plane_params, key, value):
-        # the dense route reads the configuration its modes were solved for:
-        # a p that differs from it is refused, naming the field, not ignored
-        p = replace(plane_params, w_p=2.0 * plane_params.l_coh)
-        modes = solve_io(auto_grid(p, "near", reaches=(p.l_coh,)), p)
-        q = replace(p, **{key: value})
-        det = DetectorMask.interval(p.l_coh, "near")
-        with pytest.raises(ConfigurationError, match=f"^the modes were solved for {key} = "):
-            squeezing(det, LocalOscillator(), q, modes)
-        assert squeezing(det, LocalOscillator(), p, modes).route == "dense"
-
     def test_band_past_the_lo_spot_is_refused(self, plane_params):
         # a Gaussian LO whose intensity underflows to 0 on the whole band
         # leaves no shot noise to normalize by, on either far route
@@ -958,11 +945,10 @@ class TestOnePath:
         lo = LocalOscillator(waist=0.3 * unit)
         p = replace(plane_params, w_p=2.0 * plane_params.l_coh)
         det = DetectorMask.pixel_pair(20.0 * unit, unit, "far")
-        for q, modes in ((plane_params, None),
-                         (p, solve_io(_grid(p, "far", [det], lo), p))):
+        for cavity in (plane_params, solve_io(_grid(p, "far", [det], lo), p)):
             with pytest.raises(ConfigurationError,
                                match=r"^no LO light reaches the pixel_pair band \["):
-                squeezing(det, lo, q, modes)
+                squeezing(det, lo, cavity)
 
     def test_route_errors(self, plane_params):
         det = DetectorMask.interval(plane_params.l_coh, "near")
@@ -972,3 +958,11 @@ class TestOnePath:
         p = replace(plane_params, w_p=3.0 * plane_params.l_coh)
         with pytest.raises(ConfigurationError, match="modes"):
             squeezing(det, LocalOscillator(), p)
+
+    @pytest.mark.parametrize("cavity, name", [(None, "NoneType"), ("x", "str")])
+    def test_cavity_of_another_type_is_refused(self, cavity, name):
+        # neither modes nor a configuration: refused by its type, not an AttributeError
+        det = DetectorMask.interval(1e-4, "near")
+        with pytest.raises(ConfigurationError, match=f"^cavity must be CavityModes or "
+                                                     f"OpoParams, got {name}$"):
+            squeezing(det, LocalOscillator(), cavity)

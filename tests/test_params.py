@@ -167,7 +167,7 @@ def test_preset_scales_are_pinned_to_the_ulp(label):
     l_coh, w_c, r0, b, unit = _PINNED[label]
     assert (repr(p.l_coh), repr(p.w_C), repr(p.r0), repr(p.b)) == (l_coh, w_c, r0, b)
     if unit is not None:
-        assert repr(sc.abscissa_scale) == unit
+        assert repr(cli._unit(sc.params, sc.plane)) == unit
 
 
 def test_non_round_b_is_pinned_to_the_ulp():

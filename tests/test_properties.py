@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 from confocal_opo import Grid1D, LocalOscillator, OpoParams, solve_io, squeezing
 from confocal_opo.cli import _detector, _grid, _unit, main
+from lu_reference import residuals
+from modes_reference import dense_uv
 
 #: the uncertainty bound vn_sq * vn_anti >= 1, less rounding (the benchmark's
 #: output check uses the same floor)
@@ -59,16 +61,22 @@ def test_plane_pump_closed_forms_obey_the_uncertainty_bound(case):
     assert pt.vn_squeezed * pt.vn_antisqueezed >= PRODUCT_FLOOR
 
 
+def _gaussian_pump(draw, b_max: float) -> OpoParams:
+    # draws A_p, detuning, omega_bar, then b in [1, b_max]: the derandomized
+    # examples of every strategy that calls this depend on that order
+    p = OpoParams(lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, w_p=math.inf,
+                  A_p=draw(st.floats(0.0, 0.95)), detuning=draw(st.floats(-2.0, 2.0)),
+                  omega_bar=draw(st.floats(-2.0, 2.0)))
+    return replace(p, w_p=math.sqrt(draw(st.floats(1.0, b_max))) * p.l_coh)
+
+
 @st.composite
 def dense_detectors(draw):
     """(params, detector, LO) of one detector on the dense route: a Gaussian
     pump of b in [1, 25], every size and LO waist in the plane's coherence
     unit (l_coh near, the detection-plane size of 1/w_p far).  Sizes start
     at two grid steps, so a pixel always holds a grid point."""
-    p = OpoParams(lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, w_p=math.inf,
-                  A_p=draw(st.floats(0.0, 0.95)), detuning=draw(st.floats(-2.0, 2.0)),
-                  omega_bar=draw(st.floats(-2.0, 2.0)))
-    p = replace(p, w_p=math.sqrt(draw(st.floats(1.0, 25.0))) * p.l_coh)
+    p = _gaussian_pump(draw, 25.0)
     plane = draw(st.sampled_from(["near", "far"]))
     shape = draw(st.sampled_from(["interval", "pixel_pair"]))
     unit = _unit(p, plane)
@@ -83,9 +91,27 @@ def dense_detectors(draw):
 def test_dense_route_obeys_the_uncertainty_bound(case):
     p, det, lo = case
     assume(math.exp(-2.0 * (det.inner / lo.waist) ** 2) > 1e-200)
-    res = squeezing(det, lo, p, solve_io(_grid(p, det.plane, [det], lo), p))
+    res = squeezing(det, lo, solve_io(_grid(p, det.plane, [det], lo), p))
     assert res.vn_squeezed > 0 and res.vn_antisqueezed > 0
     assert res.vn_squeezed * res.vn_antisqueezed >= PRODUCT_FLOOR
+
+
+@st.composite
+def dense_cavities(draw):
+    """(params, plane) of a dense solve: the pump draws of
+    ``dense_detectors``, with b in [1, 9] so that the n x n check is cheap."""
+    return _gaussian_pump(draw, 9.0), draw(st.sampled_from(["near", "far"]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(dense_cavities())
+def test_dense_modes_obey_the_symplectic_identities(case):
+    # U U^+ - V V^+ = I and U V^T = V U^T of the transform the modes stand
+    # for, at any gain, detuning and analysis frequency, on the grid the
+    # pump alone sizes
+    p, plane = case
+    modes = solve_io(_grid(p, plane, [], LocalOscillator()), p)
+    assert max(residuals(*dense_uv(modes))) <= 1e-10
 
 
 # A configuration and its copy at other length scales: l_coh grows by
@@ -121,7 +147,8 @@ def test_routes_are_invariant_under_length_scales(case):
             n, extent = grid
             modes = solve_io(Grid1D.uniform(n, extent * (p.l_coh if plane == "near"
                                                          else 1.0 / p.w_p), plane), p)
-        results.append(squeezing(det, LocalOscillator(waist=waist * unit), p, modes))
+        results.append(squeezing(det, LocalOscillator(waist=waist * unit),
+                                 p if modes is None else modes))
     first, second = results
     assert first.route == second.route == route
     for vn, vn_scaled in ((first.vn_squeezed, second.vn_squeezed),
