@@ -15,15 +15,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, NumericalFailure
-from .homodyne import (_PHASES, DetectorMask, LocalOscillator, _check_threshold, _mode_noise,
-                       squeezing)
+from .homodyne import DetectorMask, LocalOscillator, _check_threshold, _mode_noise, squeezing
 from .iosolver import solve_io
 from .kernels import MAX_GRID_N, Grid1D, auto_grid, delta_2d, phase_match_sinc
 from .params import OpoParams
@@ -143,17 +142,9 @@ def scenario_from_config(cfg: dict) -> Scenario:
             "plane = far only; the other routes are 1-D")
     if cfg.get("lo") == "gaussian" and (cfg["pump"], cfg["plane"]) == ("plane", "near"):
         raise ConfigurationError("key 'lo': a plane pump in the near plane takes a plane LO only")
-    params = OpoParams(
-        lambda_s=cfg["lambda_s"],
-        n_s=cfg["n_s"],
-        l_c=cfg["l_c"],
-        z_C=cfg["z_C"],
-        A_p=cfg["A_p"],
-        w_p=cfg.get("w_p", math.inf),  # given exactly when pump = gaussian
-        detuning=cfg.get("detuning", 0.0),
-        omega_bar=cfg.get("omega_bar", 0.0),
-        f_lens=cfg.get("f_lens", 0.1),
-    )
+    # a plane pump unless pump = gaussian gives w_p; OpoParams defaults the rest
+    params = OpoParams(**{"w_p": math.inf,
+                          **{f.name: cfg[f.name] for f in fields(OpoParams) if f.name in cfg}})
     npts = cfg.get("sweep_points", 25)
     if not 2 <= npts <= _MAX_SWEEP_POINTS:
         raise ConfigurationError(
@@ -290,7 +281,7 @@ def _grid(p: OpoParams, plane: str, dets, lo: LocalOscillator,
                              [det.bounds_on_axis(p)[1] for det in dets if det is not None],
                              () if spot is None else (spot,))
         n, half = n or auto.n, half or auto.half_extent
-    return Grid1D.uniform(n, half, plane)
+    return Grid1D(n, half, plane)
 
 def write_summary(outdir: Path, runs) -> Path:
     """Derived scales and threshold margin of every (scenario, margin) run."""
@@ -407,7 +398,7 @@ def _run_fig8_density(sc: Scenario, outdir: Path) -> None:
     _check_threshold(p)
     us = np.linspace(0.0, 5.0, 126)
     lam = p.A_p * phase_match_sinc(2.0 * us / p.l_coh, p)  # r/r0 = u maps to sinc(u^2)
-    r_sq, r_anti = (1.0 + _mode_noise(lam, phase, p.detuning, p.omega_bar) for phase in _PHASES)
+    r_sq, r_anti = (1.0 + f for f in _mode_noise(lam, p.detuning, p.omega_bar))
     rows = [(u, r1, r2, 1.0) for u, r1, r2 in zip(us, r_sq, r_anti)]
     pairs = [("label", "fig8_R"), ("A_p", p.A_p), ("detector", "pixel_pair_density")]
     _write_curve(outdir / "curve_R.csv", _echo(pairs),

@@ -48,7 +48,7 @@ the shot noise N at unit LO amplitude and vn at both phases, and
 
 The squeezed quadrature is phi = pi/2 in this sign convention and phi = 0
 its anti-squeezed dual (product 1 per mode at resonance and zero
-frequency); every route takes the two in the order of ``_PHASES``.
+frequency); ``_mode_noise`` returns the two in the order of ``_PHASES``.
 
 Both closed-form evaluators sum on one node set: 16-point Gauss-Legendre
 panels in t = q l_coh whose edges sit at the sinc zeros t = 2 sqrt(k pi),
@@ -88,6 +88,7 @@ __all__ = [
 ]
 
 _PHASES = (math.pi / 2, 0.0)  # the squeezed quadrature, then its dual
+_Z = [np.exp(2j * phase) for phase in _PHASES]  # e^{2 i phi} of each
 _DISK_ONLY = ("a radial detector is a 2-D disk, computed only for a plane pump in the "
               "far field; the dense modes and the near field are 1-D")
 
@@ -106,9 +107,10 @@ class DetectorMask:
     shape.  ``interval`` is the band [0, half_width]; ``pixel_pair`` two
     pixels of width w centered at +-rho, inner = max(0, rho - w/2) (pixels
     closer than half a width merge into one centered interval); ``radial`` a
-    far-field disk, the band [0, radius] with the polar weight t.  Only the
-    plane-pump far-field quadrature computes a disk: a near ``radial`` is
-    refused here, and a ``radial`` on the 1-D dense modes by ``squeezing``.
+    disk, the band [0, radius] with the polar weight t.  A mask is checked
+    when it is made: ``ConfigurationError`` unless 0 <= inner < outer < inf.
+    Only the plane-pump far-field quadrature computes a disk; ``squeezing``
+    refuses a ``radial`` on every other route.
     """
 
     shape: str
@@ -121,8 +123,6 @@ class DetectorMask:
             raise ConfigurationError(f"unknown detector shape {self.shape!r}")
         if self.plane not in ("near", "far"):
             raise ConfigurationError(f"detector plane must be near or far, got {self.plane!r}")
-        if self.shape == "radial" and self.plane == "near":
-            raise ConfigurationError(_DISK_ONLY)
         if not (_real(self.inner) and _real(self.outer)
                 and 0 <= self.inner < self.outer < math.inf):
             got = tuple(float(x) if isinstance(x, np.floating) else x
@@ -131,8 +131,6 @@ class DetectorMask:
 
     @classmethod
     def interval(cls, half_width: float, plane: str = "near") -> "DetectorMask":
-        if not (_real(half_width) and 0 < half_width < math.inf):
-            raise ConfigurationError("interval half_width must be positive and finite")
         return cls("interval", plane, 0.0, half_width)
 
     @classmethod
@@ -149,8 +147,6 @@ class DetectorMask:
 
     @classmethod
     def radial(cls, radius: float, plane: str = "far") -> "DetectorMask":
-        if not (_real(radius) and 0 < radius < math.inf):
-            raise ConfigurationError("radius must be positive and finite")
         return cls("radial", plane, 0.0, radius)
 
     def bounds_on_axis(self, p: OpoParams) -> tuple[float, float]:
@@ -239,21 +235,21 @@ class SqueezingResult:
 # Dense-grid route
 # ---------------------------------------------------------------------------
 
-def _mode_noise(lam, phase: float, detuning: float, omega_bar: float):
-    """R_phi(lam) - 1, R = |u + z conj(v_-)|^2 with z = e^{2 i phi}, of a mode
-    of gain ``lam`` (v_- is v at -omega_bar; u, v of ``iosolver.mode_uv``).  As
-    v_- has the denominator conj(D), u + z conj(v_-) is
+def _mode_noise(lam, detuning: float, omega_bar: float):
+    """[R_phi(lam) - 1 at phi = pi/2, at phi = 0], the order of ``_PHASES``,
+    R = |u + z conj(v_-)|^2 with z = e^{2 i phi}, of a mode of gain ``lam``
+    (v_- is v at -omega_bar; u, v of ``iosolver.mode_uv``).  As v_- has the
+    denominator conj(D), u + z conj(v_-) is
 
         ((lam + z)^2 + conj(a) abar - z^2) / D,  D = (1 - lam)(1 + lam) + (a abar - 1),
 
     where no term cancels as lam -> 1: R - 1 keeps its absolute accuracy up
-    to threshold.
+    to threshold.  D is formed once for both phases.
     """
     alpha, beta = detuning + omega_bar, omega_bar - detuning
-    z = np.exp(2j * phase)
     den = (1.0 - lam) * (1.0 + lam) + complex(-alpha * beta, alpha + beta)
-    num = (lam + z) ** 2 + (complex(1.0 + alpha * beta, beta - alpha) - z * z)
-    return np.abs(num / den) ** 2 - 1.0
+    conj_a_abar = complex(1.0 + alpha * beta, beta - alpha)
+    return [np.abs(((lam + z) ** 2 + (conj_a_abar - z * z)) / den) ** 2 - 1.0 for z in _Z]
 
 def _check_lit(n_shot: float, det: DetectorMask) -> None:
     # a Gaussian LO spot that ends long before the band leaves no N to normalize by
@@ -288,9 +284,8 @@ def _noise_terms(modes: CavityModes, det: DetectorMask, lo: LocalOscillator):
     w = grid.step
     n_shot = w * float(lvec @ lvec)
     _check_lit(n_shot, det)
-    at = (p.detuning, p.omega_bar)
-    return n_shot, [1.0 + (w / n_shot) * float(c2 @ _mode_noise(modes.lam, phase, *at))
-                    for phase in _PHASES]
+    return n_shot, [1.0 + (w / n_shot) * float(c2 @ f)
+                    for f in _mode_noise(modes.lam, p.detuning, p.omega_bar)]
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +357,10 @@ def _gauss_panels(t_lo: float, t_hi: float, max_width: float):
 def _panel_noise(p: OpoParams, t_lo: float, t_hi: float, width: float):
     """(t, w, [R_phi - 1 at both phases]) chunks on the panels of
     ``_gauss_panels``, at the plane-pump mode gain A_p sigma: one gain
-    evaluation per chunk, shared by every phase."""
+    evaluation and one ``_mode_noise`` call per chunk."""
     for t, w in _gauss_panels(t_lo, t_hi, width):
         lam = p.A_p * phase_match_sinc(t / p.l_coh, p)
-        yield t, w, [_mode_noise(lam, phase, p.detuning, p.omega_bar) for phase in _PHASES]
+        yield t, w, _mode_noise(lam, p.detuning, p.omega_bar)
 
 def _lo_panel_width(c: float) -> float:
     # a Gaussian LO weight exp(-c t^2) also needs panels no wider than its
@@ -461,9 +456,10 @@ def squeezing(det: DetectorMask, lo: LocalOscillator,
     (first principles, any pump), or a plane pump's ``OpoParams``, which
     runs on its closed-form routes: the near-field window sum (plane LO
     only), the far-field disk for a ``radial`` far detector, and the
-    far-field interval or pixel pair otherwise.  A ``radial`` detector on
-    the modes, a finite pump's ``OpoParams`` and a ``cavity`` of any other
-    type raise ``ConfigurationError``.  Raises ``NumericalFailure`` when N
+    far-field interval or pixel pair otherwise.  A ``radial`` detector off
+    that disk route (on the modes, or in the near plane), a finite pump's
+    ``OpoParams`` and a ``cavity`` of any other type raise
+    ``ConfigurationError``.  Raises ``NumericalFailure`` when N
     or either vn is not finite, as when an input near the float range (an
     LO amplitude, an analysis frequency) overflows inside the route.
     """
@@ -471,7 +467,7 @@ def squeezing(det: DetectorMask, lo: LocalOscillator,
     if not (dense or isinstance(cavity, OpoParams)):
         raise ConfigurationError(
             f"cavity must be CavityModes or OpoParams, got {type(cavity).__name__}")
-    if dense and det.shape == "radial":
+    if det.shape == "radial" and (dense or det.plane == "near"):
         raise ConfigurationError(_DISK_ONLY)
     # the check below reports an overflow, so numpy does not warn of it too
     with np.errstate(all="ignore"):

@@ -2,11 +2,11 @@
 
 The parametric interaction inside a crystal of finite length couples field
 operators at different transverse points.  In the near field (crystal center
-image plane) the coupling kernel is built from the function ``delta_2d``,
-a smeared delta of width ``l_coh`` written in terms of the sine integral.
-In the far field (Fourier plane) the same kernel is a product of the pump
-transform and a phase-matching sinc.  Both are evaluated here on 1-D
-numerical grids; the near-field profile also in its 2-D closed form.
+image plane) its profile is ``delta_2d``, a smeared delta of width ``l_coh``
+in terms of the sine integral, evaluated in its 2-D closed form only.  In
+the far field (Fourier plane) the kernel is a product of the pump transform
+and a phase-matching sinc, and every 1-D grid kernel is gathered from it:
+a near grid's on its DFT-conjugate far grid (``build_kernel_matrix``).
 
 Normalization: kernels act as integral operators on the even part of the
 field, in pump threshold units.  For a plane pump the far-field operator is
@@ -199,25 +199,26 @@ class Grid1D:
     the quadrature exactly flip-symmetric.
 
     ``domain`` is "near" (coordinates in m) or "far" (wavevectors in 1/m).
+    A grid is checked when it is made, ``dataclasses.replace`` included:
+    ``ConfigurationError`` unless n is an integer >= 2, the half extent
+    positive and finite and the domain known.  ``points`` derives from the
+    three fields.
     """
 
     n: int
     half_extent: float
     domain: str
-    points: np.ndarray = field(repr=False)
+    points: np.ndarray = field(init=False, repr=False)
 
-    @classmethod
-    def uniform(cls, n: int, half_extent: float, domain: str) -> "Grid1D":
-        if domain not in ("near", "far"):
-            raise ConfigurationError(f"domain must be 'near' or 'far', got {domain!r}")
+    def __post_init__(self):
+        n, half = self.n, self.half_extent
+        if self.domain not in ("near", "far"):
+            raise ConfigurationError(f"domain must be 'near' or 'far', got {self.domain!r}")
         # the type checks come first, so the comparisons never meet None or a string
-        if not (isinstance(n, numbers.Integral) and _real(half_extent)
-                and n >= 2 and 0 < half_extent < math.inf):
+        if not (isinstance(n, numbers.Integral) and _real(half) and n >= 2 and 0 < half < math.inf):
             raise ConfigurationError("need an integer n >= 2 and a positive finite half_extent, "
-                                     f"got {n!r} and {half_extent!r}")
-        h = 2.0 * half_extent / n
-        pts = -half_extent + (np.arange(n) + 0.5) * h
-        return cls(n=n, half_extent=half_extent, domain=domain, points=pts)
+                                     f"got {n!r} and {half!r}")
+        object.__setattr__(self, "points", -half + (np.arange(n) + 0.5) * (2.0 * half / n))
 
     @property
     def step(self) -> float:
@@ -227,7 +228,7 @@ class Grid1D:
         """DFT-conjugate grid: same n, step dq = 2 pi / (n h), domain swapped."""
         dq = 2.0 * math.pi / (self.n * self.step)
         other = "far" if self.domain == "near" else "near"
-        return Grid1D.uniform(self.n, self.n * dq / 2.0, other)
+        return Grid1D(self.n, self.n * dq / 2.0, other)
 
     @property
     def n_even(self) -> int:
@@ -334,7 +335,7 @@ def auto_grid(
             f"(extent {extent:.3e}, step {step_max:.3e})"
         )
     n = max(n, 33)
-    return Grid1D.uniform(n, extent, domain)
+    return Grid1D(n, extent, domain)
 
 
 def _far_even(g: Grid1D, p: OpoParams) -> np.ndarray:

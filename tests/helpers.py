@@ -19,7 +19,7 @@ from confocal_opo import (
     mode_uv,
     phase_match_sinc,
 )
-from confocal_opo.homodyne import _mode_noise
+from confocal_opo.homodyne import _PHASES, _mode_noise
 from confocal_opo.kernels import _far_even, _pair_sinc, _pump_transform, build_kernel_matrix
 
 
@@ -184,9 +184,10 @@ def analytic_uv_planepump(q, p, omega_bar=None):
 def noise_density(q, p, phase):
     """Plane-pump spatial noise density R(q) = |U(q) + e^{2 i phase} V_-*(q)|^2.
 
-    The library's per-mode noise at the gain A_p sigma(q).  At resonance and
-    zero frequency, phase = pi/2 gives the squeezed density
-    ((1 - A_p sigma)/(1 + A_p sigma))^2 and phase = 0 its reciprocal.
+    The library's per-mode noise at the gain A_p sigma(q), at a ``phase`` of
+    ``homodyne._PHASES``.  At resonance and zero frequency, phase = pi/2
+    gives the squeezed density ((1 - A_p sigma)/(1 + A_p sigma))^2 and
+    phase = 0 its reciprocal.
     """
     lam = p.A_p * phase_match_sinc(np.asarray(q, dtype=float), p)
-    return 1.0 + _mode_noise(lam, phase, p.detuning, p.omega_bar)
+    return 1.0 + _mode_noise(lam, p.detuning, p.omega_bar)[_PHASES.index(phase)]

@@ -82,7 +82,7 @@ def test_criterion_04_dense_matches_analytic_plane_pump():
     for detuning in (0.0, 0.5):
         for omega_bar in (0.0, 1.0):
             p = base_params(detuning=detuning, omega_bar=omega_bar)
-            g = Grid1D.uniform(512, 16.0 / p.l_coh, "far")
+            g = Grid1D(512, 16.0 / p.l_coh, "far")
             u, v = dense_uv(solve_io(g, p))
             ua, va = analytic_uv_planepump(g.points, p)
             rel_u = np.abs(even_diagonal(u) - ua) / np.abs(ua)
@@ -101,7 +101,7 @@ def test_criterion_05_bogoliubov_residuals_random_draws():
         b = float(rng.uniform(4.0, 100.0))
         a_p = float(rng.uniform(0.3, 0.95))
         p = replace(p0, w_p=math.sqrt(b) * p0.l_coh, A_p=a_p)
-        g = Grid1D.uniform(256, 16.0 / p.w_p, "far")
+        g = Grid1D(256, 16.0 / p.w_p, "far")
         modes = solve_io(g, p)
         worst = max(worst, *residuals(*dense_uv(modes)))
     ok = worst <= 1e-8
@@ -114,7 +114,7 @@ def test_criterion_06_thin_crystal_limit():
     # squeezing equals the single-mode value for any detection region
     p = base_params(l_c=5e-6, A_p=0.9)
     assert p.l_c / p.z_C == pytest.approx(1e-4)
-    g = Grid1D.uniform(1281, 40.0 * p.w_C, "near")
+    g = Grid1D(1281, 40.0 * p.w_C, "near")
     modes = solve_io(g, p)
     lo = LocalOscillator()
     vns = []

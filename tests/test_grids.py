@@ -54,7 +54,7 @@ def case(request):
     (sc,) = fig_scenarios(FIG_OF_PLANE[plane], {"b": (b,)})
     p = sc.params
     grid = _grid(p, plane, _dets(sc, sc.detector, sc.values), sc.lo)
-    wide = Grid1D.uniform(5 * grid.n, 5 * grid.half_extent, plane)
+    wide = Grid1D(5 * grid.n, 5 * grid.half_extent, plane)
     return Case(b, sc, grid, solve_io(wide, p))
 
 
@@ -79,13 +79,16 @@ def _assert_matches_wide(case, shape, values, lo, pixel_width=None):
 
 def test_fig6_grid_sizes():
     # near n ~ 64 sqrt(b): the pump's 4 w_p in steps of l_coh / 8 (fig 6
-    # reaches 3 w_p); no solve
+    # reaches 3 w_p); far n ~ 96 sqrt(b): the band 6 / l_coh in steps of
+    # 1 / (8 w_p) (fig 9 reaches 5 / w_p); no solve
     sizes = {}
-    for sc in fig_scenarios(6, {"b": (4.0, 25.0, 100.0, 900.0)}):
-        sizes[round(sc.params.b)] = _grid(sc.params, sc.plane, _dets(sc, sc.detector, sc.values),
-                                          sc.lo).n
-    assert [sizes[b] for b in (4, 25, 100)] == [129, 321, 641]
-    assert sizes[900] <= 2000
+    for fig in (6, 9):
+        for sc in fig_scenarios(fig, {"b": (4.0, 25.0, 100.0, 900.0)}):
+            dets = _dets(sc, sc.detector, sc.values)
+            sizes[fig, round(sc.params.b)] = _grid(sc.params, sc.plane, dets, sc.lo).n
+    assert [sizes[6, b] for b in (4, 25, 100)] == [129, 321, 641]
+    assert sizes[6, 900] <= 2000
+    assert [sizes[9, b] for b in (4, 25, 100, 900)] == [193, 481, 961, 2881]
 
 
 def test_sweeps_match_wider_grid(case):

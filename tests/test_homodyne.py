@@ -52,20 +52,20 @@ def grid_shot(lo, det, g, p):
 @pytest.fixture
 def dense_plane_near(plane_params):
     """Dense solve for the plane pump on a resolved near grid, A_p = 0.9."""
-    g = Grid1D.uniform(641, 20.0 * plane_params.l_coh, "near")
+    g = Grid1D(641, 20.0 * plane_params.l_coh, "near")
     return solve_io(g, plane_params), g
 
 
 class TestDetectorMask:
     def test_interval_indicator(self, plane_params):
-        g = Grid1D.uniform(33, 1.0, "near")
+        g = Grid1D(33, 1.0, "near")
         det = DetectorMask.interval(0.25, "near")
         mask = det.indicator(g, plane_params)
         assert mask.sum() > 0
         assert np.all(np.abs(g.points[mask]) <= 0.25)
 
     def test_pixel_pair_merges_when_overlapping(self, plane_params):
-        g = Grid1D.uniform(65, 1.0, "near")
+        g = Grid1D(65, 1.0, "near")
         det = DetectorMask.pixel_pair(0.05, 0.2, "near")  # overlap: merged
         mask = det.indicator(g, plane_params)
         assert np.all(np.abs(g.points[mask]) <= 0.15 + g.step)
@@ -73,7 +73,7 @@ class TestDetectorMask:
 
     def test_pixel_pair_additivity(self, plane_params):
         # shot noise is additive over the two disjoint pixels (exact)
-        g = Grid1D.uniform(129, 1.0, "near")
+        g = Grid1D(129, 1.0, "near")
         lo = LocalOscillator()
         det = DetectorMask.pixel_pair(0.5, 0.1, "near")
         mask = det.indicator(g, plane_params)
@@ -93,13 +93,13 @@ class TestDetectorMask:
         assert hi_b == pytest.approx(2.0 / plane_params.l_coh, rel=1e-12)
 
     def test_plane_mismatch(self, plane_params):
-        g = Grid1D.uniform(33, 1.0, "near")
+        g = Grid1D(33, 1.0, "near")
         with pytest.raises(ConfigurationError,
                            match="^interval detector lives in the far plane, grid is near$"):
             DetectorMask.interval(0.5, "far").indicator(g, plane_params)
 
     def test_empty_detector(self, plane_params):
-        g = Grid1D.uniform(32, 1.0, "near")
+        g = Grid1D(32, 1.0, "near")
         det = DetectorMask.interval(1e-9, "near")  # falls between cells
         with pytest.raises(ConfigurationError,
                            match="^no grid point falls inside the detector mask$"):
@@ -199,7 +199,7 @@ def test_non_real_input_rejected(make):
 
 class TestShotNoise:
     def test_plane_lo_counts_cells(self, plane_params):
-        g = Grid1D.uniform(64, 1.0, "near")
+        g = Grid1D(64, 1.0, "near")
         # detector edge chosen to enclose exactly 10 cells
         edge = g.points[36] + g.step / 2
         det = DetectorMask.interval(edge, "near")
@@ -207,7 +207,7 @@ class TestShotNoise:
         assert grid_shot(lo, det, g, plane_params) == pytest.approx(10 * g.step, rel=1e-14)
 
     def test_quadratic_in_amplitude(self, plane_params):
-        g = Grid1D.uniform(64, 1.0, "near")
+        g = Grid1D(64, 1.0, "near")
         det = DetectorMask.interval(0.3, "near")
         n1 = grid_shot(LocalOscillator(amplitude=1.0), det, g, plane_params)
         n3 = grid_shot(LocalOscillator(amplitude=3.0), det, g, plane_params)
@@ -215,7 +215,7 @@ class TestShotNoise:
 
     def test_gaussian_lo_against_erf(self, plane_params):
         # N = integral |amp exp(-x^2/w^2)|^2 over the interval, closed form
-        g = Grid1D.uniform(1024, 1.0, "near")
+        g = Grid1D(1024, 1.0, "near")
         w = 0.21
         d = g.points[768] + g.step / 2  # edge between cells
         det = DetectorMask.interval(d, "near")
@@ -247,9 +247,9 @@ class TestShotNoise:
         # the dense route counts whole cells: within one step per band edge
         p = plane_params
         if plane == "near":
-            unit, g = p.l_coh, Grid1D.uniform(641, 20.0 * p.l_coh, "near")
+            unit, g = p.l_coh, Grid1D(641, 20.0 * p.l_coh, "near")
         else:
-            unit, g = p.r0, Grid1D.uniform(257, 8.0 / p.l_coh, "far")
+            unit, g = p.r0, Grid1D(257, 8.0 / p.l_coh, "far")
         modes = solve_io(g, p)
         lo = LocalOscillator(amplitude=amplitude)
         for det in (DetectorMask.interval(0.5 * unit, plane),
@@ -262,7 +262,7 @@ class TestShotNoise:
     def test_far_gaussian_lo_detection_plane_convention(self, plane_params):
         # far-plane Gaussian LO waist is given in detection-plane meters:
         # |alpha(q)| = exp(-(x/waist)^2) at x = q lambda f / (2 pi)
-        g = Grid1D.uniform(129, 4.0e5, "far")
+        g = Grid1D(129, 4.0e5, "far")
         w = 1e-4
         lo = LocalOscillator(waist=w)
         mag = lo.magnitude(g, plane_params)
@@ -287,7 +287,7 @@ class TestSqueezingNumericVacuum:
         p = OpoParams(
             lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.0, w_p=math.inf
         )
-        g = Grid1D.uniform(257, 8.0 * plane_params.l_coh, "near")
+        g = Grid1D(257, 8.0 * plane_params.l_coh, "near")
         modes = solve_io(g, p)
         for det in (
             DetectorMask.interval(2e-5, "near"),
@@ -305,7 +305,7 @@ class TestSqueezingNumericVacuum:
             lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.5,
             w_p=math.inf, detuning=0.5, omega_bar=1.0,
         )
-        g = Grid1D.uniform(129, 8.0 * plane_params.l_coh, "near")
+        g = Grid1D(129, 8.0 * plane_params.l_coh, "near")
         modes = solve_io(g, p)
         oracle = lu_noise(g, p)
         det = DetectorMask.interval(2e-5, "near")
@@ -335,7 +335,7 @@ class TestModeRouteMatchesLU:
             w_p=math.sqrt(b) * plane_params.l_coh, detuning=detuning, omega_bar=omega_bar,
         )
         extent = 4.0 * p.w_p if plane == "near" else 16.0 / p.w_p
-        g = Grid1D.uniform(n, extent, plane)
+        g = Grid1D(n, extent, plane)
         modes = solve_io(g, p)
         oracle = lu_noise(g, p)
         x_of_q = 1.0 if plane == "near" else p.lambda_s * p.f_lens / (2 * math.pi)
@@ -370,7 +370,7 @@ class TestConjugateImage:
     # a near detector reaches the far modes through one FFT: fold(W l) = C fold(l)
     @pytest.mark.parametrize("n", [33, 34, 320, 641])
     def test_matches_cosine_matrix(self, rng, n):
-        g = Grid1D.uniform(n, 1e-3, "near")
+        g = Grid1D(n, 1e-3, "near")
         v = rng.standard_normal(n)
         v += v[::-1]
         ref = cosine(g) @ g.fold(v)
@@ -379,7 +379,7 @@ class TestConjugateImage:
 
     def test_matches_extended_precision(self):
         # a Gaussian LO on an interval detector, at n = 4001
-        g = Grid1D.uniform(4001, 1e-3, "near")
+        g = Grid1D(4001, 1e-3, "near")
         v = np.exp(-(g.points / 3e-4) ** 2) * (np.abs(g.points) <= 5e-4)
         ref = _extended_image(g, v)
         ref = np.concatenate([ref, ref[: g.n - g.n_even][::-1]])  # the image is even
@@ -393,7 +393,7 @@ class TestThinCrystalSingleMode:
         p = OpoParams(
             lambda_s=1.064e-6, n_s=2.12, l_c=5e-6, z_C=0.05, A_p=0.5, w_p=math.inf
         )
-        g = Grid1D.uniform(641, 20.0 * p.w_C, "near")
+        g = Grid1D(641, 20.0 * p.w_C, "near")
         modes = solve_io(g, p)
         lo = LocalOscillator()
         for frac in (0.2, 1.0, 4.0):
@@ -459,12 +459,13 @@ class TestRadialSpectrum:
 
     def test_disk_only_on_the_plane_pump_far_route(self, plane_params):
         # radial is a 2-D disk; the 1-D routes (near field, dense modes)
-        # refuse it rather than run the interval of the same half width
+        # refuse it rather than run the interval of the same half width.
+        # A near disk is a valid band: squeezing alone refuses it.
         r = 0.5 * plane_params.r0
-        for make in (lambda: DetectorMask.radial(plane_params.l_coh, "near"),
-                     lambda: DetectorMask("radial", "near", 0.0, plane_params.l_coh)):
+        for det in (DetectorMask.radial(plane_params.l_coh, "near"),
+                    DetectorMask("radial", "near", 0.0, plane_params.l_coh)):
             with pytest.raises(ConfigurationError, match="radial"):
-                make()
+                squeezing(det, LocalOscillator(), plane_params)
         p = replace(plane_params, w_p=3.0 * plane_params.l_coh)
         grid = _grid(p, "far", [DetectorMask.interval(r, "far")], LocalOscillator())
         for q in (p, plane_params):
@@ -632,7 +633,7 @@ class TestPlanePumpFarSpectrum:
         # forms: same detector and LO expressed in each formalism, 1e-4
         p = self.far_setup()
         q_max = 2.0 / p.l_coh
-        g = Grid1D.uniform(1025, 4.0 * q_max, "far")
+        g = Grid1D(1025, 4.0 * q_max, "far")
         modes = solve_io(g, p)
         x_of_q = p.lambda_s * p.f_lens / (2 * math.pi)
         lo = LocalOscillator(waist=p.r0)
@@ -657,7 +658,7 @@ class TestPlanePumpFarSpectrum:
         p = self.far_setup()
         p = replace(p, omega_bar=1.0)
         q_max = 2.0 / p.l_coh
-        g = Grid1D.uniform(1025, 4.0 * q_max, "far")
+        g = Grid1D(1025, 4.0 * q_max, "far")
         modes = solve_io(g, p)
         x_of_q = p.lambda_s * p.f_lens / (2 * math.pi)
         lo = LocalOscillator()
@@ -702,6 +703,32 @@ class TestPlanePumpFarSpectrum:
         assert res.vn_squeezed == pytest.approx(
             float(noise_density(q_c, p, math.pi / 2)), abs=1e-4
         )
+
+    def test_gaussian_pump_approaches_the_plane_pump(self, plane_params):
+        # b -> inf in the far field: detectors fixed in r0 units under a plane
+        # LO, one dense sweep per shape on the grid the CLI sizes, against the
+        # plane-pump closed form.  The squeezed gap falls about as 1/sqrt(b);
+        # at b = 25, 100 and 900 it reads 5.68e-2, 2.86e-2 and 9.60e-3 for the
+        # 0.5 r0 interval, and at most 1.02e-2 at b = 900 (the 1 r0 pair).
+        # The pair at 2 r0 reads 7.73e-3, 1.00e-2 and 4.91e-3, not monotone,
+        # so it is held to the end points only.
+        p, r0, lo = plane_params, plane_params.r0, LocalOscillator()
+        sweeps = [([_detector("interval", "far", x * r0) for x in (0.5, 1.0, 2.0)], (0, 1, 2)),
+                  ([_detector("pixel_pair", "far", x * r0, r0) for x in (1.0, 2.0, 3.0)],
+                   (0, 2))]
+        for dets, monotone in sweeps:
+            plane = [squeezing(det, lo, p).vn_squeezed for det in dets]
+            gaps = []  # [b][detector]
+            for b in (25.0, 100.0, 900.0):
+                q = replace(p, w_p=math.sqrt(b) * p.l_coh)
+                modes = solve_io(_grid(q, "far", dets, lo), q)
+                gaps.append([abs(squeezing(det, lo, modes).vn_squeezed - vn)
+                             for det, vn in zip(dets, plane)])
+            for i, det in enumerate(dets):
+                at25, at100, at900 = (row[i] for row in gaps)
+                assert at900 < at25 and at900 <= 1.5e-2, (det, at25, at100, at900)
+                if i in monotone:
+                    assert at25 > at100 > at900, (det, at25, at100, at900)
 
     def test_panel_blocks_continue_past_the_first(self, monkeypatch, plane_params):
         # a band past t = 2 sqrt(_CHUNK pi) ~ 227, a far detector wider than
@@ -775,7 +802,7 @@ class TestSweep:
         vns = {}
         for b in (4.0, 25.0):
             p = replace(p0, w_p=math.sqrt(b) * p0.l_coh)
-            g = Grid1D.uniform(961, 4 * radius, "near")
+            g = Grid1D(961, 4 * radius, "near")
             modes = solve_io(g, p)
             det = DetectorMask.interval(radius, "near")
             vns[b] = squeezing(det, LocalOscillator(), modes).vn_squeezed
@@ -807,7 +834,7 @@ class TestSweep:
 
     def test_detector_beyond_grid_rejected(self, plane_params):
         p = replace(plane_params, w_p=4 * plane_params.l_coh)
-        g = Grid1D.uniform(257, 16 * plane_params.l_coh, "near")
+        g = Grid1D(257, 16 * plane_params.l_coh, "near")
         modes = solve_io(g, p)
         reach, half = 20 * plane_params.l_coh, 16 * plane_params.l_coh
         with pytest.raises(NumericalFailure, match=f"^detector reach {reach:.3e} exceeds "
@@ -907,8 +934,8 @@ class TestOnePath:
     def test_far_routes_evaluate_gain_once_per_chunk(self, monkeypatch, plane_params,
                                                      shape):
         # both quadratures of a far-field point come from one quadrature pass:
-        # one mode-gain evaluation per chunk of Gauss nodes and one per-mode
-        # noise call per (chunk, phase), not one pass per quadrature
+        # one mode-gain evaluation and one per-mode noise call, which returns
+        # both phases, per chunk of Gauss nodes, not one pass per quadrature
         import confocal_opo.homodyne as homodyne
 
         passes, chunks, gains, noises = [], [], [], []
@@ -924,9 +951,9 @@ class TestOnePath:
             gains.append(q.shape)
             return sinc(q, p)
 
-        def counted_noise(lam, phase, *at):
-            noises.append((lam.shape, phase))
-            return noise(lam, phase, *at)
+        def counted_noise(lam, *at):
+            noises.append(lam.shape)
+            return noise(lam, *at)
 
         monkeypatch.setattr(homodyne, "_gauss_panels", counted_panels)
         monkeypatch.setattr(homodyne, "phase_match_sinc", counted_sinc)
@@ -936,7 +963,7 @@ class TestOnePath:
         squeezing(det, lo, plane_params)
         assert len(passes) == 1 and len(chunks) >= 1
         assert gains == [t.shape for t, _ in chunks]
-        assert noises == [(t.shape, phase) for t, _ in chunks for phase in (math.pi / 2, 0.0)]
+        assert noises == [t.shape for t, _ in chunks]
 
     def test_band_past_the_lo_spot_is_refused(self, plane_params):
         # a Gaussian LO whose intensity underflows to 0 on the whole band

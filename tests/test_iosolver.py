@@ -30,9 +30,9 @@ def gauss_setup(b=16.0, a_p=0.8, n=257, domain="far", detuning=0.0, omega_bar=0.
     )
     p = replace(p0, w_p=math.sqrt(b) * p0.l_coh)
     if domain == "far":
-        g = Grid1D.uniform(n, 16.0 / p.w_p, "far")
+        g = Grid1D(n, 16.0 / p.w_p, "far")
     else:
-        g = Grid1D.uniform(n, 4.0 * p.w_p, "near")
+        g = Grid1D(n, 4.0 * p.w_p, "near")
     return p, g
 
 
@@ -91,7 +91,7 @@ class TestDenseSolve:
             lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.9,
             w_p=math.inf, detuning=detuning, omega_bar=omega_bar,
         )
-        g = Grid1D.uniform(257, 16.0 / p.l_coh, "far")
+        g = Grid1D(257, 16.0 / p.l_coh, "far")
         u, v = dense_uv(solve_io(g, p))
         ua, va = analytic_uv_planepump(g.points, p)
         assert np.abs(even_diagonal(u) - ua).max() <= 1e-8 * np.abs(ua).max()
@@ -121,7 +121,7 @@ class TestDenseSolve:
             lambda_s=1e-6, n_s=1.0, l_c=1e-6, z_C=0.01, A_p=0.8, w_p=math.inf
         )
         p = replace(p0, w_p=10 * p0.l_coh)
-        g = Grid1D.uniform(641, 4 * p.w_p, "near")
+        g = Grid1D(641, 4 * p.w_p, "near")
         u, v = dense_uv(solve_io(g, p))
         n = g.n
         idx = np.arange(n)
@@ -151,7 +151,7 @@ class TestDenseSolve:
             lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05,
             A_p=1.0 - 1e-13, w_p=math.inf,
         )
-        g = Grid1D.uniform(129, 8.0 / plane_params.l_coh, "far")
+        g = Grid1D(129, 8.0 / plane_params.l_coh, "far")
         with pytest.raises(NumericalFailure, match=r"^input/output system condition \S+ exceeds "
                                                    r"1e\+12; the configuration is at/above"):
             solve_io(g, p)
@@ -159,9 +159,9 @@ class TestDenseSolve:
     def test_grid_too_coarse(self):
         # the solve gathers its own block, under the kernel's sizing rule
         p, _ = gauss_setup(b=16.0)
-        for g, match in ((Grid1D.uniform(16, 4 * p.w_p, "near"),
+        for g, match in ((Grid1D(16, 4 * p.w_p, "near"),
                           r"^near grid step \S+ m exceeds l_coh/8 = "),
-                         (Grid1D.uniform(64, 1.0 / p.w_p, "far"),
+                         (Grid1D(64, 1.0 / p.w_p, "far"),
                           r"^far grid half extent \S+ is below 4 x the pump envelope scale ")):
             with pytest.raises(NumericalFailure, match=match):
                 solve_io(g, p)
@@ -248,7 +248,7 @@ class TestThresholdMargin:
 
     def test_plane_pump_margin(self, plane_params):
         # odd grid holds the q = 0 threshold mode, where sinc is exactly 1
-        g = Grid1D.uniform(257, 16.0 / plane_params.l_coh, "far")
+        g = Grid1D(257, 16.0 / plane_params.l_coh, "far")
         assert abs(threshold_margin(g, plane_params) - 0.1) <= 1e-9
 
     def test_margin_grows_for_tighter_pump(self):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -239,7 +240,7 @@ class TestFarKernel:
 class TestGrid1D:
     @pytest.mark.parametrize("n", [32, 33, 256, 257])
     def test_symmetry_and_weights(self, n):
-        g = Grid1D.uniform(n, 1.25e-3, "near")
+        g = Grid1D(n, 1.25e-3, "near")
         assert np.all(np.diff(g.points) > 0)
         assert np.allclose(g.points, -g.points[::-1], rtol=0, atol=1e-18)
         # midpoint rule: n cells of width step fill [-L, L]
@@ -248,7 +249,7 @@ class TestGrid1D:
         assert (0.0 in g.points) == (n % 2 == 1)
 
     def test_conjugate_roundtrip(self):
-        g = Grid1D.uniform(129, 2e-3, "near")
+        g = Grid1D(129, 2e-3, "near")
         gq = g.conjugate()
         assert gq.domain == "far"
         assert gq.step * g.step == pytest.approx(2 * math.pi / g.n, rel=1e-14)
@@ -269,14 +270,22 @@ class TestGrid1D:
     ])
     def test_bad_uniform_grid_rejected(self, n, half_extent, domain):
         with pytest.raises(ConfigurationError):
-            Grid1D.uniform(n, half_extent, domain)
+            Grid1D(n, half_extent, domain)
+
+    def test_replace_checks_the_grid(self):
+        # points derive from the fields, and a replaced grid is checked again
+        g = Grid1D(33, 1.0, "near")
+        assert np.array_equal(replace(g, half_extent=2.0).points, 2.0 * g.points)
+        for change in ({"n": 1}, {"half_extent": math.nan}, {"domain": "focal"}):
+            with pytest.raises(ConfigurationError):
+                replace(g, **change)
 
     def test_numpy_integer_size_accepted(self):
-        g = Grid1D.uniform(np.int64(33), 1.0, "near")
+        g = Grid1D(np.int64(33), 1.0, "near")
         assert g.n == 33 and len(g.points) == 33
 
     def test_flip_index(self):
-        g = Grid1D.uniform(64, 1.0, "far")
+        g = Grid1D(64, 1.0, "far")
         i = np.arange(64)
         assert np.allclose(g.points[flip(g, i)], -g.points[i])
 
@@ -284,7 +293,7 @@ class TestGrid1D:
     def test_even_basis_fold_unfold(self, n, rng):
         # unfold is the orthonormal even basis E (n x m), fold its transpose:
         # E^T E = I and E E^T is the even projector
-        g = Grid1D.uniform(n, 1.0, "near")
+        g = Grid1D(n, 1.0, "near")
         assert g.n_even == (n + 1) // 2
         block = rng.normal(size=(g.n_even, 3))
         vals = unfold(g, block)
@@ -307,15 +316,15 @@ def _gauss_setup(b=16.0, a_p=0.8, n=None, domain="far"):
     if n is None:
         g = auto_grid(p, domain)
     elif domain == "far":
-        g = Grid1D.uniform(n, 16.0 / p.w_p, "far")
+        g = Grid1D(n, 16.0 / p.w_p, "far")
     else:
-        g = Grid1D.uniform(n, 4.0 * p.w_p, "near")
+        g = Grid1D(n, 4.0 * p.w_p, "near")
     return p, g
 
 
 class TestKernelMatrix:
     def test_plane_pump_far_is_diagonal_on_even_subspace(self, plane_params):
-        g = Grid1D.uniform(257, 20.0 / plane_params.l_coh, "far")
+        g = Grid1D(257, 20.0 / plane_params.l_coh, "far")
         op = entries(g, build_kernel_matrix(g, plane_params))
         n = g.n
         idx = np.arange(n)
@@ -370,7 +379,7 @@ class TestKernelMatrix:
         # rounding; the gathered block is flip-even by construction
         if plane:
             p = plane_params
-            g = Grid1D.uniform(n, 20.0 / p.l_coh, "far")
+            g = Grid1D(n, 20.0 / p.l_coh, "far")
             g = g if domain == "far" else g.conjugate()
         else:
             p, g = _gauss_setup(b=16.0, n=n, domain=domain)
@@ -407,7 +416,7 @@ class TestKernelMatrix:
             lambda_s=1e-6, n_s=1.0, l_c=1e-6, z_C=0.01, A_p=0.8, w_p=math.inf
         )
         p = replace(p0, w_p=100 * p0.l_coh)
-        g = Grid1D.uniform(101, 4 * p.w_p, "near")
+        g = Grid1D(101, 4 * p.w_p, "near")
         op = entries(g, build_kernel_matrix(g, p))
         n = g.n
         idx = np.arange(n)
@@ -436,11 +445,11 @@ class TestKernelMatrix:
             lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.5,
             w_p=100 * plane_params.l_coh,
         )
-        g = Grid1D.uniform(16, 4 * p.w_p, "near")
+        g = Grid1D(16, 4 * p.w_p, "near")
         with pytest.raises(NumericalFailure, match=r"^near grid step \S+ m exceeds l_coh/8 = "):
             build_kernel_matrix(g, p)
         # far domain: extent below 4x the pump ridge scale
-        g2 = Grid1D.uniform(64, 1.0 / p.w_p, "far")
+        g2 = Grid1D(64, 1.0 / p.w_p, "far")
         with pytest.raises(NumericalFailure,
                            match=r"^far grid half extent \S+ is below 4 x the pump envelope "):
             build_kernel_matrix(g2, p)

@@ -145,7 +145,7 @@ def test_routes_are_invariant_under_length_scales(case):
         modes = None
         if grid is not None:
             n, extent = grid
-            modes = solve_io(Grid1D.uniform(n, extent * (p.l_coh if plane == "near"
+            modes = solve_io(Grid1D(n, extent * (p.l_coh if plane == "near"
                                                          else 1.0 / p.w_p), plane), p)
         results.append(squeezing(det, LocalOscillator(waist=waist * unit),
                                  p if modes is None else modes))
