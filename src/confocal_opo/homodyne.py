@@ -299,8 +299,6 @@ def _check_threshold(p: OpoParams) -> None:
     if np.abs(a_abar - p.A_p**2) <= 1e-14:
         raise NumericalFailure("plane-pump response diverges: a*abar = (A_p sigma)^2")
 
-#: 16-point Gauss-Legendre rule on [-1, 1], mapped onto every panel
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 #: sinc-zero intervals, or panels, handled at once: bounds every node array
 _CHUNK = 4096
 #: widest panel in t = q l_coh: ~1.2 periods of the near window at 2b = 30
@@ -318,6 +316,13 @@ _NEAR_CACHED_LEVEL = 4
 _MAX_PANELS = 2**22
 
 
+@lru_cache(maxsize=1)
+def _gauss_rule():
+    # 16-point Gauss-Legendre rule on [-1, 1], mapped onto every panel; built
+    # on first use, as ``kernels._si_rules``, so that the dense routes never
+    # import numpy.polynomial
+    return np.polynomial.legendre.leggauss(16)
+
 def _gauss_panels(t_lo: float, t_hi: float, max_width: float):
     """16-point Gauss-Legendre nodes and weights on [t_lo, t_hi], in chunks.
 
@@ -333,6 +338,7 @@ def _gauss_panels(t_lo: float, t_hi: float, max_width: float):
         raise NumericalFailure(
             f"t = q l_coh in [{t_lo:.3g}, {t_hi:.3g}] at panel width {max_width:.3g} "
             f"needs more than {_MAX_PANELS} Gauss panels")
+    nodes, weights = _gauss_rule()
     k = math.floor(t_lo**2 / (4.0 * math.pi)) + 1  # first sinc zero above t_lo
     while True:
         zeros = 2.0 * np.sqrt(math.pi * np.arange(k, k + _CHUNK))
@@ -348,8 +354,8 @@ def _gauss_panels(t_lo: float, t_hi: float, max_width: float):
             i = np.searchsorted(ends, panel, side="right")
             half = halves[i]
             mid = edges[i] + (2 * (panel - ends[i] + pieces[i]) + 1) * half
-            yield ((mid[:, None] + half[:, None] * _GAUSS_NODES).ravel(),
-                   (half[:, None] * _GAUSS_WEIGHTS).ravel())
+            yield ((mid[:, None] + half[:, None] * nodes).ravel(),
+                   (half[:, None] * weights).ravel())
         if last:
             return
         t_lo, k = edges[-1], k + _CHUNK
