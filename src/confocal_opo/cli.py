@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, NumericalFailure
-from .homodyne import DetectorMask, LocalOscillator, _check_threshold, _mode_noise, squeezing
+from .homodyne import DetectorMask, LocalOscillator, _mode_noise, squeezing
 from .iosolver import solve_io
 from .kernels import MAX_GRID_N, Grid1D, auto_grid, delta_2d, phase_match_sinc
 from .params import OpoParams
@@ -240,7 +240,7 @@ def run_scenario(sc: Scenario, outdir: Path) -> float:
     p = sc.params
     dets = [_detector(sc.detector, sc.plane, float(value), sc.pixel_width) for value in sc.values]
     cavity = p if p.plane_pump else solve_io(
-        _grid(p, sc.plane, dets, sc.lo, sc.grid_n, sc.grid_L), p)
+        _grid(p, sc.plane, dets, sc.grid_n, sc.grid_L), p)
     unit = _unit(p, sc.plane)
     rows = []
     for value, det in zip(sc.values, dets):
@@ -266,20 +266,17 @@ def _detector(shape: str, plane: str, value: float,
         return None
     return getattr(DetectorMask, shape)(value, plane)
 
-def _grid(p: OpoParams, plane: str, dets, lo: LocalOscillator,
-          n: int | None = None, half: float | None = None) -> Grid1D:
+def _grid(p: OpoParams, plane: str, dets, n: int | None = None,
+          half: float | None = None) -> Grid1D:
     """The grid a run solves on ``plane``: the one place a run sizes a grid.
     An ``n`` or ``half`` (half extent) left out comes from the sizing rule:
-    the half extent from the outer reach of the detectors ``dets`` (None
-    skipped) and the spot of ``lo``, n from the step rule on ``half``."""
+    the half extent from the pump and the outer reach of the detectors
+    ``dets`` (None skipped), n from the step rule on ``half``."""
     if n is None or half is None:
         if half is not None:
             auto = auto_grid(p, plane, (), (half,))
         else:
-            spot = lo.q_reach(p, plane)
-            auto = auto_grid(p, plane,
-                             [det.bounds_on_axis(p)[1] for det in dets if det is not None],
-                             () if spot is None else (spot,))
+            auto = auto_grid(p, plane, [det.bounds_on_axis(p)[1] for det in dets if det is not None])
         n, half = n or auto.n, half or auto.half_extent
     return Grid1D(n, half, plane)
 
@@ -395,7 +392,6 @@ def _run_fig2(overrides: dict, outdir: Path) -> None:
 def _run_fig8_density(sc: Scenario, outdir: Path) -> None:
     """Companion pixel-pair density curve R(r) for the far-field preset."""
     p = sc.params
-    _check_threshold(p)
     us = np.linspace(0.0, 5.0, 126)
     lam = p.A_p * phase_match_sinc(2.0 * us / p.l_coh, p)  # r/r0 = u maps to sinc(u^2)
     r_sq, r_anti = (1.0 + f for f in _mode_noise(lam, p.detuning, p.omega_bar))

@@ -77,7 +77,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalFailure
 from .iosolver import CavityModes
-from .kernels import _EXTENT_FACTOR, Grid1D, phase_match_sinc
+from .kernels import Grid1D, phase_match_sinc
 from .params import OpoParams, _real
 
 __all__ = [
@@ -202,16 +202,6 @@ class LocalOscillator:
             x = x * p.lambda_s * p.f_lens / (2.0 * math.pi)
         return np.exp(-(x / self.waist) ** 2)
 
-    def q_reach(self, p: OpoParams, plane: str) -> float | None:
-        """Half extent a ``plane`` grid needs to hold the spot, 4 waists in
-        grid units (m near, 1/m far), like the pump's envelope; None for a
-        plane LO, which sizes no grid."""
-        if self.waist == math.inf:
-            return None
-        if plane == "near":
-            return _EXTENT_FACTOR * self.waist
-        return _EXTENT_FACTOR * (2.0 * math.pi * self.waist / (p.lambda_s * p.f_lens))
-
 
 @dataclass(frozen=True)
 class SqueezingResult:
@@ -284,6 +274,11 @@ def _noise_terms(modes: CavityModes, det: DetectorMask, lo: LocalOscillator):
     w = grid.step
     n_shot = w * float(lvec @ lvec)
     _check_lit(n_shot, det)
+    # sampled at the grid points, a waist of 2, 1.5 and 1 steps is off by 5e-9, 3e-5, 1.4e-2
+    x_step = w * (p.lambda_s * p.f_lens / (2.0 * math.pi) if grid.domain == "far" else 1.0)
+    if lo.waist < 2.0 * x_step:
+        raise NumericalFailure(f"Gaussian LO waist spans {lo.waist / x_step:.3g} grid steps, "
+                               "under the 2 that resolve it: set a larger grid_n")
     return n_shot, [1.0 + (w / n_shot) * float(c2 @ f)
                     for f in _mode_noise(modes.lam, p.detuning, p.omega_bar)]
 
@@ -465,9 +460,9 @@ def squeezing(det: DetectorMask, lo: LocalOscillator,
     far-field interval or pixel pair otherwise.  A ``radial`` detector off
     that disk route (on the modes, or in the near plane), a finite pump's
     ``OpoParams`` and a ``cavity`` of any other type raise
-    ``ConfigurationError``.  Raises ``NumericalFailure`` when N
-    or either vn is not finite, as when an input near the float range (an
-    LO amplitude, an analysis frequency) overflows inside the route.
+    ``ConfigurationError``.  ``NumericalFailure`` means a Gaussian LO under 2
+    grid steps wide, or a non-finite N or vn, as when an input near the float
+    range (an LO amplitude, an analysis frequency) overflows in the route.
     """
     dense = isinstance(cavity, CavityModes)
     if not (dense or isinstance(cavity, OpoParams)):

@@ -37,8 +37,7 @@ __all__ = [
 ]
 
 # Grid sizing rule constants.  Steps must resolve the finest kernel scale by
-# this factor; extents must cover the pump envelope (and a Gaussian LO spot)
-# by this factor.
+# this factor; extents must cover the pump envelope by this factor.
 _STEP_DIVISOR = 8.0
 _EXTENT_FACTOR = 4.0
 # Automatic far extent of a finite pump, in 1/l_coh: the phase-matching band
@@ -59,8 +58,8 @@ _THIN_CRYSTAL_RATIO = 1e-3
 # workspace and the output) next to the block itself, in either domain: the
 # modes stay on the far grid.  Near n = 64 sqrt(b) (4 w_p in steps of l_coh / 8)
 # and far n = 96 sqrt(b) (the band 6 / l_coh in steps of 1 / (8 w_p)), so
-# this n covers fig 6 up to b ~ 8,780 and fig 9 up to b ~ 3,900; both take
-# 5.4-6.6 s and 376-378 MB there on a 2-core x86-64 host.
+# this n covers fig 6 up to b ~ 8,780 (4.2-4.8 s, 378 MB) and fig 9 up to
+# b ~ 3,900 (3.2-3.4 s, 377 MB), timed on a 2-core x86-64 host.
 MAX_GRID_N = 6000
 
 
@@ -316,7 +315,7 @@ def auto_grid(
     has gain outside it), each detector reach in ``reaches`` plus one step
     (beyond the pump or band a detector sees vacuum, so the step only keeps
     its band inside the grid), and each half extent in ``extents`` as given
-    (4 Gaussian-LO waists, an explicit extent).  m near, 1/m far.
+    (an explicit extent).  m near, 1/m far.
     """
     step_max, extent_min = _structure_scales(p, domain)
     if domain == "far" and not p.plane_pump:

@@ -180,7 +180,7 @@ def test_criterion_08_pixel_pair_finite_pump():
     values = [0.0, 3.0 * p.w_p]
     lo = LocalOscillator()
     dets = [_detector("pixel_pair", "near", v, p.l_coh) for v in values]
-    modes = solve_io(_grid(p, "near", dets, lo), p)
+    modes = solve_io(_grid(p, "near", dets), p)
     vn_zero, vn_far = (squeezing(det, lo, modes).vn_squeezed for det in dets)
     ok = vn_zero < 0.9 and vn_far > 0.95
     assert _report(8, ok, f"b = 100 pixel pair: vn(0) = {vn_zero:.4f} (< 0.9), "

@@ -466,7 +466,7 @@ for d in (0.5 * plane.l_coh, 20.0 * plane.l_coh):
 for where, values in (("near", [0.5 * plane.l_coh, plane.l_coh]),
                       ("far", [0.5 * plane.r0, plane.r0])):
     dets = [DetectorMask.interval(v, where) for v in values]
-    modes = solve_io(_grid(gauss, where, dets, LocalOscillator()), gauss)
+    modes = solve_io(_grid(gauss, where, dets), gauss)
     for det in dets:
         squeezing(det, LocalOscillator(), modes)
 squeezing(DetectorMask.radial(0.5 * plane.r0), LocalOscillator(waist=plane.r0), plane)
@@ -680,3 +680,16 @@ def test_detector_the_run_cannot_see_exits_with_one_line(tmp_path, text, code, l
     # run in its exit code and one line that says which
     cfg = write_config(tmp_path, MISS_CONFIG + text)
     assert _one_line_exit(tmp_path, ["run", "--config", str(cfg)]) == (code, line)
+
+
+def test_lo_narrower_than_two_grid_steps_exits_with_one_line(tmp_path):
+    # a 3e-6 m waist is 0.602 steps of the auto grid (n = 321 on 4 w_p):
+    # exit 1, pointing to grid_n; 1201 points, 2.25 steps, resolve it
+    text = (MISS_CONFIG + "plane = near\ndetector = interval\nlo = gaussian\n"
+            "lo_waist = 3e-6\nsweep_min = 0\nsweep_max = 2e-5\n")
+    cfg = write_config(tmp_path, text)
+    assert _one_line_exit(tmp_path, ["run", "--config", str(cfg)]) == (
+        1, "numerical failure: Gaussian LO waist spans 0.602 grid steps, under the 2 that "
+           "resolve it: set a larger grid_n")
+    cfg = write_config(tmp_path, text + "grid_n = 1201\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "fine")]) == 0

@@ -12,7 +12,7 @@ grid's cell for cell (5 n points on 5 L, n odd): every vn within
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -53,7 +53,7 @@ def case(request):
     plane, b = request.param
     (sc,) = fig_scenarios(FIG_OF_PLANE[plane], {"b": (b,)})
     p = sc.params
-    grid = _grid(p, plane, _dets(sc, sc.detector, sc.values), sc.lo)
+    grid = _grid(p, plane, _dets(sc, sc.detector, sc.values))
     wide = Grid1D(5 * grid.n, 5 * grid.half_extent, plane)
     return Case(b, sc, grid, solve_io(wide, p))
 
@@ -67,7 +67,7 @@ def _assert_matches_wide(case, shape, values, lo, pixel_width=None):
     sc = case.sc
     p = sc.params
     dets = _dets(sc, shape, values, pixel_width)
-    grid = _grid(p, sc.plane, dets, lo)
+    grid = _grid(p, sc.plane, dets)
     assert (grid.n, grid.half_extent) == (case.grid.n, case.grid.half_extent)
     modes = solve_io(grid, p)
     for value, det in zip(values, dets):
@@ -85,16 +85,38 @@ def test_fig6_grid_sizes():
     for fig in (6, 9):
         for sc in fig_scenarios(fig, {"b": (4.0, 25.0, 100.0, 900.0)}):
             dets = _dets(sc, sc.detector, sc.values)
-            sizes[fig, round(sc.params.b)] = _grid(sc.params, sc.plane, dets, sc.lo).n
+            sizes[fig, round(sc.params.b)] = _grid(sc.params, sc.plane, dets).n
     assert [sizes[6, b] for b in (4, 25, 100)] == [129, 321, 641]
     assert sizes[6, 900] <= 2000
     assert [sizes[9, b] for b in (4, 25, 100, 900)] == [193, 481, 961, 2881]
 
 
+@pytest.mark.parametrize("plane", ["near", "far"])
+def test_the_lo_sizes_no_grid(monkeypatch, tmp_path, plane):
+    # a dense run solves on the grid its pump and detectors size: a Gaussian
+    # LO of 10 pump units, whose 4 waists reach past both, leaves it as it is
+    import confocal_opo.cli as cli
+
+    class Solved(Exception):
+        pass
+
+    def record(grid, p):
+        grids.append((grid.n, grid.half_extent))
+        raise Solved
+
+    monkeypatch.setattr(cli, "solve_io", record)
+    (sc,) = fig_scenarios(FIG_OF_PLANE[plane], {"b": (4.0,)})
+    grids = []
+    for lo in (LocalOscillator(), LocalOscillator(waist=10.0 * _pump_unit(sc))):
+        with pytest.raises(Solved):
+            cli.run_scenario(replace(sc, lo=lo), tmp_path)
+    assert grids[0] == grids[1]
+
+
 def test_sweeps_match_wider_grid(case):
     # intervals and pixel pairs from 0.1 pump units to beyond the pump under a
-    # plane LO; under a Gaussian LO of one pump unit (4 waists: the auto
-    # grid's own extent near), intervals and the pixel pairs inside its spot.
+    # plane LO; under a Gaussian LO of one pump unit, intervals and the
+    # pixel pairs inside its spot.
     # A pixel pair outside the spot sees only the LO's tail at its inner
     # edge, a feature narrower than a cell, which no extent resolves.
     unit = _pump_unit(case.sc)

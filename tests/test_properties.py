@@ -91,7 +91,7 @@ def dense_detectors(draw):
 def test_dense_route_obeys_the_uncertainty_bound(case):
     p, det, lo = case
     assume(math.exp(-2.0 * (det.inner / lo.waist) ** 2) > 1e-200)
-    res = squeezing(det, lo, solve_io(_grid(p, det.plane, [det], lo), p))
+    res = squeezing(det, lo, solve_io(_grid(p, det.plane, [det]), p))
     assert res.vn_squeezed > 0 and res.vn_antisqueezed > 0
     assert res.vn_squeezed * res.vn_antisqueezed >= PRODUCT_FLOOR
 
@@ -110,7 +110,7 @@ def test_dense_modes_obey_the_symplectic_identities(case):
     # for, at any gain, detuning and analysis frequency, on the grid the
     # pump alone sizes
     p, plane = case
-    modes = solve_io(_grid(p, plane, [], LocalOscillator()), p)
+    modes = solve_io(_grid(p, plane, []), p)
     assert max(residuals(*dense_uv(modes))) <= 1e-10
 
 
