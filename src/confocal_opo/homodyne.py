@@ -57,9 +57,9 @@ references in the tests the near-field interval agrees to 5e-12 in vn at
 A_p = 0.99 and to 1e-12 up to A_p = 1 - 1e-10, and the far-field interval
 and disk to 1e-15 relative, at resonance and detuned.  The near-field
 window oscillates with period 2 pi / b, so its panels halve in width per
-doubling of 2b past 30 l_coh: one near-field point costs 0.3 ms at
-2b = 30 l_coh and 2 ms at 480 (cached panels), and grows linearly beyond,
-0.03 s at 2b = 1e3 l_coh and 0.2 s at 1e4 on a 2-core x86-64 host; the
+doubling of 2b past 30 l_coh: one near-field point costs 0.2 ms at
+2b = 30 l_coh and 1.5 ms at 480 (cached panels), and grows linearly beyond,
+0.03 s at 2b = 1e3 l_coh and 0.2-0.26 s at 1e4 on a 2-core x86-64 host; the
 nodes are summed in fixed-size chunks, so memory stays bounded.  Each chunk
 is summed with einsum, not a BLAS dot: OpenBLAS threads a dot past 10,000
 entries, which cost a wide far-field sweep twice the CPU time on that host,
@@ -77,7 +77,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalFailure
 from .iosolver import CavityModes
-from .kernels import Grid1D, phase_match_sinc
+from .kernels import Grid1D, _gauss_legendre, phase_match_sinc
 from .params import OpoParams, _real
 
 __all__ = [
@@ -294,8 +294,13 @@ def _check_threshold(p: OpoParams) -> None:
     if np.abs(a_abar - p.A_p**2) <= 1e-14:
         raise NumericalFailure("plane-pump response diverges: a*abar = (A_p sigma)^2")
 
-#: sinc-zero intervals, or panels, handled at once: bounds every node array
+#: sinc-zero intervals, or far-field panels, handled at once: bounds every node array
 _CHUNK = 4096
+#: near-field panels per chunk (4,096 nodes): a chunk's work arrays, not the
+#: cached levels, set a near run's peak memory, which this cuts by 1.8 MB at
+#: 2b <= 55 l_coh and 9.4 MB at 2b = 500-1000 against chunks of ``_CHUNK``.
+#: Far sums keep ``_CHUNK``: over 256-panel chunks they moved by 1.8e-14
+_NEAR_CHUNK = 256
 #: widest panel in t = q l_coh: ~1.2 periods of the near window at 2b = 30
 _PANEL_WIDTH = 0.25
 #: truncation of the near-field t integral; |sinc| < (2/CUT)^2 = 4e-4 beyond
@@ -303,7 +308,8 @@ _NEAR_CUT = 100.0
 #: largest 2b (b the outer band edge in l_coh) served by near level 0
 _NEAR_PANEL_A = 30.0
 #: highest near level whose chunks are cached, 2b <= 480 l_coh; level 4
-#: holds 2.7 MB (t and two phases), so the 32 cached levels stay under 90 MB
+#: holds 2.66 MB (t and two phases), and 32 cached level-4 lists raised a
+#: process's peak RSS by 82 MB
 _NEAR_CACHED_LEVEL = 4
 #: most Gauss panels one quadrature may take (one point at the limit takes
 #: ~6 s on a 2-core x86-64 host); a band or a Gaussian-LO spot that needs
@@ -311,21 +317,15 @@ _NEAR_CACHED_LEVEL = 4
 _MAX_PANELS = 2**22
 
 
-@lru_cache(maxsize=1)
-def _gauss_rule():
-    # 16-point Gauss-Legendre rule on [-1, 1], mapped onto every panel; built
-    # on first use, as ``kernels._si_rules``, so that the dense routes never
-    # import numpy.polynomial
-    return np.polynomial.legendre.leggauss(16)
-
-def _gauss_panels(t_lo: float, t_hi: float, max_width: float):
+def _gauss_panels(t_lo: float, t_hi: float, max_width: float, block: int):
     """16-point Gauss-Legendre nodes and weights on [t_lo, t_hi], in chunks.
 
     t = q l_coh is the scaled wavevector.  Panel edges sit at the zeros
     t = 2 sqrt(k pi) of the phase-matching sinc sigma = sinc(t^2 / 4), and
     every interval between them is split evenly into panels at most
-    ``max_width`` wide.  Yields (t, w) arrays of at most ``_CHUNK`` panels,
-    so memory stays bounded however long the span.  Raises
+    ``max_width`` wide.  Yields (t, w) arrays of at most ``block`` panels,
+    so memory stays bounded however long the span; the zeros are found
+    ``_CHUNK`` at a time.  Raises
     ``NumericalFailure`` past ``_MAX_PANELS`` panels.
     """
     sinc_zeros = (t_hi * t_hi - t_lo * t_lo) / (4.0 * math.pi)
@@ -333,7 +333,7 @@ def _gauss_panels(t_lo: float, t_hi: float, max_width: float):
         raise NumericalFailure(
             f"t = q l_coh in [{t_lo:.3g}, {t_hi:.3g}] at panel width {max_width:.3g} "
             f"needs more than {_MAX_PANELS} Gauss panels")
-    nodes, weights = _gauss_rule()
+    nodes, weights = _gauss_legendre(16)
     k = math.floor(t_lo**2 / (4.0 * math.pi)) + 1  # first sinc zero above t_lo
     while True:
         zeros = 2.0 * np.sqrt(math.pi * np.arange(k, k + _CHUNK))
@@ -344,8 +344,8 @@ def _gauss_panels(t_lo: float, t_hi: float, max_width: float):
         pieces = np.ceil(spans / max_width).astype(int)
         ends = np.cumsum(pieces)
         halves = spans / (2.0 * np.maximum(pieces, 1))
-        for first in range(0, ends[-1], _CHUNK):
-            panel = np.arange(first, min(first + _CHUNK, ends[-1]))
+        for first in range(0, ends[-1], block):
+            panel = np.arange(first, min(first + block, ends[-1]))
             i = np.searchsorted(ends, panel, side="right")
             half = halves[i]
             mid = edges[i] + (2 * (panel - ends[i] + pieces[i]) + 1) * half
@@ -355,11 +355,11 @@ def _gauss_panels(t_lo: float, t_hi: float, max_width: float):
             return
         t_lo, k = edges[-1], k + _CHUNK
 
-def _panel_noise(p: OpoParams, t_lo: float, t_hi: float, width: float):
-    """(t, w, [R_phi - 1 at both phases]) chunks on the panels of
-    ``_gauss_panels``, at the plane-pump mode gain A_p sigma: one gain
+def _panel_noise(p: OpoParams, t_lo: float, t_hi: float, width: float, block: int):
+    """(t, w, [R_phi - 1 at both phases]) chunks of at most ``block`` panels
+    of ``_gauss_panels``, at the plane-pump mode gain A_p sigma: one gain
     evaluation and one ``_mode_noise`` call per chunk."""
-    for t, w in _gauss_panels(t_lo, t_hi, width):
+    for t, w in _gauss_panels(t_lo, t_hi, width, block):
         lam = p.A_p * phase_match_sinc(t / p.l_coh, p)
         yield t, w, _mode_noise(lam, p.detuning, p.omega_bar)
 
@@ -390,7 +390,8 @@ def _vn_planepump_far(det: DetectorMask, lo: LocalOscillator, p: OpoParams):
     disk = det.shape == "radial"
     num = [0.0] * len(_PHASES)
     den = 0.0
-    for t, w, noise in _panel_noise(p, q_lo * p.l_coh, q_hi * p.l_coh, _lo_panel_width(c)):
+    for t, w, noise in _panel_noise(p, q_lo * p.l_coh, q_hi * p.l_coh, _lo_panel_width(c),
+                                   _CHUNK):
         weight = np.exp(-c * t * t) * w
         if disk:
             weight = t * weight
@@ -401,13 +402,13 @@ def _vn_planepump_far(det: DetectorMask, lo: LocalOscillator, p: OpoParams):
 
 
 def _near_chunks(p: OpoParams, level: int):
-    # (t, [4 w (R - 1) / t^2 at both phases]) on panels 0.125 wide below t = 1,
-    # where the anti-squeezed R - 1 peaks sharply near threshold, and 0.25
-    # above, both halved per level
+    # (t, rows 4 w (R - 1) / t^2 of both phases) on panels 0.125 wide below
+    # t = 1, where the anti-squeezed R - 1 peaks sharply near threshold, and
+    # 0.25 above, both halved per level
     width = _PANEL_WIDTH * 0.5**level
     for t_lo, t_hi, max_width in ((0.0, 1.0, 0.5 * width), (1.0, _NEAR_CUT, width)):
-        for t, w, noise in _panel_noise(p, t_lo, t_hi, max_width):
-            yield t, [4.0 * w * f / t**2 for f in noise]
+        for t, w, noise in _panel_noise(p, t_lo, t_hi, max_width, _NEAR_CHUNK):
+            yield t, 4.0 * w * np.stack(noise) / t**2
 
 @lru_cache(maxsize=32)
 def _cached_near_chunks(p: OpoParams, level: int) -> list:
@@ -437,11 +438,12 @@ def _vn_planepump_near(det: DetectorMask, lo: LocalOscillator, p: OpoParams):
     level = max(0, math.ceil(math.log2(min(2.0 * b / _NEAR_PANEL_A, 2.0**64))))
     chunks = (_cached_near_chunks(p, level) if level <= _NEAR_CACHED_LEVEL
               else _near_chunks(p, level))
-    total = [0.0] * len(_PHASES)
-    for t, gs in chunks:
+    total = np.zeros(len(_PHASES))
+    for t, g in chunks:
         window = (np.sin(b * t) - np.sin(a * t) if a > 0 else np.sin(b * t)) ** 2
-        total = [x + float(np.einsum("i,i", g, window)) for x, g in zip(total, gs)]
-    return 2.0 * (det.outer - det.inner), [1.0 + x / (2.0 * math.pi * (b - a)) for x in total]
+        total += np.einsum("ij,j->i", g, window)
+    return 2.0 * (det.outer - det.inner), [1.0 + float(x) / (2.0 * math.pi * (b - a))
+                                           for x in total]
 
 
 # ---------------------------------------------------------------------------

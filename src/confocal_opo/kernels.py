@@ -78,13 +78,64 @@ _SI_SWITCH = 6.0
 _SI_CHUNK = 4096
 
 
+def _newton(x: np.ndarray, step) -> np.ndarray:
+    # roots from the guesses x, step(x) = f / f': once every step is under
+    # 1e-8 of its root, one more reaches full precision (4 to 8 steps below)
+    for _ in range(50):
+        dx = step(x)
+        x = x - dx
+        if np.all(np.abs(dx) <= 1e-8 * np.abs(x)):
+            break
+    return x - step(x)
+
+@lru_cache(maxsize=2)
+def _gauss_legendre(n: int):
+    """(x, w) of the n-point Gauss-Legendre rule on [-1, 1], n even: Newton's
+    method on the recurrence of P_n from the guesses cos(pi (k - 1/4) / (n + 1/2))
+    finds the positive nodes, mirrored; w = 2 / ((1 - x^2) P_n'(x)^2).  The
+    nodes equal ``leggauss``'s, with no companion-matrix eigensolver (LAPACK)."""
+    def values(x):  # (P_n, P_n') at x
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+    x = _newton(np.cos(np.pi * (np.arange(n // 2, 0, -1) - 0.25) / (n + 0.5)),
+                lambda x: np.divide(*values(x)))
+    dp = values(x)[1]
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+
+def _gauss_laguerre(n: int):
+    """(x, w) of the n-point Gauss-Laguerre rule, weight e^{-x} on [0, inf).
+
+    Newton's method from Tricomi's guesses x_k = nu cos^2(s_k / 2), with
+    s_k - sin s_k = pi (4 (n - k) + 3) / nu and nu = 4 n + 2, on the
+    recurrence in the form d_k = L_k - L_{k-1}: the three-term form loses
+    ~n^2 eps near x = 0, where its two solutions merge.  x L_n' = n d_n, so
+    w = x / (n d_n)^2.  Nodes within 1e-14 and weights 3e-14 of 40-digit
+    values, relative (``laggauss``: 2e-14, 7e-13)."""
+    def values(x):  # (L_n, d_n) at x
+        lag, d = 1.0 - x, -x
+        for k in range(2, n + 1):
+            d = ((k - 1) * d - x * lag) / k
+            lag = lag + d
+        return lag, d
+
+    nu = 4 * n + 2
+    t = np.pi * (4 * np.arange(n, 0, -1) - 1) / nu
+    s = _newton(np.full(n, np.pi / 2), lambda s: (s - np.sin(s) - t) / (1.0 - np.cos(s)))
+    x = _newton(nu * np.cos(s / 2) ** 2, lambda x: x * np.divide(*values(x)) / n)
+    d = values(x)[1]
+    return x, x / (n * d) ** 2
+
 @lru_cache(maxsize=1)
 def _si_rules():
     # (s, w) of 24-point Gauss-Legendre on [0, 1] and (s, w) of 60-point
     # Gauss-Laguerre, built on the first call so that start-up and the
     # routes that never evaluate Si do not pay for them
-    s, w = np.polynomial.legendre.leggauss(24)
-    t, v = np.polynomial.laguerre.laggauss(60)
+    s, w = _gauss_legendre(24)
+    t, v = _gauss_laguerre(60)
     return 0.5 * (s + 1.0), 0.5 * w, t, v
 
 def _si_block(x: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ PACKAGE_TIMEOUT = "20"
 
 #: records OPENBLAS_THREAD_TIMEOUT as numpy is first imported, during
 #: ``import confocal_opo.cli``, and checks that the import left out
-#: numpy.polynomial, which only the plane-pump quadratures use
+#: numpy.polynomial, which no route uses (``test_cli.ROUTES_CODE`` runs them)
 PROBE = """
 import os, sys
 

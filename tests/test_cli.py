@@ -472,6 +472,7 @@ for where, values in (("near", [0.5 * plane.l_coh, plane.l_coh]),
 squeezing(DetectorMask.radial(0.5 * plane.r0), LocalOscillator(waist=plane.r0), plane)
 for fig in ("2", "5", "8"):
     assert main(["fig", "--id", fig, "--out", f"{sys.argv[1]}/fig{fig}"]) == 0
+assert "numpy.polynomial" not in sys.modules, "a route imported numpy.polynomial"
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
@@ -479,7 +480,8 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 def test_every_route_leaves_out_scipy(tmp_path):
     # the library runs on numpy alone: the fig 2 profile (Si on both
     # branches), the plane-pump near route, the dense solves in either
-    # plane, the far-field disk and figs 2, 5 and 8 end to end
+    # plane, the far-field disk and figs 2, 5 and 8 end to end; its Gauss
+    # rules come without numpy.polynomial and its eigensolver
     env = dict(os.environ, PYTHONPATH=str(Path(confocal_opo.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", ROUTES_CODE, str(tmp_path)],
                          capture_output=True, text=True, check=True, env=env)

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -19,7 +20,12 @@ from confocal_opo import (
     phase_match_sinc,
     si,
 )
-from confocal_opo.kernels import _SI_SWITCH, build_kernel_matrix
+from confocal_opo.kernels import (
+    _SI_SWITCH,
+    _gauss_laguerre,
+    _gauss_legendre,
+    build_kernel_matrix,
+)
 from far_reference import entries, far_entries, fold_block
 from helpers import flip, ktilde_far, unchecked_kernel, unfold
 from kernels_2d_reference import kint_near_2d, ktilde_far_2d
@@ -87,6 +93,48 @@ class TestSineIntegral:
         out = si(np.ones((3, 4)))
         assert out.shape == (3, 4)
         assert isinstance(si(1.0), float)
+
+
+def _roots_and_weights(poly, weight, x):
+    """40-digit roots of ``poly`` refined from the nodes ``x``, and the exact
+    weights ``weight`` of the nodes as given, both rounded to floats."""
+    with mpmath.workdps(40):
+        roots = [mpmath.findroot(poly, mpmath.mpf(v), tol=mpmath.mpf(10) ** -70, verify=False)
+                 for v in x]
+        return (np.array([float(r) for r in roots]),
+                np.array([float(weight(mpmath.mpf(v))) for v in x]))
+
+
+class TestGaussRules:
+    # the rules of ``si`` and of the plane-pump panels, built by Newton's
+    # method without numpy.polynomial's companion-matrix eigensolver
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_legendre_matches_leggauss_and_its_exact_weights(self, n):
+        # the nodes equal leggauss's; the weights are checked against their
+        # exact value 2 / ((1 - x^2) P_n'(x)^2), not against leggauss, whose
+        # end weights at n = 24 are 1.1e-13 off it (these: 4.2e-15)
+        x, w = _gauss_legendre(n)
+        ref_x, _ = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(x - ref_x)) <= 1e-15
+        roots, exact = _roots_and_weights(
+            lambda z: mpmath.legendre(n, z),
+            lambda z: 2 / ((1 - z * z) * mpmath.diff(lambda y: mpmath.legendre(n, y), z) ** 2), x)
+        assert np.max(np.abs(x - roots)) <= 1e-15
+        assert np.max(np.abs(w / exact - 1.0)) <= 1e-14
+        assert np.all(np.diff(x) > 0) and np.all(x == -x[::-1]) and np.all(w == w[::-1])
+
+    def test_laguerre_matches_its_exact_roots_and_weights(self):
+        # nodes against 40-digit roots of L_60, weights against their exact
+        # value x / (61^2 L_61(x)^2); laggauss is off by up to 2e-14 and 7e-13
+        n = 60
+        x, w = _gauss_laguerre(n)
+        roots, exact = _roots_and_weights(
+            lambda z: mpmath.laguerre(n, 0, z),
+            lambda z: z / ((n + 1) ** 2 * mpmath.laguerre(n + 1, 0, z) ** 2), x)
+        assert np.max(np.abs(x / roots - 1.0)) <= 1e-14
+        assert np.max(np.abs(w / exact - 1.0)) <= 1e-13
+        assert np.all(np.diff(x) > 0)
 
 
 class TestDelta2D:
