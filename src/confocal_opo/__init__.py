@@ -3,8 +3,8 @@
 The package models a type-I parametric medium of finite length inside a
 confocal cavity, keeping diffraction inside the crystal.  It provides the
 thick-crystal coupling kernels in near and far field, the input/output
-Bogoliubov transform of the cavity as independent modes (closed form for a
-plane pump, eigendecomposition of the coupling matrix for a finite pump),
+Bogoliubov transform of the cavity (closed form for a plane pump, banded
+shifted solves of the coupling operator for a finite pump),
 and balanced-homodyne noise spectra for arbitrary symmetric detectors and
 local oscillators, normalized to shot noise.
 """
@@ -31,7 +31,6 @@ from .kernels import (
 )
 from .iosolver import (
     CavityModes,
-    mode_uv,
     solve_io,
 )
 from .homodyne import (
@@ -44,7 +43,7 @@ from .homodyne import (
 __all__ = [
     "__version__", "OpoParams",
     "Grid1D", "auto_grid", "delta_2d", "phase_match_sinc", "si",
-    "CavityModes", "mode_uv", "solve_io",
+    "CavityModes", "solve_io",
     "DetectorMask", "LocalOscillator", "SqueezingResult",
     "squeezing",
     "ConfigurationError", "NumericalFailure",

@@ -232,7 +232,7 @@ def _scenario_echo(sc: Scenario):
 def run_scenario(sc: Scenario, outdir: Path) -> float:
     """Write the sweep's curve, one row per value (abscissa: the value /
     ``_unit``): ``squeezing`` of its detector on the sweep's cavity (a plane
-    pump's parameters, or the modes of its one solve), or shot noise (vn = 1,
+    pump's parameters, or the cavity of its one solve), or shot noise (vn = 1,
     N = 0) for a zero-size interval or disk, which detects nothing.  A label
     ``<name>_<suffix>`` names the file ``curve_<suffix>.csv``, one without
     "_" ``curve.csv``.  Return the threshold margin 1 - max|lam| of the
@@ -254,7 +254,7 @@ def run_scenario(sc: Scenario, outdir: Path) -> float:
     suffix = sc.label.partition("_")[2]
     _write_curve(outdir / (f"curve_{suffix}.csv" if suffix else "curve.csv"),
                  _echo(_scenario_echo(sc)), "abscissa,vn_squeezed,vn_antisqueezed,shot", rows)
-    return 1.0 - (cavity.A_p if cavity is p else float(np.abs(cavity.lam).max()))
+    return 1.0 - cavity.A_p if cavity is p else cavity.margin
 
 def _detector(shape: str, plane: str, value: float,
               pixel_width: float | None = None) -> DetectorMask | None:

@@ -6,32 +6,26 @@ detector area.  Its noise spectrum normalized to shot noise is
 
     vn = V / N = 1 + S / N.
 
-``squeezing(det, lo, cavity)`` is the one entry point: it returns
-vn of one detector in both canonical quadratures, the squeezed phi = pi/2
-and the anti-squeezed phi = 0, from one pass (``SqueezingResult``).  A
-curve over detector sizes is one call per detector (the CLI draws them).
-This module sizes and solves no grid: the dense route contracts the modes
-its caller solved.  A detector is its band inner <= |x| <= outer
-(``DetectorMask``), and every evaluator reads only that band.  Each returns
-the shot noise N at unit LO amplitude and vn at both phases, and
-``squeezing`` picks one, scales N by the amplitude^2 and records its name:
+``squeezing(det, lo, cavity)`` is the one entry point: it returns vn of one
+detector in both canonical quadratures, the squeezed phi = pi/2 and the
+anti-squeezed phi = 0 (``SqueezingResult``); a curve is one call per
+detector.  This module sizes and solves no grid.  A detector is its band
+inner <= |x| <= outer (``DetectorMask``), which is all any evaluator
+reads.  Each returns the shot noise N at unit LO amplitude and vn at both
+phases, and ``squeezing`` picks one, scales N by the amplitude^2 and
+records its name:
 
-* With the cavity modes of a dense solve (K = Q diag(lambda) Q^T, per-mode
-  transform u, v; see ``iosolver``), ``_noise_terms`` contracts the
-  detector over the modes, with vacuum input and the symmetrized even-field
-  commutation rules.  For a symmetric detector and an even local oscillator
-  only the even part of the output contributes beyond shot noise; the odd
-  part stays in the vacuum.  With the LO-on-detector vector l (grid step w)
-  and its mode coefficients c = q^T E^T l, with the m x m far-grid modes q
-  of ``CavityModes`` and the fold E^T of ``Grid1D.fold`` (a near l first
-  goes to the far grid, l -> W l, by one FFT):
+* With the ``CavityModes`` of a dense solve, ``_noise_terms`` contracts the
+  detector with vacuum input and the symmetrized even-field commutation
+  rules: only the even part of the output adds to shot noise.  With the
+  LO-on-detector vector l (grid step w) and its even far-grid window
+  x = E^T l (``Grid1D.fold``; a near l first goes to the far grid by one
+  FFT), N = w l^T l and, over the eigenmodes Q of K,
 
-      N = w l^T l,
-      vn = 1 + (w / N) sum_k c_k^2 (R_phi(lambda_k) - 1),
-      R_phi = |u + e^{2 i phi} conj(v_-)|^2,
+      vn = 1 + (w / N) sum_k c_k^2 (R_phi(lambda_k) - 1),   c = Q^T x,
+      R_phi = |u + e^{2 i phi} conj(v_-)|^2  (v_- at -omega_bar),
 
-  where v_- is the per-mode v at the opposite analysis frequency, a closed
-  form at no extra cost.  Every route takes R_phi - 1 from ``_mode_noise``.
+  which ``_window_noise`` takes from two shifted solves (``iosolver``).
 * A plane pump's ``OpoParams`` bypasses the dense solve: its response is
   diagonal in the transverse wavevector, with mode gain lambda =
   A_p sigma(q), so vn is one window-weighted sum over q of the same
@@ -228,8 +222,8 @@ class SqueezingResult:
 def _mode_noise(lam, detuning: float, omega_bar: float):
     """[R_phi(lam) - 1 at phi = pi/2, at phi = 0], the order of ``_PHASES``,
     R = |u + z conj(v_-)|^2 with z = e^{2 i phi}, of a mode of gain ``lam``
-    (v_- is v at -omega_bar; u, v of ``iosolver.mode_uv``).  As v_- has the
-    denominator conj(D), u + z conj(v_-) is
+    (v_- is v at -omega_bar; u = (conj(a) abar + lam^2) / D, v = 2 lam / D).
+    As v_- has the denominator conj(D), u + z conj(v_-) is
 
         ((lam + z)^2 + conj(a) abar - z^2) / D,  D = (1 - lam)(1 + lam) + (a abar - 1),
 
@@ -261,16 +255,20 @@ def _conjugate_image(grid: Grid1D, vec: np.ndarray) -> np.ndarray:
     c = -((-1j) ** (n % 4)) * np.exp(-0.5j * np.pi / n) / math.sqrt(n)
     return (c * d * np.fft.fft(d * vec)).real
 
+def _window_noise(modes: CavityModes, x: np.ndarray) -> list:
+    """[sum_k c_k^2 (R_phi(lam_k) - 1) at both phases], c = Q^T x, of the even far
+    window x: ||g_z||^2 - ||x||^2 from ``modes.solve(x)`` (``iosolver``)."""
+    y, s, p = modes.solve(x), modes.shift, modes.p
+    abar = complex(1.0, p.omega_bar - p.detuning)
+    gs = [((abar + z * s) * y[0] + (abar - z * s) * y[1]) / s - x for z in _Z]
+    return [float(np.vdot(g, g).real) - float(x @ x) for g in gs]
+
 def _noise_terms(modes: CavityModes, det: DetectorMask, lo: LocalOscillator):
-    """(N, [vn at both phases]) of one detector from the cavity modes at
-    their configuration ``modes.p``: lvec is the unit-amplitude LO magnitude
-    on the detector cells, on a near grid carried to the far grid of the
-    modes by ``_conjugate_image``; c = q^T fold(lvec) is its even part in
-    the mode basis, vn = 1 + (w / N) sum_k c_k^2 (R_phi(lam_k) - 1)."""
+    """(N, [vn at both phases]) of one detector at ``modes.p``: the
+    unit-amplitude LO on the detector cells, lvec, carried from a near grid
+    to the far grid by ``_conjugate_image``, is folded and contracted."""
     grid, p = modes.grid, modes.p
     lvec = lo.magnitude(grid, p) * det.indicator(grid, p)
-    far = lvec if grid.domain == "far" else _conjugate_image(grid, lvec)
-    c2 = (modes.q.T @ grid.fold(far)) ** 2
     w = grid.step
     n_shot = w * float(lvec @ lvec)
     _check_lit(n_shot, det)
@@ -279,8 +277,8 @@ def _noise_terms(modes: CavityModes, det: DetectorMask, lo: LocalOscillator):
     if lo.waist < 2.0 * x_step:
         raise NumericalFailure(f"Gaussian LO waist spans {lo.waist / x_step:.3g} grid steps, "
                                "under the 2 that resolve it: set a larger grid_n")
-    return n_shot, [1.0 + (w / n_shot) * float(c2 @ f)
-                    for f in _mode_noise(modes.lam, p.detuning, p.omega_bar)]
+    x = grid.fold(lvec if grid.domain == "far" else _conjugate_image(grid, lvec))
+    return n_shot, [1.0 + (w / n_shot) * f for f in _window_noise(modes, x)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,34 +8,32 @@ and abar = i omega_bar + 1 - i detuning, the relation reads
 
     [a I - K^2 / abar] B_out = [(2 - a) I + K^2 / abar] B_in + (2 / abar) K B_in^+
 
-where K is the real symmetric coupling operator.  U and V are therefore
-functions of K alone, and its eigendecomposition K = Q diag(lambda) Q^T
-diagonalizes both at every detuning and analysis frequency at once
-(Bloch-Messiah reduction): U = Q diag(u) Q^T and V = Q diag(v) Q^T with
-the per-mode closed forms u(lambda), v(lambda) of ``mode_uv``.  K vanishes
-on the odd subspace of the grid, so only its m = ceil(n/2) even modes are
-computed, all from the far-field block that ``solve_io`` gathers with
-``build_kernel_matrix``, and they stay on the far grid in either domain: a
-near detector is carried to them by the unitary DFT.
-The odd fields are modes of gain 0, u = u(0), v = 0.  Each mode is an
-independent single-mode OPO with gain lambda, and |u|^2 - |v|^2 = 1
-identically.  A plane pump is diagonal in the transverse wavevector with
-lambda = A_p sigma(q), so its closed form is the same per-mode function.
-Homodyne detection at the LO phase phi contracts one number per mode,
-R_phi(lambda) - 1 with R_phi = |u + e^{2 i phi} conj(v_-)|^2 (v_- at
--omega_bar): vn = 1 + (w / N) sum_k c_k^2 (R_phi(lambda_k) - 1).
+where K is the real symmetric coupling operator.  Each eigenmode of K, of
+gain lambda, is an independent single-mode OPO (Bloch-Messiah reduction),
+which homodyne detection at the LO phase phi weighs by R_phi(lambda) - 1,
+R_phi = |u + z conj(v_-)|^2, z = e^{2 i phi}, v_- at -omega_bar.  With
+s = sqrt(a abar), u + z conj(v_-) = -1 + A_z / (s - lambda) + B_z / (s + lambda),
+A_z, B_z = (abar +/- z s) / s.  So a detector whose even far-grid window is
+x has sum_k c_k^2 (R_phi - 1) = ||g_z||^2 - ||x||^2, g_z = -x + A_z Y1 +
+B_z Y2, from two shifted solves Y1, Y2 = (s I -/+ K)^{-1} x that serve both
+phases, with no eigenbasis (N. J. Higham, Functions of Matrices, SIAM
+2008).  K vanishes on the odd subspace, so only its m = ceil(n/2) even
+coefficients are solved for, on the far grid in either domain.
 
-The Bogoliubov identities U U^+ - V V^+ = I and U V^T = V U^T then hold to
-the orthogonality of Q; ``solve_io`` checks a bound on both after every
-eigendecomposition as its correctness gate.
+``solve_io`` factors s I -/+ K by block LU of the banded far block of
+``build_kernel_matrix`` without pivoting, which is stable: K's absolute row
+sums are at most the integral of G, A_p < 1 (``OpoParams``), since |S| <= 1,
+and Re s >= 1 at any detuning and frequency (a abar = (1 + i omega_bar)^2 +
+detuning^2), so s I -/+ K and its Schur complements have positive definite
+Hermitian parts.  Every solve checks its backward error, the route's gate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg import eigh
 
 from .errors import NumericalFailure
 from .kernels import Grid1D, build_kernel_matrix
@@ -43,118 +41,144 @@ from .params import OpoParams
 
 __all__ = [
     "CavityModes",
-    "mode_uv",
     "solve_io",
 ]
 
 _CONDITION_CUTOFF = 1e12
-_SYMPLECTIC_TOLERANCE = 1e-6
-# rows of the pair weights W formed at once by the symplectic gate
-_ROW_BLOCK = 64
+#: largest backward error ||(s I -/+ K) Y - x||_max / ||x||_max of a solve
+_BACKWARD_TOLERANCE = 1e-12
+#: Ritz residual at which Lanczos stops, a bound on the error of max|lambda|
+_RITZ_TOLERANCE = 1e-15
+_SIGN = np.array([[1.0], [-1.0]])  # of K in s I - K, then s I + K
 
 
-def mode_uv(lam, detuning: float, omega_bar: float):
-    """Per-mode (u, v) of a single-mode OPO with gain ``lam`` (threshold units).
+def _mul(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v over the last axes of stacked blocks by real BLAS products, as
+    OpenBLAS threads a complex gemv of a 92-wide block, and a threaded call
+    can wait out an 8 ms scheduler tick: a complex a by its interleaved real
+    view on [Re v, Im v], [-Im v, Re v]; a complex v as two real columns."""
+    if np.iscomplexobj(a):
+        a, v = a.view(float), np.stack([v, 1j * v], -1).reshape(*v.shape[:-1], -1)
+    if np.iscomplexobj(v):
+        return (a @ np.ascontiguousarray(v)[..., None].view(float)).view(complex)[..., 0]
+    return (a @ v[..., None])[..., 0]
 
-    a = 1 + i(detuning + omega_bar), abar = 1 + i(omega_bar - detuning):
 
-        u = (conj(a) abar + lam^2) / D,   v = 2 lam / D,   D = a abar - lam^2
-    """
-    a = 1.0 + 1j * (detuning + omega_bar)
-    abar = 1.0 + 1j * (omega_bar - detuning)
-    den = a * abar - lam**2
-    return (np.conj(a) * abar + lam**2) / den, 2.0 * lam / den
+def _kernel_product(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """K v of the block rows of ``build_kernel_matrix``; v is (nb, r, s)."""
+    out = _mul(blocks[:, None, 0], v)
+    out[1:] += _mul(blocks[:-1, None, 1], v[:-1])
+    out[:-1] += _mul(np.swapaxes(blocks[:-1, None, 1], -1, -2), v[1:])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class CavityModes:
-    """Eigenmodes of the coupling operator on ``grid`` for the configuration ``p``.
-
-    ``K = Q diag(lam) Q^T`` with orthonormal real columns of ``Q`` over the
-    field values on the far grid (operator form, uniform weights): the m =
-    ceil(n/2) even modes, stored as their even-subspace coefficients ``q``
-    (m x m), so that Q = E q for the even basis E of ``Grid1D.fold`` (E^T),
-    on ``grid`` itself or on its conjugate when ``grid`` is near.  The
-    transform is U = Q diag(u) Q^T + u(0) (I - Q Q^T), V = Q diag(v) Q^T with
-    (u, v) = mode_uv(lam, p.detuning, p.omega_bar), the odd subspace I - Q Q^T
-    untouched.  ``squeezing`` reads the configuration from ``p`` alone.
-    """
+    """The cavity on ``grid`` at the configuration ``p``, which ``squeezing``
+    reads: the banded K of ``build_kernel_matrix`` on the far grid and the
+    block LU of s I -/+ K that ``solve`` applies.  ``margin`` is
+    1 - max|lambda|, the strongest mode's distance from threshold."""
 
     grid: Grid1D
     p: OpoParams  # the configuration solved for
-    q: np.ndarray = field(repr=False)
-    lam: np.ndarray = field(repr=False)
+    margin: float
+    shift: complex = field(repr=False)  # s = sqrt(a abar), real when omega_bar = 0
+    blocks: np.ndarray = field(repr=False)
+    inverses: np.ndarray = field(repr=False)  # of the Schur complements, by block
+
+    def solve(self, x: np.ndarray) -> np.ndarray:
+        """[(s I -/+ K)^{-1} x] of the m even coefficients x, by block
+        substitution on both at once.  ``NumericalFailure`` when a backward
+        error ||(s I -/+ K) Y - x||_max / ||x||_max, O(m band), tops 1e-12."""
+        inv, blocks, sign = self.inverses, self.blocks, _SIGN
+        nb, s = blocks.shape[0], blocks.shape[-1]
+        rhs = np.concatenate([x, np.zeros(nb * s - len(x))]).reshape(nb, 1, s)
+        y = np.empty((nb, 2, s), dtype=inv.dtype)  # S_i^{-1} z_i, then the solution
+        y[0] = _mul(inv[0], np.broadcast_to(rhs[0], (2, s)))
+        for i in range(1, nb):  # z_i = x_i - T_(i,i-1) S_{i-1}^{-1} z_{i-1}
+            y[i] = _mul(inv[i], rhs[i] + sign * _mul(blocks[i - 1, 1], y[i - 1]))
+        for i in range(nb - 2, -1, -1):  # y_i -= S_i^{-1} T_(i,i+1) y_{i+1}
+            y[i] += sign * _mul(inv[i], _mul(blocks[i, 1].T, y[i + 1]))
+        residual = self.shift * y - sign * _kernel_product(blocks, y) - rhs
+        error = np.abs(residual).max() / np.abs(x).max()
+        if not error <= _BACKWARD_TOLERANCE:
+            raise NumericalFailure(f"shifted solve backward error {error:.2e} exceeds "
+                                   f"{_BACKWARD_TOLERANCE:.0e}; the factorization is not sound")
+        return y.transpose(1, 0, 2).reshape(2, nb * s)[:, : len(x)]
+
+
+def _largest_gain(blocks: np.ndarray, m: int) -> float:
+    """max|lambda| of the banded K on m coefficients: Lanczos with full
+    reorthogonalization from 1 / sqrt(m), stopped once the Ritz residual
+    beta_k |y_k| of the largest-|theta| Ritz value (its error bound) is at
+    most 1e-15, or after m steps; y_k by the tridiagonal's recurrence, run up."""
+    nb, s = blocks.shape[0], blocks.shape[-1]
+    v = np.pad(np.full(m, 1.0 / math.sqrt(m)), (0, nb * s - m))
+    basis, alpha, beta = np.empty((0, nb * s)), [], []
+    for k in range(m):
+        if k == len(basis):  # doubled as needed: about as many rows as steps
+            basis = np.concatenate([basis, np.empty((max(k, 16), nb * s))])
+        basis[k] = v
+        w = _kernel_product(blocks, v.reshape(nb, 1, s)).reshape(-1)
+        alpha.append(float(v @ w))
+        for _ in range(2):  # classical Gram-Schmidt twice; einsum keeps BLAS off
+            w -= np.einsum("ij,i->j", basis[: k + 1], np.einsum("ij,j->i", basis[: k + 1], w))
+        beta.append(math.sqrt(w @ w))
+        thetas = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta[:-1], 1), "U")
+        theta = thetas[np.abs(thetas).argmax()]
+        norm2, cur, nxt = 1.0, 1.0, 0.0  # |y|^2 and y_j, y_{j+1} with y_k = 1
+        for j in range(k, 0, -1):
+            cur, nxt = ((theta - alpha[j]) * cur - beta[j] * nxt) / beta[j - 1], cur
+            norm2 += cur * cur
+            if norm2 > 1e60:  # |y_k| < 1e-30
+                break
+        if beta[k] <= _RITZ_TOLERANCE * math.sqrt(norm2):
+            break
+        v = w / beta[k]
+    return abs(theta)
 
 
 def solve_io(grid: Grid1D, p: OpoParams) -> CavityModes:
-    """Eigenmodes of the coupling operator on ``grid`` at the point of ``p``.
+    """The cavity on ``grid`` at the point of ``p``: the far block of
+    ``build_kernel_matrix``, max|lambda| by ``_largest_gain`` and block LU.
 
-    One ``eigh`` call on the m x m far block of ``build_kernel_matrix``,
-    whose modes serve either domain.  Raises ``NumericalFailure`` on a grid
-    that breaks the sizing rule, when the block is not finite (an
-    overflowing kernel), when the spectral condition
-    max|a abar - lam^2| / min|a abar - lam^2| of the system matrix
-    a I - K^2 / abar, the odd subspace (lam = 0) included, exceeds 1e12
-    (at/above threshold, or a grid too coarse to keep the discretized
-    operator below threshold), or when the modes cannot certify the
-    Bogoliubov identities to 1e-6.
+    Raises ``NumericalFailure`` on a grid that breaks the sizing rule, a
+    block that is not finite (an overflowing kernel), or a spectral
+    condition max|c - lam^2| / min|c - lam^2| (c = a abar) of a I - K^2 / abar
+    above 1e12: at/above threshold, or a grid too coarse to keep the
+    operator below it.  lam = 0 (odd subspace) and max|lambda| give the max,
+    and dist(c, [0, max|lambda|^2]) bounds the min, exact at omega_bar = 0.
     """
     # an overflowing kernel is refused below, without numpy's warnings
     with np.errstate(all="ignore"):
-        block = build_kernel_matrix(grid, p)
-    if not np.isfinite(block).all():
+        blocks = build_kernel_matrix(grid, p)
+    if not np.isfinite(blocks).all():
         raise NumericalFailure(f"coupling kernel is not finite on the {grid.domain} grid "
                                f"(l_coh = {p.l_coh:.3e} m): a kernel argument overflows")
-    a_abar = (1.0 + 1j * (p.detuning + p.omega_bar)) * (1.0 + 1j * (p.omega_bar - p.detuning))
-    # LAPACK dsyevd (divide and conquer): orthogonal to ~1e-13 in Frobenius
-    # norm at m ~ 3000, which the gate below relies on
-    lam, q = eigh(block)
-    den = np.append(np.abs(a_abar - lam**2), abs(a_abar))  # odd subspace: lam = 0
-    if not den.max() <= _CONDITION_CUTOFF * den.min():
-        cond = den.max() / den.min() if den.min() > 0 else np.inf
-        raise NumericalFailure(
-            f"input/output system condition {cond:.3e} exceeds {_CONDITION_CUTOFF:.0e}; "
-            "the configuration is at/above threshold or the grid is too coarse"
-        )
-    # the gate certifies the modes that are contracted; an overflow makes
-    # the bound nan, which it refuses without numpy's warning
+    # a plane pump's K is diagonal
+    gain = float(np.abs(blocks).max()) if p.plane_pump else _largest_gain(blocks, grid.n_even)
+    c = (1.0 + 1j * (p.detuning + p.omega_bar)) * (1.0 + 1j * (p.omega_bar - p.detuning))
+    top = max(abs(c), abs(c - gain**2))
+    low = abs(c - min(max(c.real, 0.0), gain**2))
+    if not top <= _CONDITION_CUTOFF * low:
+        raise NumericalFailure(f"input/output system condition {top / low if low else np.inf:.3e} "
+                               f"exceeds {_CONDITION_CUTOFF:.0e}; the configuration is at/above "
+                               "threshold or the grid is too coarse")
+    shift = np.sqrt(c) if p.omega_bar else math.sqrt(c.real)  # c is real at omega_bar = 0
+    # [i, k]: the inverse of the i-th Schur complement of s I - _SIGN[k] K,
+    # S_i = T_i - B S_{i-1}^{-1} B^T with T_i = s I - _SIGN[k] D_i in both
+    inverses = np.empty(blocks.shape, dtype=np.result_type(shift, float))
+    # an overflow (a frequency near the float range) leaves nan factors,
+    # which every solve's gate refuses, without numpy's warnings
     with np.errstate(all="ignore"):
-        bound = _symplectic_bound(q, lam, (p.detuning, p.omega_bar))
-    if not bound <= _SYMPLECTIC_TOLERANCE:
-        raise NumericalFailure(
-            f"Bogoliubov residual bound {bound:.2e} exceeds {_SYMPLECTIC_TOLERANCE:.0e}; "
-            "the modes do not define a symplectic transform"
-        )
-    return CavityModes(grid=grid, p=p, q=q, lam=lam)
-
-
-def _symplectic_bound(q: np.ndarray, lam: np.ndarray, at: tuple[float, float]) -> float:
-    """Upper bound on the max-norm of U U^+ - V V^+ - I and U V^T - V U^T.
-
-    Evaluated on the even subspace, where the mode coefficients ``q`` form a
-    square matrix; the odd subspace has |u(0)| = 1, v = 0 exactly and
-    contributes nothing.  With E = q^T q - I,
-    e = ||E||_F >= ||E||_2, d = max| |u|^2 - |v|^2 - 1 | and the pair
-    weights W_jk = |u_j u_k^* - v_j v_k^*|:
-
-        U U^+ - V V^+ - I = (Q Q^T - I) + Q [diag(|u|^2 - |v|^2 - 1)
-                            + E_jk (u_j u_k^* - v_j v_k^*)] Q^T,
-        U V^T - V U^T     = Q [E_jk (u_j v_k - v_j u_k)] Q^T,
-
-    where ||Q Q^T - I||_2 = ||E||_2 (q is square), ||Q||_2^2 <= 1 + e and
-    |u_j v_k - v_j u_k|^2 = W_jk^2 - (1 + d_j)(1 + d_k) <= W_jk^2.  The
-    weights stay of order one between modes of similar gain, so the bound
-    does not degrade near threshold.  One real m^3 product; W is formed in
-    row blocks, so no complex m x m temporary is held.
-    """
-    u, v = mode_uv(lam, *at)
-    gram = q.T @ q
-    gram[np.diag_indices_from(gram)] -= 1.0
-    e = float(np.linalg.norm(gram))
-    d = float(np.abs(np.abs(u) ** 2 - np.abs(v) ** 2 - 1.0).max())
-    for start in range(0, len(lam), _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        gram[rows] *= np.abs(
-            np.multiply.outer(u[rows], u.conj()) - np.multiply.outer(v[rows], v.conj())
-        )
-    return e + (1.0 + e) * (d + float(np.linalg.norm(gram)))
+        for i in range(len(blocks)):
+            schur = shift * np.eye(blocks.shape[-1]) - _SIGN[:, :, None] * blocks[i, 0]
+            if i:  # by contiguous real products: OpenBLAS threads a 91-wide gemm
+                # with a transposed or complex-view operand, which then stalls
+                b, prev = blocks[i - 1, 1], inverses[i - 1]
+                after = np.ascontiguousarray(b.T)
+                schur -= b @ np.ascontiguousarray(prev.real) @ after
+                if np.iscomplexobj(prev):
+                    schur -= 1j * (b @ np.ascontiguousarray(prev.imag) @ after)
+            inverses[i] = np.linalg.inv(schur)
+    return CavityModes(grid, p, 1.0 - gain, shift, blocks, inverses)

@@ -5,8 +5,8 @@ operators at different transverse points.  In the near field (crystal center
 image plane) its profile is ``delta_2d``, a smeared delta of width ``l_coh``
 in terms of the sine integral, evaluated in its 2-D closed form only.  In
 the far field (Fourier plane) the kernel is a product of the pump transform
-and a phase-matching sinc, and every 1-D grid kernel is gathered from it:
-a near grid's on its DFT-conjugate far grid (``build_kernel_matrix``).
+and a phase-matching sinc, and every 1-D grid kernel is gathered from it as
+a banded block, a near grid's on its conjugate far grid (``build_kernel_matrix``).
 
 Normalization: kernels act as integral operators on the even part of the
 field, in pump threshold units.  For a plane pump the far-field operator is
@@ -44,22 +44,14 @@ _EXTENT_FACTOR = 4.0
 # (sigma's first zero is 2 sqrt(pi)).  Against 5x the extent, max|lam| is off
 # by 2.7e-7 at 4 and 7e-9 at 5 (b = 4), and within 1e-11 at 6 (b = 4-100).
 _PHASE_MATCH_BAND = 6.0
-# Near-field thin-limit branch: for a physically thin crystal
-# (l_c / z_C below _THIN_CRYSTAL_RATIO) a step of at least _THIN_STEP_RATIO
-# coherence lengths leaves the kernel delta-like at grid resolution (the
-# largest phase-match argument on the conjugate window is
-# (pi l_coh / 2h)^2 < 0.051, sinc within 5e-4 of 1), so the grid represents
-# the thin-crystal limit faithfully and no finer step is needed.  A thick
-# crystal gets no such escape: an unresolved kernel misrepresents it.
-_THIN_STEP_RATIO = 7.0
-_THIN_CRYSTAL_RATIO = 1e-3
-# Largest grid size.  Every dense array is m x m (m = ceil(n/2)); the peak
-# is the divide-and-conquer eigh of the far block (an input copy, a 2 m^2
-# workspace and the output) next to the block itself, in either domain: the
-# modes stay on the far grid.  Near n = 64 sqrt(b) (4 w_p in steps of l_coh / 8)
-# and far n = 96 sqrt(b) (the band 6 / l_coh in steps of 1 / (8 w_p)), so
-# this n covers fig 6 up to b ~ 8,780 (4.2-4.8 s, 378 MB) and fig 9 up to
-# b ~ 3,900 (3.2-3.4 s, 377 MB), timed on a 2-core x86-64 host.
+# G(k) falls below 1e-14 G(0) beyond |k| = 2 sqrt(ln 1e14) / w_p: the reach
+# of the far coupling in units of 1 / w_p, which bands the gathered block
+_PUMP_REACH = 2.0 * math.sqrt(math.log(1e14))
+# Rows per block of the banded block, unless the band is wider: fewer blocks
+# take fewer numpy calls, and under 96 a real gemv of one stays on one thread
+_BLOCK = 95
+# Largest grid size.  The banded route holds O(m band) memory: at this n fig 9
+# (b ~ 3,900) took 0.3 s and fig 6 (b ~ 8,780) 0.5 s, each 42 MB peak RSS, on a 2-core host.
 MAX_GRID_N = 6000
 
 
@@ -327,22 +319,10 @@ def _structure_scales(p: OpoParams, domain: str):
 
 def _check_sizing(g: Grid1D, p: OpoParams) -> None:
     step_max, extent_min = _structure_scales(p, g.domain)
-    if g.domain == "near" and g.step > step_max:
-        # Thin-limit branch: for a physically thin crystal a step far above
-        # l_coh samples the kernel where it is indistinguishable from a
-        # delta, which is equally faithful.
-        thin = (
-            p.l_c <= _THIN_CRYSTAL_RATIO * p.z_C
-            and g.step >= _THIN_STEP_RATIO * p.l_coh
-        )
-        if not thin:
-            raise NumericalFailure(
-                f"near grid step {g.step:.3e} m exceeds l_coh/{_STEP_DIVISOR:g} = "
-                f"{step_max:.3e} m (thin-crystal escape needs l_c <= "
-                f"{_THIN_CRYSTAL_RATIO:g} z_C and step >= {_THIN_STEP_RATIO:g} l_coh)"
-            )
-    elif g.domain == "far" and g.step > step_max:
+    if g.step > step_max:
         raise NumericalFailure(
+            f"near grid step {g.step:.3e} m exceeds l_coh/{_STEP_DIVISOR:g} = {step_max:.3e} m"
+            if g.domain == "near" else
             f"far grid step {g.step:.3e} /m exceeds min(1/w_p, sqrt(2 k_s/l_c))/"
             f"{_STEP_DIVISOR:g} = {step_max:.3e} /m"
         )
@@ -388,60 +368,58 @@ def auto_grid(
     return Grid1D(n, extent, domain)
 
 
-def _far_even(g: Grid1D, p: OpoParams) -> np.ndarray:
-    """Even block E^T K E of the far-field operator on the far grid ``g``.
-
-    The 1-D far-field kernel (threshold units times m) is
-    K(q, q2) = 1/2 [ G(q+q2) S(q-q2) + G(q-q2) S(q+q2) ], with the pump
-    transform G of ``_pump_transform`` and the phase-matching factor S of
-    ``_pair_sinc``.  K is flip-even in either argument, so the four grid
-    pairs behind each pair of even basis vectors carry one value:
-    K_even[a, b] = 2 h K(q_a, q_b) over the m points q_a left of and at the
-    center, with a factor 1/sqrt(2) per center index of an odd grid.  On the midpoint grid
-    q_a + q_b and q_a - q_b take only 2m - 1 values each, so the block is
-    gathered from four 1-D arrays: Hankel views of G(q_a + q_b) and
-    S(q_a + q_b), Toeplitz views of G(q_a - q_b) and S(q_a - q_b).  A plane
-    pump collapses G to a discrete delta whose 1/h cancels the weight,
-    leaving diag(A_p sigma(q_a)).
-    """
-    m = g.n_even
-    qs = g.points[:m]
-    if p.plane_pump:
-        return np.diag(p.A_p * phase_match_sinc(qs, p))
-    h = g.step
-    sums = np.concatenate([qs[0] + qs, qs[1:] + qs[-1]])  # q_a + q_b at a + b
-    diffs = h * np.arange(1 - m, m)  # q_a - q_b at a - b + m - 1
-    window = np.lib.stride_tricks.sliding_window_view  # [a, b] -> f[a + b]
-    g_sum, s_sum = (window(f, m) for f in (_pump_transform(sums, p), _pair_sinc(sums, p)))
-    g_diff, s_diff = (
-        window(f, m)[:, ::-1] for f in (_pump_transform(diffs, p), _pair_sinc(diffs, p))
-    )
-    block = g_sum * s_diff
-    block += g_diff * s_sum
-    block *= h  # 2 h times the 1/2 of the kernel formula
-    if g.n % 2:
-        block[-1] *= math.sqrt(0.5)
-        block[:, -1] *= math.sqrt(0.5)
-    return block
-
 def build_kernel_matrix(g: Grid1D, p: OpoParams) -> np.ndarray:
-    """The coupling kernel on ``g`` as its real symmetric m x m far block.
+    """The coupling kernel on ``g`` as its real symmetric m x m far block, in
+    block rows: [i, 0] the i-th diagonal block, [i, 1] the block below it.
 
     The kernel is flip-even in either argument and symmetric under swap, so
     it acts on the even subspace alone: the block is E^T K E of the far
     operator K[i, j] = K(q_i, q_j) h in the even basis E of ``Grid1D.fold``
-    (m = ceil(n/2)), gathered by ``_far_even`` on ``g`` itself in the far
-    domain and on its conjugate grid in the near domain.  The near operator,
-    the DFT similarity W^H K_far W, is never formed: it has the spectrum of
-    the block, and a near detector reaches the far modes through one DFT
-    (``homodyne._noise_terms``).  This keeps the two domains a transform
-    pair without the 1-D position kernel's half-power Fresnel integral,
-    which has no closed form.
+    (m = ceil(n/2)), on ``g`` itself in the far domain and on its conjugate
+    grid in the near domain, which a near detector reaches by one DFT
+    (``homodyne._noise_terms``).  The 1-D far-field kernel (threshold units
+    times m) is K(q, q2) = 1/2 [ G(q+q2) S(q-q2) + G(q-q2) S(q+q2) ], with
+    the pump transform G of ``_pump_transform`` and the phase-matching
+    factor S of ``_pair_sinc``, so the four grid pairs behind each pair of
+    even basis vectors carry one value: K_even[a, b] = 2 h K(q_a, q_b) over
+    the m points q_a left of and at the center, times 1/sqrt(2) per center
+    index of an odd grid.  G is below 1e-14 G(0) past |q_a -/+ q_b| =
+    ``_PUMP_REACH`` / w_p, so the band is ceil(11.4 / (w_p h)) cells whatever
+    b is (15 near, 91-92 far), and blocks of s >= band rows over the m
+    coefficients, zero-padded to nb s, hold it: no m x m array is formed.
+    They are gathered from Hankel views of G and S at q_a + q_b and Toeplitz
+    views at q_a - q_b.  A plane pump collapses G to a discrete delta whose
+    1/h cancels the weight, leaving diag(A_p sigma(q_a)), band 0.
 
-    Raises ``NumericalFailure`` when the grid violates the sizing rule (step
-    <= l_coh/8 near, or beyond the thin-crystal regime; step <=
-    min(1/w_p, sqrt(2 k_s / l_c))/8 far; extent >= 4 w_p for a finite
-    pump).
+    Raises ``NumericalFailure`` off the sizing rule: step <= l_coh/8 near or
+    min(1/w_p, sqrt(2 k_s / l_c))/8 far, and extent >= 4 w_p for a finite pump.
     """
     _check_sizing(g, p)
-    return _far_even(g if g.domain == "far" else g.conjugate(), p)
+    g = g if g.domain == "far" else g.conjugate()
+    m, h = g.n_even, g.step
+    # two blocks of ceil(m / 2) rows hold any band
+    band = 0 if p.plane_pump else min(-(-m // 2), math.ceil(_PUMP_REACH / (p.w_p * h)))
+    nb = -(-m // max(band, _BLOCK))
+    s = max(band, -(-m // nb))
+    if p.plane_pump:
+        blocks = np.zeros((nb, 2, s, s))
+        gains = np.pad(p.A_p * phase_match_sinc(g.points[:m], p), (0, nb * s - m))
+        blocks[:, 0, range(s), range(s)] = gains.reshape(nb, s)
+        return blocks
+    window = np.lib.stride_tricks.sliding_window_view  # [a, b] -> f[a + b]
+    sums = 2.0 * g.points[0] + h * np.arange(2 * nb * s + s - 1)  # q_a + q_b at a + b
+    diffs = h * np.arange(1 - s, 2 * s)  # q_a - q_b at a - b + s - 1, |a - b| < 2 s
+    g_sum, s_sum = (window(f, s)[: 2 * nb * s].reshape(nb, 2, s, s)
+                    for f in (_pump_transform(sums, p), _pair_sinc(sums, p)))
+    g_diff, s_diff = (window(f, s)[: 2 * s, ::-1].reshape(2, s, s)
+                      for f in (_pump_transform(diffs, p), _pair_sinc(diffs, p)))
+    blocks = g_sum * s_diff
+    blocks += g_diff * s_sum
+    blocks *= h  # 2 h times the 1/2 of the kernel formula
+    # per coefficient: 1, 1/sqrt(2) at the center of an odd grid, 0 past m
+    coef = np.pad(np.where(np.arange(m) < m - g.n % 2, 1.0, math.sqrt(0.5)), (0, (nb + 1) * s - m))
+    coef = coef.reshape(nb + 1, s)
+    blocks *= np.stack([coef[:-1], coef[1:]], 1)[..., None] * coef[:-1, None, None, :]
+    # G's tail below 1e-100 changes no result, and its subnormal products are 100x slower
+    blocks[np.abs(blocks) < 1e-100 * np.abs(blocks).max()] = 0.0
+    return blocks

@@ -10,17 +10,18 @@ live here too, shared by ``test_golden`` and the two tools that check outputs.
 import math
 import re
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 
 from confocal_opo import (
     ConfigurationError,
     NumericalFailure,
-    mode_uv,
     phase_match_sinc,
 )
 from confocal_opo.homodyne import _PHASES, _mode_noise
-from confocal_opo.kernels import _far_even, _pair_sinc, _pump_transform, build_kernel_matrix
+import confocal_opo.kernels as kernels
+from confocal_opo.kernels import _pair_sinc, _pump_transform, build_kernel_matrix
 
 
 #: golden outputs of the CLI, one directory per command
@@ -124,18 +125,44 @@ def cosine(g):
     return cmat
 
 
-def grid_modes(modes):
-    """Even-subspace coefficients of the modes on ``modes.grid``: the far
-    modes q themselves on a far grid, C^T q on a near one."""
-    if modes.grid.domain == "far":
-        return modes.q
-    return cosine(modes.grid).T @ modes.q
+def unpack(blocks, m):
+    """The m x m block that the block rows of ``build_kernel_matrix`` hold:
+    [i, 0] on the diagonal, [i, 1] below it and its transpose above."""
+    nb, _, s, _ = blocks.shape
+    full = np.zeros((nb * s, nb * s))
+    for i in range(nb):
+        rows = slice(i * s, (i + 1) * s)
+        full[rows, rows] = blocks[i, 0]
+        if i + 1 < nb:
+            below = slice((i + 1) * s, (i + 2) * s)
+            full[below, rows] = blocks[i, 1]
+            full[rows, below] = blocks[i, 1].T
+    return full[:m, :m]
+
+
+def kernel_block(g, p):
+    """The m x m far block of ``build_kernel_matrix`` on ``g``, which the
+    library keeps in banded block rows and never forms."""
+    return unpack(build_kernel_matrix(g, p), g.n_even)
 
 
 def unchecked_kernel(g, p):
-    """The far block of ``build_kernel_matrix`` without the sizing rule: any
-    grid is taken."""
-    return _far_even(g if g.domain == "far" else g.conjugate(), p)
+    """``kernel_block`` without the sizing rule: any grid is taken."""
+    with patch.object(kernels, "_check_sizing", lambda g, p: None):
+        return kernel_block(g, p)
+
+
+def mode_uv(lam, detuning: float, omega_bar: float):
+    """Per-mode (u, v) of a single-mode OPO with gain ``lam`` (threshold units).
+
+    a = 1 + i(detuning + omega_bar), abar = 1 + i(omega_bar - detuning):
+
+        u = (conj(a) abar + lam^2) / D,   v = 2 lam / D,   D = a abar - lam^2
+    """
+    a = 1.0 + 1j * (detuning + omega_bar)
+    abar = 1.0 + 1j * (omega_bar - detuning)
+    den = a * abar - lam**2
+    return (np.conj(a) * abar + lam**2) / den, 2.0 * lam / den
 
 
 def ktilde_far(q, q2, p):
@@ -160,7 +187,7 @@ def threshold_margin(g, p):
     """1 - max|lam| of the kernel on ``g``, the strongest mode gain's distance
     from threshold (the eigenvalues alone; the far block has the spectrum of
     the kernel in either domain).  A plane pump at A_p gives A_p at q = 0."""
-    return 1.0 - float(np.abs(np.linalg.eigvalsh(build_kernel_matrix(g, p))).max())
+    return 1.0 - float(np.abs(np.linalg.eigvalsh(kernel_block(g, p))).max())
 
 
 def analytic_uv_planepump(q, p, omega_bar=None):

@@ -11,8 +11,8 @@ the eigenmodes, so the mode route of the library can be checked against it.
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from confocal_opo.kernels import build_kernel_matrix
 from far_reference import entries
+from helpers import kernel_block
 
 
 def lu_uv(g, p, omega_bar=None):
@@ -20,7 +20,7 @@ def lu_uv(g, p, omega_bar=None):
     om = p.omega_bar if omega_bar is None else omega_bar
     a = 1.0 + 1j * (p.detuning + om)
     abar = 1.0 + 1j * (om - p.detuning)
-    kop = np.asarray(entries(g, build_kernel_matrix(g, p)), dtype=complex)
+    kop = np.asarray(entries(g, kernel_block(g, p)), dtype=complex)
     kk = kop @ kop
     eye = np.eye(g.n)
     lu = lu_factor(a * eye - kk / abar)

@@ -433,7 +433,7 @@ class TestFigPresets:
 
         written = []
         monkeypatch.setattr(cli, "solve_io",
-                            lambda grid, p: iosolver.CavityModes(grid, p, None, np.zeros(1)))
+                            lambda grid, p: iosolver.CavityModes(grid, p, 1.0, 1.0, None, None))
         monkeypatch.setattr(cli, "squeezing", lambda det, lo, cavity:
                             homodyne.SqueezingResult(1.0, 1.0, 1.0, "stub"))
         monkeypatch.setattr(cli, "_write_curve", lambda path, *rest: written.append(path.name))
@@ -454,6 +454,11 @@ import math
 import sys
 from dataclasses import replace
 import numpy as np
+
+def no_eigh(*args, **kwargs):
+    raise AssertionError("a route called numpy.linalg.eigh")
+
+np.linalg.eigh = no_eigh  # before the package binds any name of numpy.linalg
 from confocal_opo import DetectorMask, LocalOscillator, OpoParams, delta_2d, solve_io, squeezing
 from confocal_opo.cli import _grid, main
 
@@ -480,8 +485,10 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 def test_every_route_leaves_out_scipy(tmp_path):
     # the library runs on numpy alone: the fig 2 profile (Si on both
     # branches), the plane-pump near route, the dense solves in either
-    # plane, the far-field disk and figs 2, 5 and 8 end to end; its Gauss
-    # rules come without numpy.polynomial and its eigensolver
+    # plane (a banded block LU and Lanczos, with no eigh of the block,
+    # which the script traps), the far-field disk and figs 2, 5 and 8 end
+    # to end; its Gauss rules come without numpy.polynomial and its
+    # eigensolver
     env = dict(os.environ, PYTHONPATH=str(Path(confocal_opo.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", ROUTES_CODE, str(tmp_path)],
                          capture_output=True, text=True, check=True, env=env)

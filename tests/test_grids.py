@@ -142,5 +142,4 @@ def test_summary_margin_matches_wider_grid(case, tmp_path):
     fig = FIG_OF_PLANE[case.sc.plane]
     assert main(["fig", "--id", str(fig), "--set", f"b={case.b:g}", "--out", str(tmp_path)]) == 0
     (printed,) = re.findall(r"threshold_margin = (\S+)", (tmp_path / "summary.txt").read_text())
-    wide = 1.0 - float(np.abs(case.wide.lam).max())
-    assert math.isclose(float(printed), wide, rel_tol=0.0, abs_tol=MARGIN_TOL)
+    assert math.isclose(float(printed), case.wide.margin, rel_tol=0.0, abs_tol=MARGIN_TOL)

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -9,17 +10,31 @@ import scipy.linalg
 import confocal_opo.iosolver as iosolver
 from confocal_opo import (
     Grid1D,
+    LocalOscillator,
     NumericalFailure,
     OpoParams,
     auto_grid,
-    mode_uv,
     phase_match_sinc,
     solve_io,
+    squeezing,
 )
-from confocal_opo.cli import fig_scenarios
+from confocal_opo.cli import _detector, _grid, fig_scenarios, main, parse_config, \
+    scenario_from_config
+from confocal_opo.cli import _unit as cli_unit
+from confocal_opo.homodyne import _mode_noise, _window_noise
 from confocal_opo.kernels import build_kernel_matrix
 from lu_reference import lu_uv, residuals
-from helpers import analytic_uv_planepump, flip, threshold_margin
+from helpers import (
+    GOLDEN,
+    analytic_uv_planepump,
+    flip,
+    golden_commands,
+    kernel_block,
+    mode_uv,
+    output_files,
+    threshold_margin,
+    unpack,
+)
 from modes_reference import dense_uv, even_diagonal
 
 
@@ -79,7 +94,8 @@ class TestAnalyticPair:
 class TestDenseSolve:
     def test_empty_cavity_reflection(self, plane_params):
         p, g = gauss_setup(b=9.0, a_p=0.0)
-        u, v = dense_uv(solve_io(g, p))
+        assert solve_io(g, p).margin == 1.0
+        u, v = dense_uv(g, p)
         off = u - np.diag(np.diag(u))
         assert np.abs(off).max() <= 1e-14
         assert np.abs(np.abs(np.diag(u)) - 1.0).max() <= 1e-12
@@ -92,7 +108,7 @@ class TestDenseSolve:
             w_p=math.inf, detuning=detuning, omega_bar=omega_bar,
         )
         g = Grid1D(257, 16.0 / p.l_coh, "far")
-        u, v = dense_uv(solve_io(g, p))
+        u, v = dense_uv(g, p)
         ua, va = analytic_uv_planepump(g.points, p)
         assert np.abs(even_diagonal(u) - ua).max() <= 1e-8 * np.abs(ua).max()
         assert np.abs(even_diagonal(v) - va).max() <= 1e-8 * max(np.abs(va).max(), 1.0)
@@ -100,14 +116,14 @@ class TestDenseSolve:
     @pytest.mark.parametrize("domain,n,b", [("far", 256, 49.0), ("near", 257, 9.0)])
     def test_bogoliubov_residuals(self, domain, n, b):
         p, g = gauss_setup(b=b, a_p=0.9, n=n, domain=domain)
-        r1, r2 = residuals(*dense_uv(solve_io(g, p)))
+        r1, r2 = residuals(*dense_uv(g, p))
         assert r1 <= 1e-10
         assert r2 <= 1e-10
 
     def test_residuals_with_detuning_and_frequency(self):
         p, g = gauss_setup(b=25.0, a_p=0.7, detuning=0.8, omega_bar=1.5)
+        assert max(residuals(*dense_uv(g, p))) <= 1e-10
         modes = solve_io(g, p)
-        assert max(residuals(*dense_uv(modes))) <= 1e-10
         assert (modes.p.detuning, modes.p.omega_bar) == (0.8, 1.5)
 
     def test_thin_crystal_diagonal_dominance(self):
@@ -122,7 +138,7 @@ class TestDenseSolve:
         )
         p = replace(p0, w_p=10 * p0.l_coh)
         g = Grid1D(641, 4 * p.w_p, "near")
-        u, v = dense_uv(solve_io(g, p))
+        u, v = dense_uv(g, p)
         n = g.n
         idx = np.arange(n)
         width = int(round(8 * p.l_coh / g.step))
@@ -140,9 +156,9 @@ class TestDenseSolve:
 
     def test_continuity_in_pump_amplitude(self):
         p, g = gauss_setup(b=25.0, a_p=0.5)
-        u1, v1 = dense_uv(solve_io(g, p))
+        u1, v1 = dense_uv(g, p)
         p2 = replace(p, A_p=0.505)
-        u2, v2 = dense_uv(solve_io(g, p2))
+        u2, v2 = dense_uv(g, p2)
         assert np.abs(u2 - u1).max() <= 0.2
         assert np.abs(v2 - v1).max() <= 0.2
 
@@ -166,64 +182,99 @@ class TestDenseSolve:
             with pytest.raises(NumericalFailure, match=match):
                 solve_io(g, p)
 
-    def test_gate_rejects_non_orthogonal_modes(self, monkeypatch):
-        # tilting the strongest mode toward its neighbour breaks the
-        # Bogoliubov identities of the rebuilt transform; whenever the n^3
-        # residual check would see more than 1e-6, the mode-basis gate must
-        # refuse the modes
-        p, g = gauss_setup(b=25.0, a_p=0.9)
-        block = build_kernel_matrix(g, p)
-        exact = iosolver.eigh
-        for eps in (1e-9, 1e-6, 1e-3):
-            def corrupted(a, **kwargs):
-                lam, q = exact(a, **kwargs)
-                q[:, -1] += eps * q[:, -2]
-                return lam, q
-
-            lam, q = corrupted(block)
-            modes = iosolver.CavityModes(grid=g, p=p, q=q, lam=lam)
-            broken = max(residuals(*dense_uv(modes))) > 1e-6
-            assert broken or eps < 1e-3
-            monkeypatch.setattr(iosolver, "eigh", corrupted)
-            if broken:
-                with pytest.raises(NumericalFailure, match=r"^Bogoliubov residual bound \S+ "
-                                                           r"exceeds 1e-06; the modes do not"):
-                    solve_io(g, p)
-            monkeypatch.setattr(iosolver, "eigh", exact)
+    def test_gate_refuses_a_corrupted_factor(self):
+        # every solve checks its backward error: a factor block that the
+        # solution reaches, scaled by as little as 1 + 1e-9, is refused in
+        # either plane and either shift, and the untouched factors pass
+        for plane, detuning in (("far", 0.0), ("near", 0.5)):
+            p, _ = gauss_setup(b=25.0, a_p=0.9, detuning=detuning, omega_bar=0.5 * detuning)
+            det = _detector("interval", plane, 3.0 * cli_unit(p, plane))
+            modes = solve_io(_grid(p, plane, [det]), p)
+            assert len(modes.inverses) >= 2
+            squeezing(det, LocalOscillator(), modes)
+            for eps, block, shift in ((1e-9, -1, 0), (1e-6, -1, 1), (1e-3, -2, 1)):
+                inverses = modes.inverses.copy()
+                inverses[block, shift] *= 1.0 + eps
+                with pytest.raises(NumericalFailure, match=r"^shifted solve backward error \S+ "
+                                                           r"exceeds 1e-12; the factorization"):
+                    squeezing(det, LocalOscillator(), replace(modes, inverses=inverses))
 
     def test_eigensolver_matches_divide_and_conquer(self):
-        # the gate needs modes orthogonal to well below its 1e-6 bound; pin
-        # the eigensolver against LAPACK's divide-and-conquer driver on the
-        # far block of fig 6 at b = 100 on a grid three times as wide as its
-        # own (n = 1921, m = 961)
+        # Lanczos's max|lambda| against LAPACK's divide-and-conquer spectrum
+        # of the dense far block of fig 6 at b = 100 on a grid three times
+        # as wide as its own (n = 1921, m = 961), within 1e-13
         (sc,) = fig_scenarios(6, {"b": [100.0]})
         g = auto_grid(sc.params, sc.plane, extents=(12.0 * sc.params.w_p,))
-        block = build_kernel_matrix(g, sc.params)
+        block = kernel_block(g, sc.params)
         assert block.shape == (961, 961)
-        lam, q = iosolver.eigh(block)
-        gram = q.T @ q - np.eye(len(lam))
-        assert np.linalg.norm(gram) <= 1e-12
         lam_evd = scipy.linalg.eigh(block, driver="evd", eigvals_only=True)
-        assert np.abs(lam - lam_evd).max() <= 1e-13 * np.abs(lam_evd).max()
+        margin = solve_io(g, sc.params).margin
+        assert abs(margin - (1.0 - np.abs(lam_evd).max())) <= 1e-13
 
     def test_matches_lu_oracle(self):
-        # the modes rebuild the LU solution of the cavity relation
+        # the shifted solves of a detuned near run at nonzero frequency
+        # (complex shift) match a dense LU of s I -/+ K, and the eigenbasis
+        # oracle rebuilds the LU solution of the cavity relation
         p, g = gauss_setup(b=16.0, a_p=0.9, n=321, domain="near",
                               detuning=0.4, omega_bar=-0.9)
-        u, v = dense_uv(solve_io(g, p))
+        modes = solve_io(g, p)
+        block = kernel_block(g, p)
+        x = np.random.default_rng(3).standard_normal(g.n_even)
+        for y, sign in zip(modes.solve(x), (1.0, -1.0)):
+            ref = np.linalg.solve(modes.shift * np.eye(g.n_even) - sign * block, x)
+            assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
+        u, v = dense_uv(g, p)
         u_lu, v_lu = lu_uv(g, p)
         assert np.abs(u - u_lu).max() <= 1e-12 * np.abs(u_lu).max()
         assert np.abs(v - v_lu).max() <= 1e-12 * np.abs(v_lu).max()
 
+    @pytest.mark.parametrize("detuning,omega_bar", [(0.0, 0.0), (0.7, 0.0), (0.4, -1.3)])
+    def test_contraction_identity(self, detuning, omega_bar):
+        # ||g_z(K) x||^2 - ||x||^2 from two shifted solves equals
+        # sum_k c_k^2 (R_phi(lambda_k) - 1) over an eigenbasis of K, on a
+        # random banded K of 3 blocks of 8 with 3 padded rows, within 1e-13;
+        # the solve's margin is 1 - max|lambda| of the same spectrum
+        rng = np.random.default_rng(11)
+        nb, s, m = 3, 8, 21
+        blocks = rng.standard_normal((nb, 2, s, s))
+        blocks[:, 0] += np.swapaxes(blocks[:, 0], -1, -2)
+        blocks[-1, 1] = 0.0
+        tail = slice(m - (nb - 1) * s, None)  # the padded rows of the last block
+        blocks[-1, 0, tail] = blocks[-1, 0, :, tail] = blocks[-2, 1, tail] = 0.0
+        blocks *= 0.9 / np.abs(unpack(blocks, m)).sum(axis=1).max()  # every |lambda| < 0.9
+        p = OpoParams(lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.9, w_p=1e-4,
+                      detuning=detuning, omega_bar=omega_bar)
+        with patch.object(iosolver, "build_kernel_matrix", lambda grid, p: blocks):
+            modes = solve_io(Grid1D(2 * m - 1, 1.0, "far"), p)
+        x = rng.standard_normal(m)
+        lam, q = np.linalg.eigh(unpack(blocks, m))
+        assert abs(modes.margin - (1.0 - np.abs(lam).max())) <= 1e-13
+        weights = (q.T @ x) ** 2
+        for got, noise in zip(_window_noise(modes, x), _mode_noise(lam, detuning, omega_bar)):
+            want = float(weights @ noise)
+            assert abs(got - want) <= 1e-13 * max(1.0, float(weights @ np.abs(noise)))
+
+    def test_two_solves_write_identical_bytes(self, tmp_path):
+        # a detuned run at nonzero frequency (complex factors), twice
+        cfg = str(GOLDEN / "detuned_near.cfg")
+        outputs = []
+        for name in ("first", "second"):
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            outputs.append(output_files(tmp_path / name))
+        assert outputs[0] and outputs[0] == outputs[1]
+
 
 class TestDenseMemory:
     def test_no_n_by_n_array_in_build_or_solve(self):
-        # every dense step runs on m x m arrays (m = ceil(n/2)): neither the
-        # kernel build nor the solve, its own build included, allocates as much
-        # as one n x n float64
-        # array above what is live on entry
-        p, g = gauss_setup(b=100.0, a_p=0.9, n=2001, domain="near")
-        unit = g.n**2 * np.dtype(float).itemsize
+        # the dense route keeps K in banded blocks and its factors in blocks
+        # of the same size: neither the kernel build nor the solve, its own
+        # build included, allocates as much as one m x m float64 array
+        # (m = ceil(n/2)) above what is live on entry, near (n = 2,001,
+        # band 15) or far (n = 2,881, band 91)
+        near = gauss_setup(b=100.0, a_p=0.9, n=2001, domain="near")
+        p_far, _ = gauss_setup(b=900.0, a_p=0.9)
+        far = (p_far, auto_grid(p_far, "far"))
+        assert (near[1].n, far[1].n) == (2001, 2881)
 
         def allocated(fn, *args):
             base = tracemalloc.get_traced_memory()[0]
@@ -231,33 +282,55 @@ class TestDenseMemory:
             out = fn(*args)
             return out, tracemalloc.get_traced_memory()[1] - base
 
-        tracemalloc.start()
-        try:
-            _, build = allocated(build_kernel_matrix, g, p)
-            _, solve = allocated(solve_io, g, p)
-        finally:
-            tracemalloc.stop()
-        assert build < unit, f"build_kernel_matrix allocated {build / unit:.2f} n^2 floats"
-        assert solve < unit, f"solve_io allocated {solve / unit:.2f} n^2 floats"
+        for p, g in (near, far):
+            unit = g.n_even**2 * np.dtype(float).itemsize
+            tracemalloc.start()
+            try:
+                _, build = allocated(build_kernel_matrix, g, p)
+                _, solve = allocated(solve_io, g, p)
+            finally:
+                tracemalloc.stop()
+            assert build < unit, f"build_kernel_matrix allocated {build / unit:.2f} m^2 floats"
+            assert solve < unit, f"solve_io allocated {solve / unit:.2f} m^2 floats"
 
 
 class TestThresholdMargin:
     def test_zero_pump(self):
         p, g = gauss_setup(b=16.0, a_p=0.0)
-        assert threshold_margin(g, p) == pytest.approx(1.0, abs=1e-14)
+        assert solve_io(g, p).margin == pytest.approx(1.0, abs=1e-14)
 
     def test_plane_pump_margin(self, plane_params):
         # odd grid holds the q = 0 threshold mode, where sinc is exactly 1
         g = Grid1D(257, 16.0 / plane_params.l_coh, "far")
-        assert abs(threshold_margin(g, plane_params) - 0.1) <= 1e-9
+        assert abs(solve_io(g, plane_params).margin - 0.1) <= 1e-9
 
     def test_margin_grows_for_tighter_pump(self):
         margins = []
         for b in (100.0, 25.0, 4.0):
             p, g = gauss_setup(b=b, a_p=0.9)
-            margins.append(threshold_margin(g, p))
+            margins.append(solve_io(g, p).margin)
         assert margins[0] < margins[1] < margins[2]
         assert margins[0] > 0.1  # finite pump is always further from threshold
+
+    def test_margin_matches_eigvalsh_on_every_golden_dense_run(self):
+        # the margin that summary.txt prints, from Lanczos, against the
+        # eigvalsh spectrum of the same block, on every dense scenario of
+        # the golden commands (figs 6, 7, 9 and 10, at b = 900 too, and the
+        # Gaussian-pump run configs), within 1e-13
+        scenarios = []
+        for args in golden_commands().values():
+            if args[0] == "run":
+                scenarios.append(scenario_from_config(parse_config(args[2])))
+            elif args[2] in ("6", "7", "9", "10"):
+                b = [float(args[4][2:])] if len(args) > 3 else None
+                scenarios += fig_scenarios(int(args[2]), {"b": b} if b else {})
+        dense = [sc for sc in scenarios if not sc.params.plane_pump]
+        assert len(dense) == 20
+        for sc in dense:
+            p = sc.params
+            dets = [_detector(sc.detector, sc.plane, float(v), sc.pixel_width) for v in sc.values]
+            g = _grid(p, sc.plane, dets, sc.grid_n, sc.grid_L)
+            assert abs(solve_io(g, p).margin - threshold_margin(g, p)) <= 1e-13, sc.label
 
 
 class TestEvenDiagonal:

@@ -27,7 +27,7 @@ from confocal_opo.kernels import (
     build_kernel_matrix,
 )
 from far_reference import entries, far_entries, fold_block
-from helpers import flip, ktilde_far, unchecked_kernel, unfold
+from helpers import flip, kernel_block, ktilde_far, unchecked_kernel, unfold
 from kernels_2d_reference import kint_near_2d, ktilde_far_2d
 from modes_reference import even_diagonal
 from near_reference import near_entries
@@ -373,7 +373,7 @@ def _gauss_setup(b=16.0, a_p=0.8, n=None, domain="far"):
 class TestKernelMatrix:
     def test_plane_pump_far_is_diagonal_on_even_subspace(self, plane_params):
         g = Grid1D(257, 20.0 / plane_params.l_coh, "far")
-        op = entries(g, build_kernel_matrix(g, plane_params))
+        op = entries(g, kernel_block(g, plane_params))
         n = g.n
         idx = np.arange(n)
         mask = np.ones((n, n), dtype=bool)
@@ -390,12 +390,12 @@ class TestKernelMatrix:
             w_p=4 * plane_params.l_coh,
         )
         g = auto_grid(p, "far")
-        assert np.abs(entries(g, build_kernel_matrix(g, p))).max() == 0.0
+        assert np.abs(entries(g, kernel_block(g, p))).max() == 0.0
 
     @pytest.mark.parametrize("domain", ["far", "near"])
     def test_parity_and_symmetry_invariants(self, domain):
         p, g = _gauss_setup(b=9.0, n=257, domain=domain)
-        op = entries(g, build_kernel_matrix(g, p))
+        op = entries(g, kernel_block(g, p))
         n = g.n
         idx = np.arange(n)
         mirror = flip(g, idx)
@@ -410,7 +410,7 @@ class TestKernelMatrix:
         # the far block, taken to the near grid by the cosine oracle, unfolds
         # to the full complex two-DFT transform of the conjugate-grid far operator
         p, g = _gauss_setup(b=16.0, n=n, domain="near")
-        block = build_kernel_matrix(g, p)
+        block = kernel_block(g, p)
         ref = near_entries(g, p)
         assert block.shape == (g.n_even, g.n_even)
         assert np.abs(entries(g, block) - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -441,7 +441,7 @@ class TestKernelMatrix:
         # the double DFT of the near matrix reproduces the far matrix built
         # on the conjugate grid (n >= 256, 1e-8 relative)
         p, g = _gauss_setup(b=16.0, n=257, domain="near")
-        K_near = build_kernel_matrix(g, p)
+        K_near = kernel_block(g, p)
         conj = g.conjugate()
         K_far = unchecked_kernel(conj, p)
         fmat = (g.step / math.sqrt(2 * math.pi)) * np.exp(
@@ -455,9 +455,10 @@ class TestKernelMatrix:
         assert np.abs(K_fwd - far_op).max() <= 1e-8 * scale
 
     def test_thin_crystal_locality_and_row_sums(self):
-        # vanishing l_c / z_C on a thin-branch grid (step ~ 8 l_coh): rows
-        # concentrate on the parity channels within two steps and row sums
-        # reproduce the pump profile
+        # vanishing l_c / z_C on a grid of step ~ 8 l_coh, which the sizing
+        # rule refuses (it samples the thin-crystal limit), gathered without
+        # the rule: rows concentrate on the parity channels within two steps
+        # and row sums reproduce the pump profile
         from dataclasses import replace
 
         p0 = OpoParams(
@@ -465,7 +466,7 @@ class TestKernelMatrix:
         )
         p = replace(p0, w_p=100 * p0.l_coh)
         g = Grid1D(101, 4 * p.w_p, "near")
-        op = entries(g, build_kernel_matrix(g, p))
+        op = entries(g, unchecked_kernel(g, p))
         n = g.n
         idx = np.arange(n)
         near_band = np.zeros((n, n), dtype=bool)

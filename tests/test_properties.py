@@ -16,8 +16,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from confocal_opo import Grid1D, LocalOscillator, OpoParams, solve_io, squeezing
+import numpy as np
+
+from confocal_opo import Grid1D, LocalOscillator, NumericalFailure, OpoParams, solve_io, squeezing
 from confocal_opo.cli import _detector, _grid, _unit, main
+from helpers import kernel_block
 from lu_reference import residuals
 from modes_reference import dense_uv
 
@@ -106,12 +109,37 @@ def dense_cavities(draw):
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(dense_cavities())
 def test_dense_modes_obey_the_symplectic_identities(case):
-    # U U^+ - V V^+ = I and U V^T = V U^T of the transform the modes stand
-    # for, at any gain, detuning and analysis frequency, on the grid the
+    # U U^+ - V V^+ = I and U V^T = V U^T of the transform that the banded
+    # K the library solves with stands for (its eigenbasis, rebuilt by the
+    # oracle), at any gain, detuning and analysis frequency, on the grid the
     # pump alone sizes
     p, plane = case
-    modes = solve_io(_grid(p, plane, []), p)
-    assert max(residuals(*dense_uv(modes))) <= 1e-10
+    assert max(residuals(*dense_uv(_grid(p, plane, []), p))) <= 1e-10
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.floats(0.0, 1.0, exclude_max=True), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+       st.sampled_from([4.0, 25.0, math.inf]))
+@example(1.0 - 1e-13, 0.0, 0.0, 4.0)
+@example(1.0 - 1e-13, 0.0, 0.0, math.inf)
+@example(1.0 - 1e-13, 0.5, 1e-7, math.inf)
+def test_condition_refusal_needs_only_the_largest_gain(a_p, detuning, omega_bar, b):
+    # the solve's 1e12 condition refusal, from max|lambda| alone, refuses
+    # exactly what max/min |a abar - lambda^2| over the eigvalsh spectrum
+    # (and the odd subspace's lambda = 0) refuses; b = inf is a plane pump
+    p = OpoParams(lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, w_p=math.inf, A_p=a_p,
+                  detuning=detuning, omega_bar=omega_bar)
+    p = replace(p, w_p=math.sqrt(b) * p.l_coh)
+    g = Grid1D(129, 8.0 / p.l_coh, "far") if p.plane_pump else _grid(p, "far", [])
+    c = (1.0 + 1j * (detuning + omega_bar)) * (1.0 + 1j * (omega_bar - detuning))
+    den = np.abs(c - np.append(np.linalg.eigvalsh(kernel_block(g, p)), 0.0) ** 2)
+    try:
+        solve_io(g, p)
+        refused = False
+    except NumericalFailure as exc:
+        assert str(exc).startswith("input/output system condition ")
+        refused = True
+    assert refused == (not den.max() <= 1e12 * den.min())
 
 
 # A configuration and its copy at other length scales: l_coh grows by
