@@ -16,8 +16,8 @@ import os
 # OpenBLAS's idle worker busy-waits 2^28 cycles (~0.1 s) after the library
 # loads and after every BLAS call: ~0.1 s of CPU, a third of a fig 6 run on a
 # 2-core host (OpenBLAS 0.3.31).  2^20 cycles keeps the thread count, every
-# output and the wall time of the largest solves; one thread would slow
-# those by up to 57 %.  It must be set before numpy loads; a user's value wins.
+# output and the wall time of the largest solves, which one thread leaves
+# within 4 % too.  It must be set before numpy loads; a user's value wins.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 
 from .errors import ConfigurationError, NumericalFailure

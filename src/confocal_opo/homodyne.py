@@ -28,36 +28,33 @@ records its name:
   which ``_window_noise`` takes from two shifted solves (``iosolver``).
 * A plane pump's ``OpoParams`` bypasses the dense solve: its response is
   diagonal in the transverse wavevector, with mode gain lambda =
-  A_p sigma(q), so vn is one window-weighted sum over q of the same
-  R_phi - 1, taken on the chunks of ``_panel_noise``.  A near-plane
-  detector (``_vn_planepump_near``, plane LO only) weighs it by the window
-  of its band [a, b], |W(t)|^2 = 4 (sin(b t) - sin(a t))^2 / t^2; a
-  far-plane detector (``_vn_planepump_far``) by the LO intensity on its
-  band, and a ``radial`` disk also by the polar weight t (route
-  ``planepump_disk``).  Both raise ``NumericalFailure`` when the
-  strongest mode, gain A_p at q = 0, is at threshold within rounding.
-  These routes cover detector sizes far beyond what a dense grid can span,
-  and are cross-checked against the dense route where the two overlap.
+  A_p sigma(q), so vn is one weighted sum over q of the same R_phi - 1
+  (``_vn_planepump``).  A detector gives only the weight and its norm: a
+  near-plane band [a, b] (plane LO only) its window |W(t)|^2 =
+  4 (sin(b t) - sin(a t))^2 / t^2, a far-plane one the LO intensity on its
+  band, times the polar weight t for a ``radial`` disk (route
+  ``planepump_disk``).  It raises ``NumericalFailure`` when the strongest
+  mode, gain A_p at q = 0, is at threshold within rounding.  This covers
+  detector sizes far beyond what a dense grid can span, and is
+  cross-checked against the dense route where the two overlap.
 * A finite pump's ``OpoParams`` is a ``ConfigurationError``: it needs modes.
 
 The squeezed quadrature is phi = pi/2 in this sign convention and phi = 0
 its anti-squeezed dual (product 1 per mode at resonance and zero
 frequency); ``_mode_noise`` returns the two in the order of ``_PHASES``.
 
-Both closed-form evaluators sum on one node set: 16-point Gauss-Legendre
-panels in t = q l_coh whose edges sit at the sinc zeros t = 2 sqrt(k pi),
-split to a maximum width (``_gauss_panels``).  Against adaptive QUADPACK
-references in the tests the near-field interval agrees to 5e-12 in vn at
-A_p = 0.99 and to 1e-12 up to A_p = 1 - 1e-10, and the far-field interval
-and disk to 1e-15 relative, at resonance and detuned.  The near-field
-window oscillates with period 2 pi / b, so its panels halve in width per
-doubling of 2b past 30 l_coh: one near-field point costs 0.2 ms at
-2b = 30 l_coh and 1.5 ms at 480 (cached panels), and grows linearly beyond,
-0.03 s at 2b = 1e3 l_coh and 0.2-0.26 s at 1e4 on a 2-core x86-64 host; the
-nodes are summed in fixed-size chunks, so memory stays bounded.  Each chunk
-is summed with einsum, not a BLAS dot: OpenBLAS threads a dot past 10,000
-entries, which cost a wide far-field sweep twice the CPU time on that host,
-and up to 4x the wall time while the second core was busy.
+The sum runs on one node set: 16-point Gauss-Legendre panels in
+t = q l_coh whose edges sit at the sinc zeros t = 2 sqrt(k pi), split to a
+maximum width (``_gauss_panels``), in chunks of 256 panels in both planes,
+so memory stays bounded.  Against adaptive QUADPACK references in the
+tests the near-field interval agrees to 5e-12 in vn at A_p = 0.99 and to
+1e-12 up to A_p = 1 - 1e-10, and the far-field interval and disk to 1e-15
+relative, at resonance and detuned.  The near-field window oscillates
+with period 2 pi / b, so its panels halve in width per doubling of 2b past
+30 l_coh: one near-field point costs 0.2 ms at 2b = 30 l_coh and 1.7 ms at
+480 (cached panels), and grows linearly beyond, 0.025 s at 2b = 1e3 l_coh
+and 0.2 s at 1e4 on a 2-core x86-64 host.  Each chunk is summed with
+einsum, not a BLAS dot, which OpenBLAS threads past 10,000 entries.
 """
 
 from __future__ import annotations
@@ -292,13 +289,12 @@ def _check_threshold(p: OpoParams) -> None:
     if np.abs(a_abar - p.A_p**2) <= 1e-14:
         raise NumericalFailure("plane-pump response diverges: a*abar = (A_p sigma)^2")
 
-#: sinc-zero intervals, or far-field panels, handled at once: bounds every node array
+#: sinc-zero intervals handled at once: bounds ``_gauss_panels``' arrays of zeros
 _CHUNK = 4096
-#: near-field panels per chunk (4,096 nodes): a chunk's work arrays, not the
-#: cached levels, set a near run's peak memory, which this cuts by 1.8 MB at
-#: 2b <= 55 l_coh and 9.4 MB at 2b = 500-1000 against chunks of ``_CHUNK``.
-#: Far sums keep ``_CHUNK``: over 256-panel chunks they moved by 1.8e-14
-_NEAR_CHUNK = 256
+#: Gauss panels per chunk (4,096 nodes) in both planes: a chunk's work arrays,
+#: not the cached levels, set a run's peak memory; 4,096-panel far chunks
+#: made a wide far run peak 9 MB higher
+_PANELS = 256
 #: widest panel in t = q l_coh: ~1.2 periods of the near window at 2b = 30
 _PANEL_WIDTH = 0.25
 #: truncation of the near-field t integral; |sinc| < (2/CUT)^2 = 4e-4 beyond
@@ -315,13 +311,13 @@ _NEAR_CACHED_LEVEL = 4
 _MAX_PANELS = 2**22
 
 
-def _gauss_panels(t_lo: float, t_hi: float, max_width: float, block: int):
+def _gauss_panels(t_lo: float, t_hi: float, max_width: float):
     """16-point Gauss-Legendre nodes and weights on [t_lo, t_hi], in chunks.
 
     t = q l_coh is the scaled wavevector.  Panel edges sit at the zeros
     t = 2 sqrt(k pi) of the phase-matching sinc sigma = sinc(t^2 / 4), and
     every interval between them is split evenly into panels at most
-    ``max_width`` wide.  Yields (t, w) arrays of at most ``block`` panels,
+    ``max_width`` wide.  Yields (t, w) arrays of at most ``_PANELS`` panels,
     so memory stays bounded however long the span; the zeros are found
     ``_CHUNK`` at a time.  Raises
     ``NumericalFailure`` past ``_MAX_PANELS`` panels.
@@ -342,8 +338,8 @@ def _gauss_panels(t_lo: float, t_hi: float, max_width: float, block: int):
         pieces = np.ceil(spans / max_width).astype(int)
         ends = np.cumsum(pieces)
         halves = spans / (2.0 * np.maximum(pieces, 1))
-        for first in range(0, ends[-1], block):
-            panel = np.arange(first, min(first + block, ends[-1]))
+        for first in range(0, ends[-1], _PANELS):
+            panel = np.arange(first, min(first + _PANELS, ends[-1]))
             i = np.searchsorted(ends, panel, side="right")
             half = halves[i]
             mid = edges[i] + (2 * (panel - ends[i] + pieces[i]) + 1) * half
@@ -353,95 +349,94 @@ def _gauss_panels(t_lo: float, t_hi: float, max_width: float, block: int):
             return
         t_lo, k = edges[-1], k + _CHUNK
 
-def _panel_noise(p: OpoParams, t_lo: float, t_hi: float, width: float, block: int):
-    """(t, w, [R_phi - 1 at both phases]) chunks of at most ``block`` panels
-    of ``_gauss_panels``, at the plane-pump mode gain A_p sigma: one gain
-    evaluation and one ``_mode_noise`` call per chunk."""
-    for t, w in _gauss_panels(t_lo, t_hi, width, block):
-        lam = p.A_p * phase_match_sinc(t / p.l_coh, p)
-        yield t, w, _mode_noise(lam, p.detuning, p.omega_bar)
+def _panel_noise(p: OpoParams, spans: tuple):
+    """(t, w, R_phi - 1 at both phases as one (2, n) array) chunks of
+    ``_gauss_panels`` on each (t_lo, t_hi, max_width) of ``spans``, at the
+    plane-pump mode gain A_p sigma: one gain evaluation and one
+    ``_mode_noise`` call per chunk."""
+    for span in spans:
+        for t, w in _gauss_panels(*span):
+            lam = p.A_p * phase_match_sinc(t / p.l_coh, p)
+            yield t, w, np.array(_mode_noise(lam, p.detuning, p.omega_bar))
+
+@lru_cache(maxsize=32)
+def _cached_chunks(p: OpoParams, spans: tuple) -> list:
+    # (t, 1, w (R - 1)): the weights folded into the noise keep a chunk at three
+    # rows, not four, for the same sums; the summed weight is then not the
+    # detector's, so only a detector with a closed-form norm reads cached spans
+    return [(t, 1.0, w * f) for t, w, f in _panel_noise(p, spans)]
 
 def _lo_panel_width(c: float) -> float:
     # a Gaussian LO weight exp(-c t^2) also needs panels no wider than its
     # 1/e half width, or a narrow spot falls between the nodes
     return _PANEL_WIDTH if c == 0.0 else min(_PANEL_WIDTH, 1.0 / math.sqrt(c))
 
-def _vn_planepump_far(det: DetectorMask, lo: LocalOscillator, p: OpoParams):
-    """(N, [vn at both phases]) of a far-field detector, plane pump.
+def _vn_planepump(det: DetectorMask, lo: LocalOscillator, p: OpoParams):
+    """(N, [vn at both phases]) of a detector at a plane pump.
 
-    vn = 1 + integral |alpha|^2 (R - 1) rho dt / integral |alpha|^2 rho dt
-    over the positive half of the detector band in t = q l_coh, both on the
-    chunks of ``_panel_noise``.  rho = 1 for an interval or pixel pair (1-D);
-    a ``radial`` disk is the same quadrature in polar form, rho = t, on
-    [0, 2 r / r0].  N at unit LO amplitude is the measure of the band: 2 den /
-    l_coh in q, both halves, and for the disk den / 4 in u = r / r0 = t / 2.
+    The counterpart of ``_noise_terms``: over the positive t = q l_coh,
+
+        vn = 1 + integral weight(t) (R_phi - 1) dt / norm,
+
+    summed on the chunks of ``_panel_noise``.  A detector gives only its
+    spans in t with their panel widths, its weight and its norm:
+
+    * near plane, band [a, b] in l_coh units (plane LO only): the window
+      |W(t)|^2 = 4 (sin(b t) - sin(a t))^2 / t^2 on [0, ``_NEAR_CUT``] and
+      norm 2 pi (b - a); N = 2 (b - a) l_coh.  Panels are 0.125 wide below
+      t = 1, where the anti-squeezed R - 1 peaks sharply near threshold,
+      and 0.25 above, both halved per level L = max(0, ceil(log2(2b /
+      ``_NEAR_PANEL_A``))), so no panel holds more than ~1.2 periods of the
+      window.  Those spans depend on L alone, and their chunks are cached
+      up to ``_NEAR_CACHED_LEVEL`` and built on every call beyond it, so
+      memory stays bounded for any b.
+    * far plane: the LO intensity |alpha|^2 on the detector band, times t for
+      a ``radial`` disk, the same quadrature in polar form on [0, 2 r / r0];
+      norm is the summed weight, and N, the measure of the band, 2 norm /
+      l_coh in q, both halves, and for the disk norm / 4 in u = r / r0.
     """
-    q_lo, q_hi = det.bounds_on_axis(p)
-    if q_hi <= q_lo:
-        raise ConfigurationError("empty wavevector interval")
-    # |alpha|^2 is exp(-2 (x / waist)^2) at x = q lambda f / (2 pi), exp(-c t^2)
-    # in t = q l_coh; c = 0 for a plane LO
-    x_of_q = p.lambda_s * p.f_lens / (2.0 * math.pi)
-    c = math.inf  # a spot too narrow to square, refused by the panel limit
-    with contextlib.suppress(OverflowError):
-        c = 2.0 * (x_of_q / (lo.waist * p.l_coh)) ** 2
-    disk = det.shape == "radial"
-    num = [0.0] * len(_PHASES)
-    den = 0.0
-    for t, w, noise in _panel_noise(p, q_lo * p.l_coh, q_hi * p.l_coh, _lo_panel_width(c),
-                                   _CHUNK):
-        weight = np.exp(-c * t * t) * w
-        if disk:
-            weight = t * weight
-        num = [x + float(np.einsum("i,i", weight, f)) for x, f in zip(num, noise)]
-        den += float(weight.sum())
-    _check_lit(den, det)
-    return den / 4.0 if disk else 2.0 * den / p.l_coh, [1.0 + x / den for x in num]
+    if det.plane == "near":
+        if lo.waist != math.inf:
+            raise ConfigurationError("plane-pump near-field spectra support a plane LO only")
+        a, b = det.inner / p.l_coh, det.outer / p.l_coh
+        # capped, so a band past the float range reaches the panel limit, not an overflow
+        level = max(0, math.ceil(math.log2(min(2.0 * b / _NEAR_PANEL_A, 2.0**64))))
+        width = _PANEL_WIDTH * 0.5**level
+        spans = ((0.0, 1.0, 0.5 * width), (1.0, _NEAR_CUT, width))
+        cached = level <= _NEAR_CACHED_LEVEL
 
+        def weight(t):
+            return 4.0 * (np.sin(b * t) - np.sin(a * t) if a > 0 else np.sin(b * t)) ** 2 / t**2
 
-def _near_chunks(p: OpoParams, level: int):
-    # (t, rows 4 w (R - 1) / t^2 of both phases) on panels 0.125 wide below
-    # t = 1, where the anti-squeezed R - 1 peaks sharply near threshold, and
-    # 0.25 above, both halved per level
-    width = _PANEL_WIDTH * 0.5**level
-    for t_lo, t_hi, max_width in ((0.0, 1.0, 0.5 * width), (1.0, _NEAR_CUT, width)):
-        for t, w, noise in _panel_noise(p, t_lo, t_hi, max_width, _NEAR_CHUNK):
-            yield t, 4.0 * w * np.stack(noise) / t**2
+        def norm(total):
+            return 2.0 * (det.outer - det.inner), 2.0 * math.pi * (b - a)
+    else:
+        q_lo, q_hi = det.bounds_on_axis(p)
+        if q_hi <= q_lo:
+            raise ConfigurationError("empty wavevector interval")
+        # |alpha|^2 is exp(-2 (x / waist)^2) at x = q lambda f / (2 pi), exp(-c t^2)
+        # in t = q l_coh; c = 0 for a plane LO
+        x_of_q = p.lambda_s * p.f_lens / (2.0 * math.pi)
+        c = math.inf  # a spot too narrow to square, refused by the panel limit
+        with contextlib.suppress(OverflowError):
+            c = 2.0 * (x_of_q / (lo.waist * p.l_coh)) ** 2
+        spans = ((q_lo * p.l_coh, q_hi * p.l_coh, _lo_panel_width(c)),)
+        cached = False
+        disk = det.shape == "radial"
 
-@lru_cache(maxsize=32)
-def _cached_near_chunks(p: OpoParams, level: int) -> list:
-    return list(_near_chunks(p, level))
+        def weight(t):
+            return t * np.exp(-c * t * t) if disk else np.exp(-c * t * t)
 
-def _vn_planepump_near(det: DetectorMask, lo: LocalOscillator, p: OpoParams):
-    """(N, [vn at both phases]) of a symmetric near-field detector, plane pump.
-
-    The near-field counterpart of ``_noise_terms``: the band [a, b] (l_coh
-    units) of a plane LO has the window |W(t)|^2 = 4 (sin(b t) - sin(a t))^2
-    / t^2 and the measure N = 2 (b - a), and
-
-        vn = 1 + integral_0^CUT |W(t)|^2 (R_phi - 1) dt / (pi N),
-
-    CUT = ``_NEAR_CUT``, summed on the chunks of ``_near_chunks``.  Their
-    width halves per level L = max(0, ceil(log2(2b / ``_NEAR_PANEL_A``))),
-    so no panel holds more than ~1.2 periods of the window; the chunks of a
-    level are cached up to ``_NEAR_CACHED_LEVEL`` and built on every call
-    beyond it, so memory stays bounded for any b.  This covers detector
-    sizes a dense grid cannot span, from a small fraction of l_coh to the
-    single-mode limit.
-    """
-    if lo.waist != math.inf:
-        raise ConfigurationError("plane-pump near-field spectra support a plane LO only")
-    a, b = det.inner / p.l_coh, det.outer / p.l_coh
-    # capped, so a band past the float range reaches the panel limit, not an overflow
-    level = max(0, math.ceil(math.log2(min(2.0 * b / _NEAR_PANEL_A, 2.0**64))))
-    chunks = (_cached_near_chunks(p, level) if level <= _NEAR_CACHED_LEVEL
-              else _near_chunks(p, level))
-    total = np.zeros(len(_PHASES))
-    for t, g in chunks:
-        window = (np.sin(b * t) - np.sin(a * t) if a > 0 else np.sin(b * t)) ** 2
-        total += np.einsum("ij,j->i", g, window)
-    return 2.0 * (det.outer - det.inner), [1.0 + float(x) / (2.0 * math.pi * (b - a))
-                                           for x in total]
+        def norm(total):
+            _check_lit(total, det)
+            return total / 4.0 if disk else 2.0 * total / p.l_coh, total
+    sums, total = np.zeros(len(_PHASES)), 0.0
+    for t, w, noise in _cached_chunks(p, spans) if cached else _panel_noise(p, spans):
+        g = weight(t) * w
+        sums += np.einsum("ij,j->i", noise, g)
+        total += float(g.sum())
+    shot, scale = norm(total)
+    return shot, [1.0 + float(x) / scale for x in sums]
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +473,8 @@ def squeezing(det: DetectorMask, lo: LocalOscillator,
             raise ConfigurationError("a finite pump needs the cavity modes of a dense solve")
         else:
             _check_threshold(cavity)
-            if det.plane == "near":
-                route, (shot, vns) = "planepump_near", _vn_planepump_near(det, lo, cavity)
-            else:
-                route = "planepump_disk" if det.shape == "radial" else "planepump_far"
-                shot, vns = _vn_planepump_far(det, lo, cavity)
+            route = "planepump_disk" if det.shape == "radial" else f"planepump_{det.plane}"
+            shot, vns = _vn_planepump(det, lo, cavity)
         # every route gives N at unit LO amplitude; a product past the float
         # range is inf, which the check below refuses
         shot *= lo.amplitude * lo.amplitude

@@ -49,6 +49,9 @@ _CONDITION_CUTOFF = 1e12
 _BACKWARD_TOLERANCE = 1e-12
 #: Ritz residual at which Lanczos stops, a bound on the error of max|lambda|
 _RITZ_TOLERANCE = 1e-15
+#: Lanczos steps per residual check, whose eigvalsh of the whole tridiagonal
+#: stalls in OpenBLAS past ~64 rows (2/3 of an 81-step Lanczos at every step)
+_RITZ_EVERY = 4
 _SIGN = np.array([[1.0], [-1.0]])  # of K in s I - K, then s I + K
 
 
@@ -111,7 +114,8 @@ def _largest_gain(blocks: np.ndarray, m: int) -> float:
     """max|lambda| of the banded K on m coefficients: Lanczos with full
     reorthogonalization from 1 / sqrt(m), stopped once the Ritz residual
     beta_k |y_k| of the largest-|theta| Ritz value (its error bound) is at
-    most 1e-15, or after m steps; y_k by the tridiagonal's recurrence, run up."""
+    most 1e-15, or after m steps; y_k by the tridiagonal's recurrence, run up.
+    It is taken every ``_RITZ_EVERY`` steps, and once beta_k <= 1e-15."""
     nb, s = blocks.shape[0], blocks.shape[-1]
     v = np.pad(np.full(m, 1.0 / math.sqrt(m)), (0, nb * s - m))
     basis, alpha, beta = np.empty((0, nb * s)), [], []
@@ -124,16 +128,17 @@ def _largest_gain(blocks: np.ndarray, m: int) -> float:
         for _ in range(2):  # classical Gram-Schmidt twice; einsum keeps BLAS off
             w -= np.einsum("ij,i->j", basis[: k + 1], np.einsum("ij,j->i", basis[: k + 1], w))
         beta.append(math.sqrt(w @ w))
-        thetas = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta[:-1], 1), "U")
-        theta = thetas[np.abs(thetas).argmax()]
-        norm2, cur, nxt = 1.0, 1.0, 0.0  # |y|^2 and y_j, y_{j+1} with y_k = 1
-        for j in range(k, 0, -1):
-            cur, nxt = ((theta - alpha[j]) * cur - beta[j] * nxt) / beta[j - 1], cur
-            norm2 += cur * cur
-            if norm2 > 1e60:  # |y_k| < 1e-30
+        if k % _RITZ_EVERY == _RITZ_EVERY - 1 or k == m - 1 or beta[k] <= _RITZ_TOLERANCE:
+            thetas = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta[:-1], 1), "U")
+            theta = thetas[np.abs(thetas).argmax()]
+            norm2, cur, nxt = 1.0, 1.0, 0.0  # |y|^2 and y_j, y_{j+1} with y_k = 1
+            for j in range(k, 0, -1):
+                cur, nxt = ((theta - alpha[j]) * cur - beta[j] * nxt) / beta[j - 1], cur
+                norm2 += cur * cur
+                if norm2 > 1e60:  # |y_k| < 1e-30
+                    break
+            if beta[k] <= _RITZ_TOLERANCE * math.sqrt(norm2):
                 break
-        if beta[k] <= _RITZ_TOLERANCE * math.sqrt(norm2):
-            break
         v = w / beta[k]
     return abs(theta)
 

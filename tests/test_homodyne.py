@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -17,9 +18,10 @@ from confocal_opo import (
     squeezing,
 )
 import confocal_opo.kernels as kernels
-from confocal_opo.cli import Scenario, _detector, _fmt, _grid, _unit, main, run_scenario
+from confocal_opo.cli import (Scenario, _detector, _fmt, _grid, _unit, main, parse_config,
+                              run_scenario, scenario_from_config)
 from confocal_opo.homodyne import _conjugate_image
-from helpers import cosine, noise_density
+from helpers import GOLDEN, cosine, noise_density
 from lu_reference import lu_noise
 from planepump_reference import (
     circular_vn,
@@ -582,22 +584,22 @@ class TestPlanePumpNearSpectrum:
     def test_uncached_level_leaves_the_cache_alone(self, plane_params):
         # the chunks of a level past the cached ones are built per call and
         # dropped, so a wide detector adds nothing to the cache
-        from confocal_opo.homodyne import _NEAR_CACHED_LEVEL, _cached_near_chunks
+        from confocal_opo.homodyne import _NEAR_CACHED_LEVEL, _cached_chunks
 
         # 2b = 2 x 300 l_coh is level 5; 2 x 1 l_coh is level 0, cached
         assert _NEAR_CACHED_LEVEL < 5
-        _cached_near_chunks.cache_clear()
+        _cached_chunks.cache_clear()
         for d, size in ((1.0, 1), (300.0, 1)):
             det = DetectorMask.interval(d * plane_params.l_coh, "near")
             squeezing(det, LocalOscillator(), plane_params)
-            assert _cached_near_chunks.cache_info().currsize == size
+            assert _cached_chunks.cache_info().currsize == size
 
     def test_cache_size_is_bounded(self):
         # memory stays bounded: no more cached chunk lists than 16 parameter
         # sets with 5 levels each
-        from confocal_opo.homodyne import _cached_near_chunks
+        from confocal_opo.homodyne import _cached_chunks
 
-        assert _cached_near_chunks.cache_info().maxsize <= 16 * 5
+        assert _cached_chunks.cache_info().maxsize <= 16 * 5
 
     def test_wide_detector_approaches_single_mode(self, plane_params):
         det = DetectorMask.interval(200.0 * plane_params.l_coh, "near")
@@ -783,6 +785,22 @@ class TestPlanePumpFarSpectrum:
             assert abs(got.vn_squeezed - ref.vn_squeezed) <= 1e-14
             assert abs(got.vn_antisqueezed - ref.vn_antisqueezed) <= 1e-14
             assert abs(got.shot / ref.shot - 1.0) <= 1e-14
+
+    def test_wide_band_memory_stays_small(self):
+        # the widest far run of the goldens, ~70,000 sinc zeros: its chunks
+        # of 256 panels keep the Python heap under 2 MiB (4,096-panel chunks
+        # peaked at 7.35 MiB)
+        sc = scenario_from_config(parse_config(GOLDEN / "planepump_far_wide.cfg"))
+        dets = [_detector(sc.detector, sc.plane, float(x)) for x in sc.values]
+        assert sum(det is not None for det in dets) == 2
+        tracemalloc.start()
+        try:
+            for det in filter(None, dets):
+                squeezing(det, sc.lo, sc.params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 def _curve_rows(tmp_path, p, plane, shape, values, lo, pixel_width=None):
