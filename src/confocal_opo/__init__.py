@@ -13,12 +13,11 @@ __version__ = "0.1.0"
 
 import os
 
-# OpenBLAS's idle worker busy-waits 2^28 cycles (~0.1 s) after the library
-# loads and after every BLAS call: ~0.1 s of CPU, a third of a fig 6 run on a
-# 2-core host (OpenBLAS 0.3.31).  2^20 cycles keeps the thread count, every
-# output and the wall time of the largest solves, which one thread leaves
-# within 4 % too.  It must be set before numpy loads; a user's value wins.
-os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+# One OpenBLAS thread: each BLAS call of the dense route works on one band
+# block, where a second thread never pays.  Set before numpy loads; a user's
+# OPENBLAS_NUM_THREADS, or OMP_NUM_THREADS (read when it is unset), wins.
+if "OMP_NUM_THREADS" not in os.environ:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import ConfigurationError, NumericalFailure
 from .params import OpoParams

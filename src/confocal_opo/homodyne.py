@@ -53,8 +53,8 @@ relative, at resonance and detuned.  The near-field window oscillates
 with period 2 pi / b, so its panels halve in width per doubling of 2b past
 30 l_coh: one near-field point costs 0.2 ms at 2b = 30 l_coh and 1.7 ms at
 480 (cached panels), and grows linearly beyond, 0.025 s at 2b = 1e3 l_coh
-and 0.2 s at 1e4 on a 2-core x86-64 host.  Each chunk is summed with
-einsum, not a BLAS dot, which OpenBLAS threads past 10,000 entries.
+and 0.2 s at 1e4 on a 2-core x86-64 host.  Each chunk's two phase rows are
+summed by one einsum.
 """
 
 from __future__ import annotations

@@ -49,21 +49,14 @@ _CONDITION_CUTOFF = 1e12
 _BACKWARD_TOLERANCE = 1e-12
 #: Ritz residual at which Lanczos stops, a bound on the error of max|lambda|
 _RITZ_TOLERANCE = 1e-15
-#: Lanczos steps per residual check, whose eigvalsh of the whole tridiagonal
-#: stalls in OpenBLAS past ~64 rows (2/3 of an 81-step Lanczos at every step)
+#: Lanczos steps per residual check, which runs eigvalsh on the whole
+#: tridiagonal, an O(k^3) cost at step k
 _RITZ_EVERY = 4
 _SIGN = np.array([[1.0], [-1.0]])  # of K in s I - K, then s I + K
 
 
 def _mul(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a @ v over the last axes of stacked blocks by real BLAS products, as
-    OpenBLAS threads a complex gemv of a 92-wide block, and a threaded call
-    can wait out an 8 ms scheduler tick: a complex a by its interleaved real
-    view on [Re v, Im v], [-Im v, Re v]; a complex v as two real columns."""
-    if np.iscomplexobj(a):
-        a, v = a.view(float), np.stack([v, 1j * v], -1).reshape(*v.shape[:-1], -1)
-    if np.iscomplexobj(v):
-        return (a @ np.ascontiguousarray(v)[..., None].view(float)).view(complex)[..., 0]
+    """a @ v over the last axes of stacked blocks."""
     return (a @ v[..., None])[..., 0]
 
 
@@ -125,7 +118,7 @@ def _largest_gain(blocks: np.ndarray, m: int) -> float:
         basis[k] = v
         w = _kernel_product(blocks, v.reshape(nb, 1, s)).reshape(-1)
         alpha.append(float(v @ w))
-        for _ in range(2):  # classical Gram-Schmidt twice; einsum keeps BLAS off
+        for _ in range(2):  # classical Gram-Schmidt twice
             w -= np.einsum("ij,i->j", basis[: k + 1], np.einsum("ij,j->i", basis[: k + 1], w))
         beta.append(math.sqrt(w @ w))
         if k % _RITZ_EVERY == _RITZ_EVERY - 1 or k == m - 1 or beta[k] <= _RITZ_TOLERANCE:
@@ -178,12 +171,8 @@ def solve_io(grid: Grid1D, p: OpoParams) -> CavityModes:
     with np.errstate(all="ignore"):
         for i in range(len(blocks)):
             schur = shift * np.eye(blocks.shape[-1]) - _SIGN[:, :, None] * blocks[i, 0]
-            if i:  # by contiguous real products: OpenBLAS threads a 91-wide gemm
-                # with a transposed or complex-view operand, which then stalls
-                b, prev = blocks[i - 1, 1], inverses[i - 1]
-                after = np.ascontiguousarray(b.T)
-                schur -= b @ np.ascontiguousarray(prev.real) @ after
-                if np.iscomplexobj(prev):
-                    schur -= 1j * (b @ np.ascontiguousarray(prev.imag) @ after)
+            if i:
+                b = blocks[i - 1, 1]
+                schur -= b @ inverses[i - 1] @ b.T
             inverses[i] = np.linalg.inv(schur)
     return CavityModes(grid, p, 1.0 - gain, shift, blocks, inverses)

@@ -48,7 +48,7 @@ _PHASE_MATCH_BAND = 6.0
 # of the far coupling in units of 1 / w_p, which bands the gathered block
 _PUMP_REACH = 2.0 * math.sqrt(math.log(1e14))
 # Rows per block of the banded block, unless the band is wider: fewer blocks
-# take fewer numpy calls, and under 96 a real gemv of one stays on one thread
+# take fewer numpy calls
 _BLOCK = 95
 # Largest grid size.  The banded route holds O(m band) memory: at this n fig 9
 # (b ~ 3,900) took 0.3 s and fig 6 (b ~ 8,780) 0.5 s, each 42 MB peak RSS, on a 2-core host.

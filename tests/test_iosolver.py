@@ -211,18 +211,27 @@ class TestDenseSolve:
         margin = solve_io(g, sc.params).margin
         assert abs(margin - (1.0 - np.abs(lam_evd).max())) <= 1e-13
 
-    def test_matches_lu_oracle(self):
-        # the shifted solves of a detuned near run at nonzero frequency
-        # (complex shift) match a dense LU of s I -/+ K, and the eigenbasis
-        # oracle rebuilds the LU solution of the cavity relation
-        p, g = gauss_setup(b=16.0, a_p=0.9, n=321, domain="near",
-                              detuning=0.4, omega_bar=-0.9)
+    @pytest.mark.parametrize("setup", [
+        dict(b=16.0, a_p=0.9, n=321, domain="near", detuning=0.4, omega_bar=-0.9),
+        dict(b=25.0, a_p=0.9, n=961, domain="far", detuning=0.5, omega_bar=0.5),
+    ], ids=["near", "far-wide"])
+    def test_shifted_solves_match_dense_lu(self, setup):
+        # the shifted solves of a detuned run at nonzero frequency (complex
+        # shift) match a dense LU of s I -/+ K: on the near grid's narrow
+        # blocks, and on two 241-row complex blocks of an explicit far grid
+        p, g = gauss_setup(**setup)
         modes = solve_io(g, p)
         block = kernel_block(g, p)
         x = np.random.default_rng(3).standard_normal(g.n_even)
         for y, sign in zip(modes.solve(x), (1.0, -1.0)):
             ref = np.linalg.solve(modes.shift * np.eye(g.n_even) - sign * block, x)
             assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_matches_lu_oracle(self):
+        # the eigenbasis oracle rebuilds the LU solution of the cavity
+        # relation of a detuned near run at nonzero frequency
+        p, g = gauss_setup(b=16.0, a_p=0.9, n=321, domain="near",
+                              detuning=0.4, omega_bar=-0.9)
         u, v = dense_uv(g, p)
         u_lu, v_lu = lu_uv(g, p)
         assert np.abs(u - u_lu).max() <= 1e-12 * np.abs(u_lu).max()
