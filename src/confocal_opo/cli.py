@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, NumericalFailure
-from .homodyne import DetectorMask, LocalOscillator, _mode_noise, squeezing
+from .homodyne import DetectorMask, LocalOscillator, SqueezingResult, _mode_noise, squeezing
 from .iosolver import solve_io
 from .kernels import MAX_GRID_N, Grid1D, auto_grid, delta_2d, phase_match_sinc
 from .params import OpoParams
@@ -231,25 +231,23 @@ def _scenario_echo(sc: Scenario):
 
 def run_scenario(sc: Scenario, outdir: Path) -> float:
     """Write the sweep's curve, one row per value (abscissa: the value /
-    ``_unit``): ``squeezing`` of its detector on the sweep's cavity (a plane
-    pump's parameters, or the cavity of its one solve), or shot noise (vn = 1,
-    N = 0) for a zero-size interval or disk, which detects nothing.  A label
-    ``<name>_<suffix>`` names the file ``curve_<suffix>.csv``, one without
-    "_" ``curve.csv``.  Return the threshold margin 1 - max|lam| of the
-    solve (1 - A_p for a plane pump, whose strongest mode is q = 0)."""
+    ``_unit``): one ``squeezing`` call for all its detectors on the sweep's
+    cavity (a plane pump's parameters, or the cavity of its one solve), and
+    shot noise (vn = 1, N = 0) for a zero-size interval or disk, which
+    detects nothing.  A label ``<name>_<suffix>`` names the file
+    ``curve_<suffix>.csv``, one without "_" ``curve.csv``.  Return the
+    threshold margin 1 - max|lam| of the solve (1 - A_p for a plane pump,
+    whose strongest mode is q = 0)."""
     p = sc.params
     dets = [_detector(sc.detector, sc.plane, float(value), sc.pixel_width) for value in sc.values]
     cavity = p if p.plane_pump else solve_io(
         _grid(p, sc.plane, dets, sc.grid_n, sc.grid_L), p)
     unit = _unit(p, sc.plane)
+    results = iter(squeezing([det for det in dets if det is not None], sc.lo, cavity))
     rows = []
     for value, det in zip(sc.values, dets):
-        x = float(value) / unit
-        if det is None:
-            rows.append((x, 1.0, 1.0, 0.0))
-        else:
-            res = squeezing(det, sc.lo, cavity)
-            rows.append((x, res.vn_squeezed, res.vn_antisqueezed, res.shot))
+        res = SqueezingResult(1.0, 1.0, 0.0, "") if det is None else next(results)
+        rows.append((float(value) / unit, res.vn_squeezed, res.vn_antisqueezed, res.shot))
     outdir.mkdir(parents=True, exist_ok=True)
     suffix = sc.label.partition("_")[2]
     _write_curve(outdir / (f"curve_{suffix}.csv" if suffix else "curve.csv"),

@@ -6,14 +6,14 @@ detector area.  Its noise spectrum normalized to shot noise is
 
     vn = V / N = 1 + S / N.
 
-``squeezing(det, lo, cavity)`` is the one entry point: it returns vn of one
-detector in both canonical quadratures, the squeezed phi = pi/2 and the
-anti-squeezed phi = 0 (``SqueezingResult``); a curve is one call per
-detector.  This module sizes and solves no grid.  A detector is its band
-inner <= |x| <= outer (``DetectorMask``), which is all any evaluator
-reads.  Each returns the shot noise N at unit LO amplitude and vn at both
-phases, and ``squeezing`` picks one, scales N by the amplitude^2 and
-records its name:
+``squeezing(dets, lo, cavity)`` is the one entry point: it returns vn of a
+curve's detectors in both canonical quadratures, the squeezed phi = pi/2
+and the anti-squeezed phi = 0 (a ``SqueezingResult`` each), doing the
+curve's shared work once.  This module sizes and solves no grid.  A
+detector is its band inner <= |x| <= outer (``DetectorMask``), which is all
+any evaluator reads.  ``squeezing`` picks one; each hands the shot noise N
+at unit LO amplitude and vn at both phases to ``_result``, which scales N
+by the amplitude^2, refuses a non-finite result and records the route:
 
 * With the ``CavityModes`` of a dense solve, ``_noise_terms`` contracts the
   detector with vacuum input and the symmetrized even-field commutation
@@ -25,7 +25,8 @@ records its name:
       vn = 1 + (w / N) sum_k c_k^2 (R_phi(lambda_k) - 1),   c = Q^T x,
       R_phi = |u + e^{2 i phi} conj(v_-)|^2  (v_- at -omega_bar),
 
-  which ``_window_noise`` takes from two shifted solves (``iosolver``).
+  which ``_window_noise`` takes from two shifted solves (``iosolver``) of
+  ``_SOLVE_WIDTH`` windows each.
 * A plane pump's ``OpoParams`` bypasses the dense solve: its response is
   diagonal in the transverse wavevector, with mode gain lambda =
   A_p sigma(q), so vn is one weighted sum over q of the same R_phi - 1
@@ -46,15 +47,15 @@ frequency); ``_mode_noise`` returns the two in the order of ``_PHASES``.
 The sum runs on one node set: 16-point Gauss-Legendre panels in
 t = q l_coh whose edges sit at the sinc zeros t = 2 sqrt(k pi), split to a
 maximum width (``_gauss_panels``), in chunks of 256 panels in both planes,
-so memory stays bounded.  Against adaptive QUADPACK references in the
-tests the near-field interval agrees to 5e-12 in vn at A_p = 0.99 and to
-1e-12 up to A_p = 1 - 1e-10, and the far-field interval and disk to 1e-15
-relative, at resonance and detuned.  The near-field window oscillates
-with period 2 pi / b, so its panels halve in width per doubling of 2b past
-30 l_coh: one near-field point costs 0.2 ms at 2b = 30 l_coh and 1.7 ms at
-480 (cached panels), and grows linearly beyond, 0.025 s at 2b = 1e3 l_coh
-and 0.2 s at 1e4 on a 2-core x86-64 host.  Each chunk's two phase rows are
-summed by one einsum.
+one at a time, which every detector on the same panels reads, so memory
+stays bounded.  Against adaptive QUADPACK references in the tests the
+near-field interval agrees to 5e-12 in vn at A_p = 0.99 and to 1e-12 up to
+A_p = 1 - 1e-10, and the far-field interval and disk to 1e-15 relative, at
+resonance and detuned.  The near-field window oscillates with period
+2 pi / b, so its panels halve in width per doubling of 2b past 30 l_coh:
+one near-field point costs 1.7 ms at 2b = 30 l_coh and 10 ms at 480, and
+grows linearly beyond, 0.04 s at 2b = 1e3 l_coh and 0.3 s at 1e4 on a
+2-core x86-64 host.  Each chunk's two phase rows are summed by one einsum.
 """
 
 from __future__ import annotations
@@ -62,13 +63,12 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailure
 from .iosolver import CavityModes
-from .kernels import Grid1D, _gauss_legendre, phase_match_sinc
+from .kernels import _SOLVE_WIDTH, Grid1D, _gauss_legendre, phase_match_sinc
 from .params import OpoParams, _real
 
 __all__ = [
@@ -239,43 +239,54 @@ def _check_lit(n_shot: float, det: DetectorMask) -> None:
                                  f"[{det.inner:g}, {det.outer:g}]")
 
 def _conjugate_image(grid: Grid1D, vec: np.ndarray) -> np.ndarray:
-    """W vec, real and even, of an even real vector on ``grid`` under the
-    unitary DFT W_jk = exp(-i q_j x_k) / sqrt(n) onto the conjugate grid.
+    """W vec, real and even, of the even real columns of vec (n, k) on ``grid``
+    under the unitary DFT W_jk = exp(-i q_j x_k) / sqrt(n) onto the conjugate grid.
 
     On midpoint grids q_j x_k = n pi/2 - pi (j + k + 1) + 2 pi (j + 1/2)(k + 1/2) / n,
     so W = c D F D with the plain DFT F, D = diag((-1)^k e^{-i pi k / n}) and
     c = e^{-i pi (n/2 - 1 + 1/(2n))} / sqrt(n), its whole turns taken exactly.
     """
     n = grid.n
-    d = np.exp(-1j * np.pi * np.arange(n) / n)
+    d = np.exp(-1j * np.pi * np.arange(n) / n)[:, None]
     d[1::2] *= -1.0
     c = -((-1j) ** (n % 4)) * np.exp(-0.5j * np.pi / n) / math.sqrt(n)
-    return (c * d * np.fft.fft(d * vec)).real
+    return (c * d * np.fft.fft(d * vec, axis=0)).real
 
-def _window_noise(modes: CavityModes, x: np.ndarray) -> list:
-    """[sum_k c_k^2 (R_phi(lam_k) - 1) at both phases], c = Q^T x, of the even far
-    window x: ||g_z||^2 - ||x||^2 from ``modes.solve(x)`` (``iosolver``)."""
+def _window_noise(modes: CavityModes, x: np.ndarray) -> np.ndarray:
+    """[sum_k c_k^2 (R_phi(lam_k) - 1)] at both phases (rows), c = Q^T x, of each
+    even far window in the columns of x: ||g_z||^2 - ||x||^2 by column from
+    ``modes.solve(x)`` (``iosolver``)."""
     y, s, p = modes.solve(x), modes.shift, modes.p
     abar = complex(1.0, p.omega_bar - p.detuning)
     gs = [((abar + z * s) * y[0] + (abar - z * s) * y[1]) / s - x for z in _Z]
-    return [float(np.vdot(g, g).real) - float(x @ x) for g in gs]
+    return np.array([(g.real * g.real + g.imag * g.imag).sum(0) for g in gs]) - (x * x).sum(0)
 
-def _noise_terms(modes: CavityModes, det: DetectorMask, lo: LocalOscillator):
-    """(N, [vn at both phases]) of one detector at ``modes.p``: the
-    unit-amplitude LO on the detector cells, lvec, carried from a near grid
-    to the far grid by ``_conjugate_image``, is folded and contracted."""
+def _noise_terms(modes: CavityModes, dets, lo: LocalOscillator) -> list:
+    """The ``_result`` of each detector at ``modes.p``: the unit-amplitude LO
+    on its cells, carried from a near grid to the far grid by
+    ``_conjugate_image``, is folded and contracted, ``_SOLVE_WIDTH`` windows
+    per solve; copies of the last window fill the last solve, so no
+    detector's bits depend on the others in the call."""
     grid, p = modes.grid, modes.p
-    lvec = lo.magnitude(grid, p) * det.indicator(grid, p)
-    w = grid.step
-    n_shot = w * float(lvec @ lvec)
-    _check_lit(n_shot, det)
+    w, magnitude = grid.step, lo.magnitude(grid, p)
     # sampled at the grid points, a waist of 2, 1.5 and 1 steps is off by 5e-9, 3e-5, 1.4e-2
     x_step = w * (p.lambda_s * p.f_lens / (2.0 * math.pi) if grid.domain == "far" else 1.0)
-    if lo.waist < 2.0 * x_step:
-        raise NumericalFailure(f"Gaussian LO waist spans {lo.waist / x_step:.3g} grid steps, "
-                               "under the 2 that resolve it: set a larger grid_n")
-    x = grid.fold(lvec if grid.domain == "far" else _conjugate_image(grid, lvec))
-    return n_shot, [1.0 + (w / n_shot) * f for f in _window_noise(modes, x)]
+    results = []
+    for first in range(0, len(dets), _SOLVE_WIDTH):
+        lvecs, shots = [], []
+        for det in dets[first : first + _SOLVE_WIDTH]:
+            lvecs.append(magnitude * det.indicator(grid, p))
+            shots.append(w * float(lvecs[-1] @ lvecs[-1]))
+            _check_lit(shots[-1], det)
+        if lo.waist < 2.0 * x_step:
+            raise NumericalFailure(f"Gaussian LO waist spans {lo.waist / x_step:.3g} grid steps, "
+                                   "under the 2 that resolve it: set a larger grid_n")
+        lvec = np.stack(lvecs + lvecs[-1:] * (_SOLVE_WIDTH - len(lvecs)), 1)
+        x = grid.fold(lvec if grid.domain == "far" else _conjugate_image(grid, lvec))
+        noise = _window_noise(modes, x).T
+        results += [_result(det, lo, "dense", n_shot, [1.0 + (w / n_shot) * float(f) for f in fs])
+                    for det, n_shot, fs in zip(dets[first:], shots, noise)]
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +302,9 @@ def _check_threshold(p: OpoParams) -> None:
 
 #: sinc-zero intervals handled at once: bounds ``_gauss_panels``' arrays of zeros
 _CHUNK = 4096
-#: Gauss panels per chunk (4,096 nodes) in both planes: a chunk's work arrays,
-#: not the cached levels, set a run's peak memory; 4,096-panel far chunks
-#: made a wide far run peak 9 MB higher
+#: Gauss panels per chunk (4,096 nodes) in both planes: a chunk's work arrays
+#: set a run's peak memory; 4,096-panel far chunks made a wide far run peak
+#: 9 MB higher
 _PANELS = 256
 #: widest panel in t = q l_coh: ~1.2 periods of the near window at 2b = 30
 _PANEL_WIDTH = 0.25
@@ -301,10 +312,6 @@ _PANEL_WIDTH = 0.25
 _NEAR_CUT = 100.0
 #: largest 2b (b the outer band edge in l_coh) served by near level 0
 _NEAR_PANEL_A = 30.0
-#: highest near level whose chunks are cached, 2b <= 480 l_coh; level 4
-#: holds 2.66 MB (t and two phases), and 32 cached level-4 lists raised a
-#: process's peak RSS by 82 MB
-_NEAR_CACHED_LEVEL = 4
 #: most Gauss panels one quadrature may take (one point at the limit takes
 #: ~6 s on a 2-core x86-64 host); a band or a Gaussian-LO spot that needs
 #: more, up to one near the float range that would never finish, is refused
@@ -359,27 +366,13 @@ def _panel_noise(p: OpoParams, spans: tuple):
             lam = p.A_p * phase_match_sinc(t / p.l_coh, p)
             yield t, w, np.array(_mode_noise(lam, p.detuning, p.omega_bar))
 
-@lru_cache(maxsize=32)
-def _cached_chunks(p: OpoParams, spans: tuple) -> list:
-    # (t, 1, w (R - 1)): the weights folded into the noise keep a chunk at three
-    # rows, not four, for the same sums; the summed weight is then not the
-    # detector's, so only a detector with a closed-form norm reads cached spans
-    return [(t, 1.0, w * f) for t, w, f in _panel_noise(p, spans)]
+def _planepump_window(det: DetectorMask, lo: LocalOscillator, p: OpoParams):
+    """(spans, weight, norm) of a detector at a plane pump, for
 
-def _lo_panel_width(c: float) -> float:
-    # a Gaussian LO weight exp(-c t^2) also needs panels no wider than its
-    # 1/e half width, or a narrow spot falls between the nodes
-    return _PANEL_WIDTH if c == 0.0 else min(_PANEL_WIDTH, 1.0 / math.sqrt(c))
+        vn = 1 + integral weight(t) (R_phi - 1) dt / norm
 
-def _vn_planepump(det: DetectorMask, lo: LocalOscillator, p: OpoParams):
-    """(N, [vn at both phases]) of a detector at a plane pump.
-
-    The counterpart of ``_noise_terms``: over the positive t = q l_coh,
-
-        vn = 1 + integral weight(t) (R_phi - 1) dt / norm,
-
-    summed on the chunks of ``_panel_noise``.  A detector gives only its
-    spans in t with their panel widths, its weight and its norm:
+    over the positive t = q l_coh: its spans in t with their panel widths,
+    its weight, and the map from the summed weight to (N, norm):
 
     * near plane, band [a, b] in l_coh units (plane LO only): the window
       |W(t)|^2 = 4 (sin(b t) - sin(a t))^2 / t^2 on [0, ``_NEAR_CUT``] and
@@ -387,9 +380,7 @@ def _vn_planepump(det: DetectorMask, lo: LocalOscillator, p: OpoParams):
       t = 1, where the anti-squeezed R - 1 peaks sharply near threshold,
       and 0.25 above, both halved per level L = max(0, ceil(log2(2b /
       ``_NEAR_PANEL_A``))), so no panel holds more than ~1.2 periods of the
-      window.  Those spans depend on L alone, and their chunks are cached
-      up to ``_NEAR_CACHED_LEVEL`` and built on every call beyond it, so
-      memory stays bounded for any b.
+      window.  Those spans depend on L alone.
     * far plane: the LO intensity |alpha|^2 on the detector band, times t for
       a ``radial`` disk, the same quadrature in polar form on [0, 2 r / r0];
       norm is the summed weight, and N, the measure of the band, 2 norm /
@@ -402,53 +393,79 @@ def _vn_planepump(det: DetectorMask, lo: LocalOscillator, p: OpoParams):
         # capped, so a band past the float range reaches the panel limit, not an overflow
         level = max(0, math.ceil(math.log2(min(2.0 * b / _NEAR_PANEL_A, 2.0**64))))
         width = _PANEL_WIDTH * 0.5**level
-        spans = ((0.0, 1.0, 0.5 * width), (1.0, _NEAR_CUT, width))
-        cached = level <= _NEAR_CACHED_LEVEL
 
         def weight(t):
             return 4.0 * (np.sin(b * t) - np.sin(a * t) if a > 0 else np.sin(b * t)) ** 2 / t**2
 
         def norm(total):
             return 2.0 * (det.outer - det.inner), 2.0 * math.pi * (b - a)
-    else:
-        q_lo, q_hi = det.bounds_on_axis(p)
-        if q_hi <= q_lo:
-            raise ConfigurationError("empty wavevector interval")
-        # |alpha|^2 is exp(-2 (x / waist)^2) at x = q lambda f / (2 pi), exp(-c t^2)
-        # in t = q l_coh; c = 0 for a plane LO
-        x_of_q = p.lambda_s * p.f_lens / (2.0 * math.pi)
-        c = math.inf  # a spot too narrow to square, refused by the panel limit
-        with contextlib.suppress(OverflowError):
-            c = 2.0 * (x_of_q / (lo.waist * p.l_coh)) ** 2
-        spans = ((q_lo * p.l_coh, q_hi * p.l_coh, _lo_panel_width(c)),)
-        cached = False
-        disk = det.shape == "radial"
+        return ((0.0, 1.0, 0.5 * width), (1.0, _NEAR_CUT, width)), weight, norm
+    q_lo, q_hi = det.bounds_on_axis(p)
+    if q_hi <= q_lo:
+        raise ConfigurationError("empty wavevector interval")
+    # |alpha|^2 is exp(-2 (x / waist)^2) at x = q lambda f / (2 pi), exp(-c t^2)
+    # in t = q l_coh; c = 0 for a plane LO
+    x_of_q = p.lambda_s * p.f_lens / (2.0 * math.pi)
+    c = math.inf  # a spot too narrow to square, refused by the panel limit
+    with contextlib.suppress(OverflowError):
+        c = 2.0 * (x_of_q / (lo.waist * p.l_coh)) ** 2
+    # a Gaussian LO also needs panels no wider than its 1/e half width, or a
+    # narrow spot falls between the nodes
+    width = _PANEL_WIDTH if c == 0.0 else min(_PANEL_WIDTH, 1.0 / math.sqrt(c))
+    disk = det.shape == "radial"
 
-        def weight(t):
-            return t * np.exp(-c * t * t) if disk else np.exp(-c * t * t)
+    def weight(t):
+        return t * np.exp(-c * t * t) if disk else np.exp(-c * t * t)
 
-        def norm(total):
-            _check_lit(total, det)
-            return total / 4.0 if disk else 2.0 * total / p.l_coh, total
-    sums, total = np.zeros(len(_PHASES)), 0.0
-    for t, w, noise in _cached_chunks(p, spans) if cached else _panel_noise(p, spans):
-        g = weight(t) * w
-        sums += np.einsum("ij,j->i", noise, g)
-        total += float(g.sum())
-    shot, scale = norm(total)
-    return shot, [1.0 + float(x) / scale for x in sums]
+    def norm(total):
+        _check_lit(total, det)
+        return total / 4.0 if disk else 2.0 * total / p.l_coh, total
+    return ((q_lo * p.l_coh, q_hi * p.l_coh, width),), weight, norm
+
+def _vn_planepump(dets, lo: LocalOscillator, p: OpoParams) -> list:
+    """The ``_result`` of each detector at a plane pump, summed on
+    ``_panel_noise`` chunks by its ``_planepump_window``: detectors with equal
+    spans read one stream of chunks, in the order the spans first appear."""
+    windows = [_planepump_window(det, lo, p) for det in dets]
+    sums, totals = np.zeros((len(dets), len(_PHASES))), [0.0] * len(dets)
+    results = [None] * len(dets)
+    for spans in dict.fromkeys(spans for spans, _, _ in windows):
+        group = [i for i, window in enumerate(windows) if window[0] == spans]
+        for t, w, noise in _panel_noise(p, spans):
+            for i in group:
+                g = windows[i][1](t) * w
+                sums[i] += np.einsum("ij,j->i", noise, g)
+                totals[i] += float(g.sum())
+        for i in group:
+            shot, scale = windows[i][2](totals[i])
+            det = dets[i]
+            route = "planepump_disk" if det.shape == "radial" else f"planepump_{det.plane}"
+            results[i] = _result(det, lo, route, shot, [1.0 + float(x) / scale for x in sums[i]])
+    return results
 
 
 # ---------------------------------------------------------------------------
 # The one path from a detector to its noise
 # ---------------------------------------------------------------------------
 
-def squeezing(det: DetectorMask, lo: LocalOscillator,
-              cavity: CavityModes | OpoParams) -> SqueezingResult:
-    """Noise spectrum of one detector in both canonical quadratures.
+def _result(det: DetectorMask, lo: LocalOscillator, route: str, shot: float,
+            vns: list) -> SqueezingResult:
+    # every route gives N at unit LO amplitude; a product past the float
+    # range is inf, which the check below refuses
+    shot *= lo.amplitude * lo.amplitude
+    if not all(math.isfinite(x) for x in (shot, *vns)):
+        raise NumericalFailure(f"route {route} gave a non-finite result (N = {shot:g}, "
+                               f"vn = {', '.join(f'{vn:g}' for vn in vns)}) for the "
+                               f"{det.shape} band [{det.inner:g}, {det.outer:g}]")
+    return SqueezingResult(*vns, shot, route)
+
+def squeezing(dets, lo: LocalOscillator,
+              cavity: CavityModes | OpoParams) -> list[SqueezingResult]:
+    """Noise spectra of a curve's detectors in both canonical quadratures,
+    one ``SqueezingResult`` per detector of the sequence ``dets``, in order.
 
     ``cavity`` is either the ``CavityModes`` of a dense solve, whose
-    configuration is ``cavity.p``, over which the detector is contracted
+    configuration is ``cavity.p``, over which the detectors are contracted
     (first principles, any pump), or a plane pump's ``OpoParams``, which
     runs on its closed-form routes: the near-field window sum (plane LO
     only), the far-field disk for a ``radial`` far detector, and the
@@ -463,25 +480,13 @@ def squeezing(det: DetectorMask, lo: LocalOscillator,
     if not (dense or isinstance(cavity, OpoParams)):
         raise ConfigurationError(
             f"cavity must be CavityModes or OpoParams, got {type(cavity).__name__}")
-    if det.shape == "radial" and (dense or det.plane == "near"):
+    if any(det.shape == "radial" and (dense or det.plane == "near") for det in dets):
         raise ConfigurationError(_DISK_ONLY)
-    # the check below reports an overflow, so numpy does not warn of it too
+    if not (dense or cavity.plane_pump):
+        raise ConfigurationError("a finite pump needs the cavity modes of a dense solve")
+    # ``_result`` reports an overflow, so numpy does not warn of it too
     with np.errstate(all="ignore"):
         if dense:
-            route, (shot, vns) = "dense", _noise_terms(cavity, det, lo)
-        elif not cavity.plane_pump:
-            raise ConfigurationError("a finite pump needs the cavity modes of a dense solve")
-        else:
-            _check_threshold(cavity)
-            route = "planepump_disk" if det.shape == "radial" else f"planepump_{det.plane}"
-            shot, vns = _vn_planepump(det, lo, cavity)
-        # every route gives N at unit LO amplitude; a product past the float
-        # range is inf, which the check below refuses
-        shot *= lo.amplitude * lo.amplitude
-    if not all(math.isfinite(x) for x in (shot, *vns)):
-        raise NumericalFailure(
-            f"route {route} gave a non-finite result (N = {shot:g}, vn = "
-            f"{', '.join(f'{vn:g}' for vn in vns)}) for the {det.shape} band "
-            f"[{det.inner:g}, {det.outer:g}]"
-        )
-    return SqueezingResult(*vns, shot, route)
+            return _noise_terms(cavity, dets, lo)
+        _check_threshold(cavity)
+        return _vn_planepump(dets, lo, cavity)

@@ -52,19 +52,14 @@ _RITZ_TOLERANCE = 1e-15
 #: Lanczos steps per residual check, which runs eigvalsh on the whole
 #: tridiagonal, an O(k^3) cost at step k
 _RITZ_EVERY = 4
-_SIGN = np.array([[1.0], [-1.0]])  # of K in s I - K, then s I + K
-
-
-def _mul(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a @ v over the last axes of stacked blocks."""
-    return (a @ v[..., None])[..., 0]
+_SIGN = np.array([[[1.0]], [[-1.0]]])  # of K in s I - K, then s I + K
 
 
 def _kernel_product(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """K v of the block rows of ``build_kernel_matrix``; v is (nb, r, s)."""
-    out = _mul(blocks[:, None, 0], v)
-    out[1:] += _mul(blocks[:-1, None, 1], v[:-1])
-    out[:-1] += _mul(np.swapaxes(blocks[:-1, None, 1], -1, -2), v[1:])
+    """K v of the block rows of ``build_kernel_matrix``; v is (nb, r, s, k)."""
+    out, below = blocks[:, None, 0] @ v, blocks[:-1, None, 1]
+    out[1:] += below @ v[:-1]
+    out[:-1] += below.swapaxes(-1, -2) @ v[1:]
     return out
 
 
@@ -83,24 +78,25 @@ class CavityModes:
     inverses: np.ndarray = field(repr=False)  # of the Schur complements, by block
 
     def solve(self, x: np.ndarray) -> np.ndarray:
-        """[(s I -/+ K)^{-1} x] of the m even coefficients x, by block
-        substitution on both at once.  ``NumericalFailure`` when a backward
-        error ||(s I -/+ K) Y - x||_max / ||x||_max, O(m band), tops 1e-12."""
+        """[(s I -/+ K)^{-1} x] of the m even coefficients in each of the k
+        columns of x (m, k), by block substitution on all 2 k at once, as
+        (2, m, k).  ``NumericalFailure`` when a column's backward error
+        ||(s I -/+ K) y - x||_max / ||x||_max, O(m band), tops 1e-12."""
         inv, blocks, sign = self.inverses, self.blocks, _SIGN
-        nb, s = blocks.shape[0], blocks.shape[-1]
-        rhs = np.concatenate([x, np.zeros(nb * s - len(x))]).reshape(nb, 1, s)
-        y = np.empty((nb, 2, s), dtype=inv.dtype)  # S_i^{-1} z_i, then the solution
-        y[0] = _mul(inv[0], np.broadcast_to(rhs[0], (2, s)))
+        nb, s, (m, k) = blocks.shape[0], blocks.shape[-1], x.shape
+        rhs = np.pad(x, ((0, nb * s - m), (0, 0))).reshape(nb, s, k)
+        y = np.empty((nb, 2, s, k), dtype=inv.dtype)  # S_i^{-1} z_i, then the solution
+        y[0] = inv[0] @ rhs[0]
         for i in range(1, nb):  # z_i = x_i - T_(i,i-1) S_{i-1}^{-1} z_{i-1}
-            y[i] = _mul(inv[i], rhs[i] + sign * _mul(blocks[i - 1, 1], y[i - 1]))
+            y[i] = inv[i] @ (rhs[i] + sign * (blocks[i - 1, 1] @ y[i - 1]))
         for i in range(nb - 2, -1, -1):  # y_i -= S_i^{-1} T_(i,i+1) y_{i+1}
-            y[i] += sign * _mul(inv[i], _mul(blocks[i, 1].T, y[i + 1]))
-        residual = self.shift * y - sign * _kernel_product(blocks, y) - rhs
-        error = np.abs(residual).max() / np.abs(x).max()
+            y[i] += sign * (inv[i] @ (blocks[i, 1].T @ y[i + 1]))
+        residual = self.shift * y - sign * _kernel_product(blocks, y) - rhs[:, None]
+        error = (np.abs(residual).max((0, 1, 2)) / np.abs(x).max(0)).max()
         if not error <= _BACKWARD_TOLERANCE:
             raise NumericalFailure(f"shifted solve backward error {error:.2e} exceeds "
                                    f"{_BACKWARD_TOLERANCE:.0e}; the factorization is not sound")
-        return y.transpose(1, 0, 2).reshape(2, nb * s)[:, : len(x)]
+        return y.transpose(1, 0, 2, 3).reshape(2, nb * s, k)[:, :m]
 
 
 def _largest_gain(blocks: np.ndarray, m: int) -> float:
@@ -116,7 +112,7 @@ def _largest_gain(blocks: np.ndarray, m: int) -> float:
         if k == len(basis):  # doubled as needed: about as many rows as steps
             basis = np.concatenate([basis, np.empty((max(k, 16), nb * s))])
         basis[k] = v
-        w = _kernel_product(blocks, v.reshape(nb, 1, s)).reshape(-1)
+        w = _kernel_product(blocks, v.reshape(nb, 1, s, 1)).reshape(-1)
         alpha.append(float(v @ w))
         for _ in range(2):  # classical Gram-Schmidt twice
             w -= np.einsum("ij,i->j", basis[: k + 1], np.einsum("ij,j->i", basis[: k + 1], w))
@@ -170,7 +166,7 @@ def solve_io(grid: Grid1D, p: OpoParams) -> CavityModes:
     # which every solve's gate refuses, without numpy's warnings
     with np.errstate(all="ignore"):
         for i in range(len(blocks)):
-            schur = shift * np.eye(blocks.shape[-1]) - _SIGN[:, :, None] * blocks[i, 0]
+            schur = shift * np.eye(blocks.shape[-1]) - _SIGN * blocks[i, 0]
             if i:
                 b = blocks[i - 1, 1]
                 schur -= b @ inverses[i - 1] @ b.T

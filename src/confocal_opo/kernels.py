@@ -47,9 +47,9 @@ _PHASE_MATCH_BAND = 6.0
 # G(k) falls below 1e-14 G(0) beyond |k| = 2 sqrt(ln 1e14) / w_p: the reach
 # of the far coupling in units of 1 / w_p, which bands the gathered block
 _PUMP_REACH = 2.0 * math.sqrt(math.log(1e14))
-# Rows per block of the banded block, unless the band is wider: fewer blocks
-# take fewer numpy calls
-_BLOCK = 95
+# Columns of every shifted solve, and the fewest rows per block of the
+# banded block, which is otherwise as wide as the band (a plane pump's is 0)
+_SOLVE_WIDTH = 8
 # Largest grid size.  The banded route holds O(m band) memory: at this n fig 9
 # (b ~ 3,900) took 0.3 s and fig 6 (b ~ 8,780) 0.5 s, each 42 MB peak RSS, on a 2-core host.
 MAX_GRID_N = 6000
@@ -385,8 +385,8 @@ def build_kernel_matrix(g: Grid1D, p: OpoParams) -> np.ndarray:
     the m points q_a left of and at the center, times 1/sqrt(2) per center
     index of an odd grid.  G is below 1e-14 G(0) past |q_a -/+ q_b| =
     ``_PUMP_REACH`` / w_p, so the band is ceil(11.4 / (w_p h)) cells whatever
-    b is (15 near, 91-92 far), and blocks of s >= band rows over the m
-    coefficients, zero-padded to nb s, hold it: no m x m array is formed.
+    b is (15 near, 91-92 far), and blocks as wide as it (at least 8 rows)
+    over the m coefficients, zero-padded to nb s, hold it: no m x m array.
     They are gathered from Hankel views of G and S at q_a + q_b and Toeplitz
     views at q_a - q_b.  A plane pump collapses G to a discrete delta whose
     1/h cancels the weight, leaving diag(A_p sigma(q_a)), band 0.
@@ -399,7 +399,7 @@ def build_kernel_matrix(g: Grid1D, p: OpoParams) -> np.ndarray:
     m, h = g.n_even, g.step
     # two blocks of ceil(m / 2) rows hold any band
     band = 0 if p.plane_pump else min(-(-m // 2), math.ceil(_PUMP_REACH / (p.w_p * h)))
-    nb = -(-m // max(band, _BLOCK))
+    nb = -(-m // max(band, _SOLVE_WIDTH))
     s = max(band, -(-m // nb))
     if p.plane_pump:
         blocks = np.zeros((nb, 2, s, s))

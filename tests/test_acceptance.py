@@ -118,9 +118,9 @@ def test_criterion_06_thin_crystal_limit():
     for l_c in (5e-6, 5e-7, 5e-8):
         p = base_params(l_c=l_c, A_p=0.9)
         lo = LocalOscillator()
-        excess.append(np.array([
-            squeezing(DetectorMask.interval(frac * p.w_C, "near"), lo, p).vn_squeezed
-            for frac in (0.1, 0.3, 1.0, 3.0, 10.0)]) - SINGLE_MODE_09)
+        dets = [DetectorMask.interval(frac * p.w_C, "near") for frac in (0.1, 0.3, 1.0, 3.0, 10.0)]
+        excess.append(np.array([res.vn_squeezed for res in squeezing(dets, lo, p)])
+                      - SINGLE_MODE_09)
     excess = np.array(excess)
     ratios = excess[:-1] / excess[1:]
     worst = float(np.abs(ratios / math.sqrt(10.0) - 1.0).max())
@@ -144,17 +144,17 @@ def test_criterion_07_near_field_detector_size_trend():
     # to belong to the model.
     p = base_params(A_p=0.99)
     lo = LocalOscillator()
-    vn_small = squeezing(DetectorMask.interval(0.05 * p.l_coh, "near"), lo, p).vn_squeezed
-    vn_large = squeezing(DetectorMask.interval(5.0 * p.l_coh, "near"), lo, p).vn_squeezed
+    vn_small, vn_large = (res.vn_squeezed for res in squeezing(
+        [DetectorMask.interval(x * p.l_coh, "near") for x in (0.05, 5.0)], lo, p))
     u_c = correlation_first_zero(p.A_p)
     guaranteed = np.linspace(0.0, u_c / 2.0, 20)
     # the zero-size detector at d = 0 detects nothing: shot noise
-    vns = [1.0 if det is None else squeezing(det, lo, p).vn_squeezed
-           for det in [_detector("interval", "near", x) for x in guaranteed * p.l_coh]]
+    vns = [1.0] + [res.vn_squeezed for res in squeezing(
+        [_detector("interval", "near", x) for x in guaranteed[1:] * p.l_coh], lo, p)]
     early = rises(guaranteed, vns)
     wide = np.linspace(0.0, 1.3, 20)
-    vns_wide = np.array([1.0 if det is None else squeezing(det, lo, p).vn_squeezed
-                         for det in [_detector("interval", "near", x) for x in wide * p.l_coh]])
+    vns_wide = np.array([1.0] + [res.vn_squeezed for res in squeezing(
+        [_detector("interval", "near", x) for x in wide[1:] * p.l_coh], lo, p)])
     model_dev = float(np.abs(vns_wide - interval_vn(wide, p.A_p)).max())
     clause_small = vn_small > 0.9
     clause_large = vn_large < 0.05
@@ -182,7 +182,7 @@ def test_criterion_08_pixel_pair_finite_pump():
     lo = LocalOscillator()
     dets = [_detector("pixel_pair", "near", v, p.l_coh) for v in values]
     modes = solve_io(_grid(p, "near", dets), p)
-    vn_zero, vn_far = (squeezing(det, lo, modes).vn_squeezed for det in dets)
+    vn_zero, vn_far = (res.vn_squeezed for res in squeezing(dets, lo, modes))
     ok = vn_zero < 0.9 and vn_far > 0.95
     assert _report(8, ok, f"b = 100 pixel pair: vn(0) = {vn_zero:.4f} (< 0.9), "
                           f"vn(3 w_p) = {vn_far:.4f} (> 0.95)")
@@ -192,10 +192,10 @@ def test_criterion_09_far_field_closed_forms():
     p = base_params()
     lo = LocalOscillator(waist=p.r0)
     # a radius of 1e-12 r0 reads the r -> 0 limit of the disk quadrature
-    limit = squeezing(DetectorMask.radial(1e-12 * p.r0, "far"), lo, p).vn_squeezed
+    limit = squeezing([DetectorMask.radial(1e-12 * p.r0, "far")], lo, p)[0].vn_squeezed
     clause_limit = abs(limit - 0.00277) <= 1e-5
-    inner = squeezing(DetectorMask.radial(0.3 * p.r0, "far"), lo, p).vn_squeezed
-    outer = squeezing(DetectorMask.radial(3.0 * p.r0, "far"), lo, p).vn_squeezed
+    inner, outer = (res.vn_squeezed for res in squeezing(
+        [DetectorMask.radial(x * p.r0, "far") for x in (0.3, 3.0)], lo, p))
     clause_v = outer > inner
     r_in = float(noise_density(0.3 * 2.0 / p.l_coh, p, math.pi / 2))
     r_out = float(noise_density(5.0 * 2.0 / p.l_coh, p, math.pi / 2))

@@ -434,8 +434,8 @@ class TestFigPresets:
         written = []
         monkeypatch.setattr(cli, "solve_io",
                             lambda grid, p: iosolver.CavityModes(grid, p, 1.0, 1.0, None, None))
-        monkeypatch.setattr(cli, "squeezing", lambda det, lo, cavity:
-                            homodyne.SqueezingResult(1.0, 1.0, 1.0, "stub"))
+        monkeypatch.setattr(cli, "squeezing", lambda dets, lo, cavity:
+                            [homodyne.SqueezingResult(1.0, 1.0, 1.0, "stub") for _ in dets])
         monkeypatch.setattr(cli, "_write_curve", lambda path, *rest: written.append(path.name))
         monkeypatch.setattr(cli, "write_summary", lambda outdir, sc_list: None)
         cli.run_fig(fig_id, overrides, tmp_path)
@@ -466,15 +466,14 @@ plane = OpoParams(lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.9,
                   w_p=math.inf)
 gauss = replace(plane, w_p=2.0 * plane.l_coh)
 delta_2d(np.linspace(0.0, 4.0, 41) * plane.l_coh, plane)
-for d in (0.5 * plane.l_coh, 20.0 * plane.l_coh):
-    squeezing(DetectorMask.interval(d), LocalOscillator(), plane)
+squeezing([DetectorMask.interval(d) for d in (0.5 * plane.l_coh, 20.0 * plane.l_coh)],
+          LocalOscillator(), plane)
 for where, values in (("near", [0.5 * plane.l_coh, plane.l_coh]),
                       ("far", [0.5 * plane.r0, plane.r0])):
     dets = [DetectorMask.interval(v, where) for v in values]
     modes = solve_io(_grid(gauss, where, dets), gauss)
-    for det in dets:
-        squeezing(det, LocalOscillator(), modes)
-squeezing(DetectorMask.radial(0.5 * plane.r0), LocalOscillator(waist=plane.r0), plane)
+    squeezing(dets, LocalOscillator(), modes)
+squeezing([DetectorMask.radial(0.5 * plane.r0)], LocalOscillator(waist=plane.r0), plane)
 for fig in ("2", "5", "8"):
     assert main(["fig", "--id", fig, "--out", f"{sys.argv[1]}/fig{fig}"]) == 0
 assert "numpy.polynomial" not in sys.modules, "a route imported numpy.polynomial"

@@ -70,8 +70,7 @@ def _assert_matches_wide(case, shape, values, lo, pixel_width=None):
     grid = _grid(p, sc.plane, dets)
     assert (grid.n, grid.half_extent) == (case.grid.n, case.grid.half_extent)
     modes = solve_io(grid, p)
-    for value, det in zip(values, dets):
-        pt, wide = (squeezing(det, lo, m) for m in (modes, case.wide))
+    for value, pt, wide in zip(values, squeezing(dets, lo, modes), squeezing(dets, lo, case.wide)):
         for vn, vn_wide in ((pt.vn_squeezed, wide.vn_squeezed),
                             (pt.vn_antisqueezed, wide.vn_antisqueezed)):
             assert abs(vn - vn_wide) <= VN_TOL * max(1.0, abs(vn_wide)), (shape, lo, value)

@@ -48,7 +48,7 @@ def grid_shot(lo, det, g, p):
     whatever the sizing rule says of ``g``."""
     with patch.object(kernels, "_check_sizing", lambda g, p: None):
         modes = solve_io(g, p)
-    return squeezing(det, lo, modes).shot
+    return squeezing([det], lo, modes)[0].shot
 
 
 @pytest.fixture
@@ -141,7 +141,7 @@ class TestDetectorMask:
     def test_unknown_shape_in_band_rejected(self, plane_params):
         # a shape no route knows must not run as an interval
         with pytest.raises(ConfigurationError, match="disk"):
-            squeezing(DetectorMask("disk", "far", 0.0, 1e-3), LocalOscillator(),
+            squeezing([DetectorMask("disk", "far", 0.0, 1e-3)], LocalOscillator(),
                       plane_params)
 
     @pytest.mark.parametrize("inner, outer", [(0.0, math.nan), (math.nan, 1e-4),
@@ -149,14 +149,14 @@ class TestDetectorMask:
     def test_non_finite_band_rejected(self, plane_params, inner, outer):
         # the near route sizes its panels from the band
         with pytest.raises(ConfigurationError):
-            squeezing(DetectorMask("interval", "near", inner, outer), LocalOscillator(),
+            squeezing([DetectorMask("interval", "near", inner, outer)], LocalOscillator(),
                       plane_params)
 
     @pytest.mark.parametrize("inner, outer", [(2e-4, 1e-4), (1e-4, 1e-4), (-1e-4, 1e-4)])
     def test_empty_or_negative_band_rejected(self, plane_params, inner, outer):
         # an inverted band would report a negative shot noise
         with pytest.raises(ConfigurationError):
-            squeezing(DetectorMask("interval", "near", inner, outer), LocalOscillator(),
+            squeezing([DetectorMask("interval", "near", inner, outer)], LocalOscillator(),
                       plane_params)
 
     def test_pixel_pair_needs_pixel_width(self):
@@ -184,7 +184,7 @@ class TestLocalOscillator:
         with pytest.raises(NumericalFailure, match=f"^Gaussian LO waist spans {steps:g} grid "
                                                    "steps, under the 2 that resolve it: "
                                                    "set a larger grid_n$"):
-            squeezing(det, LocalOscillator(waist=steps * x_step), modes)
+            squeezing([det], LocalOscillator(waist=steps * x_step), modes)
 
     @pytest.mark.parametrize("steps", [2.0, 3.0])
     def test_waist_of_two_grid_steps_is_resolved(self, dense_b4, steps):
@@ -194,7 +194,7 @@ class TestLocalOscillator:
         modes, fine, x_step = dense_b4
         det = DetectorMask.interval(20.5 * x_step, modes.grid.domain)
         lo = LocalOscillator(waist=steps * x_step)
-        got, ref = (squeezing(det, lo, m) for m in (modes, fine))
+        got, ref = (squeezing([det], lo, m)[0] for m in (modes, fine))
         assert got.shot == pytest.approx(ref.shot, rel=1e-8)
         for vn, vn_ref in ((got.vn_squeezed, ref.vn_squeezed),
                            (got.vn_antisqueezed, ref.vn_antisqueezed)):
@@ -273,7 +273,7 @@ class TestShotNoise:
         det = {"interval": DetectorMask.interval(0.5 * unit, plane),
                "pixel_pair": DetectorMask.pixel_pair(2.0 * unit, unit, plane),
                "radial": DetectorMask.radial(0.5 * unit)}[shape]
-        res = squeezing(det, LocalOscillator(amplitude=amplitude), plane_params)
+        (res,) = squeezing([det], LocalOscillator(amplitude=amplitude), plane_params)
         inner, outer = det.bounds_on_axis(plane_params)
         measure = (det.outer / unit) ** 2 / 2 if shape == "radial" else 2.0 * (outer - inner)
         assert res.shot == pytest.approx(amplitude**2 * measure, rel=1e-12)
@@ -289,12 +289,11 @@ class TestShotNoise:
             unit, g = p.r0, Grid1D(257, 8.0 / p.l_coh, "far")
         modes = solve_io(g, p)
         lo = LocalOscillator(amplitude=amplitude)
-        for det in (DetectorMask.interval(0.5 * unit, plane),
-                    DetectorMask.pixel_pair(2.0 * unit, unit, plane)):
-            dense = squeezing(det, lo, modes).shot
-            closed = squeezing(det, lo, p).shot
+        dets = [DetectorMask.interval(0.5 * unit, plane),
+                DetectorMask.pixel_pair(2.0 * unit, unit, plane)]
+        for det, dense, closed in zip(dets, squeezing(dets, lo, modes), squeezing(dets, lo, p)):
             edges = 2 if det.inner == 0 else 4
-            assert abs(dense - closed) <= amplitude**2 * g.step * edges
+            assert abs(dense.shot - closed.shot) <= amplitude**2 * g.step * edges
 
     def test_far_gaussian_lo_detection_plane_convention(self, plane_params):
         # far-plane Gaussian LO waist is given in detection-plane meters:
@@ -322,11 +321,8 @@ class TestSqueezingNumericVacuum:
         )
         g = Grid1D(257, 8.0 * plane_params.l_coh, "near")
         modes = solve_io(g, p)
-        for det in (
-            DetectorMask.interval(2e-5, "near"),
-            DetectorMask.pixel_pair(5e-5, 2e-5, "near"),
-        ):
-            res = squeezing(det, lo, modes)
+        dets = [DetectorMask.interval(2e-5, "near"), DetectorMask.pixel_pair(5e-5, 2e-5, "near")]
+        for res in squeezing(dets, lo, modes):
             assert abs(res.vn_squeezed - 1.0) <= 1e-12
             assert abs(res.vn_antisqueezed - 1.0) <= 1e-12
 
@@ -343,7 +339,7 @@ class TestSqueezingNumericVacuum:
         oracle = lu_noise(g, p)
         det = DetectorMask.interval(2e-5, "near")
         lo = LocalOscillator()
-        res = squeezing(det, lo, modes)
+        (res,) = squeezing([det], lo, modes)
         for phase, vn in ((math.pi / 2, res.vn_squeezed), (0.0, res.vn_antisqueezed)):
             ref = oracle(lo.magnitude(g, p) * det.indicator(g, p), phase)
             assert vn > 0
@@ -373,11 +369,10 @@ class TestModeRouteMatchesLU:
         oracle = lu_noise(g, p)
         x_of_q = 1.0 if plane == "near" else p.lambda_s * p.f_lens / (2 * math.pi)
         gaussian = LocalOscillator(waist=0.4 * extent * x_of_q)
+        dets = [DetectorMask.interval(frac * extent * x_of_q, plane) for frac in (0.05, 0.3, 0.7)]
         for lo in (LocalOscillator(), gaussian):
-            for frac in (0.05, 0.3, 0.7):
-                det = DetectorMask.interval(frac * extent * x_of_q, plane)
+            for det, res in zip(dets, squeezing(dets, lo, modes)):
                 lvec = lo.magnitude(g, p) * det.indicator(g, p)
-                res = squeezing(det, lo, modes)
                 for phase, vn in ((math.pi / 2, res.vn_squeezed), (0.0, res.vn_antisqueezed)):
                     ref = oracle(lvec, phase)
                     assert abs(vn - ref) <= 1e-12 * max(1.0, abs(ref))
@@ -400,15 +395,16 @@ def _extended_image(g, vec):
 
 
 class TestConjugateImage:
-    # a near detector reaches the far modes through one FFT: fold(W l) = C fold(l)
+    # a near detector reaches the far modes through one FFT: fold(W l) = C fold(l),
+    # column by column
     @pytest.mark.parametrize("n", [33, 34, 320, 641])
     def test_matches_cosine_matrix(self, rng, n):
         g = Grid1D(n, 1e-3, "near")
-        v = rng.standard_normal(n)
+        v = rng.standard_normal((n, 3))
         v += v[::-1]
         ref = cosine(g) @ g.fold(v)
         out = g.fold(_conjugate_image(g, v))
-        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.all(np.abs(out - ref).max(0) <= 1e-13 * np.abs(ref).max(0))
 
     def test_matches_extended_precision(self):
         # a Gaussian LO on an interval detector, at n = 4001
@@ -416,7 +412,8 @@ class TestConjugateImage:
         v = np.exp(-(g.points / 3e-4) ** 2) * (np.abs(g.points) <= 5e-4)
         ref = _extended_image(g, v)
         ref = np.concatenate([ref, ref[: g.n - g.n_even][::-1]])  # the image is even
-        assert np.abs(_conjugate_image(g, v) - ref).max() <= 1e-15 * np.abs(ref).max()
+        out = _conjugate_image(g, v[:, None])[:, 0]
+        assert np.abs(out - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 class TestThinCrystalSingleMode:
@@ -428,9 +425,9 @@ class TestThinCrystalSingleMode:
         excess = []
         for l_c in (5e-6, 5e-8):
             p = OpoParams(lambda_s=1.064e-6, n_s=2.12, l_c=l_c, z_C=0.05, A_p=0.5, w_p=math.inf)
-            excess.append([squeezing(DetectorMask.interval(frac * p.w_C, "near"),
-                                     LocalOscillator(), p).vn_squeezed - 1.0 / 9.0
-                           for frac in (0.2, 1.0, 4.0)])
+            dets = [DetectorMask.interval(frac * p.w_C, "near") for frac in (0.2, 1.0, 4.0)]
+            excess.append([res.vn_squeezed - 1.0 / 9.0
+                           for res in squeezing(dets, LocalOscillator(), p)])
         wide, thin = np.array(excess)
         assert np.all(thin > 0)
         assert np.abs(wide / thin - 10.0).max() <= 0.1
@@ -458,7 +455,7 @@ class TestNoiseDensity:
 
 
 def disk(radius, p, lo):
-    return squeezing(DetectorMask.radial(radius, "far"), lo, p)
+    return squeezing([DetectorMask.radial(radius, "far")], lo, p)[0]
 
 
 class TestRadialSpectrum:
@@ -481,8 +478,8 @@ class TestRadialSpectrum:
     def test_zero_pump_flat(self, plane_params):
         p = replace(plane_params, A_p=0.0)
         lo = LocalOscillator(waist=plane_params.r0)
-        for r in (0.3, 1.0, 2.5):
-            res = disk(r * plane_params.r0, p, lo)
+        dets = [DetectorMask.radial(r * plane_params.r0) for r in (0.3, 1.0, 2.5)]
+        for res in squeezing(dets, lo, p):
             assert res.vn_squeezed == pytest.approx(1.0, abs=1e-10)
 
     def test_squeezing_degrades_past_r0(self, plane_params):
@@ -500,16 +497,16 @@ class TestRadialSpectrum:
         for det in (DetectorMask.radial(plane_params.l_coh, "near"),
                     DetectorMask("radial", "near", 0.0, plane_params.l_coh)):
             with pytest.raises(ConfigurationError, match="radial"):
-                squeezing(det, LocalOscillator(), plane_params)
+                squeezing([det], LocalOscillator(), plane_params)
         p = replace(plane_params, w_p=3.0 * plane_params.l_coh)
         grid = _grid(p, "far", [DetectorMask.interval(r, "far")])
         for q in (p, plane_params):
             modes = solve_io(grid, q)
             with pytest.raises(ConfigurationError, match="radial"):
-                squeezing(DetectorMask.radial(r, "far"), LocalOscillator(), modes)
+                squeezing([DetectorMask.radial(r, "far")], LocalOscillator(), modes)
         # a finite pump without modes has no route at all, disk or not
         with pytest.raises(ConfigurationError, match="finite pump"):
-            squeezing(DetectorMask.radial(r, "far"), LocalOscillator(), p)
+            squeezing([DetectorMask.radial(r, "far")], LocalOscillator(), p)
 
     @pytest.mark.parametrize("radius", [-1e-4, math.inf, math.nan])
     def test_bad_radius_rejected(self, plane_params, radius):
@@ -555,19 +552,18 @@ class TestPlanePumpNearSpectrum:
             lambda_s=1.064e-6, n_s=2.12, l_c=0.01, z_C=0.05, A_p=0.99, w_p=math.inf
         )
         det = DetectorMask.interval(d_scaled * plane_params.l_coh, "near")
-        res = squeezing(det, LocalOscillator(), p)
+        (res,) = squeezing([det], LocalOscillator(), p)
         assert res.vn_squeezed == pytest.approx(expected, abs=2e-5)
 
     @pytest.mark.parametrize("a_p", [0.9, 0.99])
     def test_sweep_matches_interval_oracle(self, plane_params, a_p):
         # half widths on both sides of 2d = 30 l_coh, where the panel width
         # starts to halve, through level 4 (2d = 300), where unhalved panels
-        # would err by 5e-4, to the uncached levels 5 and 7 (2d = 600, 2000)
+        # would err by 5e-4, to levels 5 and 7 (2d = 600, 2000)
         p = replace(plane_params, A_p=a_p)
         d = np.array([0.05, 0.5, 5.0, 17.5, 22.5, 27.5, 60.0, 150.0, 300.0, 1000.0])
-        lo = LocalOscillator()
-        vns = np.array([squeezing(_detector("interval", "near", x), lo, p).vn_squeezed
-                        for x in d * p.l_coh])
+        dets = [_detector("interval", "near", x) for x in d * p.l_coh]
+        vns = np.array([res.vn_squeezed for res in squeezing(dets, LocalOscillator(), p)])
         assert np.abs(vns - interval_vn(d, a_p)).max() <= 1e-9
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-10])
@@ -576,39 +572,35 @@ class TestPlanePumpNearSpectrum:
         # weights split into |v|^2 and u v_- lost it all by A_p = 1 - 1e-8
         p = replace(plane_params, A_p=1.0 - eps)
         d = np.array([0.3, 1.0, 3.0])
-        lo = LocalOscillator()
-        vns = np.array([squeezing(_detector("interval", "near", x), lo, p).vn_squeezed
-                        for x in d * p.l_coh])
+        dets = [_detector("interval", "near", x) for x in d * p.l_coh]
+        vns = np.array([res.vn_squeezed for res in squeezing(dets, LocalOscillator(), p)])
         assert np.abs(vns - interval_vn(d, p.A_p)).max() <= 1e-12
 
-    def test_uncached_level_leaves_the_cache_alone(self, plane_params):
-        # the chunks of a level past the cached ones are built per call and
-        # dropped, so a wide detector adds nothing to the cache
-        from confocal_opo.homodyne import _NEAR_CACHED_LEVEL, _cached_chunks
-
-        # 2b = 2 x 300 l_coh is level 5; 2 x 1 l_coh is level 0, cached
-        assert _NEAR_CACHED_LEVEL < 5
-        _cached_chunks.cache_clear()
-        for d, size in ((1.0, 1), (300.0, 1)):
-            det = DetectorMask.interval(d * plane_params.l_coh, "near")
-            squeezing(det, LocalOscillator(), plane_params)
-            assert _cached_chunks.cache_info().currsize == size
-
-    def test_cache_size_is_bounded(self):
-        # memory stays bounded: no more cached chunk lists than 16 parameter
-        # sets with 5 levels each
-        from confocal_opo.homodyne import _cached_chunks
-
-        assert _cached_chunks.cache_info().maxsize <= 16 * 5
+    def test_sweep_keeps_no_panels(self, plane_params):
+        # 16 detectors at level 4 (2b in (240, 480] l_coh) read one stream of
+        # panels, one 256-panel chunk at a time, and the call keeps none of
+        # it: a process-wide cache of the level kept 2.5 MB and peaked at
+        # 2.9 MB; here under 0.1 MB stays and the peak is under 1 MB.  A
+        # configuration of its own keeps any other test's work out of it
+        p = replace(plane_params, A_p=0.85)
+        dets = [DetectorMask.interval(b * p.l_coh, "near") for b in np.linspace(125.0, 240.0, 16)]
+        tracemalloc.start()
+        try:
+            results = squeezing(dets, LocalOscillator(), p)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [res.route for res in results] == ["planepump_near"] * 16
+        assert retained < 0.1 * 2**20 and peak < 2**20
 
     def test_wide_detector_approaches_single_mode(self, plane_params):
         det = DetectorMask.interval(200.0 * plane_params.l_coh, "near")
-        res = squeezing(det, LocalOscillator(), plane_params)
+        (res,) = squeezing([det], LocalOscillator(), plane_params)
         assert res.vn_squeezed == pytest.approx(single_mode_vn(0.9), abs=1e-3)
 
     def test_antisqueezed_quadrature(self, plane_params):
         det = DetectorMask.interval(2.0 * plane_params.l_coh, "near")
-        res = squeezing(det, LocalOscillator(), plane_params)
+        (res,) = squeezing([det], LocalOscillator(), plane_params)
         assert res.vn_squeezed < 1.0 < res.vn_antisqueezed
 
     def test_dense_consistency_interval(self, plane_params,
@@ -617,11 +609,8 @@ class TestPlanePumpNearSpectrum:
         # grid resolves the problem (detector edges snapped between cells)
         modes, g = dense_plane_near
         lo = LocalOscillator()
-        for cells in (17, 34):
-            d = (cells + 0.5) * g.step
-            det = DetectorMask.interval(d, "near")
-            dense = squeezing(det, lo, modes)
-            closed = squeezing(det, lo, plane_params)
+        dets = [DetectorMask.interval((cells + 0.5) * g.step, "near") for cells in (17, 34)]
+        for dense, closed in zip(squeezing(dets, lo, modes), squeezing(dets, lo, plane_params)):
             assert dense.vn_squeezed == pytest.approx(closed.vn_squeezed, abs=1e-3)
             assert dense.shot == pytest.approx(closed.shot, rel=2e-2)
 
@@ -630,29 +619,25 @@ class TestPlanePumpNearSpectrum:
         modes, g = dense_plane_near
         lo = LocalOscillator()
         width = 32.5 * g.step
-        for rho_cells in (64, 96):
-            rho = rho_cells * g.step
-            det = DetectorMask.pixel_pair(rho, width, "near")
-            dense = squeezing(det, lo, modes)
-            closed = squeezing(det, lo, plane_params)
+        dets = [DetectorMask.pixel_pair(rho_cells * g.step, width, "near")
+                for rho_cells in (64, 96)]
+        for dense, closed in zip(squeezing(dets, lo, modes), squeezing(dets, lo, plane_params)):
             assert dense.vn_squeezed == pytest.approx(closed.vn_squeezed, abs=2e-3)
 
     def test_merged_pixels_match_interval(self, plane_params):
         # pixels closer than half a width form one centered interval
         w = plane_params.l_coh
         lo = LocalOscillator()
-        pair = DetectorMask.pixel_pair(0.0, w, "near")
-        merged = squeezing(pair, lo, plane_params)
-        interval = squeezing(DetectorMask.interval(w / 2, "near"), lo, plane_params)
+        merged, interval = squeezing([DetectorMask.pixel_pair(0.0, w, "near"),
+                                      DetectorMask.interval(w / 2, "near")], lo, plane_params)
         assert merged.vn_squeezed == pytest.approx(interval.vn_squeezed, rel=1e-9)
 
     def test_continuity_at_pixel_merge_point(self, plane_params):
         w = plane_params.l_coh
         lo = LocalOscillator()
-        just_merged = squeezing(DetectorMask.pixel_pair(w / 2 * 0.9999, w, "near"), lo,
-                                plane_params)
-        just_split = squeezing(DetectorMask.pixel_pair(w / 2 * 1.0001, w, "near"), lo,
-                               plane_params)
+        just_merged, just_split = squeezing([DetectorMask.pixel_pair(w / 2 * 0.9999, w, "near"),
+                                             DetectorMask.pixel_pair(w / 2 * 1.0001, w, "near")],
+                                            lo, plane_params)
         assert just_merged.vn_squeezed == pytest.approx(just_split.vn_squeezed, abs=1e-3)
 
 
@@ -672,11 +657,9 @@ class TestPlanePumpFarSpectrum:
         modes = solve_io(g, p)
         x_of_q = p.lambda_s * p.f_lens / (2 * math.pi)
         lo = LocalOscillator(waist=p.r0)
-        for cells in (64, 192):
-            q_d = (cells + 0.5) * g.step
-            det = DetectorMask.interval(q_d * x_of_q, "far")
-            dense = squeezing(det, lo, modes)
-            closed = squeezing(det, lo, p)
+        dets = [DetectorMask.interval((cells + 0.5) * g.step * x_of_q, "far")
+                for cells in (64, 192)]
+        for det, dense, closed in zip(dets, squeezing(dets, lo, modes), squeezing(dets, lo, p)):
             assert dense.vn_squeezed == pytest.approx(closed.vn_squeezed, abs=1e-4)
             # independent Riemann evaluation of the same 1-D density ratio
             qs = np.abs(g.points)
@@ -697,10 +680,10 @@ class TestPlanePumpFarSpectrum:
         modes = solve_io(g, p)
         x_of_q = p.lambda_s * p.f_lens / (2 * math.pi)
         lo = LocalOscillator()
-        for phase, cells in ((math.pi / 2, 96), (0.0, 160)):
-            q_d = (cells + 0.5) * g.step
-            det = DetectorMask.interval(q_d * x_of_q, "far")
-            dense = squeezing(det, lo, modes)
+        phases = (math.pi / 2, 0.0)
+        dets = [DetectorMask.interval((cells + 0.5) * g.step * x_of_q, "far")
+                for cells in (96, 160)]
+        for phase, det, dense in zip(phases, dets, squeezing(dets, lo, modes)):
             vn = dense.vn_squeezed if phase else dense.vn_antisqueezed
             mask = det.indicator(g, p)
             dens = noise_density(g.points[mask], p, phase)
@@ -724,7 +707,7 @@ class TestPlanePumpFarSpectrum:
         for det, lo in cases:
             c = 0.0 if math.isinf(lo.waist) else 2.0 * (x_of_q / (lo.waist * p.l_coh)) ** 2
             x_lo, x_hi = (b * p.l_coh for b in det.bounds_on_axis(p))
-            res = squeezing(det, lo, p)
+            (res,) = squeezing([det], lo, p)
             for phase, got in ((math.pi / 2, res.vn_squeezed), (0.0, res.vn_antisqueezed)):
                 ref = far_vn(x_lo, x_hi, p, phase, c)
                 assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
@@ -734,7 +717,7 @@ class TestPlanePumpFarSpectrum:
         x_of_q = p.lambda_s * p.f_lens / (2 * math.pi)
         q_c = 0.8 / p.l_coh
         det = DetectorMask.pixel_pair(q_c * x_of_q, 0.002 * x_of_q / p.l_coh, "far")
-        res = squeezing(det, LocalOscillator(), p)
+        (res,) = squeezing([det], LocalOscillator(), p)
         assert res.vn_squeezed == pytest.approx(
             float(noise_density(q_c, p, math.pi / 2)), abs=1e-4
         )
@@ -752,13 +735,13 @@ class TestPlanePumpFarSpectrum:
                   ([_detector("pixel_pair", "far", x * r0, r0) for x in (1.0, 2.0, 3.0)],
                    (0, 2))]
         for dets, monotone in sweeps:
-            plane = [squeezing(det, lo, p).vn_squeezed for det in dets]
+            plane = [res.vn_squeezed for res in squeezing(dets, lo, p)]
             gaps = []  # [b][detector]
             for b in (25.0, 100.0, 900.0):
                 q = replace(p, w_p=math.sqrt(b) * p.l_coh)
                 modes = solve_io(_grid(q, "far", dets), q)
-                gaps.append([abs(squeezing(det, lo, modes).vn_squeezed - vn)
-                             for det, vn in zip(dets, plane)])
+                gaps.append([abs(res.vn_squeezed - vn)
+                             for res, vn in zip(squeezing(dets, lo, modes), plane)])
             for i, det in enumerate(dets):
                 at25, at100, at900 = (row[i] for row in gaps)
                 assert at900 < at25 and at900 <= 1.5e-2, (det, at25, at100, at900)
@@ -777,10 +760,10 @@ class TestPlanePumpFarSpectrum:
                  for lo in (LocalOscillator(), LocalOscillator(waist=30.0 * p.r0))]
         for det, _ in cases:  # t = 2 r / r0 spans more sinc zeros than one block
             assert (2.0 * det.outer / p.r0) ** 2 / (4.0 * math.pi) > homodyne._CHUNK
-        blocks = [squeezing(det, lo, p) for det, lo in cases]
+        blocks = [squeezing([det], lo, p)[0] for det, lo in cases]
         monkeypatch.setattr(homodyne, "_CHUNK", 2**20)
         for (det, lo), got in zip(cases, blocks):
-            ref = squeezing(det, lo, p)
+            (ref,) = squeezing([det], lo, p)
             assert got.route == ref.route
             assert abs(got.vn_squeezed - ref.vn_squeezed) <= 1e-14
             assert abs(got.vn_antisqueezed - ref.vn_antisqueezed) <= 1e-14
@@ -795,8 +778,7 @@ class TestPlanePumpFarSpectrum:
         assert sum(det is not None for det in dets) == 2
         tracemalloc.start()
         try:
-            for det in filter(None, dets):
-                squeezing(det, sc.lo, sc.params)
+            squeezing([det for det in dets if det is not None], sc.lo, sc.params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -841,7 +823,7 @@ class TestSweep:
         p = replace(plane_params, w_p=2.0 * plane_params.l_coh)
         unit = p.l_coh if plane == "near" else p.r0
         with pytest.raises(ConfigurationError, match="finite pump"):
-            squeezing(DetectorMask.interval(unit, plane), LocalOscillator(), p)
+            squeezing([DetectorMask.interval(unit, plane)], LocalOscillator(), p)
 
     def test_more_modes_keep_squeezing_at_large_detectors(self):
         # ordering by mode count: at a fixed large detector the wider pump
@@ -856,7 +838,7 @@ class TestSweep:
             g = Grid1D(961, 4 * radius, "near")
             modes = solve_io(g, p)
             det = DetectorMask.interval(radius, "near")
-            vns[b] = squeezing(det, LocalOscillator(), modes).vn_squeezed
+            vns[b] = squeezing([det], LocalOscillator(), modes)[0].vn_squeezed
         assert vns[25.0] <= vns[4.0]
 
     def test_gaussian_pump_pixel_sweep_returns_to_shot_noise(self):
@@ -868,7 +850,7 @@ class TestSweep:
         lo = LocalOscillator()
         dets = [_detector("pixel_pair", "near", v, p0.l_coh) for v in values]
         modes = solve_io(_grid(p, "near", dets), p)
-        pts = [squeezing(det, lo, modes) for det in dets]
+        pts = squeezing(dets, lo, modes)
         assert pts[0].vn_squeezed < 0.9  # squeezing survives at contact
         assert pts[1].vn_squeezed > 0.95  # far pixels are uncorrelated vacuum
 
@@ -879,7 +861,7 @@ class TestSweep:
                     detuning=0.3, omega_bar=0.5)
         det = DetectorMask.interval(2 * plane_params.l_coh, "near")
         modes = solve_io(_grid(p, "near", [det]), p)
-        pt = squeezing(det, LocalOscillator(), modes)
+        (pt,) = squeezing([det], LocalOscillator(), modes)
         assert 0.0 <= pt.vn_squeezed < 1.0
         assert np.isfinite(pt.vn_antisqueezed)
 
@@ -890,7 +872,7 @@ class TestSweep:
         reach, half = 20 * plane_params.l_coh, 16 * plane_params.l_coh
         with pytest.raises(NumericalFailure, match=f"^detector reach {reach:.3e} exceeds "
                                                    f"the grid half extent {half:.3e}$"):
-            squeezing(DetectorMask.interval(20 * plane_params.l_coh, "near"),
+            squeezing([DetectorMask.interval(20 * plane_params.l_coh, "near")],
                       LocalOscillator(), modes)
 
     @pytest.mark.parametrize("pixel_width", [None, 1e-5])
@@ -911,15 +893,15 @@ class TestSweep:
         # vn >= 0 on every route; at resonance and zero frequency the pi/2
         # quadrature never exceeds the phi = 0 one
         lo, far_lo = LocalOscillator(), LocalOscillator(waist=plane_params.r0)
-        near = [squeezing(_detector("interval", "near", x), lo, plane_params)
-                for x in np.linspace(0.1, 4.0, 9) * plane_params.l_coh]
-        far = [squeezing(_detector("radial", "far", x), far_lo, plane_params)
-               for x in np.linspace(0.1, 2.0, 5) * plane_params.r0]
+        near = squeezing([_detector("interval", "near", x)
+                          for x in np.linspace(0.1, 4.0, 9) * plane_params.l_coh], lo, plane_params)
+        far = squeezing([_detector("radial", "far", x)
+                         for x in np.linspace(0.1, 2.0, 5) * plane_params.r0], far_lo, plane_params)
         p_g = replace(plane_params, w_p=3 * plane_params.l_coh)
         dets = [_detector("interval", "near", x)
                 for x in np.linspace(0.5, 6.0, 4) * plane_params.l_coh]
         modes = solve_io(_grid(p_g, "near", dets), p_g)
-        dense = [squeezing(det, lo, modes) for det in dets]
+        dense = squeezing(dets, lo, modes)
         for pt in near + far + dense:
             assert pt.vn_squeezed >= 0.0
             assert pt.vn_squeezed <= pt.vn_antisqueezed + 1e-12
@@ -932,10 +914,72 @@ class TestSweep:
         u_c = correlation_first_zero(plane_params.A_p)
         half_widths = np.linspace(0.0, u_c / 2.0, 20)
         # the zero-size detector at d = 0 detects nothing: shot noise
-        dets = [_detector("interval", "near", x) for x in half_widths * plane_params.l_coh]
-        vns = [1.0 if det is None else squeezing(det, LocalOscillator(), plane_params).vn_squeezed
-               for det in dets]
+        dets = [_detector("interval", "near", x) for x in half_widths[1:] * plane_params.l_coh]
+        vns = [1.0] + [res.vn_squeezed for res in squeezing(dets, LocalOscillator(), plane_params)]
         assert not rises(half_widths, vns)
+
+
+def _curve_case(plane_params, route):
+    """(19 detectors, LO, cavity) of a curve on ``route``: two full solves of
+    8 windows and one filled with copies of its last window on the dense
+    routes, several shared panel levels on the plane-pump near route."""
+    p, l_coh, r0 = plane_params, plane_params.l_coh, plane_params.r0
+    if route == "planepump-near":
+        sizes = np.linspace(0.2, 240.0, 19) * l_coh
+        return [DetectorMask.interval(x, "near") for x in sizes], LocalOscillator(), p
+    if route == "planepump-far":
+        sizes = np.linspace(0.1, 3.0, 19) * r0
+        return ([DetectorMask.pixel_pair(x, 0.5 * r0, "far") for x in sizes],
+                LocalOscillator(waist=r0), p)
+    if route == "dense-near":  # b = 25, at resonance: real factors
+        q = replace(p, w_p=5.0 * l_coh)
+        dets = [DetectorMask.interval(x, "near") for x in np.linspace(0.3, 12.0, 19) * l_coh]
+        lo = LocalOscillator()
+    else:  # b = 4, detuned at omega_bar = 0.5: complex factors
+        q = replace(p, w_p=2.0 * l_coh, detuning=0.3, omega_bar=0.5)
+        sizes = np.linspace(0.1, 3.0, 19) * r0
+        dets = [DetectorMask.pixel_pair(x, 0.5 * r0, "far") for x in sizes]
+        lo = LocalOscillator(waist=r0)
+    return dets, lo, solve_io(_grid(q, dets[0].plane, dets), q)
+
+
+class TestCurveCall:
+    @pytest.mark.parametrize("route", ["dense-near", "dense-far-detuned", "planepump-near",
+                                       "planepump-far"])
+    def test_curve_is_its_points(self, plane_params, route):
+        # one call for a curve returns, bit for bit, what one call per
+        # detector returns: a detector's result does not depend on the other
+        # detectors of its call, or on its place in a solve of 8 windows
+        dets, lo, cavity = _curve_case(plane_params, route)
+        curve = squeezing(dets, lo, cavity)
+        assert len(curve) == 19 and curve[0] != curve[1]
+        assert curve == [squeezing([det], lo, cavity)[0] for det in dets]
+
+    @pytest.mark.parametrize("route", ["dense-near", "planepump-near"])
+    def test_empty_curve(self, plane_params, route):
+        _, lo, cavity = _curve_case(plane_params, route)
+        assert squeezing([], lo, cavity) == []
+
+
+class TestDenseMemory:
+    def test_sweep_memory_does_not_grow_with_its_length(self, plane_params):
+        # the windows go through solves of 8 columns, so a 200-detector
+        # sweep at n = 2,001 (m = 1,001) peaks within 1.5x an 8-detector
+        # one and below one m x m float array, whatever its length
+        p = replace(plane_params, w_p=5.0 * plane_params.l_coh)
+        modes = solve_io(Grid1D(2001, 20.0 * p.l_coh, "near"), p)
+        sizes = np.linspace(0.5, 15.0, 200) * p.l_coh
+        peaks = []
+        for count in (8, 200):
+            dets = [DetectorMask.interval(x, "near") for x in sizes[:count]]
+            tracemalloc.start()
+            try:
+                squeezing(dets, LocalOscillator(), modes)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        short, long = peaks
+        assert long <= 1.5 * short and long < 8 * modes.grid.n_even**2
 
 
 class TestOnePath:
@@ -975,8 +1019,8 @@ class TestOnePath:
         route = ("dense" if modes is not None else "planepump_near" if plane == "near"
                  else "planepump_disk" if shape == "radial" else "planepump_far")
         assert len(rows) == len(values)
-        for row, value, det in zip(rows, values, dets):
-            res = squeezing(det, lo, p if modes is None else modes)
+        results = squeezing(dets, lo, p if modes is None else modes)
+        for row, value, res in zip(rows, values, results):
             assert row == [_fmt(x) for x in (value / _unit(p, plane), res.vn_squeezed, res.vn_antisqueezed,
                                               res.shot)]
             assert res.route == route
@@ -1011,7 +1055,7 @@ class TestOnePath:
         monkeypatch.setattr(homodyne, "_mode_noise", counted_noise)
         lo = LocalOscillator(waist=plane_params.r0)
         det = _detector(shape, "far", 1.3 * plane_params.r0)
-        squeezing(det, lo, plane_params)
+        squeezing([det], lo, plane_params)
         assert len(passes) == 1 and len(chunks) >= 1
         assert gains == [t.shape for t, _ in chunks]
         assert noises == [t.shape for t, _ in chunks]
@@ -1026,16 +1070,16 @@ class TestOnePath:
         for cavity in (plane_params, solve_io(_grid(p, "far", [det]), p)):
             with pytest.raises(ConfigurationError,
                                match=r"^no LO light reaches the pixel_pair band \["):
-                squeezing(det, lo, cavity)
+                squeezing([det], lo, cavity)
 
     def test_route_errors(self, plane_params):
         det = DetectorMask.interval(plane_params.l_coh, "near")
         gaussian_lo = LocalOscillator(waist=plane_params.l_coh)
         with pytest.raises(ConfigurationError, match="plane LO"):
-            squeezing(det, gaussian_lo, plane_params)
+            squeezing([det], gaussian_lo, plane_params)
         p = replace(plane_params, w_p=3.0 * plane_params.l_coh)
         with pytest.raises(ConfigurationError, match="modes"):
-            squeezing(det, LocalOscillator(), p)
+            squeezing([det], LocalOscillator(), p)
 
     @pytest.mark.parametrize("cavity, name", [(None, "NoneType"), ("x", "str")])
     def test_cavity_of_another_type_is_refused(self, cavity, name):
@@ -1043,4 +1087,4 @@ class TestOnePath:
         det = DetectorMask.interval(1e-4, "near")
         with pytest.raises(ConfigurationError, match=f"^cavity must be CavityModes or "
                                                      f"OpoParams, got {name}$"):
-            squeezing(det, LocalOscillator(), cavity)
+            squeezing([det], LocalOscillator(), cavity)

@@ -191,13 +191,13 @@ class TestDenseSolve:
             det = _detector("interval", plane, 3.0 * cli_unit(p, plane))
             modes = solve_io(_grid(p, plane, [det]), p)
             assert len(modes.inverses) >= 2
-            squeezing(det, LocalOscillator(), modes)
+            squeezing([det], LocalOscillator(), modes)
             for eps, block, shift in ((1e-9, -1, 0), (1e-6, -1, 1), (1e-3, -2, 1)):
                 inverses = modes.inverses.copy()
                 inverses[block, shift] *= 1.0 + eps
                 with pytest.raises(NumericalFailure, match=r"^shifted solve backward error \S+ "
                                                            r"exceeds 1e-12; the factorization"):
-                    squeezing(det, LocalOscillator(), replace(modes, inverses=inverses))
+                    squeezing([det], LocalOscillator(), replace(modes, inverses=inverses))
 
     def test_eigensolver_matches_divide_and_conquer(self):
         # Lanczos's max|lambda| against LAPACK's divide-and-conquer spectrum
@@ -217,15 +217,16 @@ class TestDenseSolve:
     ], ids=["near", "far-wide"])
     def test_shifted_solves_match_dense_lu(self, setup):
         # the shifted solves of a detuned run at nonzero frequency (complex
-        # shift) match a dense LU of s I -/+ K: on the near grid's narrow
-        # blocks, and on two 241-row complex blocks of an explicit far grid
+        # shift) match a dense LU of s I -/+ K, column by column: on the near
+        # grid's narrow blocks, and on two 241-row complex blocks of an
+        # explicit far grid
         p, g = gauss_setup(**setup)
         modes = solve_io(g, p)
         block = kernel_block(g, p)
-        x = np.random.default_rng(3).standard_normal(g.n_even)
+        x = np.random.default_rng(3).standard_normal((g.n_even, 3))
         for y, sign in zip(modes.solve(x), (1.0, -1.0)):
             ref = np.linalg.solve(modes.shift * np.eye(g.n_even) - sign * block, x)
-            assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.all(np.abs(y - ref).max(0) <= 1e-12 * np.abs(ref).max(0))
 
     def test_matches_lu_oracle(self):
         # the eigenbasis oracle rebuilds the LU solution of the cavity
@@ -241,8 +242,9 @@ class TestDenseSolve:
     def test_contraction_identity(self, detuning, omega_bar):
         # ||g_z(K) x||^2 - ||x||^2 from two shifted solves equals
         # sum_k c_k^2 (R_phi(lambda_k) - 1) over an eigenbasis of K, on a
-        # random banded K of 3 blocks of 8 with 3 padded rows, within 1e-13;
-        # the solve's margin is 1 - max|lambda| of the same spectrum
+        # random banded K of 3 blocks of 8 with 3 padded rows, within 1e-13,
+        # for each column of x; the solve's margin is 1 - max|lambda| of the
+        # same spectrum
         rng = np.random.default_rng(11)
         nb, s, m = 3, 8, 21
         blocks = rng.standard_normal((nb, 2, s, s))
@@ -255,13 +257,13 @@ class TestDenseSolve:
                       detuning=detuning, omega_bar=omega_bar)
         with patch.object(iosolver, "build_kernel_matrix", lambda grid, p: blocks):
             modes = solve_io(Grid1D(2 * m - 1, 1.0, "far"), p)
-        x = rng.standard_normal(m)
+        x = rng.standard_normal((m, 3))
         lam, q = np.linalg.eigh(unpack(blocks, m))
         assert abs(modes.margin - (1.0 - np.abs(lam).max())) <= 1e-13
-        weights = (q.T @ x) ** 2
+        weights = ((q.T @ x) ** 2).T
         for got, noise in zip(_window_noise(modes, x), _mode_noise(lam, detuning, omega_bar)):
-            want = float(weights @ noise)
-            assert abs(got - want) <= 1e-13 * max(1.0, float(weights @ np.abs(noise)))
+            want = weights @ noise
+            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, weights @ np.abs(noise)))
 
     def test_two_solves_write_identical_bytes(self, tmp_path):
         # a detuned run at nonzero frequency (complex factors), twice

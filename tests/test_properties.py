@@ -58,7 +58,7 @@ def test_plane_pump_closed_forms_obey_the_uncertainty_bound(case):
     inner = max(0.0, value - pixel / 2) if pixel else 0.0
     assume(math.exp(-2.0 * (inner / lo.waist) ** 2) > 1e-200)
     det = _detector(shape, plane, value, pixel)
-    pt = squeezing(det, lo, p)
+    (pt,) = squeezing([det], lo, p)
     assert pt.shot > 0
     assert pt.vn_squeezed > 0 and pt.vn_antisqueezed > 0
     assert pt.vn_squeezed * pt.vn_antisqueezed >= PRODUCT_FLOOR
@@ -94,7 +94,7 @@ def dense_detectors(draw):
 def test_dense_route_obeys_the_uncertainty_bound(case):
     p, det, lo = case
     assume(math.exp(-2.0 * (det.inner / lo.waist) ** 2) > 1e-200)
-    res = squeezing(det, lo, solve_io(_grid(p, det.plane, [det]), p))
+    (res,) = squeezing([det], lo, solve_io(_grid(p, det.plane, [det]), p))
     assert res.vn_squeezed > 0 and res.vn_antisqueezed > 0
     assert res.vn_squeezed * res.vn_antisqueezed >= PRODUCT_FLOOR
 
@@ -175,8 +175,8 @@ def test_routes_are_invariant_under_length_scales(case):
             n, extent = grid
             modes = solve_io(Grid1D(n, extent * (p.l_coh if plane == "near"
                                                          else 1.0 / p.w_p), plane), p)
-        results.append(squeezing(det, LocalOscillator(waist=waist * unit),
-                                 p if modes is None else modes))
+        results.append(squeezing([det], LocalOscillator(waist=waist * unit),
+                                 p if modes is None else modes)[0])
     first, second = results
     assert first.route == second.route == route
     for vn, vn_scaled in ((first.vn_squeezed, second.vn_squeezed),
