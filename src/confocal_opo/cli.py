@@ -24,7 +24,7 @@ from . import __version__
 from .errors import ConfigurationError, NumericalFailure
 from .homodyne import DetectorMask, LocalOscillator, SqueezingResult, _mode_noise, squeezing
 from .iosolver import solve_io
-from .kernels import MAX_GRID_N, Grid1D, auto_grid, delta_2d, phase_match_sinc
+from .kernels import MAX_GRID_N, auto_grid, delta_2d, phase_match_sinc
 from .params import OpoParams
 
 # Parameter values every preset shares.  These are artifact defaults chosen
@@ -264,19 +264,12 @@ def _detector(shape: str, plane: str, value: float,
         return None
     return getattr(DetectorMask, shape)(value, plane)
 
-def _grid(p: OpoParams, plane: str, dets, n: int | None = None,
-          half: float | None = None) -> Grid1D:
-    """The grid a run solves on ``plane``: the one place a run sizes a grid.
-    An ``n`` or ``half`` (half extent) left out comes from the sizing rule:
-    the half extent from the pump and the outer reach of the detectors
-    ``dets`` (None skipped), n from the step rule on ``half``."""
-    if n is None or half is None:
-        if half is not None:
-            auto = auto_grid(p, plane, (), (half,))
-        else:
-            auto = auto_grid(p, plane, [det.bounds_on_axis(p)[1] for det in dets if det is not None])
-        n, half = n or auto.n, half or auto.half_extent
-    return Grid1D(n, half, plane)
+def _grid(p: OpoParams, plane: str, dets, n: int | None = None, half: float | None = None):
+    """The grid a run solves on ``plane``, its one ``auto_grid`` call: a given
+    ``n`` or ``half`` (half extent) as it is, the rest from the sizing rule
+    on the outer reach of the detectors ``dets`` (None skipped)."""
+    reaches = [det.bounds_on_axis(p)[1] for det in dets if det is not None]
+    return auto_grid(p, plane, reaches, n, half)
 
 def write_summary(outdir: Path, runs) -> Path:
     """Derived scales and threshold margin of every (scenario, margin) run."""

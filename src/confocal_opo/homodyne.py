@@ -266,26 +266,30 @@ def _noise_terms(modes: CavityModes, dets, lo: LocalOscillator) -> list:
     on its cells, carried from a near grid to the far grid by
     ``_conjugate_image``, is folded and contracted, ``_SOLVE_WIDTH`` windows
     per solve; copies of the last window fill the last solve, so no
-    detector's bits depend on the others in the call."""
+    detector's bits depend on the others in the call.  Before the first
+    solve, every detector's cells and light are checked in order, then the
+    LO waist, so a sweep's refusal does not depend on which solve holds it."""
     grid, p = modes.grid, modes.p
     w, magnitude = grid.step, lo.magnitude(grid, p)
     # sampled at the grid points, a waist of 2, 1.5 and 1 steps is off by 5e-9, 3e-5, 1.4e-2
     x_step = w * (p.lambda_s * p.f_lens / (2.0 * math.pi) if grid.domain == "far" else 1.0)
+    shots = []
+    for det in dets:  # a window at a time: a solve's windows are made again below
+        lvec = magnitude * det.indicator(grid, p)
+        shots.append(w * float(lvec @ lvec))
+        _check_lit(shots[-1], det)
+    if dets and lo.waist < 2.0 * x_step:
+        raise NumericalFailure(f"Gaussian LO waist spans {lo.waist / x_step:.3g} grid steps, "
+                               "under the 2 that resolve it: set a larger grid_n")
     results = []
     for first in range(0, len(dets), _SOLVE_WIDTH):
-        lvecs, shots = [], []
-        for det in dets[first : first + _SOLVE_WIDTH]:
-            lvecs.append(magnitude * det.indicator(grid, p))
-            shots.append(w * float(lvecs[-1] @ lvecs[-1]))
-            _check_lit(shots[-1], det)
-        if lo.waist < 2.0 * x_step:
-            raise NumericalFailure(f"Gaussian LO waist spans {lo.waist / x_step:.3g} grid steps, "
-                                   "under the 2 that resolve it: set a larger grid_n")
+        chunk = dets[first : first + _SOLVE_WIDTH]
+        lvecs = [magnitude * det.indicator(grid, p) for det in chunk]
         lvec = np.stack(lvecs + lvecs[-1:] * (_SOLVE_WIDTH - len(lvecs)), 1)
         x = grid.fold(lvec if grid.domain == "far" else _conjugate_image(grid, lvec))
         noise = _window_noise(modes, x).T
         results += [_result(det, lo, "dense", n_shot, [1.0 + (w / n_shot) * float(f) for f in fs])
-                    for det, n_shot, fs in zip(dets[first:], shots, noise)]
+                    for det, n_shot, fs in zip(chunk, shots[first : first + _SOLVE_WIDTH], noise)]
     return results
 
 
@@ -425,12 +429,14 @@ def _planepump_window(det: DetectorMask, lo: LocalOscillator, p: OpoParams):
 def _vn_planepump(dets, lo: LocalOscillator, p: OpoParams) -> list:
     """The ``_result`` of each detector at a plane pump, summed on
     ``_panel_noise`` chunks by its ``_planepump_window``: detectors with equal
-    spans read one stream of chunks, in the order the spans first appear."""
+    spans, grouped in one pass, read one stream of chunks, in first-seen order."""
     windows = [_planepump_window(det, lo, p) for det in dets]
     sums, totals = np.zeros((len(dets), len(_PHASES))), [0.0] * len(dets)
     results = [None] * len(dets)
-    for spans in dict.fromkeys(spans for spans, _, _ in windows):
-        group = [i for i, window in enumerate(windows) if window[0] == spans]
+    groups = {}
+    for i, window in enumerate(windows):
+        groups.setdefault(window[0], []).append(i)
+    for spans, group in groups.items():
         for t, w, noise in _panel_noise(p, spans):
             for i in group:
                 g = windows[i][1](t) * w

@@ -115,7 +115,7 @@ def _largest_gain(blocks: np.ndarray, m: int) -> float:
         w = _kernel_product(blocks, v.reshape(nb, 1, s, 1)).reshape(-1)
         alpha.append(float(v @ w))
         for _ in range(2):  # classical Gram-Schmidt twice
-            w -= np.einsum("ij,i->j", basis[: k + 1], np.einsum("ij,j->i", basis[: k + 1], w))
+            w -= (basis[: k + 1] @ w) @ basis[: k + 1]
         beta.append(math.sqrt(w @ w))
         if k % _RITZ_EVERY == _RITZ_EVERY - 1 or k == m - 1 or beta[k] <= _RITZ_TOLERANCE:
             thetas = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta[:-1], 1), "U")

@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 # Grid sizing rule constants.  Steps must resolve the finest kernel scale by
-# this factor; extents must cover the pump envelope by this factor.
+# this factor; a half extent must cover the pump envelope by this factor.
 _STEP_DIVISOR = 8.0
 _EXTENT_FACTOR = 4.0
 # Automatic far extent of a finite pump, in 1/l_coh: the phase-matching band
@@ -332,40 +332,40 @@ def _check_sizing(g: Grid1D, p: OpoParams) -> None:
             f"{_EXTENT_FACTOR:g} x the pump envelope scale {extent_min / _EXTENT_FACTOR:.3e}"
         )
 
-def auto_grid(
-    p: OpoParams,
-    domain: str,
-    reaches: tuple[float, ...] = (),
-    extents: tuple[float, ...] = (),
-) -> Grid1D:
-    """Smallest odd-n grid (0 on the grid) that holds the modes and detectors.
+def auto_grid(p: OpoParams, domain: str, reaches: tuple[float, ...] = (),
+              n: int | None = None, half: float | None = None) -> Grid1D:
+    """The grid of ``n`` points and half extent ``half`` (m near, 1/m far);
+    either left out comes from the rule, and with both given none runs.
 
-    The step is the largest ``_structure_scales`` allows; the half extent the
-    largest of its pump envelopes (4 w_p near, 8 / w_p far), the band
-    ``_PHASE_MATCH_BAND`` / l_coh on a far grid of a finite pump (no mode
-    has gain outside it), each detector reach in ``reaches`` plus one step
-    (beyond the pump or band a detector sees vacuum, so the step only keeps
-    its band inside the grid), and each half extent in ``extents`` as given
-    (an explicit extent).  m near, 1/m far.
+    The rule's grid is the smallest odd n (0 on the grid) that holds the
+    modes and detectors.  The step is the largest ``_structure_scales``
+    allows; the half extent the largest of its pump envelopes (4 w_p near,
+    8 / w_p far), the band ``_PHASE_MATCH_BAND`` / l_coh on a far grid of a
+    finite pump (no mode has gain outside it), and each detector reach in
+    ``reaches`` plus one step (beyond the pump or band a detector sees
+    vacuum, so the step only keeps its band inside the grid), or a given
+    ``half`` in place of the reaches.  A given ``n`` is still refused when
+    the rule's tops ``MAX_GRID_N``.
     """
+    if n is not None and half is not None:
+        return Grid1D(n, half, domain)
     step_max, extent_min = _structure_scales(p, domain)
     if domain == "far" and not p.plane_pump:
         extent_min = max(extent_min, _PHASE_MATCH_BAND / p.l_coh)
-    extent = max([extent_min, *extents] + [r + step_max for r in reaches])
+    extent = max([extent_min] + ([r + step_max for r in reaches] if half is None else [half]))
     if extent <= 0:
         raise NumericalFailure("no finite extent available to size the grid")
-    # n stays a float until it fits: an extent near the float range has no int n
+    # the rule's n stays a float until it fits: an extent near the float range has no int n
     cells = 2.0 * extent / step_max
-    n = math.ceil(cells) if cells <= MAX_GRID_N else cells
-    if n % 2 == 0:
-        n += 1
-    if not n <= MAX_GRID_N:
+    rule_n = math.ceil(cells) if cells <= MAX_GRID_N else cells
+    if rule_n % 2 == 0:
+        rule_n += 1
+    if not rule_n <= MAX_GRID_N:
         raise NumericalFailure(
-            f"sizing rule demands n = {n:.3e} > {MAX_GRID_N} points "
+            f"sizing rule demands n = {rule_n:.3e} > {MAX_GRID_N} points "
             f"(extent {extent:.3e}, step {step_max:.3e})"
         )
-    n = max(n, 33)
-    return Grid1D(n, extent, domain)
+    return Grid1D(max(rule_n, 33) if n is None else n, extent if half is None else half, domain)
 
 
 def build_kernel_matrix(g: Grid1D, p: OpoParams) -> np.ndarray:

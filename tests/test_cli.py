@@ -701,3 +701,25 @@ def test_lo_narrower_than_two_grid_steps_exits_with_one_line(tmp_path):
            "resolve it: set a larger grid_n")
     cfg = write_config(tmp_path, text + "grid_n = 1201\n")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "fine")]) == 0
+
+
+ORDER_CONFIG = MISS_CONFIG + "plane = near\ndetector = pixel_pair\npixel_width = 2e-5\nlo = gaussian\n"
+
+
+@pytest.mark.parametrize("points,text,band", [
+    (9, "lo_waist = 3e-6\nsweep_min = 0\nsweep_max = 0.8e-4\n", "[6e-05, 8e-05]"),
+    (17, "lo_waist = 3e-6\nsweep_min = 0\nsweep_max = 0.8e-4\n", "[5.5e-05, 7.5e-05]"),
+    (17, "lo_waist = 1.5e-5\nlo_amplitude = 1e300\nsweep_min = 0\nsweep_max = 4e-4\n",
+     "[0.00029, 0.00031]"),
+], ids=["first-solve", "second-solve", "after-non-finite"])
+def test_dense_sweep_refuses_in_sweep_order(tmp_path, points, text, band):
+    # every detector's cells and light are checked in sweep order before the
+    # LO waist and the first solve of 8 windows, so the first unlit pixel
+    # pair ends the run with exit 2 whichever solve holds it: ahead of a
+    # waist of 0.602 grid steps (9 points: the first solve; 17: the second),
+    # and ahead of the first solve's results, whose N overflows at an LO
+    # amplitude of 1e300
+    cfg = write_config(tmp_path, ORDER_CONFIG.replace("sweep_points = 3", f"sweep_points = {points}")
+                       + text)
+    assert _one_line_exit(tmp_path, ["run", "--config", str(cfg)]) == (
+        2, f"configuration error: no LO light reaches the pixel_pair band {band}")

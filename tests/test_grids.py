@@ -21,10 +21,14 @@ from confocal_opo import (
     CavityModes,
     Grid1D,
     LocalOscillator,
+    NumericalFailure,
+    auto_grid,
     solve_io,
     squeezing,
 )
-from confocal_opo.cli import Scenario, _detector, _grid, _unit, fig_scenarios, main
+from confocal_opo.cli import (Scenario, _detector, _grid, _unit, fig_scenarios, main, parse_config,
+                              scenario_from_config)
+from helpers import GOLDEN
 
 B_VALUES = (4.0, 25.0, 100.0)
 FIG_OF_PLANE = {"near": 6, "far": 9}
@@ -88,6 +92,32 @@ def test_fig6_grid_sizes():
     assert [sizes[6, b] for b in (4, 25, 100)] == [129, 321, 641]
     assert sizes[6, 900] <= 2000
     assert [sizes[9, b] for b in (4, 25, 100, 900)] == [193, 481, 961, 2881]
+
+
+@pytest.mark.parametrize("name,n,half", [
+    ("grid_n", 401, 8e-4), ("grid_L", 401, 1e-3), ("grid_n+grid_L", 521, 1.6e5),
+])
+def test_explicit_grid_keys_size_as_given(name, n, half):
+    # grid_n alone keeps the rule's half extent (4 w_p), grid_L alone takes
+    # n from the step rule on it (l_coh / 8), and both are taken as they
+    # are: one auto_grid call with the detectors' reaches
+    sc = scenario_from_config(parse_config(GOLDEN / f"{name}.cfg"))
+    dets = _dets(sc, sc.detector, sc.values, sc.pixel_width)
+    reaches = [det.bounds_on_axis(sc.params)[1] for det in dets if det is not None]
+    grid = auto_grid(sc.params, sc.plane, reaches, sc.grid_n, sc.grid_L)
+    assert (grid.n, grid.half_extent, grid.domain) == (n, half, sc.plane)
+
+
+def test_given_n_keeps_the_rule_cap():
+    # a given n still runs the rule, whose n past MAX_GRID_N is refused as
+    # when no n is given: fig 9 at b = 1e4 needs 9,600 points
+    (sc,) = fig_scenarios(9, {"b": (1e4,)})
+    reaches = [det.bounds_on_axis(sc.params)[1] for det in _dets(sc, sc.detector, sc.values)]
+    message = (r"^sizing rule demands n = 9\.600e\+03 > 6000 points "
+               r"\(extent 1\.501e\+05, step 3\.127e\+01\)$")
+    for n in (None, 401):
+        with pytest.raises(NumericalFailure, match=message):
+            auto_grid(sc.params, sc.plane, reaches, n)
 
 
 @pytest.mark.parametrize("plane", ["near", "far"])

@@ -1025,6 +1025,32 @@ class TestOnePath:
                                               res.shot)]
             assert res.route == route
 
+    def test_plane_pump_sweep_groups_its_spans_in_one_pass(self, monkeypatch, plane_params):
+        # 500 far intervals, each on its own spans, are grouped in one pass:
+        # at most one spans comparison per detector, where a scan of every
+        # window per group makes 500^2
+        import confocal_opo.homodyne as homodyne
+
+        compared, window = [], homodyne._planepump_window
+
+        class Spans(tuple):
+            __hash__ = tuple.__hash__
+
+            def __eq__(self, other):
+                compared.append(other)
+                return tuple.__eq__(self, other)
+
+        def counted_window(*args):
+            spans, weight, norm = window(*args)
+            return Spans(spans), weight, norm
+
+        monkeypatch.setattr(homodyne, "_planepump_window", counted_window)
+        sizes = np.linspace(0.1, 3.0, 500) * plane_params.r0
+        dets = [DetectorMask.interval(x, "far") for x in sizes]
+        results = squeezing(dets, LocalOscillator(), plane_params)
+        assert len({res.vn_squeezed for res in results}) == 500
+        assert len(compared) <= 500
+
     @pytest.mark.parametrize("shape", ["radial", "interval"])
     def test_far_routes_evaluate_gain_once_per_chunk(self, monkeypatch, plane_params,
                                                      shape):

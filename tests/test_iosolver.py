@@ -204,7 +204,7 @@ class TestDenseSolve:
         # of the dense far block of fig 6 at b = 100 on a grid three times
         # as wide as its own (n = 1921, m = 961), within 1e-13
         (sc,) = fig_scenarios(6, {"b": [100.0]})
-        g = auto_grid(sc.params, sc.plane, extents=(12.0 * sc.params.w_p,))
+        g = auto_grid(sc.params, sc.plane, half=12.0 * sc.params.w_p)
         block = kernel_block(g, sc.params)
         assert block.shape == (961, 961)
         lam_evd = scipy.linalg.eigh(block, driver="evd", eigvals_only=True)

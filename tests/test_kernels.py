@@ -503,6 +503,12 @@ class TestKernelMatrix:
                            match=r"^far grid half extent \S+ is below 4 x the pump envelope "):
             build_kernel_matrix(g2, p)
 
+    def test_auto_grid_needs_an_extent(self, plane_params):
+        # a plane pump has no envelope, so a near grid with no reach and no
+        # half extent has nothing to size
+        with pytest.raises(NumericalFailure, match="^no finite extent available to size the grid$"):
+            auto_grid(plane_params, "near")
+
     def test_auto_grid_satisfies_rule(self):
         p, _ = _gauss_setup(b=25.0)
         for domain in ("near", "far"):

@@ -79,6 +79,14 @@ class TestValidate:
         with pytest.raises(ConfigurationError, match=f"^{name} must be a real number, got "):
             make(**{name: value})
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["detuning", "omega_bar"])
+    def test_non_finite_detuning_rejected(self, name, value):
+        # the CLI refuses a non-finite number as it reads it, so only a
+        # library caller reaches this check
+        with pytest.raises(ConfigurationError, match="^detuning and omega_bar must be finite$"):
+            make(**{name: value})
+
     def test_lcoh_past_the_float_range_rejected(self):
         # l_coh underflows to 0 here; it is refused before r0 divides by it
         with pytest.raises(ConfigurationError,
