@@ -82,24 +82,32 @@ class Scenario:
 
 
 def parse_config(path) -> dict:
-    """Read a flat key=value file; unknown keys are a hard error."""
-    cfg = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigurationError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _ALL_KEYS:
-            raise ConfigurationError(f"{path}:{lineno}: unknown configuration key: {key!r}")
-        if key in cfg:
-            raise ConfigurationError(f"{path}:{lineno}: duplicate key: {key!r}")
-        cfg[key] = _convert(key, value)
-    return cfg
+    """Read a flat key=value file (UTF-8, a byte-order mark allowed); unknown
+    keys are a hard error."""
+    text = Path(path).read_text(encoding="utf-8-sig")
+    lines = [(f"{path}:{lineno}: ", raw.split("#", 1)[0].strip())
+             for lineno, raw in enumerate(text.splitlines(), 1)]
+    return _read_pairs([(where, line) for where, line in lines if line], _ALL_KEYS,
+                       "not a configuration key")
+
+def _read_pairs(pairs, keys, unaccepted: str) -> dict:
+    """Converted values of ``(where, "key = value")`` pairs.  A missing "=",
+    a key outside ``keys`` (refused as ``unaccepted``) or a key given twice
+    is refused with ``where`` ahead of the message."""
+    out = {}
+    for where, text in pairs:
+        key, eq, value = (part.strip() for part in text.partition("="))
+        fault = (f"expected 'key = value', got {text!r}" if not eq
+                 else f"key {key!r}: {unaccepted}" if key not in keys
+                 else f"key {key!r}: given twice" if key in out else None)
+        if fault:
+            raise ConfigurationError(where + fault)
+        out[key] = _convert(key, value)
+    return out
 
 def _convert(key: str, value: str):
+    if key == "b":
+        return _parse_b(value)
     if key in _AUTO_KEYS and value == "auto":
         return None
     if key in _FLOAT_KEYS:
@@ -347,16 +355,6 @@ def fig_scenarios(fig_id: int, overrides: dict) -> list[Scenario]:
     return out
 
 def run_fig(fig_id: int, overrides: dict, outdir: Path) -> None:
-    families = [i for i, row in _PRESETS.items() if row[0] == "gaussian"]
-    if "b" in overrides and fig_id not in families:
-        raise ConfigurationError(
-            f"key 'b': fig {fig_id} has no b family; b applies to figs "
-            f"{', '.join(map(str, families))}"
-        )
-    unread = [key for key in overrides if fig_id == 2 and key not in _FIG2_KEYS]
-    if unread:
-        raise ConfigurationError(f"key {unread[0]!r}: fig 2 draws the kernel profile, "
-                                 "which reads only lambda_s, n_s and l_c")
     outdir.mkdir(parents=True, exist_ok=True)
     if fig_id == 2:
         _run_fig2(overrides, outdir)
@@ -407,26 +405,6 @@ def _parse_b(value: str) -> tuple[float, ...]:
         )
     return values
 
-def _parse_overrides(items) -> dict:
-    out = {}
-    for item in items or ():
-        if "=" not in item:
-            raise ConfigurationError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        key = key.strip()
-        if key in out:
-            raise ConfigurationError(f"--set: duplicate key: {key!r}")
-        if key == "b":
-            out[key] = _parse_b(value)
-        elif key in ARTIFACT_DEFAULTS:
-            out[key] = _convert(key, value.strip())
-        else:
-            raise ConfigurationError(
-                f"--set: key {key!r} is not a preset parameter; use b or one of "
-                f"{', '.join(ARTIFACT_DEFAULTS)}"
-            )
-    return out
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="confocal-opo",
@@ -453,7 +431,10 @@ def main(argv=None) -> int:
             outdir.mkdir(parents=True, exist_ok=True)
             write_summary(outdir, [(sc, run_scenario(sc, outdir))])
         else:
-            overrides = _parse_overrides(args.set)
+            keys = (_FIG2_KEYS if args.id == 2 else (*ARTIFACT_DEFAULTS, "b")
+                    if _PRESETS[args.id][0] == "gaussian" else ARTIFACT_DEFAULTS)
+            overrides = _read_pairs([("", item) for item in args.set], keys,
+                                    f"fig {args.id} takes only {', '.join(keys)}")
             outdir = Path(args.out or f"out_fig{args.id}")
             run_fig(args.id, overrides, outdir)
     except ConfigurationError as exc:

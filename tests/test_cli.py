@@ -592,6 +592,36 @@ def test_repeated_fig_set_exits_2(tmp_path, sets):
     assert not list(tmp_path.rglob("*.csv")) and not list(tmp_path.rglob("summary.txt"))
 
 
+@pytest.mark.parametrize("line,sets,head", [
+    ("A_p", ["A_p"], "expected 'key = value', got 'A_p'"),
+    ("A_p = 0.2", ["A_p=0.9", "A_p=0.2"], "key 'A_p': given twice"),
+    ("wavelength = 1", ["wavelength=1"], "key 'wavelength': "),
+], ids=["missing-equals", "repeated-key", "unread-key"])
+def test_config_line_and_set_item_refuse_alike(tmp_path, line, sets, head):
+    # a config file and fig --set are read by one reader: the same fault ends
+    # in exit 2 and one line that, after the config's path:line: prefix,
+    # starts the same way for both inputs
+    cfg = write_config(tmp_path, GOOD_CONFIG + line + "\n")
+    code, run_line = _one_line_exit(tmp_path, ["run", "--config", str(cfg)])
+    where = f"configuration error: {cfg}:{len(GOOD_CONFIG.splitlines()) + 1}: "
+    assert code == 2 and run_line.startswith(where + head), run_line
+    code, fig_line = _one_line_exit(tmp_path, ["fig", "--id", "6"]
+                                    + [arg for item in sets for arg in ("--set", item)])
+    assert code == 2 and fig_line.startswith("configuration error: " + head), fig_line
+
+
+def test_config_with_byte_order_mark_runs(tmp_path):
+    # a UTF-8 file saved with a byte-order mark, as some editors save it,
+    # reads as the same configuration and writes the same curve
+    plain = Path(__file__).parent / "golden" / "planepump_near.cfg"
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for cfg, out in ((plain, tmp_path / "plain"), (bom, tmp_path / "bom")):
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (tmp_path / "bom" / "curve.csv").read_bytes() == \
+        (tmp_path / "plain" / "curve.csv").read_bytes()
+
+
 @pytest.mark.parametrize("text,key", [
     (PLANE_NEAR_CONFIG + "pixel_width = 4e-5\n", "pixel_width"),
     (PLANE_FAR_RADIAL_CONFIG + "pixel_width = 4e-5\n", "pixel_width"),
