@@ -123,6 +123,8 @@ def _convert(key: str, value: str):
             return int(value)
         except ValueError as exc:
             raise ConfigurationError(f"key {key!r}: not an integer: {value!r}") from exc
+    if key == "output" and not value:  # Path("") would write into the working directory
+        raise ConfigurationError("key 'output': needs a directory, got ''")
     if key in _CHOICE_KEYS:
         if value not in _CHOICE_KEYS[key]:
             raise ConfigurationError(

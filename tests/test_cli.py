@@ -622,6 +622,19 @@ def test_config_with_byte_order_mark_runs(tmp_path):
         (tmp_path / "plain" / "curve.csv").read_bytes()
 
 
+def test_empty_output_exits_2(tmp_path):
+    # an empty output directory would put curve.csv and summary.txt into the
+    # working directory; like every other key's empty value, it is refused
+    cfg = write_config(tmp_path, (Path(__file__).parent / "golden" / "planepump_near.cfg")
+                       .read_text() + "output =\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(confocal_opo.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "confocal_opo.cli", "run", "--config", str(cfg)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["configuration error: key 'output': needs a directory, got ''"]
+    assert not (tmp_path / "curve.csv").exists() and not (tmp_path / "summary.txt").exists()
+
+
 @pytest.mark.parametrize("text,key", [
     (PLANE_NEAR_CONFIG + "pixel_width = 4e-5\n", "pixel_width"),
     (PLANE_FAR_RADIAL_CONFIG + "pixel_width = 4e-5\n", "pixel_width"),
