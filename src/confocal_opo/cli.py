@@ -92,8 +92,8 @@ def parse_config(path) -> dict:
 
 def _read_pairs(pairs, keys, unaccepted: str) -> dict:
     """Converted values of ``(where, "key = value")`` pairs.  A missing "=",
-    a key outside ``keys`` (refused as ``unaccepted``) or a key given twice
-    is refused with ``where`` ahead of the message."""
+    a key outside ``keys`` (refused as ``unaccepted``), a key given twice or
+    a bad value is refused with ``where`` ahead of the message."""
     out = {}
     for where, text in pairs:
         key, eq, value = (part.strip() for part in text.partition("="))
@@ -102,7 +102,10 @@ def _read_pairs(pairs, keys, unaccepted: str) -> dict:
                  else f"key {key!r}: given twice" if key in out else None)
         if fault:
             raise ConfigurationError(where + fault)
-        out[key] = _convert(key, value)
+        try:
+            out[key] = _convert(key, value)
+        except ConfigurationError as exc:
+            raise ConfigurationError(where + str(exc)) from exc
     return out
 
 def _convert(key: str, value: str):
@@ -426,6 +429,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.out == "":  # Path("") would write into the working directory
+            raise ConfigurationError("--out: needs a directory, got ''")
         if args.command == "run":
             cfg = parse_config(args.config)
             sc = scenario_from_config(cfg)

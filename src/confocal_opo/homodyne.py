@@ -411,7 +411,7 @@ def _planepump_window(det: DetectorMask, lo: LocalOscillator, p: OpoParams):
     # in t = q l_coh; c = 0 for a plane LO
     x_of_q = p.lambda_s * p.f_lens / (2.0 * math.pi)
     c = math.inf  # a spot too narrow to square, refused by the panel limit
-    with contextlib.suppress(OverflowError):
+    with contextlib.suppress(OverflowError, ZeroDivisionError):
         c = 2.0 * (x_of_q / (lo.waist * p.l_coh)) ** 2
     # a Gaussian LO also needs panels no wider than its 1/e half width, or a
     # narrow spot falls between the nodes

@@ -137,13 +137,13 @@ def solve_io(grid: Grid1D, p: OpoParams) -> CavityModes:
     ``build_kernel_matrix``, max|lambda| by ``_largest_gain`` and block LU.
 
     Raises ``NumericalFailure`` on a grid that breaks the sizing rule, a
-    block that is not finite (an overflowing kernel), or a spectral
+    block that is not finite (a guard; no preset reaches it), or a spectral
     condition max|c - lam^2| / min|c - lam^2| (c = a abar) of a I - K^2 / abar
     above 1e12: at/above threshold, or a grid too coarse to keep the
     operator below it.  lam = 0 (odd subspace) and max|lambda| give the max,
     and dist(c, [0, max|lambda|^2]) bounds the min, exact at omega_bar = 0.
     """
-    # an overflowing kernel is refused below, without numpy's warnings
+    # a block that is not finite is refused below, without numpy's warnings
     with np.errstate(all="ignore"):
         blocks = build_kernel_matrix(grid, p)
     if not np.isfinite(blocks).all():

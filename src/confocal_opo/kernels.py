@@ -55,11 +55,6 @@ _SOLVE_WIDTH = 8
 MAX_GRID_N = 6000
 
 
-def _sinc(x):
-    """sin(x)/x with sinc(0) = 1 (unnormalized convention)."""
-    return np.sinc(np.asarray(x) / np.pi)
-
-
 # ---------------------------------------------------------------------------
 # Sine integral
 # ---------------------------------------------------------------------------
@@ -182,8 +177,8 @@ def phase_match_sinc(q, p: OpoParams):
     The argument equals (q l_coh / 2)^2; sigma is the per-mode coupling of a
     plane pump in the far field.
     """
-    q = np.asarray(q, dtype=float)
-    return _sinc((q * p.l_coh / 2.0) ** 2)
+    x = (np.asarray(q, dtype=float) * p.l_coh / 2.0) ** 2
+    return np.sinc(x / np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +190,6 @@ def _pump_transform(k, p: OpoParams):
     exp(-k^2 w_p^2 / 4), so that integral G dk = A_p."""
     amp = p.A_p * p.w_p / (2.0 * math.sqrt(math.pi))
     return amp * np.exp(-(k * p.w_p / 2.0) ** 2)
-
-def _pair_sinc(k, p: OpoParams):
-    """Phase-matching factor S(k) = sinc(m) with m = (l_c / (2 k_s)) (k/2)^2."""
-    lc_2ks = p.l_coh**2 / 4.0  # l_c / (2 k_s)
-    return _sinc(lc_2ks * (k / 2.0) ** 2)
 
 # ---------------------------------------------------------------------------
 # Grids and discretized kernels
@@ -353,8 +343,8 @@ def build_kernel_matrix(g: Grid1D, p: OpoParams) -> np.ndarray:
     grid in the near domain, which a near detector reaches by one DFT
     (``homodyne._noise_terms``).  The 1-D far-field kernel (threshold units
     times m) is K(q, q2) = 1/2 [ G(q+q2) S(q-q2) + G(q-q2) S(q+q2) ], with
-    the pump transform G of ``_pump_transform`` and the phase-matching
-    factor S of ``_pair_sinc``, so the four grid pairs behind each pair of
+    the pump transform G of ``_pump_transform`` and S(k) = sigma(k/2) of
+    ``phase_match_sinc``, so the four grid pairs behind each pair of
     even basis vectors carry one value: K_even[a, b] = 2 h K(q_a, q_b) over
     the m points q_a left of and at the center, times 1/sqrt(2) per center
     index of an odd grid.  G is below 1e-14 G(0) past |q_a -/+ q_b| =
@@ -384,9 +374,9 @@ def build_kernel_matrix(g: Grid1D, p: OpoParams) -> np.ndarray:
     sums = 2.0 * g.points[0] + h * np.arange(2 * nb * s + s - 1)  # q_a + q_b at a + b
     diffs = h * np.arange(1 - s, 2 * s)  # q_a - q_b at a - b + s - 1, |a - b| < 2 s
     g_sum, s_sum = (window(f, s)[: 2 * nb * s].reshape(nb, 2, s, s)
-                    for f in (_pump_transform(sums, p), _pair_sinc(sums, p)))
+                    for f in (_pump_transform(sums, p), phase_match_sinc(sums / 2.0, p)))
     g_diff, s_diff = (window(f, s)[: 2 * s, ::-1].reshape(2, s, s)
-                      for f in (_pump_transform(diffs, p), _pair_sinc(diffs, p)))
+                      for f in (_pump_transform(diffs, p), phase_match_sinc(diffs / 2.0, p)))
     blocks = g_sum * s_diff
     blocks += g_diff * s_sum
     blocks *= h  # 2 h times the 1/2 of the kernel formula

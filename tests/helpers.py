@@ -21,7 +21,7 @@ from confocal_opo import (
 )
 from confocal_opo.homodyne import _PHASES, _mode_noise
 import confocal_opo.kernels as kernels
-from confocal_opo.kernels import _pair_sinc, _pump_transform, build_kernel_matrix
+from confocal_opo.kernels import _pump_transform, build_kernel_matrix
 
 
 #: golden outputs of the CLI, one directory per command
@@ -169,17 +169,17 @@ def ktilde_far(q, q2, p):
     """1-D far-field coupling kernel (threshold units times m).
 
     K(q, q2) = 1/2 [ G(q+q2) S(q-q2) + G(q-q2) S(q+q2) ] with the library's
-    pump transform G and phase-matching factor S, the two factors that its
-    gathered far block is built from.  A plane pump makes G distributional,
-    so it is refused here.
+    pump transform G and phase-matching factor S(k) = sigma(k/2), the two
+    factors that its gathered far block is built from.  A plane pump makes G
+    distributional, so it is refused here.
     """
     if p.plane_pump:
         raise ConfigurationError("plane-wave pump gives a distributional far-field kernel")
     q = np.asarray(q, dtype=float)
     q2 = np.asarray(q2, dtype=float)
     return 0.5 * (
-        _pump_transform(q + q2, p) * _pair_sinc(q - q2, p)
-        + _pump_transform(q - q2, p) * _pair_sinc(q + q2, p)
+        _pump_transform(q + q2, p) * phase_match_sinc((q - q2) / 2.0, p)
+        + _pump_transform(q - q2, p) * phase_match_sinc((q + q2) / 2.0, p)
     )
 
 

@@ -148,7 +148,8 @@ class TestRunCommand:
         cfg = write_config(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n")
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert f"configuration error: key '{key}': not a finite number" in capsys.readouterr().err
+        where = f"{cfg}:{len(lines) + 1}: "  # the value's own line
+        assert f"configuration error: {where}key '{key}': not a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid", ["grid_L = 1e5", "grid_n = 101", "grid_n = 101\ngrid_L = 1e5"],
                              ids=["grid_L", "grid_n", "both"])
@@ -516,7 +517,7 @@ EXTREME_VALUES = ("5e-324", "1e-320", "1e-300", "1e300", "1.7e308", "0.999999999
 
 #: the keys of the grid per figure: figs 6 and 9, the dense Gaussian-pump
 #: presets of each plane, are run over their pump size b and the two keys
-#: whose extremes overflow the coupling kernel
+#: whose extremes take l_coh to the ends of the float range
 EXTREME_FIG_KEYS = {"2": EXTREME_KEYS, "5": EXTREME_KEYS, "8": EXTREME_KEYS,
                     "6": ("b", "n_s", "l_c"), "9": ("b", "n_s", "l_c")}
 
@@ -573,11 +574,17 @@ def test_out_of_range_size_exits_with_one_line(tmp_path, argv, config, code, pre
 @pytest.mark.parametrize("fig_id,item", [
     ("6", "n_s=1e300"), ("7", "l_c=1e-300"), ("9", "n_s=1e300"), ("10", "l_c=1e-300"),
 ])
-def test_overflowing_kernel_exits_with_one_line(tmp_path, fig_id, item):
-    # a coupling kernel that overflows is refused before the eigensolver,
-    # with no numpy warning ahead of its one line
-    code, line = _one_line_exit(tmp_path, ["fig", "--id", fig_id, "--set", item])
-    assert code == 1 and line.startswith("numerical failure: coupling kernel is not finite")
+def test_rescaled_preset_matches_its_golden(tmp_path, fig_id, item):
+    # the spectra read lengths only through l_coh, b and r0, and the coupling
+    # kernel is formed in the scaled q l_coh: a preset whose l_coh sits near
+    # either end of the float range runs, with no numpy warning, to its
+    # golden vn columns
+    assert main(["fig", "--id", fig_id, "--set", item, "--set", "b=4",
+                 "--out", str(tmp_path)]) == 0
+    golden = Path(__file__).parent / "golden" / f"fig{fig_id}" / "curve_b4.csv"
+    want, got = (np.loadtxt(f, delimiter=",", skiprows=2) for f in (golden, tmp_path / "curve_b4.csv"))
+    assert np.array_equal(got[:, 0], want[:, 0])
+    np.testing.assert_allclose(got[:, 1:3], want[:, 1:3], rtol=1e-11, atol=0)
 
 
 @pytest.mark.parametrize("sets", [
@@ -596,7 +603,8 @@ def test_repeated_fig_set_exits_2(tmp_path, sets):
     ("A_p", ["A_p"], "expected 'key = value', got 'A_p'"),
     ("A_p = 0.2", ["A_p=0.9", "A_p=0.2"], "key 'A_p': given twice"),
     ("wavelength = 1", ["wavelength=1"], "key 'wavelength': "),
-], ids=["missing-equals", "repeated-key", "unread-key"])
+    ("detuning = x", ["detuning=x"], "key 'detuning': not a number: 'x'"),
+], ids=["missing-equals", "repeated-key", "unread-key", "bad-value"])
 def test_config_line_and_set_item_refuse_alike(tmp_path, line, sets, head):
     # a config file and fig --set are read by one reader: the same fault ends
     # in exit 2 and one line that, after the config's path:line: prefix,
@@ -631,8 +639,25 @@ def test_empty_output_exits_2(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "confocal_opo.cli", "run", "--config", str(cfg)],
                           capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 2
-    assert proc.stderr.splitlines() == ["configuration error: key 'output': needs a directory, got ''"]
+    assert proc.stderr.splitlines() == [
+        f"configuration error: {cfg}:{len(cfg.read_text().splitlines())}: "
+        "key 'output': needs a directory, got ''"]
     assert not (tmp_path / "curve.csv").exists() and not (tmp_path / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig", "--id", "2"],
+    ["run", "--config", str(Path(__file__).parent / "golden" / "planepump_near.cfg")],
+], ids=["fig", "run"])
+def test_empty_out_exits_2(tmp_path, argv):
+    # an empty --out would write into the working directory, or fall back to
+    # the config's output; like an empty output key, it is refused
+    env = dict(os.environ, PYTHONPATH=str(Path(confocal_opo.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "confocal_opo.cli", *argv, "--out", ""],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["configuration error: --out: needs a directory, got ''"]
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("text,key", [

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 import confocal_opo.iosolver as iosolver
+import confocal_opo.kernels as kernels
 from confocal_opo import (
     Grid1D,
     LocalOscillator,
@@ -181,6 +182,17 @@ class TestDenseSolve:
                           r"^far grid half extent \S+ is below 4 x the pump envelope scale ")):
             with pytest.raises(NumericalFailure, match=match):
                 solve_io(g, p)
+
+    @pytest.mark.parametrize("domain", ["near", "far"])
+    def test_non_finite_kernel_is_refused(self, monkeypatch, domain):
+        # a block that is not finite is refused before any factor, with no
+        # numpy warning (the test settings make one an error); no input
+        # reaches one through the scaled kernel, so the pump transform is
+        # patched to inf
+        p, g = gauss_setup(b=16.0, domain=domain)
+        monkeypatch.setattr(kernels, "_pump_transform", lambda k, p: np.full(np.shape(k), np.inf))
+        with pytest.raises(NumericalFailure, match=r"^coupling kernel is not finite"):
+            solve_io(g, p)
 
     def test_gate_refuses_a_corrupted_factor(self):
         # every solve checks its backward error: a factor block that the

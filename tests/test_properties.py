@@ -248,8 +248,9 @@ def _is_number(text) -> bool:
 # endless far panel loop
 @example(_text(BASES[0], sweep_max="1e308"))
 @example(_text(BASES[1], sweep_max="1e308"))
-# an LO spot too narrow to square, and bands the LO spot never reaches
+# LO spots too narrow to square or to form, and bands the LO spot never reaches
 @example(_text(BASES[1], lo_waist="1e-300"))
+@example(_text(BASES[1], lo_waist="5e-324"))
 @example(_text(BASES[1], detector="pixel_pair", sweep_min="0.015", sweep_max="0.02",
                lo_waist="2.5e-4"))
 @example(_text(BASES[3], detector="pixel_pair", lo="gaussian", lo_waist="1e-6",
