@@ -54,6 +54,15 @@ _FLOAT_KEYS = {
 }
 _INT_KEYS = {"sweep_points", "grid_n"}
 _MAX_SWEEP_POINTS = 100_000  # every point holds a result row until the curve is written
+# (test, rule) of each bounded number key; b's holds for each of its comma items
+_BOUNDS = {
+    "sweep_points": (lambda n: 2 <= n <= _MAX_SWEEP_POINTS,
+                     f"must be between 2 and {_MAX_SWEEP_POINTS}"),
+    "grid_n": (lambda n: 2 <= n <= MAX_GRID_N, f"must be between 2 and {MAX_GRID_N}"),
+    "sweep_min": (lambda x: x >= 0, "must be non-negative"),
+    "grid_L": (lambda x: x > 0, "must be positive"),
+    "b": (lambda x: x > 0, "must be positive"),
+}
 _AUTO_KEYS = {"grid_n", "grid_L"}  # "auto" leaves the value to the sizing rule
 _CHOICE_KEYS = {
     "pump": ("plane", "gaussian"),
@@ -90,15 +99,19 @@ def parse_config(path) -> dict:
     return _read_pairs([(where, line) for where, line in lines if line], _ALL_KEYS,
                        "not a configuration key")
 
-def _read_pairs(pairs, keys, unaccepted: str) -> dict:
+class _Values(dict):
+    """Values by key, with ``where[key]``, the ``path:line: `` of the key's line."""
+
+def _read_pairs(pairs, keys, unaccepted: str) -> _Values:
     """Converted values of ``(where, "key = value")`` pairs.  A missing "=",
     a key outside ``keys`` (refused as ``unaccepted``), a key given twice or
     a bad value is refused with ``where`` ahead of the message."""
-    out = {}
+    out = _Values()
+    out.where = {}
     for where, text in pairs:
         key, eq, value = (part.strip() for part in text.partition("="))
-        fault = (f"expected 'key = value', got {text!r}" if not eq
-                 else f"key {key!r}: {unaccepted}" if key not in keys
+        fault = (f"expected 'key = value', got {_quote(text)}" if not eq
+                 else f"key {_quote(key)}: {unaccepted}" if key not in keys
                  else f"key {key!r}: given twice" if key in out else None)
         if fault:
             raise ConfigurationError(where + fault)
@@ -106,36 +119,46 @@ def _read_pairs(pairs, keys, unaccepted: str) -> dict:
             out[key] = _convert(key, value)
         except ConfigurationError as exc:
             raise ConfigurationError(where + str(exc)) from exc
+        out.where[key] = where
     return out
+
+def _quote(text: str) -> str:
+    """``text`` quoted for a refusal, cut after 40 characters."""
+    return repr(text[:40]) + ("..." if len(text) > 40 else "")
 
 def _convert(key: str, value: str):
     if key == "b":
-        return _parse_b(value)
+        return tuple(_number(key, item) for item in value.split(","))
     if key in _AUTO_KEYS and value == "auto":
         return None
-    if key in _FLOAT_KEYS:
-        try:
-            number = float(value)
-        except ValueError as exc:
-            raise ConfigurationError(f"key {key!r}: not a number: {value!r}") from exc
-        if not math.isfinite(number):
-            raise ConfigurationError(f"key {key!r}: not a finite number: {value!r}")
-        return number
-    if key in _INT_KEYS:
-        try:
-            return int(value)
-        except ValueError as exc:
-            raise ConfigurationError(f"key {key!r}: not an integer: {value!r}") from exc
+    if key in _FLOAT_KEYS | _INT_KEYS:
+        return _number(key, value)
     if key == "output" and not value:  # Path("") would write into the working directory
         raise ConfigurationError("key 'output': needs a directory, got ''")
-    if key in _CHOICE_KEYS:
-        if value not in _CHOICE_KEYS[key]:
-            raise ConfigurationError(
-                f"key {key!r}: must be one of {_CHOICE_KEYS[key]}, got {value!r}"
-            )
+    if key in _CHOICE_KEYS and value not in _CHOICE_KEYS[key]:
+        raise ConfigurationError(f"key {key!r}: must be one of {_CHOICE_KEYS[key]}, "
+                                 f"got {_quote(value)}")
     return value
 
+def _number(key: str, text: str):
+    """``text`` read as ``key``'s number, an int for the sizes and a finite
+    float otherwise, refused unless it keeps its rule in ``_BOUNDS``."""
+    kind = int if key in _INT_KEYS else float
+    try:
+        number = kind(text)
+    except ValueError as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigurationError(f"key {key!r}: not {noun}: {_quote(text)}") from exc
+    if kind is float and not math.isfinite(number):  # an int may be too long for a float
+        raise ConfigurationError(f"key {key!r}: not a finite number: {_quote(text)}")
+    if key in _BOUNDS and not _BOUNDS[key][0](number):
+        raise ConfigurationError(f"key {key!r}: {_BOUNDS[key][1]}, got {_quote(text)}")
+    return number
+
 def scenario_from_config(cfg: dict) -> Scenario:
+    def at(key):  # the path:line: that parse_config read key at, "" for a missing key
+        return getattr(cfg, "where", {}).get(key, "")
+
     required = ["lambda_s", "n_s", "l_c", "z_C", "A_p", "pump", "plane",
                 "detector", "sweep_min", "sweep_max"]
     for key in required:
@@ -143,39 +166,25 @@ def scenario_from_config(cfg: dict) -> Scenario:
             raise ConfigurationError(f"missing required configuration key: {key!r}")
     for key, needs, setting in (("w_p", "pump", "gaussian"), ("lo_waist", "lo", "gaussian")):
         if cfg.get(needs) == setting and key not in cfg:
-            raise ConfigurationError(f"key {key!r}: required for {needs} = {setting}")
+            raise ConfigurationError(f"{at(needs)}key {key!r}: required for {needs} = {setting}")
     # a key that changes no row is refused, not echoed as if it applied
     for key, needs, setting in (("w_p", "pump", "gaussian"), ("lo_waist", "lo", "gaussian"),
                                 ("pixel_width", "detector", "pixel_pair")):
         if key in cfg and cfg.get(needs) != setting:
-            raise ConfigurationError(f"key {key!r}: applies to {needs} = {setting} only")
+            raise ConfigurationError(f"{at(key)}key {key!r}: applies to {needs} = {setting} only")
     if cfg["detector"] == "radial" and (cfg["pump"], cfg["plane"]) != ("plane", "far"):
         raise ConfigurationError(
-            "key 'detector': radial is a 2-D disk, computed for pump = plane and "
-            "plane = far only; the other routes are 1-D")
+            f"{at('detector')}key 'detector': radial is a 2-D disk, computed for pump = plane "
+            "and plane = far only; the other routes are 1-D")
     if cfg.get("lo") == "gaussian" and (cfg["pump"], cfg["plane"]) == ("plane", "near"):
-        raise ConfigurationError("key 'lo': a plane pump in the near plane takes a plane LO only")
+        raise ConfigurationError(
+            f"{at('lo')}key 'lo': a plane pump in the near plane takes a plane LO only")
     # a plane pump unless pump = gaussian gives w_p; OpoParams defaults the rest
     params = OpoParams(**{"w_p": math.inf,
                           **{f.name: cfg[f.name] for f in fields(OpoParams) if f.name in cfg}})
-    npts = cfg.get("sweep_points", 25)
-    if not 2 <= npts <= _MAX_SWEEP_POINTS:
-        raise ConfigurationError(
-            f"key 'sweep_points': need between 2 and {_MAX_SWEEP_POINTS} sweep points, got {npts}"
-        )
     if cfg["sweep_max"] <= cfg["sweep_min"]:
-        raise ConfigurationError("key 'sweep_max': must exceed sweep_min")
-    if cfg["sweep_min"] < 0:
-        raise ConfigurationError("key 'sweep_min': must be non-negative")
-    grid_n = cfg.get("grid_n")
-    if grid_n is not None and not 2 <= grid_n <= MAX_GRID_N:
-        raise ConfigurationError(
-            f"key 'grid_n': need between 2 and {MAX_GRID_N} grid points, got {grid_n}"
-        )
-    grid_L = cfg.get("grid_L")
-    if grid_L is not None and not (math.isfinite(grid_L) and grid_L > 0):
-        raise ConfigurationError("key 'grid_L': must be a positive finite half extent")
-    values = list(np.linspace(cfg["sweep_min"], cfg["sweep_max"], npts))
+        raise ConfigurationError(f"{at('sweep_max')}key 'sweep_max': must exceed sweep_min")
+    values = list(np.linspace(cfg["sweep_min"], cfg["sweep_max"], cfg.get("sweep_points", 25)))
     lo = LocalOscillator(amplitude=cfg.get("lo_amplitude", 1.0),
                          waist=cfg.get("lo_waist", math.inf))
     unit = _unit(params, cfg["plane"])
@@ -187,7 +196,8 @@ def scenario_from_config(cfg: dict) -> Scenario:
     else:
         name = "r_over_r0" if params.plane_pump else "q_times_wp"
     return Scenario(params, cfg["plane"], cfg["detector"], values, lo, abscissa_name=name,
-                    label="run", pixel_width=pixel_width, grid_n=grid_n, grid_L=grid_L)
+                    label="run", pixel_width=pixel_width, grid_n=cfg.get("grid_n"),
+                    grid_L=cfg.get("grid_L"))
 
 def _unit(p: OpoParams, plane: str) -> float:
     """Coherence unit of ``plane`` in detection-plane meters.
@@ -398,17 +408,6 @@ def _run_fig8_density(sc: Scenario, outdir: Path) -> None:
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
-
-def _parse_b(value: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(x) for x in value.split(","))
-    except ValueError:
-        values = ()
-    if not values or not all(0 < b < math.inf for b in values):
-        raise ConfigurationError(
-            f"key 'b': need comma-separated finite positive numbers, got {value!r}"
-        )
-    return values
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(

@@ -124,16 +124,28 @@ class TestRunCommand:
             assert code == 2
             assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line,key", [
-        ("grid_n = 1", "grid_n"), ("grid_n = 0", "grid_n"), ("grid_L = -1", "grid_L"),
+    @pytest.mark.parametrize("line,rule", [
+        ("grid_n = 1", f"must be between 2 and {kernels.MAX_GRID_N}, got '1'"),
+        ("grid_n = 0", f"must be between 2 and {kernels.MAX_GRID_N}, got '0'"),
+        ("grid_L = -1", "must be positive, got '-1'"),
         # refused before any grid is allocated
-        ("grid_n = 1000000000", "grid_n"),
-    ])
-    def test_bad_grid_exits_2(self, tmp_path, capsys, line, key):
-        cfg = write_config(tmp_path, GOOD_CONFIG + line + "\n")
+        ("grid_n = 1000000000", f"must be between 2 and {kernels.MAX_GRID_N}, got '1000000000'"),
+        ("sweep_min = -1", "must be non-negative, got '-1'"),
+        ("sweep_points = 1", "must be between 2 and 100000, got '1'"),
+        ("sweep_points = 100001", "must be between 2 and 100000, got '100001'"),
+    ], ids=["grid_n = 1-grid_n", "grid_n = 0-grid_n", "grid_L = -1-grid_L",
+            "grid_n = 1000000000-grid_n", "sweep_min = -1-sweep_min",
+            "sweep_points = 1-sweep_points", "sweep_points = 100001-sweep_points"])
+    def test_bad_grid_exits_2(self, tmp_path, capsys, line, rule):
+        # a number out of its key's bounds is refused as the file is read,
+        # with the path and line of the value
+        key = line.split(" = ")[0]
+        lines = [text for text in GOOD_CONFIG.splitlines() if not text.startswith(f"{key} =")]
+        cfg = write_config(tmp_path, "\n".join(lines + [line]) + "\n")
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert f"configuration error: key '{key}'" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"configuration error: {cfg}:{len(lines) + 1}: key '{key}': {rule}\n"
 
     @pytest.mark.parametrize("text,key,value", [
         (PLANE_NEAR_CONFIG, "sweep_max", "inf"),
@@ -559,11 +571,17 @@ def _one_line_exit(tmp_path, argv):
      2, "configuration error: "),
     (["run"], GOOD_CONFIG.replace("sweep_points = 5", "sweep_points = " + "1" + "0" * 29),
      2, "configuration error: "),
-], ids=["fig6-b-1e300", "grid_L-1.7e308", "sweep_points-1e12", "sweep_points-1e29"])
+    (["run"], GOOD_CONFIG.replace("sweep_points = 5", "sweep_points = " + "1" + "0" * 400),
+     2, "configuration error: "),
+    # past int()'s digit limit
+    (["run"], GOOD_CONFIG.replace("sweep_points = 5", "sweep_points = " + "1" + "0" * 5000),
+     2, "configuration error: "),
+], ids=["fig6-b-1e300", "grid_L-1.7e308", "sweep_points-1e12", "sweep_points-1e29",
+        "sweep_points-1e400", "sweep_points-1e5000"])
 def test_out_of_range_size_exits_with_one_line(tmp_path, argv, config, code, prefix):
     # a grid or sweep size no machine can hold ends in one stderr line with
     # its exit code: no traceback, no allocation tried, and no number printed
-    # with a hundred digits
+    # with a hundred digits (a refusal quotes at most 40 characters of a value)
     if config is not None:
         argv = argv + ["--config", str(write_config(tmp_path, config))]
     got, line = _one_line_exit(tmp_path, argv)
@@ -660,19 +678,23 @@ def test_empty_out_exits_2(tmp_path, argv):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("text,key", [
-    (PLANE_NEAR_CONFIG + "pixel_width = 4e-5\n", "pixel_width"),
-    (PLANE_FAR_RADIAL_CONFIG + "pixel_width = 4e-5\n", "pixel_width"),
-    (PLANE_NEAR_CONFIG + "lo_waist = 1e-4\n", "lo_waist"),
-    (GOOD_CONFIG + "lo = plane\nlo_waist = 1e-4\n", "lo_waist"),
-    (PLANE_NEAR_CONFIG + "w_p = 2.4e-4\n", "w_p"),
+@pytest.mark.parametrize("text,key,applies", [
+    (PLANE_NEAR_CONFIG + "pixel_width = 4e-5\n", "pixel_width", "detector = pixel_pair"),
+    (PLANE_FAR_RADIAL_CONFIG + "pixel_width = 4e-5\n", "pixel_width", "detector = pixel_pair"),
+    (PLANE_NEAR_CONFIG + "lo_waist = 1e-4\n", "lo_waist", "lo = gaussian"),
+    (GOOD_CONFIG + "lo = plane\nlo_waist = 1e-4\n", "lo_waist", "lo = gaussian"),
+    (PLANE_NEAR_CONFIG + "w_p = 2.4e-4\n", "w_p", "pump = gaussian"),
 ], ids=["pixel_width-interval", "pixel_width-radial", "lo_waist-default-lo",
         "lo_waist-plane-lo", "w_p-plane-pump"])
-def test_run_key_that_changes_nothing_exits_2(tmp_path, text, key):
+def test_run_key_that_changes_nothing_exits_2(tmp_path, text, key, applies):
     # a key the scenario does not read would be echoed into curve.csv and
-    # summary.txt as if it applied; it is refused instead
-    code, line = _one_line_exit(tmp_path, ["run", "--config", str(write_config(tmp_path, text))])
-    assert code == 2 and line.startswith(f"configuration error: key '{key}'")
+    # summary.txt as if it applied; it is refused instead, named with its
+    # line (the last one)
+    cfg = write_config(tmp_path, text)
+    code, line = _one_line_exit(tmp_path, ["run", "--config", str(cfg)])
+    assert code == 2
+    assert line == (f"configuration error: {cfg}:{len(text.splitlines())}: "
+                    f"key '{key}': applies to {applies} only")
     assert not (tmp_path / "o" / "curve.csv").exists()
     # where the key applies, it is taken
     sc = scenario_from_config(parse_config(write_config(
@@ -699,19 +721,47 @@ def test_radial_off_the_disk_route_exits_2(tmp_path, text):
     with pytest.raises(ConfigurationError, match="radial"):
         scenario_from_config(parse_config(cfg))
     code, line = _one_line_exit(tmp_path, ["run", "--config", str(cfg)])
-    assert code == 2 and line.startswith("configuration error: key 'detector'"), line
+    n = text.splitlines().index("detector = radial") + 1
+    assert code == 2 and line == (
+        f"configuration error: {cfg}:{n}: key 'detector': radial is a 2-D disk, computed for "
+        "pump = plane and plane = far only; the other routes are 1-D"), line
     assert not (tmp_path / "o" / "curve.csv").exists()
 
 
 def test_plane_pump_near_gaussian_lo_exits_2(tmp_path):
     # the plane-pump near-field window sum takes a plane LO only: a Gaussian
     # LO is refused while the scenario is read, and the message names its key
-    cfg = write_config(tmp_path, PLANE_NEAR_CONFIG + "lo = gaussian\nlo_waist = 1e-4\n")
-    with pytest.raises(ConfigurationError, match="^key 'lo': "):
+    # and line
+    text = PLANE_NEAR_CONFIG + "lo = gaussian\nlo_waist = 1e-4\n"
+    cfg = write_config(tmp_path, text)
+    refusal = (f"{cfg}:{len(text.splitlines()) - 1}: "
+               "key 'lo': a plane pump in the near plane takes a plane LO only")
+    with pytest.raises(ConfigurationError) as exc:
         scenario_from_config(parse_config(cfg))
+    assert str(exc.value) == refusal
     code, line = _one_line_exit(tmp_path, ["run", "--config", str(cfg)])
-    assert code == 2 and line.startswith("configuration error: key 'lo': "), line
+    assert code == 2 and line == "configuration error: " + refusal, line
     assert not (tmp_path / "o" / "curve.csv").exists()
+
+
+@pytest.mark.parametrize("text,at,refusal", [
+    (GOOD_CONFIG.replace("w_p = 2.4e-4\n", ""), "pump = gaussian",
+     "key 'w_p': required for pump = gaussian"),
+    (GOOD_CONFIG + "lo = gaussian\n", "lo = gaussian",
+     "key 'lo_waist': required for lo = gaussian"),
+    (GOOD_CONFIG.replace("sweep_max = 3.2e-4", "sweep_max = 0.0"), "sweep_max = 0.0",
+     "key 'sweep_max': must exceed sweep_min"),
+    (GOOD_CONFIG.replace("plane = near\n", ""), None,
+     "missing required configuration key: 'plane'"),
+], ids=["w_p-required", "lo_waist-required", "sweep_max-below-sweep_min", "missing-key"])
+def test_refusal_that_reads_other_keys_names_a_line(tmp_path, text, at, refusal):
+    # a refusal that weighs one key against another names the line that
+    # sets it off (for a missing required key, the line of the key that
+    # requires it); a key the file lacks has no line
+    cfg = write_config(tmp_path, text)
+    where = f"{cfg}:{text.splitlines().index(at) + 1}: " if at else ""
+    code, line = _one_line_exit(tmp_path, ["run", "--config", str(cfg)])
+    assert code == 2 and line == f"configuration error: {where}{refusal}", line
 
 
 @pytest.mark.parametrize("key,value", [
