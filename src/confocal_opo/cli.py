@@ -25,7 +25,7 @@ from .errors import ConfigurationError, NumericalFailure
 from .homodyne import DetectorMask, LocalOscillator, SqueezingResult, _mode_noise, squeezing
 from .iosolver import solve_io
 from .kernels import MAX_GRID_N, auto_grid, delta_2d, phase_match_sinc
-from .params import OpoParams
+from .params import _RULES, OpoParams
 
 # Parameter values every preset shares.  These are artifact defaults chosen
 # for this implementation (a 1 cm crystal at 1.064 um in a n = 2.12 medium
@@ -47,15 +47,13 @@ PRESET_B_VALUES = (4.0, 25.0, 100.0)
 # preset, stops passing it to fig 2.
 _FIG2_KEYS = ("lambda_s", "n_s", "l_c", "A_p")
 
-_FLOAT_KEYS = {
-    "lambda_s", "n_s", "l_c", "z_C", "A_p", "w_p", "detuning", "omega_bar",
-    "f_lens", "pixel_width", "lo_waist", "lo_amplitude",
-    "sweep_min", "sweep_max", "grid_L",
-}
+_FLOAT_KEYS = {*_RULES, "pixel_width", "lo_waist", "lo_amplitude", "sweep_min", "sweep_max",
+               "grid_L"}
 _INT_KEYS = {"sweep_points", "grid_n"}
 _MAX_SWEEP_POINTS = 100_000  # every point holds a result row until the curve is written
-# (test, rule) of each bounded number key; b's holds for each of its comma items
+# (test, rule) of each bounded number key, OpoParams' fields too; b's holds per comma item
 _BOUNDS = {
+    **_RULES,
     "sweep_points": (lambda n: 2 <= n <= _MAX_SWEEP_POINTS,
                      f"must be between 2 and {_MAX_SWEEP_POINTS}"),
     "grid_n": (lambda n: 2 <= n <= MAX_GRID_N, f"must be between 2 and {MAX_GRID_N}"),
@@ -349,7 +347,7 @@ def fig_scenarios(fig_id: int, overrides: dict) -> list[Scenario]:
         raise ConfigurationError(f"unknown figure preset id: {fig_id}")
     pump, plane, detector, first, last, points, name, lo_waist, suffix = _PRESETS[fig_id]
     l_coh = _preset_params(overrides, w_p=math.inf).l_coh
-    out = []
+    out, labels = [], {}  # labels: the b of each curve label so far
     for b in overrides.get("b", PRESET_B_VALUES) if pump == "gaussian" else (math.inf,):
         p = _preset_params(overrides, w_p=math.sqrt(b) * l_coh)
         unit = _unit(p, plane)
@@ -357,16 +355,16 @@ def fig_scenarios(fig_id: int, overrides: dict) -> list[Scenario]:
         if not stop > first:  # the abscissa would run backwards
             raise ConfigurationError(f"key 'b': fig {fig_id} sweeps from {first:g} to 3 sqrt(b), "
                                      f"so b must exceed {(first / 3.0) ** 2:.6g}, got {b:g}")
+        label = f"fig{fig_id}_{suffix.format(b=b)}".rstrip("_")
+        if label in labels:  # the second curve would overwrite the first's file
+            raise ConfigurationError(f"key 'b': values {labels[label]!r} and {b!r} give "
+                                     f"the same curve label {label}")
+        labels[label] = b
         out.append(Scenario(
             p, plane, detector, list(np.linspace(first, stop, points) * unit),
-            LocalOscillator(waist=lo_waist * unit), abscissa_name=name,
-            label=f"fig{fig_id}_{suffix.format(b=b)}".rstrip("_"),
+            LocalOscillator(waist=lo_waist * unit), abscissa_name=name, label=label,
             pixel_width=unit if detector == "pixel_pair" else None,
         ))
-    labels = [sc.label for sc in out]
-    if len(set(labels)) < len(labels):
-        raise ConfigurationError(
-            f"key 'b': values {overrides['b']} give repeated curve labels {labels}")
     return out
 
 def run_fig(fig_id: int, overrides: dict, outdir: Path) -> None:

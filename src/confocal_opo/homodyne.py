@@ -60,7 +60,6 @@ grows linearly beyond, 0.04 s at 2b = 1e3 l_coh and 0.3 s at 1e4 on a
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -394,8 +393,9 @@ def _planepump_window(det: DetectorMask, lo: LocalOscillator, p: OpoParams):
         if lo.waist != math.inf:
             raise ConfigurationError("plane-pump near-field spectra support a plane LO only")
         a, b = det.inner / p.l_coh, det.outer / p.l_coh
-        # capped, so a band past the float range reaches the panel limit, not an overflow
-        level = max(0, math.ceil(math.log2(min(2.0 * b / _NEAR_PANEL_A, 2.0**64))))
+        # clamped, so a band past the float range reaches the panel limit, not an
+        # overflow, and one that underflows to b = 0 takes level 0, not a log of 0
+        level = math.ceil(math.log2(min(max(2.0 * b / _NEAR_PANEL_A, 1.0), 2.0**64)))
         width = _PANEL_WIDTH * 0.5**level
 
         def weight(t):
@@ -405,14 +405,11 @@ def _planepump_window(det: DetectorMask, lo: LocalOscillator, p: OpoParams):
             return 2.0 * (det.outer - det.inner), 2.0 * math.pi * (b - a)
         return ((0.0, 1.0, 0.5 * width), (1.0, _NEAR_CUT, width)), weight, norm
     q_lo, q_hi = det.bounds_on_axis(p)
-    if q_hi <= q_lo:
-        raise ConfigurationError("empty wavevector interval")
     # |alpha|^2 is exp(-2 (x / waist)^2) at x = q lambda f / (2 pi), exp(-c t^2)
-    # in t = q l_coh; c = 0 for a plane LO
+    # in t = q l_coh; c = 0 for a plane LO, and inf, refused by the panel
+    # limit, for a spot too narrow to square (numpy gives inf where Python raises)
     x_of_q = p.lambda_s * p.f_lens / (2.0 * math.pi)
-    c = math.inf  # a spot too narrow to square, refused by the panel limit
-    with contextlib.suppress(OverflowError, ZeroDivisionError):
-        c = 2.0 * (x_of_q / (lo.waist * p.l_coh)) ** 2
+    c = 2.0 * (np.float64(x_of_q) / (lo.waist * p.l_coh)) ** 2
     # a Gaussian LO also needs panels no wider than its 1/e half width, or a
     # narrow spot falls between the nodes
     width = _PANEL_WIDTH if c == 0.0 else min(_PANEL_WIDTH, 1.0 / math.sqrt(c))
@@ -446,7 +443,8 @@ def _vn_planepump(dets, lo: LocalOscillator, p: OpoParams) -> list:
             shot, scale = windows[i][2](totals[i])
             det = dets[i]
             route = "planepump_disk" if det.shape == "radial" else f"planepump_{det.plane}"
-            results[i] = _result(det, lo, route, shot, [1.0 + float(x) / scale for x in sums[i]])
+            # divided in numpy: a near band that underflows to 0 gives 0/0 = nan, refused
+            results[i] = _result(det, lo, route, shot, [1.0 + float(x / scale) for x in sums[i]])
     return results
 
 

@@ -16,7 +16,6 @@ Conventions
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -31,6 +30,18 @@ def _real(value) -> bool:
     compares it: None, a string or a complex number ends in ConfigurationError
     rather than a TypeError."""
     return isinstance(value, numbers.Real)
+
+
+_LENGTH = (lambda x: 0.0 < x < math.inf, "must be a positive length")
+_FINITE = (math.isfinite, "must be finite")
+# (test, rule) of each field, kept by OpoParams and by the config reader
+_RULES = {
+    "lambda_s": _LENGTH, "n_s": (lambda x: 1.0 <= x < math.inf, "must be >= 1"),
+    "l_c": _LENGTH, "z_C": _LENGTH,
+    "A_p": (lambda x: 0.0 <= x < 1.0, "must be in [0, 1): 1 is the oscillation threshold"),
+    "w_p": (lambda x: x > 0, "must be a positive length or inf (a plane pump)"),
+    "detuning": _FINITE, "omega_bar": _FINITE, "f_lens": _LENGTH,
+}
 
 
 def _positive(**scales) -> None:
@@ -69,11 +80,11 @@ class OpoParams:
         Focal length (m) of the imaging lens that maps the far field onto
         the detection plane, position x <-> wavevector q = 2 pi x / (lambda f).
 
-    Raises ``ConfigurationError`` if A_p >= 1 (at or above threshold), a
-    field is not a real number, a length is not positive (w_p = inf is
-    allowed), n_s < 1, A_p < 0, detuning or omega_bar is not finite, or a
-    derived scale or the far-field lens factor 2 pi / (lambda_s f_lens) is
-    not in (0, inf).
+    Raises ``ConfigurationError`` if a field is not a real number or breaks
+    its rule in ``_RULES``, checked in field order: a length is positive and
+    finite (w_p = inf is allowed), n_s >= 1, 0 <= A_p < 1 (A_p = 1 is the
+    threshold), and detuning and omega_bar are finite; or if a derived scale
+    or the far-field lens factor 2 pi / (lambda_s f_lens) is not in (0, inf).
     """
 
     lambda_s: float
@@ -88,34 +99,17 @@ class OpoParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if not _real(getattr(self, f.name)):
-                raise ConfigurationError(
-                    f"{f.name} must be a real number, got {getattr(self, f.name)!r}")
-        for name in ("lambda_s", "l_c", "z_C", "f_lens"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigurationError(f"{name} must be a positive length, got {value!r}")
-        if not (math.isfinite(self.n_s) and self.n_s >= 1.0):
-            raise ConfigurationError(f"n_s must be >= 1, got {self.n_s!r}")
-        if not (0.0 <= self.A_p):
-            raise ConfigurationError(f"A_p must be non-negative, got {self.A_p!r}")
-        if self.A_p >= 1.0:
-            raise ConfigurationError(f"A_p = {self.A_p!r} is at or above the oscillation "
-                                     "threshold (A_p < 1 required)")
-        if not self.w_p > 0:
-            raise ConfigurationError(
-                f"w_p must be a positive length or inf (a plane pump), got {self.w_p!r}")
-        if not (math.isfinite(self.detuning) and math.isfinite(self.omega_bar)):
-            raise ConfigurationError("detuning and omega_bar must be finite")
+            value, (test, rule) = getattr(self, f.name), _RULES[f.name]
+            if not _real(value):
+                raise ConfigurationError(f"{f.name} must be a real number, got {value!r}")
+            if not test(value):
+                raise ConfigurationError(f"{f.name} {rule}, got {value!r}")
         # in this order: r0 divides by l_coh
         _positive(l_coh=self.l_coh, w_C=self.w_C,
                   lens_factor=2.0 * math.pi / self.lambda_s / self.f_lens)
         _positive(r0=self.r0)
         if not self.plane_pump:
-            b = math.inf
-            with contextlib.suppress(OverflowError):  # an overflow leaves inf, refused
-                b = self.b
-            _positive(b=b)
+            _positive(b=self.b)
 
     @property
     def plane_pump(self) -> bool:
@@ -130,8 +124,9 @@ class OpoParams:
 
     @property
     def b(self) -> float:
-        """Mode-count parameter w_p^2 / l_coh^2 (inf for a plane pump)."""
-        return math.inf if self.plane_pump else (self.w_p / self.l_coh) ** 2
+        """Mode-count parameter w_p^2 / l_coh^2 (inf for a plane pump or past the float range)."""
+        ratio = self.w_p / self.l_coh
+        return ratio * ratio
 
     @property
     def w_C(self) -> float:

@@ -133,12 +133,18 @@ class TestRunCommand:
         ("sweep_min = -1", "must be non-negative, got '-1'"),
         ("sweep_points = 1", "must be between 2 and 100000, got '1'"),
         ("sweep_points = 100001", "must be between 2 and 100000, got '100001'"),
+        # OpoParams' own rules, kept as the file is read
+        ("A_p = 1.2", "must be in [0, 1): 1 is the oscillation threshold, got '1.2'"),
+        ("A_p = -0.1", "must be in [0, 1): 1 is the oscillation threshold, got '-0.1'"),
+        ("n_s = 0.5", "must be >= 1, got '0.5'"),
+        ("l_c = 0", "must be a positive length, got '0'"),
     ], ids=["grid_n = 1-grid_n", "grid_n = 0-grid_n", "grid_L = -1-grid_L",
             "grid_n = 1000000000-grid_n", "sweep_min = -1-sweep_min",
-            "sweep_points = 1-sweep_points", "sweep_points = 100001-sweep_points"])
+            "sweep_points = 1-sweep_points", "sweep_points = 100001-sweep_points",
+            "A_p = 1.2-A_p", "A_p = -0.1-A_p", "n_s = 0.5-n_s", "l_c = 0-l_c"])
     def test_bad_grid_exits_2(self, tmp_path, capsys, line, rule):
-        # a number out of its key's bounds is refused as the file is read,
-        # with the path and line of the value
+        # a number out of its key's bounds, a physical parameter's included,
+        # is refused as the file is read, with the path and line of the value
         key = line.split(" = ")[0]
         lines = [text for text in GOOD_CONFIG.splitlines() if not text.startswith(f"{key} =")]
         cfg = write_config(tmp_path, "\n".join(lines + [line]) + "\n")
@@ -368,6 +374,14 @@ class TestFigPresets:
         assert code == 2
         assert "'b'" in capsys.readouterr().err
 
+    def test_out_of_range_set_item_names_its_key(self, tmp_path, capsys):
+        # a --set item has no line: OpoParams' rule is refused with the key alone
+        code = main(["fig", "--id", "6", "--set", "A_p=1.2", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == ("configuration error: key 'A_p': must be in [0, 1): "
+                                           "1 is the oscillation threshold, got '1.2'\n")
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_fig6_b_below_its_sweep_start_exits_2(self, tmp_path, capsys):
         # fig 6 sweeps from 0.1 to 3 sqrt(b): a b at or below (0.1 / 3)^2
         # would write an abscissa that runs backwards
@@ -576,8 +590,15 @@ def _one_line_exit(tmp_path, argv):
     # past int()'s digit limit
     (["run"], GOOD_CONFIG.replace("sweep_points = 5", "sweep_points = " + "1" + "0" * 5000),
      2, "configuration error: "),
+    # a far plane-pump band whose edges both overflow in q = 2 pi x / (lambda f)
+    # reaches the panel limit, as one whose outer edge alone overflows does
+    (["run"], PLANE_FAR_RADIAL_CONFIG.replace("radial", "pixel_pair")
+     .replace("lambda_s = 1.064e-6", "lambda_s = 1e-300")
+     .replace("sweep_min = 0.0", "sweep_min = 900").replace("sweep_max = 3.2e-4", "sweep_max = 1e3")
+     + "f_lens = 1e-7\npixel_width = 1\n",
+     1, "numerical failure: t = q l_coh in [inf, inf]"),
 ], ids=["fig6-b-1e300", "grid_L-1.7e308", "sweep_points-1e12", "sweep_points-1e29",
-        "sweep_points-1e400", "sweep_points-1e5000"])
+        "sweep_points-1e400", "sweep_points-1e5000", "far-band-past-the-float-range"])
 def test_out_of_range_size_exits_with_one_line(tmp_path, argv, config, code, prefix):
     # a grid or sweep size no machine can hold ends in one stderr line with
     # its exit code: no traceback, no allocation tried, and no number printed
@@ -607,13 +628,16 @@ def test_rescaled_preset_matches_its_golden(tmp_path, fig_id, item):
 
 @pytest.mark.parametrize("sets", [
     ["b=4", "b=25"], ["A_p=0.9", "A_p=0.95"], ["b=4,4"], ["b=4,4.0000001"],
-], ids=["repeated-b", "repeated-A_p", "b-list-repeat", "b-list-same-label"])
+    ["b=" + ",".join(["4"] * 200)],
+], ids=["repeated-b", "repeated-A_p", "b-list-repeat", "b-list-same-label", "b-list-200"])
 def test_repeated_fig_set_exits_2(tmp_path, sets):
     # a repeated --set key, or b values whose curves would share a label and
-    # file, is refused: neither is silently dropped or overwritten
+    # file, is refused in one short line: neither is silently dropped or
+    # overwritten
     argv = ["fig", "--id", "6"] + [arg for item in sets for arg in ("--set", item)]
     code, line = _one_line_exit(tmp_path, argv)
     assert code == 2 and line.startswith("configuration error: ")
+    assert len(line) < 200
     assert not list(tmp_path.rglob("*.csv")) and not list(tmp_path.rglob("summary.txt"))
 
 

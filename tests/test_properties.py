@@ -248,6 +248,9 @@ def _is_number(text) -> bool:
 # endless far panel loop
 @example(_text(BASES[0], sweep_max="1e308"))
 @example(_text(BASES[1], sweep_max="1e308"))
+# a near band that underflows to 0 in l_coh units: no log of 0, and a 0/0 vn
+# refused as a numerical failure
+@example(_text(BASES[0], l_c="1e300", sweep_max="1e-300"))
 # LO spots too narrow to square or to form, and bands the LO spot never reaches
 @example(_text(BASES[1], lo_waist="1e-300"))
 @example(_text(BASES[1], lo_waist="5e-324"))
