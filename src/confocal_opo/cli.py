@@ -58,8 +58,8 @@ _BOUNDS = {
                      f"must be between 2 and {_MAX_SWEEP_POINTS}"),
     "grid_n": (lambda n: 2 <= n <= MAX_GRID_N, f"must be between 2 and {MAX_GRID_N}"),
     "sweep_min": (lambda x: x >= 0, "must be non-negative"),
-    "grid_L": (lambda x: x > 0, "must be positive"),
-    "b": (lambda x: x > 0, "must be positive"),
+    **dict.fromkeys(("grid_L", "b", "lo_amplitude", "lo_waist", "pixel_width"),
+                    (lambda x: x > 0, "must be positive")),
 }
 _AUTO_KEYS = {"grid_n", "grid_L"}  # "auto" leaves the value to the sizing rule
 _CHOICE_KEYS = {
@@ -222,11 +222,6 @@ def _fmt(x) -> str:
 def _echo(pairs) -> str:
     return " ".join(f"{k}={_fmt(v) if isinstance(v, (int, float)) else v}" for k, v in pairs)
 
-def _write_curve(path: Path, comment: str, header: str, rows) -> None:
-    lines = [f"# {comment}", header]
-    lines.extend(",".join(_fmt(col) for col in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
-
 def _scenario_echo(sc: Scenario):
     p = sc.params
     pairs = [
@@ -250,15 +245,15 @@ def _scenario_echo(sc: Scenario):
     pairs.append(("abscissa", sc.abscissa_name))
     return pairs
 
-def run_scenario(sc: Scenario, outdir: Path) -> float:
-    """Write the sweep's curve, one row per value (abscissa: the value /
-    ``_unit``): one ``squeezing`` call for all its detectors on the sweep's
-    cavity (a plane pump's parameters, or the cavity of its one solve), and
-    shot noise (vn = 1, N = 0) for a zero-size interval or disk, which
-    detects nothing.  A label ``<name>_<suffix>`` names the file
-    ``curve_<suffix>.csv``, one without "_" ``curve.csv``.  Return the
-    threshold margin 1 - max|lam| of the solve (1 - A_p for a plane pump,
-    whose strongest mode is q = 0)."""
+def run_scenario(sc: Scenario):
+    """The sweep's curve and the threshold margin 1 - max|lam| of its solve
+    (1 - A_p for a plane pump, whose strongest mode is q = 0).  The curve is
+    (file name, comment, header, rows), one row per value (abscissa: the
+    value / ``_unit``): one ``squeezing`` call for all its detectors on the
+    sweep's cavity (a plane pump's parameters, or the cavity of its one
+    solve), and shot noise (vn = 1, N = 0) for a zero-size interval or disk,
+    which detects nothing.  A label ``<name>_<suffix>`` names the file
+    ``curve_<suffix>.csv``, one without "_" ``curve.csv``."""
     p = sc.params
     dets = [_detector(sc.detector, sc.plane, float(value), sc.pixel_width) for value in sc.values]
     cavity = p if p.plane_pump else solve_io(
@@ -269,11 +264,10 @@ def run_scenario(sc: Scenario, outdir: Path) -> float:
     for value, det in zip(sc.values, dets):
         res = SqueezingResult(1.0, 1.0, 0.0, "") if det is None else next(results)
         rows.append((float(value) / unit, res.vn_squeezed, res.vn_antisqueezed, res.shot))
-    outdir.mkdir(parents=True, exist_ok=True)
     suffix = sc.label.partition("_")[2]
-    _write_curve(outdir / (f"curve_{suffix}.csv" if suffix else "curve.csv"),
-                 _echo(_scenario_echo(sc)), "abscissa,vn_squeezed,vn_antisqueezed,shot", rows)
-    return 1.0 - cavity.A_p if cavity is p else cavity.margin
+    curve = (f"curve_{suffix}.csv" if suffix else "curve.csv", _echo(_scenario_echo(sc)),
+             "abscissa,vn_squeezed,vn_antisqueezed,shot", rows)
+    return curve, 1.0 - cavity.A_p if cavity is p else cavity.margin
 
 def _detector(shape: str, plane: str, value: float,
               pixel_width: float | None = None) -> DetectorMask | None:
@@ -292,8 +286,8 @@ def _grid(p: OpoParams, plane: str, dets, n: int | None = None, half: float | No
     reaches = [det.bounds_on_axis(p)[1] for det in dets if det is not None]
     return auto_grid(p, plane, reaches, n, half)
 
-def write_summary(outdir: Path, runs) -> Path:
-    """Derived scales and threshold margin of every (scenario, margin) run."""
+def write_summary(runs) -> str:
+    """``summary.txt``: derived scales and threshold margin of each (scenario, margin) run."""
     lines = [
         "configuration and derived scales (artifact defaults unless a config "
         "or --set override was given; preset parameter choices are made by "
@@ -311,9 +305,7 @@ def write_summary(outdir: Path, runs) -> Path:
         lines.append(f"  b = {_fmt(p.b)}")  # inf for a plane pump
         lines.append(f"  threshold_margin = {_fmt(margin)}")
         lines.append("")
-    path = outdir / "summary.txt"
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -367,31 +359,27 @@ def fig_scenarios(fig_id: int, overrides: dict) -> list[Scenario]:
         ))
     return out
 
-def run_fig(fig_id: int, overrides: dict, outdir: Path) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
+def run_fig(fig_id: int, overrides: dict):
+    """(curves, ``summary.txt`` text) of one figure preset, each curve a
+    (file name, comment, header, rows) as ``run_scenario`` returns it."""
     if fig_id == 2:
-        _run_fig2(overrides, outdir)
-        return
-    runs = [(sc, run_scenario(sc, outdir)) for sc in fig_scenarios(fig_id, overrides)]
-    if fig_id == 8:
-        _run_fig8_density(runs[0][0], outdir)
-    write_summary(outdir, runs)
+        return _run_fig2(overrides)
+    scenarios = fig_scenarios(fig_id, overrides)
+    curves, margins = zip(*map(run_scenario, scenarios))
+    density = [_run_fig8_density(scenarios[0])] if fig_id == 8 else []
+    return [*curves, *density], write_summary(zip(scenarios, margins))
 
-def _run_fig2(overrides: dict, outdir: Path) -> None:
+def _run_fig2(overrides: dict):
     p = _preset_params(overrides, w_p=math.inf)
     xs = np.linspace(0.0, 4.0, 401)
-    rows = zip(xs, delta_2d(xs * p.l_coh, p) * p.l_coh**2)
+    rows = list(zip(xs, delta_2d(xs * p.l_coh, p) * p.l_coh**2))
     sc_pairs = [("label", "fig2"), ("lambda_s", p.lambda_s), ("n_s", p.n_s),
                 ("l_c", p.l_c), ("l_coh", p.l_coh)]
-    _write_curve(outdir / "curve.csv", _echo(sc_pairs), "r_over_lcoh,delta_lcoh2", rows)
-    lines = [
-        "kernel profile preset (artifact defaults)",
-        f"  l_coh = {_fmt(p.l_coh)}",
-        f"  delta(0) * l_coh^2 = {_fmt(float(delta_2d(0.0, p)) * p.l_coh**2)}",
-    ]
-    (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
+    lines = ["kernel profile preset (artifact defaults)", f"  l_coh = {_fmt(p.l_coh)}",
+             f"  delta(0) * l_coh^2 = {_fmt(float(delta_2d(0.0, p)) * p.l_coh**2)}", ""]
+    return [("curve.csv", _echo(sc_pairs), "r_over_lcoh,delta_lcoh2", rows)], "\n".join(lines)
 
-def _run_fig8_density(sc: Scenario, outdir: Path) -> None:
+def _run_fig8_density(sc: Scenario):
     """Companion pixel-pair density curve R(r) for the far-field preset."""
     p = sc.params
     us = np.linspace(0.0, 5.0, 126)
@@ -399,8 +387,7 @@ def _run_fig8_density(sc: Scenario, outdir: Path) -> None:
     r_sq, r_anti = (1.0 + f for f in _mode_noise(lam, p.detuning, p.omega_bar))
     rows = [(u, r1, r2, 1.0) for u, r1, r2 in zip(us, r_sq, r_anti)]
     pairs = [("label", "fig8_R"), ("A_p", p.A_p), ("detector", "pixel_pair_density")]
-    _write_curve(outdir / "curve_R.csv", _echo(pairs),
-                 "abscissa,vn_squeezed,vn_antisqueezed,shot", rows)
+    return "curve_R.csv", _echo(pairs), "abscissa,vn_squeezed,vn_antisqueezed,shot", rows
 
 
 # ---------------------------------------------------------------------------
@@ -431,16 +418,22 @@ def main(argv=None) -> int:
         if args.command == "run":
             cfg = parse_config(args.config)
             sc = scenario_from_config(cfg)
+            curve, margin = run_scenario(sc)
+            curves, summary = [curve], write_summary([(sc, margin)])
             outdir = Path(args.out or cfg.get("output", "out"))
-            outdir.mkdir(parents=True, exist_ok=True)
-            write_summary(outdir, [(sc, run_scenario(sc, outdir))])
         else:
             keys = (_FIG2_KEYS if args.id == 2 else (*ARTIFACT_DEFAULTS, "b")
                     if _PRESETS[args.id][0] == "gaussian" else ARTIFACT_DEFAULTS)
             overrides = _read_pairs([("", item) for item in args.set], keys,
                                     f"fig {args.id} takes only {', '.join(keys)}")
+            curves, summary = run_fig(args.id, overrides)
             outdir = Path(args.out or f"out_fig{args.id}")
-            run_fig(args.id, overrides, outdir)
+        # written only once every curve is computed: a refused command leaves nothing
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, comment, header, rows in curves:
+            lines = [f"# {comment}", header, *(",".join(map(_fmt, row)) for row in rows)]
+            (outdir / name).write_text("\n".join(lines) + "\n")
+        (outdir / "summary.txt").write_text(summary)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -159,7 +159,8 @@ class DetectorMask:
         u = np.abs(grid.points)
         mask = (u >= lo) & (u <= hi)
         if not mask.any():
-            raise ConfigurationError("no grid point falls inside the detector mask")
+            raise ConfigurationError(f"no grid point falls inside the {self.shape} band "
+                                     f"[{self.inner:g}, {self.outer:g}]: set a larger grid_n")
         return mask
 
 

@@ -138,10 +138,17 @@ class TestRunCommand:
         ("A_p = -0.1", "must be in [0, 1): 1 is the oscillation threshold, got '-0.1'"),
         ("n_s = 0.5", "must be >= 1, got '0.5'"),
         ("l_c = 0", "must be a positive length, got '0'"),
+        # the LO and pixel sizes, ahead of the LocalOscillator and detector
+        # checks; an inert lo_waist too, ahead of the applies-to refusal
+        ("lo_amplitude = -1", "must be positive, got '-1'"),
+        ("pixel_width = 0", "must be positive, got '0'"),
+        ("lo_waist = 0", "must be positive, got '0'"),
     ], ids=["grid_n = 1-grid_n", "grid_n = 0-grid_n", "grid_L = -1-grid_L",
             "grid_n = 1000000000-grid_n", "sweep_min = -1-sweep_min",
             "sweep_points = 1-sweep_points", "sweep_points = 100001-sweep_points",
-            "A_p = 1.2-A_p", "A_p = -0.1-A_p", "n_s = 0.5-n_s", "l_c = 0-l_c"])
+            "A_p = 1.2-A_p", "A_p = -0.1-A_p", "n_s = 0.5-n_s", "l_c = 0-l_c",
+            "lo_amplitude = -1-lo_amplitude", "pixel_width = 0-pixel_width",
+            "lo_waist = 0-lo_waist"])
     def test_bad_grid_exits_2(self, tmp_path, capsys, line, rule):
         # a number out of its key's bounds, a physical parameter's included,
         # is refused as the file is read, with the path and line of the value
@@ -423,7 +430,7 @@ class TestFigPresets:
     ])
     def test_preset_scenarios_pinned(self, tmp_path, monkeypatch, fig_id, b_set):
         # the geometry of every preset curve, read from fig_scenarios and from
-        # the CSV names run_scenario writes; nothing is solved
+        # the CSV names run_fig returns; nothing is solved, nothing written
         stem, plane, detector, points, first, last, pixel, waist, name = self.PRESETS[fig_id]
         overrides = {} if b_set is None else {"b": b_set}
         scenarios = cli.fig_scenarios(fig_id, overrides)
@@ -458,16 +465,14 @@ class TestFigPresets:
             else:
                 assert sc.lo.waist / unit == pytest.approx(waist, rel=1e-12)
 
-        written = []
         monkeypatch.setattr(cli, "solve_io",
                             lambda grid, p: iosolver.CavityModes(grid, p, 1.0, 1.0, None, None))
         monkeypatch.setattr(cli, "squeezing", lambda dets, lo, cavity:
                             [homodyne.SqueezingResult(1.0, 1.0, 1.0, "stub") for _ in dets])
-        monkeypatch.setattr(cli, "_write_curve", lambda path, *rest: written.append(path.name))
-        monkeypatch.setattr(cli, "write_summary", lambda outdir, sc_list: None)
-        cli.run_fig(fig_id, overrides, tmp_path)
-        written += sorted(path.name for path in tmp_path.iterdir())
-        assert written == csv_names
+        monkeypatch.chdir(tmp_path)
+        curves, _ = cli.run_fig(fig_id, overrides)
+        assert [name for name, *_ in curves] == csv_names
+        assert not list(tmp_path.iterdir())
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -568,14 +573,28 @@ def test_extreme_overrides_exit_with_a_code(tmp_path, capsys, fig_id):
 
 
 def _one_line_exit(tmp_path, argv):
-    """(exit code, the one stderr line) of the CLI run in its own process."""
+    """(exit code, the one stderr line) of the CLI run in its own process;
+    a refused run must leave its --out directory uncreated."""
     env = dict(os.environ, PYTHONPATH=str(Path(confocal_opo.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "confocal_opo.cli", *argv,
                            "--out", str(tmp_path / "o")],
                           capture_output=True, text=True, env=env)
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
+    assert proc.returncode == 0 or not (tmp_path / "o").exists(), "a refused run wrote"
     return proc.returncode, lines[0]
+
+
+def test_refused_fig_writes_nothing(tmp_path, monkeypatch, capsys):
+    # fig 6 computes its b = 4 curve before the sizing rule refuses b = 1e6:
+    # exit 1 leaves no --out directory, and without --out no out_fig6
+    argv = ["fig", "--id", "6", "--set", "b=4,1e6"]
+    code, line = _one_line_exit(tmp_path, argv)
+    assert code == 1 and line.startswith("numerical failure: sizing rule demands"), line
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("numerical failure: sizing rule demands")
+    assert not (tmp_path / "out_fig6").exists()
 
 
 @pytest.mark.parametrize("argv,config,code,prefix", [
@@ -821,7 +840,8 @@ sweep_points = 3
      "configuration error: no LO light reaches the pixel_pair band [0.000395, 0.000405]"),
     ("plane = near\ndetector = pixel_pair\npixel_width = 1e-9\n"
      "sweep_min = 1.23456e-5\nsweep_max = 2e-4\n", 2,
-     "configuration error: no grid point falls inside the detector mask"),
+     "configuration error: no grid point falls inside the pixel_pair band "
+     "[1.23451e-05, 1.23461e-05]: set a larger grid_n"),
     ("plane = near\ndetector = interval\ngrid_L = 9e-4\nsweep_min = 0\nsweep_max = 1e-3\n", 1,
      "numerical failure: detector reach 1.000e-03 exceeds the grid half extent 9.000e-04"),
 ], ids=["lo-misses-band", "pixels-between-grid-points", "detector-beyond-grid"])

@@ -121,7 +121,7 @@ def test_given_n_keeps_the_rule_cap():
 
 
 @pytest.mark.parametrize("plane", ["near", "far"])
-def test_the_lo_sizes_no_grid(monkeypatch, tmp_path, plane):
+def test_the_lo_sizes_no_grid(monkeypatch, plane):
     # a dense run solves on the grid its pump and detectors size: a Gaussian
     # LO of 10 pump units, whose 4 waists reach past both, leaves it as it is
     import confocal_opo.cli as cli
@@ -138,7 +138,7 @@ def test_the_lo_sizes_no_grid(monkeypatch, tmp_path, plane):
     grids = []
     for lo in (LocalOscillator(), LocalOscillator(waist=10.0 * _pump_unit(sc))):
         with pytest.raises(Solved):
-            cli.run_scenario(replace(sc, lo=lo), tmp_path)
+            cli.run_scenario(replace(sc, lo=lo))
     assert grids[0] == grids[1]
 
 

@@ -104,7 +104,8 @@ class TestDetectorMask:
         g = Grid1D(32, 1.0, "near")
         det = DetectorMask.interval(1e-9, "near")  # falls between cells
         with pytest.raises(ConfigurationError,
-                           match="^no grid point falls inside the detector mask$"):
+                           match=r"^no grid point falls inside the interval band "
+                                 r"\[0, 1e-09\]: set a larger grid_n$"):
             det.indicator(g, plane_params)
 
     @pytest.mark.parametrize("size", [math.inf, math.nan])
@@ -785,25 +786,25 @@ class TestPlanePumpFarSpectrum:
         assert peak < 2 * 2**20
 
 
-def _curve_rows(tmp_path, p, plane, shape, values, lo, pixel_width=None):
+def _curve_rows(p, plane, shape, values, lo, pixel_width=None):
     """The rows the CLI writes for a sweep of ``values`` (abscissa in
-    detection-plane meters), each split into its printed fields."""
+    detection-plane meters), each as its printed fields."""
     sc = Scenario(p, plane, shape, list(values), lo, abscissa_name="x", label="run",
                   pixel_width=pixel_width)
-    run_scenario(sc, tmp_path)
-    return [line.split(",") for line in (tmp_path / "curve.csv").read_text().splitlines()[2:]]
+    (_, _, _, rows), _ = run_scenario(sc)
+    return [[_fmt(x) for x in row] for row in rows]
 
 
 class TestSweep:
-    def test_zero_size_point_is_shot_noise(self, plane_params, tmp_path):
+    def test_zero_size_point_is_shot_noise(self, plane_params):
         # a zero-size detector detects nothing: the CLI writes shot noise
-        rows = _curve_rows(tmp_path, plane_params, "near", "interval",
+        rows = _curve_rows(plane_params, "near", "interval",
                            [0.0, plane_params.l_coh], LocalOscillator())
         assert rows[0] == ["0", "1", "1", "0"]
         assert float(rows[1][1]) < 1.0 < float(rows[1][2])
 
     @pytest.mark.parametrize("plane_pump", [True, False])
-    def test_zero_radius_far_point_is_shot_noise(self, plane_params, plane_pump, tmp_path):
+    def test_zero_radius_far_point_is_shot_noise(self, plane_params, plane_pump):
         # an empty detector detects nothing on either pump route: a disk on
         # the plane-pump route, its 1-D counterpart, the interval, on the
         # dense one (which computes no disk)
@@ -811,7 +812,7 @@ class TestSweep:
             plane_params, w_p=4 * plane_params.l_coh)
         r0 = plane_params.r0
         shape = "radial" if plane_pump else "interval"
-        rows = _curve_rows(tmp_path, p, "far", shape, [0.0, 0.5 * r0], LocalOscillator(waist=r0))
+        rows = _curve_rows(p, "far", shape, [0.0, 0.5 * r0], LocalOscillator(waist=r0))
         assert [float(x) for x in rows[0][1:]] == [1.0, 1.0, 0.0]
         vn_sq, vn_anti, shot = (float(x) for x in rows[1][1:])
         assert vn_sq < 1.0 < vn_anti and shot > 0
@@ -996,8 +997,7 @@ class TestOnePath:
     ], ids=["dense-near", "dense-far", "near-interval", "near-pixel_pair",
             "far-interval-plane_lo", "far-interval-gaussian_lo",
             "far-pixel_pair-plane_lo", "far-pixel_pair-gaussian_lo", "disk"])
-    def test_sweep_point_is_squeezing(self, plane_params, pump, plane,
-                                      shape, lo_profile, tmp_path):
+    def test_sweep_point_is_squeezing(self, plane_params, pump, plane, shape, lo_profile):
         # every row of a CLI curve, in both quadratures and in shot, is what
         # squeezing returns for the same detector on the modes of the same
         # grid, as printed, on the route its pump and detector select
@@ -1015,7 +1015,7 @@ class TestOnePath:
         modes = None
         if pump == "gaussian":
             modes = solve_io(_grid(p, plane, dets), p)
-        rows = _curve_rows(tmp_path, p, plane, shape, values, lo, pixel_width)
+        rows = _curve_rows(p, plane, shape, values, lo, pixel_width)
         route = ("dense" if modes is not None else "planepump_near" if plane == "near"
                  else "planepump_disk" if shape == "radial" else "planepump_far")
         assert len(rows) == len(values)
