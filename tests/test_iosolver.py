@@ -316,6 +316,24 @@ class TestDenseMemory:
             assert build < unit, f"build_kernel_matrix allocated {build / unit:.2f} m^2 floats"
             assert solve < unit, f"solve_io allocated {solve / unit:.2f} m^2 floats"
 
+    def test_margin_holds_no_krylov_basis(self):
+        # Lanczos runs on three m-vectors and stores no basis: on fig 9's far
+        # grid at b = 900 (n = 2,881, m = 1,441) _largest_gain allocates under
+        # 32 m-vectors above what is live on entry (a stored basis took 131)
+        p, _ = gauss_setup(b=900.0, a_p=0.9)
+        g = auto_grid(p, "far")
+        assert g.n == 2881
+        blocks = build_kernel_matrix(g, p)
+        unit = g.n_even * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            iosolver._largest_gain(blocks, g.n_even)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * unit, f"_largest_gain allocated {peak / unit:.1f} m-vectors"
+
 
 class TestThresholdMargin:
     def test_zero_pump(self):
@@ -354,6 +372,23 @@ class TestThresholdMargin:
             dets = [_detector(sc.detector, sc.plane, float(v), sc.pixel_width) for v in sc.values]
             g = _grid(p, sc.plane, dets, sc.grid_n, sc.grid_L)
             assert abs(solve_io(g, p).margin - threshold_margin(g, p)) <= 1e-13, sc.label
+
+    @pytest.mark.parametrize("domain", ["near", "far"])
+    @pytest.mark.parametrize("b", [*np.geomspace(1.0, 400.0, 8).round(2), 21.3, 39.9])
+    def test_margin_matches_eigvalsh_across_b_and_pump(self, monkeypatch, b, domain):
+        # Lanczos without reorthogonalization, on auto grids from no pump to
+        # 1e-12 below threshold, within 1e-13 of eigvalsh and in at most 100
+        # steps; spurious copies of the converged top value can delay the
+        # stop, most at b = 39.9 (68 steps near, at A_p = 0.99999)
+        steps = []
+        product = iosolver._kernel_product
+        monkeypatch.setattr(iosolver, "_kernel_product", lambda *a: steps.append(1) or product(*a))
+        for a_p in (0.0, 0.1, 0.9, 0.99999, 1.0 - 1e-12):
+            p, _ = gauss_setup(b=b, a_p=a_p)
+            g = auto_grid(p, domain)
+            steps.clear()
+            assert abs(solve_io(g, p).margin - threshold_margin(g, p)) <= 1e-13, a_p
+            assert len(steps) <= 100, a_p
 
 
 class TestEvenDiagonal:

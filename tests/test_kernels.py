@@ -398,6 +398,16 @@ class TestKernelMatrix:
         g = auto_grid(p, "far")
         assert np.abs(entries(g, kernel_block(g, p))).max() == 0.0
 
+    def test_no_kept_entry_is_negligible(self):
+        # l_c = 1e308 (b = 4.0e-310) puts every entry between 1.6e-168 and
+        # 1.3e-154: a cut relative to the largest entry kept them all, and
+        # their subnormal products made a run on this grid (pixels 4e-5 wide
+        # out to 2e-4, grid_n = 2001) take 4.7 s where it now takes 0.3 s
+        p = OpoParams(lambda_s=1.064e-6, n_s=2.12, l_c=1e308, z_C=0.05, A_p=0.9, w_p=8e-5)
+        g = auto_grid(p, "near", (2.2e-4,), 2001)
+        kept = np.abs(build_kernel_matrix(g, p))
+        assert not np.any((kept > 0.0) & (kept < 1e-100))
+
     @pytest.mark.parametrize("domain", ["far", "near"])
     def test_parity_and_symmetry_invariants(self, domain):
         p, g = _gauss_setup(b=9.0, n=257, domain=domain)
