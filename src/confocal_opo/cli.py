@@ -22,9 +22,9 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, NumericalFailure
-from .homodyne import DetectorMask, LocalOscillator, SqueezingResult, _mode_noise, squeezing
+from .homodyne import DetectorMask, LocalOscillator, SqueezingResult, _planepump_noise, squeezing
 from .iosolver import solve_io
-from .kernels import MAX_GRID_N, auto_grid, delta_2d, phase_match_sinc
+from .kernels import MAX_GRID_N, auto_grid, delta_2d
 from .params import _RULES, OpoParams
 
 # Parameter values every preset shares.  These are artifact defaults chosen
@@ -383,8 +383,7 @@ def _run_fig8_density(sc: Scenario):
     """Companion pixel-pair density curve R(r) for the far-field preset."""
     p = sc.params
     us = np.linspace(0.0, 5.0, 126)
-    lam = p.A_p * phase_match_sinc(2.0 * us / p.l_coh, p)  # r/r0 = u maps to sinc(u^2)
-    r_sq, r_anti = (1.0 + f for f in _mode_noise(lam, p.detuning, p.omega_bar))
+    r_sq, r_anti = 1.0 + _planepump_noise(p, 2.0 * us)  # r/r0 = u maps to sinc(u^2)
     rows = [(u, r1, r2, 1.0) for u, r1, r2 in zip(us, r_sq, r_anti)]
     pairs = [("label", "fig8_R"), ("A_p", p.A_p), ("detector", "pixel_pair_density")]
     return "curve_R.csv", _echo(pairs), "abscissa,vn_squeezed,vn_antisqueezed,shot", rows

@@ -28,16 +28,17 @@ by the amplitude^2, refuses a non-finite result and records the route:
   which ``_window_noise`` takes from two shifted solves (``iosolver``) of
   ``_SOLVE_WIDTH`` windows each.
 * A plane pump's ``OpoParams`` bypasses the dense solve: its response is
-  diagonal in the transverse wavevector, with mode gain lambda =
-  A_p sigma(q), so vn is one weighted sum over q of the same R_phi - 1
-  (``_vn_planepump``).  A detector gives only the weight and its norm: a
-  near-plane band [a, b] (plane LO only) its window |W(t)|^2 =
-  4 (sin(b t) - sin(a t))^2 / t^2, a far-plane one the LO intensity on its
-  band, times the polar weight t for a ``radial`` disk (route
-  ``planepump_disk``).  It raises ``NumericalFailure`` when the strongest
-  mode, gain A_p at q = 0, is at threshold within rounding.  This covers
-  detector sizes far beyond what a dense grid can span, and is
-  cross-checked against the dense route where the two overlap.
+  diagonal in the transverse wavevector, with mode gain lambda = A_p sigma(q),
+  so vn is one weighted sum over q of the same R_phi - 1 (``_vn_planepump``),
+  which ``_planepump_noise`` alone evaluates, also for fig 8's density curve.
+  A detector gives only the weight and its norm: a near-plane band [a, b]
+  (plane LO only) its window |W(t)|^2 = 4 (sin(b t) - sin(a t))^2 / t^2, a
+  far-plane one the LO intensity on its band, times the polar weight t for a
+  ``radial`` disk (route ``planepump_disk``).  It raises ``NumericalFailure``,
+  before any detector is read, when the strongest mode, gain A_p at q = 0, is
+  at threshold within rounding.  This covers detector sizes far beyond what a
+  dense grid can span, and is cross-checked against the dense route where
+  they overlap.
 * A finite pump's ``OpoParams`` is a ``ConfigurationError``: it needs modes.
 
 The squeezed quadrature is phi = pi/2 in this sign convention and phi = 0
@@ -55,7 +56,7 @@ resonance and detuned.  The near-field window oscillates with period
 2 pi / b, so its panels halve in width per doubling of 2b past 30 l_coh:
 one near-field point costs 1.7 ms at 2b = 30 l_coh and 10 ms at 480, and
 grows linearly beyond, 0.04 s at 2b = 1e3 l_coh and 0.3 s at 1e4 on a
-2-core x86-64 host.  Each chunk's two phase rows are summed by one einsum.
+2-core x86-64 host.  One einsum sums each chunk's ``_planepump_noise`` rows.
 """
 
 from __future__ import annotations
@@ -216,22 +217,6 @@ class SqueezingResult:
 # Dense-grid route
 # ---------------------------------------------------------------------------
 
-def _mode_noise(lam, detuning: float, omega_bar: float):
-    """[R_phi(lam) - 1 at phi = pi/2, at phi = 0], the order of ``_PHASES``,
-    R = |u + z conj(v_-)|^2 with z = e^{2 i phi}, of a mode of gain ``lam``
-    (v_- is v at -omega_bar; u = (conj(a) abar + lam^2) / D, v = 2 lam / D).
-    As v_- has the denominator conj(D), u + z conj(v_-) is
-
-        ((lam + z)^2 + conj(a) abar - z^2) / D,  D = (1 - lam)(1 + lam) + (a abar - 1),
-
-    where no term cancels as lam -> 1: R - 1 keeps its absolute accuracy up
-    to threshold.  D is formed once for both phases.
-    """
-    alpha, beta = detuning + omega_bar, omega_bar - detuning
-    den = (1.0 - lam) * (1.0 + lam) + complex(-alpha * beta, alpha + beta)
-    conj_a_abar = complex(1.0 + alpha * beta, beta - alpha)
-    return [np.abs(((lam + z) ** 2 + (conj_a_abar - z * z)) / den) ** 2 - 1.0 for z in _Z]
-
 def _check_lit(n_shot: float, det: DetectorMask) -> None:
     # a Gaussian LO spot that ends long before the band leaves no N to normalize by
     if n_shot == 0.0:
@@ -297,12 +282,21 @@ def _noise_terms(modes: CavityModes, dets, lo: LocalOscillator) -> list:
 # Plane-pump closed-form routes
 # ---------------------------------------------------------------------------
 
-def _check_threshold(p: OpoParams) -> None:
-    """Refuse a plane pump whose strongest mode, q = 0 with gain A_p, sits
-    at threshold within rounding, |a abar - A_p^2| <= 1e-14."""
-    a_abar = (1.0 + 1j * (p.detuning + p.omega_bar)) * (1.0 + 1j * (p.omega_bar - p.detuning))
-    if np.abs(a_abar - p.A_p**2) <= 1e-14:
-        raise NumericalFailure("plane-pump response diverges: a*abar = (A_p sigma)^2")
+def _mode_noise(lam, detuning: float, omega_bar: float):
+    """[R_phi(lam) - 1 at phi = pi/2, at phi = 0], the order of ``_PHASES``,
+    R = |u + z conj(v_-)|^2 with z = e^{2 i phi}, of a mode of gain ``lam``
+    (v_- is v at -omega_bar; u = (conj(a) abar + lam^2) / D, v = 2 lam / D).
+    As v_- has the denominator conj(D), u + z conj(v_-) is
+
+        ((lam + z)^2 + conj(a) abar - z^2) / D,  D = (1 - lam)(1 + lam) + (a abar - 1),
+
+    where no term cancels as lam -> 1: R - 1 keeps its absolute accuracy up
+    to threshold.  D is formed once for both phases.
+    """
+    alpha, beta = detuning + omega_bar, omega_bar - detuning
+    den = (1.0 - lam) * (1.0 + lam) + complex(-alpha * beta, alpha + beta)
+    conj_a_abar = complex(1.0 + alpha * beta, beta - alpha)
+    return [np.abs(((lam + z) ** 2 + (conj_a_abar - z * z)) / den) ** 2 - 1.0 for z in _Z]
 
 #: sinc-zero intervals handled at once: bounds ``_gauss_panels``' arrays of zeros
 _CHUNK = 4096
@@ -360,15 +354,11 @@ def _gauss_panels(t_lo: float, t_hi: float, max_width: float):
             return
         t_lo, k = edges[-1], k + _CHUNK
 
-def _panel_noise(p: OpoParams, spans: tuple):
-    """(t, w, R_phi - 1 at both phases as one (2, n) array) chunks of
-    ``_gauss_panels`` on each (t_lo, t_hi, max_width) of ``spans``, at the
-    plane-pump mode gain A_p sigma: one gain evaluation and one
-    ``_mode_noise`` call per chunk."""
-    for span in spans:
-        for t, w in _gauss_panels(*span):
-            lam = p.A_p * phase_match_sinc(t / p.l_coh, p)
-            yield t, w, np.array(_mode_noise(lam, p.detuning, p.omega_bar))
+def _planepump_noise(p: OpoParams, t):
+    """R_phi - 1 at both phases as one (2, n) array, the rows in the order of
+    ``_PHASES``, of the plane-pump modes at t = q l_coh: gain A_p sigma(t / l_coh)."""
+    lam = p.A_p * phase_match_sinc(t / p.l_coh, p)
+    return np.array(_mode_noise(lam, p.detuning, p.omega_bar))
 
 def _planepump_window(det: DetectorMask, lo: LocalOscillator, p: OpoParams):
     """(spans, weight, norm) of a detector at a plane pump, for
@@ -425,9 +415,12 @@ def _planepump_window(det: DetectorMask, lo: LocalOscillator, p: OpoParams):
     return ((q_lo * p.l_coh, q_hi * p.l_coh, width),), weight, norm
 
 def _vn_planepump(dets, lo: LocalOscillator, p: OpoParams) -> list:
-    """The ``_result`` of each detector at a plane pump, summed on
-    ``_panel_noise`` chunks by its ``_planepump_window``: detectors with equal
-    spans, grouped in one pass, read one stream of chunks, in first-seen order."""
+    """Each detector's ``_result`` at a plane pump, weighted by its ``_planepump_window``
+    on ``_gauss_panels`` chunks, one ``_planepump_noise`` each; equal spans share one pass,
+    in first-seen order.  First, even for no detector, it refuses a q = 0 mode at threshold."""
+    a_abar = (1.0 + 1j * (p.detuning + p.omega_bar)) * (1.0 + 1j * (p.omega_bar - p.detuning))
+    if np.abs(a_abar - p.A_p**2) <= 1e-14:
+        raise NumericalFailure("plane-pump response diverges: a*abar = (A_p sigma)^2")
     windows = [_planepump_window(det, lo, p) for det in dets]
     sums, totals = np.zeros((len(dets), len(_PHASES))), [0.0] * len(dets)
     results = [None] * len(dets)
@@ -435,7 +428,8 @@ def _vn_planepump(dets, lo: LocalOscillator, p: OpoParams) -> list:
     for i, window in enumerate(windows):
         groups.setdefault(window[0], []).append(i)
     for spans, group in groups.items():
-        for t, w, noise in _panel_noise(p, spans):
+        for t, w in (chunk for span in spans for chunk in _gauss_panels(*span)):
+            noise = _planepump_noise(p, t)
             for i in group:
                 g = windows[i][1](t) * w
                 sums[i] += np.einsum("ij,j->i", noise, g)
@@ -493,5 +487,4 @@ def squeezing(dets, lo: LocalOscillator,
     with np.errstate(all="ignore"):
         if dense:
             return _noise_terms(cavity, dets, lo)
-        _check_threshold(cavity)
         return _vn_planepump(dets, lo, cavity)

@@ -1107,6 +1107,22 @@ class TestOnePath:
         with pytest.raises(ConfigurationError, match="modes"):
             squeezing([det], LocalOscillator(), p)
 
+    @pytest.mark.parametrize("points", [0, 3], ids=["no-detector", "far-sweep"])
+    def test_plane_pump_at_threshold_is_refused_before_any_panel(self, monkeypatch,
+                                                                 plane_params, points):
+        # the q = 0 mode within rounding of threshold is refused by squeezing
+        # itself, even for no detector, before a single Gauss panel is made
+        import confocal_opo.homodyne as homodyne
+
+        def no_panels(*args):
+            raise AssertionError("a Gauss panel was made at threshold")
+
+        monkeypatch.setattr(homodyne, "_gauss_panels", no_panels)
+        p = replace(plane_params, A_p=0.999999999999999)
+        dets = [DetectorMask.interval(k * p.r0, "far") for k in range(1, points + 1)]
+        with pytest.raises(NumericalFailure, match=r"^plane-pump response diverges"):
+            squeezing(dets, LocalOscillator(), p)
+
     @pytest.mark.parametrize("cavity, name", [(None, "NoneType"), ("x", "str")])
     def test_cavity_of_another_type_is_refused(self, cavity, name):
         # neither modes nor a configuration: refused by its type, not an AttributeError

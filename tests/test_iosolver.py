@@ -373,6 +373,18 @@ class TestThresholdMargin:
             g = _grid(p, sc.plane, dets, sc.grid_n, sc.grid_L)
             assert abs(solve_io(g, p).margin - threshold_margin(g, p)) <= 1e-13, sc.label
 
+    @pytest.mark.parametrize("fig_id", [6, 9])
+    @pytest.mark.parametrize("b", [4.0, 25.0, 100.0, 900.0])
+    def test_strongest_gain_stays_under_the_pump(self, fig_id, b):
+        # the block LU needs no pivoting while max|lambda| < Re s, and Re s >= 1;
+        # on the figure grids max|lambda| = 1 - margin stays under A_p < 1 (0.918
+        # to 0.9975 A_p), though K's absolute row sums reach 1.079 A_p there
+        (sc,) = fig_scenarios(fig_id, {"b": [b]})
+        p = sc.params
+        dets = [_detector(sc.detector, sc.plane, float(v), sc.pixel_width) for v in sc.values]
+        modes = solve_io(_grid(p, sc.plane, dets, sc.grid_n, sc.grid_L), p)
+        assert 1.0 - modes.margin < p.A_p
+
     @pytest.mark.parametrize("domain", ["near", "far"])
     @pytest.mark.parametrize("b", [*np.geomspace(1.0, 400.0, 8).round(2), 21.3, 39.9])
     def test_margin_matches_eigvalsh_across_b_and_pump(self, monkeypatch, b, domain):
