@@ -154,8 +154,11 @@ def _number(key: str, text: str):
     return number
 
 def scenario_from_config(cfg: dict) -> Scenario:
+    """The ``Scenario`` of ``parse_config``'s result ``cfg``.  A refusal of
+    a key that is set names the ``path:line:`` it was read at; a missing
+    required key is named alone."""
     def at(key):  # the path:line: that parse_config read key at, "" for a missing key
-        return getattr(cfg, "where", {}).get(key, "")
+        return cfg.where.get(key, "")
 
     required = ["lambda_s", "n_s", "l_c", "z_C", "A_p", "pump", "plane",
                 "detector", "sweep_min", "sweep_max"]
@@ -216,11 +219,11 @@ def _unit(p: OpoParams, plane: str) -> float:
 # Output
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    return f"{float(x):.12g}"
+def _fmt(x) -> str:  # a number to 12 significant digits, a string as it is
+    return x if isinstance(x, str) else f"{float(x):.12g}"
 
 def _echo(pairs) -> str:
-    return " ".join(f"{k}={_fmt(v) if isinstance(v, (int, float)) else v}" for k, v in pairs)
+    return " ".join(f"{k}={_fmt(v)}" for k, v in pairs)
 
 def _scenario_echo(sc: Scenario):
     p = sc.params
@@ -296,15 +299,9 @@ def write_summary(runs) -> str:
     ]
     for sc, margin in runs:
         p = sc.params
-        lines.append(f"[{sc.label}]")
-        lines.extend(f"  {k} = {v if isinstance(v, str) else _fmt(v)}"
-                     for k, v in _scenario_echo(sc))
-        lines.append(f"  l_coh = {_fmt(p.l_coh)}")
-        lines.append(f"  w_C = {_fmt(p.w_C)}")
-        lines.append(f"  r0 = {_fmt(p.r0)}")
-        lines.append(f"  b = {_fmt(p.b)}")  # inf for a plane pump
-        lines.append(f"  threshold_margin = {_fmt(margin)}")
-        lines.append("")
+        pairs = [*_scenario_echo(sc), ("l_coh", p.l_coh), ("w_C", p.w_C), ("r0", p.r0),
+                 ("b", p.b), ("threshold_margin", margin)]  # b is inf for a plane pump
+        lines += [f"[{sc.label}]", *(f"  {k} = {_fmt(v)}" for k, v in pairs), ""]
     return "\n".join(lines) + "\n"
 
 
@@ -335,8 +332,6 @@ _PRESETS = {
 
 def fig_scenarios(fig_id: int, overrides: dict) -> list[Scenario]:
     """Scenario list for one figure preset (one scenario per curve)."""
-    if fig_id not in _PRESETS:
-        raise ConfigurationError(f"unknown figure preset id: {fig_id}")
     pump, plane, detector, first, last, points, name, lo_waist, suffix = _PRESETS[fig_id]
     l_coh = _preset_params(overrides, w_p=math.inf).l_coh
     out, labels = [], {}  # labels: the b of each curve label so far

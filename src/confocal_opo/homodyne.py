@@ -332,7 +332,7 @@ def _gauss_panels(t_lo: float, t_hi: float, max_width: float):
         raise NumericalFailure(
             f"t = q l_coh in [{t_lo:.3g}, {t_hi:.3g}] at panel width {max_width:.3g} "
             f"needs more than {_MAX_PANELS} Gauss panels")
-    nodes, weights = _gauss_legendre(16)
+    nodes, weights = _gauss_legendre()
     k = math.floor(t_lo**2 / (4.0 * math.pi)) + 1  # first sinc zero above t_lo
     while True:
         zeros = 2.0 * np.sqrt(math.pi * np.arange(k, k + _CHUNK))
@@ -461,7 +461,7 @@ def _result(det: DetectorMask, lo: LocalOscillator, route: str, shot: float,
 def squeezing(dets, lo: LocalOscillator,
               cavity: CavityModes | OpoParams) -> list[SqueezingResult]:
     """Noise spectra of a curve's detectors in both canonical quadratures,
-    one ``SqueezingResult`` per detector of the sequence ``dets``, in order.
+    one ``SqueezingResult`` per detector of the iterable ``dets``, in order.
 
     ``cavity`` is either the ``CavityModes`` of a dense solve, whose
     configuration is ``cavity.p``, over which the detectors are contracted
@@ -475,6 +475,7 @@ def squeezing(dets, lo: LocalOscillator,
     grid steps wide, or a non-finite N or vn, as when an input near the float
     range (an LO amplitude, an analysis frequency) overflows in the route.
     """
+    dets = list(dets)  # read once: a generator would be spent by the first check
     dense = isinstance(cavity, CavityModes)
     if not (dense or isinstance(cavity, OpoParams)):
         raise ConfigurationError(

@@ -348,6 +348,18 @@ class TestFigPresets:
         assert len(lines) == 1 and lines[0].startswith("numerical failure: "), lines
         assert not list(out.glob("curve*.csv"))
 
+    @pytest.mark.parametrize("fig_id,message", [
+        ("1", "invalid choice: 1"), ("3", "invalid choice: 3"), ("4", "invalid choice: 4"),
+        ("11", "invalid choice: 11"), ("x", "invalid int value: 'x'")])
+    def test_unknown_fig_id_exits_2(self, tmp_path, capsys, fig_id, message):
+        # argparse's choices are the one check of the preset id
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["fig", "--id", fig_id, "--out", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fig9_small_detector_reaches_shot_noise(self, tmp_path):
         out = tmp_path / "fig9"
         assert main(["fig", "--id", "9", "--set", "b=4", "--out", str(out)]) == 0

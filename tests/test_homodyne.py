@@ -30,6 +30,7 @@ from planepump_reference import (
     interval_vn,
     rises,
 )
+from thin_reference import vn_thin
 
 # Frozen reference values for the closed-form near-field interval spectrum at
 # A_p = 0.99, resonance, zero frequency, squeezed quadrature.  Computed with
@@ -433,6 +434,30 @@ class TestThinCrystalSingleMode:
         assert np.all(thin > 0)
         assert np.abs(wide / thin - 10.0).max() <= 0.1
         assert thin.max() <= 1e-3
+
+
+class TestThinCrystalGaussianPump:
+    # at fixed d / w_p a thick crystal approaches the thin-crystal vn of a
+    # Gaussian pump, short of it by O(l_coh / d), so sqrt(b) times the gap
+    # settles as b grows: 0.0041-0.234, moving by at most 0.5 % from b = 900
+    # to 3,600.  Each grid steps exactly l_coh/8 with a point at 0, and each
+    # edge sits midway between two points, so snapping does not blur it
+
+    @pytest.mark.parametrize("a_p", [0.9, 0.99])
+    def test_gap_to_thin_limit_falls_as_one_over_sqrt_b(self, plane_params, a_p):
+        scaled = {}
+        for b in (25.0, 100.0, 900.0, 3600.0):
+            p = replace(plane_params, A_p=a_p, w_p=math.sqrt(b) * plane_params.l_coh)
+            h = p.l_coh / 8.0
+            n = 2 * math.ceil(4.0 * p.w_p / h) + 1
+            modes = solve_io(Grid1D(n, n * h / 2.0, "near"), p)
+            ds = [(math.floor(c * p.w_p / h) + 0.5) * h for c in (0.5, 1.0, 2.0)]
+            results = squeezing([DetectorMask.interval(d, "near") for d in ds],
+                                LocalOscillator(), modes)
+            gaps = np.array([res.vn_squeezed - vn_thin(d, p) for res, d in zip(results, ds)])
+            assert np.all(gaps > 0), (b, gaps)  # the thick crystal squeezes less
+            scaled[b] = math.sqrt(b) * gaps
+        assert np.abs(scaled[3600.0] / scaled[900.0] - 1.0).max() <= 0.01, scaled
 
 
 class TestNoiseDensity:
@@ -955,6 +980,27 @@ class TestCurveCall:
         curve = squeezing(dets, lo, cavity)
         assert len(curve) == 19 and curve[0] != curve[1]
         assert curve == [squeezing([det], lo, cavity)[0] for det in dets]
+
+    @pytest.mark.parametrize("route", ["dense-near", "planepump-far"])
+    def test_detectors_are_any_iterable(self, plane_params, route):
+        # the detectors are read once: a tuple or a generator gives the list's results
+        dets, lo, cavity = _curve_case(plane_params, route)
+        curve = squeezing(dets, lo, cavity)
+        assert squeezing(tuple(dets), lo, cavity) == curve
+        assert squeezing((det for det in dets), lo, cavity) == curve
+
+    def test_generator_detectors_are_checked_before_the_lo_waist(self, plane_params):
+        # a band between two grid points is refused ahead of an LO waist under
+        # 2 steps, from a generator as from a list
+        p = replace(plane_params, w_p=5.0 * plane_params.l_coh)
+        modes = solve_io(Grid1D(641, 20.0 * p.l_coh, "near"), p)
+        h = modes.grid.step
+        dets = [DetectorMask.interval(3.0 * h, "near"),
+                DetectorMask("pixel_pair", "near", 10.1 * h, 10.4 * h)]
+        lo = LocalOscillator(waist=h)
+        for given in (dets, (det for det in dets)):
+            with pytest.raises(ConfigurationError, match="no grid point falls inside"):
+                squeezing(given, lo, modes)
 
     @pytest.mark.parametrize("route", ["dense-near", "planepump-near"])
     def test_empty_curve(self, plane_params, route):
